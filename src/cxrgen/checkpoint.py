@@ -4,7 +4,7 @@ A checkpoint is a directory holding ``manifest.json`` (config values,
 ordered parameter names, per-tensor shape, byte offset, and sha256) plus
 ``params.bin``, a flat blob of little-endian 32-bit floats in row-major
 order. Loading verifies every tensor's checksum, so a single corrupted byte
-is detected and attributed to the tensor it sits in.
+is detected and attributed to the tensor it sits in. Format 1 still loads.
 """
 
 from __future__ import annotations
@@ -16,30 +16,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, IntegrityError
-from .model import ModelConfig, parameter_shapes
+from .model import ModelConfig, check_parameters, parameter_shapes
 from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
                     extra: dict | None = None) -> None:
     """Write params + config under ``path`` (a directory, created if needed)."""
-    expected = parameter_shapes(cfg)
-    missing = expected.keys() - params.keys()
-    extra_names = params.keys() - expected.keys()
-    if missing or extra_names:
-        raise ContractError(
-            f"cannot checkpoint: missing {sorted(missing)}, unexpected {sorted(extra_names)}"
-        )
+    check_parameters(params, cfg)
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     chunks = []
     offset = 0
-    for name in expected:
+    for name in parameter_shapes(cfg):
         tensor = params[name]
         if not np.isfinite(tensor.data).all():
             raise ContractError(f"parameter {name!r} contains non-finite values")
@@ -78,7 +72,7 @@ def read_manifest(path) -> dict:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"unreadable checkpoint manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in (1, FORMAT_VERSION):
         raise IntegrityError(
             f"unsupported checkpoint format version {manifest.get('format_version')!r}"
         )
@@ -111,17 +105,25 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None
             f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"
         )
     expected = parameter_shapes(cfg)
+    stored = {}
+    for name, shape in expected.items():
+        # format 1 also stored query/key weights, shaped like wv, ahead of
+        # each single-key attention head's wv; they are verified, then dropped
+        if (manifest["format_version"] == 1 and name.endswith(".wv")
+                and name[:-2] + "wq" not in expected):
+            stored.update({name[:-2] + "wq": shape, name[:-2] + "wk": shape})
+        stored[name] = shape
     entries = manifest.get("tensors", [])
     seen = [entry["name"] for entry in entries]
-    if seen != list(expected):
+    if seen != list(stored):
         raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
     params: dict[str, Tensor] = {}
     for entry in entries:
         name = entry["name"]
         shape = tuple(entry["shape"])
-        if shape != expected[name]:
+        if shape != stored[name]:
             raise IntegrityError(
-                f"tensor {name!r} has shape {shape} in manifest, expected {expected[name]}"
+                f"tensor {name!r} has shape {shape} in manifest, expected {stored[name]}"
             )
         start, nbytes = entry["offset"], entry["nbytes"]
         raw = blob[start:start + nbytes]
@@ -129,8 +131,9 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None
             raise IntegrityError(f"checkpoint blob truncated inside tensor {name!r}")
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        params[name] = Tensor(data.copy(), requires_grad=True)
+        if name in expected:
+            data = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            params[name] = Tensor(data.copy(), requires_grad=True)
     return params, cfg
 
 

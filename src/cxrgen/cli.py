@@ -61,10 +61,11 @@ def _write_provenance(out_dir, command: str, options: dict, inputs=()) -> None:
         fh.write("\n")
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill unset options from the --config JSON file."""
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; --config file values replace the built-in defaults."""
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
-        return
+        return args
     try:
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -72,12 +73,13 @@ def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"config file {args.config}: unknown option {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+    options = {key.replace("-", "_"): value for key, value in values.items()}
+    for attr in options:
+        if attr in ("command", "func") or not hasattr(args, attr):
+            raise ConfigError(f"config file {args.config}: unknown option {attr!r}")
+    # parse again with the file's values as defaults, so explicit flags win
+    parser.commands[args.command].set_defaults(**options)
+    return parser.parse_args(argv)
 
 
 def _cleaning_inputs(args):
@@ -382,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-modal radiology report generation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser
 
     def common(p):
         p.add_argument("--config", help="JSON file of option values (flags override it)")
@@ -463,12 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = {action.dest: action.default
-                for action in parser._subparsers._group_actions[0].choices[args.command]._actions}
     try:
-        _apply_config_file(args, defaults)
+        args = _parse_args(build_parser(), argv)
         return args.func(args)
     except (ConfigError, SizingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

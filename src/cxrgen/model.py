@@ -6,9 +6,8 @@ Three parts feed a transformer decoder:
   model width through a ReLU dense layer plus multi-head self-attention;
 * a semantic unit, a single fully connected layer over the encoded
   demographic vector;
-* a fusion block where the normalized image representation queries
-  demographic-derived keys/values, yielding the hybrid representation the
-  decoder attends to.
+* a fusion block where the normalized image representation attends over
+  the demographic embedding, yielding the hybrid representation.
 
 The decoder embeds the target ids, injects sinusoidal positions, applies
 causally masked self-attention, attends over the hybrid representation, and
@@ -16,10 +15,11 @@ classifies each position over the vocabulary. Residual connections wrap
 every attention and feed-forward sublayer; layer norm follows the attention
 sublayers, matching the published layer ordering.
 
-Multi-head attention is parameterized per head: each head h owns its own
-query/key/value projections plus an output projection back to the model
-width, and head outputs are summed (equivalent to concatenation followed by
-a single block output matrix) before a shared output bias.
+Multi-head attention sums the heads' output projections head_h @ wo_h, then
+adds an output bias. The visual unit, the fusion block and decoder
+cross-attention attend over one [1 x d] key row; a softmax over one score is
+exactly 1, so they are the paper's layers evaluated exactly in closed form,
+``sum_h (kv @ wv_h) @ wo_h + bo``, with no query/key weights.
 
 Baseline (image-only) models set ``demographic_dim`` to zero, which removes
 the semantic and fusion parameters entirely; the hybrid representation is
@@ -92,13 +92,11 @@ class ModelConfig:
         return cls(**payload)
 
 
-def _attention_shapes(shapes: dict, prefix: str, cfg: ModelConfig) -> None:
-    dk = cfg.d_head
+def _attention_shapes(shapes: dict, prefix: str, cfg: ModelConfig, single_key=False) -> None:
     for h in range(cfg.n_heads):
-        shapes[f"{prefix}.h{h}.wq"] = (cfg.d_model, dk)
-        shapes[f"{prefix}.h{h}.wk"] = (cfg.d_model, dk)
-        shapes[f"{prefix}.h{h}.wv"] = (cfg.d_model, dk)
-        shapes[f"{prefix}.h{h}.wo"] = (dk, cfg.d_model)
+        for role in ("wv",) if single_key else ("wq", "wk", "wv"):
+            shapes[f"{prefix}.h{h}.{role}"] = (cfg.d_model, cfg.d_head)
+        shapes[f"{prefix}.h{h}.wo"] = (cfg.d_head, cfg.d_model)
     shapes[f"{prefix}.bo"] = (cfg.d_model,)
 
 
@@ -109,13 +107,13 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["visual.feat_norm.bias"] = (cfg.feature_dim,)
     shapes["visual.ff.w"] = (cfg.feature_dim, cfg.d_model)
     shapes["visual.ff.b"] = (cfg.d_model,)
-    _attention_shapes(shapes, "visual.attn", cfg)
+    _attention_shapes(shapes, "visual.attn", cfg, single_key=True)
     shapes["visual.norm.gain"] = (cfg.d_model,)
     shapes["visual.norm.bias"] = (cfg.d_model,)
     if cfg.uses_demographics:
         shapes["semantic.fc.w"] = (cfg.demographic_dim, cfg.d_model)
         shapes["semantic.fc.b"] = (cfg.d_model,)
-        _attention_shapes(shapes, "fusion.attn", cfg)
+        _attention_shapes(shapes, "fusion.attn", cfg, single_key=True)
         shapes["fusion.norm.gain"] = (cfg.d_model,)
         shapes["fusion.norm.bias"] = (cfg.d_model,)
     shapes["embed.table"] = (cfg.vocab_size, cfg.d_embed)
@@ -123,7 +121,7 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         _attention_shapes(shapes, f"dec{i}.self_attn", cfg)
         shapes[f"dec{i}.norm1.gain"] = (cfg.d_model,)
         shapes[f"dec{i}.norm1.bias"] = (cfg.d_model,)
-        _attention_shapes(shapes, f"dec{i}.cross_attn", cfg)
+        _attention_shapes(shapes, f"dec{i}.cross_attn", cfg, single_key=True)
         shapes[f"dec{i}.norm2.gain"] = (cfg.d_model,)
         shapes[f"dec{i}.norm2.bias"] = (cfg.d_model,)
         shapes[f"dec{i}.ff.w"] = (cfg.d_model, cfg.d_model)
@@ -170,14 +168,17 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
     return T.add(T.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
 
 
-def _multi_head_attention(params, prefix: str, cfg: ModelConfig, query: Tensor,
-                          keyvalue: Tensor, mask=None) -> Tensor:
+def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
+                          query: Tensor | None = None, mask=None) -> Tensor:
+    # without a query, keyvalue is one key row: its softmax weight is exactly
+    # 1, so each head's attention output is its value projection
     out = None
     for h in range(cfg.n_heads):
-        q = T.matmul(query, params[f"{prefix}.h{h}.wq"])
-        k = T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"])
-        v = T.matmul(keyvalue, params[f"{prefix}.h{h}.wv"])
-        attended = T.scaled_dot_attention(q, k, v, mask)
+        attended = T.matmul(keyvalue, params[f"{prefix}.h{h}.wv"])
+        if query is not None:
+            q = T.matmul(query, params[f"{prefix}.h{h}.wq"])
+            k = T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"])
+            attended = T.scaled_dot_attention(q, k, attended, mask)
         projected = T.matmul(attended, params[f"{prefix}.h{h}.wo"])
         out = projected if out is None else T.add(out, projected)
     return T.add(out, params[f"{prefix}.bo"])
@@ -202,7 +203,7 @@ def visual_encode(features, params, cfg: ModelConfig, training: bool = False,
     x = Tensor(feats[None, :])
     x = T.layer_norm(x, params["visual.feat_norm.gain"], params["visual.feat_norm.bias"])
     h = T.relu(_linear(x, params, "visual.ff"))
-    attended = _multi_head_attention(params, "visual.attn", cfg, h, h)
+    attended = _multi_head_attention(params, "visual.attn", cfg, h)
     attended = _maybe_dropout(attended, cfg, training, rng)
     return T.layer_norm(T.add(h, attended),
                         params["visual.norm.gain"], params["visual.norm.bias"])
@@ -229,7 +230,7 @@ def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelCon
             f"fusion expects [1 x {cfg.d_model}] inputs, got "
             f"{tuple(visual.shape)} and {tuple(semantic.shape)}"
         )
-    attended = _multi_head_attention(params, "fusion.attn", cfg, visual, semantic)
+    attended = _multi_head_attention(params, "fusion.attn", cfg, semantic)
     attended = _maybe_dropout(attended, cfg, training, rng)
     return T.layer_norm(T.add(visual, attended),
                         params["fusion.norm.gain"], params["fusion.norm.bias"])
@@ -277,12 +278,15 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     x = T.add(x, positions)
     x = _maybe_dropout(x, cfg, training, rng)
     mask = _causal_pad_mask(ids, pad_id)
+    ones = Tensor(np.ones((ids.shape[0], 1)))
     for i in range(cfg.n_decoder_blocks):
         attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, x, mask)
         attended = _maybe_dropout(attended, cfg, training, rng)
         x = T.layer_norm(T.add(x, attended),
                          params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
-        cross = _multi_head_attention(params, f"dec{i}.cross_attn", cfg, x, hybrid)
+        # every position attends to the one hybrid row: compute the [1 x d]
+        # result once, then broadcast it over the positions (ones @ row)
+        cross = T.matmul(ones, _multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid))
         cross = _maybe_dropout(cross, cfg, training, rng)
         x = T.layer_norm(T.add(x, cross),
                          params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])

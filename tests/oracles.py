@@ -73,6 +73,27 @@ def loop_attention(q, k, v, mask=None):
     return out
 
 
+def full_softmax_mha(weights, prefix, n_heads, query, keyvalue, mask=None):
+    """Multi-head attention computed in full for every head h: query/key/value
+    projections, scaled scores, optional boolean mask, softmax over the keys,
+    weighted values, output projection; heads summed, then the output bias.
+
+    ``weights`` maps ``<prefix>.h<h>.{wq,wk,wv,wo}`` and ``<prefix>.bo`` to arrays.
+    """
+    out = 0.0
+    for h in range(n_heads):
+        q = query @ weights[f"{prefix}.h{h}.wq"]
+        k = keyvalue @ weights[f"{prefix}.h{h}.wk"]
+        v = keyvalue @ weights[f"{prefix}.h{h}.wv"]
+        scores = (q @ k.T) / math.sqrt(q.shape[1])
+        if mask is not None:
+            scores = np.where(mask, scores, -np.inf)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out = out + probs @ v @ weights[f"{prefix}.h{h}.wo"]
+    return out + weights[f"{prefix}.bo"]
+
+
 def finite_difference_gradients(loss_fn, params, step=1e-3):
     """Central finite differences of a scalar function of named parameter tensors.
 

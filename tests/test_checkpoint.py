@@ -2,14 +2,23 @@
 are detected and attributed."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cxrgen.checkpoint import (load_checkpoint, parameter_checksum, read_manifest,
                                save_checkpoint)
-from cxrgen.errors import ConfigError, ContractError, IntegrityError
-from cxrgen.model import ModelConfig, generate, init_parameters
+from cxrgen.errors import ConfigError, ContractError, IntegrityError, ShapeError
+from cxrgen.model import (ModelConfig, decoder_forward, encode_inputs, generate,
+                          init_parameters)
+from cxrgen.tensor import Tensor
+
+# A format-1 checkpoint of CFG written by the format-1 code (commit ae46b1b),
+# which still stored query/key weights for the single-key attention blocks.
+# expected.json holds that code's logits and greedy ids for one fixed input.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1"
 
 CFG = ModelConfig(feature_dim=6, d_model=8, d_embed=8, n_heads=2, vocab_size=15,
                   max_len=6, demographic_dim=4, dropout_rate=0.0)
@@ -97,9 +106,13 @@ def test_non_finite_parameters_rejected(tmp_path, params):
 
 
 def test_wrong_parameter_set_rejected(tmp_path, params):
+    params["classifier.b"] = Tensor(np.zeros(16), requires_grad=True)
+    with pytest.raises(ShapeError, match="classifier.b"):
+        save_checkpoint(params, CFG, tmp_path / "ckpt")
     del params["classifier.b"]
     with pytest.raises(ContractError):
         save_checkpoint(params, CFG, tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_extra_payload_round_trip(tmp_path, params):
@@ -116,3 +129,31 @@ def test_tensor_list_must_match_model(tmp_path, params):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_v1_checkpoint_loads_with_identical_outputs():
+    expected = json.loads((V1_CHECKPOINT / "expected.json").read_text())
+    assert read_manifest(V1_CHECKPOINT)["format_version"] == 1
+    loaded, cfg = load_checkpoint(V1_CHECKPOINT, expect_cfg=CFG)
+    assert set(loaded) == set(init_parameters(CFG))
+    features, demo = np.asarray(expected["features"]), np.asarray(expected["demo"])
+    hybrid = encode_inputs(features, demo, loaded, cfg)
+    logits = decoder_forward(expected["prefix"], hybrid, loaded, cfg).data
+    reference = np.asarray(expected["logits"])
+    # the single cross-attention row is projected once instead of once per
+    # position, so BLAS may round differently in the last bits
+    np.testing.assert_allclose(logits, reference, rtol=0,
+                               atol=1e-6 * np.abs(reference).max())
+    assert generate(features, demo, loaded, cfg, temperature=0.0) == expected["greedy_ids"]
+
+
+@pytest.mark.parametrize("victim_name", ["visual.attn.h0.wq", "dec0.cross_attn.h1.wv"])
+def test_tampered_v1_blob_detected(tmp_path, victim_name):
+    ckpt = tmp_path / "v1"
+    shutil.copytree(V1_CHECKPOINT, ckpt)
+    victim = next(e for e in read_manifest(ckpt)["tensors"] if e["name"] == victim_name)
+    blob = bytearray((ckpt / "params.bin").read_bytes())
+    blob[victim["offset"] + 1] ^= 0x10
+    (ckpt / "params.bin").write_bytes(bytes(blob))
+    with pytest.raises(IntegrityError, match=victim_name):
+        load_checkpoint(ckpt)

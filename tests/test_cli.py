@@ -60,11 +60,22 @@ class TestSynthData:
         lines = (tmp_path / "out" / "dataset.jsonl").read_text().splitlines()
         assert len(lines) == 16  # 8 strata x 2
 
+    def test_explicit_flag_beats_config_file(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "n-per-stratum": 2, "feature-dim": 6}))
+        for name, flags in (("flag", ["--seed", "0"]), ("file", [])):
+            assert main(["synth-data", "--out", str(tmp_path / name),
+                         "--config", str(config), *flags]) == 0
+        seeds = [json.loads((tmp_path / name / "provenance.json").read_text())
+                 ["options"]["seed"] for name in ("flag", "file")]
+        assert seeds == [0, 5]
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bogus-option": 1}))
-        assert main(["synth-data", "--out", str(tmp_path / "out"),
-                     "--config", str(config)]) == 2
+        for key in ("bogus-option", "func", "command"):
+            config.write_text(json.dumps({key: 1}))
+            assert main(["synth-data", "--out", str(tmp_path / "out"),
+                         "--config", str(config)]) == 2
 
 
 class TestPrepareData:

@@ -1,7 +1,7 @@
 """Network forward passes against straight-line numpy re-compositions,
 shape closure across configs, causal masking, and seeded generation."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,10 @@ from cxrgen.model import (ModelConfig, check_parameters, decoder_forward, encode
                           fuse_visual_semantic, generate, init_parameters,
                           parameter_shapes, semantic_encode, visual_encode)
 from cxrgen.tensor import Tensor
-from cxrgen.text import END_ID, START_ID
+from cxrgen.text import END_ID, PAD_ID, START_ID
+from cxrgen.training import EncodedExample, batch_loss
+
+from oracles import full_softmax_mha
 
 TINY = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2, vocab_size=20,
                    max_len=8, demographic_dim=7, n_decoder_blocks=1, dropout_rate=0.0)
@@ -26,33 +29,39 @@ def np_layer_norm(x, gain, bias, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
-def np_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def full_attention_weights(params, cfg, rng):
+    """Parameter arrays plus random query/key weights for every single-key
+    attention block, which the model evaluates in closed form without them."""
+    weights = {name: tensor.data for name, tensor in params.items()}
+    for name in list(weights):
+        if name.endswith(".wv") and name[:-2] + "wq" not in weights:
+            for role in ("wq", "wk"):
+                weights[name[:-2] + role] = rng.normal(
+                    size=(cfg.d_model, cfg.d_head)).astype(np.float32)
+    return weights
 
 
-def np_mha(params, prefix, cfg, query, keyvalue, mask=None):
-    out = np.zeros((query.shape[0], cfg.d_model), dtype=query.dtype)
-    for h in range(cfg.n_heads):
-        q = query @ params[f"{prefix}.h{h}.wq"].data
-        k = keyvalue @ params[f"{prefix}.h{h}.wk"].data
-        v = keyvalue @ params[f"{prefix}.h{h}.wv"].data
-        scores = (q @ k.T) / math.sqrt(q.shape[1])
-        if mask is not None:
-            scores = np.where(mask, scores, -np.inf)
-        out = out + np_softmax(scores) @ v @ params[f"{prefix}.h{h}.wo"].data
-    return out + params[f"{prefix}.bo"].data
-
-
-def np_visual_encode(features, params, cfg):
+def np_visual_encode(features, w, cfg):
     x = np.asarray(features, dtype=np.float32)[None, :]
-    x = np_layer_norm(x, params["visual.feat_norm.gain"].data,
-                      params["visual.feat_norm.bias"].data)
-    h = np.maximum(x @ params["visual.ff.w"].data + params["visual.ff.b"].data, 0)
-    attended = np_mha(params, "visual.attn", cfg, h, h)
-    return np_layer_norm(h + attended, params["visual.norm.gain"].data,
-                         params["visual.norm.bias"].data)
+    x = np_layer_norm(x, w["visual.feat_norm.gain"], w["visual.feat_norm.bias"])
+    h = np.maximum(x @ w["visual.ff.w"] + w["visual.ff.b"], 0)
+    attended = full_softmax_mha(w, "visual.attn", cfg.n_heads, h, h)
+    return np_layer_norm(h + attended, w["visual.norm.gain"], w["visual.norm.bias"])
+
+
+def np_decoder_forward(ids, hybrid, w, cfg):
+    """The decoder with every attention block, cross-attention included,
+    computed as a full softmax over its keys."""
+    length = len(ids)
+    x = w["embed.table"][ids] + T.sinusoidal_positions(length, cfg.d_embed)
+    causal = np.tril(np.ones((length, length), dtype=bool))
+    for i in range(cfg.n_decoder_blocks):
+        attended = full_softmax_mha(w, f"dec{i}.self_attn", cfg.n_heads, x, x, causal)
+        x = np_layer_norm(x + attended, w[f"dec{i}.norm1.gain"], w[f"dec{i}.norm1.bias"])
+        cross = full_softmax_mha(w, f"dec{i}.cross_attn", cfg.n_heads, x, hybrid)
+        x = np_layer_norm(x + cross, w[f"dec{i}.norm2.gain"], w[f"dec{i}.norm2.bias"])
+        x = x + np.maximum(x @ w[f"dec{i}.ff.w"] + w[f"dec{i}.ff.b"], 0)
+    return x @ w["classifier.w"] + w["classifier.b"]
 
 
 class TestParameters:
@@ -109,7 +118,7 @@ class TestVisualUnit:
         rng = np.random.default_rng(3)
         features = rng.normal(size=10)
         out = visual_encode(features, params, TINY)
-        expected = np_visual_encode(features, params, TINY)
+        expected = np_visual_encode(features, full_attention_weights(params, TINY, rng), TINY)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
     def test_wrong_feature_length(self):
@@ -150,20 +159,17 @@ class TestSemanticUnit:
 class TestFusion:
     def test_single_key_attention_weight_is_one(self):
         """With one semantic row, each head's attention weight is exactly 1,
-        so the pre-residual output equals the projected semantic value."""
+        so the closed form matches full softmax attention whatever the
+        query/key weights."""
         params = init_parameters(TINY, seed=6)
         rng = np.random.default_rng(6)
         visual = Tensor(rng.normal(size=(1, 16)))
         semantic = Tensor(rng.normal(size=(1, 16)))
         out = fuse_visual_semantic(visual, semantic, params, TINY)
-        projected = sum(
-            semantic.data @ params[f"fusion.attn.h{h}.wv"].data
-            @ params[f"fusion.attn.h{h}.wo"].data
-            for h in range(TINY.n_heads)
-        ) + params["fusion.attn.bo"].data
-        expected = np_layer_norm(visual.data + projected,
-                                 params["fusion.norm.gain"].data,
-                                 params["fusion.norm.bias"].data)
+        w = full_attention_weights(params, TINY, rng)
+        attended = full_softmax_mha(w, "fusion.attn", TINY.n_heads, visual.data, semantic.data)
+        expected = np_layer_norm(visual.data + attended, w["fusion.norm.gain"],
+                                 w["fusion.norm.bias"])
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
     def test_output_shape_default_config(self):
@@ -257,6 +263,17 @@ class TestDecoder:
         expected = T.add(T.matmul(x, params["classifier.w"]), params["classifier.b"])
         np.testing.assert_allclose(logits.data, expected.data, rtol=1e-5, atol=1e-6)
 
+    def test_multi_token_matches_full_softmax_attention_oracle(self):
+        cfg = replace(TINY, n_decoder_blocks=2)
+        params = init_parameters(cfg, seed=5)
+        hybrid = self._hybrid(params, cfg, seed=5)
+        rng = np.random.default_rng(13)
+        ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=6)])
+        logits = decoder_forward(ids, hybrid, params, cfg)
+        expected = np_decoder_forward(ids, hybrid.data,
+                                      full_attention_weights(params, cfg, rng), cfg)
+        np.testing.assert_allclose(logits.data, expected, rtol=1e-5, atol=1e-6)
+
     def test_id_out_of_range_rejected(self):
         params = init_parameters(TINY, seed=0)
         hybrid = self._hybrid(params, TINY)
@@ -339,3 +356,27 @@ class TestGenerate:
         params = init_parameters(cfg, seed=0)
         out = generate(np.ones(10), None, params, cfg, temperature=0.0, seed=0)
         assert 1 <= len(out) <= cfg.max_len
+
+
+class TestGradientReach:
+    @pytest.mark.parametrize("base, n_examples, length", [
+        (TINY, 2, 6), (ModelConfig(), 1, 12)], ids=["tiny", "paper-scale"])
+    @pytest.mark.parametrize("use_demographics", [True, False],
+                             ids=["demographics", "image-only"])
+    def test_every_parameter_gets_a_nonzero_gradient(self, base, n_examples, length,
+                                                     use_demographics):
+        cfg = base if use_demographics else replace(base, demographic_dim=0)
+        params = init_parameters(cfg, seed=0)
+        rng = np.random.default_rng(4)
+        examples = []
+        for i in range(n_examples):
+            ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=length),
+                                  [END_ID, PAD_ID]])
+            demo = rng.random(cfg.demographic_dim) if use_demographics else None
+            examples.append(EncodedExample(f"e{i}", rng.normal(size=cfg.feature_dim),
+                                           demo, ids))
+        loss, _ = batch_loss(examples, params, cfg, training=False)
+        T.backward(loss)
+        dead = [name for name, tensor in params.items()
+                if tensor.grad is None or not np.count_nonzero(tensor.grad)]
+        assert dead == []
