@@ -72,9 +72,11 @@ def read_manifest(path) -> dict:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"unreadable checkpoint manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format_version") not in (1, FORMAT_VERSION):
+    version = manifest.get("format_version")
+    # True == 1 and 1.0 == 1 in Python, so check the type before the value
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise IntegrityError(
-            f"unsupported checkpoint format version {manifest.get('format_version')!r}"
+            f"unsupported checkpoint format version {version!r}"
         )
     return manifest
 

@@ -15,6 +15,12 @@ classifies each position over the vocabulary. Residual connections wrap
 every attention and feed-forward sublayer; layer norm follows the attention
 sublayers, matching the published layer ordering.
 
+Every stage takes a batch: the encoder maps B feature rows (and B demographic
+rows) to B hybrid rows, and the decoder runs B id sequences padded to one
+length L as a [B*L x d] stream, with self-attention scores of shape
+[B x L x L] under causal and key-pad masks. A single sequence is the case
+B = 1, so generation and training run the same code.
+
 Multi-head attention sums the heads' output projections head_h @ wo_h, then
 adds an output bias. The visual unit, the fusion block and decoder
 cross-attention attend over one [1 x d] key row; a softmax over one score is
@@ -170,15 +176,19 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
 
 def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
                           query: Tensor | None = None, mask=None) -> Tensor:
-    # without a query, keyvalue is one key row: its softmax weight is exactly
-    # 1, so each head's attention output is its value projection
+    # without a query, each keyvalue row is the one key of its own attention:
+    # its softmax weight is exactly 1, so each head returns its value
+    # projection. With a query, the rows are B sequences of L positions and
+    # mask is their [B x L x L] mask; each head attends per sequence.
     out = None
     for h in range(cfg.n_heads):
         attended = T.matmul(keyvalue, params[f"{prefix}.h{h}.wv"])
         if query is not None:
-            q = T.matmul(query, params[f"{prefix}.h{h}.wq"])
-            k = T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"])
-            attended = T.scaled_dot_attention(q, k, attended, mask)
+            stacked = (*mask.shape[:2], cfg.d_head)
+            q = T.reshape(T.matmul(query, params[f"{prefix}.h{h}.wq"]), stacked)
+            k = T.reshape(T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"]), stacked)
+            attended = T.scaled_dot_attention(q, k, T.reshape(attended, stacked), mask)
+            attended = T.reshape(attended, (keyvalue.shape[0], cfg.d_head))
         projected = T.matmul(attended, params[f"{prefix}.h{h}.wo"])
         out = projected if out is None else T.add(out, projected)
     return T.add(out, params[f"{prefix}.bo"])
@@ -192,15 +202,22 @@ def _maybe_dropout(x: Tensor, cfg: ModelConfig, training: bool, rng) -> Tensor:
     return x
 
 
+def _rows(values, width: int, what: str) -> Tensor:
+    """A [width] vector or a [B x width] stack of them, as a [B x width] tensor."""
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"{what} of unequal lengths: {exc}") from exc
+    rows = rows.reshape(1, -1) if rows.ndim < 2 else rows
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ShapeError(f"expected {what} of length {width}, got shape {rows.shape}")
+    return Tensor(rows)
+
+
 def visual_encode(features, params, cfg: ModelConfig, training: bool = False,
                   rng=None) -> Tensor:
-    """Image feature vector -> normalized [1 x d_model] visual representation."""
-    feats = np.asarray(features, dtype=np.float64).reshape(-1)
-    if feats.shape[0] != cfg.feature_dim:
-        raise ShapeError(
-            f"expected {cfg.feature_dim} image features, got {feats.shape[0]}"
-        )
-    x = Tensor(feats[None, :])
+    """Image feature vectors [B x F] (or one [F]) -> normalized [B x d_model] rows."""
+    x = _rows(features, cfg.feature_dim, "image feature vectors")
     x = T.layer_norm(x, params["visual.feat_norm.gain"], params["visual.feat_norm.bias"])
     h = T.relu(_linear(x, params, "visual.ff"))
     attended = _multi_head_attention(params, "visual.attn", cfg, h)
@@ -210,24 +227,19 @@ def visual_encode(features, params, cfg: ModelConfig, training: bool = False,
 
 
 def semantic_encode(demo, params, cfg: ModelConfig) -> Tensor:
-    """Demographic vector -> [1 x d_model] semantic representation."""
+    """Demographic vectors [B x D] (or one [D]) -> [B x d_model] semantic rows."""
     if not cfg.uses_demographics:
         raise ContractError("this configuration has no semantic unit (demographic_dim=0)")
-    vec = np.asarray(demo, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != cfg.demographic_dim:
-        raise ShapeError(
-            f"expected a demographic vector of length {cfg.demographic_dim}, "
-            f"got {vec.shape[0]}"
-        )
-    return _linear(Tensor(vec[None, :]), params, "semantic.fc")
+    return _linear(_rows(demo, cfg.demographic_dim, "demographic vectors"),
+                   params, "semantic.fc")
 
 
 def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelConfig,
                          training: bool = False, rng=None) -> Tensor:
-    """Attend from the visual representation over semantic keys/values."""
-    if visual.shape != (1, cfg.d_model) or semantic.shape != (1, cfg.d_model):
+    """Attend from each visual row over the semantic row of the same example."""
+    if visual.ndim != 2 or visual.shape[1] != cfg.d_model or semantic.shape != visual.shape:
         raise ShapeError(
-            f"fusion expects [1 x {cfg.d_model}] inputs, got "
+            f"fusion expects two [B x {cfg.d_model}] inputs, got "
             f"{tuple(visual.shape)} and {tuple(semantic.shape)}"
         )
     attended = _multi_head_attention(params, "fusion.attn", cfg, semantic)
@@ -238,7 +250,11 @@ def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelCon
 
 def encode_inputs(features, demo, params, cfg: ModelConfig, training: bool = False,
                   rng=None) -> Tensor:
-    """Run the full encoder: visual unit, then fusion when demographics are in use."""
+    """Run the full encoder: visual unit, then fusion when demographics are in use.
+
+    ``features`` is [B x F] and ``demo`` [B x D] (or one vector each); the
+    hybrid representation is [B x d_model].
+    """
     visual = visual_encode(features, params, cfg, training=training, rng=rng)
     if not cfg.uses_demographics:
         return visual
@@ -249,44 +265,50 @@ def encode_inputs(features, demo, params, cfg: ModelConfig, training: bool = Fal
 
 
 def _causal_pad_mask(ids: np.ndarray, pad_id: int) -> np.ndarray:
-    length = ids.shape[0]
-    causal = np.tril(np.ones((length, length), dtype=bool))
-    return causal & (ids != pad_id)[None, :]
+    """[B x L x L]: position t of a sequence may attend to its non-pad positions <= t."""
+    return np.tri(ids.shape[1], dtype=bool) & (ids != pad_id)[:, None, :]
 
 
 def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
                     pad_id: int = PAD_ID, training: bool = False, rng=None) -> Tensor:
-    """Per-position vocabulary logits for a (shifted) target id sequence.
+    """Per-position vocabulary logits for (shifted) target id sequences.
 
-    Position t sees only positions <= t; pad positions are excluded from the
-    attention keys.
+    ``target_ids`` is [B x L], B sequences padded to one length, with
+    ``hybrid`` [B x d_model]; one [L] sequence is the case B = 1. Returns
+    [B*L x V] logits, row b*L + t for position t of sequence b. Position t
+    sees only positions <= t of its own sequence; pad positions are excluded
+    from the attention keys.
     """
-    ids = np.asarray(target_ids, dtype=np.int64).reshape(-1)
-    if ids.shape[0] == 0:
+    ids = np.asarray(target_ids, dtype=np.int64)
+    ids = ids.reshape(1, -1) if ids.ndim < 2 else ids
+    if ids.ndim != 2:
+        raise ShapeError(f"decoder ids must be [L] or [B x L], got shape {ids.shape}")
+    n_seq, length = ids.shape
+    if ids.size == 0:
         raise ContractError("decoder needs at least one input id")
-    if ids.shape[0] > cfg.max_len:
+    if length > cfg.max_len:
         raise ContractError(
-            f"sequence length {ids.shape[0]} exceeds the maximum {cfg.max_len}"
+            f"sequence length {length} exceeds the maximum {cfg.max_len}"
         )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ContractError(
             f"token id out of range [0, {cfg.vocab_size}): {int(ids.min())}..{int(ids.max())}"
         )
-    x = T.embedding(params["embed.table"], ids)
-    positions = Tensor(T.sinusoidal_positions(ids.shape[0], cfg.d_embed,
-                                              dtype=x.data.dtype))
-    x = T.add(x, positions)
+    x = T.embedding(params["embed.table"], ids.reshape(-1))
+    positions = T.sinusoidal_positions(length, cfg.d_embed, dtype=x.data.dtype)
+    x = T.add(x, Tensor(np.tile(positions, (n_seq, 1))))
     x = _maybe_dropout(x, cfg, training, rng)
     mask = _causal_pad_mask(ids, pad_id)
-    ones = Tensor(np.ones((ids.shape[0], 1)))
+    owner = Tensor(np.eye(n_seq).repeat(length, axis=0))
     for i in range(cfg.n_decoder_blocks):
         attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, x, mask)
         attended = _maybe_dropout(attended, cfg, training, rng)
         x = T.layer_norm(T.add(x, attended),
                          params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
-        # every position attends to the one hybrid row: compute the [1 x d]
-        # result once, then broadcast it over the positions (ones @ row)
-        cross = T.matmul(ones, _multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid))
+        # every position attends to its sequence's one hybrid row: compute the
+        # [B x d] result once, then broadcast row b to stream rows b*L..b*L+L-1
+        # with the one-hot owner matrix
+        cross = T.matmul(owner, _multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid))
         cross = _maybe_dropout(cross, cfg, training, rng)
         x = T.layer_norm(T.add(x, cross),
                          params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])

@@ -29,6 +29,17 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        # two scratch rows the size of the largest parameter, one pair per
+        # dtype, so a step allocates no parameter-sized temporaries
+        self._largest = max((p.data.size for p in params.values()), default=0)
+        self._scratch: dict[np.dtype, np.ndarray] = {}
+
+    def _buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._scratch.get(like.dtype)
+        if rows is None:
+            rows = self._scratch[like.dtype] = np.empty((2, self._largest), like.dtype)
+        return (rows[0, :like.size].reshape(like.shape),
+                rows[1, :like.size].reshape(like.shape))
 
     def step(self) -> None:
         self.t += 1
@@ -44,13 +55,23 @@ class Adam:
                     f"moment buffer for {name!r} has shape {m.shape}, "
                     f"parameter has {p.data.shape}"
                 )
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), evaluated in
+            # the same operations and order, into the scratch buffers
+            step, denom = self._buffers(p.data)
+            np.multiply(g, 1.0 - self.beta1, out=step)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            v += step
+            np.divide(m, bias1, out=step)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step *= self.lr
+            step /= denom
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params.values():

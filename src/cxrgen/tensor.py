@@ -7,11 +7,18 @@ cross-entropy, dropout). Values are stored as row-major 32-bit floats by
 default; a 64-bit mode exists for numerical verification (finite-difference
 gradient checks are meaningless in single precision).
 
+Most operations take rank-2 ``[rows x width]`` tensors. ``matmul``,
+``transpose``, ``apply_attention_mask`` and ``scaled_dot_attention`` also
+take rank-3 ``[B x rows x width]`` stacks (softmax and the elementwise ops
+take any rank), and ``reshape`` moves between the two layouts, so attention
+over a padded batch runs as one op per step rather than one per example.
+
 Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
-and accumulates ``grad`` buffers on every tensor that requires gradients.
-Repeated backward calls without ``zero_grad`` accumulate, matching the usual
-autograd convention.
+and accumulates ``grad`` buffers only on leaves, the tensors that no tape
+entry produced (parameters and inputs); intermediate adjoints are dropped as
+soon as their entry has been replayed. Repeated backward calls without
+``zero_grad`` accumulate, matching the usual autograd convention.
 
 The recorder is single-threaded: one training session owns the tape. All
 reductions delegate to numpy, whose summation order is fixed for a given
@@ -148,7 +155,12 @@ class ComputationGraph:
         self._entries.append(_Entry(inputs, output, vjp))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor."""
+        """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad leaf.
+
+        Recording order is topological, so a tensor's adjoint is complete when
+        the entry that produced it is replayed; it is dropped right there.
+        What is left at the end belongs to tensors no entry produced: leaves.
+        """
         if loss.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
@@ -156,17 +168,19 @@ class ComputationGraph:
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         tensors: dict[int, Tensor] = {id(loss): loss}
         for entry in reversed(self._entries):
-            out_adjoint = adjoints.get(id(entry.output))
+            out_adjoint = adjoints.pop(id(entry.output), None)
             if out_adjoint is None:
                 continue
             for tensor, contribution in zip(entry.inputs, entry.vjp(out_adjoint)):
                 if contribution is None:
                     continue
+                # contributions may alias each other (add passes g to both
+                # inputs), so sum out of place and never write into one
                 key = id(tensor)
                 if key in adjoints:
-                    adjoints[key] += contribution
+                    adjoints[key] = adjoints[key] + contribution
                 else:
-                    adjoints[key] = np.array(contribution, copy=True)
+                    adjoints[key] = contribution
                     tensors[key] = tensor
         for key, adjoint in adjoints.items():
             tensor = tensors[key]
@@ -212,34 +226,48 @@ def _record(inputs, output: Tensor, vjp) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    out = Tensor._wrap(a.data @ b.data)
+    """Matrix product of two rank-2 tensors, or a batch of products of two
+    rank-3 tensors with the same leading dimension."""
     a_data, b_data = a.data, b.data
+    a_shape, b_shape = a_data.shape, b_data.shape
+    if not 2 <= len(a_shape) == len(b_shape) <= 3 or a_shape[:-2] != b_shape[:-2] \
+            or a_shape[-1] != b_shape[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {a_shape} x {b_shape}")
+    out = Tensor._wrap(a_data @ b_data)
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            g @ b_data.T if need_a else None,
-            a_data.T @ g if need_b else None,
+            g @ b_data.swapaxes(-1, -2) if need_a else None,
+            a_data.swapaxes(-1, -2) @ g if need_b else None,
         )
 
     return _record((a, b), out, vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got shape {tuple(a.shape)}")
-    out = Tensor._wrap(a.data.T)
-    return _record((a,), out, lambda g: (g.T,))
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects rank 2 or 3, got shape {tuple(a.shape)}")
+    out = Tensor._wrap(a.data.swapaxes(-1, -2))
+    return _record((a,), out, lambda g: (g.swapaxes(-1, -2),))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """The same elements in row-major order under a new shape."""
+    in_shape = a.data.shape
+    if math.prod(shape) != a.data.size:
+        raise ShapeError(f"reshape: cannot view shape {in_shape} as {tuple(shape)}")
+    out = Tensor._wrap(a.data.reshape(shape))
+    return _record((a,), out, lambda g: (g.reshape(in_shape),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a 2-D input."""
-    bias_rows = a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]
-    if not bias_rows and a.shape != b.shape:
-        raise ShapeError(f"add: incompatible shapes {tuple(a.shape)} + {tuple(b.shape)}")
+    a_shape, b_shape = a.data.shape, b.data.shape
+    bias_rows = len(a_shape) == 2 and b_shape == a_shape[1:]
+    if not bias_rows and a_shape != b_shape:
+        raise ShapeError(f"add: incompatible shapes {a_shape} + {b_shape}")
     out = Tensor._wrap(a.data + b.data)
 
     def vjp(g):
@@ -293,6 +321,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record((x,), out, vjp)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=1, keepdims=True)`` for a rank-2 ``a``, bit for bit: the
+    same sum divided by the same intp count, without ndarray.mean's Python
+    wrapper, which costs more than the arithmetic on the model's short rows."""
+    total = np.add.reduce(a, axis=1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[1]), out=total, casting="unsafe")
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of ``x`` to zero mean / unit variance, then apply gain and bias."""
     if x.ndim != 2:
@@ -303,9 +339,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain {tuple(gain.shape)} / bias {tuple(bias.shape)} "
             f"do not match normalized width {n}"
         )
-    mean = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    centered = x.data - _row_mean(x.data)
+    var = _row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     normalized = centered * inv_std
     out = Tensor._wrap(normalized * gain.data + bias.data)
@@ -318,8 +353,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gn = g * gain_data
             gx = inv_std * (
                 gn
-                - gn.mean(axis=1, keepdims=True)
-                - normalized * (gn * normalized).mean(axis=1, keepdims=True)
+                - _row_mean(gn)
+                - normalized * _row_mean(gn * normalized)
             )
         ggain = (g * normalized).sum(axis=0) if need_gain else None
         gbias = g.sum(axis=0) if need_bias else None
@@ -365,9 +400,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def apply_attention_mask(scores: Tensor, mask) -> Tensor:
     """Set masked-out score entries to -inf ahead of the softmax.
 
-    ``mask`` is a boolean [Lq x Lk] array, True where attention is allowed.
-    A query row with no allowed key has no defined attention distribution,
-    so that is rejected rather than silently producing NaN.
+    ``mask`` is a boolean [Lq x Lk] (or, for batched scores, [B x Lq x Lk])
+    array, True where attention is allowed. A query row with no allowed key
+    has no defined attention distribution, so that is rejected rather than
+    silently producing NaN.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != scores.shape:
@@ -376,8 +412,9 @@ def apply_attention_mask(scores: Tensor, mask) -> Tensor:
         )
     unmasked_per_row = mask.any(axis=-1)
     if not unmasked_per_row.all():
-        row = int(np.argmin(unmasked_per_row))
-        raise ContractError(f"attention query row {row} has every key masked out")
+        row = np.unravel_index(int(np.argmin(unmasked_per_row)), unmasked_per_row.shape)
+        where = ", ".join(str(int(i)) for i in row)
+        raise ContractError(f"attention query row {where} has every key masked out")
     out = Tensor._wrap(np.where(mask, scores.data, -np.inf))
     return _record((scores,), out, lambda g: (g * mask,))
 
@@ -386,15 +423,20 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v.
 
     Shapes: q [Lq x d], k [Lk x d], v [Lk x dv]; mask, when given, is a
-    boolean [Lq x Lk] with True marking attendable keys.
+    boolean [Lq x Lk] with True marking attendable keys. A batch of B
+    independent attentions takes q [B x Lq x d], k [B x Lk x d],
+    v [B x Lk x dv] and a [B x Lq x Lk] mask.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention expects rank-2 q, k, v")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: q width {q.shape[1]} != k width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention: {k.shape[0]} keys but {v.shape[0]} value rows")
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    if not 2 <= len(q_shape) == len(k_shape) == len(v_shape) <= 3:
+        raise ShapeError("attention expects q, k, v all of rank 2 or all of rank 3")
+    if not q_shape[:-2] == k_shape[:-2] == v_shape[:-2]:
+        raise ShapeError(f"attention: batch sizes of {q_shape}, {k_shape}, {v_shape} differ")
+    if q_shape[-1] != k_shape[-1]:
+        raise ShapeError(f"attention: q width {q_shape[-1]} != k width {k_shape[-1]}")
+    if k_shape[-2] != v_shape[-2]:
+        raise ShapeError(f"attention: {k_shape[-2]} keys but {v_shape[-2]} value rows")
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q_shape[-1]))
     if mask is not None:
         scores = apply_attention_mask(scores, mask)
     weights = softmax(scores, axis=-1)

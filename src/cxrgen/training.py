@@ -4,6 +4,11 @@ Loss is the mean sparse cross-entropy over every non-pad target position in
 the batch, pooled across examples, so duplicating an example k times leaves
 both the loss and the gradient direction unchanged. Pad positions contribute
 exactly zero to the loss and to every gradient.
+
+A batch is one tape: its examples' teacher-forcing views are padded to the
+longest in the batch, and one forward pass of the model over all of them
+feeds one cross-entropy, so a training step records one forward and replays
+one backward whatever the batch size.
 """
 
 from __future__ import annotations
@@ -118,18 +123,29 @@ def teacher_forcing_views(ids: np.ndarray, pad_id: int = PAD_ID):
 
 
 def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tuple[Tensor, int]:
-    """Pooled cross-entropy over all non-pad positions of a batch."""
-    total = None
-    count = 0
-    for ex in batch:
-        hybrid = encode_inputs(ex.features, ex.demo, params, cfg,
-                               training=training, rng=rng)
-        inputs, targets, mask = teacher_forcing_views(ex.ids)
-        logits = decoder_forward(inputs, hybrid, params, cfg,
-                                 training=training, rng=rng)
-        part = T.sparse_cross_entropy(logits, targets, mask, reduction="sum")
-        total = part if total is None else T.add(total, part)
-        count += int(mask.sum())
+    """Pooled cross-entropy over all non-pad positions of a batch.
+
+    One forward pass over the batch's teacher-forcing views, padded to the
+    longest; returns the mean loss and the number of positions it pools.
+    """
+    if not batch:
+        raise ContractError("batch_loss needs a non-empty batch")
+    views = [teacher_forcing_views(ex.ids) for ex in batch]
+    length = max(inputs.shape[0] for inputs, _, _ in views)
+
+    def padded(part: int, fill):
+        return np.stack([np.pad(view[part], (0, length - view[part].shape[0]),
+                                constant_values=fill) for view in views])
+
+    inputs, targets, mask = padded(0, PAD_ID), padded(1, PAD_ID), padded(2, False)
+    demos = [ex.demo for ex in batch]
+    hybrid = encode_inputs([ex.features for ex in batch],
+                           None if any(d is None for d in demos) else demos,
+                           params, cfg, training=training, rng=rng)
+    logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
+    count = int(mask.sum())
+    total = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1),
+                                   reduction="sum")
     return T.scale(total, 1.0 / count), count
 
 
@@ -194,7 +210,9 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
 
     The parameter set achieving the minimum validation loss is retained: it
     is restored into ``params`` at the end (unless ``restore_best=False``)
-    and written to ``checkpoint_dir/best`` when a directory is given.
+    and written to ``checkpoint_dir/best`` when a directory is given. If no
+    epoch has a finite validation loss there is no such set, and that raises
+    ``TrainingError``.
     """
     if not train_examples:
         raise ConfigError("training split is empty")
@@ -241,12 +259,16 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
             save_checkpoint(params, cfg, f"{checkpoint_dir}/epoch_{epoch}")
         if train_cfg.patience is not None and stale >= train_cfg.patience:
             break
-    if best_state is not None:
-        if restore_best:
-            for name, data in best_state.items():
-                params[name].data = data
-        if checkpoint_dir is not None:
-            snapshot = {name: Tensor(data, requires_grad=True)
-                        for name, data in best_state.items()}
-            save_checkpoint(snapshot, cfg, f"{checkpoint_dir}/best")
+    if best_state is None:
+        raise TrainingError(
+            f"no epoch of {len(log.records)} produced a finite validation loss "
+            f"(last: {log.records[-1].val_loss})"
+        )
+    if restore_best:
+        for name, data in best_state.items():
+            params[name].data = data
+    if checkpoint_dir is not None:
+        snapshot = {name: Tensor(data, requires_grad=True)
+                    for name, data in best_state.items()}
+        save_checkpoint(snapshot, cfg, f"{checkpoint_dir}/best")
     return log

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, textbook formulas, exact fractions, numerical quadrature) and shares
-no code with the package under test.
+no code with the package under test. The one exception is
+``per_example_batch_loss``: it checks the batched training loss against the
+package's own model, called one sequence at a time.
 """
 
 import math
@@ -138,6 +140,42 @@ def adam_reference(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         x = x - lr * m_hat / (math.sqrt(v_hat) + eps)
         trace.append(x)
     return trace
+
+
+def allocating_adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update in the textbook formula, every term a fresh array.
+
+    Updates ``param``, ``m`` and ``v`` in place; ``t`` counts from 1.
+    """
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    param -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
+
+
+def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
+    """The pooled batch loss with the package's model called one example at
+    a time: encode, decode the unpadded teacher-forcing view, sum the
+    cross-entropy of each example, then divide by the pooled token count.
+    Returns (loss tensor, count), like ``training.batch_loss``.
+    """
+    from cxrgen import tensor as T
+    from cxrgen.model import decoder_forward, encode_inputs
+    from cxrgen.training import teacher_forcing_views
+
+    total = None
+    count = 0
+    for ex in batch:
+        hybrid = encode_inputs(ex.features, ex.demo, params, cfg, training=training, rng=rng)
+        inputs, targets, mask = teacher_forcing_views(ex.ids)
+        logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
+        part = T.sparse_cross_entropy(logits, targets, mask, reduction="sum")
+        total = part if total is None else T.add(total, part)
+        count += int(mask.sum())
+    return T.scale(total, 1.0 / count), count
 
 
 def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 ** 9)):

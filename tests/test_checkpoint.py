@@ -131,6 +131,18 @@ def test_tensor_list_must_match_model(tmp_path, params):
         load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("version", [True, 2.0, "2", None])
+def test_format_version_must_be_an_int(tmp_path, params, version):
+    """JSON true equals 1 in Python and 2.0 equals 2; neither is a format version."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError, match="format version"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_v1_checkpoint_loads_with_identical_outputs():
     expected = json.loads((V1_CHECKPOINT / "expected.json").read_text())
     assert read_manifest(V1_CHECKPOINT)["format_version"] == 1

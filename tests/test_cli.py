@@ -172,6 +172,15 @@ class TestTrainGenerate:
                      "--split", "test", "--out", str(tmp_path / "h.txt"),
                      "--temperature", "0", "--seed", "1"]) == 3
 
+    def test_no_finite_validation_loss_is_numeric_error(self, pipeline, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr("cxrgen.training.evaluate_loss", lambda *a, **k: float("nan"))
+        run = tmp_path / "nan"
+        assert main(["train", "--data", str(pipeline["prep"]), "--subset", "0",
+                     "--out", str(run), "--d-model", "16", "--n-heads", "2",
+                     "--max-len", "24", "--batch-size", "8", "--epochs", "2"]) == 4
+        assert not (run / "best").exists()
+
     def test_unknown_demographics_field_is_usage_error(self, pipeline, tmp_path):
         assert main(["train", "--data", str(pipeline["prep"]), "--subset", "0",
                      "--out", str(tmp_path / "x"), "--demographics", "weight"]) == 2

@@ -8,7 +8,7 @@ from cxrgen.errors import ContractError
 from cxrgen.optim import Adam
 from cxrgen.tensor import Tensor
 
-from oracles import adam_reference
+from oracles import adam_reference, allocating_adam_step
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -82,3 +82,26 @@ def test_zero_grad_clears_all():
     b.grad = np.ones(1, dtype=np.float32)
     Adam({"a": a, "b": b}).zero_grad()
     assert a.grad is None and b.grad is None
+
+
+def test_in_place_step_bit_identical_to_allocating_formula():
+    """Five steps over tensors of several shapes, one of them skipped on two
+    steps, match the textbook formula with fresh temporaries bit for bit."""
+    rng = np.random.default_rng(5)
+    shapes = {"w": (7, 5), "b": (5,), "big": (64, 33)}
+    params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+              for name, shape in shapes.items()}
+    reference = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p.data) for name, p in params.items()}
+    v = {name: np.zeros_like(p.data) for name, p in params.items()}
+    opt = Adam(params, lr=0.02)
+    for t in range(1, 6):
+        for name, p in params.items():
+            p.grad = None if name == "b" and t in (2, 4) else \
+                (rng.normal(size=p.data.shape) * 10.0 ** -t).astype(np.float32)
+            if p.grad is not None:
+                allocating_adam_step(reference[name], p.grad, m[name], v[name], t, lr=0.02)
+        opt.step()
+        for name, p in params.items():
+            assert np.array_equal(p.data, reference[name]), (t, name)
+            assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])

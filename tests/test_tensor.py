@@ -59,6 +59,32 @@ class TestMatmul:
         assert max_relative_error(a.grad, fd["a"]) < 1e-6
         assert max_relative_error(b.grad, fd["b"]) < 1e-6
 
+    def test_rank3_batch_against_oracle_and_finite_differences(self):
+        rng = np.random.default_rng(3)
+        with T.default_dtype(np.float64):
+            a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+            b = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+            direction = Tensor(rng.normal(size=(3, 2, 5)))
+
+            def loss_fn():
+                T.reset_graph()
+                return T.sum_all(T.mul(T.matmul(a, b), direction)).item()
+
+            out = T.matmul(a, b)
+            for i in range(3):
+                np.testing.assert_allclose(out.data[i], loop_matmul(a.data[i], b.data[i]),
+                                           rtol=1e-12)
+            T.backward(T.sum_all(T.mul(out, direction)))
+            fd = finite_difference_gradients(loss_fn, {"a": a, "b": b}, step=1e-5)
+        assert max_relative_error(a.grad, fd["a"]) < 1e-6
+        assert max_relative_error(b.grad, fd["b"]) < 1e-6
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 3, 5))])
+    def test_rank3_shape_errors(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
 
 class TestSoftmax:
     def test_uniform_input(self):
@@ -178,6 +204,32 @@ class TestAttention:
         with pytest.raises(ContractError, match="row 1"):
             T.scaled_dot_attention(q, k, v, mask=mask)
 
+    def test_batched_matches_loop_oracle_per_sequence(self):
+        rng = np.random.default_rng(29)
+        q = rng.normal(size=(3, 4, 2))
+        k = rng.normal(size=(3, 5, 2))
+        v = rng.normal(size=(3, 5, 3))
+        mask = rng.random((3, 4, 5)) < 0.6
+        mask[:, :, 0] = True
+        out = T.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask=mask)
+        for b in range(3):
+            np.testing.assert_allclose(out.data[b], loop_attention(q[b], k[b], v[b], mask[b]),
+                                       rtol=1e-5, atol=1e-6)
+
+    def test_batched_all_keys_masked_names_sequence_and_row(self):
+        q = Tensor(np.zeros((2, 3, 2)))
+        k = Tensor(np.zeros((2, 4, 2)))
+        mask = np.ones((2, 3, 4), dtype=bool)
+        mask[1, 2, :] = False
+        with pytest.raises(ContractError, match="row 1, 2 "):
+            T.scaled_dot_attention(q, k, k, mask=mask)
+
+    @pytest.mark.parametrize("k_shape", [(4, 2), (2, 4, 2)], ids=["mixed-ranks", "batch-sizes"])
+    def test_mismatched_operands_rejected(self, k_shape):
+        with pytest.raises(ShapeError):
+            T.scaled_dot_attention(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros(k_shape)),
+                                   Tensor(np.zeros((1, 4, 2))))
+
     def test_output_in_convex_hull_of_values(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -242,6 +294,15 @@ class TestBackward:
         loss = T.sum_all(T.add(T.mul(x, x), x))
         T.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1)
+
+    def test_only_leaves_receive_gradients(self):
+        x = Tensor([[1.0, 2.0], [3.0, -1.0]], requires_grad=True)
+        w = Tensor([[0.5], [-2.0]], requires_grad=True)
+        hidden = T.relu(T.matmul(x, w))
+        T.backward(T.sum_all(T.mul(hidden, hidden)))
+        assert hidden.grad is None
+        np.testing.assert_allclose(w.grad, [[21.0], [-7.0]])
+        assert x.grad is not None
 
     def test_mini_model_matches_finite_differences(self):
         """Embedding -> attention -> cross-entropy, every gradient vs FD."""
@@ -315,6 +376,16 @@ class TestOtherOps:
         T.backward(T.sum_all(T.add(x, b)))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+
+    def test_reshape_round_trip_and_gradient(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        stacked = T.reshape(x, (2, 3, 2))
+        np.testing.assert_array_equal(stacked.data, np.arange(12.0).reshape(2, 3, 2))
+        weights = Tensor(np.arange(12.0).reshape(2, 3, 2))
+        T.backward(T.sum_all(T.mul(stacked, weights)))
+        np.testing.assert_array_equal(x.grad, np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ShapeError):
+            T.reshape(x, (5, 2))
 
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):

@@ -10,14 +10,14 @@ from cxrgen import tensor as T
 from cxrgen.data import default_corpus_spec, synthesize_corpus
 from cxrgen.demographics import DemographicCodec, select_top_categories
 from cxrgen.errors import ConfigError, ContractError, TrainingError
-from cxrgen.model import ModelConfig, init_parameters
+from cxrgen.model import ModelConfig, decoder_forward, encode_inputs, init_parameters
 from cxrgen.optim import Adam
-from cxrgen.text import PAD_ID, build_vocabulary
+from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
 from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, encode_examples,
                              epoch_order, evaluate_loss, fit, teacher_forcing_views,
                              train_step)
 
-from oracles import direct_softmax
+from oracles import direct_softmax, per_example_batch_loss
 
 
 def tiny_setup(n_per_stratum=2, d_model=16, max_len=24, dropout=0.0, seed=0):
@@ -130,6 +130,91 @@ class TestLoss:
             assert np.array_equal(grads_a[name], grads_b[name])
 
 
+def loss_and_gradients(loss_fn, batch, cfg, seed):
+    T.reset_graph()
+    params = init_parameters(cfg, seed=seed)
+    loss, count = loss_fn(batch, params, cfg, training=False)
+    T.backward(loss)
+    return loss.item(), count, {name: p.grad for name, p in params.items()}
+
+
+def random_examples(cfg, lengths, seed):
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i, length in enumerate(lengths):
+        ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=length),
+                              [END_ID], np.full(cfg.max_len - length - 2, PAD_ID)])
+        examples.append(EncodedExample(f"e{i}", rng.normal(size=cfg.feature_dim),
+                                       rng.random(cfg.demographic_dim), ids))
+    return examples
+
+
+class TestBatchedLoss:
+    """One padded forward over the batch against the model run one example at a time."""
+
+    def assert_matches_per_example(self, batch, cfg, seed):
+        loss, count, grads = loss_and_gradients(batch_loss, batch, cfg, seed)
+        ref_loss, ref_count, ref_grads = loss_and_gradients(per_example_batch_loss, batch,
+                                                            cfg, seed)
+        assert count == ref_count
+        assert abs(loss - ref_loss) <= 1e-5 * abs(ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            # max |delta| over max |reference| per tensor
+            error = np.abs(grads[name] - ref).max() / np.abs(ref).max()
+            assert error <= 1e-5, (name, error)
+
+    def test_mixed_length_desk_batch_matches_per_example_oracle(self):
+        _, _, _, cfg, examples = tiny_setup(n_per_stratum=2, d_model=32, max_len=50)
+        batch = examples[:16]
+        lengths = {teacher_forcing_views(ex.ids)[0].shape[0] for ex in batch}
+        assert len(lengths) > 3
+        self.assert_matches_per_example(batch, cfg, seed=4)
+
+    def test_paper_scale_pair_matches_per_example_oracle(self):
+        cfg = ModelConfig(dropout_rate=0.0)
+        self.assert_matches_per_example(random_examples(cfg, (30, 17), seed=6), cfg, seed=0)
+
+    def test_other_examples_and_future_tokens_leave_past_logits_bit_identical(self):
+        """Example b's logits at positions <= t do not move, bit for bit, when
+        a token of b after t changes or when any token of another example
+        changes."""
+        cfg = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2, vocab_size=20,
+                          max_len=8, demographic_dim=7, n_decoder_blocks=2, dropout_rate=0.0)
+        params = init_parameters(cfg, seed=2)
+        rng = np.random.default_rng(21)
+        lengths = np.asarray([8, 5, 3, 7])
+        ids = np.full((4, 8), PAD_ID)
+        for b, length in enumerate(lengths):
+            ids[b, :length] = np.concatenate([[START_ID],
+                                              rng.integers(4, cfg.vocab_size, size=length - 1)])
+        hybrid = encode_inputs(rng.normal(size=(4, 10)), rng.random((4, 7)), params, cfg)
+
+        def logits(batch_ids):
+            return decoder_forward(batch_ids, hybrid, params, cfg).data.reshape(4, 8, -1)
+
+        base = logits(ids)
+        for trial in range(60):
+            b = int(rng.integers(4))
+            perturbed = ids.copy()
+            if trial % 2:
+                t = int(rng.integers(0, lengths[b] - 1))
+                j = int(rng.integers(t + 1, lengths[b]))
+                row = b
+            else:
+                t = lengths[b] - 1
+                row = int(rng.choice([r for r in range(4) if r != b]))
+                j = int(rng.integers(0, lengths[row]))
+            while perturbed[row, j] == ids[row, j]:
+                perturbed[row, j] = rng.integers(4, cfg.vocab_size)
+            assert np.array_equal(logits(perturbed)[b, :t + 1], base[b, :t + 1]), trial
+
+    def test_empty_batch_rejected(self):
+        _, _, _, cfg, _ = tiny_setup()
+        with pytest.raises(ContractError):
+            batch_loss([], init_parameters(cfg, seed=0), cfg, training=False)
+
+
 class TestTrainStep:
     def test_two_steps_decrease_loss_across_seeds(self):
         """Descent on a fixed tiny batch: at most 1 failure in 20 seeds."""
@@ -231,6 +316,19 @@ class TestFit:
                                 patience=2)
         log = fit(examples[:12], examples[12:16], params, cfg, train_cfg)
         assert len(log.records) < 30
+
+    def test_no_finite_validation_loss_raises(self, tmp_path):
+        """NaN validation features give a NaN validation loss every epoch, so
+        there is no best epoch: fit raises instead of reporting one."""
+        _, _, _, cfg, examples = tiny_setup()
+        val = [EncodedExample(ex.id, np.full_like(ex.features, np.nan), ex.demo, ex.ids)
+               for ex in examples[12:16]]
+        params = init_parameters(cfg, seed=0)
+        train_cfg = TrainConfig(batch_size=4, learning_rate=1e-3, epochs=3, seed=0,
+                                patience=None)
+        with pytest.raises(TrainingError, match="finite validation loss"):
+            fit(examples[:12], val, params, cfg, train_cfg, checkpoint_dir=tmp_path)
+        assert not (tmp_path / "best").exists()
 
     def test_empty_splits_rejected(self):
         _, _, _, cfg, examples = tiny_setup()
