@@ -72,6 +72,8 @@ def read_manifest(path) -> dict:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"unreadable checkpoint manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"checkpoint manifest {manifest_path} is not a JSON object")
     version = manifest.get("format_version")
     # True == 1 and 1.0 == 1 in Python, so check the type before the value
     if type(version) is not int or version not in (1, FORMAT_VERSION):

@@ -4,9 +4,13 @@ evaluate, compare.
 Every artifact-producing command writes a ``provenance.json`` next to its
 outputs holding the fully resolved options, seeds, and sha256 checksums of
 its inputs, which is sufficient to reproduce the artifact bit for bit.
+``generate`` adds a ``generation`` block: reports, tokens emitted, mean
+length, end-marker hit rate, reports cut at ``max_len``, and ``<unk>`` ids
+emitted.
 
-Options may come from a JSON config file (``--config``); explicit command
-line flags win over config-file values, which win over built-in defaults.
+Options may come from a JSON config file (``--config``), required ones
+included; explicit command line flags win over config-file values, which
+win over built-in defaults.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data integrity
 failure, 4 numeric failure.
@@ -31,8 +35,9 @@ from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputErr
                      IntegrityError, SizingError, TrainingError)
 from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
 from .model import ModelConfig, generate, init_parameters
-from .text import (StandardizationMap, Vocabulary, build_vocabulary, decode_ids,
-                   default_standardization_map, load_reject_patterns, load_stopwords)
+from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
+                   decode_ids, default_standardization_map, load_reject_patterns,
+                   load_stopwords)
 from .training import TrainConfig, encode_examples, fit
 
 USAGE_EXIT = 2
@@ -48,11 +53,12 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_provenance(out_dir, command: str, options: dict, inputs=()) -> None:
+def _write_provenance(out_dir, command: str, options: dict, inputs=(), **sections) -> None:
     payload = {
         "command": command,
         "options": options,
         "inputs": {str(p): _sha256_file(p) for p in inputs},
+        **sections,
     }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -62,24 +68,33 @@ def _write_provenance(out_dir, command: str, options: dict, inputs=()) -> None:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse ``argv``; --config file values replace the built-in defaults."""
+    """Parse ``argv``; --config file values replace the built-in defaults.
+
+    Required options are checked after the file is merged, so they may come
+    from it too.
+    """
     args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object")
-    options = {key.replace("-", "_"): value for key, value in values.items()}
-    for attr in options:
-        if attr in ("command", "func") or not hasattr(args, attr):
-            raise ConfigError(f"config file {args.config}: unknown option {attr!r}")
-    # parse again with the file's values as defaults, so explicit flags win
-    parser.commands[args.command].set_defaults(**options)
-    return parser.parse_args(argv)
+    if getattr(args, "config", None):
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                values = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        options = {key.replace("-", "_"): value for key, value in values.items()}
+        for attr in options:
+            if attr in ("command", "func") or not hasattr(args, attr):
+                raise ConfigError(f"config file {args.config}: unknown option {attr!r}")
+        # parse again with the file's values as defaults, so explicit flags win
+        parser.commands[args.command].set_defaults(**options)
+        args = parser.parse_args(argv)
+    missing = [action.option_strings[0]
+               for action in parser.commands[args.command].required_options
+               if getattr(args, action.dest) is None]
+    if missing:
+        raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _cleaning_inputs(args):
@@ -269,6 +284,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _generation_stats(generated: list[list[int]], max_len: int) -> dict:
+    """Length and truncation statistics of generated id sequences."""
+    tokens = sum(len(ids) for ids in generated)
+    ended = sum(1 for ids in generated if ids[-1] == END_ID)
+    return {
+        "reports": len(generated),
+        "tokens": tokens,
+        "mean_length": tokens / len(generated) if generated else 0.0,
+        "end_marker_rate": ended / len(generated) if generated else 0.0,
+        "hit_max_len": sum(1 for ids in generated
+                           if len(ids) == max_len and ids[-1] != END_ID),
+        "unk_emitted": sum(ids.count(UNK_ID) for ids in generated),
+    }
+
+
 def cmd_generate(args) -> int:
     params, cfg = load_checkpoint(args.checkpoint)
     manifest_extra = read_manifest(args.checkpoint).get("extra") or {}
@@ -290,11 +320,13 @@ def cmd_generate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     hyp_lines = []
     ref_lines = []
+    generated = []
     for index, point_id in enumerate(ids):
         point = by_id[point_id]
         demo = codec.encode(point.demographics) if (fields and codec) else None
         token_ids = generate(point.features, demo, params, cfg,
                              temperature=args.temperature, seed=[args.seed, index])
+        generated.append(token_ids)
         hyp_lines.append(" ".join(decode_ids(token_ids, vocab)))
         ref_lines.append(" ".join(point.report.interior))
     out.write_text("\n".join(hyp_lines) + "\n", encoding="utf-8")
@@ -308,7 +340,8 @@ def cmd_generate(args) -> int:
         "temperature": args.temperature,
         "seed": args.seed,
         "out": str(out),
-    }, inputs=[Path(args.checkpoint) / "params.bin"])
+    }, inputs=[Path(args.checkpoint) / "params.bin"],
+        generation=_generation_stats(generated, cfg.max_len))
     print(f"generated {len(hyp_lines)} reports to {out}")
     return 0
 
@@ -386,22 +419,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # command name -> its parser
 
+    def command(name, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.required_options = []
+        return p
+
+    def required(p, flag, **kwargs):
+        # argparse would reject a missing flag before --config is read, so
+        # _parse_args checks these after merging the file
+        kwargs["help"] = " ".join(filter(None, (kwargs.get("help"), "(required)")))
+        p.required_options.append(p.add_argument(flag, **kwargs))
+
     def common(p):
         p.add_argument("--config", help="JSON file of option values (flags override it)")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
 
-    p = sub.add_parser("synth-data", help="generate a synthetic corpus")
+    p = command("synth-data", help="generate a synthetic corpus")
     common(p)
-    p.add_argument("--out", required=True, help="output directory")
+    required(p, "--out", help="output directory")
     p.add_argument("--n-per-stratum", type=int, default=150)
     p.add_argument("--feature-dim", type=int, default=24)
     p.add_argument("--feature-storage", choices=("inline", "blob"), default="inline")
     p.set_defaults(func=cmd_synth_data)
 
-    p = sub.add_parser("prepare-data", help="clean reports, build vocabulary and splits")
+    p = command("prepare-data", help="clean reports, build vocabulary and splits")
     common(p)
-    p.add_argument("--data", required=True, help="raw dataset file (jsonl)")
-    p.add_argument("--out", required=True, help="output directory")
+    required(p, "--data", help="raw dataset file (jsonl)")
+    required(p, "--out", help="output directory")
     p.add_argument("--vocab-cap", type=int, default=2212)
     p.add_argument("--subsets", type=int, default=1)
     p.add_argument("--subset-size", type=int, default=0,
@@ -415,11 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reject-patterns", help="rejection regex file (default: shipped list)")
     p.set_defaults(func=cmd_prepare_data)
 
-    p = sub.add_parser("train", help="train a model on one prepared subset")
+    p = command("train", help="train a model on one prepared subset")
     common(p)
-    p.add_argument("--data", required=True, help="prepared data directory")
+    required(p, "--data", help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory for checkpoint and log")
+    required(p, "--out", help="output directory for checkpoint and log")
     p.add_argument("--demographics", default="gender,age,ethnicity",
                    help="comma-separated subset of gender,age,ethnicity; 'none' = baseline")
     p.add_argument("--d-model", type=int, default=512)
@@ -434,30 +478,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-clip", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="decode reports from a checkpoint")
+    p = command("generate", help="decode reports from a checkpoint")
     common(p)
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
-    p.add_argument("--data", required=True, help="prepared data directory")
+    required(p, "--checkpoint", help="checkpoint directory")
+    required(p, "--data", help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--out", required=True, help="hypotheses file (one report per line)")
+    required(p, "--out", help="hypotheses file (one report per line)")
     p.add_argument("--refs-out", help="also write matching references here")
     p.add_argument("--temperature", type=float, default=0.5)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", help="score hypotheses against references")
+    p = command("evaluate", help="score hypotheses against references")
     p.add_argument("--config", help="JSON file of option values (flags override it)")
-    p.add_argument("--hypotheses", required=True)
-    p.add_argument("--references", required=True)
+    required(p, "--hypotheses")
+    required(p, "--references")
     p.add_argument("--embeddings", help="static embedding table (token + floats per line)")
     p.add_argument("--unknown-policy", choices=("error", "zero"), default="error")
     p.add_argument("--out", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="paired t-test between two models' report sets")
+    p = command("compare", help="paired t-test between two models' report sets")
     p.add_argument("--config", help="JSON file of option values (flags override it)")
-    p.add_argument("--a", nargs="+", required=True, help="evaluation reports for model A")
-    p.add_argument("--b", nargs="+", required=True, help="evaluation reports for model B")
+    required(p, "--a", nargs="+", help="evaluation reports for model A")
+    required(p, "--b", nargs="+", help="evaluation reports for model B")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", help="write the comparison table as JSON here")
     p.set_defaults(func=cmd_compare)

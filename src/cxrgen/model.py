@@ -21,6 +21,15 @@ length L as a [B*L x d] stream, with self-attention scores of shape
 [B x L x L] under causal and key-pad masks. A single sequence is the case
 B = 1, so generation and training run the same code.
 
+Generation decodes one new position per step. Under the causal mask the
+keys and values of earlier positions never change, so ``generate`` passes
+``decoder_forward`` a ``DecodeCache`` holding them (and each block's
+cross-attention row, which depends only on the hybrid representation) and
+feeds it only the last chosen id. The new position's scores are
+[B x 1 x (t+1)], over the t cached keys and its own, under the same causal
+and key-pad rule, and the classifier runs on that one row. Without a cache,
+the decoder runs every position, as training does.
+
 Multi-head attention sums the heads' output projections head_h @ wo_h, then
 adds an output bias. The visual unit, the fusion block and decoder
 cross-attention attend over one [1 x d] key row; a softmax over one score is
@@ -175,11 +184,12 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
 
 
 def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
-                          query: Tensor | None = None, mask=None) -> Tensor:
+                          query: Tensor | None = None, mask=None, cache=None) -> Tensor:
     # without a query, each keyvalue row is the one key of its own attention:
     # its softmax weight is exactly 1, so each head returns its value
     # projection. With a query, the rows are B sequences of L positions and
-    # mask is their [B x L x L] mask; each head attends per sequence.
+    # mask is their [B x L x total] mask; each head attends per sequence,
+    # over the cache's earlier K/V rows followed by the L new ones.
     out = None
     for h in range(cfg.n_heads):
         attended = T.matmul(keyvalue, params[f"{prefix}.h{h}.wv"])
@@ -187,7 +197,10 @@ def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tenso
             stacked = (*mask.shape[:2], cfg.d_head)
             q = T.reshape(T.matmul(query, params[f"{prefix}.h{h}.wq"]), stacked)
             k = T.reshape(T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"]), stacked)
-            attended = T.scaled_dot_attention(q, k, T.reshape(attended, stacked), mask)
+            v = T.reshape(attended, stacked)
+            if cache is not None:
+                k, v = cache.extend(f"{prefix}.h{h}", k, v)
+            attended = T.scaled_dot_attention(q, k, v, mask)
             attended = T.reshape(attended, (keyvalue.shape[0], cfg.d_head))
         projected = T.matmul(attended, params[f"{prefix}.h{h}.wo"])
         out = projected if out is None else T.add(out, projected)
@@ -264,13 +277,47 @@ def encode_inputs(features, demo, params, cfg: ModelConfig, training: bool = Fal
     return fuse_visual_semantic(visual, semantic, params, cfg, training=training, rng=rng)
 
 
-def _causal_pad_mask(ids: np.ndarray, pad_id: int) -> np.ndarray:
-    """[B x L x L]: position t of a sequence may attend to its non-pad positions <= t."""
-    return np.tri(ids.shape[1], dtype=bool) & (ids != pad_id)[:, None, :]
+class DecodeCache:
+    """What a ``decoder_forward`` call needs of the positions decoded before it.
+
+    Pass a fresh ``DecodeCache()`` with the first ids, then keep passing it
+    with only the ids that follow. It holds, per self-attention head, the
+    [B x t x d_head] K and V rows of the t positions decoded so far and their
+    [B x t] key-keep mask (ids != pad_id); each decoder block's [B x d]
+    cross-attention row and the positional table, both made on the first
+    call; and nothing that records a gradient.
+    """
+
+    def __init__(self):
+        self.keep = None        # [B x t] bool, None before the first call
+        self.keys = {}          # "<prefix>.h<h>" -> [B x t x d_head]
+        self.values = {}
+        self.cross = []         # per decoder block, a [B x d] Tensor
+        self.positions = None   # [max_len x d_embed] sinusoidal table
+
+    @property
+    def length(self) -> int:
+        return 0 if self.keep is None else self.keep.shape[1]
+
+    def extend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the new positions' K/V rows to head ``name``'s; return all of them."""
+        if name in self.keys:
+            k = Tensor(np.concatenate([self.keys[name], k.data], axis=1))
+            v = Tensor(np.concatenate([self.values[name], v.data], axis=1))
+        self.keys[name], self.values[name] = k.data, v.data
+        return k, v
+
+
+def _causal_pad_mask(keep: np.ndarray, offset: int) -> np.ndarray:
+    """[B x L x total] for the L positions after ``offset`` of sequences whose
+    [B x total] key-keep mask is ``keep``: position offset + j may attend to
+    its sequence's kept positions <= offset + j."""
+    return np.tri(keep.shape[1], dtype=bool)[offset:] & keep[:, None, :]
 
 
 def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
-                    pad_id: int = PAD_ID, training: bool = False, rng=None) -> Tensor:
+                    pad_id: int = PAD_ID, training: bool = False, rng=None,
+                    cache: DecodeCache | None = None) -> Tensor:
     """Per-position vocabulary logits for (shifted) target id sequences.
 
     ``target_ids`` is [B x L], B sequences padded to one length, with
@@ -278,6 +325,12 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     [B*L x V] logits, row b*L + t for position t of sequence b. Position t
     sees only positions <= t of its own sequence; pad positions are excluded
     from the attention keys.
+
+    With a ``cache``, the ids are the next L positions of the sequences the
+    cache holds: only they are embedded, projected and classified, they
+    attend over the cached positions as well as each other, and the cache
+    is extended with them. ``hybrid`` is read on the first call only. A
+    cache is legal only under ``tensor.no_grad()`` with ``training=False``.
     """
     ids = np.asarray(target_ids, dtype=np.int64)
     ids = ids.reshape(1, -1) if ids.ndim < 2 else ids
@@ -286,30 +339,51 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     n_seq, length = ids.shape
     if ids.size == 0:
         raise ContractError("decoder needs at least one input id")
-    if length > cfg.max_len:
+    offset = 0
+    if cache is not None:
+        if training or T.active_graph().enabled:
+            raise ContractError("a decode cache needs training=False under tensor.no_grad()")
+        offset = cache.length
+        if offset and cache.keep.shape[0] != n_seq:
+            raise ShapeError(f"the cache holds {cache.keep.shape[0]} sequences, got {n_seq}")
+    if offset + length > cfg.max_len:
         raise ContractError(
-            f"sequence length {length} exceeds the maximum {cfg.max_len}"
+            f"sequence length {offset + length} exceeds the maximum {cfg.max_len}"
         )
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ContractError(
             f"token id out of range [0, {cfg.vocab_size}): {int(ids.min())}..{int(ids.max())}"
         )
     x = T.embedding(params["embed.table"], ids.reshape(-1))
-    positions = T.sinusoidal_positions(length, cfg.d_embed, dtype=x.data.dtype)
+    keep = ids != pad_id
+    if cache is None:
+        positions = T.sinusoidal_positions(length, cfg.d_embed, dtype=x.data.dtype)
+    else:
+        if cache.positions is None:
+            # the first call makes what every later call reuses
+            cache.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed,
+                                                     dtype=x.data.dtype)
+            cache.cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
+                           for i in range(cfg.n_decoder_blocks)]
+        positions = cache.positions[offset:offset + length]
+        if offset:
+            keep = np.concatenate([cache.keep, keep], axis=1)
+        cache.keep = keep
     x = T.add(x, Tensor(np.tile(positions, (n_seq, 1))))
     x = _maybe_dropout(x, cfg, training, rng)
-    mask = _causal_pad_mask(ids, pad_id)
+    mask = _causal_pad_mask(keep, offset)
     owner = Tensor(np.eye(n_seq).repeat(length, axis=0))
     for i in range(cfg.n_decoder_blocks):
-        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, x, mask)
+        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, x, mask, cache)
         attended = _maybe_dropout(attended, cfg, training, rng)
         x = T.layer_norm(T.add(x, attended),
                          params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
         # every position attends to its sequence's one hybrid row: compute the
         # [B x d] result once, then broadcast row b to stream rows b*L..b*L+L-1
         # with the one-hot owner matrix
-        cross = T.matmul(owner, _multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid))
-        cross = _maybe_dropout(cross, cfg, training, rng)
+        row = (cache.cross[i] if cache is not None
+               else _multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid))
+        cross = _maybe_dropout(T.matmul(owner, row), cfg, training, rng)
         x = T.layer_norm(T.add(x, cross),
                          params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
         ff = T.relu(_linear(x, params, f"dec{i}.ff"))
@@ -323,6 +397,11 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
              pad_id: int = PAD_ID) -> list[int]:
     """Autoregressively decode a report for one image/demographics pair.
 
+    Each step feeds ``decoder_forward`` only the id chosen last, with a
+    ``DecodeCache`` holding the earlier positions' self-attention K/V rows
+    and the cross-attention rows, so a report of n ids runs n decoder
+    positions, not the n(n+1)/2 of re-running every prefix.
+
     Temperature 0 is exact argmax; otherwise the next id is drawn from
     softmax(logits / temperature) with a generator seeded by ``seed``, so
     repeated calls with identical arguments return identical sequences.
@@ -333,11 +412,13 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
         raise ContractError(f"temperature must be non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
     out: list[int] = []
+    cache = DecodeCache()
+    next_id = start_id
     with T.no_grad():
         hybrid = encode_inputs(features, demo, params, cfg)
         while len(out) < cfg.max_len:
-            prefix = np.asarray([start_id] + out, dtype=np.int64)
-            logits = decoder_forward(prefix, hybrid, params, cfg, pad_id=pad_id)
+            logits = decoder_forward([next_id], hybrid, params, cfg, pad_id=pad_id,
+                                     cache=cache)
             last = logits.data[-1]
             if temperature == 0.0:
                 next_id = int(np.argmax(last))

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, textbook formulas, exact fractions, numerical quadrature) and shares
-no code with the package under test. The one exception is
-``per_example_batch_loss``: it checks the batched training loss against the
-package's own model, called one sequence at a time.
+no code with the package under test. The exceptions are
+``per_example_batch_loss``, which checks the batched training loss against
+the package's own model called one sequence at a time, and
+``full_prefix_generate``, which decodes by re-running the package's decoder
+on the whole prefix at every step.
 """
 
 import math
@@ -176,6 +178,43 @@ def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
         total = part if total is None else T.add(total, part)
         count += int(mask.sum())
     return T.scale(total, 1.0 / count), count
+
+
+def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0,
+                         start_id=None, end_id=None, pad_id=None):
+    """``model.generate`` as it was before the decode cache: every step runs
+    ``decoder_forward`` on the whole prefix and reads the last row."""
+    from cxrgen import tensor as T
+    from cxrgen.errors import ContractError
+    from cxrgen.model import decoder_forward, encode_inputs
+    from cxrgen.text import END_ID, PAD_ID, START_ID
+
+    start_id = START_ID if start_id is None else start_id
+    end_id = END_ID if end_id is None else end_id
+    pad_id = PAD_ID if pad_id is None else pad_id
+    if temperature < 0:
+        raise ContractError(f"temperature must be non-negative, got {temperature}")
+    rng = np.random.default_rng(seed)
+    out = []
+    with T.no_grad():
+        hybrid = encode_inputs(features, demo, params, cfg)
+        while len(out) < cfg.max_len:
+            prefix = np.asarray([start_id] + out, dtype=np.int64)
+            logits = decoder_forward(prefix, hybrid, params, cfg, pad_id=pad_id)
+            last = logits.data[-1]
+            if temperature == 0.0:
+                next_id = int(np.argmax(last))
+            else:
+                scaled = last / temperature
+                scaled = scaled - scaled.max()
+                probs = np.exp(scaled)
+                probs /= probs.sum()
+                next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
+                next_id = min(next_id, cfg.vocab_size - 1)
+            out.append(next_id)
+            if next_id == end_id:
+                break
+    return out
 
 
 def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 ** 9)):

@@ -99,6 +99,16 @@ def test_garbage_manifest(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("payload", ["[1]", "2", "null", '"manifest"'])
+def test_manifest_must_be_a_json_object(tmp_path, params, payload):
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "manifest.json").write_text(payload)
+    with pytest.raises(IntegrityError, match="not a JSON object"):
+        read_manifest(tmp_path / "ckpt")
+    with pytest.raises(IntegrityError, match="not a JSON object"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_non_finite_parameters_rejected(tmp_path, params):
     params["classifier.b"].data[0] = np.nan
     with pytest.raises(ContractError, match="classifier.b"):

@@ -8,6 +8,7 @@ import pytest
 
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
+from cxrgen.text import END_ID, UNK_ID
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,22 @@ class TestSynthData:
         seeds = [json.loads((tmp_path / name / "provenance.json").read_text())
                  ["options"]["seed"] for name in ("flag", "file")]
         assert seeds == [0, 5]
+
+    def test_required_option_may_come_from_config_file(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "out"), "n-per-stratum": 2,
+                                      "feature-dim": 6}))
+        assert main(["synth-data", "--config", str(config)]) == 0
+        assert len((tmp_path / "out" / "dataset.jsonl").read_text().splitlines()) == 16
+
+    def test_missing_required_option_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n-per-stratum": 2}))
+        for argv in (["synth-data"], ["synth-data", "--config", str(config)]):
+            assert main(argv) == 2
+            assert "required: --out" in capsys.readouterr().err
+        assert main(["compare", "--a", "x.json"]) == 2
+        assert "required: --b" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "config.json"
@@ -171,6 +188,34 @@ class TestTrainGenerate:
                      "--data", str(pipeline["prep"]), "--subset", "0",
                      "--split", "test", "--out", str(tmp_path / "h.txt"),
                      "--temperature", "0", "--seed", "1"]) == 3
+
+    def test_manifest_that_is_not_an_object_is_integrity_error(self, pipeline, tmp_path):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(pipeline["run"] / "best", broken)
+        (broken / "manifest.json").write_text("[1]")
+        assert main(["generate", "--checkpoint", str(broken),
+                     "--data", str(pipeline["prep"]), "--subset", "0",
+                     "--split", "test", "--out", str(tmp_path / "h.txt"),
+                     "--temperature", "0", "--seed", "1"]) == 3
+
+    def test_provenance_records_generation_statistics(self, pipeline):
+        stats = json.loads((pipeline["root"] / "provenance.json").read_text())["generation"]
+        lines = pipeline["hyp"].read_text().splitlines()
+        assert stats["reports"] == len(lines)
+        assert stats["mean_length"] == stats["tokens"] / stats["reports"]
+        # markers and pads are emitted but not written out
+        assert stats["tokens"] >= sum(len(line.split()) for line in lines)
+        ended = round(stats["end_marker_rate"] * stats["reports"])
+        assert ended + stats["hit_max_len"] == stats["reports"]
+        assert stats["unk_emitted"] == sum(line.split().count("<unk>") for line in lines)
+
+    def test_generation_statistics(self):
+        from cxrgen.cli import _generation_stats
+        generated = [[5, 6, END_ID], [UNK_ID, 4, UNK_ID, 5], [END_ID], [4, 5, 6, END_ID]]
+        assert _generation_stats(generated, max_len=4) == {
+            "reports": 4, "tokens": 12, "mean_length": 3.0, "end_marker_rate": 0.75,
+            "hit_max_len": 1, "unk_emitted": 2}
 
     def test_no_finite_validation_loss_is_numeric_error(self, pipeline, tmp_path,
                                                         monkeypatch):

@@ -8,17 +8,20 @@ import pytest
 
 from cxrgen import tensor as T
 from cxrgen.errors import ConfigError, ContractError, ShapeError
-from cxrgen.model import (ModelConfig, check_parameters, decoder_forward, encode_inputs,
-                          fuse_visual_semantic, generate, init_parameters,
+from cxrgen.model import (DecodeCache, ModelConfig, check_parameters, decoder_forward,
+                          encode_inputs, fuse_visual_semantic, generate, init_parameters,
                           parameter_shapes, semantic_encode, visual_encode)
 from cxrgen.tensor import Tensor
 from cxrgen.text import END_ID, PAD_ID, START_ID
 from cxrgen.training import EncodedExample, batch_loss
 
-from oracles import full_softmax_mha
+from oracles import full_prefix_generate, full_softmax_mha
 
 TINY = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2, vocab_size=20,
                    max_len=8, demographic_dim=7, n_decoder_blocks=1, dropout_rate=0.0)
+# the criterion-5 desk model
+DESK = ModelConfig(feature_dim=24, d_model=32, d_embed=32, n_heads=2, vocab_size=96,
+                   max_len=24, demographic_dim=7, dropout_rate=0.0)
 
 
 # -- straight-line numpy mirror (no Tensor/tape machinery) -------------------
@@ -356,6 +359,104 @@ class TestGenerate:
         params = init_parameters(cfg, seed=0)
         out = generate(np.ones(10), None, params, cfg, temperature=0.0, seed=0)
         assert 1 <= len(out) <= cfg.max_len
+
+
+class TestDecodeCache:
+    """Decoding one new position per call against the whole-prefix forward."""
+
+    @staticmethod
+    def _inputs(cfg, seed):
+        params = init_parameters(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        return params, rng.normal(size=cfg.feature_dim), np.eye(cfg.demographic_dim)[1]
+
+    @staticmethod
+    def _relative_error(got, ref):
+        return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+    @pytest.mark.parametrize("cfg", [TINY, DESK, ModelConfig()], ids=["tiny", "desk", "paper"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    def test_generate_matches_full_prefix_oracle(self, cfg, temperature):
+        params, features, demo = self._inputs(cfg, seed=2)
+        ids = generate(features, demo, params, cfg, temperature=temperature, seed=5)
+        assert ids == full_prefix_generate(features, demo, params, cfg,
+                                           temperature=temperature, seed=5)
+        if cfg == ModelConfig():
+            assert len(ids) == cfg.max_len   # one full-length report
+
+    @pytest.mark.parametrize("cfg, chunks", [
+        (DESK, [1] * 12), (ModelConfig(), [1] * 12),
+        (replace(DESK, n_decoder_blocks=2), [3, 1, 5, 3])],
+        ids=["desk", "paper", "desk-2-blocks-chunked"])
+    def test_cached_logits_match_full_forward_with_a_pad(self, cfg, chunks):
+        params, features, demo = self._inputs(cfg, seed=3)
+        rng = np.random.default_rng(3)
+        ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=11)])
+        ids[5] = PAD_ID
+        with T.no_grad():
+            hybrid = encode_inputs(features, demo, params, cfg)
+            reference = decoder_forward(ids, hybrid, params, cfg).data
+            cache = DecodeCache()
+            parts, start = [], 0
+            for size in chunks:
+                parts.append(decoder_forward(ids[start:start + size], hybrid, params, cfg,
+                                             cache=cache).data)
+                start += size
+        assert cache.length == len(ids)
+        assert self._relative_error(np.concatenate(parts), reference) <= 1e-5
+
+    def test_batched_cache_matches_full_forward(self):
+        params, _, _ = self._inputs(DESK, seed=4)
+        rng = np.random.default_rng(4)
+        ids = np.concatenate([np.full((3, 1), START_ID),
+                              rng.integers(4, DESK.vocab_size, size=(3, 7))], axis=1)
+        ids[1, 3:] = PAD_ID
+        ids[2, 2] = PAD_ID
+        with T.no_grad():
+            hybrid = encode_inputs(rng.normal(size=(3, DESK.feature_dim)),
+                                   np.eye(DESK.demographic_dim)[:3], params, DESK)
+            reference = decoder_forward(ids, hybrid, params, DESK).data.reshape(3, 8, -1)
+            cache = DecodeCache()
+            steps = [decoder_forward(ids[:, t:t + 1], hybrid, params, DESK, cache=cache).data
+                     for t in range(ids.shape[1])]
+        assert self._relative_error(np.stack(steps, axis=1), reference) <= 1e-5
+        with T.no_grad(), pytest.raises(ShapeError, match="holds 3 sequences"):
+            decoder_forward([[4]], hybrid, params, DESK, cache=cache)
+
+    def test_generated_pads_stay_masked_out(self):
+        """With classifier.b rigged, greedy decoding emits <pad> until max_len;
+        each cached step must score like the full forward, which masks pad keys."""
+        params, features, demo = self._inputs(DESK, seed=6)
+        params["classifier.b"].data[PAD_ID] = 50.0
+        ids = generate(features, demo, params, DESK, temperature=0.0)
+        assert ids == [PAD_ID] * DESK.max_len
+        assert ids == full_prefix_generate(features, demo, params, DESK, temperature=0.0)
+        prefix = np.asarray([START_ID] + ids[:-1])
+        params["classifier.b"].data[PAD_ID] = 0.0
+        with T.no_grad():
+            hybrid = encode_inputs(features, demo, params, DESK)
+            reference = decoder_forward(prefix, hybrid, params, DESK).data
+            cache = DecodeCache()
+            steps = [decoder_forward(prefix[t:t + 1], hybrid, params, DESK, cache=cache).data
+                     for t in range(len(prefix))]
+        assert self._relative_error(np.concatenate(steps), reference) <= 1e-5
+
+    def test_misuse_is_a_contract_error(self):
+        params, features, demo = self._inputs(TINY, seed=0)
+        with T.no_grad():
+            hybrid = encode_inputs(features, demo, params, TINY)
+        with pytest.raises(ContractError, match="no_grad"):
+            decoder_forward([START_ID], hybrid, params, TINY, cache=DecodeCache())
+        with T.no_grad():
+            with pytest.raises(ContractError, match="training=False"):
+                decoder_forward([START_ID], hybrid, params, TINY, training=True,
+                                rng=np.random.default_rng(0), cache=DecodeCache())
+            cache = DecodeCache()
+            decoder_forward([START_ID] + [4] * (TINY.max_len - 1), hybrid, params, TINY,
+                            cache=cache)
+            with pytest.raises(ContractError, match="exceeds the maximum"):
+                decoder_forward([4], hybrid, params, TINY, cache=cache)
+            assert cache.length == TINY.max_len
 
 
 class TestGradientReach:
