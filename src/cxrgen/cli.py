@@ -9,8 +9,9 @@ length, end-marker hit rate, reports cut at ``max_len``, and ``<unk>`` ids
 emitted.
 
 Options may come from a JSON config file (``--config``), required ones
-included; explicit command line flags win over config-file values, which
-win over built-in defaults.
+included. Its values are parsed like flags, so a value of the wrong type or
+outside an option's choices exits 2; explicit command line flags win over
+config-file values, which win over built-in defaults.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data integrity
 failure, 4 numeric failure.
@@ -36,8 +37,7 @@ from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputErr
 from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
 from .model import ModelConfig, generate, init_parameters
 from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
-                   decode_ids, default_standardization_map, load_reject_patterns,
-                   load_stopwords)
+                   decode_ids, load_reject_patterns, load_stopwords)
 from .training import TrainConfig, encode_examples, fit
 
 USAGE_EXIT = 2
@@ -68,42 +68,52 @@ def _write_provenance(out_dir, command: str, options: dict, inputs=(), **section
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse ``argv``; --config file values replace the built-in defaults.
+    """Parse ``argv`` with the --config file's values as option tokens.
 
-    Required options are checked after the file is merged, so they may come
-    from it too.
+    The file's ``{"key": value}`` pairs become ``--key=value`` tokens (a list
+    becomes ``--key item ...``) placed after the command name and before the
+    explicit flags, so argparse converts and checks them like flags, required
+    options included, and an explicit flag, parsed later, wins.
     """
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    path, values = None, {}
+    for token, following in zip(argv, argv[1:] + [None]):
+        if token == "--config":
+            path = following
+        elif token.startswith("--config="):
+            path = token.partition("=")[2]
+    if path is not None:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(values, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
-        options = {key.replace("-", "_"): value for key, value in values.items()}
-        for attr in options:
-            if attr in ("command", "func") or not hasattr(args, attr):
-                raise ConfigError(f"config file {args.config}: unknown option {attr!r}")
-        # parse again with the file's values as defaults, so explicit flags win
-        parser.commands[args.command].set_defaults(**options)
-        args = parser.parse_args(argv)
-    missing = [action.option_strings[0]
-               for action in parser.commands[args.command].required_options
-               if getattr(args, action.dest) is None]
-    if missing:
-        raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
+            raise ConfigError(f"config file {path} must hold a JSON object")
+    tokens = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        elif value is None or isinstance(value, (bool, dict)):
+            raise ConfigError(f"config file {path}: {key!r} is not a flag value: "
+                              f"{json.dumps(value)}")
+        else:
+            tokens.append(f"{flag}={value}")
+    args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    # argparse accepts an unambiguous prefix of an option name
+    if args.config != path:
+        raise ConfigError("write --config in full, not as an abbreviation")
+    abbreviated = [key for key in values if key.replace("-", "_") not in vars(args)]
+    if abbreviated:
+        raise ConfigError(f"config file {path}: unknown option(s) {abbreviated}; "
+                          "write option names in full")
     return args
 
 
 def _cleaning_inputs(args):
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else load_stopwords()
-    std_map = (StandardizationMap.from_file(args.std_map) if args.std_map
-               else default_standardization_map())
-    patterns = (load_reject_patterns(args.reject_patterns) if args.reject_patterns
-                else load_reject_patterns())
-    return stopwords, std_map, patterns
+    return (load_stopwords(args.stopwords), StandardizationMap.from_file(args.std_map),
+            load_reject_patterns(args.reject_patterns))
 
 
 def _parse_fields(raw: str) -> tuple[str, ...]:
@@ -255,9 +265,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "trainlog.jsonl"
     log_path.write_text("")
-    log = fit(train_examples, val_examples, params, cfg, train_cfg,
-              checkpoint_dir=str(out) if train_cfg.checkpoint_every else None,
-              log_path=log_path)
+    log = fit(train_examples, val_examples, params, cfg, train_cfg, log_path=log_path)
     save_checkpoint(params, cfg, out / "best", extra={
         "codec": codec.to_dict() if fields else None,
         "demographic_fields": list(fields),
@@ -417,35 +425,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-modal radiology report generation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # command name -> its parser
-
-    def command(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.required_options = []
-        return p
-
-    def required(p, flag, **kwargs):
-        # argparse would reject a missing flag before --config is read, so
-        # _parse_args checks these after merging the file
-        kwargs["help"] = " ".join(filter(None, (kwargs.get("help"), "(required)")))
-        p.required_options.append(p.add_argument(flag, **kwargs))
 
     def common(p):
         p.add_argument("--config", help="JSON file of option values (flags override it)")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
 
-    p = command("synth-data", help="generate a synthetic corpus")
+    p = sub.add_parser("synth-data", help="generate a synthetic corpus")
     common(p)
-    required(p, "--out", help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-per-stratum", type=int, default=150)
     p.add_argument("--feature-dim", type=int, default=24)
     p.add_argument("--feature-storage", choices=("inline", "blob"), default="inline")
     p.set_defaults(func=cmd_synth_data)
 
-    p = command("prepare-data", help="clean reports, build vocabulary and splits")
+    p = sub.add_parser("prepare-data", help="clean reports, build vocabulary and splits")
     common(p)
-    required(p, "--data", help="raw dataset file (jsonl)")
-    required(p, "--out", help="output directory")
+    p.add_argument("--data", required=True, help="raw dataset file (jsonl)")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--vocab-cap", type=int, default=2212)
     p.add_argument("--subsets", type=int, default=1)
     p.add_argument("--subset-size", type=int, default=0,
@@ -459,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reject-patterns", help="rejection regex file (default: shipped list)")
     p.set_defaults(func=cmd_prepare_data)
 
-    p = command("train", help="train a model on one prepared subset")
+    p = sub.add_parser("train", help="train a model on one prepared subset")
     common(p)
-    required(p, "--data", help="prepared data directory")
+    p.add_argument("--data", required=True, help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
-    required(p, "--out", help="output directory for checkpoint and log")
+    p.add_argument("--out", required=True, help="output directory for checkpoint and log")
     p.add_argument("--demographics", default="gender,age,ethnicity",
                    help="comma-separated subset of gender,age,ethnicity; 'none' = baseline")
     p.add_argument("--d-model", type=int, default=512)
@@ -478,30 +474,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-clip", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = command("generate", help="decode reports from a checkpoint")
+    p = sub.add_parser("generate", help="decode reports from a checkpoint")
     common(p)
-    required(p, "--checkpoint", help="checkpoint directory")
-    required(p, "--data", help="prepared data directory")
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
+    p.add_argument("--data", required=True, help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    required(p, "--out", help="hypotheses file (one report per line)")
+    p.add_argument("--out", required=True, help="hypotheses file (one report per line)")
     p.add_argument("--refs-out", help="also write matching references here")
     p.add_argument("--temperature", type=float, default=0.5)
     p.set_defaults(func=cmd_generate)
 
-    p = command("evaluate", help="score hypotheses against references")
+    p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--config", help="JSON file of option values (flags override it)")
-    required(p, "--hypotheses")
-    required(p, "--references")
+    p.add_argument("--hypotheses", required=True)
+    p.add_argument("--references", required=True)
     p.add_argument("--embeddings", help="static embedding table (token + floats per line)")
     p.add_argument("--unknown-policy", choices=("error", "zero"), default="error")
     p.add_argument("--out", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = command("compare", help="paired t-test between two models' report sets")
+    p = sub.add_parser("compare", help="paired t-test between two models' report sets")
     p.add_argument("--config", help="JSON file of option values (flags override it)")
-    required(p, "--a", nargs="+", help="evaluation reports for model A")
-    required(p, "--b", nargs="+", help="evaluation reports for model B")
+    p.add_argument("--a", required=True, nargs="+", help="evaluation reports for model A")
+    p.add_argument("--b", required=True, nargs="+", help="evaluation reports for model B")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", help="write the comparison table as JSON here")
     p.set_defaults(func=cmd_compare)
@@ -513,6 +509,8 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(build_parser(), argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return exc.code
     except (ConfigError, SizingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

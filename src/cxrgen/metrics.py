@@ -134,28 +134,23 @@ class EmbeddingTable:
         return cls(vectors, unknown_policy)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
 def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, float]:
     """Greedy-matching precision/recall/F1 under a static embedding table.
 
     Per pair, precision is the mean over hypothesis tokens of the best
     cosine similarity to any reference token, recall the symmetric quantity;
     pair scores are averaged over the corpus and F1 is the harmonic mean of
-    the aggregates.
+    the aggregates. A zero vector (an unknown token under the ``zero``
+    policy) has similarity 0 to everything.
     """
     p_sum = 0.0
     r_sum = 0.0
     for hyp, ref in zip(corpus.hypotheses, corpus.references):
-        hyp_vecs = [table.lookup(t) for t in hyp]
-        ref_vecs = [table.lookup(t) for t in ref]
-        sims = np.asarray([[_cosine(h, r) for r in ref_vecs] for h in hyp_vecs])
+        hyp_vecs = np.asarray([table.lookup(t) for t in hyp])
+        ref_vecs = np.asarray([table.lookup(t) for t in ref])
+        norms = np.outer(np.linalg.norm(hyp_vecs, axis=1), np.linalg.norm(ref_vecs, axis=1))
+        sims = np.divide(hyp_vecs @ ref_vecs.T, norms, out=np.zeros_like(norms),
+                         where=norms > 0)
         p_sum += float(sims.max(axis=1).mean())
         r_sum += float(sims.max(axis=0).mean())
     p = p_sum / len(corpus)

@@ -27,8 +27,8 @@ keys and values of earlier positions never change, so ``generate`` passes
 cross-attention row, which depends only on the hybrid representation) and
 feeds it only the last chosen id. The new position's scores are
 [B x 1 x (t+1)], over the t cached keys and its own, under the same causal
-and key-pad rule, and the classifier runs on that one row. Without a cache,
-the decoder runs every position, as training does.
+and key-pad rule, and the classifier runs on that one row. Training and
+evaluation are the case of a fresh cache: every position is new.
 
 Multi-head attention sums the heads' output projections head_h @ wo_h, then
 adds an output bias. The visual unit, the fusion block and decoder
@@ -187,9 +187,9 @@ def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tenso
                           query: Tensor | None = None, mask=None, cache=None) -> Tensor:
     # without a query, each keyvalue row is the one key of its own attention:
     # its softmax weight is exactly 1, so each head returns its value
-    # projection. With a query, the rows are B sequences of L positions and
-    # mask is their [B x L x total] mask; each head attends per sequence,
-    # over the cache's earlier K/V rows followed by the L new ones.
+    # projection. With a query (and a cache), the rows are B sequences of L
+    # positions and mask is their [B x L x total] mask; each head attends per
+    # sequence, over the cache's earlier K/V rows followed by the L new ones.
     out = None
     for h in range(cfg.n_heads):
         attended = T.matmul(keyvalue, params[f"{prefix}.h{h}.wv"])
@@ -198,8 +198,7 @@ def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tenso
             q = T.reshape(T.matmul(query, params[f"{prefix}.h{h}.wq"]), stacked)
             k = T.reshape(T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"]), stacked)
             v = T.reshape(attended, stacked)
-            if cache is not None:
-                k, v = cache.extend(f"{prefix}.h{h}", k, v)
+            k, v = cache.extend(f"{prefix}.h{h}", k, v)
             attended = T.scaled_dot_attention(q, k, v, mask)
             attended = T.reshape(attended, (keyvalue.shape[0], cfg.d_head))
         projected = T.matmul(attended, params[f"{prefix}.h{h}.wo"])
@@ -326,11 +325,13 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     sees only positions <= t of its own sequence; pad positions are excluded
     from the attention keys.
 
-    With a ``cache``, the ids are the next L positions of the sequences the
-    cache holds: only they are embedded, projected and classified, they
-    attend over the cached positions as well as each other, and the cache
-    is extended with them. ``hybrid`` is read on the first call only. A
-    cache is legal only under ``tensor.no_grad()`` with ``training=False``.
+    The ids are the next L positions of the sequences ``cache`` holds: only
+    they are embedded, projected and classified, they attend over the cached
+    positions as well as each other, and the cache is extended with them.
+    ``hybrid`` is read on the first call only. Without a cache, a fresh one
+    is used, so the ids are whole sequences from position 0; that is how
+    training and evaluation run. A cache passed in is legal only under
+    ``tensor.no_grad()`` with ``training=False``.
     """
     ids = np.asarray(target_ids, dtype=np.int64)
     ids = ids.reshape(1, -1) if ids.ndim < 2 else ids
@@ -339,13 +340,12 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     n_seq, length = ids.shape
     if ids.size == 0:
         raise ContractError("decoder needs at least one input id")
-    offset = 0
-    if cache is not None:
-        if training or T.active_graph().enabled:
-            raise ContractError("a decode cache needs training=False under tensor.no_grad()")
-        offset = cache.length
-        if offset and cache.keep.shape[0] != n_seq:
-            raise ShapeError(f"the cache holds {cache.keep.shape[0]} sequences, got {n_seq}")
+    if cache is not None and (training or T.active_graph().enabled):
+        raise ContractError("a decode cache needs training=False under tensor.no_grad()")
+    cache = cache or DecodeCache()
+    offset = cache.length
+    if offset and cache.keep.shape[0] != n_seq:
+        raise ShapeError(f"the cache holds {cache.keep.shape[0]} sequences, got {n_seq}")
     if offset + length > cfg.max_len:
         raise ContractError(
             f"sequence length {offset + length} exceeds the maximum {cfg.max_len}"
@@ -356,19 +356,15 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
         )
     x = T.embedding(params["embed.table"], ids.reshape(-1))
     keep = ids != pad_id
-    if cache is None:
-        positions = T.sinusoidal_positions(length, cfg.d_embed, dtype=x.data.dtype)
+    if offset:
+        keep = np.concatenate([cache.keep, keep], axis=1)
     else:
-        if cache.positions is None:
-            # the first call makes what every later call reuses
-            cache.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed,
-                                                     dtype=x.data.dtype)
-            cache.cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
-                           for i in range(cfg.n_decoder_blocks)]
-        positions = cache.positions[offset:offset + length]
-        if offset:
-            keep = np.concatenate([cache.keep, keep], axis=1)
-        cache.keep = keep
+        # the first call makes what every later call reuses
+        cache.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, dtype=x.data.dtype)
+        cache.cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
+                       for i in range(cfg.n_decoder_blocks)]
+    cache.keep = keep
+    positions = cache.positions[offset:offset + length]
     x = T.add(x, Tensor(np.tile(positions, (n_seq, 1))))
     x = _maybe_dropout(x, cfg, training, rng)
     mask = _causal_pad_mask(keep, offset)
@@ -381,9 +377,7 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
         # every position attends to its sequence's one hybrid row: compute the
         # [B x d] result once, then broadcast row b to stream rows b*L..b*L+L-1
         # with the one-hot owner matrix
-        row = (cache.cross[i] if cache is not None
-               else _multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid))
-        cross = _maybe_dropout(T.matmul(owner, row), cfg, training, rng)
+        cross = _maybe_dropout(T.matmul(owner, cache.cross[i]), cfg, training, rng)
         x = T.layer_norm(T.add(x, cross),
                          params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
         ff = T.relu(_linear(x, params, f"dec{i}.ff"))

@@ -38,28 +38,19 @@ _VALID_DTYPES = (np.float32, np.float64)
 _default_dtype = np.float32
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly constructed tensors (float32 or float64)."""
+@contextmanager
+def default_dtype(dtype):
+    """Temporarily construct tensors as ``dtype``, float32 or float64 (used by
+    verification tests)."""
     global _default_dtype
     dtype = np.dtype(dtype).type
     if dtype not in _VALID_DTYPES:
         raise ContractError(f"unsupported dtype {dtype}; use float32 or float64")
-    _default_dtype = dtype
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
-@contextmanager
-def default_dtype(dtype):
-    """Temporarily switch the construction dtype (used by verification tests)."""
-    previous = _default_dtype
-    set_default_dtype(dtype)
+    previous, _default_dtype = _default_dtype, dtype
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _default_dtype = previous
 
 
 class Tensor:

@@ -24,6 +24,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 from .errors import ConfigError, ContractError, IntegrityError
 
@@ -128,59 +129,38 @@ class StandardizationMap:
         return out
 
     @classmethod
-    def from_file(cls, path) -> "StandardizationMap":
-        """Parse lines of the form ``source phrase => canonical phrase``."""
+    def from_file(cls, path=None) -> "StandardizationMap":
+        """Parse lines of the form ``source phrase => canonical phrase``
+        (default: the shipped map)."""
         pairs = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=>" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'source => canonical'")
-                src, dst = (part.strip() for part in line.split("=>", 1))
-                pairs.append((src, dst))
+        for line in _resource_lines(path, "standardization.txt"):
+            if "=>" not in line:
+                raise ConfigError(f"{path}: expected 'source => canonical', got {line!r}")
+            pairs.append(tuple(part.strip() for part in line.split("=>", 1)))
         return cls(pairs)
 
 
-def _resource_text(name: str) -> str:
-    return resources.files("cxrgen").joinpath("resources", name).read_text(encoding="utf-8")
+def _resource_lines(path, name: str) -> list[str]:
+    """The stripped lines of the file at ``path`` (default: the shipped
+    resource ``name``), without blank lines and # comments."""
+    source = Path(path) if path else resources.files("cxrgen") / "resources" / name
+    lines = (line.strip() for line in source.read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    """One stop word per line; blank lines and # comments ignored."""
-    if path is None:
-        raw = _resource_text("stopwords.txt")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    words = {line.strip().lower() for line in raw.splitlines()}
-    return frozenset(w for w in words if w and not w.startswith("#"))
+    """One stop word per line (default: the shipped list)."""
+    return frozenset(line.lower() for line in _resource_lines(path, "stopwords.txt"))
 
 
 def default_standardization_map() -> StandardizationMap:
-    pairs = []
-    for line in _resource_text("standardization.txt").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#") and "=>" in line:
-            src, dst = (part.strip() for part in line.split("=>", 1))
-            pairs.append((src, dst))
-    return StandardizationMap(pairs)
+    return StandardizationMap.from_file()
 
 
 def load_reject_patterns(path=None) -> list[re.Pattern]:
-    """One regular expression per line, matched against the lowercased raw text."""
-    if path is None:
-        raw = _resource_text("reject_patterns.txt")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    patterns = []
-    for line in raw.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            patterns.append(re.compile(line))
-    return patterns
+    """One regular expression per line, matched against the lowercased raw text
+    (default: the shipped list)."""
+    return [re.compile(line) for line in _resource_lines(path, "reject_patterns.txt")]
 
 
 def clean_report(raw: RawReport, stopwords, std_map: StandardizationMap,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import parameter_checksum, save_checkpoint
+from .checkpoint import parameter_checksum
 from .errors import ConfigError, ContractError, TrainingError
 from .model import ModelConfig, decoder_forward, encode_inputs
 from .optim import Adam
@@ -35,7 +35,6 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     patience: int | None = 10
-    checkpoint_every: int = 0
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -204,13 +203,12 @@ def epoch_order(n: int, epoch: int, seed: int) -> np.ndarray:
 
 
 def fit(train_examples, val_examples, params, cfg: ModelConfig,
-        train_cfg: TrainConfig, checkpoint_dir=None, log_path=None,
-        restore_best: bool = True) -> TrainLog:
+        train_cfg: TrainConfig, log_path=None, restore_best: bool = True) -> TrainLog:
     """Epoch loop with seeded shuffling, per-epoch validation, and best tracking.
 
-    The parameter set achieving the minimum validation loss is retained: it
-    is restored into ``params`` at the end (unless ``restore_best=False``)
-    and written to ``checkpoint_dir/best`` when a directory is given. If no
+    The parameter set achieving the minimum validation loss is retained and
+    restored into ``params`` at the end (unless ``restore_best=False``); fit
+    writes no checkpoint, so the caller saves ``params`` afterwards. If no
     epoch has a finite validation loss there is no such set, and that raises
     ``TrainingError``.
     """
@@ -254,9 +252,6 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
             stale = 0
         else:
             stale += 1
-        if train_cfg.checkpoint_every and (epoch + 1) % train_cfg.checkpoint_every == 0 \
-                and checkpoint_dir is not None:
-            save_checkpoint(params, cfg, f"{checkpoint_dir}/epoch_{epoch}")
         if train_cfg.patience is not None and stale >= train_cfg.patience:
             break
     if best_state is None:
@@ -267,8 +262,4 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
     if restore_best:
         for name, data in best_state.items():
             params[name].data = data
-    if checkpoint_dir is not None:
-        snapshot = {name: Tensor(data, requires_grad=True)
-                    for name, data in best_state.items()}
-        save_checkpoint(snapshot, cfg, f"{checkpoint_dir}/best")
     return log

@@ -71,6 +71,28 @@ class TestSynthData:
                  ["options"]["seed"] for name in ("flag", "file")]
         assert seeds == [0, 5]
 
+    def test_config_equals_path_form(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "n-per-stratum": 2, "feature-dim": 6}))
+        assert main(["synth-data", f"--config={config}", "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "dataset.jsonl").read_text().splitlines()) == 16
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        assert provenance["options"]["seed"] == 5
+
+    @pytest.mark.parametrize("values", [
+        {"seed": 1.5}, {"seed": True}, {"seed": None}, {"feature-storage": "zip"}, {"n": 2}],
+        ids=["float-for-int", "bool", "null", "bad-choice", "abbreviated-key"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, values):
+        """A config value is parsed like a flag: its type, choices and name are
+        checked, and a bad one exits 2 with a message, not a traceback."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert main(["synth-data", "--out", str(tmp_path / "out"),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_required_option_may_come_from_config_file(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"out": str(tmp_path / "out"), "n-per-stratum": 2,

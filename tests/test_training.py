@@ -288,20 +288,40 @@ class TestFit:
         b = evaluate_loss(examples[:4], params, cfg)
         assert a == b
 
-    def test_best_checkpoint_is_minimum_validation(self, tmp_path):
+    def test_best_checkpoint_is_minimum_validation(self):
         _, _, _, cfg, examples = tiny_setup()
         params = init_parameters(cfg, seed=1)
         train_cfg = TrainConfig(batch_size=4, learning_rate=3e-3, epochs=5, seed=1,
                                 patience=None)
-        log = fit(examples[:12], examples[12:16], params, cfg, train_cfg,
-                  checkpoint_dir=tmp_path)
+        log = fit(examples[:12], examples[12:16], params, cfg, train_cfg)
         val_losses = [r.val_loss for r in log.records]
         assert log.best_val_loss == min(val_losses)
         assert log.best_epoch == int(np.argmin(val_losses))
+        from cxrgen.checkpoint import parameter_checksum
+        assert parameter_checksum(params, cfg) == log.records[log.best_epoch].param_checksum
+
+    def test_train_command_saves_the_best_epoch(self, tmp_path):
+        """`cxrgen train` writes `best` from the parameters fit restores: the
+        checkpoint's checksum is that of the minimum-validation-loss epoch in
+        trainlog.jsonl, here not the last epoch."""
+        import json
         from cxrgen.checkpoint import load_checkpoint, parameter_checksum
-        best_params, best_cfg = load_checkpoint(tmp_path / "best")
-        assert parameter_checksum(best_params, best_cfg) \
-            == log.records[log.best_epoch].param_checksum
+        from cxrgen.cli import main
+        assert main(["synth-data", "--out", str(tmp_path / "corpus"), "--seed", "7",
+                     "--n-per-stratum", "4", "--feature-dim", "8"]) == 0
+        assert main(["prepare-data", "--data", str(tmp_path / "corpus" / "dataset.jsonl"),
+                     "--out", str(tmp_path / "prep"), "--seed", "3", "--subset-size", "24",
+                     "--vocab-cap", "64"]) == 0
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(tmp_path / "prep"), "--out", str(run),
+                     "--d-model", "16", "--n-heads", "2", "--max-len", "24",
+                     "--dropout", "0.0", "--batch-size", "8", "--learning-rate", "0.1",
+                     "--epochs", "4", "--seed", "1"]) == 0
+        records = [json.loads(line) for line in (run / "trainlog.jsonl").read_text().splitlines()]
+        best = min(range(len(records)), key=lambda i: records[i]["val_loss"])
+        assert best != len(records) - 1
+        params, cfg = load_checkpoint(run / "best")
+        assert parameter_checksum(params, cfg) == records[best]["param_checksum"]
 
     def test_restore_best_puts_best_weights_in_params(self):
         log, params, cfg = self._fit_once(dropout=0.0, epochs=4)
@@ -317,7 +337,7 @@ class TestFit:
         log = fit(examples[:12], examples[12:16], params, cfg, train_cfg)
         assert len(log.records) < 30
 
-    def test_no_finite_validation_loss_raises(self, tmp_path):
+    def test_no_finite_validation_loss_raises(self):
         """NaN validation features give a NaN validation loss every epoch, so
         there is no best epoch: fit raises instead of reporting one."""
         _, _, _, cfg, examples = tiny_setup()
@@ -327,8 +347,7 @@ class TestFit:
         train_cfg = TrainConfig(batch_size=4, learning_rate=1e-3, epochs=3, seed=0,
                                 patience=None)
         with pytest.raises(TrainingError, match="finite validation loss"):
-            fit(examples[:12], val, params, cfg, train_cfg, checkpoint_dir=tmp_path)
-        assert not (tmp_path / "best").exists()
+            fit(examples[:12], val, params, cfg, train_cfg)
 
     def test_empty_splits_rejected(self):
         _, _, _, cfg, examples = tiny_setup()
