@@ -419,6 +419,18 @@ def cmd_compare(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse ``type`` that parses an int and rejects one below ``low``,
+    so the bad value exits 2 before the command runs."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cxrgen",
@@ -443,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="raw dataset file (jsonl)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--vocab-cap", type=int, default=2212)
-    p.add_argument("--subsets", type=int, default=1)
-    p.add_argument("--subset-size", type=int, default=0,
+    p.add_argument("--subsets", type=_int_at_least(1), default=1)
+    p.add_argument("--subset-size", type=_int_at_least(0), default=0,
                    help="examples per subset (0 = pool size / subsets)")
-    p.add_argument("--top-ethnicities", type=int, default=5)
+    p.add_argument("--top-ethnicities", type=_int_at_least(1), default=5)
     p.add_argument("--min-raw-words", type=int, default=9)
     p.add_argument("--age-min", type=int, default=19)
     p.add_argument("--age-max", type=int, default=91)

@@ -1,4 +1,20 @@
-"""Adam optimizer over a named map of parameter tensors."""
+"""Adam optimizer over a named map of parameter tensors.
+
+The optimizer owns the storage of what it updates: parameters, gradients
+and both moments each live in one flat buffer of the parameters' dtype, laid
+out in the order of the parameter map. ``Adam(params)`` copies each
+parameter into its slot and rebinds ``p.data`` to a view of it, one tensor
+at a time; ``opt.m[name]`` and ``opt.v[name]`` are views as well.
+``zero_grad`` zeroes the gradient buffer with one fill and hands each
+parameter its gradient slot (``Tensor.grad_slot``), which backward then
+accumulates into instead of allocating.
+
+``step`` updates each maximal run of adjacent tensors that have a gradient
+in chunks of ``CHUNK`` elements, so a step costs a few dozen numpy calls at
+desk size, and each chunk's working set stays in cache at paper size. The
+operations and their order are those of a per-tensor update, and every one
+is elementwise, so the result is the same bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +22,8 @@ import numpy as np
 
 from .errors import ContractError
 from .tensor import Tensor
+
+CHUNK = 1 << 16
 
 
 class Adam:
@@ -15,64 +33,111 @@ class Adam:
     the in-place update ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to every
     parameter whose ``grad`` is set. Parameters with no gradient are left
     untouched (their moments do not decay either).
+
+    A ``p.grad``, ``p.data`` or moment that a caller rebound to another array
+    is copied into its slot at the next ``step`` and rebound to the slot, so
+    the update reaches the tensor the caller holds either way.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
             raise ContractError(f"learning rate must be positive, got {lr}")
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ContractError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        # two scratch rows the size of the largest parameter, one pair per
-        # dtype, so a step allocates no parameter-sized temporaries
-        self._largest = max((p.data.size for p in params.values()), default=0)
-        self._scratch: dict[np.dtype, np.ndarray] = {}
+        total = sum(p.data.size for p in params.values())
+        self._data = np.empty(total, dtype)
+        self._grad = np.zeros(total, dtype)
+        self._m = np.zeros(total, dtype)
+        self._v = np.zeros(total, dtype)
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        # (name, tensor, start, stop, data, grad, m, v slots) in buffer order
+        self._slots = []
+        start = 0
+        for name, p in params.items():
+            stop = start + p.data.size
+            data, grad, m, v = (flat[start:stop].reshape(p.data.shape)
+                                for flat in (self._data, self._grad, self._m, self._v))
+            data[...] = p.data
+            p.data = data
+            self.m[name], self.v[name] = m, v
+            self._slots.append((name, p, start, stop, data, grad, m, v))
+            start = stop
+        # two chunk-sized scratch rows, so a step allocates no temporaries
+        self._scratch = np.empty((2, min(CHUNK, total)), dtype)
 
-    def _buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = self._scratch.get(like.dtype)
-        if rows is None:
-            rows = self._scratch[like.dtype] = np.empty((2, self._largest), like.dtype)
-        return (rows[0, :like.size].reshape(like.shape),
-                rows[1, :like.size].reshape(like.shape))
+    def _reclaim(self, name, p, data, grad, m, v) -> None:
+        """Copy into its slot any array a caller rebound, and rebind it there."""
+        for moments, slot in ((self.m, m), (self.v, v)):
+            if moments[name] is not slot:
+                if moments[name].shape != slot.shape:
+                    raise ContractError(
+                        f"moment buffer for {name!r} has shape {moments[name].shape}, "
+                        f"parameter has {slot.shape}"
+                    )
+                slot[...] = moments[name]
+                moments[name] = slot
+        if p.data is not data:
+            if p.data.shape != data.shape:
+                raise ContractError(
+                    f"parameter {name!r} was rebound to shape {p.data.shape}, "
+                    f"its slot has {data.shape}"
+                )
+            data[...] = p.data
+            p.data = data
+        if p.grad is not grad:
+            grad[...] = p.grad
+            p.grad, p.grad_slot = grad, None
 
     def step(self) -> None:
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+        runs: list[list[int]] = []
+        for name, p, start, stop, data, grad, m, v in self._slots:
+            if p.grad is None:
                 continue
-            m, v = self.m[name], self.v[name]
-            if m.shape != p.data.shape:
-                raise ContractError(
-                    f"moment buffer for {name!r} has shape {m.shape}, "
-                    f"parameter has {p.data.shape}"
-                )
-            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), evaluated in
-            # the same operations and order, into the scratch buffers
-            step, denom = self._buffers(p.data)
-            np.multiply(g, 1.0 - self.beta1, out=step)
-            m *= self.beta1
-            m += step
-            np.multiply(g, g, out=step)
-            step *= 1.0 - self.beta2
-            v *= self.beta2
-            v += step
-            np.divide(m, bias1, out=step)
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step *= self.lr
-            step /= denom
-            p.data -= step
+            if not (p.grad is grad and p.data is data
+                    and self.m[name] is m and self.v[name] is v):
+                self._reclaim(name, p, data, grad, m, v)
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+        for start, stop in runs:
+            for lo in range(start, stop, CHUNK):
+                self._update(slice(lo, min(lo + CHUNK, stop)), bias1, bias2)
+
+    def _update(self, part: slice, bias1: float, bias2: float) -> None:
+        """p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) over one chunk, in
+        the same operations and order as a per-tensor update."""
+        g, m, v = self._grad[part], self._m[part], self._v[part]
+        step, denom = self._scratch[:, :part.stop - part.start]
+        np.multiply(g, 1.0 - self.beta1, out=step)
+        m *= self.beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - self.beta2
+        v *= self.beta2
+        v += step
+        np.divide(m, bias1, out=step)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step *= self.lr
+        step /= denom
+        self._data[part] -= step
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self._grad.fill(0)
+        for _, p, _, _, _, grad, _, _ in self._slots:
+            p.grad, p.grad_slot = None, grad

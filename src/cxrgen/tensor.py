@@ -17,8 +17,11 @@ Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
 and accumulates ``grad`` buffers only on leaves, the tensors that no tape
 entry produced (parameters and inputs); intermediate adjoints are dropped as
-soon as their entry has been replayed. Repeated backward calls without
-``zero_grad`` accumulate, matching the usual autograd convention.
+soon as their entry has been replayed. A parameter adopted by
+``optim.Adam`` accumulates into its slot of the optimizer's flat gradient
+buffer (``Tensor.grad_slot``); other leaves get a fresh array. Repeated
+backward calls without ``zero_grad`` accumulate, matching the usual autograd
+convention.
 
 The recorder is single-threaded: one training session owns the tape. All
 reductions delegate to numpy, whose summation order is fixed for a given
@@ -57,17 +60,24 @@ class Tensor:
     """A dense array with an optional gradient buffer.
 
     ``data`` is a C-contiguous numpy array (row-major flat storage).
-    ``grad`` is lazily allocated by the backward pass and always matches
-    ``data`` in shape. The shape is fixed at construction; treat tensors as
-    immutable except for the optimizer's in-place parameter update.
+    ``grad`` is set by the backward pass and always matches ``data`` in
+    shape. The shape is fixed at construction; treat tensors as immutable
+    except for the optimizer's in-place parameter update.
+
+    A parameter adopted by ``optim.Adam`` has its ``data`` and its gradient
+    in slots of the optimizer's flat buffers: ``Adam.zero_grad`` zeroes the
+    gradient buffer and hands each parameter its slot as ``grad_slot``,
+    which the next ``accumulate_grad`` takes as ``grad`` instead of
+    allocating. Any other leaf gets a fresh ``zeros_like`` gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=_default_dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.grad_slot = None
 
     @classmethod
     def _wrap(cls, array: np.ndarray) -> "Tensor":
@@ -76,6 +86,7 @@ class Tensor:
         out.data = np.ascontiguousarray(array)
         out.requires_grad = False
         out.grad = None
+        out.grad_slot = None
         return out
 
     @property
@@ -96,8 +107,13 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, contribution: np.ndarray) -> None:
+        """Add ``contribution`` to ``grad``, starting from zeros: the
+        pre-zeroed ``grad_slot`` if one was handed out (it is used once),
+        else a fresh array."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad, self.grad_slot = self.grad_slot, None
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
         self.grad += contribution
 
     def zero_grad(self) -> None:

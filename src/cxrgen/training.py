@@ -5,10 +5,13 @@ the batch, pooled across examples, so duplicating an example k times leaves
 both the loss and the gradient direction unchanged. Pad positions contribute
 exactly zero to the loss and to every gradient.
 
-A batch is one tape: its examples' teacher-forcing views are padded to the
-longest in the batch, and one forward pass of the model over all of them
-feeds one cross-entropy, so a training step records one forward and replays
-one backward whatever the batch size.
+A batch is one tape: its examples' teacher-forcing views are built as one
+padded ``[B x L]`` array by whole-array operations, and one forward pass of
+the model over all of them feeds one cross-entropy, so a training step
+records one forward and replays one backward whatever the batch size. The
+step's gradients land in the optimizer's flat gradient buffer and ``Adam``
+updates the parameters in place there (see ``optim``); a parameter with no
+gradient is skipped.
 """
 
 from __future__ import annotations
@@ -102,41 +105,47 @@ def encode_examples(points, vocab, codec, cfg: ModelConfig) -> list[EncodedExamp
     return examples
 
 
-def teacher_forcing_views(ids: np.ndarray, pad_id: int = PAD_ID):
-    """Split an encoded sequence into decoder input, targets, and loss mask.
+def teacher_forcing_batch(rows, pad_id: int = PAD_ID):
+    """Split encoded sequences into padded decoder inputs, targets and loss mask.
 
-    The sequence is trimmed at the end marker: the decoder input runs from
-    the start token up to the token before the end marker, and the targets
-    are the same span shifted left (so the end marker is predicted).
-    Trailing pads carry no information and are dropped.
+    Each sequence is trimmed at its end marker (its last non-pad id): the
+    decoder input runs from the start token up to the token before the end
+    marker, and the targets are the same span shifted left (so the end
+    marker is predicted). The rows are stacked into one pad-filled
+    ``[B x W]`` int64 array (rows may differ in width) and cut to the
+    longest span ``L``; returns ``[B x L]`` inputs, targets and mask, with
+    pad ids and a False mask past each row's span.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    nonpad = np.nonzero(ids != pad_id)[0]
-    if nonpad.size < 2:
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    ids = np.full((len(rows), int(widths.max())), pad_id, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < widths[:, None]] = np.concatenate(rows)
+    nonpad = ids != pad_id
+    if (nonpad.sum(axis=1) < 2).any():
         raise ContractError("encoded report is too short to train on")
-    last = int(nonpad[-1])
-    inputs = ids[:last]
-    targets = ids[1:last + 1]
-    mask = targets != pad_id
-    return inputs, targets, mask
+    last = ids.shape[1] - 1 - np.argmax(nonpad[:, ::-1], axis=1)
+    length = int(last.max())
+    inputs = np.where(np.arange(length) < last[:, None], ids[:, :length], pad_id)
+    targets = ids[:, 1:length + 1]
+    return inputs, targets, targets != pad_id
+
+
+def teacher_forcing_views(ids: np.ndarray, pad_id: int = PAD_ID):
+    """``teacher_forcing_batch`` of one sequence: its unpadded views."""
+    inputs, targets, mask = teacher_forcing_batch([ids], pad_id)
+    return inputs[0], targets[0], mask[0]
 
 
 def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tuple[Tensor, int]:
     """Pooled cross-entropy over all non-pad positions of a batch.
 
-    One forward pass over the batch's teacher-forcing views, padded to the
-    longest; returns the mean loss and the number of positions it pools.
+    The examples' ids are assembled into ``[B x L]`` teacher-forcing arrays
+    by whole-array operations (``teacher_forcing_batch``) and run through
+    one forward pass; returns the mean loss and the number of positions it
+    pools.
     """
     if not batch:
         raise ContractError("batch_loss needs a non-empty batch")
-    views = [teacher_forcing_views(ex.ids) for ex in batch]
-    length = max(inputs.shape[0] for inputs, _, _ in views)
-
-    def padded(part: int, fill):
-        return np.stack([np.pad(view[part], (0, length - view[part].shape[0]),
-                                constant_values=fill) for view in views])
-
-    inputs, targets, mask = padded(0, PAD_ID), padded(1, PAD_ID), padded(2, False)
+    inputs, targets, mask = teacher_forcing_batch([ex.ids for ex in batch])
     demos = [ex.demo for ex in batch]
     hybrid = encode_inputs([ex.features for ex in batch],
                            None if any(d is None for d in demos) else demos,

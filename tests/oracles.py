@@ -6,7 +6,10 @@ no code with the package under test. The exceptions are
 ``per_example_batch_loss``, which checks the batched training loss against
 the package's own model called one sequence at a time, and
 ``full_prefix_generate``, which decodes by re-running the package's decoder
-on the whole prefix at every step.
+on the whole prefix at every step. ``PerTensorAdam`` and
+``padded_teacher_forcing_batch`` keep the per-tensor optimizer and the
+per-example batch assembly that the flat-buffer and whole-array versions
+replaced.
 """
 
 import math
@@ -156,6 +159,77 @@ def allocating_adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
     param -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
+
+
+class PerTensorAdam:
+    """``optim.Adam`` as it was before the flat buffers: per-tensor moment
+    arrays and one pass of in-place operations per parameter, skipping any
+    parameter whose ``grad`` is None."""
+
+    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            step = np.empty_like(p.data)
+            denom = np.empty_like(p.data)
+            np.multiply(g, 1.0 - self.beta1, out=step)
+            m *= self.beta1
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.beta2
+            v *= self.beta2
+            v += step
+            np.divide(m, bias1, out=step)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step *= self.lr
+            step /= denom
+            p.data -= step
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+
+def padded_teacher_forcing_batch(rows, pad_id=0):
+    """Batch assembly as it was: each row's teacher-forcing views taken one
+    at a time, then each part ``np.pad``-ed to the longest and stacked.
+    Returns (inputs, targets, mask); a row with fewer than two non-pad ids
+    raises ``ContractError``."""
+    from cxrgen.errors import ContractError
+
+    views = []
+    for row in rows:
+        ids = np.asarray(row, dtype=np.int64)
+        nonpad = np.nonzero(ids != pad_id)[0]
+        if nonpad.size < 2:
+            raise ContractError("encoded report is too short to train on")
+        last = int(nonpad[-1])
+        targets = ids[1:last + 1]
+        views.append((ids[:last], targets, targets != pad_id))
+    length = max(inputs.shape[0] for inputs, _, _ in views)
+
+    def padded(part, fill):
+        return np.stack([np.pad(view[part], (0, length - view[part].shape[0]),
+                                constant_values=fill) for view in views])
+
+    return padded(0, pad_id), padded(1, pad_id), padded(2, False)
 
 
 def per_example_batch_loss(batch, params, cfg, training=False, rng=None):

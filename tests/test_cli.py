@@ -142,6 +142,19 @@ class TestPrepareData:
                      "--out", str(tmp_path / "out"), "--subsets", "9",
                      "--subset-size", "1000"]) == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--subsets", "0"), ("--subsets", "-1"), ("--top-ethnicities", "0"),
+        ("--subset-size", "-1")])
+    def test_out_of_range_count_is_usage_error(self, pipeline, tmp_path, capsys,
+                                               option, value):
+        """Checked by the parser, so nothing is written under --out."""
+        out = tmp_path / "out"
+        assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                     "--out", str(out), option, value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_corrupt_dataset_is_integrity_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{this is not json}\n")

@@ -14,10 +14,11 @@ from cxrgen.model import ModelConfig, decoder_forward, encode_inputs, init_param
 from cxrgen.optim import Adam
 from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
 from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, encode_examples,
-                             epoch_order, evaluate_loss, fit, teacher_forcing_views,
-                             train_step)
+                             epoch_order, evaluate_loss, fit, teacher_forcing_batch,
+                             teacher_forcing_views, train_step)
 
-from oracles import direct_softmax, per_example_batch_loss
+from oracles import (PerTensorAdam, direct_softmax, padded_teacher_forcing_batch,
+                     per_example_batch_loss)
 
 
 def tiny_setup(n_per_stratum=2, d_model=16, max_len=24, dropout=0.0, seed=0):
@@ -44,6 +45,38 @@ class TestTeacherForcing:
     def test_rejects_degenerate_sequence(self):
         with pytest.raises(ContractError):
             teacher_forcing_views(np.asarray([1, 0, 0]))
+
+    @pytest.mark.parametrize("id_dtype", [np.int64, np.int32, np.float64])
+    def test_batch_matches_padded_oracle(self, id_dtype):
+        """Random spans up to the full width, an interior PAD_ID and rows of
+        unequal width: the whole-array assembly equals per-row np.pad."""
+        rng = np.random.default_rng(8)
+        max_len = 24
+        for trial in range(40):
+            rows = []
+            for _ in range(int(rng.integers(1, 9))):
+                width = max_len - int(rng.integers(0, 3)) * (trial % 2)
+                span = int(rng.integers(2, width + 1))
+                row = np.full(width, PAD_ID)
+                row[:span] = rng.integers(3, 40, size=span)
+                row[0], row[span - 1] = START_ID, END_ID
+                if span > 3 and rng.random() < 0.3:
+                    row[int(rng.integers(1, span - 1))] = PAD_ID
+                rows.append(row.astype(id_dtype))
+            got = teacher_forcing_batch(rows)
+            want = padded_teacher_forcing_batch(rows, PAD_ID)
+            for part, ref in zip(got, want):
+                assert part.dtype == ref.dtype
+                assert np.array_equal(part, ref), trial
+
+    def test_batch_rejects_a_degenerate_row(self):
+        good = np.asarray([START_ID, 7, END_ID, PAD_ID])
+        for bad in ([START_ID, PAD_ID, PAD_ID, PAD_ID], [PAD_ID] * 4, [END_ID]):
+            rows = [good, np.asarray(bad)]
+            with pytest.raises(ContractError, match="too short"):
+                padded_teacher_forcing_batch(rows, PAD_ID)
+            with pytest.raises(ContractError, match="too short"):
+                teacher_forcing_batch(rows)
 
 
 class TestLoss:
@@ -280,6 +313,28 @@ class TestFit:
         log_a, _, _ = self._fit_once()
         log_b, _, _ = self._fit_once()
         assert log_a.trajectory() == log_b.trajectory()
+
+    def test_trajectory_matches_per_tensor_adam(self, monkeypatch):
+        """Flat-buffer Adam and pre-zeroed gradient slots change no bit of a
+        3-epoch fit: dropout 0.1, two decoder blocks, desk width."""
+        import dataclasses
+
+        import cxrgen.training
+        from cxrgen.checkpoint import parameter_checksum
+
+        _, _, _, cfg, examples = tiny_setup(d_model=32, dropout=0.1)
+        cfg = dataclasses.replace(cfg, n_decoder_blocks=2)
+        train_cfg = TrainConfig(batch_size=4, learning_rate=1e-2, epochs=3, seed=3,
+                                patience=None)
+
+        def run():
+            params = init_parameters(cfg, seed=3)
+            log = fit(examples[:12], examples[12:16], params, cfg, train_cfg)
+            return log.trajectory(), parameter_checksum(params, cfg)
+
+        flat = run()
+        monkeypatch.setattr(cxrgen.training, "Adam", PerTensorAdam)
+        assert run() == flat
 
     def test_validation_is_pure(self):
         _, _, _, cfg, examples = tiny_setup(dropout=0.3)
