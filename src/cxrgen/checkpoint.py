@@ -4,32 +4,44 @@ A checkpoint is a directory holding ``manifest.json`` (config values,
 ordered parameter names, per-tensor shape, byte offset, and sha256) plus
 ``params.bin``, a flat blob of little-endian 32-bit floats in row-major
 order. Loading verifies every tensor's checksum, so a single corrupted byte
-is detected and attributed to the tensor it sits in. Format 1 still loads.
+is detected and attributed to the tensor it sits in. Saving writes both
+files into a fresh sibling directory and renames it into place, so a
+failure part-way leaves any checkpoint already at the path intact.
+
+Format 3 stores one matrix per attention role. Formats 1 and 2 still load:
+they stored one block per head and role (format 1 also stored query/key
+blocks for the single-key attention blocks). Every stored block's checksum
+is verified, then the blocks are joined into the model's matrices and the
+single-key query/key blocks are dropped.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import uuid
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, IntegrityError
-from .model import ModelConfig, check_parameters, parameter_shapes
+from .model import ATTENTION_ROLES, ModelConfig, check_parameters, join_heads, parameter_shapes
 from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_ENTRY_FIELDS = {"name": str, "shape": list, "offset": int, "nbytes": int, "sha256": str}
 
 
 def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
                     extra: dict | None = None) -> None:
-    """Write params + config under ``path`` (a directory, created if needed)."""
+    """Write params + config under ``path`` (a directory, replaced whole if
+    it exists)."""
     check_parameters(params, cfg)
     directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     chunks = []
     offset = 0
@@ -37,30 +49,41 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
         tensor = params[name]
         if not np.isfinite(tensor.data).all():
             raise ContractError(f"parameter {name!r} contains non-finite values")
-        raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(tensor.data, dtype="<f4")   # hashed and written as is
         entries.append({
             "name": name,
             "shape": list(tensor.shape),
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": raw.nbytes,
             "sha256": hashlib.sha256(raw).hexdigest(),
         })
         chunks.append(raw)
-        offset += len(raw)
-    blob = b"".join(chunks)
+        offset += raw.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": cfg.to_dict(),
         "blob": BLOB_NAME,
-        "blob_nbytes": len(blob),
+        "blob_nbytes": offset,
         "tensors": entries,
     }
     if extra:
         manifest["extra"] = extra
-    (directory / BLOB_NAME).write_bytes(blob)
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
+    retired = staging.with_name(staging.name + ".old")
+    staging.mkdir(parents=True)
+    try:
+        with open(staging / BLOB_NAME, "wb") as fh:
+            fh.writelines(chunks)
+        with open(staging / MANIFEST_NAME, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+        # a directory cannot be renamed onto a non-empty one: move the old aside
+        if directory.exists():
+            os.replace(directory, retired)
+        os.replace(staging, directory)
+        shutil.rmtree(retired, ignore_errors=True)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def read_manifest(path) -> dict:
@@ -76,52 +99,61 @@ def read_manifest(path) -> dict:
         raise IntegrityError(f"checkpoint manifest {manifest_path} is not a JSON object")
     version = manifest.get("format_version")
     # True == 1 and 1.0 == 1 in Python, so check the type before the value
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise IntegrityError(
             f"unsupported checkpoint format version {version!r}"
         )
     return manifest
 
 
-def load_checkpoint(path, expect_cfg: ModelConfig | None = None
-                    ) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Load params + config, verifying per-tensor checksums.
+def _stored_shapes(cfg: ModelConfig, version: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor a checkpoint of ``version`` stores, in order."""
+    shapes = parameter_shapes(cfg)
+    stored = {}
+    for name, shape in shapes.items():
+        prefix, _, role = name.rpartition(".")
+        if version == FORMAT_VERSION or role not in ATTENTION_ROLES:
+            stored[name] = shape
+        elif role == "wo":
+            # formats 1 and 2 stored each head's blocks together, head by
+            # head; format 1 also kept the single-key blocks' wq and wk
+            roles = ATTENTION_ROLES if version == 1 or f"{prefix}.wq" in shapes else ("wv", "wo")
+            for h in range(cfg.n_heads):
+                for r in roles:
+                    stored[f"{prefix}.h{h}.{r}"] = ((cfg.d_head, cfg.d_model) if r == "wo"
+                                                    else (cfg.d_model, cfg.d_head))
+    return stored
 
-    Pass ``expect_cfg`` when resuming so a configuration mismatch fails
-    loudly instead of producing a shape error later.
-    """
+
+def _well_formed(entry) -> bool:
+    return (isinstance(entry, dict)
+            and all(type(entry.get(key)) is kind for key, kind in _ENTRY_FIELDS.items())
+            and all(type(n) is int for n in entry["shape"]))
+
+
+def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
+    """Load params + config, verifying per-tensor checksums."""
     directory = Path(path)
     manifest = read_manifest(directory)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
     except (TypeError, KeyError, ConfigError) as exc:
         raise IntegrityError(f"invalid config in checkpoint manifest: {exc}") from exc
-    if expect_cfg is not None and cfg != expect_cfg:
-        raise ConfigError(
-            "checkpoint config does not match the requested config; refusing to resume"
-        )
-    blob_path = directory / manifest.get("blob", BLOB_NAME)
-    if not blob_path.exists():
-        raise IntegrityError(f"checkpoint blob missing: {blob_path}")
-    blob = blob_path.read_bytes()
+    blob_name = manifest.get("blob", BLOB_NAME)
+    if not isinstance(blob_name, str) or not (directory / blob_name).exists():
+        raise IntegrityError(f"checkpoint blob {blob_name!r} missing from {directory}")
+    blob = (directory / blob_name).read_bytes()
     if len(blob) != manifest.get("blob_nbytes"):
         raise IntegrityError(
             f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"
         )
-    expected = parameter_shapes(cfg)
-    stored = {}
-    for name, shape in expected.items():
-        # format 1 also stored query/key weights, shaped like wv, ahead of
-        # each single-key attention head's wv; they are verified, then dropped
-        if (manifest["format_version"] == 1 and name.endswith(".wv")
-                and name[:-2] + "wq" not in expected):
-            stored.update({name[:-2] + "wq": shape, name[:-2] + "wk": shape})
-        stored[name] = shape
-    entries = manifest.get("tensors", [])
-    seen = [entry["name"] for entry in entries]
-    if seen != list(stored):
+    stored = _stored_shapes(cfg, manifest["format_version"])
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list) or not all(_well_formed(entry) for entry in entries):
+        raise IntegrityError("checkpoint manifest has a malformed tensor list")
+    if [entry["name"] for entry in entries] != list(stored):
         raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
-    params: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     for entry in entries:
         name = entry["name"]
         shape = tuple(entry["shape"])
@@ -135,9 +167,13 @@ def load_checkpoint(path, expect_cfg: ModelConfig | None = None
             raise IntegrityError(f"checkpoint blob truncated inside tensor {name!r}")
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
-        if name in expected:
-            data = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            params[name] = Tensor(data.copy(), requires_grad=True)
+        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    params: dict[str, Tensor] = {}
+    for name in parameter_shapes(cfg):
+        prefix, _, role = name.rpartition(".")
+        data = arrays[name] if name in arrays else join_heads(
+            role, [arrays[f"{prefix}.h{h}.{role}"] for h in range(cfg.n_heads)])
+        params[name] = Tensor(data.copy(), requires_grad=True)
     return params, cfg
 
 
@@ -145,5 +181,5 @@ def parameter_checksum(params: dict[str, Tensor], cfg: ModelConfig) -> str:
     """sha256 over all parameter bytes in canonical order (for logs and tests)."""
     digest = hashlib.sha256()
     for name in parameter_shapes(cfg):
-        digest.update(np.ascontiguousarray(params[name].data, dtype="<f4").tobytes())
+        digest.update(np.ascontiguousarray(params[name].data, dtype="<f4"))
     return digest.hexdigest()

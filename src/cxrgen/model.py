@@ -18,7 +18,7 @@ sublayers, matching the published layer ordering.
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
 length L as a [B*L x d] stream, with self-attention scores of shape
-[B x L x L] under causal and key-pad masks. A single sequence is the case
+[B x H x L x L] under causal and key-pad masks. A single sequence is the case
 B = 1, so generation and training run the same code.
 
 Generation decodes one new position per step. Under the causal mask the
@@ -26,15 +26,21 @@ keys and values of earlier positions never change, so ``generate`` passes
 ``decoder_forward`` a ``DecodeCache`` holding them (and each block's
 cross-attention row, which depends only on the hybrid representation) and
 feeds it only the last chosen id. The new position's scores are
-[B x 1 x (t+1)], over the t cached keys and its own, under the same causal
+[B x H x 1 x (t+1)], over the t cached keys and its own, under the same causal
 and key-pad rule, and the classifier runs on that one row. Training and
 evaluation are the case of a fresh cache: every position is new.
 
-Multi-head attention sums the heads' output projections head_h @ wo_h, then
-adds an output bias. The visual unit, the fusion block and decoder
-cross-attention attend over one [1 x d] key row; a softmax over one score is
-exactly 1, so they are the paper's layers evaluated exactly in closed form,
-``sum_h (kv @ wv_h) @ wo_h + bo``, with no query/key weights.
+Multi-head attention is ``Concat(head_1..head_H) @ wo + bo`` (Vaswani et
+al. 2017, section 3.2.2), with one [d x d] matrix per role: head h's query,
+key and value projections are column block h of ``wq``, ``wk`` and ``wv``,
+and its output projection is row block h of ``wo``. Self-attention projects
+Q, K and V once each, splits the heads into a [B x H x L x d_head] stack
+with a reshape and an axis permutation, runs one scaled dot-product
+attention over every head of every sequence, and merges the heads back into
+[B*L x d] rows for one ``wo`` product. The visual unit, the fusion block and
+decoder cross-attention attend over one [1 x d] key row; a softmax over one
+score is exactly 1, so they are the paper's layers evaluated exactly in
+closed form, ``(kv @ wv) @ wo + bo``, with no query/key weights.
 
 Baseline (image-only) models set ``demographic_dim`` to zero, which removes
 the semantic and fusion parameters entirely; the hybrid representation is
@@ -52,6 +58,8 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 from .text import END_ID, PAD_ID, START_ID
+
+ATTENTION_ROLES = ("wq", "wk", "wv", "wo")
 
 
 @dataclass(frozen=True)
@@ -108,10 +116,8 @@ class ModelConfig:
 
 
 def _attention_shapes(shapes: dict, prefix: str, cfg: ModelConfig, single_key=False) -> None:
-    for h in range(cfg.n_heads):
-        for role in ("wv",) if single_key else ("wq", "wk", "wv"):
-            shapes[f"{prefix}.h{h}.{role}"] = (cfg.d_model, cfg.d_head)
-        shapes[f"{prefix}.h{h}.wo"] = (cfg.d_head, cfg.d_model)
+    for role in ("wv", "wo") if single_key else ATTENTION_ROLES:
+        shapes[f"{prefix}.{role}"] = (cfg.d_model, cfg.d_model)
     shapes[f"{prefix}.bo"] = (cfg.d_model,)
 
 
@@ -146,18 +152,45 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def join_heads(role: str, blocks) -> np.ndarray:
+    """One attention role's [d x d] matrix from its heads' blocks, in head
+    order: [d x d_head] column blocks for wq/wk/wv, [d_head x d] row blocks
+    for wo."""
+    return np.concatenate(blocks, axis=0 if role == "wo" else 1)
+
+
 def init_parameters(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Seeded Glorot-uniform weights; unit norm gains; zero biases."""
+    """Seeded Glorot-uniform weights; unit norm gains; zero biases.
+
+    An attention block is drawn whole when its first matrix comes up: head
+    by head, every role of head 0 first, each block with the Glorot limit of
+    one head's [d x d_head] projection; the blocks are then joined per role.
+    """
     rng = np.random.default_rng(seed)
+    shapes = parameter_shapes(cfg)
     params: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(cfg).items():
+    for name, shape in shapes.items():
+        prefix, _, role = name.rpartition(".")
+        if name in params:
+            continue
         if name.endswith(".gain"):
             data = np.ones(shape)
         elif name.endswith((".bias", ".b", ".bo")):
             data = np.zeros(shape)
+        elif role in ATTENTION_ROLES:
+            roles = [r for r in ATTENTION_ROLES if f"{prefix}.{r}" in shapes]
+            limit = math.sqrt(6.0 / (cfg.d_model + cfg.d_head))
+            size = (len(roles), cfg.d_model * cfg.d_head)
+            # each head's draw is cast to the tensor dtype while it is in cache
+            heads = [Tensor(rng.uniform(-limit, limit, size=size)).data for _ in range(cfg.n_heads)]
+            for r, joined in enumerate(roles):
+                width = cfg.d_model if joined == "wo" else cfg.d_head
+                params[f"{prefix}.{joined}"] = Tensor(
+                    join_heads(joined, [head[r].reshape(-1, width) for head in heads]),
+                    requires_grad=True)
+            continue
         else:
-            fan_in, fan_out = shape[0], shape[1]
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
             data = rng.uniform(-limit, limit, size=shape)
         params[name] = Tensor(data, requires_grad=True)
     return params
@@ -190,20 +223,21 @@ def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tenso
     # projection. With a query (and a cache), the rows are B sequences of L
     # positions and mask is their [B x L x total] mask; each head attends per
     # sequence, over the cache's earlier K/V rows followed by the L new ones.
-    out = None
-    for h in range(cfg.n_heads):
-        attended = T.matmul(keyvalue, params[f"{prefix}.h{h}.wv"])
-        if query is not None:
-            stacked = (*mask.shape[:2], cfg.d_head)
-            q = T.reshape(T.matmul(query, params[f"{prefix}.h{h}.wq"]), stacked)
-            k = T.reshape(T.matmul(keyvalue, params[f"{prefix}.h{h}.wk"]), stacked)
-            v = T.reshape(attended, stacked)
-            k, v = cache.extend(f"{prefix}.h{h}", k, v)
-            attended = T.scaled_dot_attention(q, k, v, mask)
-            attended = T.reshape(attended, (keyvalue.shape[0], cfg.d_head))
-        projected = T.matmul(attended, params[f"{prefix}.h{h}.wo"])
-        out = projected if out is None else T.add(out, projected)
-    return T.add(out, params[f"{prefix}.bo"])
+    attended = T.matmul(keyvalue, params[f"{prefix}.wv"])
+    if query is not None:
+        n_seq, length = mask.shape[:2]
+
+        def heads(rows):   # [B*L x d] -> [B x H x L x d_head]
+            split = T.reshape(rows, (n_seq, length, cfg.n_heads, cfg.d_head))
+            return T.permute(split, (0, 2, 1, 3))
+
+        q = heads(T.matmul(query, params[f"{prefix}.wq"]))
+        k, v = cache.extend(prefix, heads(T.matmul(keyvalue, params[f"{prefix}.wk"])),
+                            heads(attended))
+        mask = mask[:, None].repeat(cfg.n_heads, axis=1)
+        attended = T.scaled_dot_attention(q, k, v, mask)
+        attended = T.reshape(T.permute(attended, (0, 2, 1, 3)), (n_seq * length, cfg.d_model))
+    return T.add(T.matmul(attended, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
 def _maybe_dropout(x: Tensor, cfg: ModelConfig, training: bool, rng) -> Tensor:
@@ -280,16 +314,16 @@ class DecodeCache:
     """What a ``decoder_forward`` call needs of the positions decoded before it.
 
     Pass a fresh ``DecodeCache()`` with the first ids, then keep passing it
-    with only the ids that follow. It holds, per self-attention head, the
-    [B x t x d_head] K and V rows of the t positions decoded so far and their
-    [B x t] key-keep mask (ids != pad_id); each decoder block's [B x d]
-    cross-attention row and the positional table, both made on the first
-    call; and nothing that records a gradient.
+    with only the ids that follow. It holds, per self-attention block, the
+    [B x H x t x d_head] K and V rows of every head for the t positions
+    decoded so far and their [B x t] key-keep mask (ids != pad_id); each
+    decoder block's [B x d] cross-attention row and the positional table,
+    both made on the first call; and nothing that records a gradient.
     """
 
     def __init__(self):
         self.keep = None        # [B x t] bool, None before the first call
-        self.keys = {}          # "<prefix>.h<h>" -> [B x t x d_head]
+        self.keys = {}          # attention block prefix -> [B x H x t x d_head]
         self.values = {}
         self.cross = []         # per decoder block, a [B x d] Tensor
         self.positions = None   # [max_len x d_embed] sinusoidal table
@@ -299,10 +333,11 @@ class DecodeCache:
         return 0 if self.keep is None else self.keep.shape[1]
 
     def extend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new positions' K/V rows to head ``name``'s; return all of them."""
+        """Append the new positions' K/V rows (axis -2) to block ``name``'s;
+        return all of them."""
         if name in self.keys:
-            k = Tensor(np.concatenate([self.keys[name], k.data], axis=1))
-            v = Tensor(np.concatenate([self.values[name], v.data], axis=1))
+            k = Tensor(np.concatenate([self.keys[name], k.data], axis=-2))
+            v = Tensor(np.concatenate([self.values[name], v.data], axis=-2))
         self.keys[name], self.values[name] = k.data, v.data
         return k, v
 

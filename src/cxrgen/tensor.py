@@ -8,10 +8,11 @@ default; a 64-bit mode exists for numerical verification (finite-difference
 gradient checks are meaningless in single precision).
 
 Most operations take rank-2 ``[rows x width]`` tensors. ``matmul``,
-``transpose``, ``apply_attention_mask`` and ``scaled_dot_attention`` also
-take rank-3 ``[B x rows x width]`` stacks (softmax and the elementwise ops
-take any rank), and ``reshape`` moves between the two layouts, so attention
-over a padded batch runs as one op per step rather than one per example.
+``apply_attention_mask`` and ``scaled_dot_attention`` also take stacks
+``[... x rows x width]`` of any rank with equal leading dimensions (softmax,
+``permute`` and the elementwise ops take any rank), and ``reshape`` and
+``permute`` move between layouts, so attention over every head of a padded
+batch runs as one op per step rather than one per example and head.
 
 Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
@@ -233,11 +234,11 @@ def _record(inputs, output: Tensor, vjp) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, or a batch of products of two
-    rank-3 tensors with the same leading dimension."""
+    """Matrix product of two rank-2 tensors, or a stack of products of two
+    tensors of equal rank and equal leading dimensions."""
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a_data.shape, b_data.shape
-    if not 2 <= len(a_shape) == len(b_shape) <= 3 or a_shape[:-2] != b_shape[:-2] \
+    if not 2 <= len(a_shape) == len(b_shape) or a_shape[:-2] != b_shape[:-2] \
             or a_shape[-1] != b_shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a_shape} x {b_shape}")
     out = Tensor._wrap(a_data @ b_data)
@@ -252,12 +253,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-2 or rank-3 tensor."""
-    if a.ndim not in (2, 3):
-        raise ShapeError(f"transpose expects rank 2 or 3, got shape {tuple(a.shape)}")
-    out = Tensor._wrap(a.data.swapaxes(-1, -2))
-    return _record((a,), out, lambda g: (g.swapaxes(-1, -2),))
+def permute(a: Tensor, axes) -> Tensor:
+    """Reorder the axes: output axis i is input axis ``axes[i]``."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"permute: {axes} is not a permutation of the axes of {tuple(a.shape)}")
+    out = Tensor._wrap(a.data.transpose(axes))
+    return _record((a,), out, lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -407,10 +409,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def apply_attention_mask(scores: Tensor, mask) -> Tensor:
     """Set masked-out score entries to -inf ahead of the softmax.
 
-    ``mask`` is a boolean [Lq x Lk] (or, for batched scores, [B x Lq x Lk])
-    array, True where attention is allowed. A query row with no allowed key
-    has no defined attention distribution, so that is rejected rather than
-    silently producing NaN.
+    ``mask`` is a boolean array of the scores' shape ([Lq x Lk], or
+    [... x Lq x Lk] for a stack), True where attention is allowed. A query
+    row with no allowed key has no defined attention distribution, so that
+    is rejected rather than silently producing NaN.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != scores.shape:
@@ -430,20 +432,19 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v.
 
     Shapes: q [Lq x d], k [Lk x d], v [Lk x dv]; mask, when given, is a
-    boolean [Lq x Lk] with True marking attendable keys. A batch of B
-    independent attentions takes q [B x Lq x d], k [B x Lk x d],
-    v [B x Lk x dv] and a [B x Lq x Lk] mask.
+    boolean [Lq x Lk] with True marking attendable keys. A stack of
+    independent attentions puts the same leading dimensions ahead of each,
+    e.g. q [B x H x Lq x d], k [B x H x Lk x d], v [B x H x Lk x dv] and a
+    [B x H x Lq x Lk] mask.
     """
     q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
-    if not 2 <= len(q_shape) == len(k_shape) == len(v_shape) <= 3:
-        raise ShapeError("attention expects q, k, v all of rank 2 or all of rank 3")
-    if not q_shape[:-2] == k_shape[:-2] == v_shape[:-2]:
-        raise ShapeError(f"attention: batch sizes of {q_shape}, {k_shape}, {v_shape} differ")
-    if q_shape[-1] != k_shape[-1]:
-        raise ShapeError(f"attention: q width {q_shape[-1]} != k width {k_shape[-1]}")
-    if k_shape[-2] != v_shape[-2]:
-        raise ShapeError(f"attention: {k_shape[-2]} keys but {v_shape[-2]} value rows")
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q_shape[-1]))
+    # checked up front so that a mismatch records nothing on the tape
+    if not (2 <= len(q_shape) == len(k_shape) == len(v_shape)
+            and q_shape[:-2] == k_shape[:-2] == v_shape[:-2]
+            and q_shape[-1] == k_shape[-1] and k_shape[-2] == v_shape[-2]):
+        raise ShapeError(f"attention: incompatible q {q_shape}, k {k_shape}, v {v_shape}")
+    swap_last = (*range(len(k_shape) - 2), len(k_shape) - 1, len(k_shape) - 2)
+    scores = scale(matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
     if mask is not None:
         scores = apply_attention_mask(scores, mask)
     weights = softmax(scores, axis=-1)

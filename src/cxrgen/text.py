@@ -259,9 +259,8 @@ def encode_tokens(report: CleanReport, vocab: Vocabulary, max_len: int):
     return np.asarray(ids, dtype=np.int64)
 
 
-def decode_ids(ids, vocab: Vocabulary, strip_markers: bool = True) -> list[str]:
-    """Inverse of encode_tokens up to unknown-token replacement and truncation."""
+def decode_ids(ids, vocab: Vocabulary) -> list[str]:
+    """Inverse of encode_tokens up to unknown-token replacement and
+    truncation, without pads and start/end markers."""
     tokens = [vocab.token_of(int(i)) for i in ids if int(i) != PAD_ID]
-    if strip_markers:
-        tokens = [t for t in tokens if t not in (START_TOKEN, END_TOKEN)]
-    return tokens
+    return [t for t in tokens if t not in (START_TOKEN, END_TOKEN)]

@@ -78,11 +78,6 @@ class TrainLog:
     def append(self, record: EpochRecord) -> None:
         self.records.append(record)
 
-    def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(asdict(record)) + "\n")
-
     def trajectory(self) -> list[tuple[float, float, str]]:
         """The reproducible part of the log (losses and checksums, no timing)."""
         return [(r.train_loss, r.val_loss, r.param_checksum) for r in self.records]

@@ -9,7 +9,11 @@ the package's own model called one sequence at a time, and
 on the whole prefix at every step. ``PerTensorAdam`` and
 ``padded_teacher_forcing_batch`` keep the per-tensor optimizer and the
 per-example batch assembly that the flat-buffer and whole-array versions
-replaced.
+replaced. ``per_head_init`` and ``per_head_attention`` keep the
+initialisation and the attention layer of one tensor per head and role that
+the joined matrices replaced; they take the parameter names from the
+package's ``parameter_shapes``, and ``per_head_attention`` is built from the
+package's tensor ops so that it can stand in for the model's layer.
 """
 
 import math
@@ -80,25 +84,115 @@ def loop_attention(q, k, v, mask=None):
     return out
 
 
+def head_block(matrix, role, h, n_heads):
+    """Head h's block of a joined attention matrix: a column block of
+    wq/wk/wv, a row block of wo."""
+    width = matrix.shape[0] // n_heads if role == "wo" else matrix.shape[1] // n_heads
+    rows = slice(h * width, (h + 1) * width)
+    return matrix[rows] if role == "wo" else matrix[:, rows]
+
+
 def full_softmax_mha(weights, prefix, n_heads, query, keyvalue, mask=None):
     """Multi-head attention computed in full for every head h: query/key/value
     projections, scaled scores, optional boolean mask, softmax over the keys,
     weighted values, output projection; heads summed, then the output bias.
 
-    ``weights`` maps ``<prefix>.h<h>.{wq,wk,wv,wo}`` and ``<prefix>.bo`` to arrays.
+    ``weights`` maps ``<prefix>.{wq,wk,wv,wo}`` (one [d x d] matrix per role,
+    head h's projections in column block h, its output rows in row block h)
+    and ``<prefix>.bo`` to arrays.
     """
     out = 0.0
     for h in range(n_heads):
-        q = query @ weights[f"{prefix}.h{h}.wq"]
-        k = keyvalue @ weights[f"{prefix}.h{h}.wk"]
-        v = keyvalue @ weights[f"{prefix}.h{h}.wv"]
+        q, k, v = (source @ head_block(weights[f"{prefix}.{role}"], role, h, n_heads)
+                   for source, role in ((query, "wq"), (keyvalue, "wk"), (keyvalue, "wv")))
         scores = (q @ k.T) / math.sqrt(q.shape[1])
         if mask is not None:
             scores = np.where(mask, scores, -np.inf)
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
-        out = out + probs @ v @ weights[f"{prefix}.h{h}.wo"]
+        out = out + probs @ v @ head_block(weights[f"{prefix}.wo"], "wo", h, n_heads)
     return out + weights[f"{prefix}.bo"]
+
+
+ROLES = ("wq", "wk", "wv", "wo")
+
+
+def per_head_shapes(cfg):
+    """Parameter names and shapes with one [d x d_head] (wo: [d_head x d])
+    tensor per head and role, stored head by head, in the model's order."""
+    from cxrgen.model import parameter_shapes
+
+    shapes = parameter_shapes(cfg)
+    out = {}
+    for name, shape in shapes.items():
+        prefix, _, role = name.rpartition(".")
+        if role not in ROLES:
+            out[name] = shape
+        elif role == "wo":
+            for h in range(cfg.n_heads):
+                for r in ROLES:
+                    if f"{prefix}.{r}" in shapes:
+                        out[f"{prefix}.h{h}.{r}"] = ((cfg.d_head, cfg.d_model) if r == "wo"
+                                                     else (cfg.d_model, cfg.d_head))
+    return out
+
+
+def per_head_init(cfg, seed=0):
+    """``model.init_parameters`` as it was: one Glorot-uniform draw per tensor
+    of ``per_head_shapes``, in order, unit gains and zero biases; float32."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in per_head_shapes(cfg).items():
+        if name.endswith(".gain"):
+            data = np.ones(shape)
+        elif name.endswith((".bias", ".b", ".bo")):
+            data = np.zeros(shape)
+        else:
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            data = rng.uniform(-limit, limit, size=shape)
+        out[name] = data.astype(np.float32)
+    return out
+
+
+def split_heads(params, cfg):
+    """Per-head leaf tensors (copies) of every joined attention matrix in
+    ``params``, named ``<prefix>.h<h>.<role>``."""
+    from cxrgen.tensor import Tensor
+
+    out = {}
+    for name, tensor in params.items():
+        prefix, _, role = name.rpartition(".")
+        if role in ROLES:
+            for h in range(cfg.n_heads):
+                block = head_block(tensor.data, role, h, cfg.n_heads).copy()
+                out[f"{prefix}.h{h}.{role}"] = Tensor(block, requires_grad=True)
+    return out
+
+
+def per_head_attention(heads):
+    """``model._multi_head_attention`` as it was before the heads were
+    joined: a loop over heads, each with its own projections from the
+    per-head tensors ``heads``, their output projections summed. Takes the
+    model function's arguments, so it can stand in for it."""
+    from cxrgen import tensor as T
+
+    def attention(params, prefix, cfg, keyvalue, query=None, mask=None, cache=None):
+        out = None
+        for h in range(cfg.n_heads):
+            attended = T.matmul(keyvalue, heads[f"{prefix}.h{h}.wv"])
+            if query is not None:
+                stacked = (*mask.shape[:2], cfg.d_head)
+                q = T.reshape(T.matmul(query, heads[f"{prefix}.h{h}.wq"]), stacked)
+                k = T.reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), stacked)
+                v = T.reshape(attended, stacked)
+                k, v = cache.extend(f"{prefix}.h{h}", k, v)
+                attended = T.scaled_dot_attention(q, k, v, mask)
+                attended = T.reshape(attended, (keyvalue.shape[0], cfg.d_head))
+            projected = T.matmul(attended, heads[f"{prefix}.h{h}.wo"])
+            out = projected if out is None else T.add(out, projected)
+        return T.add(out, params[f"{prefix}.bo"])
+
+    return attention
 
 
 def finite_difference_gradients(loss_fn, params, step=1e-3):

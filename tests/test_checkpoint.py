@@ -1,5 +1,6 @@
-"""Checkpoint round trips are byte-exact; corruption and config mismatch
-are detected and attributed."""
+"""Checkpoint round trips are byte-exact; corruption and malformed
+manifests are detected and attributed; an interrupted save leaves the
+previous checkpoint loadable; formats 1 and 2 still load."""
 
 import json
 import shutil
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cxrgen.checkpoint import (load_checkpoint, parameter_checksum, read_manifest,
-                               save_checkpoint)
-from cxrgen.errors import ConfigError, ContractError, IntegrityError, ShapeError
+from cxrgen.checkpoint import (FORMAT_VERSION, load_checkpoint, parameter_checksum,
+                               read_manifest, save_checkpoint)
+from cxrgen.errors import ContractError, IntegrityError, ShapeError
 from cxrgen.model import (ModelConfig, decoder_forward, encode_inputs, generate,
                           init_parameters)
 from cxrgen.tensor import Tensor
@@ -19,6 +20,9 @@ from cxrgen.tensor import Tensor
 # which still stored query/key weights for the single-key attention blocks.
 # expected.json holds that code's logits and greedy ids for one fixed input.
 V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1"
+# A format-2 checkpoint of CFG written by the format-2 code (commit f9b8c02),
+# which stored one tensor per head and role; expected.json as for format 1.
+V2_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2"
 
 CFG = ModelConfig(feature_dim=6, d_model=8, d_embed=8, n_heads=2, vocab_size=15,
                   max_len=6, demographic_dim=4, dropout_rate=0.0)
@@ -78,13 +82,35 @@ def test_truncated_blob_detected(tmp_path, params):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_config_mismatch_on_resume(tmp_path, params):
+def test_failed_save_leaves_the_previous_checkpoint_loadable(tmp_path, params, monkeypatch):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
-    other = ModelConfig(feature_dim=6, d_model=8, d_embed=8, n_heads=2, vocab_size=15,
-                        max_len=12, demographic_dim=4, dropout_rate=0.0)
-    with pytest.raises(ConfigError):
-        load_checkpoint(tmp_path / "ckpt", expect_cfg=other)
-    load_checkpoint(tmp_path / "ckpt", expect_cfg=CFG)
+    before = parameter_checksum(params, CFG)
+    newer = init_parameters(CFG, seed=4)
+    written = []
+
+    def failing_dump(manifest, fh, **kwargs):
+        written.extend(path.name for path in Path(fh.name).parent.iterdir())
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(newer, CFG, tmp_path / "ckpt")
+    monkeypatch.undo()
+    assert "params.bin" in written
+    loaded, cfg = load_checkpoint(tmp_path / "ckpt")
+    assert parameter_checksum(loaded, cfg) == before
+    assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_save_replaces_an_existing_checkpoint(tmp_path, params):
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    newer = init_parameters(CFG, seed=4)
+    save_checkpoint(newer, CFG, tmp_path / "ckpt")
+    loaded, cfg = load_checkpoint(tmp_path / "ckpt")
+    assert parameter_checksum(loaded, cfg) == parameter_checksum(newer, CFG)
+    assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
+    (tmp_path / "plain").mkdir()   # the checkpoint directory gets the usual umask mode
+    assert (tmp_path / "ckpt").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def test_missing_manifest(tmp_path):
@@ -131,6 +157,31 @@ def test_extra_payload_round_trip(tmp_path, params):
     assert manifest["extra"]["vocab"] == ["<pad>", "x"]
 
 
+def _first_entry(manifest):
+    return manifest["tensors"][0]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: _first_entry(m).pop("sha256"),
+    lambda m: _first_entry(m).update(offset="0"),
+    lambda m: _first_entry(m).update(shape=None),
+    lambda m: _first_entry(m).update(shape=[6.0]),
+    lambda m: _first_entry(m).update(nbytes=True),
+    lambda m: m["tensors"].__setitem__(0, [1]),
+    lambda m: m.update(tensors=5),
+    lambda m: m.update(blob=5),
+], ids=["no-sha256", "string-offset", "null-shape", "float-shape", "bool-nbytes",
+        "entry-not-an-object", "tensors-not-a-list", "blob-not-a-string"])
+def test_malformed_manifest_entry_is_integrity_error(tmp_path, params, corrupt):
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    corrupt(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_tensor_list_must_match_model(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     manifest_path = tmp_path / "ckpt" / "manifest.json"
@@ -153,29 +204,57 @@ def test_format_version_must_be_an_int(tmp_path, params, version):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_v1_checkpoint_loads_with_identical_outputs():
-    expected = json.loads((V1_CHECKPOINT / "expected.json").read_text())
-    assert read_manifest(V1_CHECKPOINT)["format_version"] == 1
-    loaded, cfg = load_checkpoint(V1_CHECKPOINT, expect_cfg=CFG)
-    assert set(loaded) == set(init_parameters(CFG))
+def _loads_with_identical_outputs(checkpoint, version):
+    expected = json.loads((checkpoint / "expected.json").read_text())
+    assert read_manifest(checkpoint)["format_version"] == version
+    loaded, cfg = load_checkpoint(checkpoint)
+    assert cfg == CFG
+    assert list(loaded) == list(init_parameters(CFG))
     features, demo = np.asarray(expected["features"]), np.asarray(expected["demo"])
     hybrid = encode_inputs(features, demo, loaded, cfg)
     logits = decoder_forward(expected["prefix"], hybrid, loaded, cfg).data
     reference = np.asarray(expected["logits"])
-    # the single cross-attention row is projected once instead of once per
-    # position, so BLAS may round differently in the last bits
+    # the heads' blocks are joined into one product per role, so BLAS may
+    # round differently in the last bits
     np.testing.assert_allclose(logits, reference, rtol=0,
                                atol=1e-6 * np.abs(reference).max())
     assert generate(features, demo, loaded, cfg, temperature=0.0) == expected["greedy_ids"]
 
 
-@pytest.mark.parametrize("victim_name", ["visual.attn.h0.wq", "dec0.cross_attn.h1.wv"])
-def test_tampered_v1_blob_detected(tmp_path, victim_name):
-    ckpt = tmp_path / "v1"
-    shutil.copytree(V1_CHECKPOINT, ckpt)
+def test_v1_checkpoint_loads_with_identical_outputs():
+    _loads_with_identical_outputs(V1_CHECKPOINT, 1)
+
+
+def test_v2_checkpoint_loads_with_identical_outputs():
+    _loads_with_identical_outputs(V2_CHECKPOINT, 2)
+
+
+def _tampered_blob_detected(checkpoint, victim_name, tmp_path):
+    ckpt = tmp_path / checkpoint.name
+    shutil.copytree(checkpoint, ckpt)
     victim = next(e for e in read_manifest(ckpt)["tensors"] if e["name"] == victim_name)
     blob = bytearray((ckpt / "params.bin").read_bytes())
     blob[victim["offset"] + 1] ^= 0x10
     (ckpt / "params.bin").write_bytes(bytes(blob))
     with pytest.raises(IntegrityError, match=victim_name):
         load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("victim_name", ["visual.attn.h0.wq", "dec0.cross_attn.h1.wv"])
+def test_tampered_v1_blob_detected(tmp_path, victim_name):
+    _tampered_blob_detected(V1_CHECKPOINT, victim_name, tmp_path)
+
+
+@pytest.mark.parametrize("victim_name", ["dec0.self_attn.h1.wo", "fusion.attn.h0.wo",
+                                         "dec0.self_attn.h0.wk"])
+def test_tampered_v2_blob_detected(tmp_path, victim_name):
+    _tampered_blob_detected(V2_CHECKPOINT, victim_name, tmp_path)
+
+
+def test_format_3_stores_one_matrix_per_role(tmp_path, params):
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    manifest = read_manifest(tmp_path / "ckpt")
+    assert manifest["format_version"] == FORMAT_VERSION == 3
+    shapes = {e["name"]: e["shape"] for e in manifest["tensors"]}
+    assert shapes["dec0.self_attn.wq"] == shapes["dec0.self_attn.wo"] == [8, 8]
+    assert not any(".h0." in name for name in shapes)

@@ -6,16 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cxrgen import tensor as T
+from cxrgen import model, tensor as T
 from cxrgen.errors import ConfigError, ContractError, ShapeError
 from cxrgen.model import (DecodeCache, ModelConfig, check_parameters, decoder_forward,
                           encode_inputs, fuse_visual_semantic, generate, init_parameters,
-                          parameter_shapes, semantic_encode, visual_encode)
+                          join_heads, parameter_shapes, semantic_encode, visual_encode)
 from cxrgen.tensor import Tensor
 from cxrgen.text import END_ID, PAD_ID, START_ID
 from cxrgen.training import EncodedExample, batch_loss
 
-from oracles import full_prefix_generate, full_softmax_mha
+from oracles import (full_prefix_generate, full_softmax_mha, head_block, per_head_attention,
+                     per_head_init, per_head_shapes, split_heads)
 
 TINY = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2, vocab_size=20,
                    max_len=8, demographic_dim=7, n_decoder_blocks=1, dropout_rate=0.0)
@@ -40,7 +41,7 @@ def full_attention_weights(params, cfg, rng):
         if name.endswith(".wv") and name[:-2] + "wq" not in weights:
             for role in ("wq", "wk"):
                 weights[name[:-2] + role] = rng.normal(
-                    size=(cfg.d_model, cfg.d_head)).astype(np.float32)
+                    size=(cfg.d_model, cfg.d_model)).astype(np.float32)
     return weights
 
 
@@ -93,6 +94,27 @@ class TestParameters:
         b = init_parameters(TINY, seed=5)
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
+
+    @pytest.mark.parametrize("cfg", [TINY, ModelConfig()], ids=["tiny", "paper"])
+    def test_init_joins_the_per_head_draws_bit_for_bit(self, cfg):
+        params = init_parameters(cfg, seed=7)
+        per_head = per_head_init(cfg, seed=7)
+        for name, tensor in params.items():
+            prefix, _, role = name.rpartition(".")
+            if role in model.ATTENTION_ROLES:
+                expected = join_heads(role, [per_head[f"{prefix}.h{h}.{role}"]
+                                             for h in range(cfg.n_heads)])
+            else:
+                expected = per_head[name]
+            assert tensor.data.dtype == expected.dtype
+            assert np.array_equal(tensor.data, expected), name
+
+    def test_paper_scale_counts(self):
+        cfg = ModelConfig()
+        shapes = parameter_shapes(cfg)
+        assert len(shapes) == 33
+        assert len(per_head_shapes(cfg)) == 103
+        assert sum(np.prod(shape) for shape in shapes.values()) == 5_820_068
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
@@ -247,19 +269,19 @@ class TestDecoder:
 
         x = T.embedding(params["embed.table"], ids)
         x = T.add(x, Tensor(T.sinusoidal_positions(1, TINY.d_embed)))
-        sa = None
-        for h in range(TINY.n_heads):
-            v = T.matmul(x, params[f"dec0.self_attn.h{h}.wv"])
-            proj = T.matmul(v, params[f"dec0.self_attn.h{h}.wo"])
-            sa = proj if sa is None else T.add(sa, proj)
-        sa = T.add(sa, params["dec0.self_attn.bo"])
+
+        def heads_summed(prefix, rows):
+            out = None
+            for h in range(TINY.n_heads):
+                wv, wo = (Tensor(head_block(params[f"{prefix}.{role}"].data, role, h,
+                                            TINY.n_heads)) for role in ("wv", "wo"))
+                proj = T.matmul(T.matmul(rows, wv), wo)
+                out = proj if out is None else T.add(out, proj)
+            return T.add(out, params[f"{prefix}.bo"])
+
+        sa = heads_summed("dec0.self_attn", x)
         x = T.layer_norm(T.add(x, sa), params["dec0.norm1.gain"], params["dec0.norm1.bias"])
-        ca = None
-        for h in range(TINY.n_heads):
-            v = T.matmul(hybrid, params[f"dec0.cross_attn.h{h}.wv"])
-            proj = T.matmul(v, params[f"dec0.cross_attn.h{h}.wo"])
-            ca = proj if ca is None else T.add(ca, proj)
-        ca = T.add(ca, params["dec0.cross_attn.bo"])
+        ca = heads_summed("dec0.cross_attn", hybrid)
         x = T.layer_norm(T.add(x, ca), params["dec0.norm2.gain"], params["dec0.norm2.bias"])
         ff = T.relu(T.add(T.matmul(x, params["dec0.ff.w"]), params["dec0.ff.b"]))
         x = T.add(x, ff)
@@ -457,6 +479,62 @@ class TestDecodeCache:
             with pytest.raises(ContractError, match="exceeds the maximum"):
                 decoder_forward([4], hybrid, params, TINY, cache=cache)
             assert cache.length == TINY.max_len
+
+
+class TestJoinedHeads:
+    """One matrix per attention role against the per-head layer it replaced."""
+
+    @staticmethod
+    def _forward_backward(params, cfg):
+        rng = np.random.default_rng(8)
+        ids = np.concatenate([np.full((3, 1), START_ID),
+                              rng.integers(4, cfg.vocab_size, size=(3, 8))], axis=1)
+        ids[1, 6:] = PAD_ID
+        T.reset_graph()
+        hybrid = encode_inputs(rng.normal(size=(3, cfg.feature_dim)),
+                               rng.random((3, cfg.demographic_dim)), params, cfg)
+        logits = decoder_forward(ids[:, :-1], hybrid, params, cfg)
+        targets = ids[:, 1:].reshape(-1)
+        T.backward(T.sparse_cross_entropy(logits, targets, targets != PAD_ID))
+        T.reset_graph()
+        return logits.data
+
+    @staticmethod
+    def _relative_error(got, ref):
+        return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+    @pytest.mark.parametrize("cfg", [replace(TINY, n_decoder_blocks=2), ModelConfig()],
+                             ids=["tiny-2-blocks", "paper"])
+    def test_logits_and_gradients_match_per_head_oracle(self, cfg, monkeypatch):
+        params = init_parameters(cfg, seed=4)
+        logits = self._forward_backward(params, cfg)
+        reference_params = init_parameters(cfg, seed=4)
+        heads = split_heads(reference_params, cfg)
+        monkeypatch.setattr(model, "_multi_head_attention", per_head_attention(heads))
+        reference = self._forward_backward(reference_params, cfg)
+        assert self._relative_error(logits, reference) <= 1e-5
+        for name, tensor in params.items():
+            prefix, _, role = name.rpartition(".")
+            if role in model.ATTENTION_ROLES:
+                expected = join_heads(role, [heads[f"{prefix}.h{h}.{role}"].grad
+                                             for h in range(cfg.n_heads)])
+            else:
+                expected = reference_params[name].grad
+            assert self._relative_error(tensor.grad, expected) <= 1e-5, name
+
+    def test_cache_holds_one_key_and_value_array_per_block(self):
+        cfg = replace(DESK, n_decoder_blocks=2)
+        params = init_parameters(cfg, seed=0)
+        with T.no_grad():
+            hybrid = encode_inputs(np.ones((2, cfg.feature_dim)),
+                                   np.eye(cfg.demographic_dim)[:2], params, cfg)
+            cache = DecodeCache()
+            decoder_forward([[START_ID, 4, 5], [START_ID, 6, PAD_ID]], hybrid, params, cfg,
+                            cache=cache)
+            decoder_forward([[7], [8]], hybrid, params, cfg, cache=cache)
+        assert sorted(cache.keys) == sorted(cache.values) == ["dec0.self_attn", "dec1.self_attn"]
+        for held in (*cache.keys.values(), *cache.values.values()):
+            assert held.shape == (2, cfg.n_heads, 4, cfg.d_head)
 
 
 class TestGradientReach:

@@ -224,6 +224,20 @@ class TestAttention:
         with pytest.raises(ContractError, match="row 1, 2 "):
             T.scaled_dot_attention(q, k, k, mask=mask)
 
+    def test_rank4_stack_matches_loop_oracle_per_head(self):
+        rng = np.random.default_rng(41)
+        q = rng.normal(size=(2, 3, 4, 2))
+        k = rng.normal(size=(2, 3, 5, 2))
+        v = rng.normal(size=(2, 3, 5, 3))
+        mask = rng.random((2, 3, 4, 5)) < 0.6
+        mask[..., 0] = True
+        out = T.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask=mask)
+        for b in range(2):
+            for h in range(3):
+                np.testing.assert_allclose(
+                    out.data[b, h], loop_attention(q[b, h], k[b, h], v[b, h], mask[b, h]),
+                    rtol=1e-5, atol=1e-6)
+
     @pytest.mark.parametrize("k_shape", [(4, 2), (2, 4, 2)], ids=["mixed-ranks", "batch-sizes"])
     def test_mismatched_operands_rejected(self, k_shape):
         with pytest.raises(ShapeError):
@@ -386,6 +400,41 @@ class TestOtherOps:
         np.testing.assert_array_equal(x.grad, np.arange(12.0).reshape(3, 4))
         with pytest.raises(ShapeError):
             T.reshape(x, (5, 2))
+
+    @pytest.mark.parametrize("axes", [(1, 0), (0, 2, 1, 3), (3, 1, 0, 2), (2, 0, 1)])
+    def test_permute_then_inverse_is_exact(self, axes):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)[:len(axes)]))
+        out = T.permute(x, axes)
+        np.testing.assert_array_equal(out.data, np.transpose(x.data, axes))
+        back = T.permute(out, np.argsort(axes))
+        assert back.data.dtype == x.data.dtype
+        assert back.data.tobytes() == x.data.tobytes()
+
+    def test_permute_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(37)
+        with T.default_dtype(np.float64):
+            x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+            direction = Tensor(rng.normal(size=(4, 2, 5)))
+
+            def loss():
+                moved = T.permute(x, (2, 0, 1))          # [4 x 2 x 3]
+                return T.sum_all(T.mul(T.matmul(T.mul(moved, moved), w), direction))
+
+            def loss_fn():
+                T.reset_graph()
+                return loss().item()
+
+            T.backward(loss())
+            fd = finite_difference_gradients(loss_fn, {"x": x, "w": w}, step=1e-5)
+        assert max_relative_error(x.grad, fd["x"]) < 1e-6
+        assert max_relative_error(w.grad, fd["w"]) < 1e-6
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3)])
+    def test_permute_rejects_a_non_permutation(self, axes):
+        with pytest.raises(ShapeError, match="permutation"):
+            T.permute(Tensor(np.zeros((2, 3, 4))), axes)
 
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):
