@@ -13,8 +13,9 @@ included. Its values are parsed like flags, so a value of the wrong type or
 outside an option's choices exits 2; explicit command line flags win over
 config-file values, which win over built-in defaults.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data integrity
-failure, 4 numeric failure.
+Exit codes: 0 success, 2 usage or configuration error (a path that cannot
+be opened is one), 3 data integrity failure (text input that is not UTF-8
+is one), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -221,10 +222,18 @@ def _load_split(data_dir, subset: int) -> SplitManifest:
     return SplitManifest.load(path)
 
 
+def _split_points(points, ids) -> list:
+    """The prepared points that a split's ``ids`` name, in the split's order."""
+    by_id = {p.id: p for p in points}
+    missing = [i for i in ids if i not in by_id]
+    if missing:
+        raise IntegrityError(f"split references unknown ids, e.g. {missing[:3]}")
+    return [by_id[i] for i in ids]
+
+
 def cmd_train(args) -> int:
     points, vocab, demo_payload = _load_prepared(args.data)
     manifest = _load_split(args.data, args.subset)
-    by_id = {p.id: p for p in points}
     fields = _parse_fields(args.demographics)
     codec = DemographicCodec(
         categories=tuple(demo_payload["categories"]),
@@ -251,16 +260,10 @@ def cmd_train(args) -> int:
         patience=args.patience,
         grad_clip=args.grad_clip,
     )
-
-    def pick(ids):
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise IntegrityError(f"split references unknown ids, e.g. {missing[:3]}")
-        return [by_id[i] for i in ids]
-
     params = init_parameters(cfg, seed=args.seed)
-    train_examples = encode_examples(pick(manifest.train_ids), vocab, codec, cfg)
-    val_examples = encode_examples(pick(manifest.val_ids), vocab, codec, cfg)
+    train_examples = encode_examples(_split_points(points, manifest.train_ids),
+                                     vocab, codec, cfg)
+    val_examples = encode_examples(_split_points(points, manifest.val_ids), vocab, codec, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "trainlog.jsonl"
@@ -317,20 +320,16 @@ def cmd_generate(args) -> int:
     codec = (DemographicCodec.from_dict(manifest_extra["codec"])
              if manifest_extra.get("codec") else None)
     points, _, _ = _load_prepared(args.data)
-    by_id = {p.id: p for p in points}
     split_manifest = _load_split(args.data, args.subset)
     ids = {"train": split_manifest.train_ids, "val": split_manifest.val_ids,
            "test": split_manifest.test_ids}[args.split]
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise IntegrityError(f"split references unknown ids, e.g. {missing[:3]}")
+    selected = _split_points(points, ids)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     hyp_lines = []
     ref_lines = []
     generated = []
-    for index, point_id in enumerate(ids):
-        point = by_id[point_id]
+    for index, point in enumerate(selected):
         demo = codec.encode(point.demographics) if (fields and codec) else None
         token_ids = generate(point.features, demo, params, cfg,
                              temperature=args.temperature, seed=[args.seed, index])
@@ -355,8 +354,11 @@ def cmd_generate(args) -> int:
 
 
 def _read_token_lines(path) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.split() for line in fh.read().splitlines()]
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:
@@ -523,7 +525,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
         return exc.code
-    except (ConfigError, SizingError, FileNotFoundError) as exc:
+    except (ConfigError, SizingError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:  # a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except IntegrityError as exc:

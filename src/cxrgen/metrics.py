@@ -8,7 +8,13 @@ smoothed by substituting EPSILON for the numerator.
 
 The embedding scores follow the greedy-matching recipe of BERTScore but run
 over an injected static token-embedding table; no pretrained contextual
-model is bundled, and reports produced here say so.
+model is bundled, and reports produced here say so. The table is one
+``[V x dim]`` matrix with its inverse row norms, built once. ``embedding_f1``
+scores up to F1_GROUP pairs with one gather and one batched similarity
+product ``[P x Lh x dim] @ [P x dim x Lr]``, so its memory is bounded by one
+group, about F1_GROUP x L x (2 dim + L) floats for sequences of length L,
+whatever the corpus size. BLEU counts n-grams per pair with ``Counter`` over
+zipped slices of the sequence and clips them with ``Counter &``.
 """
 
 from __future__ import annotations
@@ -17,13 +23,15 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, asdict
+from itertools import repeat
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, ContractError, DegenerateInputError
+from .errors import ConfigError, ContractError, DegenerateInputError, IntegrityError
 
 EPSILON = 1e-9
+F1_GROUP = 32   # pairs per batched similarity product in embedding_f1
 EMBEDDING_NOTE = (
     "embedding scores use greedy matching over an injected static embedding "
     "table, not a pretrained contextual model"
@@ -55,8 +63,9 @@ class Corpus:
         return len(self.hypotheses)
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(seq, n: int) -> Counter:
+    """Counts of the n-grams of ``seq``: its tokens for n = 1, n-tuples above."""
+    return Counter(seq) if n == 1 else Counter(zip(*(seq[i:] for i in range(n))))
 
 
 def bleu(corpus: Corpus, max_n: int = 4) -> list[float]:
@@ -70,13 +79,11 @@ def bleu(corpus: Corpus, max_n: int = 4) -> list[float]:
     for hyp, ref in zip(corpus.hypotheses, corpus.references):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+        # a hypothesis shorter than n has no n-grams, nor any longer ones
+        for n in range(1, min(max_n, len(hyp)) + 1):
+            totals[n - 1] += len(hyp) - n + 1
+            clipped = _ngram_counts(hyp, n) & _ngram_counts(ref, n)
+            matches[n - 1] += sum(clipped.values())
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     log_precisions = []
     for n in range(max_n):
@@ -93,10 +100,18 @@ def bleu(corpus: Corpus, max_n: int = 4) -> list[float]:
 class EmbeddingTable:
     """token -> fixed-width float vector, with an unknown-token policy.
 
+    The vectors are the rows of one read-only ``[V x dim]`` float64
+    ``matrix``, and ``rows`` maps each token to its row number.
+    ``inverse_norms`` holds 1/|row| (0 for a zero row) and, at index V, one
+    more 0 that stands for unknown tokens and pads. All of it is built once,
+    here.
+
     ``unknown_policy`` is "error" (unresolvable tokens raise) or "zero"
     (unknown tokens get the zero vector, whose similarity to anything is 0).
+    Every component must be a finite number, and no vector's norm may
+    overflow float64.
     File format: one entry per line, the token followed by its
-    whitespace-separated components.
+    whitespace-separated components, the same number on every line.
     """
 
     def __init__(self, vectors: dict[str, np.ndarray], unknown_policy: str = "error"):
@@ -104,34 +119,93 @@ class EmbeddingTable:
             raise ConfigError(f"unknown policy {unknown_policy!r}; use 'error' or 'zero'")
         if not vectors:
             raise ConfigError("embedding table is empty")
-        self.vectors = {t: np.asarray(v, dtype=np.float64).reshape(-1)
-                        for t, v in vectors.items()}
-        dims = {v.shape[0] for v in self.vectors.values()}
-        if len(dims) != 1:
-            raise ConfigError(f"embedding table mixes dimensions {sorted(dims)}")
-        self.dim = dims.pop()
+        values = list(vectors.values())
+        try:
+            matrix = np.array(values, dtype=np.float64)
+        except ValueError:  # vectors of unequal lengths
+            matrix = None
+        if matrix is None or matrix.ndim != 2:
+            shapes = sorted({np.shape(v) for v in values})
+            raise ConfigError(f"embedding vectors must share one 1-D shape, got {shapes}")
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        finite = np.isfinite(norms)
+        if not finite.all():
+            token = list(vectors)[int(np.argmin(finite))]
+            raise ConfigError(f"embedding of {token!r} is not finite, or its norm "
+                              "overflows float64")
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.rows = dict(zip(vectors, range(len(values))))
+        self.dim = matrix.shape[1]
         self.unknown_policy = unknown_policy
+        self.inverse_norms = np.zeros(len(values) + 1)
+        np.divide(1.0, norms, out=self.inverse_norms[:-1], where=norms > 0)
+
+    @property
+    def vectors(self) -> dict[str, np.ndarray]:
+        """token -> its row of ``matrix``, a read-only view."""
+        return {token: self.matrix[row] for token, row in self.rows.items()}
 
     def lookup(self, token: str) -> np.ndarray:
-        vec = self.vectors.get(token)
-        if vec is None:
+        row = self.rows.get(token)
+        if row is None:
             if self.unknown_policy == "error":
                 raise ContractError(f"token {token!r} has no embedding")
-            vec = np.zeros(self.dim)
-        return vec
+            return np.zeros(self.dim)
+        return self.matrix[row]
+
+    def row_numbers(self, tokens) -> np.ndarray:
+        """The rows of ``matrix`` that hold ``tokens``; an unknown token is
+        row V under the ``zero`` policy and raises under ``error``."""
+        if self.unknown_policy == "zero":
+            found = map(self.rows.get, tokens, repeat(len(self.rows)))
+        else:
+            found = map(self.rows.__getitem__, tokens)
+        try:
+            return np.fromiter(found, dtype=np.intp, count=len(tokens))
+        except KeyError as exc:
+            raise ContractError(f"token {exc.args[0]!r} has no embedding") from None
 
     @classmethod
     def from_file(cls, path, unknown_policy: str = "error") -> "EmbeddingTable":
         vectors = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) < 2:
-                    raise ConfigError(f"{path}:{lineno}: token without components")
-                vectors[parts[0]] = np.asarray([float(x) for x in parts[1:]])
+        first = None   # (line number, dimension) of the first entry
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    if len(parts) < 2:
+                        raise ConfigError(f"{path}:{lineno}: token without components")
+                    try:
+                        vec = [float(x) for x in parts[1:]]
+                    except ValueError as exc:
+                        raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                    if not all(map(math.isfinite, vec)):
+                        raise ConfigError(f"{path}:{lineno}: non-finite component")
+                    if first is None:
+                        first = (lineno, len(vec))
+                    elif len(vec) != first[1]:
+                        raise ConfigError(f"{path}:{lineno}: {len(vec)} components, but "
+                                          f"line {first[0]} has {first[1]}")
+                    vectors[parts[0]] = vec
+        except UnicodeDecodeError as exc:
+            raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
         return cls(vectors, unknown_policy)
+
+
+def _padded_vectors(seqs, table: EmbeddingTable):
+    """A group's vectors ``[P x L x dim]`` padded to the longest sequence,
+    their ``[P x L]`` inverse norms (0 at pads and unknown tokens), the mask
+    of real positions and the lengths."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    real = np.arange(lengths.max()) < lengths[:, None]
+    index = np.full(real.shape, len(table.rows))
+    index[real] = table.row_numbers([token for seq in seqs for token in seq])
+    # row V is past the matrix: "clip" reads row V - 1, and its inverse norm of 0 cancels it
+    vectors = table.matrix.take(index, axis=0, mode="clip")
+    return vectors, table.inverse_norms[index], real, lengths
 
 
 def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, float]:
@@ -141,18 +215,29 @@ def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, f
     cosine similarity to any reference token, recall the symmetric quantity;
     pair scores are averaged over the corpus and F1 is the harmonic mean of
     the aggregates. A zero vector (an unknown token under the ``zero``
-    policy) has similarity 0 to everything.
+    policy) has similarity 0 to everything, and it can still be a token's
+    best match.
+
+    Pairs are scored F1_GROUP at a time: one gather of the group's vectors,
+    one batched product ``[P x Lh x dim] @ [P x dim x Lr]`` scaled by the
+    inverse norms, pad positions set to -inf, then the row and column
+    maxima. Memory is bounded by one group's padded lengths, not by the
+    corpus size.
     """
     p_sum = 0.0
     r_sum = 0.0
-    for hyp, ref in zip(corpus.hypotheses, corpus.references):
-        hyp_vecs = np.asarray([table.lookup(t) for t in hyp])
-        ref_vecs = np.asarray([table.lookup(t) for t in ref])
-        norms = np.outer(np.linalg.norm(hyp_vecs, axis=1), np.linalg.norm(ref_vecs, axis=1))
-        sims = np.divide(hyp_vecs @ ref_vecs.T, norms, out=np.zeros_like(norms),
-                         where=norms > 0)
-        p_sum += float(sims.max(axis=1).mean())
-        r_sum += float(sims.max(axis=0).mean())
+    for start in range(0, len(corpus), F1_GROUP):
+        group = slice(start, start + F1_GROUP)
+        hyp_vecs, hyp_inv, hyp_real, hyp_len = _padded_vectors(corpus.hypotheses[group], table)
+        ref_vecs, ref_inv, ref_real, ref_len = _padded_vectors(corpus.references[group], table)
+        sims = hyp_vecs @ ref_vecs.transpose(0, 2, 1)
+        sims *= hyp_inv[:, :, None]
+        sims *= ref_inv[:, None, :]
+        sims[~(hyp_real[:, :, None] & ref_real[:, None, :])] = -np.inf
+        best_hyp = np.where(hyp_real, sims.max(axis=2), 0.0)
+        best_ref = np.where(ref_real, sims.max(axis=1), 0.0)
+        p_sum += float((best_hyp.sum(axis=1) / hyp_len).sum())
+        r_sum += float((best_ref.sum(axis=1) / ref_len).sum())
     p = p_sum / len(corpus)
     r = r_sum / len(corpus)
     f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0

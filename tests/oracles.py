@@ -14,9 +14,13 @@ initialisation and the attention layer of one tensor per head and role that
 the joined matrices replaced; they take the parameter names from the
 package's ``parameter_shapes``, and ``per_head_attention`` is built from the
 package's tensor ops so that it can stand in for the model's layer.
+``counter_bleu`` and ``per_pair_embedding_f1`` keep the per-pair metrics
+that the batched ones replaced; ``per_pair_embedding_f1`` looks tokens up
+with the table's own ``lookup``.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +426,58 @@ def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 
             log_sum += math.log(Fraction(numerator) / Fraction(denominator))
         scores.append(bp * math.exp(log_sum / n))
     return scores
+
+
+def counter_bleu(corpus, max_n=4, epsilon=1e-9):
+    """Corpus BLEU with one Counter of sliced tuples per order, sequence and
+    pair, clipped gram by gram (float arithmetic, as the package computes it)."""
+    def grams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(corpus.hypotheses, corpus.references):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts = grams(hyp, n)
+            ref_counts = grams(ref, n)
+            totals[n - 1] += sum(hyp_counts.values())
+            matches[n - 1] += sum(
+                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
+            )
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    log_precisions = []
+    for n in range(max_n):
+        numerator = matches[n] if matches[n] > 0 else epsilon
+        denominator = totals[n] if totals[n] > 0 else 1
+        log_precisions.append(math.log(numerator / denominator))
+    scores = []
+    for n in range(1, max_n + 1):
+        mean_log = sum(log_precisions[:n]) / n
+        scores.append(brevity * math.exp(mean_log))
+    return scores
+
+
+def per_pair_embedding_f1(corpus, table):
+    """Greedy-match P/R/F1 with one similarity matrix per pair, built from
+    ``table.lookup`` rows, their norms and a masked divide."""
+    p_sum = 0.0
+    r_sum = 0.0
+    for hyp, ref in zip(corpus.hypotheses, corpus.references):
+        hyp_vecs = np.asarray([table.lookup(t) for t in hyp])
+        ref_vecs = np.asarray([table.lookup(t) for t in ref])
+        norms = np.outer(np.linalg.norm(hyp_vecs, axis=1), np.linalg.norm(ref_vecs, axis=1))
+        sims = np.divide(hyp_vecs @ ref_vecs.T, norms, out=np.zeros_like(norms),
+                         where=norms > 0)
+        p_sum += float(sims.max(axis=1).mean())
+        r_sum += float(sims.max(axis=0).mean())
+    p = p_sum / len(corpus)
+    r = r_sum / len(corpus)
+    f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+    return p, r, f1
 
 
 def greedy_match_scores(hypothesis, reference, vectors):

@@ -1,10 +1,17 @@
 """End-to-end command surface: each stage's output feeds the next, outputs
 are deterministic, and error classes map to distinct exit codes."""
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
@@ -265,6 +272,24 @@ class TestTrainGenerate:
         assert main(["train", "--data", str(pipeline["prep"]), "--subset", "0",
                      "--out", str(tmp_path / "x"), "--demographics", "weight"]) == 2
 
+    def test_split_naming_an_absent_id_is_integrity_error(self, pipeline, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        split_path = prep / "splits" / "subset_0.json"
+        manifest = json.loads(split_path.read_text())
+        manifest["train_ids"][0] = "absent-train-id"
+        manifest["test_ids"][0] = "absent-test-id"
+        split_path.write_text(json.dumps(manifest))
+        assert main(["train", "--data", str(prep), "--subset", "0",
+                     "--out", str(tmp_path / "run"), "--d-model", "16", "--n-heads", "2",
+                     "--max-len", "24", "--epochs", "1"]) == 3
+        assert "absent-train-id" in capsys.readouterr().err
+        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                     "--data", str(prep), "--subset", "0", "--split", "test",
+                     "--out", str(tmp_path / "hyp.txt")]) == 3
+        assert "absent-test-id" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "hyp.txt").exists()
+
 
 class TestEvaluateCompare:
     def test_identity_corpus_scores_one(self, pipeline, tmp_path, capsys):
@@ -301,6 +326,37 @@ class TestEvaluateCompare:
         assert main(["evaluate", "--hypotheses", str(bad),
                      "--references", str(pipeline["ref"])]) == 3
 
+    @pytest.mark.parametrize("line", ["a 1.0 x", "a nan 1"], ids=["not-a-number", "nan"])
+    def test_bad_embedding_component_is_usage_error(self, tmp_path, capsys, line):
+        text = tmp_path / "text.txt"
+        text.write_text("a b\n")
+        table = tmp_path / "emb.txt"
+        table.write_text("b 0.5 0.5\n" + line + "\n")
+        assert main(["evaluate", "--hypotheses", str(text), "--references", str(text),
+                     "--embeddings", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {table}:2:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--hypotheses", "--references", "--embeddings"])
+    @pytest.mark.parametrize("content, code", [(None, 2), (b"\xff\xfea b\n", 3)],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_input_exits_without_traceback(self, tmp_path, capsys, option,
+                                                      content, code):
+        """A path that cannot be opened as a file exits 2; bytes that are not
+        UTF-8 exit 3."""
+        paths = {"--hypotheses": tmp_path / "hyp.txt", "--references": tmp_path / "ref.txt",
+                 "--embeddings": tmp_path / "emb.txt"}
+        paths["--hypotheses"].write_text("a b\n")
+        paths["--references"].write_text("a b\n")
+        paths["--embeddings"].write_text("a 1 0\nb 0 1\n")
+        if content is None:
+            paths[option] = tmp_path
+        else:
+            paths[option].write_bytes(content)
+        assert main(["evaluate", *(str(x) for item in paths.items() for x in item)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def _write_reports(self, tmp_path, tag, values):
         paths = []
         for i, v in enumerate(values):
@@ -331,3 +387,64 @@ class TestEvaluateCompare:
         a = self._write_reports(tmp_path, "a", [0.5, 0.6])
         b = self._write_reports(tmp_path, "d", [0.5])
         assert main(["compare", "--a", *a, "--b", *b]) == 2
+
+
+WORDS = ["lungs", "clear", "heart", "size", "normal", "é"]
+token_lines = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+numbers = st.sampled_from(["1.0", "-0.5", "0", "2e-3"])
+non_numbers = st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "1e200"])
+embedding_lines = st.builds(
+    lambda token, parts: " ".join([token, *parts]), st.sampled_from(WORDS),
+    st.one_of(st.lists(numbers, min_size=2, max_size=2),
+              st.lists(st.one_of(numbers, non_numbers), max_size=3)))
+DIRECTORY = "a directory in place of the file"
+
+
+@st.composite
+def input_file(draw, lines, n_lines):
+    """``n_lines`` drawn lines as UTF-8 bytes, or that text spoiled: a blank
+    line inserted, one line too many, non-UTF-8 bytes in front, or DIRECTORY."""
+    kind = draw(st.sampled_from(["text", "text", "text", "blank line", "extra line",
+                                 "not UTF-8", "directory"]))
+    if kind == "directory":
+        return DIRECTORY
+    rows = [draw(lines) for _ in range(n_lines + (kind == "extra line"))]
+    if kind == "blank line":
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    data = "".join(row + "\n" for row in rows).encode()
+    return b"\xff\xfe" + data if kind == "not UTF-8" else data
+
+
+@st.composite
+def evaluate_inputs(draw):
+    n_lines = draw(st.integers(1, 3))
+    files = {"--hypotheses": draw(input_file(token_lines, n_lines)),
+             "--references": draw(input_file(token_lines, n_lines))}
+    if draw(st.booleans()):
+        files["--embeddings"] = draw(input_file(embedding_lines, draw(st.integers(1, 6))))
+    return files, draw(st.sampled_from(["error", "zero"]))
+
+
+class TestEvaluateProperty:
+    @given(evaluate_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_any_input_files_exit_with_a_documented_code(self, case):
+        """Valid and invalid files alike end in exit 0, 2, 3 or 4, never in a
+        traceback, and every failure prints an ``error:`` line."""
+        files, policy = case
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["evaluate", "--unknown-policy", policy]
+            for i, (option, content) in enumerate(files.items()):
+                path = Path(tmp) / f"{i}.txt"
+                if content == DIRECTORY:
+                    path.mkdir()
+                else:
+                    path.write_bytes(content)
+                argv += [option, str(path)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert stderr.getvalue().startswith("error: ")

@@ -1,17 +1,20 @@
-"""BLEU against a count-and-clip oracle, greedy-match embedding scores
-against a hand-looped oracle, and the t-test against direct quadrature."""
+"""BLEU against a count-and-clip oracle and the per-pair Counter version,
+greedy-match embedding scores against a hand-looped oracle and the per-pair
+matrix version, and the t-test against direct quadrature."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cxrgen.errors import ConfigError, ContractError, DegenerateInputError
-from cxrgen.metrics import (Corpus, EmbeddingTable, EvaluationReport, bleu,
+from cxrgen.errors import ConfigError, ContractError, DegenerateInputError, IntegrityError
+from cxrgen.metrics import (F1_GROUP, Corpus, EmbeddingTable, EvaluationReport, bleu,
                             embedding_f1, evaluate_corpus, paired_t_test)
 
-from oracles import (count_and_clip_bleu, greedy_match_scores, paired_t_statistic,
-                     t_distribution_two_sided_p)
+from oracles import (count_and_clip_bleu, counter_bleu, greedy_match_scores,
+                     paired_t_statistic, per_pair_embedding_f1, t_distribution_two_sided_p)
 
 
 def corpus(hyps, refs):
@@ -107,6 +110,106 @@ class TestBleu:
             Corpus.from_lists([["a"]], [["a"], ["b"]])
 
 
+@st.composite
+def small_vocabulary_corpora(draw):
+    """1-6 pairs of 1-9 tokens over four words, so n-grams repeat and clip,
+    and one-token sequences and hypotheses shorter than n are common."""
+    words = st.lists(st.sampled_from("abcd"), min_size=1, max_size=9)
+    pairs = draw(st.lists(st.tuples(words, words), min_size=1, max_size=6))
+    return corpus([h for h, _ in pairs], [r for _, r in pairs])
+
+
+class TestBleuAgainstCounterOracle:
+    @given(small_vocabulary_corpora(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_pair_counter_version(self, c, max_n):
+        assert bleu(c, max_n) == counter_bleu(c, max_n)
+
+    def test_one_token_sequences_and_hypotheses_shorter_than_n(self):
+        c = corpus([["a"], ["a", "b"], ["b", "a", "b"], ["a", "a", "a", "a", "a"]],
+                   [["a", "b", "a", "b"], ["a"], ["b", "a"], ["a", "a", "b"]])
+        for max_n in (1, 2, 3, 4):
+            assert bleu(c, max_n) == counter_bleu(c, max_n)
+
+
+KNOWN = ("a", "b", "c", "d", "e")
+UNKNOWN = ("zebra", "yak")
+
+
+def table_of_kind(kind, policy, rng):
+    """A table over KNOWN: random 3-vectors, random ones with a zero vector
+    for "e", or the vertices of a regular simplex, whose distinct tokens all
+    have cosine -1/4, so that an unknown token's 0 beats every one of them."""
+    if kind == "simplex":
+        vectors = np.eye(len(KNOWN)) - 1.0 / len(KNOWN)
+    else:
+        vectors = rng.normal(size=(len(KNOWN), 3))
+        if kind == "zero-row":
+            vectors[-1] = 0.0
+    return EmbeddingTable(dict(zip(KNOWN, vectors)), unknown_policy=policy)
+
+
+@st.composite
+def f1_cases(draw):
+    """A table and a corpus of 1, 2, G - 1, G, G + 1 or 2G + 1 pairs (G is
+    F1_GROUP), whose hypothesis and reference lengths are drawn from
+    independent ranges, up to 1 against 40."""
+    policy = draw(st.sampled_from(["error", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = table_of_kind(draw(st.sampled_from(["random", "zero-row", "simplex"])),
+                          policy, rng)
+    words = KNOWN + UNKNOWN if policy == "zero" else KNOWN
+    n_pairs = draw(st.sampled_from([1, 2, F1_GROUP - 1, F1_GROUP, F1_GROUP + 1,
+                                    2 * F1_GROUP + 1]))
+    longest = [draw(st.integers(1, 40)), draw(st.integers(1, 40))]
+    sides = [[[words[i] for i in rng.integers(0, len(words), size=rng.integers(1, top + 1))]
+              for _ in range(n_pairs)] for top in longest]
+    return corpus(*sides), table
+
+
+class TestEmbeddingF1AgainstPerPairOracle:
+    @given(f1_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_within_1e_12_of_the_per_pair_version(self, case):
+        """P and R to 1e-12 always. F1 = 2PR/(P+R) amplifies rounding by up to
+        2·max(P,R)²/(P+R)², which is unbounded as P+R nears 0 (possible once
+        similarities are negative), so F1 is held to 1e-12 when P and R are
+        both positive, where that factor is at most 2."""
+        c, table = case
+        p, r, f1 = embedding_f1(c, table)
+        expected_p, expected_r, expected_f1 = per_pair_embedding_f1(c, table)
+        assert abs(p - expected_p) <= 1e-12
+        assert abs(r - expected_r) <= 1e-12
+        if expected_p > 0 and expected_r > 0:
+            assert abs(f1 - expected_f1) <= 1e-12
+
+    def test_an_unknown_token_can_be_the_best_match(self):
+        """Under the zero policy an unknown token is a real column of
+        similarity 0, not a pad: it beats every negative similarity."""
+        table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([-1.0, 0.0])},
+                               unknown_policy="zero")
+        c = corpus([["a"], ["a", "b"]], [["b", "zebra"], ["b"]])
+        p, r, _ = embedding_f1(c, table)
+        # pair 0: P = max(-1, 0) = 0, R = (-1 + 0) / 2; pair 1: P = (-1 + 1) / 2, R = 1
+        assert (p, r) == (0.0, 0.25)
+        assert (p, r) == per_pair_embedding_f1(c, table)[:2]
+
+    def test_memory_is_bounded_by_one_group(self, monkeypatch):
+        """Tokens are looked up one group at a time, never for the whole corpus."""
+        table = EmbeddingTable({t: np.eye(len(KNOWN))[i] for i, t in enumerate(KNOWN)})
+        c = corpus([["a", "b", "c"]] * (2 * F1_GROUP + 5), [["c", "d", "e"]] * (2 * F1_GROUP + 5))
+        looked_up = []
+        row_numbers = table.row_numbers
+
+        def counting_row_numbers(tokens):
+            looked_up.append(len(tokens))
+            return row_numbers(tokens)
+
+        monkeypatch.setattr(table, "row_numbers", counting_row_numbers)
+        assert embedding_f1(c, table) == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
+        assert looked_up == [3 * F1_GROUP] * 4 + [3 * 5] * 2
+
+
 class TestEmbeddingF1:
     def unit_table(self, dim=4):
         vectors = {t: np.eye(dim)[i] for i, t in enumerate(["a", "b", "c", "d"])}
@@ -184,6 +287,38 @@ class TestEmbeddingF1:
         table = EmbeddingTable.from_file(path)
         assert table.dim == 2
         np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
+
+    def test_vectors_are_views_of_one_read_only_matrix(self):
+        table = self.unit_table()
+        assert table.matrix.shape == (4, 4) and not table.matrix.flags.writeable
+        for token, vector in table.vectors.items():
+            assert np.shares_memory(vector, table.matrix)
+            assert np.shares_memory(table.lookup(token), table.matrix)
+        again = EmbeddingTable(table.vectors)
+        np.testing.assert_array_equal(again.matrix, table.matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
+                             ids=["nan", "inf", "-inf", "norm-overflows"])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ConfigError, match="'b'"):
+            EmbeddingTable({"a": [1.0, 0.0], "b": [bad, 1.0]})
+
+    @pytest.mark.parametrize("lines, lineno", [
+        ("a 1.0 x\n", 1), ("a 1 0\nb nan 1\n", 2), ("a 1 0\nb 1 inf\n", 2),
+        ("a 1 0\n\nb 1e999 0\n", 3), ("a 1 0\nb 1 0 0\n", 2), ("a 1 0\nb\n", 2)],
+        ids=["not-a-number", "nan", "inf", "overflows-to-inf", "mixed-dimensions",
+             "no-components"])
+    def test_bad_file_line_is_named(self, tmp_path, lines, lineno):
+        path = tmp_path / "emb.txt"
+        path.write_text(lines)
+        with pytest.raises(ConfigError, match=f"emb.txt:{lineno}:"):
+            EmbeddingTable.from_file(path)
+
+    def test_file_that_is_not_utf8_is_integrity_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"\xff\xfea 1 0\n")
+        with pytest.raises(IntegrityError, match="UTF-8"):
+            EmbeddingTable.from_file(path)
 
 
 class TestPairedTTest:
