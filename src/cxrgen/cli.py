@@ -21,6 +21,7 @@ is one), 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -240,6 +241,7 @@ def cmd_train(args) -> int:
         fields=fields or ALL_FIELDS,
         age_min=int(demo_payload["age_min"]),
         age_max=int(demo_payload["age_max"]),
+        strict=False,   # an ethnicity outside the top k gets the all-zero slice
     )
     cfg = ModelConfig(
         feature_dim=int(points[0].features.size),
@@ -280,14 +282,7 @@ def cmd_train(args) -> int:
         "subset": args.subset,
         "demographics": list(fields),
         "model": cfg.to_dict(),
-        "training": {
-            "batch_size": train_cfg.batch_size,
-            "learning_rate": train_cfg.learning_rate,
-            "epochs": train_cfg.epochs,
-            "seed": train_cfg.seed,
-            "patience": train_cfg.patience,
-            "grad_clip": train_cfg.grad_clip,
-        },
+        "training": dataclasses.asdict(train_cfg),
     }, inputs=[Path(args.data) / "cleaned.jsonl", Path(args.data) / "vocab.txt"])
     best = log.records[log.best_epoch]
     print(f"trained {len(log.records)} epoch(s); best val loss "
@@ -371,7 +366,10 @@ def cmd_evaluate(args) -> int:
     table = None
     if args.embeddings:
         table = EmbeddingTable.from_file(args.embeddings, unknown_policy=args.unknown_policy)
-    report = evaluate_corpus(corpus, table)
+    try:
+        report = evaluate_corpus(corpus, table)
+    except ContractError as exc:   # a token the table lacks, under --unknown-policy error
+        raise ConfigError(f"{args.embeddings}: {exc}") from None
     if args.out:
         report.to_json(args.out)
     for name in ("bleu_1", "bleu_2", "bleu_3", "bleu_4"):

@@ -15,8 +15,9 @@ File formats:
   ``features`` array or a ``features_ref`` {blob, offset, count} pointing
   into a little-endian float32 blob (row-major); blob mode also writes a
   ``features_index.json`` manifest mapping ids to byte offsets;
-* split manifest: JSON with subset id, train/val/test id lists, seed, and
-  the generation parameters needed to reconstruct the split.
+* split manifest: JSON with subset id, train/val/test id lists (cut
+  70:20:10, ``SPLIT_RATIOS``), seed, and the generation parameters needed
+  to reconstruct the split.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import numpy as np
 
 from .demographics import DemographicRecord
 from .errors import ConfigError, ContractError, IntegrityError, SizingError
-from .text import (CleanReport, RawReport, Rejected, StandardizationMap,
-                   clean_report, default_standardization_map, load_reject_patterns,
-                   load_stopwords)
+from .text import (CleanReport, RawReport, Rejected, clean_report,
+                   default_standardization_map, load_reject_patterns, load_stopwords)
+
+SPLIT_RATIOS = (0.70, 0.20, 0.10)   # train, validation, test
 
 
 @dataclass(frozen=True)
@@ -154,18 +156,16 @@ def sample_subsets(pool, k_subsets: int, subset_size: int, seed: int) -> list[li
     return subsets
 
 
-def split(ids, seed: int, ratios=(0.70, 0.20, 0.10), subset_id: int = 0,
-          params: dict | None = None) -> SplitManifest:
-    """Seeded shuffle then contiguous train/val/test cut, sizes within 1 of exact."""
+def split(ids, seed: int, subset_id: int = 0, params: dict | None = None) -> SplitManifest:
+    """Seeded shuffle then contiguous train/val/test cut in ``SPLIT_RATIOS``,
+    sizes within 1 of exact."""
     ids = list(ids)
     if not ids:
         raise ConfigError("cannot split an empty subset")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) <= 0:
-        raise ConfigError(f"ratios must be three positive values summing to 1, got {ratios}")
     order = np.random.default_rng(seed).permutation(len(ids))
     shuffled = [ids[i] for i in order]
     n = len(ids)
-    exact = [r * n for r in ratios]
+    exact = [r * n for r in SPLIT_RATIOS]
     counts = [int(e) for e in exact]
     leftovers = sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))
     for i in range(n - sum(counts)):
@@ -278,40 +278,32 @@ def default_corpus_spec(n_per_stratum: int = 150, feature_dim: int = 24) -> Corp
     )
 
 
-def synthesize_corpus(spec: CorpusSpec, seed: int, stopwords=None,
-                      std_map: StandardizationMap | None = None,
-                      reject_patterns=None) -> list[DataPoint]:
-    """Generate a fully deterministic corpus of DataPoints from ``spec``."""
-    stopwords = load_stopwords() if stopwords is None else stopwords
-    std_map = default_standardization_map() if std_map is None else std_map
-    reject_patterns = load_reject_patterns() if reject_patterns is None else reject_patterns
+def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
+    """Generate a fully deterministic corpus of DataPoints from ``spec``.
+
+    The records are cleaned by ``build_datapoints`` with the shipped cleaning
+    resources; a template that the cleaning rejects raises ``ConfigError``.
+    """
     rng = np.random.default_rng(seed)
     n_clusters = len(spec.cluster_findings)
     centers = rng.normal(0.0, 1.0, size=(n_clusters, spec.feature_dim))
-    points: list[DataPoint] = []
+    records: list[IngestRecord] = []
     for stratum in spec.strata:
         for j in range(spec.n_per_stratum):
-            point_id = f"{stratum.name}-{j:04d}"
             features = (
                 centers[stratum.cluster]
                 + spec.feature_noise * rng.normal(0.0, 1.0, size=spec.feature_dim)
             ).astype(np.float32)
             age = int(rng.integers(stratum.age_low, stratum.age_high + 1))
             text = f"{spec.cluster_findings[stratum.cluster]} {stratum.marker} {spec.closing}"
-            cleaned = clean_report(RawReport(point_id, text), stopwords, std_map,
-                                   reject_patterns)
-            if isinstance(cleaned, Rejected):
-                raise ConfigError(
-                    f"synthetic template for stratum {stratum.name!r} was rejected "
-                    f"by the cleaning pipeline ({cleaned.reason}); fix the template"
-                )
-            points.append(DataPoint(
-                id=point_id,
-                features=features,
-                report=cleaned,
-                demographics=DemographicRecord(stratum.gender, age, stratum.ethnicity),
-                raw_text=text,
-            ))
+            records.append(IngestRecord(f"{stratum.name}-{j:04d}", text, stratum.gender, age,
+                                        stratum.ethnicity, features))
+    points, rejects = build_datapoints(records)
+    if rejects:
+        raise ConfigError(
+            f"synthetic template of record {rejects[0].id!r} was rejected by the "
+            f"cleaning pipeline ({rejects[0].reason}); fix the template"
+        )
     return points
 
 

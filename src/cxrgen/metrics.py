@@ -111,7 +111,8 @@ class EmbeddingTable:
     Every component must be a finite number, and no vector's norm may
     overflow float64.
     File format: one entry per line, the token followed by its
-    whitespace-separated components, the same number on every line.
+    whitespace-separated components, the same number on every line; a token
+    may appear on one line only.
     """
 
     def __init__(self, vectors: dict[str, np.ndarray], unknown_policy: str = "error"):
@@ -141,11 +142,6 @@ class EmbeddingTable:
         self.inverse_norms = np.zeros(len(values) + 1)
         np.divide(1.0, norms, out=self.inverse_norms[:-1], where=norms > 0)
 
-    @property
-    def vectors(self) -> dict[str, np.ndarray]:
-        """token -> its row of ``matrix``, a read-only view."""
-        return {token: self.matrix[row] for token, row in self.rows.items()}
-
     def lookup(self, token: str) -> np.ndarray:
         row = self.rows.get(token)
         if row is None:
@@ -169,6 +165,7 @@ class EmbeddingTable:
     @classmethod
     def from_file(cls, path, unknown_policy: str = "error") -> "EmbeddingTable":
         vectors = {}
+        linenos = {}   # token -> the line that gave it
         first = None   # (line number, dimension) of the first entry
         try:
             with open(path, encoding="utf-8") as fh:
@@ -189,7 +186,10 @@ class EmbeddingTable:
                     elif len(vec) != first[1]:
                         raise ConfigError(f"{path}:{lineno}: {len(vec)} components, but "
                                           f"line {first[0]} has {first[1]}")
-                    vectors[parts[0]] = vec
+                    if parts[0] in linenos:
+                        raise ConfigError(f"{path}:{lineno}: token {parts[0]!r} repeats "
+                                          f"line {linenos[parts[0]]}")
+                    vectors[parts[0]], linenos[parts[0]] = vec, lineno
         except UnicodeDecodeError as exc:
             raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
         return cls(vectors, unknown_policy)
@@ -216,7 +216,8 @@ def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, f
     pair scores are averaged over the corpus and F1 is the harmonic mean of
     the aggregates. A zero vector (an unknown token under the ``zero``
     policy) has similarity 0 to everything, and it can still be a token's
-    best match.
+    best match. Static embeddings can make P or R negative; F1 is 0.0
+    unless both are positive, so it stays in [0, 1].
 
     Pairs are scored F1_GROUP at a time: one gather of the group's vectors,
     one batched product ``[P x Lh x dim] @ [P x dim x Lr]`` scaled by the
@@ -240,7 +241,7 @@ def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, f
         r_sum += float((best_ref.sum(axis=1) / ref_len).sum())
     p = p_sum / len(corpus)
     r = r_sum / len(corpus)
-    f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+    f1 = 2.0 * p * r / (p + r) if p > 0 and r > 0 else 0.0
     return p, r, f1
 
 

@@ -217,21 +217,22 @@ def _linear(x: Tensor, params, prefix: str) -> Tensor:
 
 
 def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
-                          query: Tensor | None = None, mask=None, cache=None) -> Tensor:
-    # without a query, each keyvalue row is the one key of its own attention:
+                          mask=None, cache=None) -> Tensor:
+    # without a mask, each keyvalue row is the one key of its own attention:
     # its softmax weight is exactly 1, so each head returns its value
-    # projection. With a query (and a cache), the rows are B sequences of L
-    # positions and mask is their [B x L x total] mask; each head attends per
-    # sequence, over the cache's earlier K/V rows followed by the L new ones.
+    # projection. With a mask (and a cache), this is self-attention: the rows
+    # are B sequences of L positions, mask is their [B x L x total] mask, and
+    # each head attends per sequence, over the cache's earlier K/V rows
+    # followed by the L new ones.
     attended = T.matmul(keyvalue, params[f"{prefix}.wv"])
-    if query is not None:
+    if mask is not None:
         n_seq, length = mask.shape[:2]
 
         def heads(rows):   # [B*L x d] -> [B x H x L x d_head]
             split = T.reshape(rows, (n_seq, length, cfg.n_heads, cfg.d_head))
             return T.permute(split, (0, 2, 1, 3))
 
-        q = heads(T.matmul(query, params[f"{prefix}.wq"]))
+        q = heads(T.matmul(keyvalue, params[f"{prefix}.wq"]))
         k, v = cache.extend(prefix, heads(T.matmul(keyvalue, params[f"{prefix}.wk"])),
                             heads(attended))
         mask = mask[:, None].repeat(cfg.n_heads, axis=1)
@@ -316,7 +317,7 @@ class DecodeCache:
     Pass a fresh ``DecodeCache()`` with the first ids, then keep passing it
     with only the ids that follow. It holds, per self-attention block, the
     [B x H x t x d_head] K and V rows of every head for the t positions
-    decoded so far and their [B x t] key-keep mask (ids != pad_id); each
+    decoded so far and their [B x t] key-keep mask (ids != PAD_ID); each
     decoder block's [B x d] cross-attention row and the positional table,
     both made on the first call; and nothing that records a gradient.
     """
@@ -350,7 +351,7 @@ def _causal_pad_mask(keep: np.ndarray, offset: int) -> np.ndarray:
 
 
 def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
-                    pad_id: int = PAD_ID, training: bool = False, rng=None,
+                    training: bool = False, rng=None,
                     cache: DecodeCache | None = None) -> Tensor:
     """Per-position vocabulary logits for (shifted) target id sequences.
 
@@ -390,7 +391,7 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
             f"token id out of range [0, {cfg.vocab_size}): {int(ids.min())}..{int(ids.max())}"
         )
     x = T.embedding(params["embed.table"], ids.reshape(-1))
-    keep = ids != pad_id
+    keep = ids != PAD_ID
     if offset:
         keep = np.concatenate([cache.keep, keep], axis=1)
     else:
@@ -405,7 +406,7 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     mask = _causal_pad_mask(keep, offset)
     owner = Tensor(np.eye(n_seq).repeat(length, axis=0))
     for i in range(cfg.n_decoder_blocks):
-        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, x, mask, cache)
+        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask, cache)
         attended = _maybe_dropout(attended, cfg, training, rng)
         x = T.layer_norm(T.add(x, attended),
                          params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
@@ -422,8 +423,7 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
 
 
 def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
-             seed: int = 0, start_id: int = START_ID, end_id: int = END_ID,
-             pad_id: int = PAD_ID) -> list[int]:
+             seed: int = 0) -> list[int]:
     """Autoregressively decode a report for one image/demographics pair.
 
     Each step feeds ``decoder_forward`` only the id chosen last, with a
@@ -435,19 +435,18 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
     softmax(logits / temperature) with a generator seeded by ``seed``, so
     repeated calls with identical arguments return identical sequences.
     Returns ids without the start marker, at most ``cfg.max_len`` of them,
-    ending with ``end_id`` unless the length cap was hit first.
+    ending with ``END_ID`` unless the length cap was hit first.
     """
     if temperature < 0:
         raise ContractError(f"temperature must be non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
     out: list[int] = []
     cache = DecodeCache()
-    next_id = start_id
+    next_id = START_ID
     with T.no_grad():
         hybrid = encode_inputs(features, demo, params, cfg)
         while len(out) < cfg.max_len:
-            logits = decoder_forward([next_id], hybrid, params, cfg, pad_id=pad_id,
-                                     cache=cache)
+            logits = decoder_forward([next_id], hybrid, params, cfg, cache=cache)
             last = logits.data[-1]
             if temperature == 0.0:
                 next_id = int(np.argmax(last))
@@ -459,6 +458,6 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
                 next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
                 next_id = min(next_id, cfg.vocab_size - 1)
             out.append(next_id)
-            if next_id == end_id:
+            if next_id == END_ID:
                 break
     return out

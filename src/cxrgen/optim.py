@@ -14,6 +14,10 @@ in chunks of ``CHUNK`` elements, so a step costs a few dozen numpy calls at
 desk size, and each chunk's working set stays in cache at paper size. The
 operations and their order are those of a per-tensor update, and every one
 is elementwise, so the result is the same bit for bit.
+
+The moment decay rates and the denominator's epsilon are the stock values
+of Kingma and Ba (2015), ``BETA1``, ``BETA2`` and ``EPS``; only the learning
+rate is set per optimizer.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from .errors import ContractError
 from .tensor import Tensor
 
 CHUNK = 1 << 16
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adaptive-moment estimation with the canonical bias correction.
 
     Keeps first/second moment buffers and a step counter; ``step`` applies
-    the in-place update ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to every
+    the in-place update ``p -= lr * m_hat / (sqrt(v_hat) + EPS)`` to every
     parameter whose ``grad`` is set. Parameters with no gradient are left
     untouched (their moments do not decay either).
 
@@ -39,8 +44,7 @@ class Adam:
     the update reaches the tensor the caller holds either way.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         if lr <= 0:
             raise ContractError(f"learning rate must be positive, got {lr}")
         dtypes = {p.data.dtype for p in params.values()}
@@ -49,9 +53,6 @@ class Adam:
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         total = sum(p.data.size for p in params.values())
         self._data = np.empty(total, dtype)
@@ -100,8 +101,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         runs: list[list[int]] = []
         for name, p, start, stop, data, grad, m, v in self._slots:
             if p.grad is None:
@@ -118,21 +119,21 @@ class Adam:
                 self._update(slice(lo, min(lo + CHUNK, stop)), bias1, bias2)
 
     def _update(self, part: slice, bias1: float, bias2: float) -> None:
-        """p -= lr * (m / bias1) / (sqrt(v / bias2) + eps) over one chunk, in
+        """p -= lr * (m / bias1) / (sqrt(v / bias2) + EPS) over one chunk, in
         the same operations and order as a per-tensor update."""
         g, m, v = self._grad[part], self._m[part], self._v[part]
         step, denom = self._scratch[:, :part.stop - part.start]
-        np.multiply(g, 1.0 - self.beta1, out=step)
-        m *= self.beta1
+        np.multiply(g, 1.0 - BETA1, out=step)
+        m *= BETA1
         m += step
         np.multiply(g, g, out=step)
-        step *= 1.0 - self.beta2
-        v *= self.beta2
+        step *= 1.0 - BETA2
+        v *= BETA2
         v += step
         np.divide(m, bias1, out=step)
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         step *= self.lr
         step /= denom
         self._data[part] -= step

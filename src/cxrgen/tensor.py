@@ -21,8 +21,8 @@ entry produced (parameters and inputs); intermediate adjoints are dropped as
 soon as their entry has been replayed. A parameter adopted by
 ``optim.Adam`` accumulates into its slot of the optimizer's flat gradient
 buffer (``Tensor.grad_slot``); other leaves get a fresh array. Repeated
-backward calls without ``zero_grad`` accumulate, matching the usual autograd
-convention.
+backward calls accumulate until the gradient is cleared (``Adam.zero_grad``,
+or ``grad = None``), matching the usual autograd convention.
 
 The recorder is single-threaded: one training session owns the tape. All
 reductions delegate to numpy, whose summation order is fixed for a given
@@ -39,6 +39,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 _VALID_DTYPES = (np.float32, np.float64)
+LAYER_NORM_EPS = 1e-5   # added to each row's variance before the square root
 _default_dtype = np.float32
 
 
@@ -116,9 +117,6 @@ class Tensor:
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
         self.grad += contribution
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -338,7 +336,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(a.shape[1]), out=total, casting="unsafe")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of ``x`` to zero mean / unit variance, then apply gain and bias."""
     if x.ndim != 2:
         raise ShapeError(f"layer_norm expects a rank-2 input, got shape {tuple(x.shape)}")
@@ -350,7 +348,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
     centered = x.data - _row_mean(x.data)
     var = _row_mean(centered * centered)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normalized = centered * inv_std
     out = Tensor._wrap(normalized * gain.data + bias.data)
     gain_data = gain.data

@@ -11,7 +11,8 @@ the model over all of them feeds one cross-entropy, so a training step
 records one forward and replays one backward whatever the batch size. The
 step's gradients land in the optimizer's flat gradient buffer and ``Adam``
 updates the parameters in place there (see ``optim``); a parameter with no
-gradient is skipped.
+gradient is skipped. ``fit`` always ends by restoring the parameters of the
+epoch with the lowest validation loss.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def encode_examples(points, vocab, codec, cfg: ModelConfig) -> list[EncodedExamp
     return examples
 
 
-def teacher_forcing_batch(rows, pad_id: int = PAD_ID):
+def teacher_forcing_batch(rows):
     """Split encoded sequences into padded decoder inputs, targets and loss mask.
 
     Each sequence is trimmed at its end marker (its last non-pad id): the
@@ -112,22 +113,16 @@ def teacher_forcing_batch(rows, pad_id: int = PAD_ID):
     pad ids and a False mask past each row's span.
     """
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    ids = np.full((len(rows), int(widths.max())), pad_id, dtype=np.int64)
+    ids = np.full((len(rows), int(widths.max())), PAD_ID, dtype=np.int64)
     ids[np.arange(ids.shape[1]) < widths[:, None]] = np.concatenate(rows)
-    nonpad = ids != pad_id
+    nonpad = ids != PAD_ID
     if (nonpad.sum(axis=1) < 2).any():
         raise ContractError("encoded report is too short to train on")
     last = ids.shape[1] - 1 - np.argmax(nonpad[:, ::-1], axis=1)
     length = int(last.max())
-    inputs = np.where(np.arange(length) < last[:, None], ids[:, :length], pad_id)
+    inputs = np.where(np.arange(length) < last[:, None], ids[:, :length], PAD_ID)
     targets = ids[:, 1:length + 1]
-    return inputs, targets, targets != pad_id
-
-
-def teacher_forcing_views(ids: np.ndarray, pad_id: int = PAD_ID):
-    """``teacher_forcing_batch`` of one sequence: its unpadded views."""
-    inputs, targets, mask = teacher_forcing_batch([ids], pad_id)
-    return inputs[0], targets[0], mask[0]
+    return inputs, targets, targets != PAD_ID
 
 
 def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tuple[Tensor, int]:
@@ -207,14 +202,13 @@ def epoch_order(n: int, epoch: int, seed: int) -> np.ndarray:
 
 
 def fit(train_examples, val_examples, params, cfg: ModelConfig,
-        train_cfg: TrainConfig, log_path=None, restore_best: bool = True) -> TrainLog:
+        train_cfg: TrainConfig, log_path=None) -> TrainLog:
     """Epoch loop with seeded shuffling, per-epoch validation, and best tracking.
 
     The parameter set achieving the minimum validation loss is retained and
-    restored into ``params`` at the end (unless ``restore_best=False``); fit
-    writes no checkpoint, so the caller saves ``params`` afterwards. If no
-    epoch has a finite validation loss there is no such set, and that raises
-    ``TrainingError``.
+    restored into ``params`` at the end; fit writes no checkpoint, so the
+    caller saves ``params`` afterwards. If no epoch has a finite validation
+    loss there is no such set, and that raises ``TrainingError``.
     """
     if not train_examples:
         raise ConfigError("training split is empty")
@@ -263,7 +257,6 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
             f"no epoch of {len(log.records)} produced a finite validation loss "
             f"(last: {log.records[-1].val_loss})"
         )
-    if restore_best:
-        for name, data in best_state.items():
-            params[name].data = data
+    for name, data in best_state.items():
+        params[name].data = data
     return log

@@ -180,13 +180,13 @@ def per_head_attention(heads):
     model function's arguments, so it can stand in for it."""
     from cxrgen import tensor as T
 
-    def attention(params, prefix, cfg, keyvalue, query=None, mask=None, cache=None):
+    def attention(params, prefix, cfg, keyvalue, mask=None, cache=None):
         out = None
         for h in range(cfg.n_heads):
             attended = T.matmul(keyvalue, heads[f"{prefix}.h{h}.wv"])
-            if query is not None:
+            if mask is not None:
                 stacked = (*mask.shape[:2], cfg.d_head)
-                q = T.reshape(T.matmul(query, heads[f"{prefix}.h{h}.wq"]), stacked)
+                q = T.reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]), stacked)
                 k = T.reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), stacked)
                 v = T.reshape(attended, stacked)
                 k, v = cache.extend(f"{prefix}.h{h}", k, v)
@@ -338,13 +338,13 @@ def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
     """
     from cxrgen import tensor as T
     from cxrgen.model import decoder_forward, encode_inputs
-    from cxrgen.training import teacher_forcing_views
+    from cxrgen.training import teacher_forcing_batch
 
     total = None
     count = 0
     for ex in batch:
         hybrid = encode_inputs(ex.features, ex.demo, params, cfg, training=training, rng=rng)
-        inputs, targets, mask = teacher_forcing_views(ex.ids)
+        inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
         logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
         part = T.sparse_cross_entropy(logits, targets, mask, reduction="sum")
         total = part if total is None else T.add(total, part)
@@ -352,18 +352,14 @@ def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
     return T.scale(total, 1.0 / count), count
 
 
-def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0,
-                         start_id=None, end_id=None, pad_id=None):
+def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):
     """``model.generate`` as it was before the decode cache: every step runs
     ``decoder_forward`` on the whole prefix and reads the last row."""
     from cxrgen import tensor as T
     from cxrgen.errors import ContractError
     from cxrgen.model import decoder_forward, encode_inputs
-    from cxrgen.text import END_ID, PAD_ID, START_ID
+    from cxrgen.text import END_ID, START_ID
 
-    start_id = START_ID if start_id is None else start_id
-    end_id = END_ID if end_id is None else end_id
-    pad_id = PAD_ID if pad_id is None else pad_id
     if temperature < 0:
         raise ContractError(f"temperature must be non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
@@ -371,8 +367,8 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0,
     with T.no_grad():
         hybrid = encode_inputs(features, demo, params, cfg)
         while len(out) < cfg.max_len:
-            prefix = np.asarray([start_id] + out, dtype=np.int64)
-            logits = decoder_forward(prefix, hybrid, params, cfg, pad_id=pad_id)
+            prefix = np.asarray([START_ID] + out, dtype=np.int64)
+            logits = decoder_forward(prefix, hybrid, params, cfg)
             last = logits.data[-1]
             if temperature == 0.0:
                 next_id = int(np.argmax(last))
@@ -384,7 +380,7 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0,
                 next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
                 next_id = min(next_id, cfg.vocab_size - 1)
             out.append(next_id)
-            if next_id == end_id:
+            if next_id == END_ID:
                 break
     return out
 

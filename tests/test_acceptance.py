@@ -166,7 +166,7 @@ def test_criterion_04_overfit_sanity():
         examples = encode_examples(points, vocab, codec, cfg)
         train_cfg = TrainConfig(batch_size=16, learning_rate=1e-2, epochs=100,
                                 seed=0, patience=None)
-        log = fit(examples, examples, params, cfg, train_cfg, restore_best=True)
+        log = fit(examples, examples, params, cfg, train_cfg)
         assert len(log.records) <= 300
         final_loss = log.records[-1].train_loss
         score = greedy_bleu1(points, params, cfg, codec, vocab, use_demographics=True)

@@ -219,6 +219,25 @@ class TestTrainGenerate:
         expected_dim = 1 + len(categories["categories"])
         assert manifest["config"]["demographic_dim"] == expected_dim
 
+    def test_ethnicity_outside_top_k_trains_and_generates(self, tmp_path):
+        """With fewer categories than ethnicities, the others encode as the
+        all-zero ethnicity slice in train and, through the checkpoint's
+        codec, in generate."""
+        corpus, prep, run = tmp_path / "corpus", tmp_path / "prep", tmp_path / "run"
+        assert main(["synth-data", "--out", str(corpus), "--n-per-stratum", "20",
+                     "--feature-dim", "8"]) == 0
+        assert main(["prepare-data", "--data", str(corpus / "dataset.jsonl"),
+                     "--out", str(prep), "--top-ethnicities", "2", "--vocab-cap", "64"]) == 0
+        categories = json.loads((prep / "demographics.json").read_text())["categories"]
+        assert len(categories) == 2
+        assert main(["train", "--data", str(prep), "--out", str(run), "--d-model", "16",
+                     "--n-heads", "2", "--max-len", "24", "--batch-size", "32",
+                     "--epochs", "1"]) == 0
+        codec = json.loads((run / "best" / "manifest.json").read_text())["extra"]["codec"]
+        assert codec["categories"] == categories and codec["strict"] is False
+        assert main(["generate", "--checkpoint", str(run / "best"), "--data", str(prep),
+                     "--out", str(tmp_path / "hyp.txt")]) == 0
+
     def test_corrupted_checkpoint_is_integrity_error(self, pipeline, tmp_path):
         import shutil
         broken = tmp_path / "broken"
@@ -337,6 +356,25 @@ class TestEvaluateCompare:
         err = capsys.readouterr().err
         assert f"error: {table}:2:" in err and "Traceback" not in err
 
+    def test_token_missing_from_table_is_usage_error(self, tmp_path, capsys):
+        text = tmp_path / "text.txt"
+        text.write_text("a zebra\n")
+        table = tmp_path / "emb.txt"
+        table.write_text("a 1 0\nb 0 1\n")
+        assert main(["evaluate", "--hypotheses", str(text), "--references", str(text),
+                     "--embeddings", str(table), "--unknown-policy", "error"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'zebra'" in err and "Traceback" not in err
+
+    def test_repeated_embedding_token_is_usage_error(self, tmp_path, capsys):
+        text = tmp_path / "text.txt"
+        text.write_text("a b\n")
+        table = tmp_path / "emb.txt"
+        table.write_text("a 1 0\nb 0 1\na 0 1\n")
+        assert main(["evaluate", "--hypotheses", str(text), "--references", str(text),
+                     "--embeddings", str(table)]) == 2
+        assert f"error: {table}:3: token 'a' repeats line 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", ["--hypotheses", "--references", "--embeddings"])
     @pytest.mark.parametrize("content, code", [(None, 2), (b"\xff\xfea b\n", 3)],
                              ids=["directory", "not-utf8"])
@@ -429,7 +467,7 @@ class TestEvaluateProperty:
     @given(evaluate_inputs())
     @settings(max_examples=80, deadline=None)
     def test_any_input_files_exit_with_a_documented_code(self, case):
-        """Valid and invalid files alike end in exit 0, 2, 3 or 4, never in a
+        """Valid and invalid files alike end in exit 0, 2 or 3, never in a
         traceback, and every failure prints an ``error:`` line."""
         files, policy = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -444,7 +482,7 @@ class TestEvaluateProperty:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv)
-        assert code in (0, 2, 3, 4)
+        assert code in (0, 2, 3)
         assert "Traceback" not in stderr.getvalue()
         if code:
             assert stderr.getvalue().startswith("error: ")

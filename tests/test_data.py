@@ -138,6 +138,19 @@ class TestSynthesizeCorpus:
                 closing="closing",
             )
 
+    def test_rejected_template_raises(self):
+        """A template the cleaning rejects (here: too few words) is a spec
+        error, not a silently smaller corpus."""
+        spec = CorpusSpec(
+            strata=(StratumSpec("s0", "female", "e0", 0, "marker"),
+                    StratumSpec("s1", "male", "e1", 0, "marker")),
+            cluster_findings=("short finding",),
+            closing="closing",
+            n_per_stratum=2,
+        )
+        with pytest.raises(ConfigError, match="s0.*too_short"):
+            synthesize_corpus(spec, seed=0)
+
     def test_deterministic_serialization(self, tmp_path):
         spec = default_corpus_spec(n_per_stratum=4)
         for name in ("a", "b"):

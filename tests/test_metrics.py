@@ -227,6 +227,14 @@ class TestEmbeddingF1:
         p, r, f1 = embedding_f1(c, table)
         assert (p, r, f1) == (0.0, 0.0, 0.0)
 
+    def test_f1_is_zero_unless_precision_and_recall_are_positive(self):
+        """A negative recall from static embeddings must not push F1 out of
+        [0, 1]: 2PR/(P+R) read -1.97 here."""
+        table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([-1.0, 0.1])})
+        p, r, f1 = embedding_f1(corpus([["a"]], [["a", "b", "b", "b"]]), table)
+        assert p == 1.0 and r < 0
+        assert f1 == 0.0
+
     def test_two_token_toy_case_against_oracle(self):
         vectors = {
             "warm": [1.0, 0.0],
@@ -277,7 +285,7 @@ class TestEmbeddingF1:
         c = corpus([["zebra"]], [["a"]])
         with pytest.raises(ContractError):
             embedding_f1(c, table)
-        lenient = EmbeddingTable(table.vectors, unknown_policy="zero")
+        lenient = EmbeddingTable({t: table.lookup(t) for t in table.rows}, unknown_policy="zero")
         p, r, f1 = embedding_f1(c, lenient)
         assert p == 0.0
 
@@ -291,10 +299,10 @@ class TestEmbeddingF1:
     def test_vectors_are_views_of_one_read_only_matrix(self):
         table = self.unit_table()
         assert table.matrix.shape == (4, 4) and not table.matrix.flags.writeable
-        for token, vector in table.vectors.items():
+        vectors = {token: table.lookup(token) for token in table.rows}
+        for vector in vectors.values():
             assert np.shares_memory(vector, table.matrix)
-            assert np.shares_memory(table.lookup(token), table.matrix)
-        again = EmbeddingTable(table.vectors)
+        again = EmbeddingTable(vectors)
         np.testing.assert_array_equal(again.matrix, table.matrix)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
@@ -312,6 +320,12 @@ class TestEmbeddingF1:
         path = tmp_path / "emb.txt"
         path.write_text(lines)
         with pytest.raises(ConfigError, match=f"emb.txt:{lineno}:"):
+            EmbeddingTable.from_file(path)
+
+    def test_repeated_token_names_both_lines(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 0\nb 0 1\na 0 1\n")
+        with pytest.raises(ConfigError, match="emb.txt:3: token 'a' repeats line 1"):
             EmbeddingTable.from_file(path)
 
     def test_file_that_is_not_utf8_is_integrity_error(self, tmp_path):

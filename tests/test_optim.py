@@ -48,7 +48,7 @@ def test_two_steps_match_recurrence_oracle():
         p.grad = np.asarray([g], dtype=np.float32)
         opt.step()
         assert abs(float(p.data[0]) - want) < 1e-6
-        p.zero_grad()
+        p.grad = None
 
 
 def test_longer_trajectory_matches_recurrence_oracle():
@@ -184,7 +184,7 @@ def test_backward_fills_the_handed_out_slot_once():
     assert w.grad is slot and w.grad_slot is None
     np.testing.assert_array_equal(w.grad, [[3.0], [-1.0]])
     assert x.grad is not None and x.grad_slot is None
-    w.zero_grad()
+    w.grad = None
     backward()
     assert w.grad is not slot
     np.testing.assert_array_equal(w.grad, [[3.0], [-1.0]])

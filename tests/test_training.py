@@ -15,7 +15,7 @@ from cxrgen.optim import Adam
 from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
 from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, encode_examples,
                              epoch_order, evaluate_loss, fit, teacher_forcing_batch,
-                             teacher_forcing_views, train_step)
+                             train_step)
 
 from oracles import (PerTensorAdam, direct_softmax, padded_teacher_forcing_batch,
                      per_example_batch_loss)
@@ -37,14 +37,14 @@ def tiny_setup(n_per_stratum=2, d_model=16, max_len=24, dropout=0.0, seed=0):
 class TestTeacherForcing:
     def test_views_trim_trailing_pads(self):
         ids = np.asarray([1, 7, 8, 2, 0, 0, 0])
-        inputs, targets, mask = teacher_forcing_views(ids)
+        inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ids]))
         assert inputs.tolist() == [1, 7, 8]
         assert targets.tolist() == [7, 8, 2]
         assert mask.all()
 
     def test_rejects_degenerate_sequence(self):
         with pytest.raises(ContractError):
-            teacher_forcing_views(np.asarray([1, 0, 0]))
+            teacher_forcing_batch([np.asarray([1, 0, 0])])
 
     @pytest.mark.parametrize("id_dtype", [np.int64, np.int32, np.float64])
     def test_batch_matches_padded_oracle(self, id_dtype):
@@ -132,7 +132,7 @@ class TestLoss:
         from cxrgen.model import decoder_forward, encode_inputs
         with T.no_grad():
             hybrid = encode_inputs(ex.features, ex.demo, params, cfg)
-            inputs, targets, mask = teacher_forcing_views(ex.ids)
+            inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
             logits = decoder_forward(inputs, hybrid, params, cfg).data
         manual_terms = [
             -math.log(direct_softmax(logits[i])[targets[i]])
@@ -200,7 +200,7 @@ class TestBatchedLoss:
     def test_mixed_length_desk_batch_matches_per_example_oracle(self):
         _, _, _, cfg, examples = tiny_setup(n_per_stratum=2, d_model=32, max_len=50)
         batch = examples[:16]
-        lengths = {teacher_forcing_views(ex.ids)[0].shape[0] for ex in batch}
+        lengths = {teacher_forcing_batch([ex.ids])[0].shape[1] for ex in batch}
         assert len(lengths) > 3
         self.assert_matches_per_example(batch, cfg, seed=4)
 
@@ -419,7 +419,7 @@ class TestFit:
         before = evaluate_loss(examples, params, cfg)
         train_cfg = TrainConfig(batch_size=8, learning_rate=1e-2, epochs=20, seed=0,
                                 patience=None)
-        fit(examples, examples, params, cfg, train_cfg, restore_best=True)
+        fit(examples, examples, params, cfg, train_cfg)
         after = evaluate_loss(examples, params, cfg)
         assert after < before * 0.5
 
