@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -419,15 +420,17 @@ def cmd_compare(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int):
-    """An argparse ``type`` that parses an int and rejects one below ``low``,
-    so the bad value exits 2 before the command runs."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _at_least(kind, low):
+    """An argparse ``type`` that parses a ``kind`` (int or float) and rejects
+    one below ``low``, nan or an infinity, so the bad value exits 2 before
+    the command runs."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and at least {low}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON file of option values (flags override it)")
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
+        p.add_argument("--seed", type=_at_least(int, 0), default=0, help="master random seed")
 
     p = sub.add_parser("synth-data", help="generate a synthetic corpus")
     common(p)
@@ -455,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="raw dataset file (jsonl)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--vocab-cap", type=int, default=2212)
-    p.add_argument("--subsets", type=_int_at_least(1), default=1)
-    p.add_argument("--subset-size", type=_int_at_least(0), default=0,
+    p.add_argument("--subsets", type=_at_least(int, 1), default=1)
+    p.add_argument("--subset-size", type=_at_least(int, 0), default=0,
                    help="examples per subset (0 = pool size / subsets)")
-    p.add_argument("--top-ethnicities", type=_int_at_least(1), default=5)
+    p.add_argument("--top-ethnicities", type=_at_least(int, 1), default=5)
     p.add_argument("--min-raw-words", type=int, default=9)
     p.add_argument("--age-min", type=int, default=19)
     p.add_argument("--age-max", type=int, default=91)
@@ -494,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--out", required=True, help="hypotheses file (one report per line)")
     p.add_argument("--refs-out", help="also write matching references here")
-    p.add_argument("--temperature", type=float, default=0.5)
+    p.add_argument("--temperature", type=_at_least(float, 0.0), default=0.5)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")

@@ -23,24 +23,28 @@ B = 1, so generation and training run the same code.
 
 Generation decodes one new position per step. Under the causal mask the
 keys and values of earlier positions never change, so ``generate`` passes
-``decoder_forward`` a ``DecodeCache`` holding them (and each block's
-cross-attention row, which depends only on the hybrid representation) and
-feeds it only the last chosen id. The new position's scores are
-[B x H x 1 x (t+1)], over the t cached keys and its own, under the same causal
-and key-pad rule, and the classifier runs on that one row. Training and
-evaluation are the case of a fresh cache: every position is new.
+``decoder_forward`` a ``DecodeCache`` and feeds it only the last chosen id.
+The cache holds one preallocated [B x max_len x d] K row buffer and one V
+row buffer per self-attention block, into which each step writes its rows
+in place, plus the causal mask and each block's cross-attention row (which
+depends only on the hybrid representation), both made once. The new
+position's scores are [B x H x 1 x (t+1)], over a view of the t cached keys
+and its own, under the same causal and key-pad rule, and the classifier
+runs on that one row. Training and evaluation are the case of a fresh
+cache: every position is new, and the new rows are attended directly.
 
 Multi-head attention is ``Concat(head_1..head_H) @ wo + bo`` (Vaswani et
 al. 2017, section 3.2.2), with one [d x d] matrix per role: head h's query,
 key and value projections are column block h of ``wq``, ``wk`` and ``wv``,
 and its output projection is row block h of ``wo``. Self-attention projects
-Q, K and V once each, splits the heads into a [B x H x L x d_head] stack
-with a reshape and an axis permutation, runs one scaled dot-product
-attention over every head of every sequence, and merges the heads back into
-[B*L x d] rows for one ``wo`` product. The visual unit, the fusion block and
-decoder cross-attention attend over one [1 x d] key row; a softmax over one
-score is exactly 1, so they are the paper's layers evaluated exactly in
-closed form, ``(kv @ wv) @ wo + bo``, with no query/key weights.
+Q, K and V once each into [B*L x d] rows and runs one
+``tensor.multi_head_attention`` over every head of every sequence: the op
+splits head h as column block h of those rows, a strided view, and merges
+the heads back into [B*L x d] rows for one ``wo`` dense layer. The visual
+unit, the fusion block and decoder cross-attention attend over one [1 x d]
+key row; a softmax over one score is exactly 1, so they are the paper's
+layers evaluated exactly in closed form, ``(kv @ wv) @ wo + bo``, with no
+query/key weights.
 
 Baseline (image-only) models set ``demographic_dim`` to zero, which removes
 the semantic and fusion parameters entirely; the hybrid representation is
@@ -213,7 +217,7 @@ def check_parameters(params: dict[str, Tensor], cfg: ModelConfig) -> None:
 
 
 def _linear(x: Tensor, params, prefix: str) -> Tensor:
-    return T.add(T.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return T.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
@@ -226,19 +230,10 @@ def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tenso
     # followed by the L new ones.
     attended = T.matmul(keyvalue, params[f"{prefix}.wv"])
     if mask is not None:
-        n_seq, length = mask.shape[:2]
-
-        def heads(rows):   # [B*L x d] -> [B x H x L x d_head]
-            split = T.reshape(rows, (n_seq, length, cfg.n_heads, cfg.d_head))
-            return T.permute(split, (0, 2, 1, 3))
-
-        q = heads(T.matmul(keyvalue, params[f"{prefix}.wq"]))
-        k, v = cache.extend(prefix, heads(T.matmul(keyvalue, params[f"{prefix}.wk"])),
-                            heads(attended))
-        mask = mask[:, None].repeat(cfg.n_heads, axis=1)
-        attended = T.scaled_dot_attention(q, k, v, mask)
-        attended = T.reshape(T.permute(attended, (0, 2, 1, 3)), (n_seq * length, cfg.d_model))
-    return T.add(T.matmul(attended, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+        q = T.matmul(keyvalue, params[f"{prefix}.wq"])
+        k, v = cache.extend(prefix, T.matmul(keyvalue, params[f"{prefix}.wk"]), attended)
+        attended = T.multi_head_attention(q, k, v, cfg.n_heads, mask)
+    return T.linear(attended, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _maybe_dropout(x: Tensor, cfg: ModelConfig, training: bool, rng) -> Tensor:
@@ -315,39 +310,39 @@ class DecodeCache:
     """What a ``decoder_forward`` call needs of the positions decoded before it.
 
     Pass a fresh ``DecodeCache()`` with the first ids, then keep passing it
-    with only the ids that follow. It holds, per self-attention block, the
-    [B x H x t x d_head] K and V rows of every head for the t positions
-    decoded so far and their [B x t] key-keep mask (ids != PAD_ID); each
-    decoder block's [B x d] cross-attention row and the positional table,
-    both made on the first call; and nothing that records a gradient.
+    with only the ids that follow. The first call sizes it for B sequences
+    of up to ``max_len`` positions and makes what every later call reuses:
+    a [B x max_len] key-keep buffer (ids != PAD_ID), the [max_len x max_len]
+    causal mask, and each decoder block's [B x d] cross-attention row. Each
+    self-attention block gets one [B x max_len x d] K row buffer and one V
+    row buffer; a call writes its positions' rows in place and attends over
+    a view of the first ``length``. Nothing in it records a gradient.
     """
 
     def __init__(self):
-        self.keep = None        # [B x t] bool, None before the first call
-        self.keys = {}          # attention block prefix -> [B x H x t x d_head]
+        self.length = 0         # positions decoded so far
+        self.keep = None        # [B x max_len] bool, None before the first call
+        self.causal = None      # [max_len x max_len] bool, lower triangular
+        self.keys = {}          # attention block prefix -> [B x max_len x d]
         self.values = {}
         self.cross = []         # per decoder block, a [B x d] Tensor
-        self.positions = None   # [max_len x d_embed] sinusoidal table
-
-    @property
-    def length(self) -> int:
-        return 0 if self.keep is None else self.keep.shape[1]
 
     def extend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new positions' K/V rows (axis -2) to block ``name``'s;
-        return all of them."""
-        if name in self.keys:
-            k = Tensor(np.concatenate([self.keys[name], k.data], axis=-2))
-            v = Tensor(np.concatenate([self.values[name], v.data], axis=-2))
-        self.keys[name], self.values[name] = k.data, v.data
-        return k, v
-
-
-def _causal_pad_mask(keep: np.ndarray, offset: int) -> np.ndarray:
-    """[B x L x total] for the L positions after ``offset`` of sequences whose
-    [B x total] key-keep mask is ``keep``: position offset + j may attend to
-    its sequence's kept positions <= offset + j."""
-    return np.tri(keep.shape[1], dtype=bool)[offset:] & keep[:, None, :]
+        """Write the new positions' [B*L x d] K and V rows into block
+        ``name``'s buffers, after the earlier positions; return every
+        position's rows: on a first call the new rows themselves, else
+        [B x length x d] views of the buffers."""
+        n_seq, capacity = self.keep.shape
+        start = self.length - k.shape[0] // n_seq
+        if name not in self.keys:
+            self.keys[name] = np.empty((n_seq, capacity, k.shape[1]), dtype=k.data.dtype)
+            self.values[name] = np.empty_like(self.keys[name])
+        keys, values = self.keys[name], self.values[name]
+        keys[:, start:self.length] = k.data.reshape(n_seq, -1, k.shape[1])
+        values[:, start:self.length] = v.data.reshape(n_seq, -1, v.shape[1])
+        if start == 0:
+            return k, v
+        return Tensor._wrap(keys[:, :self.length]), Tensor._wrap(values[:, :self.length])
 
 
 def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
@@ -391,29 +386,28 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
             f"token id out of range [0, {cfg.vocab_size}): {int(ids.min())}..{int(ids.max())}"
         )
     x = T.embedding(params["embed.table"], ids.reshape(-1))
-    keep = ids != PAD_ID
-    if offset:
-        keep = np.concatenate([cache.keep, keep], axis=1)
-    else:
+    if not offset:
         # the first call makes what every later call reuses
-        cache.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, dtype=x.data.dtype)
+        cache.keep = np.empty((n_seq, cfg.max_len), dtype=bool)
+        cache.causal = np.tri(cfg.max_len, dtype=bool)
         cache.cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
                        for i in range(cfg.n_decoder_blocks)]
-    cache.keep = keep
-    positions = cache.positions[offset:offset + length]
-    x = T.add(x, Tensor(np.tile(positions, (n_seq, 1))))
+    total = offset + length
+    cache.keep[:, offset:total] = ids != PAD_ID
+    cache.length = total
+    # position offset + j may attend to its sequence's kept positions <= offset + j
+    mask = cache.causal[offset:total, :total] & cache.keep[:, None, :total]
+    positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, x.data.dtype)
+    x = T.add(x, Tensor(np.tile(positions[offset:total], (n_seq, 1))))
     x = _maybe_dropout(x, cfg, training, rng)
-    mask = _causal_pad_mask(keep, offset)
-    owner = Tensor(np.eye(n_seq).repeat(length, axis=0))
     for i in range(cfg.n_decoder_blocks):
         attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask, cache)
         attended = _maybe_dropout(attended, cfg, training, rng)
         x = T.layer_norm(T.add(x, attended),
                          params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
-        # every position attends to its sequence's one hybrid row: compute the
-        # [B x d] result once, then broadcast row b to stream rows b*L..b*L+L-1
-        # with the one-hot owner matrix
-        cross = _maybe_dropout(T.matmul(owner, cache.cross[i]), cfg, training, rng)
+        # every position attends to its sequence's one hybrid row: the [B x d]
+        # result is computed once and row b repeated for its L stream rows
+        cross = _maybe_dropout(T.repeat_rows(cache.cross[i], length), cfg, training, rng)
         x = T.layer_norm(T.add(x, cross),
                          params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
         ff = T.relu(_linear(x, params, f"dec{i}.ff"))
@@ -431,14 +425,16 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
     and the cross-attention rows, so a report of n ids runs n decoder
     positions, not the n(n+1)/2 of re-running every prefix.
 
-    Temperature 0 is exact argmax; otherwise the next id is drawn from
+    Temperature 0, or one too small to divide by in the logits' dtype, is
+    exact argmax; otherwise the next id is drawn from
     softmax(logits / temperature) with a generator seeded by ``seed``, so
-    repeated calls with identical arguments return identical sequences.
+    repeated calls with identical arguments return identical sequences. A
+    temperature that is negative or not finite is a ``ContractError``.
     Returns ids without the start marker, at most ``cfg.max_len`` of them,
     ending with ``END_ID`` unless the length cap was hit first.
     """
-    if temperature < 0:
-        raise ContractError(f"temperature must be non-negative, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ContractError(f"temperature must be finite and non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
     out: list[int] = []
     cache = DecodeCache()
@@ -448,12 +444,12 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
         while len(out) < cfg.max_len:
             logits = decoder_forward([next_id], hybrid, params, cfg, cache=cache)
             last = logits.data[-1]
-            if temperature == 0.0:
+            if temperature < np.finfo(last.dtype).tiny:   # 0, or it underflows to 0
                 next_id = int(np.argmax(last))
             else:
-                scaled = last / temperature
-                scaled = scaled - scaled.max()
-                probs = np.exp(scaled)
+                # shifted before the division, so a tiny temperature cannot
+                # make inf - inf = NaN
+                probs = np.exp((last - last.max()) / temperature)
                 probs /= probs.sum()
                 next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
                 next_id = min(next_id, cfg.vocab_size - 1)

@@ -2,17 +2,21 @@
 
 This is the numeric substrate for the report-generation model: n-dimensional
 float arrays plus exactly the differentiable operations the network needs
-(matmul, softmax, layer norm, scaled dot-product attention, embeddings,
-cross-entropy, dropout). Values are stored as row-major 32-bit floats by
-default; a 64-bit mode exists for numerical verification (finite-difference
-gradient checks are meaningless in single precision).
+(matmul, biased dense layers, layer norm, multi-head attention, embeddings,
+row repetition, cross-entropy, dropout). Values are stored as row-major
+32-bit floats by default; a 64-bit mode exists for numerical verification
+(finite-difference gradient checks are meaningless in single precision).
 
-Most operations take rank-2 ``[rows x width]`` tensors. ``matmul``,
-``apply_attention_mask`` and ``scaled_dot_attention`` also take stacks
-``[... x rows x width]`` of any rank with equal leading dimensions (softmax,
-``permute`` and the elementwise ops take any rank), and ``reshape`` and
-``permute`` move between layouts, so attention over every head of a padded
-batch runs as one op per step rather than one per example and head.
+Most operations take rank-2 ``[rows x width]`` tensors; ``matmul`` also
+takes stacks ``[... x rows x width]`` of equal leading dimensions. A layer
+the model runs many times is one fused op with a hand-written backward rule
+rather than a chain of small ops: ``linear`` is a product plus its bias, and
+``multi_head_attention`` takes the query, key and value rows of B padded
+sequences, splits every head as a strided view of them, and runs the scaled
+scores, the mask, the softmax and the weighted values of all heads, then
+merges the heads back into rows, as one tape entry. Its backward rule runs
+the same arithmetic, in the same order, as the chain of separate ops it
+replaced (kept in the test suite as the reference).
 
 Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
@@ -31,6 +35,7 @@ shape, so repeated runs on the same platform are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -61,7 +66,8 @@ def default_dtype(dtype):
 class Tensor:
     """A dense array with an optional gradient buffer.
 
-    ``data`` is a C-contiguous numpy array (row-major flat storage).
+    ``data`` is a numpy array, C-contiguous (row-major flat storage) except
+    for the views of its key/value buffers that ``model.DecodeCache`` wraps.
     ``grad`` is set by the backward pass and always matches ``data`` in
     shape. The shape is fixed at construction; treat tensors as immutable
     except for the optimizer's in-place parameter update.
@@ -83,9 +89,9 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, array: np.ndarray) -> "Tensor":
-        """Wrap an op result without re-casting dtype."""
+        """Wrap an op result as it is: no dtype cast, no copy."""
         out = cls.__new__(cls)
-        out.data = np.ascontiguousarray(array)
+        out.data = array
         out.requires_grad = False
         out.grad = None
         out.grad_slot = None
@@ -251,37 +257,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, vjp)
 
 
-def permute(a: Tensor, axes) -> Tensor:
-    """Reorder the axes: output axis i is input axis ``axes[i]``."""
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute: {axes} is not a permutation of the axes of {tuple(a.shape)}")
-    out = Tensor._wrap(a.data.transpose(axes))
-    return _record((a,), out, lambda g: (g.transpose(np.argsort(axes)),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    """The same elements in row-major order under a new shape."""
-    in_shape = a.data.shape
-    if math.prod(shape) != a.data.size:
-        raise ShapeError(f"reshape: cannot view shape {in_shape} as {tuple(shape)}")
-    out = Tensor._wrap(a.data.reshape(shape))
-    return _record((a,), out, lambda g: (g.reshape(in_shape),))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a 2-D input."""
-    a_shape, b_shape = a.data.shape, b.data.shape
-    bias_rows = len(a_shape) == 2 and b_shape == a_shape[1:]
-    if not bias_rows and a_shape != b_shape:
-        raise ShapeError(f"add: incompatible shapes {a_shape} + {b_shape}")
+    """Elementwise sum of same-shape tensors."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {tuple(a.shape)} + {tuple(b.shape)}")
     out = Tensor._wrap(a.data + b.data)
+    return _record((a, b), out, lambda g: (g, g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A biased dense layer ``x @ w + b`` over the rows of a rank-2 ``x``."""
+    x_data, w_data = x.data, w.data
+    if x_data.ndim != 2 or w_data.ndim != 2 or x_data.shape[1] != w_data.shape[0] \
+            or b.data.shape != w_data.shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes {x_data.shape} x {w_data.shape} "
+                         f"+ {b.data.shape}")
+    out_data = x_data @ w_data
+    out = Tensor._wrap(np.add(out_data, b.data, out=out_data))
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def vjp(g):
-        gb = g.sum(axis=0) if bias_rows else g
-        return (g, gb)
+        return (
+            g @ w_data.T if need_x else None,
+            x_data.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None,
+        )
 
-    return _record((a, b), out, vjp)
+    return _record((x, w, b), out, vjp)
+
+
+def repeat_rows(x: Tensor, times: int) -> Tensor:
+    """Each row of a rank-2 ``x`` repeated ``times`` times, copies adjacent:
+    [B x d] -> [B*times x d], row b to rows b*times .. b*times + times - 1."""
+    if x.ndim != 2:
+        raise ShapeError(f"repeat_rows expects a rank-2 input, got shape {tuple(x.shape)}")
+    rows, width = x.shape
+    out = Tensor._wrap(x.data.repeat(times, axis=0))
+    return _record((x,), out, lambda g: (g.reshape(rows, times, width).sum(axis=1),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -310,22 +322,6 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(a.data.sum(), dtype=a.data.dtype))
     shape_like = a.data
     return _record((a,), out, lambda g: (np.full_like(shape_like, g.reshape(())),))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, stabilized by max-subtraction."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for shape {tuple(x.shape)}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_data = exps / exps.sum(axis=axis, keepdims=True)
-    out = Tensor._wrap(out_data)
-
-    def vjp(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - inner),)
-
-    return _record((x,), out, vjp)
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -404,49 +400,67 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record((x,), out, lambda g: (g * keep * factor,))
 
 
-def apply_attention_mask(scores: Tensor, mask) -> Tensor:
-    """Set masked-out score entries to -inf ahead of the softmax.
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) -> Tensor:
+    """Scaled dot-product attention of every head of every sequence, one op:
+    per head, softmax(q k^T / sqrt(d_head)) v, heads merged back into rows.
 
-    ``mask`` is a boolean array of the scores' shape ([Lq x Lk], or
-    [... x Lq x Lk] for a stack), True where attention is allowed. A query
-    row with no allowed key has no defined attention distribution, so that
-    is rejected rather than silently producing NaN.
+    ``mask`` is a boolean [B x Lq x Lk], True where attention is allowed,
+    shared by all heads. ``q`` holds the [B*Lq x d] query rows, row
+    b*Lq + i for query i of sequence b; ``k`` and ``v`` hold the keys' and
+    values' rows, [B*Lk x d] or [B x Lk x d] (a view is read in place).
+    Head h is column block h of width d_head = d / n_heads; the heads are
+    split and merged as strided views. Returns the [B*Lq x d] attended rows.
+    A query row with no allowed key has no defined attention distribution,
+    so that is rejected rather than silently producing NaN.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape:
-        raise ShapeError(
-            f"attention mask shape {tuple(mask.shape)} does not match scores {tuple(scores.shape)}"
-        )
-    unmasked_per_row = mask.any(axis=-1)
-    if not unmasked_per_row.all():
-        row = np.unravel_index(int(np.argmin(unmasked_per_row)), unmasked_per_row.shape)
-        where = ", ".join(str(int(i)) for i in row)
-        raise ContractError(f"attention query row {where} has every key masked out")
-    out = Tensor._wrap(np.where(mask, scores.data, -np.inf))
-    return _record((scores,), out, lambda g: (g * mask,))
+    if mask.ndim != 3:
+        raise ShapeError(f"attention mask must be [B x Lq x Lk], got shape {mask.shape}")
+    n_seq, n_query, n_key = mask.shape
+    width = q.shape[-1]
+    key_shapes = ((n_seq * n_key, width), (n_seq, n_key, width))
+    if width % n_heads or q.shape != (n_seq * n_query, width) \
+            or k.shape not in key_shapes or v.shape not in key_shapes:
+        raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"for {n_heads} heads under a {mask.shape} mask")
+    allowed = mask.any(axis=-1)
+    if not allowed.all():
+        seq, row = np.unravel_index(int(np.argmin(allowed)), allowed.shape)
+        raise ContractError(
+            f"attention query row {row} of sequence {seq} has every key masked out")
+    d_head = width // n_heads
+    factor = 1.0 / math.sqrt(d_head)
 
+    def heads(rows, length):   # [B*L x d] or [B x L x d] -> [B x H x L x d_head] view
+        return rows.reshape(n_seq, length, n_heads, d_head).transpose(0, 2, 1, 3)
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v.
+    def rows_of(stack, shape):  # [B x H x L x d_head] -> rows in the layout of ``shape``
+        return stack.transpose(0, 2, 1, 3).reshape(shape)
 
-    Shapes: q [Lq x d], k [Lk x d], v [Lk x dv]; mask, when given, is a
-    boolean [Lq x Lk] with True marking attendable keys. A stack of
-    independent attentions puts the same leading dimensions ahead of each,
-    e.g. q [B x H x Lq x d], k [B x H x Lk x d], v [B x H x Lk x dv] and a
-    [B x H x Lq x Lk] mask.
-    """
-    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
-    # checked up front so that a mismatch records nothing on the tape
-    if not (2 <= len(q_shape) == len(k_shape) == len(v_shape)
-            and q_shape[:-2] == k_shape[:-2] == v_shape[:-2]
-            and q_shape[-1] == k_shape[-1] and k_shape[-2] == v_shape[-2]):
-        raise ShapeError(f"attention: incompatible q {q_shape}, k {k_shape}, v {v_shape}")
-    swap_last = (*range(len(k_shape) - 2), len(k_shape) - 1, len(k_shape) - 2)
-    scores = scale(matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
-    if mask is not None:
-        scores = apply_attention_mask(scores, mask)
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, v)
+    q_heads, v_heads = heads(q.data, n_query), heads(v.data, n_key)
+    # the keys' transpose is laid out contiguously, as the composed chain's
+    # permute made it: BLAS rounds a transposed operand differently
+    k_t = np.ascontiguousarray(heads(k.data, n_key).swapaxes(-1, -2))
+    mask = mask[:, None]
+    scores = (q_heads @ k_t) * np.asarray(factor, dtype=q.data.dtype)
+    scores = np.where(mask, scores, -np.inf)
+    exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = exps / exps.sum(axis=-1, keepdims=True)
+    out = Tensor._wrap(rows_of(weights @ v_heads, q.shape))
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def vjp(g):   # the composed chain's rules in its reverse order
+        g = heads(g, n_query)
+        gv = rows_of(weights.swapaxes(-1, -2) @ g, v.shape) if need_v else None
+        gw = g @ v_heads.swapaxes(-1, -2)
+        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+        gs = gs * mask * factor
+        gq = rows_of(gs @ k_t.swapaxes(-1, -2), q.shape) if need_q else None
+        gk = rows_of((q_heads.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k.shape) \
+            if need_k else None
+        return (gq, gk, gv)
+
+    return _record((q, k, v), out, vjp)
 
 
 def sparse_cross_entropy(logits: Tensor, targets, mask=None, reduction: str = "mean") -> Tensor:
@@ -496,12 +510,22 @@ def sparse_cross_entropy(logits: Tensor, targets, mask=None, reduction: str = "m
 
 
 def sinusoidal_positions(length: int, width: int, dtype=None) -> np.ndarray:
-    """Fixed sine/cosine positional encoding table of shape [length x width]."""
-    dtype = dtype or _default_dtype
+    """Fixed sine/cosine positional encoding table of shape [length x width].
+
+    The table is built once per (length, width, dtype) and shared, so it is
+    read-only.
+    """
+    return _positions(length, width, np.dtype(dtype or _default_dtype))
+
+
+@functools.cache
+def _positions(length: int, width: int, dtype: np.dtype) -> np.ndarray:
     positions = np.arange(length, dtype=np.float64)[:, None]
     dims = np.arange(width, dtype=np.float64)[None, :]
     angles = positions / np.power(10000.0, (2.0 * (dims // 2)) / width)
     table = np.zeros((length, width), dtype=np.float64)
     table[:, 0::2] = np.sin(angles[:, 0::2])
     table[:, 1::2] = np.cos(angles[:, 1::2])
-    return table.astype(dtype)
+    table = table.astype(dtype)
+    table.flags.writeable = False
+    return table

@@ -18,6 +18,7 @@ epoch with the lowest validation loss.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -50,6 +51,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience, when set, must be at least 1")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ConfigError(
+                f"grad_clip, when set, must be a positive finite number, got {self.grad_clip}")
 
 
 @dataclass(frozen=True)
@@ -148,16 +152,18 @@ def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tup
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+    """Scale every gradient in place by ``max_norm / norm`` when their global
+    L2 norm exceeds ``max_norm``; return the norm. The squares are summed in
+    float64, so float32 gradients cannot overflow it; a norm that is still
+    not finite (a NaN or infinite gradient) raises ``TrainingError``."""
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads))
+    if not math.isfinite(norm):
+        raise TrainingError(f"gradient norm is {norm}")
     if norm > max_norm:
         factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        for g in grads:
+            g *= factor
     return norm
 
 

@@ -16,7 +16,14 @@ package's ``parameter_shapes``, and ``per_head_attention`` is built from the
 package's tensor ops so that it can stand in for the model's layer.
 ``counter_bleu`` and ``per_pair_embedding_f1`` keep the per-pair metrics
 that the batched ones replaced; ``per_pair_embedding_f1`` looks tokens up
-with the table's own ``lookup``.
+with the table's own ``lookup``. ``permute``, ``reshape``, ``add`` (with its
+bias broadcast), ``softmax``, ``apply_attention_mask`` and
+``scaled_dot_attention`` are the tensor ops that the fused ones replaced,
+recorded on the package's tape; ``composed_multi_head_attention``,
+``composed_linear`` and ``owner_repeat_rows`` chain them (and the
+package's ``matmul`` and ``scale``) into the reference for
+``tensor.multi_head_attention``, ``tensor.linear`` and
+``tensor.repeat_rows``.
 """
 
 import math
@@ -176,8 +183,10 @@ def split_heads(params, cfg):
 def per_head_attention(heads):
     """``model._multi_head_attention`` as it was before the heads were
     joined: a loop over heads, each with its own projections from the
-    per-head tensors ``heads``, their output projections summed. Takes the
-    model function's arguments, so it can stand in for it."""
+    per-head tensors ``heads``, attended with the composed
+    ``scaled_dot_attention``, their output projections summed. Each head
+    keeps its own K/V buffers in the cache. Takes the model function's
+    arguments, so it can stand in for it."""
     from cxrgen import tensor as T
 
     def attention(params, prefix, cfg, keyvalue, mask=None, cache=None):
@@ -185,18 +194,144 @@ def per_head_attention(heads):
         for h in range(cfg.n_heads):
             attended = T.matmul(keyvalue, heads[f"{prefix}.h{h}.wv"])
             if mask is not None:
-                stacked = (*mask.shape[:2], cfg.d_head)
-                q = T.reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]), stacked)
-                k = T.reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), stacked)
-                v = T.reshape(attended, stacked)
-                k, v = cache.extend(f"{prefix}.h{h}", k, v)
-                attended = T.scaled_dot_attention(q, k, v, mask)
-                attended = T.reshape(attended, (keyvalue.shape[0], cfg.d_head))
+                n_seq, length, total = mask.shape
+                q = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]),
+                            (n_seq, length, cfg.d_head))
+                k, v = cache.extend(f"{prefix}.h{h}",
+                                    T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), attended)
+                k, v = (reshape(t, (n_seq, total, cfg.d_head)) for t in (k, v))
+                attended = scaled_dot_attention(q, k, v, mask)
+                attended = reshape(attended, (keyvalue.shape[0], cfg.d_head))
             projected = T.matmul(attended, heads[f"{prefix}.h{h}.wo"])
-            out = projected if out is None else T.add(out, projected)
-        return T.add(out, params[f"{prefix}.bo"])
+            out = projected if out is None else add(out, projected)
+        return add(out, params[f"{prefix}.bo"])
 
     return attention
+
+
+# -- the composed attention chain and the ops the fused ones replaced -------
+
+def _op(inputs, out_data, vjp):
+    """Record ``out_data`` as one tape entry of the package's tensor core."""
+    from cxrgen import tensor as T
+
+    return T._record(inputs, T.Tensor._wrap(np.ascontiguousarray(out_data)), vjp)
+
+
+def permute(a, axes):
+    """Reorder the axes: output axis i is input axis ``axes[i]``."""
+    from cxrgen.errors import ShapeError
+
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"permute: {axes} is not a permutation of the axes of {tuple(a.shape)}")
+    return _op((a,), a.data.transpose(axes), lambda g: (g.transpose(np.argsort(axes)),))
+
+
+def reshape(a, shape):
+    """The same elements in row-major order under a new shape."""
+    from cxrgen.errors import ShapeError
+
+    in_shape = a.data.shape
+    if math.prod(shape) != a.data.size:
+        raise ShapeError(f"reshape: cannot view shape {in_shape} as {tuple(shape)}")
+    return _op((a,), a.data.reshape(shape), lambda g: (g.reshape(in_shape),))
+
+
+def add(a, b):
+    """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a 2-D input."""
+    from cxrgen.errors import ShapeError
+
+    a_shape, b_shape = a.data.shape, b.data.shape
+    bias_rows = len(a_shape) == 2 and b_shape == a_shape[1:]
+    if not bias_rows and a_shape != b_shape:
+        raise ShapeError(f"add: incompatible shapes {a_shape} + {b_shape}")
+    return _op((a, b), a.data + b.data, lambda g: (g, g.sum(axis=0) if bias_rows else g))
+
+
+def softmax(x, axis=-1):
+    """Softmax along ``axis``, stabilized by max-subtraction."""
+    from cxrgen.errors import ShapeError
+
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"softmax: axis {axis} out of range for shape {tuple(x.shape)}")
+    exps = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    out_data = exps / exps.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        return (out_data * (g - inner),)
+
+    return _op((x,), out_data, vjp)
+
+
+def apply_attention_mask(scores, mask):
+    """Set masked-out score entries to -inf ahead of the softmax; ``mask`` is
+    a boolean array of the scores' shape, True where attention is allowed. A
+    query row with no allowed key is a ``ContractError``."""
+    from cxrgen.errors import ContractError, ShapeError
+
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != scores.shape:
+        raise ShapeError(
+            f"attention mask shape {tuple(mask.shape)} does not match scores {tuple(scores.shape)}"
+        )
+    unmasked_per_row = mask.any(axis=-1)
+    if not unmasked_per_row.all():
+        row = np.unravel_index(int(np.argmin(unmasked_per_row)), unmasked_per_row.shape)
+        where = ", ".join(str(int(i)) for i in row)
+        raise ContractError(f"attention query row {where} has every key masked out")
+    return _op((scores,), np.where(mask, scores.data, -np.inf), lambda g: (g * mask,))
+
+
+def scaled_dot_attention(q, k, v, mask=None):
+    """softmax(q k^T / sqrt(d)) v as a chain of separate tape entries.
+
+    Shapes: q [Lq x d], k [Lk x d], v [Lk x dv] and a boolean [Lq x Lk]
+    mask, or stacks of them with the same leading dimensions.
+    """
+    from cxrgen import tensor as T
+    from cxrgen.errors import ShapeError
+
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    if not (2 <= len(q_shape) == len(k_shape) == len(v_shape)
+            and q_shape[:-2] == k_shape[:-2] == v_shape[:-2]
+            and q_shape[-1] == k_shape[-1] and k_shape[-2] == v_shape[-2]):
+        raise ShapeError(f"attention: incompatible q {q_shape}, k {k_shape}, v {v_shape}")
+    swap_last = (*range(len(k_shape) - 2), len(k_shape) - 1, len(k_shape) - 2)
+    scores = T.scale(T.matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
+    if mask is not None:
+        scores = apply_attention_mask(scores, mask)
+    return T.matmul(softmax(scores, axis=-1), v)
+
+
+def composed_multi_head_attention(q, k, v, n_heads, mask):
+    """``tensor.multi_head_attention`` as the chain it replaced: split the
+    heads of the [B*L x d] rows with reshape and permute, repeat the
+    [B x Lq x Lk] mask over the heads, attend, merge the heads back."""
+    n_seq, n_query, n_key = np.shape(mask)
+    d_head = q.shape[-1] // n_heads
+
+    def heads(rows, length):
+        return permute(reshape(rows, (n_seq, length, n_heads, d_head)), (0, 2, 1, 3))
+
+    attended = scaled_dot_attention(heads(q, n_query), heads(k, n_key), heads(v, n_key),
+                                    np.asarray(mask)[:, None].repeat(n_heads, axis=1))
+    return reshape(permute(attended, (0, 2, 1, 3)), (n_seq * n_query, q.shape[-1]))
+
+
+def composed_linear(x, w, b):
+    """``tensor.linear`` as the product and the bias add it replaced."""
+    from cxrgen import tensor as T
+
+    return add(T.matmul(x, w), b)
+
+
+def owner_repeat_rows(x, times):
+    """``tensor.repeat_rows`` as the one-hot owner product it replaced."""
+    from cxrgen import tensor as T
+
+    return T.matmul(T.Tensor(np.eye(x.shape[0]).repeat(times, axis=0)), x)
 
 
 def finite_difference_gradients(loss_fn, params, step=1e-3):
@@ -360,8 +495,8 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):
     from cxrgen.model import decoder_forward, encode_inputs
     from cxrgen.text import END_ID, START_ID
 
-    if temperature < 0:
-        raise ContractError(f"temperature must be non-negative, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ContractError(f"temperature must be finite and non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
     out = []
     with T.no_grad():
@@ -370,12 +505,12 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):
             prefix = np.asarray([START_ID] + out, dtype=np.int64)
             logits = decoder_forward(prefix, hybrid, params, cfg)
             last = logits.data[-1]
-            if temperature == 0.0:
+            if temperature < np.finfo(last.dtype).tiny:   # 0, or it underflows to 0
                 next_id = int(np.argmax(last))
             else:
-                scaled = last / temperature
-                scaled = scaled - scaled.max()
-                probs = np.exp(scaled)
+                # shifted before the division, so a tiny temperature cannot
+                # make inf - inf = NaN
+                probs = np.exp((last - last.max()) / temperature)
                 probs /= probs.sum()
                 next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
                 next_id = min(next_id, cfg.vocab_size - 1)

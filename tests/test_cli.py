@@ -310,6 +310,33 @@ class TestTrainGenerate:
         assert not (tmp_path / "run").exists() and not (tmp_path / "hyp.txt").exists()
 
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf", "-inf"])
+    def test_bad_temperature_is_usage_error(self, pipeline, tmp_path, capsys, value):
+        """Rejected by argparse, before the checkpoint is read: a corrupt
+        checkpoint would exit 3."""
+        bad = tmp_path / "ckpt"
+        shutil.copytree(pipeline["run"] / "best", bad)
+        (bad / "params.bin").write_bytes(b"corrupt")
+        assert main(["generate", "--checkpoint", str(bad), "--data", str(pipeline["prep"]),
+                     "--out", str(tmp_path / "hyp.txt"), f"--temperature={value}"]) == 2
+        assert "argument --temperature" in capsys.readouterr().err
+        assert not (tmp_path / "hyp.txt").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_grad_clip_is_usage_error(self, pipeline, tmp_path, capsys, value):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(pipeline["prep"]), "--out", str(run),
+                     "--d-model", "16", "--n-heads", "2", "--epochs", "1",
+                     f"--grad-clip={value}"]) == 2
+        assert "grad_clip" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_negative_seed_is_usage_error(self, pipeline, tmp_path, capsys):
+        assert main(["synth-data", "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluateCompare:
     def test_identity_corpus_scores_one(self, pipeline, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -486,3 +513,47 @@ class TestEvaluateProperty:
         assert "Traceback" not in stderr.getvalue()
         if code:
             assert stderr.getvalue().startswith("error: ")
+
+
+@st.composite
+def generate_options(draw):
+    """``generate`` options: finite, negative and non-finite temperatures,
+    every split, present and missing subsets, valid and negative seeds."""
+    temperature = draw(st.one_of(
+        st.sampled_from(["0", "0.5", "1", "-0.5", "nan", "inf", "-inf"]),
+        st.floats(-2.0, 4.0).map(repr)))
+    return [f"--temperature={temperature}",
+            "--split", draw(st.sampled_from(["train", "val", "test"])),
+            "--subset", str(draw(st.sampled_from([0, 1, 2, -1]))),
+            f"--seed={draw(st.integers(-3, 2 ** 40))}"]
+
+
+class TestGenerateProperty:
+    @staticmethod
+    def _generate(pipeline, options, out_dir):
+        argv = ["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                "--data", str(pipeline["prep"]), "--out", str(out_dir / "hyp.txt"), *options]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        return code, stderr.getvalue()
+
+    @given(generate_options())
+    @settings(max_examples=25, deadline=None)
+    def test_any_options_exit_with_a_documented_code(self, pipeline, options):
+        """Every run exits 0, 2 or 3 with no traceback; a valid run repeated
+        writes the same bytes and the same generation statistics."""
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = [Path(tmp) / "a", Path(tmp) / "b"]
+            code, err = self._generate(pipeline, options, runs[0])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err
+            if code:
+                assert "error" in err
+                return
+            assert self._generate(pipeline, options, runs[1]) == (0, "")
+            hyps = [(run / "hyp.txt").read_bytes() for run in runs]
+            stats = [json.loads((run / "provenance.json").read_text())["generation"]
+                     for run in runs]
+        assert hyps[0] == hyps[1]
+        assert stats[0] == stats[1]

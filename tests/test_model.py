@@ -15,8 +15,8 @@ from cxrgen.tensor import Tensor
 from cxrgen.text import END_ID, PAD_ID, START_ID
 from cxrgen.training import EncodedExample, batch_loss
 
-from oracles import (full_prefix_generate, full_softmax_mha, head_block, per_head_attention,
-                     per_head_init, per_head_shapes, split_heads)
+from oracles import (add, full_prefix_generate, full_softmax_mha, head_block,
+                     per_head_attention, per_head_init, per_head_shapes, split_heads)
 
 TINY = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2, vocab_size=20,
                    max_len=8, demographic_dim=7, n_decoder_blocks=1, dropout_rate=0.0)
@@ -268,7 +268,7 @@ class TestDecoder:
         logits = decoder_forward(ids, hybrid, params, TINY)
 
         x = T.embedding(params["embed.table"], ids)
-        x = T.add(x, Tensor(T.sinusoidal_positions(1, TINY.d_embed)))
+        x = add(x, Tensor(T.sinusoidal_positions(1, TINY.d_embed)))
 
         def heads_summed(prefix, rows):
             out = None
@@ -276,16 +276,16 @@ class TestDecoder:
                 wv, wo = (Tensor(head_block(params[f"{prefix}.{role}"].data, role, h,
                                             TINY.n_heads)) for role in ("wv", "wo"))
                 proj = T.matmul(T.matmul(rows, wv), wo)
-                out = proj if out is None else T.add(out, proj)
-            return T.add(out, params[f"{prefix}.bo"])
+                out = proj if out is None else add(out, proj)
+            return add(out, params[f"{prefix}.bo"])
 
         sa = heads_summed("dec0.self_attn", x)
-        x = T.layer_norm(T.add(x, sa), params["dec0.norm1.gain"], params["dec0.norm1.bias"])
+        x = T.layer_norm(add(x, sa), params["dec0.norm1.gain"], params["dec0.norm1.bias"])
         ca = heads_summed("dec0.cross_attn", hybrid)
-        x = T.layer_norm(T.add(x, ca), params["dec0.norm2.gain"], params["dec0.norm2.bias"])
-        ff = T.relu(T.add(T.matmul(x, params["dec0.ff.w"]), params["dec0.ff.b"]))
-        x = T.add(x, ff)
-        expected = T.add(T.matmul(x, params["classifier.w"]), params["classifier.b"])
+        x = T.layer_norm(add(x, ca), params["dec0.norm2.gain"], params["dec0.norm2.bias"])
+        ff = T.relu(add(T.matmul(x, params["dec0.ff.w"]), params["dec0.ff.b"]))
+        x = add(x, ff)
+        expected = add(T.matmul(x, params["classifier.w"]), params["classifier.b"])
         np.testing.assert_allclose(logits.data, expected.data, rtol=1e-5, atol=1e-6)
 
     def test_multi_token_matches_full_softmax_attention_oracle(self):
@@ -373,6 +373,18 @@ class TestGenerate:
         params, features, demo = self._setup()
         with pytest.raises(ContractError):
             generate(features, demo, params, TINY, temperature=-0.1, seed=0)
+
+    @pytest.mark.parametrize("temperature", [1e-30, 1e-300, 5e-324])
+    def test_tiny_temperature_samples_the_argmax(self, temperature):
+        params, features, demo = self._setup()
+        greedy = generate(features, demo, params, TINY, temperature=0.0)
+        assert generate(features, demo, params, TINY, temperature=temperature, seed=3) == greedy
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        params, features, demo = self._setup()
+        with pytest.raises(ContractError, match="finite"):
+            generate(features, demo, params, TINY, temperature=temperature, seed=0)
 
     def test_baseline_model_generates_without_demographics(self):
         cfg = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2,
@@ -531,10 +543,14 @@ class TestJoinedHeads:
             cache = DecodeCache()
             decoder_forward([[START_ID, 4, 5], [START_ID, 6, PAD_ID]], hybrid, params, cfg,
                             cache=cache)
+            buffers = [*cache.keys.values(), *cache.values.values()]
             decoder_forward([[7], [8]], hybrid, params, cfg, cache=cache)
         assert sorted(cache.keys) == sorted(cache.values) == ["dec0.self_attn", "dec1.self_attn"]
-        for held in (*cache.keys.values(), *cache.values.values()):
-            assert held.shape == (2, cfg.n_heads, 4, cfg.d_head)
+        held = [*cache.keys.values(), *cache.values.values()]
+        assert all(now is before for now, before in zip(held, buffers))   # written in place
+        for buffer in held:
+            assert buffer.shape == (2, cfg.max_len, cfg.d_model)
+        assert cache.length == 4
 
 
 class TestGradientReach:

@@ -13,9 +13,10 @@ from cxrgen.errors import ConfigError, ContractError, TrainingError
 from cxrgen.model import ModelConfig, decoder_forward, encode_inputs, init_parameters
 from cxrgen.optim import Adam
 from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
-from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, encode_examples,
-                             epoch_order, evaluate_loss, fit, teacher_forcing_batch,
-                             train_step)
+from cxrgen.tensor import Tensor
+from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, clip_gradients,
+                             encode_examples, epoch_order, evaluate_loss, fit,
+                             teacher_forcing_batch, train_step)
 
 from oracles import (PerTensorAdam, direct_softmax, padded_teacher_forcing_batch,
                      per_example_batch_loss)
@@ -285,6 +286,57 @@ class TestTrainStep:
         train_step(examples[:2], params, optimizer, cfg, grad_clip=1e-6)
         # after clipping, the applied step is tiny but finite
         assert all(np.isfinite(p.data).all() for p in params.values())
+
+
+class TestGradientClipping:
+    @staticmethod
+    def _params(*grads):
+        params = {"no_grad": Tensor(np.ones(3), requires_grad=True)}
+        for i, grad in enumerate(grads):
+            params[f"p{i}"] = Tensor(np.zeros_like(grad), requires_grad=True)
+            params[f"p{i}"].grad = np.array(grad, dtype=np.float32)
+        return params
+
+    @staticmethod
+    def _norm(params):
+        return math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum())
+                             for p in params.values() if p.grad is not None))
+
+    def test_clipped_norm_equals_max_norm(self):
+        rng = np.random.default_rng(0)
+        params = self._params(rng.normal(size=(4, 3)) * 10, rng.normal(size=5) * 10)
+        before = self._norm(params)
+        assert clip_gradients(params, 1.5) == before > 1.5
+        assert abs(self._norm(params) - 1.5) <= 1e-6
+        assert params["no_grad"].grad is None
+
+    def test_norm_within_max_is_left_untouched(self):
+        rng = np.random.default_rng(1)
+        params = self._params(rng.normal(size=(4, 3)), rng.normal(size=5))
+        grads = [p.grad.copy() for p in params.values() if p.grad is not None]
+        norm = clip_gradients(params, self._norm(params) * 2)
+        assert norm == self._norm(params)
+        for p, grad in zip((p for p in params.values() if p.grad is not None), grads):
+            assert p.grad.tobytes() == grad.tobytes()
+
+    def test_float32_squares_do_not_overflow(self):
+        params = self._params(np.full(4, 2e19))   # norm 4e19; each square 4e38 > float32 max
+        assert clip_gradients(params, 1.0) == pytest.approx(4e19, rel=1e-6)
+        assert np.isfinite(params["p0"].grad).all()
+        assert abs(self._norm(params) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_is_a_training_error(self, bad):
+        params = self._params([1.0, bad, 2.0])
+        with pytest.raises(TrainingError, match="gradient norm"):
+            clip_gradients(params, 1.0)
+
+    @pytest.mark.parametrize("grad_clip", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_a_clip_that_is_not_positive_and_finite(self, grad_clip):
+        with pytest.raises(ConfigError, match="grad_clip"):
+            TrainConfig(grad_clip=grad_clip)
+        assert TrainConfig(grad_clip=0.5).grad_clip == 0.5
+        assert TrainConfig().grad_clip is None
 
 
 class TestShuffling:
