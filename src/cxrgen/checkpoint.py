@@ -6,13 +6,14 @@ ordered parameter names, per-tensor shape, byte offset, and sha256) plus
 order. Loading verifies every tensor's checksum, so a single corrupted byte
 is detected and attributed to the tensor it sits in. Saving writes both
 files into a fresh sibling directory and renames it into place, so a
-failure part-way leaves any checkpoint already at the path intact.
+failure part-way leaves any checkpoint already at the path intact. A
+checkpoint being replaced is first renamed aside to ``.<name>.<hex>.old``
+and renamed back if the second rename fails; a process killed between the
+two renames leaves it there, to be renamed back by hand.
 
-Format 3 stores one matrix per attention role. Formats 1 and 2 still load:
-they stored one block per head and role (format 1 also stored query/key
-blocks for the single-key attention blocks). Every stored block's checksum
-is verified, then the blocks are joined into the model's matrices and the
-single-key query/key blocks are dropped.
+The format (version 3) stores one matrix per attention role. Only that
+version loads; the per-head layouts of versions 1 and 2 are an
+``IntegrityError``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, IntegrityError
-from .model import ATTENTION_ROLES, ModelConfig, check_parameters, join_heads, parameter_shapes
+from .model import ModelConfig, check_parameters, parameter_shapes
 from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
@@ -80,7 +81,12 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
         # a directory cannot be renamed onto a non-empty one: move the old aside
         if directory.exists():
             os.replace(directory, retired)
-        os.replace(staging, directory)
+        try:
+            os.replace(staging, directory)
+        except BaseException:
+            if retired.exists():   # put the old checkpoint back before giving up
+                os.replace(retired, directory)
+            raise
         shutil.rmtree(retired, ignore_errors=True)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -99,30 +105,11 @@ def read_manifest(path) -> dict:
         raise IntegrityError(f"checkpoint manifest {manifest_path} is not a JSON object")
     version = manifest.get("format_version")
     # True == 1 and 1.0 == 1 in Python, so check the type before the value
-    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise IntegrityError(
             f"unsupported checkpoint format version {version!r}"
         )
     return manifest
-
-
-def _stored_shapes(cfg: ModelConfig, version: int) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every tensor a checkpoint of ``version`` stores, in order."""
-    shapes = parameter_shapes(cfg)
-    stored = {}
-    for name, shape in shapes.items():
-        prefix, _, role = name.rpartition(".")
-        if version == FORMAT_VERSION or role not in ATTENTION_ROLES:
-            stored[name] = shape
-        elif role == "wo":
-            # formats 1 and 2 stored each head's blocks together, head by
-            # head; format 1 also kept the single-key blocks' wq and wk
-            roles = ATTENTION_ROLES if version == 1 or f"{prefix}.wq" in shapes else ("wv", "wo")
-            for h in range(cfg.n_heads):
-                for r in roles:
-                    stored[f"{prefix}.h{h}.{r}"] = ((cfg.d_head, cfg.d_model) if r == "wo"
-                                                    else (cfg.d_model, cfg.d_head))
-    return stored
 
 
 def _well_formed(entry) -> bool:
@@ -142,24 +129,25 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     blob_name = manifest.get("blob", BLOB_NAME)
     if not isinstance(blob_name, str) or not (directory / blob_name).exists():
         raise IntegrityError(f"checkpoint blob {blob_name!r} missing from {directory}")
-    blob = (directory / blob_name).read_bytes()
+    # slices of a view copy nothing: each tensor's bytes are copied once, into its array
+    blob = memoryview((directory / blob_name).read_bytes())
     if len(blob) != manifest.get("blob_nbytes"):
         raise IntegrityError(
             f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"
         )
-    stored = _stored_shapes(cfg, manifest["format_version"])
+    shapes = parameter_shapes(cfg)
     entries = manifest.get("tensors")
     if not isinstance(entries, list) or not all(_well_formed(entry) for entry in entries):
         raise IntegrityError("checkpoint manifest has a malformed tensor list")
-    if [entry["name"] for entry in entries] != list(stored):
+    if [entry["name"] for entry in entries] != list(shapes):
         raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
-    arrays: dict[str, np.ndarray] = {}
+    params: dict[str, Tensor] = {}
     for entry in entries:
         name = entry["name"]
         shape = tuple(entry["shape"])
-        if shape != stored[name]:
+        if shape != shapes[name]:
             raise IntegrityError(
-                f"tensor {name!r} has shape {shape} in manifest, expected {stored[name]}"
+                f"tensor {name!r} has shape {shape} in manifest, expected {shapes[name]}"
             )
         start, nbytes = entry["offset"], entry["nbytes"]
         raw = blob[start:start + nbytes]
@@ -167,13 +155,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
             raise IntegrityError(f"checkpoint blob truncated inside tensor {name!r}")
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    params: dict[str, Tensor] = {}
-    for name in parameter_shapes(cfg):
-        prefix, _, role = name.rpartition(".")
-        data = arrays[name] if name in arrays else join_heads(
-            role, [arrays[f"{prefix}.h{h}.{role}"] for h in range(cfg.n_heads)])
-        params[name] = Tensor(data.copy(), requires_grad=True)
+        params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy(),
+                              requires_grad=True)
     return params, cfg
 
 

@@ -5,8 +5,9 @@ Every artifact-producing command writes a ``provenance.json`` next to its
 outputs holding the fully resolved options, seeds, and sha256 checksums of
 its inputs, which is sufficient to reproduce the artifact bit for bit.
 ``generate`` adds a ``generation`` block: reports, tokens emitted, mean
-length, end-marker hit rate, reports cut at ``max_len``, and ``<unk>`` ids
-emitted.
+length, end-marker hit rate, reports cut at ``max_len``, ``<unk>`` ids
+emitted, and empty reports (the end marker emitted first), which are
+written as empty lines and scored by ``evaluate``.
 
 Options may come from a JSON config file (``--config``), required ones
 included. Its values are parsed like flags, so a value of the wrong type or
@@ -15,7 +16,7 @@ config-file values, which win over built-in defaults.
 
 Exit codes: 0 success, 2 usage or configuration error (a path that cannot
 be opened is one), 3 data integrity failure (text input that is not UTF-8
-is one), 4 numeric failure.
+is one, and so is a checkpoint of format 1 or 2), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
         "out": str(out),
     }, inputs=[Path(args.checkpoint) / "params.bin"],
-        generation=_generation_stats(generated, cfg.max_len))
+        generation={**_generation_stats(generated, cfg.max_len),
+                    "empty_reports": hyp_lines.count("")})
     print(f"generated {len(hyp_lines)} reports to {out}")
     return 0
 

@@ -483,18 +483,3 @@ def load_prepared_dataset(path) -> list[DataPoint]:
                 raise IntegrityError(f"{path}:{lineno}: bad prepared record: {exc}") from exc
     return points
 
-
-def stub_feature_extractor(descriptor, feature_dim: int, seed: int = 0) -> np.ndarray:
-    """Deterministic stand-in for a convolutional backbone.
-
-    Projects any numeric image descriptor through a fixed seeded random
-    matrix to a ``feature_dim``-length vector; exists so ingestion can be
-    exercised end to end without real image features.
-    """
-    descriptor = np.asarray(descriptor, dtype=np.float64).reshape(-1)
-    if descriptor.size == 0:
-        raise ContractError("descriptor must be non-empty")
-    projection = np.random.default_rng(seed).normal(
-        0.0, 1.0 / np.sqrt(descriptor.size), size=(descriptor.size, feature_dim)
-    )
-    return (descriptor @ projection).astype(np.float32)

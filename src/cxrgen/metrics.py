@@ -4,7 +4,10 @@ and a paired two-sided Student's t-test for model comparison.
 BLEU here is corpus-level: clipped n-gram matches are aggregated over the
 whole corpus before taking the uniform geometric mean of orders 1..n and
 multiplying by the brevity penalty. A zero clipped count at any order is
-smoothed by substituting EPSILON for the numerator.
+smoothed by substituting EPSILON for the numerator. A hypothesis may be
+empty (a model can emit the end marker first): it adds no n-grams and no
+length, and it scores 0 in precision and recall of the embedding scores.
+The BLEU of a corpus of empty hypotheses is 0. A reference may not be empty.
 
 The embedding scores follow the greedy-matching recipe of BERTScore but run
 over an injected static token-embedding table; no pretrained contextual
@@ -54,9 +57,9 @@ class Corpus:
             )
         if not hyp:
             raise ContractError("corpus is empty")
-        for i, (h, r) in enumerate(zip(hyp, ref)):
-            if not h or not r:
-                raise ContractError(f"corpus pair {i} contains an empty sequence")
+        for i, r in enumerate(ref):
+            if not r:
+                raise ContractError(f"corpus pair {i} has an empty reference")
         return cls(hyp, ref)
 
     def __len__(self):
@@ -84,7 +87,8 @@ def bleu(corpus: Corpus, max_n: int = 4) -> list[float]:
             totals[n - 1] += len(hyp) - n + 1
             clipped = _ngram_counts(hyp, n) & _ngram_counts(ref, n)
             matches[n - 1] += sum(clipped.values())
-    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    # exp(1 - r/c) below the reference length, which tends to 0 as c does
+    brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len)) if hyp_len else 0.0
     log_precisions = []
     for n in range(max_n):
         numerator = matches[n] if matches[n] > 0 else EPSILON
@@ -137,18 +141,9 @@ class EmbeddingTable:
         matrix.flags.writeable = False
         self.matrix = matrix
         self.rows = dict(zip(vectors, range(len(values))))
-        self.dim = matrix.shape[1]
         self.unknown_policy = unknown_policy
         self.inverse_norms = np.zeros(len(values) + 1)
         np.divide(1.0, norms, out=self.inverse_norms[:-1], where=norms > 0)
-
-    def lookup(self, token: str) -> np.ndarray:
-        row = self.rows.get(token)
-        if row is None:
-            if self.unknown_policy == "error":
-                raise ContractError(f"token {token!r} has no embedding")
-            return np.zeros(self.dim)
-        return self.matrix[row]
 
     def row_numbers(self, tokens) -> np.ndarray:
         """The rows of ``matrix`` that hold ``tokens``; an unknown token is
@@ -200,7 +195,8 @@ def _padded_vectors(seqs, table: EmbeddingTable):
     their ``[P x L]`` inverse norms (0 at pads and unknown tokens), the mask
     of real positions and the lengths."""
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    real = np.arange(lengths.max()) < lengths[:, None]
+    # at least one position, so that a group of empty sequences has one to reduce over
+    real = np.arange(max(lengths.max(), 1)) < lengths[:, None]
     index = np.full(real.shape, len(table.rows))
     index[real] = table.row_numbers([token for seq in seqs for token in seq])
     # row V is past the matrix: "clip" reads row V - 1, and its inverse norm of 0 cancels it
@@ -214,10 +210,11 @@ def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, f
     Per pair, precision is the mean over hypothesis tokens of the best
     cosine similarity to any reference token, recall the symmetric quantity;
     pair scores are averaged over the corpus and F1 is the harmonic mean of
-    the aggregates. A zero vector (an unknown token under the ``zero``
-    policy) has similarity 0 to everything, and it can still be a token's
-    best match. Static embeddings can make P or R negative; F1 is 0.0
-    unless both are positive, so it stays in [0, 1].
+    the aggregates. A pair with an empty hypothesis has P = R = 0. A zero
+    vector (an unknown token under the ``zero`` policy) has similarity 0 to
+    everything, and it can still be a token's best match. Static embeddings
+    can make P or R negative; F1 is 0.0 unless both are positive, so it
+    stays in [0, 1].
 
     Pairs are scored F1_GROUP at a time: one gather of the group's vectors,
     one batched product ``[P x Lh x dim] @ [P x dim x Lr]`` scaled by the
@@ -236,8 +233,9 @@ def embedding_f1(corpus: Corpus, table: EmbeddingTable) -> tuple[float, float, f
         sims *= ref_inv[:, None, :]
         sims[~(hyp_real[:, :, None] & ref_real[:, None, :])] = -np.inf
         best_hyp = np.where(hyp_real, sims.max(axis=2), 0.0)
-        best_ref = np.where(ref_real, sims.max(axis=1), 0.0)
-        p_sum += float((best_hyp.sum(axis=1) / hyp_len).sum())
+        # an empty hypothesis (its first position is a pad) scores 0
+        best_ref = np.where(ref_real & hyp_real[:, :1], sims.max(axis=1), 0.0)
+        p_sum += float((best_hyp.sum(axis=1) / np.maximum(hyp_len, 1)).sum())
         r_sum += float((best_ref.sum(axis=1) / ref_len).sum())
     p = p_sum / len(corpus)
     r = r_sum / len(corpus)

@@ -381,10 +381,7 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
         raise ContractError(
             f"sequence length {offset + length} exceeds the maximum {cfg.max_len}"
         )
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ContractError(
-            f"token id out of range [0, {cfg.vocab_size}): {int(ids.min())}..{int(ids.max())}"
-        )
+    # tensor.embedding range-checks the ids before the cache is touched
     x = T.embedding(params["embed.table"], ids.reshape(-1))
     if not offset:
         # the first call makes what every later call reuses

@@ -22,6 +22,8 @@ rate is set per optimizer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError
@@ -45,8 +47,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
-        if lr <= 0:
-            raise ContractError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < math.inf:
+            raise ContractError(f"learning rate must be positive and finite, got {lr}")
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ContractError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")

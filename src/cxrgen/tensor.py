@@ -3,9 +3,10 @@
 This is the numeric substrate for the report-generation model: n-dimensional
 float arrays plus exactly the differentiable operations the network needs
 (matmul, biased dense layers, layer norm, multi-head attention, embeddings,
-row repetition, cross-entropy, dropout). Values are stored as row-major
-32-bit floats by default; a 64-bit mode exists for numerical verification
-(finite-difference gradient checks are meaningless in single precision).
+row repetition, a cross-entropy summed over a row mask, dropout). Values
+are stored as row-major 32-bit floats by default; a 64-bit mode exists for
+numerical verification (finite-difference gradient checks are meaningless
+in single precision).
 
 Most operations take rank-2 ``[rows x width]`` tensors; ``matmul`` also
 takes stacks ``[... x rows x width]`` of equal leading dimensions. A layer
@@ -296,15 +297,6 @@ def repeat_rows(x: Tensor, times: int) -> Tensor:
     return _record((x,), out, lambda g: (g.reshape(rows, times, width).sum(axis=1),))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {tuple(a.shape)} * {tuple(b.shape)}")
-    out = Tensor._wrap(a.data * b.data)
-    a_data, b_data = a.data, b.data
-    return _record((a, b), out, lambda g: (g * b_data, g * a_data))
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     out = Tensor._wrap(a.data * np.asarray(factor, dtype=a.data.dtype))
@@ -315,13 +307,6 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(a.data, 0))
     positive = a.data > 0
     return _record((a,), out, lambda g: (g * positive,))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor._wrap(np.asarray(a.data.sum(), dtype=a.data.dtype))
-    shape_like = a.data
-    return _record((a,), out, lambda g: (np.full_like(shape_like, g.reshape(())),))
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -463,47 +448,37 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) ->
     return _record((q, k, v), out, vjp)
 
 
-def sparse_cross_entropy(logits: Tensor, targets, mask=None, reduction: str = "mean") -> Tensor:
-    """Cross-entropy of integer ``targets`` against per-row ``logits``.
-
-    Rows where ``mask`` is False contribute exactly zero to the value and to
-    the gradient. ``reduction`` is "mean" (over selected rows) or "sum".
-    """
+def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
+    """Summed cross-entropy of integer ``targets`` against per-row
+    ``logits`` over the rows where the boolean ``mask`` is True; the other
+    rows contribute exactly zero to the value and to the gradient."""
     if logits.ndim != 2:
         raise ShapeError(f"cross entropy expects [T x V] logits, got {tuple(logits.shape)}")
     targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
     n_rows, n_classes = logits.shape
     if targets.shape != (n_rows,):
         raise ShapeError(f"targets shape {tuple(targets.shape)} does not match {n_rows} rows")
+    if mask.shape != (n_rows,):
+        raise ShapeError(f"mask shape {tuple(mask.shape)} does not match {n_rows} rows")
     if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         raise ContractError(f"target id out of range [0, {n_classes})")
-    if mask is None:
-        mask = np.ones(n_rows, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n_rows,):
-            raise ShapeError(f"mask shape {tuple(mask.shape)} does not match {n_rows} rows")
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise ContractError("cross entropy over zero selected rows")
-    if reduction not in ("mean", "sum"):
-        raise ContractError(f"unknown reduction {reduction!r}")
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     rows = np.arange(n_rows)
     picked = log_probs[rows, targets]
-    total = -(picked * mask).sum()
-    denom = count if reduction == "mean" else 1
-    out = Tensor._wrap(np.asarray(total / denom, dtype=logits.data.dtype))
+    out = Tensor._wrap(np.asarray(-(picked * mask).sum(), dtype=logits.data.dtype))
 
     probs = np.exp(log_probs)
 
     def vjp(g):
         gl = probs.copy()
         gl[rows, targets] -= 1.0
-        gl *= (mask / denom)[:, None]
+        gl *= mask[:, None]
         return (gl * g.reshape(()),)
 
     return _record((logits,), out, vjp)

@@ -45,8 +45,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be a positive finite number, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.patience is not None and self.patience < 1:
@@ -146,8 +147,7 @@ def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tup
                            params, cfg, training=training, rng=rng)
     logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
     count = int(mask.sum())
-    total = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1),
-                                   reduction="sum")
+    total = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
     return T.scale(total, 1.0 / count), count
 
 

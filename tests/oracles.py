@@ -16,19 +16,28 @@ package's ``parameter_shapes``, and ``per_head_attention`` is built from the
 package's tensor ops so that it can stand in for the model's layer.
 ``counter_bleu`` and ``per_pair_embedding_f1`` keep the per-pair metrics
 that the batched ones replaced; ``per_pair_embedding_f1`` looks tokens up
-with the table's own ``lookup``. ``permute``, ``reshape``, ``add`` (with its
+one at a time with ``lookup``. ``permute``, ``reshape``, ``add`` (with its
 bias broadcast), ``softmax``, ``apply_attention_mask`` and
 ``scaled_dot_attention`` are the tensor ops that the fused ones replaced,
 recorded on the package's tape; ``composed_multi_head_attention``,
 ``composed_linear`` and ``owner_repeat_rows`` chain them (and the
 package's ``matmul`` and ``scale``) into the reference for
 ``tensor.multi_head_attention``, ``tensor.linear`` and
-``tensor.repeat_rows``.
+``tensor.repeat_rows``. ``mul`` and ``sum_all`` are tensor ops that only
+tests use, to reduce an op's output to a scalar loss.
+
+Some entry points left the package because no command uses them:
+``lookup`` reads one token's vector from a ``metrics.EmbeddingTable``,
+``stub_feature_extractor`` stands in for a convolutional backbone, and
+``legacy_checkpoint`` reads the per-head checkpoint formats 1 and 2, which
+``checkpoint.load_checkpoint`` rejects.
 """
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -334,6 +343,26 @@ def owner_repeat_rows(x, times):
     return T.matmul(T.Tensor(np.eye(x.shape[0]).repeat(times, axis=0)), x)
 
 
+def mul(a, b):
+    """Elementwise (Hadamard) product of same-shape tensors."""
+    from cxrgen import tensor as T
+    from cxrgen.errors import ShapeError
+
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: incompatible shapes {tuple(a.shape)} * {tuple(b.shape)}")
+    a_data, b_data = a.data, b.data
+    return T._record((a, b), T.Tensor._wrap(a_data * b_data), lambda g: (g * b_data, g * a_data))
+
+
+def sum_all(a):
+    """Sum of all elements, as a scalar tensor."""
+    from cxrgen import tensor as T
+
+    out = T.Tensor._wrap(np.asarray(a.data.sum(), dtype=a.data.dtype))
+    shape_like = a.data
+    return T._record((a,), out, lambda g: (np.full_like(shape_like, g.reshape(())),))
+
+
 def finite_difference_gradients(loss_fn, params, step=1e-3):
     """Central finite differences of a scalar function of named parameter tensors.
 
@@ -481,7 +510,7 @@ def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
         hybrid = encode_inputs(ex.features, ex.demo, params, cfg, training=training, rng=rng)
         inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
         logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
-        part = T.sparse_cross_entropy(logits, targets, mask, reduction="sum")
+        part = T.sparse_cross_entropy(logits, targets, mask)
         total = part if total is None else T.add(total, part)
         count += int(mask.sum())
     return T.scale(total, 1.0 / count), count
@@ -525,7 +554,8 @@ def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 
 
     Counts n-grams with plain dict loops, clips per pair against the single
     reference, aggregates corpus-level, applies the uniform geometric mean
-    and the brevity penalty exp(1 - r/c) when c < r.
+    and the brevity penalty exp(1 - r/c) when c < r, whose limit is 0 for a
+    corpus of empty hypotheses (c = 0).
     """
     def grams(seq, n):
         counts = {}
@@ -547,7 +577,12 @@ def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 
             for gram, count in h_counts.items():
                 clipped[n - 1] += min(count, r_counts.get(gram, 0))
                 totals[n - 1] += count
-    bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / c_len)
+    if c_len >= r_len:
+        bp = 1.0
+    elif c_len == 0:
+        bp = 0.0
+    else:
+        bp = math.exp(1.0 - r_len / c_len)
     scores = []
     for n in range(1, max_n + 1):
         log_sum = 0.0
@@ -579,7 +614,12 @@ def counter_bleu(corpus, max_n=4, epsilon=1e-9):
             matches[n - 1] += sum(
                 min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
             )
-    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    if hyp_len >= ref_len:
+        brevity = 1.0
+    elif hyp_len == 0:
+        brevity = 0.0
+    else:
+        brevity = math.exp(1.0 - ref_len / hyp_len)
     log_precisions = []
     for n in range(max_n):
         numerator = matches[n] if matches[n] > 0 else epsilon
@@ -592,14 +632,31 @@ def counter_bleu(corpus, max_n=4, epsilon=1e-9):
     return scores
 
 
+def lookup(table, token):
+    """One token's vector of a ``metrics.EmbeddingTable``: its row of the
+    matrix, or under the ``zero`` policy the zero vector for an unknown
+    token, which raises ``ContractError`` under ``error``."""
+    from cxrgen.errors import ContractError
+
+    row = table.rows.get(token)
+    if row is None:
+        if table.unknown_policy == "error":
+            raise ContractError(f"token {token!r} has no embedding")
+        return np.zeros(table.matrix.shape[1])
+    return table.matrix[row]
+
+
 def per_pair_embedding_f1(corpus, table):
     """Greedy-match P/R/F1 with one similarity matrix per pair, built from
-    ``table.lookup`` rows, their norms and a masked divide."""
+    ``lookup`` rows, their norms and a masked divide. A pair with an empty
+    hypothesis adds 0 to P and to R."""
     p_sum = 0.0
     r_sum = 0.0
     for hyp, ref in zip(corpus.hypotheses, corpus.references):
-        hyp_vecs = np.asarray([table.lookup(t) for t in hyp])
-        ref_vecs = np.asarray([table.lookup(t) for t in ref])
+        if not hyp:
+            continue
+        hyp_vecs = np.asarray([lookup(table, t) for t in hyp])
+        ref_vecs = np.asarray([lookup(table, t) for t in ref])
         norms = np.outer(np.linalg.norm(hyp_vecs, axis=1), np.linalg.norm(ref_vecs, axis=1))
         sims = np.divide(hyp_vecs @ ref_vecs.T, norms, out=np.zeros_like(norms),
                          where=norms > 0)
@@ -652,3 +709,47 @@ def paired_t_statistic(a, b):
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
     return mean / math.sqrt(var / n)
+
+
+def stub_feature_extractor(descriptor, feature_dim, seed=0):
+    """Deterministic stand-in for a convolutional backbone.
+
+    Projects any numeric image descriptor through a fixed seeded random
+    matrix to a ``feature_dim``-length float32 vector, so that ingestion can
+    be exercised end to end without real image features.
+    """
+    from cxrgen.errors import ContractError
+
+    descriptor = np.asarray(descriptor, dtype=np.float64).reshape(-1)
+    if descriptor.size == 0:
+        raise ContractError("descriptor must be non-empty")
+    projection = np.random.default_rng(seed).normal(
+        0.0, 1.0 / np.sqrt(descriptor.size), size=(descriptor.size, feature_dim)
+    )
+    return (descriptor @ projection).astype(np.float32)
+
+
+def legacy_checkpoint(path):
+    """Parameters and config of a format-1 or format-2 checkpoint, which
+    stored one block per head and role, head by head (format 1 also stored
+    query/key blocks for the single-key attention blocks). Each manifest
+    entry is sliced from the blob, the ``<prefix>.h<h>.<role>`` blocks are
+    joined per role with ``model.join_heads``, and blocks the model has no
+    matrix for (format 1's single-key query/key blocks) are dropped."""
+    from cxrgen.model import ModelConfig, join_heads, parameter_shapes
+    from cxrgen.tensor import Tensor
+
+    path = Path(path)
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    cfg = ModelConfig.from_dict(manifest["config"])
+    blob = (path / manifest["blob"]).read_bytes()
+    arrays = {entry["name"]: np.frombuffer(blob, dtype="<f4", offset=entry["offset"],
+                                           count=entry["nbytes"] // 4).reshape(entry["shape"])
+              for entry in manifest["tensors"]}
+    params = {}
+    for name in parameter_shapes(cfg):
+        prefix, _, role = name.rpartition(".")
+        data = arrays[name] if name in arrays else join_heads(
+            role, [arrays[f"{prefix}.h{h}.{role}"] for h in range(cfg.n_heads)])
+        params[name] = Tensor(data.copy(), requires_grad=True)
+    return params, cfg

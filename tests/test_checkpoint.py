@@ -1,9 +1,10 @@
 """Checkpoint round trips are byte-exact; corruption and malformed
 manifests are detected and attributed; an interrupted save leaves the
-previous checkpoint loadable; formats 1 and 2 still load."""
+previous checkpoint loadable; formats 1 and 2 are rejected, and the
+weights they hold still give the outputs recorded when they were written."""
 
 import json
-import shutil
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,13 @@ import pytest
 
 from cxrgen.checkpoint import (FORMAT_VERSION, load_checkpoint, parameter_checksum,
                                read_manifest, save_checkpoint)
+from cxrgen.cli import main
 from cxrgen.errors import ContractError, IntegrityError, ShapeError
 from cxrgen.model import (ModelConfig, decoder_forward, encode_inputs, generate,
                           init_parameters)
 from cxrgen.tensor import Tensor
+
+from oracles import legacy_checkpoint
 
 # A format-1 checkpoint of CFG written by the format-1 code (commit ae46b1b),
 # which still stored query/key weights for the single-key attention blocks.
@@ -74,6 +78,21 @@ def test_single_byte_corruption_detected_with_tensor_name(tmp_path, params):
         load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("victim_name", ["visual.attn.wv", "fusion.attn.wo",
+                                         "dec0.self_attn.wk", "dec0.cross_attn.wv"])
+def test_single_byte_corruption_of_an_attention_matrix_detected(tmp_path, params,
+                                                                 victim_name):
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    blob_path = tmp_path / "ckpt" / "params.bin"
+    victim = next(e for e in read_manifest(tmp_path / "ckpt")["tensors"]
+                  if e["name"] == victim_name)
+    blob = bytearray(blob_path.read_bytes())
+    blob[victim["offset"] + 1] ^= 0x10
+    blob_path.write_bytes(bytes(blob))
+    with pytest.raises(IntegrityError, match=victim_name):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_truncated_blob_detected(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     blob_path = tmp_path / "ckpt" / "params.bin"
@@ -97,6 +116,33 @@ def test_failed_save_leaves_the_previous_checkpoint_loadable(tmp_path, params, m
         save_checkpoint(newer, CFG, tmp_path / "ckpt")
     monkeypatch.undo()
     assert "params.bin" in written
+    loaded, cfg = load_checkpoint(tmp_path / "ckpt")
+    assert parameter_checksum(loaded, cfg) == before
+    assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
+
+
+@pytest.mark.parametrize("error", [OSError("rename failed"), KeyboardInterrupt()],
+                         ids=["OSError", "KeyboardInterrupt"])
+def test_save_interrupted_between_its_renames_keeps_the_previous_checkpoint(
+        tmp_path, params, monkeypatch, error):
+    """The old checkpoint is moved aside by the first rename; when the second
+    one raises, it is moved back before the error propagates."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    before = parameter_checksum(params, CFG)
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append((Path(src).name, Path(dst).name))
+        if len(calls) == 2:
+            raise error
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(type(error)):
+        save_checkpoint(init_parameters(CFG, seed=4), CFG, tmp_path / "ckpt")
+    monkeypatch.undo()
+    assert len(calls) == 3 and calls[2][1] == "ckpt"
     loaded, cfg = load_checkpoint(tmp_path / "ckpt")
     assert parameter_checksum(loaded, cfg) == before
     assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
@@ -204,10 +250,10 @@ def test_format_version_must_be_an_int(tmp_path, params, version):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def _loads_with_identical_outputs(checkpoint, version):
+def _legacy_weights_give_identical_outputs(checkpoint, version):
     expected = json.loads((checkpoint / "expected.json").read_text())
-    assert read_manifest(checkpoint)["format_version"] == version
-    loaded, cfg = load_checkpoint(checkpoint)
+    assert json.loads((checkpoint / "manifest.json").read_text())["format_version"] == version
+    loaded, cfg = legacy_checkpoint(checkpoint)
     assert cfg == CFG
     assert list(loaded) == list(init_parameters(CFG))
     features, demo = np.asarray(expected["features"]), np.asarray(expected["demo"])
@@ -222,33 +268,25 @@ def _loads_with_identical_outputs(checkpoint, version):
 
 
 def test_v1_checkpoint_loads_with_identical_outputs():
-    _loads_with_identical_outputs(V1_CHECKPOINT, 1)
+    """Through the test-side reader: the package rejects format 1."""
+    _legacy_weights_give_identical_outputs(V1_CHECKPOINT, 1)
 
 
 def test_v2_checkpoint_loads_with_identical_outputs():
-    _loads_with_identical_outputs(V2_CHECKPOINT, 2)
+    """Through the test-side reader: the package rejects format 2."""
+    _legacy_weights_give_identical_outputs(V2_CHECKPOINT, 2)
 
 
-def _tampered_blob_detected(checkpoint, victim_name, tmp_path):
-    ckpt = tmp_path / checkpoint.name
-    shutil.copytree(checkpoint, ckpt)
-    victim = next(e for e in read_manifest(ckpt)["tensors"] if e["name"] == victim_name)
-    blob = bytearray((ckpt / "params.bin").read_bytes())
-    blob[victim["offset"] + 1] ^= 0x10
-    (ckpt / "params.bin").write_bytes(bytes(blob))
-    with pytest.raises(IntegrityError, match=victim_name):
-        load_checkpoint(ckpt)
-
-
-@pytest.mark.parametrize("victim_name", ["visual.attn.h0.wq", "dec0.cross_attn.h1.wv"])
-def test_tampered_v1_blob_detected(tmp_path, victim_name):
-    _tampered_blob_detected(V1_CHECKPOINT, victim_name, tmp_path)
-
-
-@pytest.mark.parametrize("victim_name", ["dec0.self_attn.h1.wo", "fusion.attn.h0.wo",
-                                         "dec0.self_attn.h0.wk"])
-def test_tampered_v2_blob_detected(tmp_path, victim_name):
-    _tampered_blob_detected(V2_CHECKPOINT, victim_name, tmp_path)
+@pytest.mark.parametrize("checkpoint, version", [(V1_CHECKPOINT, 1), (V2_CHECKPOINT, 2)],
+                         ids=["v1", "v2"])
+def test_legacy_format_is_rejected_with_its_version(tmp_path, capsys, checkpoint, version):
+    message = f"unsupported checkpoint format version {version}"
+    with pytest.raises(IntegrityError, match=message):
+        load_checkpoint(checkpoint)
+    assert main(["generate", "--checkpoint", str(checkpoint), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "hyp.txt")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "hyp.txt").exists()
 
 
 def test_format_3_stores_one_matrix_per_role(tmp_path, params):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
 from cxrgen.text import END_ID, UNK_ID
@@ -264,6 +265,7 @@ class TestTrainGenerate:
         stats = json.loads((pipeline["root"] / "provenance.json").read_text())["generation"]
         lines = pipeline["hyp"].read_text().splitlines()
         assert stats["reports"] == len(lines)
+        assert stats["empty_reports"] == lines.count("")
         assert stats["mean_length"] == stats["tokens"] / stats["reports"]
         # markers and pads are emitted but not written out
         assert stats["tokens"] >= sum(len(line.split()) for line in lines)
@@ -323,6 +325,38 @@ class TestTrainGenerate:
         assert not (tmp_path / "hyp.txt").exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_learning_rate_is_usage_error(self, pipeline, tmp_path, capsys, value):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(pipeline["prep"]), "--out", str(run),
+                     "--d-model", "16", "--n-heads", "2", "--epochs", "1",
+                     f"--learning-rate={value}"]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_end_first_checkpoint_generates_empty_reports_that_evaluate_scores(
+            self, pipeline, tmp_path):
+        """A model that emits <end> first writes empty lines; evaluate scores
+        them (BLEU 0) instead of rejecting the file."""
+        params, cfg = load_checkpoint(pipeline["run"] / "best")
+        params["classifier.b"].data[END_ID] += 50.0
+        end_first = tmp_path / "end_first"
+        save_checkpoint(params, cfg, end_first,
+                        extra=read_manifest(pipeline["run"] / "best")["extra"])
+        hyp = tmp_path / "gen" / "hyp.txt"
+        assert main(["generate", "--checkpoint", str(end_first), "--data", str(pipeline["prep"]),
+                     "--subset", "0", "--split", "test", "--out", str(hyp),
+                     "--temperature", "0", "--seed", "1"]) == 0
+        lines = hyp.read_text().splitlines()
+        assert lines and all(line == "" for line in lines)
+        stats = json.loads((hyp.parent / "provenance.json").read_text())["generation"]
+        assert stats["empty_reports"] == stats["reports"] == len(lines)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(pipeline["ref"]),
+                     "--out", str(out)]) == 0
+        report = EvaluationReport.from_json(out)
+        assert (report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4) == (0.0,) * 4
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_grad_clip_is_usage_error(self, pipeline, tmp_path, capsys, value):
         run = tmp_path / "run"
         assert main(["train", "--data", str(pipeline["prep"]), "--out", str(run),
@@ -365,12 +399,23 @@ class TestEvaluateCompare:
         assert report.f1_embed == 1.0
         assert "static embedding" in report.note
 
-    def test_empty_hypothesis_line_is_integrity_error(self, pipeline, tmp_path):
+    def test_empty_reference_line_is_integrity_error(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         n_lines = len(pipeline["ref"].read_text().splitlines())
         bad.write_text("\n" * n_lines)
-        assert main(["evaluate", "--hypotheses", str(bad),
-                     "--references", str(pipeline["ref"])]) == 3
+        assert main(["evaluate", "--hypotheses", str(pipeline["ref"]),
+                     "--references", str(bad)]) == 3
+        assert "empty reference" in capsys.readouterr().err
+
+    def test_empty_hypothesis_lines_are_scored(self, pipeline, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        n_lines = len(pipeline["ref"].read_text().splitlines())
+        empty.write_text("\n" * n_lines)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--hypotheses", str(empty),
+                     "--references", str(pipeline["ref"]), "--out", str(out)]) == 0
+        report = EvaluationReport.from_json(out)
+        assert (report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4) == (0.0,) * 4
 
     @pytest.mark.parametrize("line", ["a 1.0 x", "a nan 1"], ids=["not-a-number", "nan"])
     def test_bad_embedding_component_is_usage_error(self, tmp_path, capsys, line):
@@ -456,6 +501,7 @@ class TestEvaluateCompare:
 
 WORDS = ["lungs", "clear", "heart", "size", "normal", "é"]
 token_lines = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+hypothesis_lines = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)   # may be empty
 numbers = st.sampled_from(["1.0", "-0.5", "0", "2e-3"])
 non_numbers = st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "1e200"])
 embedding_lines = st.builds(
@@ -483,7 +529,7 @@ def input_file(draw, lines, n_lines):
 @st.composite
 def evaluate_inputs(draw):
     n_lines = draw(st.integers(1, 3))
-    files = {"--hypotheses": draw(input_file(token_lines, n_lines)),
+    files = {"--hypotheses": draw(input_file(hypothesis_lines, n_lines)),
              "--references": draw(input_file(token_lines, n_lines))}
     if draw(st.booleans()):
         files["--embeddings"] = draw(input_file(embedding_lines, draw(st.integers(1, 6))))

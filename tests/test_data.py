@@ -8,11 +8,13 @@ import pytest
 
 from cxrgen.data import (CorpusSpec, DataPoint, SplitManifest, StratumSpec,
                          build_datapoints, default_corpus_spec, load_prepared_dataset,
-                         load_raw_records, sample_subsets, split, stub_feature_extractor,
-                         synthesize_corpus, write_dataset, write_prepared_dataset)
+                         load_raw_records, sample_subsets, split, synthesize_corpus,
+                         write_dataset, write_prepared_dataset)
 from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_categories
 from cxrgen.errors import ConfigError, ContractError, IntegrityError, SizingError
 from cxrgen.text import CleanReport, END_TOKEN, START_TOKEN
+
+from oracles import stub_feature_extractor
 
 
 def make_point(pid, tokens, gender="female", age=40, ethnicity="e0", features=None):

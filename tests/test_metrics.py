@@ -13,7 +13,7 @@ from cxrgen.errors import ConfigError, ContractError, DegenerateInputError, Inte
 from cxrgen.metrics import (F1_GROUP, Corpus, EmbeddingTable, EvaluationReport, bleu,
                             embedding_f1, evaluate_corpus, paired_t_test)
 
-from oracles import (count_and_clip_bleu, counter_bleu, greedy_match_scores,
+from oracles import (count_and_clip_bleu, counter_bleu, greedy_match_scores, lookup,
                      paired_t_statistic, per_pair_embedding_f1, t_distribution_two_sided_p)
 
 
@@ -102,8 +102,9 @@ class TestBleu:
             Corpus.from_lists([], [])
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ContractError):
-            Corpus.from_lists([[]], [["a"]])
+        """An empty reference; an empty hypothesis is scored (see TestEmptyHypotheses)."""
+        with pytest.raises(ContractError, match="empty reference"):
+            Corpus.from_lists([["a"]], [[]])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ContractError):
@@ -153,7 +154,8 @@ def table_of_kind(kind, policy, rng):
 def f1_cases(draw):
     """A table and a corpus of 1, 2, G - 1, G, G + 1 or 2G + 1 pairs (G is
     F1_GROUP), whose hypothesis and reference lengths are drawn from
-    independent ranges, up to 1 against 40."""
+    independent ranges, up to 1 against 40. In some corpora about half the
+    hypotheses are empty."""
     policy = draw(st.sampled_from(["error", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     table = table_of_kind(draw(st.sampled_from(["random", "zero-row", "simplex"])),
@@ -164,6 +166,8 @@ def f1_cases(draw):
     longest = [draw(st.integers(1, 40)), draw(st.integers(1, 40))]
     sides = [[[words[i] for i in rng.integers(0, len(words), size=rng.integers(1, top + 1))]
               for _ in range(n_pairs)] for top in longest]
+    blank = draw(st.sampled_from([0.0, 0.5]))
+    sides[0] = [[] if rng.random() < blank else hyp for hyp in sides[0]]
     return corpus(*sides), table
 
 
@@ -208,6 +212,52 @@ class TestEmbeddingF1AgainstPerPairOracle:
         monkeypatch.setattr(table, "row_numbers", counting_row_numbers)
         assert embedding_f1(c, table) == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
         assert looked_up == [3 * F1_GROUP] * 4 + [3 * 5] * 2
+
+
+class TestEmptyHypotheses:
+    """A model can emit the end marker first. Its empty hypothesis adds no
+    n-grams and no length to corpus BLEU, and it scores 0 in embedding P and R."""
+
+    @staticmethod
+    def unit_table():
+        return EmbeddingTable({t: np.eye(4)[i] for i, t in enumerate("abcd")})
+
+    def test_bleu_of_mixed_corpora_equals_the_oracles(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            c = random_corpus(rng, n_pairs=int(rng.integers(2, 9)), max_len=6)
+            hyps = [h if rng.random() < 0.5 else () for h in c.hypotheses]
+            hyps[0] = ()
+            mixed = corpus(hyps, c.references)
+            for max_n in (1, 2, 3, 4):
+                np.testing.assert_allclose(bleu(mixed, max_n),
+                                           count_and_clip_bleu(hyps, c.references, max_n),
+                                           rtol=0, atol=1e-9)
+                assert bleu(mixed, max_n) == counter_bleu(mixed, max_n)
+
+    def test_empty_hypothesis_adds_no_length_and_no_ngrams(self):
+        full = corpus([["a", "b"]], [["a", "b", "c"]])
+        padded = corpus([["a", "b"], []], [["a", "b", "c"], ["d"]])
+        # c = 2 against r = 3, then r = 4: only the brevity penalty moves
+        assert bleu(full, 2) == pytest.approx([math.exp(1 - 3 / 2), math.exp(1 - 3 / 2)])
+        assert bleu(padded, 2) == pytest.approx([math.exp(1 - 4 / 2), math.exp(1 - 4 / 2)])
+
+    def test_all_empty_corpus_scores_zero(self):
+        c = corpus([[], []], [["a"], ["b", "c"]])
+        assert bleu(c) == [0.0] * 4
+        assert count_and_clip_bleu(c.hypotheses, c.references) == [0.0] * 4
+        assert embedding_f1(c, self.unit_table()) == (0.0, 0.0, 0.0)
+
+    def test_embedding_scores_of_empty_pairs_are_zero(self):
+        """Pair 0 scores P = R = 1; every other hypothesis is empty, so the
+        second group holds no hypothesis token at all."""
+        table = self.unit_table()
+        n_pairs = 2 * F1_GROUP
+        c = corpus([["a", "b"]] + [[]] * (n_pairs - 1),
+                   [["a", "b"]] + [["c", "d"]] * (n_pairs - 1))
+        p, r, f1 = embedding_f1(c, table)
+        assert (p, r, f1) == (1 / n_pairs, 1 / n_pairs, 1 / n_pairs)
+        assert per_pair_embedding_f1(c, table) == pytest.approx((p, r, f1), abs=1e-15)
 
 
 class TestEmbeddingF1:
@@ -285,7 +335,8 @@ class TestEmbeddingF1:
         c = corpus([["zebra"]], [["a"]])
         with pytest.raises(ContractError):
             embedding_f1(c, table)
-        lenient = EmbeddingTable({t: table.lookup(t) for t in table.rows}, unknown_policy="zero")
+        lenient = EmbeddingTable({t: lookup(table, t) for t in table.rows},
+                                 unknown_policy="zero")
         p, r, f1 = embedding_f1(c, lenient)
         assert p == 0.0
 
@@ -293,13 +344,13 @@ class TestEmbeddingF1:
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.0\nb 0.0 1.0\n")
         table = EmbeddingTable.from_file(path)
-        assert table.dim == 2
-        np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
+        assert table.matrix.shape == (2, 2)
+        np.testing.assert_array_equal(lookup(table, "a"), [1.0, 0.0])
 
     def test_vectors_are_views_of_one_read_only_matrix(self):
         table = self.unit_table()
         assert table.matrix.shape == (4, 4) and not table.matrix.flags.writeable
-        vectors = {token: table.lookup(token) for token in table.rows}
+        vectors = {token: lookup(table, token) for token in table.rows}
         for vector in vectors.values():
             assert np.shares_memory(vector, table.matrix)
         again = EmbeddingTable(vectors)

@@ -77,6 +77,12 @@ def test_invalid_learning_rate_rejected():
         Adam({"p": Tensor([1.0])}, lr=0.0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+def test_learning_rate_that_is_not_positive_and_finite_rejected(lr):
+    with pytest.raises(ContractError, match="learning rate"):
+        Adam({"p": Tensor([1.0])}, lr=lr)
+
+
 def test_zero_grad_clears_all():
     a, b = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
     a.grad = np.ones(1, dtype=np.float32)

@@ -52,9 +52,9 @@ class TestMatmul:
 
             def loss_fn():
                 T.reset_graph()
-                return T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))).item()
+                return oracles.sum_all(oracles.mul(T.matmul(a, b), T.matmul(a, b))).item()
 
-            loss = T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b)))
+            loss = oracles.sum_all(oracles.mul(T.matmul(a, b), T.matmul(a, b)))
             T.backward(loss)
             fd = finite_difference_gradients(loss_fn, {"a": a, "b": b}, step=1e-5)
         assert max_relative_error(a.grad, fd["a"]) < 1e-6
@@ -69,13 +69,13 @@ class TestMatmul:
 
             def loss_fn():
                 T.reset_graph()
-                return T.sum_all(T.mul(T.matmul(a, b), direction)).item()
+                return oracles.sum_all(oracles.mul(T.matmul(a, b), direction)).item()
 
             out = T.matmul(a, b)
             for i in range(3):
                 np.testing.assert_allclose(out.data[i], loop_matmul(a.data[i], b.data[i]),
                                            rtol=1e-12)
-            T.backward(T.sum_all(T.mul(out, direction)))
+            T.backward(oracles.sum_all(oracles.mul(out, direction)))
             fd = finite_difference_gradients(loss_fn, {"a": a, "b": b}, step=1e-5)
         assert max_relative_error(a.grad, fd["a"]) < 1e-6
         assert max_relative_error(b.grad, fd["b"]) < 1e-6
@@ -151,9 +151,9 @@ class TestLayerNorm:
 
             def loss_fn():
                 T.reset_graph()
-                return T.sum_all(T.mul(T.layer_norm(x, gain, bias), direction)).item()
+                return oracles.sum_all(oracles.mul(T.layer_norm(x, gain, bias), direction)).item()
 
-            loss = T.sum_all(T.mul(T.layer_norm(x, gain, bias), direction))
+            loss = oracles.sum_all(oracles.mul(T.layer_norm(x, gain, bias), direction))
             T.backward(loss)
             fd = finite_difference_gradients(loss_fn, {"x": x, "g": gain, "b": bias},
                                              step=1e-6)
@@ -268,9 +268,10 @@ class TestAttention:
             def loss_fn():
                 T.reset_graph()
                 attended = oracles.scaled_dot_attention(q, k, v, mask)
-                return T.sum_all(T.mul(attended, direction)).item()
+                return oracles.sum_all(oracles.mul(attended, direction)).item()
 
-            loss = T.sum_all(T.mul(oracles.scaled_dot_attention(q, k, v, mask), direction))
+            attended = oracles.scaled_dot_attention(q, k, v, mask)
+            loss = oracles.sum_all(oracles.mul(attended, direction))
             T.backward(loss)
             fd = finite_difference_gradients(loss_fn, {"q": q, "k": k, "v": v}, step=1e-6)
         for name, tensor in (("q", q), ("k", k), ("v", v)):
@@ -284,7 +285,7 @@ def _forward_and_gradients(op, arrays, direction, dtype=np.float32):
     with T.default_dtype(dtype):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         out = op(*inputs)
-        T.backward(T.sum_all(T.mul(out, Tensor(direction))))
+        T.backward(oracles.sum_all(oracles.mul(out, Tensor(direction))))
     T.reset_graph()
     return [out.data] + [t.grad for t in inputs]
 
@@ -372,7 +373,7 @@ class TestFusedOps:
             direction = Tensor(rng.normal(size=(6, 4)))
 
             def loss():
-                return T.sum_all(T.mul(T.multi_head_attention(q, k, v, n_heads, mask),
+                return oracles.sum_all(oracles.mul(T.multi_head_attention(q, k, v, n_heads, mask),
                                        direction))
 
             def loss_fn():
@@ -394,7 +395,7 @@ class TestFusedOps:
 
             def loss():
                 rows = T.repeat_rows(T.linear(params["x"], params["w"], params["b"]), 3)
-                return T.sum_all(T.mul(T.mul(rows, rows), direction))
+                return oracles.sum_all(oracles.mul(oracles.mul(rows, rows), direction))
 
             def loss_fn():
                 T.reset_graph()
@@ -436,18 +437,18 @@ class TestFusedOps:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        T.backward(T.sum_all(x))
+        T.backward(oracles.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic_gives_two_x(self):
         x = Tensor([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(oracles.sum_all(oracles.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         with pytest.raises(ContractError):
-            T.backward(T.mul(x, x))
+            T.backward(oracles.mul(x, x))
 
     def test_disconnected_loss_rejected(self):
         with pytest.raises(ContractError):
@@ -455,7 +456,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([2.0, 3.0], requires_grad=True)
-        loss = T.sum_all(T.mul(x, x))
+        loss = oracles.sum_all(oracles.mul(x, x))
         T.backward(loss)
         first = x.grad.copy()
         T.backward(loss)
@@ -463,7 +464,7 @@ class TestBackward:
 
     def test_shared_input_used_twice(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.sum_all(T.add(T.mul(x, x), x))
+        loss = oracles.sum_all(T.add(oracles.mul(x, x), x))
         T.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
@@ -471,7 +472,7 @@ class TestBackward:
         x = Tensor([[1.0, 2.0], [3.0, -1.0]], requires_grad=True)
         w = Tensor([[0.5], [-2.0]], requires_grad=True)
         hidden = T.relu(T.matmul(x, w))
-        T.backward(T.sum_all(T.mul(hidden, hidden)))
+        T.backward(oracles.sum_all(oracles.mul(hidden, hidden)))
         assert hidden.grad is None
         np.testing.assert_allclose(w.grad, [[21.0], [-7.0]])
         assert x.grad is not None
@@ -497,7 +498,7 @@ class TestBackward:
                     T.matmul(x, params["wq"]), T.matmul(x, params["wk"]),
                     T.matmul(x, params["wv"]), 2, mask)
                 logits = T.matmul(attended, params["wc"])
-                return T.sparse_cross_entropy(logits, targets)
+                return T.sparse_cross_entropy(logits, targets, np.ones(3, dtype=bool))
 
             def loss_fn():
                 T.reset_graph()
@@ -528,7 +529,8 @@ class TestBackward:
                 def forward():
                     h = T.relu(T.linear(params["x"], params["w1"], params["b1"]))
                     h = T.layer_norm(h, params["g"], params["b2"])
-                    return T.sparse_cross_entropy(T.matmul(h, params["w2"]), targets)
+                    return T.sparse_cross_entropy(T.matmul(h, params["w2"]), targets,
+                                                  np.ones(rows, dtype=bool))
 
                 def loss_fn():
                     T.reset_graph()
@@ -545,7 +547,7 @@ class TestOtherOps:
     def test_add_bias_broadcast_gradient(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         b = Tensor([1.0, -1.0], requires_grad=True)
-        T.backward(T.sum_all(oracles.add(x, b)))
+        T.backward(oracles.sum_all(oracles.add(x, b)))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
 
@@ -554,7 +556,7 @@ class TestOtherOps:
         stacked = oracles.reshape(x, (2, 3, 2))
         np.testing.assert_array_equal(stacked.data, np.arange(12.0).reshape(2, 3, 2))
         weights = Tensor(np.arange(12.0).reshape(2, 3, 2))
-        T.backward(T.sum_all(T.mul(stacked, weights)))
+        T.backward(oracles.sum_all(oracles.mul(stacked, weights)))
         np.testing.assert_array_equal(x.grad, np.arange(12.0).reshape(3, 4))
         with pytest.raises(ShapeError):
             oracles.reshape(x, (5, 2))
@@ -578,7 +580,8 @@ class TestOtherOps:
 
             def loss():
                 moved = oracles.permute(x, (2, 0, 1))          # [4 x 2 x 3]
-                return T.sum_all(T.mul(T.matmul(T.mul(moved, moved), w), direction))
+                squared = oracles.mul(moved, moved)
+                return oracles.sum_all(oracles.mul(T.matmul(squared, w), direction))
 
             def loss_fn():
                 T.reset_graph()
@@ -611,7 +614,7 @@ class TestOtherOps:
     def test_embedding_gradient_scatters(self):
         table = Tensor(np.arange(10, dtype=float).reshape(5, 2), requires_grad=True)
         out = T.embedding(table, [1, 1, 4])
-        T.backward(T.sum_all(out))
+        T.backward(oracles.sum_all(out))
         expected = np.zeros((5, 2))
         expected[1] = 2.0
         expected[4] = 1.0
@@ -633,8 +636,8 @@ class TestOtherOps:
     def test_cross_entropy_matches_manual(self):
         logits = np.asarray([[2.0, 0.0, -1.0], [0.5, 0.5, 0.5]])
         targets = [0, 2]
-        out = T.sparse_cross_entropy(Tensor(logits), targets)
-        manual = -np.mean([
+        out = T.sparse_cross_entropy(Tensor(logits), targets, [True, True])
+        manual = -np.sum([
             np.log(direct_softmax(logits[0])[0]),
             np.log(direct_softmax(logits[1])[2]),
         ])
@@ -652,7 +655,7 @@ class TestOtherOps:
             T.backward(loss)
             assert np.all(full.grad[row] == 0.0)
             kept = [i for i in range(4) if i != row]
-            manual = np.mean([
+            manual = np.sum([
                 -np.log(direct_softmax(logits_data[i])[targets[i]]) for i in kept
             ])
             assert abs(loss.item() - manual) < 1e-6
@@ -666,7 +669,7 @@ class TestOtherOps:
     def test_no_grad_suppresses_recording(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
-            out = T.mul(x, x)
+            out = oracles.mul(x, x)
         assert not out.requires_grad
         assert len(T.active_graph()) == 0
 
@@ -687,7 +690,8 @@ class TestInvariants:
             w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
             out = T.multi_head_attention(T.matmul(x, w), x, x, 2,
                                          np.ones((1, 5, 5), dtype=bool))
-            loss = T.sparse_cross_entropy(out, rng.integers(0, 8, size=5))
+            loss = T.sparse_cross_entropy(out, rng.integers(0, 8, size=5),
+                                          np.ones(5, dtype=bool))
             T.backward(loss)
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -705,7 +709,7 @@ class TestInvariants:
             w = Tensor(rng.normal(scale=5.0, size=(width, width)), requires_grad=True)
             h = T.relu(T.matmul(x, w))
             probs = oracles.softmax(h, axis=-1)
-            loss = T.sum_all(T.mul(probs, probs))
+            loss = oracles.sum_all(oracles.mul(probs, probs))
             T.backward(loss)
             for arr in (h.data, probs.data, x.grad, w.grad):
                 assert np.isfinite(arr).all()

@@ -339,6 +339,14 @@ class TestGradientClipping:
         assert TrainConfig().grad_clip is None
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_a_learning_rate_that_is_not_positive_and_finite(self, learning_rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+        assert TrainConfig(learning_rate=0.5).learning_rate == 0.5
+
+
 class TestShuffling:
     def test_epoch_order_is_permutation(self):
         for epoch in range(5):
