@@ -6,8 +6,8 @@ pipeline.
 from .demographics import (DemographicCodec, DemographicRecord, encode_demographics,
                            select_top_categories)
 from .checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
-from .data import (CorpusSpec, DataPoint, SplitManifest, StratumSpec,
-                   default_corpus_spec, sample_subsets, split, synthesize_corpus)
+from .data import (CorpusSpec, DataPoint, SplitManifest, default_corpus_spec,
+                   sample_subsets, split, synthesize_corpus)
 from .metrics import (Corpus, EmbeddingTable, EvaluationReport, TTestResult, bleu,
                       embedding_f1, evaluate_corpus, paired_t_test)
 from .model import (ModelConfig, decoder_forward, encode_inputs, fuse_visual_semantic,

@@ -15,8 +15,10 @@ outside an option's choices exits 2; explicit command line flags win over
 config-file values, which win over built-in defaults.
 
 Exit codes: 0 success, 2 usage or configuration error (a path that cannot
-be opened is one), 3 data integrity failure (text input that is not UTF-8
-is one, and so is a checkpoint of format 1 or 2), 4 numeric failure.
+be opened is one, and so is a checkpoint whose feature width differs from
+the prepared data's), 3 data integrity failure (text input that is not UTF-8
+is one, and so are a checkpoint of format 1 or 2, a bad dataset record and a
+demographics manifest that lacks a key), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
-from .data import (build_datapoints, default_corpus_spec, load_prepared_dataset,
-                   load_raw_records, sample_subsets, split, synthesize_corpus,
-                   write_dataset, write_prepared_dataset, SplitManifest)
+from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw_records,
+                   sample_subsets, split, synthesize_corpus, write_dataset,
+                   write_prepared_dataset, SplitManifest)
 from .demographics import ALL_FIELDS, DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
@@ -136,15 +138,13 @@ def _parse_fields(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_synth_data(args) -> int:
-    spec = default_corpus_spec(n_per_stratum=args.n_per_stratum,
-                               feature_dim=args.feature_dim)
+    spec = CorpusSpec(n_per_stratum=args.n_per_stratum, feature_dim=args.feature_dim)
     points = synthesize_corpus(spec, args.seed)
     out = Path(args.out)
-    write_dataset(points, out / "dataset.jsonl", feature_storage=args.feature_storage)
+    write_dataset(points, out / "dataset.jsonl")
     _write_provenance(out, "synth-data", {
         "seed": args.seed,
-        "feature_storage": args.feature_storage,
-        "spec": spec.to_dict(),
+        "spec": dataclasses.asdict(spec),
     })
     print(f"wrote {len(points)} synthetic records to {out / 'dataset.jsonl'}")
     return 0
@@ -156,10 +156,8 @@ def cmd_prepare_data(args) -> int:
     if not records:
         raise IntegrityError(f"{data_path} holds no records")
     stopwords, std_map, patterns = _cleaning_inputs(args)
-    feature_dim = int(records[0].features.size)
     points, rejects = build_datapoints(records, stopwords, std_map, patterns,
-                                       min_raw_words=args.min_raw_words,
-                                       expected_feature_dim=feature_dim)
+                                       min_raw_words=args.min_raw_words)
     if not points:
         raise IntegrityError("every record was rejected by the cleaning pipeline")
     categories, under_k = select_top_categories(
@@ -209,12 +207,18 @@ def cmd_prepare_data(args) -> int:
 def _load_prepared(data_dir):
     data_dir = Path(data_dir)
     points = load_prepared_dataset(data_dir / "cleaned.jsonl")
+    if not points:
+        raise IntegrityError(f"{data_dir / 'cleaned.jsonl'} holds no records")
     vocab = Vocabulary.load(data_dir / "vocab.txt")
     try:
         with open(data_dir / "demographics.json", encoding="utf-8") as fh:
             demo_payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"cannot read demographics manifest: {exc}") from exc
+    missing = [key for key in ("categories", "age_min", "age_max")
+               if not isinstance(demo_payload, dict) or key not in demo_payload]
+    if missing:
+        raise IntegrityError(f"{data_dir / 'demographics.json'}: missing key {missing[0]!r}")
     return points, vocab, demo_payload
 
 
@@ -243,7 +247,6 @@ def cmd_train(args) -> int:
         fields=fields or ALL_FIELDS,
         age_min=int(demo_payload["age_min"]),
         age_max=int(demo_payload["age_max"]),
-        strict=False,   # an ethnicity outside the top k gets the all-zero slice
     )
     cfg = ModelConfig(
         feature_dim=int(points[0].features.size),
@@ -317,6 +320,9 @@ def cmd_generate(args) -> int:
     codec = (DemographicCodec.from_dict(manifest_extra["codec"])
              if manifest_extra.get("codec") else None)
     points, _, _ = _load_prepared(args.data)
+    if points[0].features.size != cfg.feature_dim:
+        raise ConfigError(f"{args.data} holds {points[0].features.size}-wide features, "
+                          f"but the checkpoint's model takes {cfg.feature_dim}")
     split_manifest = _load_split(args.data, args.subset)
     ids = {"train": split_manifest.train_ids, "val": split_manifest.val_ids,
            "test": split_manifest.test_ids}[args.split]
@@ -452,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-per-stratum", type=int, default=150)
     p.add_argument("--feature-dim", type=int, default=24)
-    p.add_argument("--feature-storage", choices=("inline", "blob"), default="inline")
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("prepare-data", help="clean reports, build vocabulary and splits")

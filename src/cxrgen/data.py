@@ -11,10 +11,9 @@ provide; that construction is what the fusion-benefit experiment measures.
 File formats:
 
 * dataset file: one JSON record per line with ``id``, ``report`` (raw
-  text), ``gender``, ``age``, ``ethnicity``, and either an inline
-  ``features`` array or a ``features_ref`` {blob, offset, count} pointing
-  into a little-endian float32 blob (row-major); blob mode also writes a
-  ``features_index.json`` manifest mapping ids to byte offsets;
+  text), ``gender``, ``age``, ``ethnicity`` and an inline ``features``
+  array; a prepared file has ``tokens`` in place of ``report``, and both
+  are read by one parser that names ``path:line`` for a bad record;
 * split manifest: JSON with subset id, train/val/test id lists (cut
   70:20:10, ``SPLIT_RATIOS``), seed, and the generation parameters needed
   to reconstruct the split.
@@ -31,7 +30,7 @@ import numpy as np
 
 from .demographics import DemographicRecord
 from .errors import ConfigError, ContractError, IntegrityError, SizingError
-from .text import (CleanReport, RawReport, Rejected, clean_report,
+from .text import (END_TOKEN, START_TOKEN, CleanReport, RawReport, Rejected, clean_report,
                    default_standardization_map, load_reject_patterns, load_stopwords)
 
 SPLIT_RATIOS = (0.70, 0.20, 0.10)   # train, validation, test
@@ -52,9 +51,7 @@ class IngestRecord:
     """One line of a dataset file, before cleaning."""
     id: str
     text: str
-    gender: str
-    age: int
-    ethnicity: str
+    demographics: DemographicRecord
     features: np.ndarray
 
 
@@ -188,62 +185,18 @@ def split(ids, seed: int, subset_id: int = 0, params: dict | None = None) -> Spl
 # Synthetic corpus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StratumSpec:
-    """One demographic stratum: who the patients are and how their reports read."""
-    name: str
-    gender: str
-    ethnicity: str
-    cluster: int
-    marker: str
-    age_low: int = 22
-    age_high: int = 88
-
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Parameters of the synthetic corpus generator."""
-    strata: tuple[StratumSpec, ...]
-    cluster_findings: tuple[str, ...]
-    closing: str
-    n_per_stratum: int = 150
-    feature_dim: int = 24
-    feature_noise: float = 0.25
-
-    def __post_init__(self):
-        if len(self.strata) < 2:
-            raise ConfigError(
-                "the synthetic corpus needs at least 2 demographic strata "
-                "(a single stratum cannot support the fusion experiment)"
-            )
-        if self.n_per_stratum < 1 or self.feature_dim < 1:
-            raise ConfigError("n_per_stratum and feature_dim must be positive")
-        for stratum in self.strata:
-            if not 0 <= stratum.cluster < len(self.cluster_findings):
-                raise ConfigError(
-                    f"stratum {stratum.name!r} references cluster {stratum.cluster}, "
-                    f"but only {len(self.cluster_findings)} findings are defined"
-                )
-
-    def to_dict(self) -> dict:
-        return {
-            "strata": [vars(s) for s in self.strata],
-            "cluster_findings": list(self.cluster_findings),
-            "closing": self.closing,
-            "n_per_stratum": self.n_per_stratum,
-            "feature_dim": self.feature_dim,
-            "feature_noise": self.feature_noise,
-        }
-
-
-_DEFAULT_FINDINGS = (
+# One finding sentence per feature cluster.
+FINDINGS = (
     "The lungs are clear bilaterally with no focal consolidation effusion or pneumothorax.",
     "Patchy airspace opacity involving the right lower lobe likely reflects pneumonia.",
     "Mild pulmonary interstitial edema with small layering bilateral pleural effusions.",
     "Moderate cardiomegaly with tortuous aorta but without acute pulmonary process.",
 )
 
-_DEFAULT_MARKERS = (
+# The demographic strata as (gender, ethnicity, cluster, marker sentence);
+# stratum i's records have ids s<ii>-<jjjj>. Each cluster is shared by two
+# strata, which differ in gender and marker.
+STRATA = (
     ("female", "group_a", 0, "Degenerative endplate spurring noted along the thoracic spine."),
     ("male", "group_a", 0, "Surgical clips project over the right upper abdominal quadrant."),
     ("female", "group_b", 1, "Dense calcified granuloma seen near the cardiac apex."),
@@ -254,50 +207,45 @@ _DEFAULT_MARKERS = (
     ("male", "group_d", 3, "Diffuse osteopenia involving the imaged skeleton raises concern."),
 )
 
-_DEFAULT_CLOSING = "No acute osseous abnormality otherwise identified on this examination."
+CLOSING = "No acute osseous abnormality otherwise identified on this examination."
+FEATURE_NOISE = 0.25   # standard deviation of a feature around its cluster center
+AGE_RANGE = (22, 88)   # ages are drawn uniformly from this range, both ends included
 
 
-def default_corpus_spec(n_per_stratum: int = 150, feature_dim: int = 24) -> CorpusSpec:
-    """The default synthetic profile: 4 feature clusters, each shared by two strata."""
-    strata = tuple(
-        StratumSpec(
-            name=f"s{i:02d}",
-            gender=gender,
-            ethnicity=ethnicity,
-            cluster=cluster,
-            marker=marker,
-        )
-        for i, (gender, ethnicity, cluster, marker) in enumerate(_DEFAULT_MARKERS)
-    )
-    return CorpusSpec(
-        strata=strata,
-        cluster_findings=_DEFAULT_FINDINGS,
-        closing=_DEFAULT_CLOSING,
-        n_per_stratum=n_per_stratum,
-        feature_dim=feature_dim,
-    )
+@dataclass(frozen=True)
+class CorpusSpec:
+    """Size of the synthetic corpus; its content is the module constants above."""
+    n_per_stratum: int = 150
+    feature_dim: int = 24
+
+    def __post_init__(self):
+        if self.n_per_stratum < 1 or self.feature_dim < 1:
+            raise ConfigError("n_per_stratum and feature_dim must be positive")
+
+
+default_corpus_spec = CorpusSpec   # the name bench/pipeline.py builds its spec by
 
 
 def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
     """Generate a fully deterministic corpus of DataPoints from ``spec``.
 
-    The records are cleaned by ``build_datapoints`` with the shipped cleaning
-    resources; a template that the cleaning rejects raises ``ConfigError``.
+    A report reads finding, marker, ``CLOSING``. The records are cleaned by
+    ``build_datapoints`` with the shipped cleaning resources; a template that
+    the cleaning rejects raises ``ConfigError``.
     """
     rng = np.random.default_rng(seed)
-    n_clusters = len(spec.cluster_findings)
-    centers = rng.normal(0.0, 1.0, size=(n_clusters, spec.feature_dim))
+    centers = rng.normal(0.0, 1.0, size=(len(FINDINGS), spec.feature_dim))
     records: list[IngestRecord] = []
-    for stratum in spec.strata:
+    for i, (gender, ethnicity, cluster, marker) in enumerate(STRATA):
         for j in range(spec.n_per_stratum):
             features = (
-                centers[stratum.cluster]
-                + spec.feature_noise * rng.normal(0.0, 1.0, size=spec.feature_dim)
+                centers[cluster]
+                + FEATURE_NOISE * rng.normal(0.0, 1.0, size=spec.feature_dim)
             ).astype(np.float32)
-            age = int(rng.integers(stratum.age_low, stratum.age_high + 1))
-            text = f"{spec.cluster_findings[stratum.cluster]} {stratum.marker} {spec.closing}"
-            records.append(IngestRecord(f"{stratum.name}-{j:04d}", text, stratum.gender, age,
-                                        stratum.ethnicity, features))
+            age = int(rng.integers(AGE_RANGE[0], AGE_RANGE[1] + 1))
+            records.append(IngestRecord(f"s{i:02d}-{j:04d}",
+                                        f"{FINDINGS[cluster]} {marker} {CLOSING}",
+                                        DemographicRecord(gender, age, ethnicity), features))
     points, rejects = build_datapoints(records)
     if rejects:
         raise ConfigError(
@@ -311,20 +259,10 @@ def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def write_dataset(points, path, feature_storage: str = "inline") -> None:
-    """Serialize DataPoints as a line-delimited dataset file.
-
-    ``feature_storage`` is "inline" (features embedded in each record) or
-    "blob" (features written to a sidecar float32 blob plus an id-to-offset
-    manifest).
-    """
-    if feature_storage not in ("inline", "blob"):
-        raise ConfigError(f"feature_storage must be 'inline' or 'blob', got {feature_storage!r}")
+def write_dataset(points, path) -> None:
+    """Serialize DataPoints as a line-delimited dataset file, features inline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob_chunks = []
-    index: dict[str, int] = {}
-    offset = 0
     with open(path, "w", encoding="utf-8") as fh:
         for point in points:
             record = {
@@ -333,82 +271,79 @@ def write_dataset(points, path, feature_storage: str = "inline") -> None:
                 "gender": point.demographics.gender,
                 "age": point.demographics.age,
                 "ethnicity": point.demographics.ethnicity,
+                "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
             }
-            features = np.ascontiguousarray(point.features, dtype="<f4")
-            if feature_storage == "inline":
-                record["features"] = [float(x) for x in features]
-            else:
-                raw = features.tobytes()
-                record["features_ref"] = {
-                    "blob": "features.bin",
-                    "offset": offset,
-                    "count": int(features.size),
-                }
-                index[point.id] = offset
-                blob_chunks.append(raw)
-                offset += len(raw)
             fh.write(json.dumps(record) + "\n")
-    if feature_storage == "blob":
-        (path.parent / "features.bin").write_bytes(b"".join(blob_chunks))
-        with open(path.parent / "features_index.json", "w", encoding="utf-8") as fh:
-            json.dump(index, fh, indent=2)
-            fh.write("\n")
+
+
+def _parse_records(path, text_field: str):
+    """Yield ``(line number, record, features, demographics)`` for each record
+    of a dataset file (``text_field`` "report") or a prepared one ("tokens").
+
+    A line that is not a JSON object, a missing field, an id that repeats an
+    earlier record's, features that are not a non-empty flat list of numbers
+    finite in float32 or whose width differs from the first record's, an age
+    that is not an integer and a gender other than female or male each raise
+    ``IntegrityError`` naming ``path:line``.
+    """
+    fields = ("id", text_field, "gender", "age", "ethnicity", "features")
+    first = None   # (line number, width) of the first record
+    linenos = {}   # id -> the line that gave it
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise IntegrityError(f"{where}: malformed record: {exc}") from None
+                if not isinstance(payload, dict):
+                    raise IntegrityError(f"{where}: record is not a JSON object")
+                missing = [key for key in fields if key not in payload]
+                if missing:
+                    raise IntegrityError(f"{where}: missing field {missing[0]!r}")
+                record_id = str(payload["id"])
+                if record_id in linenos:
+                    raise IntegrityError(f"{where}: id {record_id!r} repeats line "
+                                         f"{linenos[record_id]}")
+                linenos[record_id] = lineno
+                values = payload["features"]
+                if not (isinstance(values, list) and values
+                        and all(type(x) in (int, float) for x in values)):
+                    raise IntegrityError(f"{where}: features must be a non-empty flat "
+                                         "list of numbers")
+                with np.errstate(over="ignore"):   # an overflow is caught just below
+                    features = np.asarray(values, dtype=np.float32)
+                if not np.isfinite(features).all():
+                    raise IntegrityError(f"{where}: a feature is not finite in float32")
+                if first is None:
+                    first = (lineno, features.size)
+                elif features.size != first[1]:
+                    raise IntegrityError(f"{where}: {features.size} features, but line "
+                                         f"{first[0]} has {first[1]}")
+                if type(payload["age"]) is not int:
+                    raise IntegrityError(f"{where}: age must be an integer, "
+                                         f"got {payload['age']!r}")
+                try:
+                    demographics = DemographicRecord(str(payload["gender"]), payload["age"],
+                                                     str(payload["ethnicity"]))
+                except ContractError as exc:
+                    raise IntegrityError(f"{where}: {exc}") from None
+                yield lineno, payload, features, demographics
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_raw_records(path) -> list[IngestRecord]:
-    """Parse a dataset file, resolving blob references when present."""
-    path = Path(path)
-    records: list[IngestRecord] = []
-    blobs: dict[str, bytes] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IntegrityError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            try:
-                if "features" in payload:
-                    features = np.asarray(payload["features"], dtype=np.float32)
-                elif "features_ref" in payload:
-                    ref = payload["features_ref"]
-                    blob_name = ref["blob"]
-                    if blob_name not in blobs:
-                        blob_path = path.parent / blob_name
-                        if not blob_path.exists():
-                            raise IntegrityError(f"{path}:{lineno}: missing blob {blob_path}")
-                        blobs[blob_name] = blob_path.read_bytes()
-                    start = int(ref["offset"])
-                    count = int(ref["count"])
-                    raw = blobs[blob_name][start:start + 4 * count]
-                    if len(raw) != 4 * count:
-                        raise IntegrityError(
-                            f"{path}:{lineno}: blob slice for id {payload.get('id')!r} "
-                            "is out of range"
-                        )
-                    features = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-                else:
-                    raise IntegrityError(
-                        f"{path}:{lineno}: record has neither features nor features_ref"
-                    )
-                records.append(IngestRecord(
-                    id=str(payload["id"]),
-                    text=str(payload["report"]),
-                    gender=str(payload["gender"]),
-                    age=int(payload["age"]),
-                    ethnicity=str(payload["ethnicity"]),
-                    features=features,
-                ))
-            except KeyError as exc:
-                raise IntegrityError(f"{path}:{lineno}: missing field {exc}") from exc
-    return records
+    """Parse a dataset file (see ``_parse_records`` for what it rejects)."""
+    return [IngestRecord(str(payload["id"]), str(payload["report"]), demographics, features)
+            for _, payload, features, demographics in _parse_records(path, "report")]
 
 
 def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None,
-                     min_raw_words: int = 9, expected_feature_dim: int | None = None
-                     ) -> tuple[list[DataPoint], list[Rejected]]:
+                     min_raw_words: int = 9) -> tuple[list[DataPoint], list[Rejected]]:
     """Clean ingested records into DataPoints; rejections are returned, not raised."""
     stopwords = load_stopwords() if stopwords is None else stopwords
     std_map = default_standardization_map() if std_map is None else std_map
@@ -416,11 +351,6 @@ def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None
     points: list[DataPoint] = []
     rejects: list[Rejected] = []
     for record in records:
-        if expected_feature_dim is not None and record.features.size != expected_feature_dim:
-            raise IntegrityError(
-                f"record {record.id!r} has {record.features.size} features, "
-                f"expected {expected_feature_dim}"
-            )
         outcome = clean_report(RawReport(record.id, record.text), stopwords, std_map,
                                reject_patterns, min_raw_words=min_raw_words)
         if isinstance(outcome, Rejected):
@@ -430,7 +360,7 @@ def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None
             id=record.id,
             features=record.features,
             report=outcome,
-            demographics=DemographicRecord(record.gender, record.age, record.ethnicity),
+            demographics=record.demographics,
             raw_text=record.text,
         ))
     return points, rejects
@@ -454,32 +384,15 @@ def write_prepared_dataset(points, path) -> None:
 
 
 def load_prepared_dataset(path) -> list[DataPoint]:
-    """Inverse of write_prepared_dataset; token sequences are trusted as cleaned."""
-    from .text import END_TOKEN, START_TOKEN
-
+    """Inverse of write_prepared_dataset; token sequences are trusted as cleaned
+    once they validate (see ``_parse_records`` for what else it rejects)."""
     points: list[DataPoint] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                report = CleanReport(
-                    str(payload["id"]),
-                    (START_TOKEN, *payload["tokens"], END_TOKEN),
-                )
-                report.validate()
-                points.append(DataPoint(
-                    id=str(payload["id"]),
-                    features=np.asarray(payload["features"], dtype=np.float32),
-                    report=report,
-                    demographics=DemographicRecord(
-                        str(payload["gender"]), int(payload["age"]),
-                        str(payload["ethnicity"]),
-                    ),
-                ))
-            except (json.JSONDecodeError, KeyError, ContractError) as exc:
-                raise IntegrityError(f"{path}:{lineno}: bad prepared record: {exc}") from exc
+    for lineno, payload, features, demographics in _parse_records(path, "tokens"):
+        try:
+            report = CleanReport(str(payload["id"]),
+                                 (START_TOKEN, *payload["tokens"], END_TOKEN))
+            report.validate()
+        except (ContractError, TypeError) as exc:
+            raise IntegrityError(f"{path}:{lineno}: bad prepared record: {exc}") from None
+        points.append(DataPoint(str(payload["id"]), features, report, demographics))
     return points
-

@@ -2,8 +2,8 @@
 
 Layout of the encoded vector is fixed: gender (0 female / 1 male), min-max
 normalized age, then a one-hot ethnicity slice over an ordered category
-list. Variant models may use any subset of the three fields; the subset is
-applied in that same order.
+list, all zero for an ethnicity outside that list. Variant models may use
+any subset of the three fields; the subset is applied in that same order.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ def select_top_categories(records, k: int) -> tuple[list[str], bool]:
 
 
 def encode_demographics(rec: DemographicRecord, categories, age_min: int = DEFAULT_AGE_MIN,
-                        age_max: int = DEFAULT_AGE_MAX, strict: bool = True) -> np.ndarray:
+                        age_max: int = DEFAULT_AGE_MAX) -> np.ndarray:
     """Encode one record as [gender, normalized age, ethnicity one-hot].
 
     Age is clipped to [age_min, age_max] and scaled to [0, 1]. An ethnicity
-    outside ``categories`` raises in strict mode; in lenient mode it yields
-    an all-zero ethnicity slice.
+    outside ``categories`` yields an all-zero ethnicity slice.
     """
     categories = list(categories)
     if not categories or len(set(categories)) != len(categories):
@@ -70,10 +69,6 @@ def encode_demographics(rec: DemographicRecord, categories, age_min: int = DEFAU
     values[1] = (clipped - age_min) / (age_max - age_min)
     if rec.ethnicity in categories:
         values[2 + categories.index(rec.ethnicity)] = 1.0
-    elif strict:
-        raise ContractError(
-            f"ethnicity {rec.ethnicity!r} is not among the configured categories"
-        )
     return values
 
 
@@ -82,13 +77,13 @@ class DemographicCodec:
     """Reproducible record-to-vector encoding for a chosen field subset.
 
     Persist this alongside the dataset manifest so inference encodes
-    records exactly as training did.
+    records exactly as training did. ``from_dict`` ignores keys it does not
+    know, such as the ``"strict"`` flag that earlier checkpoints stored.
     """
     categories: tuple[str, ...]
     fields: tuple[str, ...] = ALL_FIELDS
     age_min: int = DEFAULT_AGE_MIN
     age_max: int = DEFAULT_AGE_MAX
-    strict: bool = True
 
     def __post_init__(self):
         unknown = [f for f in self.fields if f not in ALL_FIELDS]
@@ -103,8 +98,7 @@ class DemographicCodec:
         return sum(widths[f] for f in self.fields)
 
     def encode(self, rec: DemographicRecord) -> np.ndarray:
-        full = encode_demographics(rec, self.categories, self.age_min, self.age_max,
-                                   strict=self.strict)
+        full = encode_demographics(rec, self.categories, self.age_min, self.age_max)
         slices = {"gender": full[0:1], "age": full[1:2], "ethnicity": full[2:]}
         parts = [slices[f] for f in ALL_FIELDS if f in self.fields]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
@@ -115,7 +109,6 @@ class DemographicCodec:
             "fields": list(self.fields),
             "age_min": self.age_min,
             "age_max": self.age_max,
-            "strict": self.strict,
         }
 
     @classmethod
@@ -125,5 +118,4 @@ class DemographicCodec:
             fields=tuple(payload["fields"]),
             age_min=int(payload["age_min"]),
             age_max=int(payload["age_max"]),
-            strict=bool(payload.get("strict", True)),
         )

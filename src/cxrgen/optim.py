@@ -4,10 +4,13 @@ The optimizer owns the storage of what it updates: parameters, gradients
 and both moments each live in one flat buffer of the parameters' dtype, laid
 out in the order of the parameter map. ``Adam(params)`` copies each
 parameter into its slot and rebinds ``p.data`` to a view of it, one tensor
-at a time; ``opt.m[name]`` and ``opt.v[name]`` are views as well.
-``zero_grad`` zeroes the gradient buffer with one fill and hands each
-parameter its gradient slot (``Tensor.grad_slot``), which backward then
-accumulates into instead of allocating.
+at a time; ``opt.m[name]`` and ``opt.v[name]`` are read-only views of the
+moments. ``zero_grad`` zeroes the gradient buffer with one fill and hands
+each parameter its gradient slot (``Tensor.grad_slot``), which backward then
+accumulates into instead of allocating. A gradient reaches the optimizer
+only through that slot (``p.accumulate_grad`` after ``zero_grad``), and a
+parameter's ``data`` must stay its slot; ``step`` raises ``ContractError``
+naming the parameter otherwise.
 
 ``step`` updates each maximal run of adjacent tensors that have a gradient
 in chunks of ``CHUNK`` elements, so a step costs a few dozen numpy calls at
@@ -40,10 +43,6 @@ class Adam:
     the in-place update ``p -= lr * m_hat / (sqrt(v_hat) + EPS)`` to every
     parameter whose ``grad`` is set. Parameters with no gradient are left
     untouched (their moments do not decay either).
-
-    A ``p.grad``, ``p.data`` or moment that a caller rebound to another array
-    is copied into its slot at the next ``step`` and rebound to the slot, so
-    the update reaches the tensor the caller holds either way.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
@@ -63,7 +62,7 @@ class Adam:
         self._v = np.zeros(total, dtype)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # (name, tensor, start, stop, data, grad, m, v slots) in buffer order
+        # (name, tensor, start, stop, data slot, grad slot) in buffer order
         self._slots = []
         start = 0
         for name, p in params.items():
@@ -73,49 +72,29 @@ class Adam:
             data[...] = p.data
             p.data = data
             self.m[name], self.v[name] = m, v
-            self._slots.append((name, p, start, stop, data, grad, m, v))
+            self._slots.append((name, p, start, stop, data, grad))
             start = stop
         # two chunk-sized scratch rows, so a step allocates no temporaries
         self._scratch = np.empty((2, min(CHUNK, total)), dtype)
 
-    def _reclaim(self, name, p, data, grad, m, v) -> None:
-        """Copy into its slot any array a caller rebound, and rebind it there."""
-        for moments, slot in ((self.m, m), (self.v, v)):
-            if moments[name] is not slot:
-                if moments[name].shape != slot.shape:
-                    raise ContractError(
-                        f"moment buffer for {name!r} has shape {moments[name].shape}, "
-                        f"parameter has {slot.shape}"
-                    )
-                slot[...] = moments[name]
-                moments[name] = slot
-        if p.data is not data:
-            if p.data.shape != data.shape:
-                raise ContractError(
-                    f"parameter {name!r} was rebound to shape {p.data.shape}, "
-                    f"its slot has {data.shape}"
-                )
-            data[...] = p.data
-            p.data = data
-        if p.grad is not grad:
-            grad[...] = p.grad
-            p.grad, p.grad_slot = grad, None
-
     def step(self) -> None:
-        self.t += 1
-        bias1 = 1.0 - BETA1 ** self.t
-        bias2 = 1.0 - BETA2 ** self.t
         runs: list[list[int]] = []
-        for name, p, start, stop, data, grad, m, v in self._slots:
+        for name, p, start, stop, data, grad in self._slots:
+            if p.data is not data:
+                raise ContractError(f"parameter {name!r}: data was rebound off its "
+                                    "optimizer slot")
             if p.grad is None:
                 continue
-            if not (p.grad is grad and p.data is data
-                    and self.m[name] is m and self.v[name] is v):
-                self._reclaim(name, p, data, grad, m, v)
+            if p.grad is not grad:
+                raise ContractError(f"parameter {name!r}: grad is not its optimizer slot "
+                                    "(accumulate it after zero_grad, do not assign it)")
             if runs and runs[-1][1] == start:
                 runs[-1][1] = stop
             else:
                 runs.append([start, stop])
+        self.t += 1
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for start, stop in runs:
             for lo in range(start, stop, CHUNK):
                 self._update(slice(lo, min(lo + CHUNK, stop)), bias1, bias2)
@@ -142,5 +121,5 @@ class Adam:
 
     def zero_grad(self) -> None:
         self._grad.fill(0)
-        for _, p, _, _, _, grad, _, _ in self._slots:
+        for _, p, _, _, _, grad in self._slots:
             p.grad, p.grad_slot = None, grad

@@ -26,8 +26,10 @@ entry produced (parameters and inputs); intermediate adjoints are dropped as
 soon as their entry has been replayed. A parameter adopted by
 ``optim.Adam`` accumulates into its slot of the optimizer's flat gradient
 buffer (``Tensor.grad_slot``); other leaves get a fresh array. Repeated
-backward calls accumulate until the gradient is cleared (``Adam.zero_grad``,
-or ``grad = None``), matching the usual autograd convention.
+backward calls accumulate until the gradient is cleared, matching the usual
+autograd convention: by ``Adam.zero_grad`` for a parameter it adopted (a
+gradient assigned to or cleared from such a parameter by hand leaves its
+slot, and ``Adam.step`` refuses it), by ``grad = None`` for any other leaf.
 
 The recorder is single-threaded: one training session owns the tape. All
 reductions delegate to numpy, whose summation order is fixed for a given

@@ -2,6 +2,8 @@
 are deterministic, and error classes map to distinct exit codes."""
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import shutil
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
+from cxrgen.model import init_parameters
 from cxrgen.text import END_ID, UNK_ID
 
 
@@ -53,13 +56,11 @@ class TestSynthData:
                 == (tmp_path / "b" / "dataset.jsonl").read_bytes())
         assert ((tmp_path / "a" / "provenance.json").read_bytes()
                 == (tmp_path / "b" / "provenance.json").read_bytes())
-
-    def test_blob_storage(self, tmp_path):
-        assert main(["synth-data", "--out", str(tmp_path), "--seed", "1",
-                     "--n-per-stratum", "2", "--feature-dim", "6",
-                     "--feature-storage", "blob"]) == 0
-        assert (tmp_path / "features.bin").exists()
-        assert (tmp_path / "features_index.json").exists()
+        # the generator's draw order and the file layout, pinned to the byte
+        digest = hashlib.sha256((tmp_path / "a" / "dataset.jsonl").read_bytes()).hexdigest()
+        assert digest == "b2a08c9ad9f918c928227e2b98719125e1cf996918faeab256a3fc2a7b25f942"
+        provenance = json.loads((tmp_path / "a" / "provenance.json").read_text())
+        assert provenance["options"]["spec"] == {"n_per_stratum": 2, "feature_dim": 6}
 
     def test_config_file_supplies_options(self, tmp_path):
         config = tmp_path / "config.json"
@@ -87,15 +88,18 @@ class TestSynthData:
         provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert provenance["options"]["seed"] == 5
 
-    @pytest.mark.parametrize("values", [
-        {"seed": 1.5}, {"seed": True}, {"seed": None}, {"feature-storage": "zip"}, {"n": 2}],
+    @pytest.mark.parametrize("command, values", [
+        ("synth-data", {"seed": 1.5}), ("synth-data", {"seed": True}),
+        ("synth-data", {"seed": None}),
+        ("generate", {"checkpoint": "ckpt", "data": "prep", "split": "holdout"}),
+        ("synth-data", {"n": 2})],
         ids=["float-for-int", "bool", "null", "bad-choice", "abbreviated-key"])
-    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, values):
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, values):
         """A config value is parsed like a flag: its type, choices and name are
         checked, and a bad one exits 2 with a message, not a traceback."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(values))
-        assert main(["synth-data", "--out", str(tmp_path / "out"),
+        assert main([command, "--out", str(tmp_path / "out"),
                      "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
@@ -169,6 +173,35 @@ class TestPrepareData:
         assert main(["prepare-data", "--data", str(bad),
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("change, message", [
+        ({"features": "abc"}, "features must be a non-empty flat list of numbers"),
+        ({"features": [1.0, "x"]}, "features must be a non-empty flat list of numbers"),
+        ({"features": [[1.0] * 8]}, "features must be a non-empty flat list of numbers"),
+        ({"features": [float("nan")] * 8}, "a feature is not finite in float32"),
+        ({"features": [1e39] * 8}, "a feature is not finite in float32"),
+        ({"age": "old"}, "age must be an integer, got 'old'"),
+        ({"gender": "other"}, "gender must be female or male, got 'other'"),
+        ({"id": "s00-0000"}, "id 's00-0000' repeats line 1"),
+        ({"features": None}, "missing field 'features'"),
+    ], ids=["string", "non-number", "nested", "nan", "float32-overflow", "age", "gender",
+            "repeated-id", "features-ref"])
+    def test_malformed_record_is_integrity_error(self, pipeline, tmp_path, capsys,
+                                                 change, message):
+        """Exit 3 naming the file and line, not a traceback or a numeric failure;
+        a record in the retired blob layout (``features_ref``) lacks features."""
+        lines = (pipeline["corpus"] / "dataset.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[1]), **change}
+        if record["features"] is None:
+            del record["features"]
+            record["features_ref"] = {"blob": "features.bin", "offset": 32, "count": 8}
+        lines[1] = json.dumps(record)
+        bad = tmp_path / "dataset.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["prepare-data", "--data", str(bad), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:2: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainGenerate:
     def test_artifacts_present(self, pipeline):
@@ -235,7 +268,7 @@ class TestTrainGenerate:
                      "--n-heads", "2", "--max-len", "24", "--batch-size", "32",
                      "--epochs", "1"]) == 0
         codec = json.loads((run / "best" / "manifest.json").read_text())["extra"]["codec"]
-        assert codec["categories"] == categories and codec["strict"] is False
+        assert codec["categories"] == categories and "strict" not in codec
         assert main(["generate", "--checkpoint", str(run / "best"), "--data", str(prep),
                      "--out", str(tmp_path / "hyp.txt")]) == 0
 
@@ -355,6 +388,67 @@ class TestTrainGenerate:
                      "--out", str(out)]) == 0
         report = EvaluationReport.from_json(out)
         assert (report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4) == (0.0,) * 4
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("age", "x", "age must be an integer, got 'x'"),
+        ("features", [0.0] * 7, "7 features, but line 1 has 8")])
+    def test_malformed_prepared_record_is_integrity_error(self, pipeline, tmp_path, capsys,
+                                                          field, value, message):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        lines = (prep / "cleaned.jsonl").read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        (prep / "cleaned.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(prep), "--out", str(tmp_path / "run"),
+                     "--d-model", "16", "--n-heads", "2", "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"cleaned.jsonl:3: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["categories", "age_min", "age_max"])
+    def test_demographics_manifest_missing_key_is_integrity_error(
+            self, pipeline, tmp_path, capsys, key):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        payload = json.loads((prep / "demographics.json").read_text())
+        del payload[key]
+        (prep / "demographics.json").write_text(json.dumps(payload))
+        assert main(["train", "--data", str(prep), "--out", str(tmp_path / "run"),
+                     "--d-model", "16", "--n-heads", "2", "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"missing key {key!r}" in err and "Traceback" not in err
+
+    def test_generate_on_data_of_another_width_is_usage_error(self, pipeline, tmp_path,
+                                                              capsys):
+        """A 24-wide checkpoint on a 16-wide prepared dataset exits 2 naming both."""
+        corpus, prep = tmp_path / "corpus", tmp_path / "prep"
+        assert main(["synth-data", "--out", str(corpus), "--n-per-stratum", "2",
+                     "--feature-dim", "16"]) == 0
+        assert main(["prepare-data", "--data", str(corpus / "dataset.jsonl"),
+                     "--out", str(prep), "--vocab-cap", "64"]) == 0
+        _, cfg = load_checkpoint(pipeline["run"] / "best")
+        wide = dataclasses.replace(cfg, feature_dim=24)
+        save_checkpoint(init_parameters(wide, seed=0), wide, tmp_path / "ckpt",
+                        extra=read_manifest(pipeline["run"] / "best")["extra"])
+        hyp = tmp_path / "hyp.txt"
+        assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(prep),
+                     "--out", str(hyp)]) == 2
+        err = capsys.readouterr().err
+        assert "16-wide features" in err and "takes 24" in err and "Traceback" not in err
+        assert not hyp.exists()
+
+    def test_checkpoint_with_a_stored_strict_flag_generates(self, pipeline, tmp_path):
+        """Codecs once stored a ``strict`` key; such a checkpoint still loads
+        and decodes exactly as without it."""
+        params, cfg = load_checkpoint(pipeline["run"] / "best")
+        extra = read_manifest(pipeline["run"] / "best")["extra"]
+        extra["codec"]["strict"] = True
+        save_checkpoint(params, cfg, tmp_path / "ckpt", extra=extra)
+        hyp = tmp_path / "hyp.txt"
+        assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
+                     "--out", str(hyp), "--temperature", "0", "--seed", "1"]) == 0
+        assert hyp.read_bytes() == pipeline["hyp"].read_bytes()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_grad_clip_is_usage_error(self, pipeline, tmp_path, capsys, value):

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from cxrgen.data import (CorpusSpec, DataPoint, SplitManifest, StratumSpec,
-                         build_datapoints, default_corpus_spec, load_prepared_dataset,
-                         load_raw_records, sample_subsets, split, synthesize_corpus,
-                         write_dataset, write_prepared_dataset)
+import cxrgen.data
+from cxrgen.data import (STRATA, DataPoint, SplitManifest, build_datapoints,
+                         default_corpus_spec, load_prepared_dataset, load_raw_records,
+                         sample_subsets, split, synthesize_corpus, write_dataset,
+                         write_prepared_dataset)
 from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_categories
 from cxrgen.errors import ConfigError, ContractError, IntegrityError, SizingError
 from cxrgen.text import CleanReport, END_TOKEN, START_TOKEN
@@ -126,32 +127,17 @@ class TestSplit:
 
 class TestSynthesizeCorpus:
     def test_counts_exact(self):
-        spec = default_corpus_spec(n_per_stratum=5)
-        points = synthesize_corpus(spec, seed=0)
-        assert len(points) == 5 * len(spec.strata)
-        for stratum in spec.strata:
-            assert sum(1 for p in points if p.id.startswith(stratum.name)) == 5
+        points = synthesize_corpus(default_corpus_spec(n_per_stratum=5), seed=0)
+        assert len(points) == 5 * len(STRATA)
+        for i in range(len(STRATA)):
+            assert sum(1 for p in points if p.id.startswith(f"s{i:02d}-")) == 5
 
-    def test_single_stratum_rejected(self):
-        with pytest.raises(ConfigError):
-            CorpusSpec(
-                strata=(StratumSpec("only", "female", "e0", 0, "marker sentence here"),),
-                cluster_findings=("a finding",),
-                closing="closing",
-            )
-
-    def test_rejected_template_raises(self):
-        """A template the cleaning rejects (here: too few words) is a spec
-        error, not a silently smaller corpus."""
-        spec = CorpusSpec(
-            strata=(StratumSpec("s0", "female", "e0", 0, "marker"),
-                    StratumSpec("s1", "male", "e1", 0, "marker")),
-            cluster_findings=("short finding",),
-            closing="closing",
-            n_per_stratum=2,
-        )
-        with pytest.raises(ConfigError, match="s0.*too_short"):
-            synthesize_corpus(spec, seed=0)
+    def test_rejected_template_raises(self, monkeypatch):
+        """A template the cleaning rejects (here: a prior-study reference) is
+        a spec error, not a silently smaller corpus."""
+        monkeypatch.setattr(cxrgen.data, "CLOSING", "No interval change since the prior study.")
+        with pytest.raises(ConfigError, match="s00-0000.*prior_reference"):
+            synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=0)
 
     def test_deterministic_serialization(self, tmp_path):
         spec = default_corpus_spec(n_per_stratum=4)
@@ -181,7 +167,7 @@ class TestSynthesizeCorpus:
         points = synthesize_corpus(spec, seed=13)
         categories, _ = select_top_categories([p.demographics for p in points], k=5)
         codec = DemographicCodec(tuple(categories))
-        names = [s.name for s in spec.strata]
+        names = [f"s{i:02d}" for i in range(len(STRATA))]
         x = np.stack([codec.encode(p.demographics) for p in points])
         x = np.hstack([x, np.ones((len(points), 1))])
         labels = np.asarray([names.index(p.id.split("-")[0]) for p in points])
@@ -194,8 +180,9 @@ class TestSynthesizeCorpus:
         spec = default_corpus_spec(n_per_stratum=10)
         points = synthesize_corpus(spec, seed=3)
         by_cluster = {}
-        for point, stratum in zip(points, np.repeat(spec.strata, 10)):
-            by_cluster.setdefault(stratum.cluster, []).append(point.features)
+        for point in points:
+            cluster = STRATA[int(point.id[1:3])][2]
+            by_cluster.setdefault(cluster, []).append(point.features)
         centers = {c: np.mean(feats, axis=0) for c, feats in by_cluster.items()}
         for c, feats in by_cluster.items():
             for f in feats:
@@ -214,17 +201,6 @@ class TestSerialization:
         for record, point in zip(records, points):
             np.testing.assert_array_equal(record.features, point.features)
             assert record.text == point.raw_text
-
-    def test_blob_round_trip(self, tmp_path):
-        points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)
-        path = tmp_path / "dataset.jsonl"
-        write_dataset(points, path, feature_storage="blob")
-        assert (tmp_path / "features.bin").exists()
-        index = json.loads((tmp_path / "features_index.json").read_text())
-        assert set(index) == {p.id for p in points}
-        records = load_raw_records(path)
-        for record, point in zip(records, points):
-            np.testing.assert_array_equal(record.features, point.features)
 
     def test_build_datapoints_rejects_and_keeps(self, tmp_path):
         points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)
@@ -248,12 +224,17 @@ class TestSerialization:
             load_raw_records(path)
 
     def test_feature_dim_mismatch_is_integrity_error(self, tmp_path):
+        """The odd record out is the one named, against the first record's line."""
         points = synthesize_corpus(default_corpus_spec(n_per_stratum=1), seed=0)
         path = tmp_path / "dataset.jsonl"
         write_dataset(points, path)
-        records = load_raw_records(path)
-        with pytest.raises(IntegrityError):
-            build_datapoints(records, expected_feature_dim=points[0].features.size + 1)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["features"].pop()
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IntegrityError, match=r"dataset.jsonl:3: 23 features, but line 1 has 24"):
+            load_raw_records(path)
 
     def test_prepared_round_trip(self, tmp_path):
         points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)

@@ -34,13 +34,8 @@ class TestEncode:
         assert low[1] == 0.0
         assert high[1] == 1.0
 
-    def test_unknown_ethnicity_strict_rejected(self):
-        with pytest.raises(ContractError):
-            encode_demographics(DemographicRecord("female", 40, "other"), CATS)
-
     def test_unknown_ethnicity_lenient_zero_slice(self):
-        vec = encode_demographics(DemographicRecord("female", 40, "other"), CATS,
-                                  strict=False)
+        vec = encode_demographics(DemographicRecord("female", 40, "other"), CATS)
         np.testing.assert_array_equal(vec[2:], np.zeros(5))
 
     def test_invalid_gender_rejected(self):
