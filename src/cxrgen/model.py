@@ -13,7 +13,21 @@ The decoder embeds the target ids, injects sinusoidal positions, applies
 causally masked self-attention, attends over the hybrid representation, and
 classifies each position over the vocabulary. Residual connections wrap
 every attention and feed-forward sublayer; layer norm follows the attention
-sublayers, matching the published layer ordering.
+sublayers, matching the published layer ordering. Each such residual sum
+and its layer norm are one op (``tensor.add_layer_norm``), a ReLU layer is
+one ``tensor.linear``, and the position rows are added inside
+``tensor.embedding``.
+
+A training forward therefore records a fixed tape: the visual unit 5
+entries (feature layer norm, ReLU dense layer, value and output
+projections, residual layer norm), the semantic unit 1 and the fusion block
+3; the decoder 1 for the embedding, 12 per block (cross-attention value and
+output projections; Q, K and V projections, attention and output
+projection; two residual layer norms around the repeated cross-attention
+rows; the ReLU dense layer and its residual add) and 1 for the classifier.
+With the loss's cross-entropy and its scale, a one-block model records 25
+entries, or 21 without demographics; dropout adds one entry per site when
+its rate is positive.
 
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
@@ -216,8 +230,8 @@ def check_parameters(params: dict[str, Tensor], cfg: ModelConfig) -> None:
             )
 
 
-def _linear(x: Tensor, params, prefix: str) -> Tensor:
-    return T.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
+def _linear(x: Tensor, params, prefix: str, relu: bool = False) -> Tensor:
+    return T.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"], relu=relu)
 
 
 def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
@@ -261,11 +275,10 @@ def visual_encode(features, params, cfg: ModelConfig, training: bool = False,
     """Image feature vectors [B x F] (or one [F]) -> normalized [B x d_model] rows."""
     x = _rows(features, cfg.feature_dim, "image feature vectors")
     x = T.layer_norm(x, params["visual.feat_norm.gain"], params["visual.feat_norm.bias"])
-    h = T.relu(_linear(x, params, "visual.ff"))
+    h = _linear(x, params, "visual.ff", relu=True)
     attended = _multi_head_attention(params, "visual.attn", cfg, h)
     attended = _maybe_dropout(attended, cfg, training, rng)
-    return T.layer_norm(T.add(h, attended),
-                        params["visual.norm.gain"], params["visual.norm.bias"])
+    return T.add_layer_norm(h, attended, params["visual.norm.gain"], params["visual.norm.bias"])
 
 
 def semantic_encode(demo, params, cfg: ModelConfig) -> Tensor:
@@ -286,8 +299,8 @@ def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelCon
         )
     attended = _multi_head_attention(params, "fusion.attn", cfg, semantic)
     attended = _maybe_dropout(attended, cfg, training, rng)
-    return T.layer_norm(T.add(visual, attended),
-                        params["fusion.norm.gain"], params["fusion.norm.bias"])
+    return T.add_layer_norm(visual, attended,
+                            params["fusion.norm.gain"], params["fusion.norm.bias"])
 
 
 def encode_inputs(features, demo, params, cfg: ModelConfig, training: bool = False,
@@ -382,7 +395,9 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
             f"sequence length {offset + length} exceeds the maximum {cfg.max_len}"
         )
     # tensor.embedding range-checks the ids before the cache is touched
-    x = T.embedding(params["embed.table"], ids.reshape(-1))
+    table = params["embed.table"]
+    positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, table.data.dtype)
+    x = T.embedding(table, ids, positions[offset:offset + length])
     if not offset:
         # the first call makes what every later call reuses
         cache.keep = np.empty((n_seq, cfg.max_len), dtype=bool)
@@ -394,20 +409,18 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     cache.length = total
     # position offset + j may attend to its sequence's kept positions <= offset + j
     mask = cache.causal[offset:total, :total] & cache.keep[:, None, :total]
-    positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, x.data.dtype)
-    x = T.add(x, Tensor(np.tile(positions[offset:total], (n_seq, 1))))
     x = _maybe_dropout(x, cfg, training, rng)
     for i in range(cfg.n_decoder_blocks):
         attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask, cache)
         attended = _maybe_dropout(attended, cfg, training, rng)
-        x = T.layer_norm(T.add(x, attended),
-                         params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
+        x = T.add_layer_norm(x, attended,
+                             params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
         # every position attends to its sequence's one hybrid row: the [B x d]
         # result is computed once and row b repeated for its L stream rows
         cross = _maybe_dropout(T.repeat_rows(cache.cross[i], length), cfg, training, rng)
-        x = T.layer_norm(T.add(x, cross),
-                         params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
-        ff = T.relu(_linear(x, params, f"dec{i}.ff"))
+        x = T.add_layer_norm(x, cross,
+                             params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
+        ff = _linear(x, params, f"dec{i}.ff", relu=True)
         ff = _maybe_dropout(ff, cfg, training, rng)
         x = T.add(x, ff)
     return _linear(x, params, "classifier")

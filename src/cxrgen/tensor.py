@@ -2,22 +2,27 @@
 
 This is the numeric substrate for the report-generation model: n-dimensional
 float arrays plus exactly the differentiable operations the network needs
-(matmul, biased dense layers, layer norm, multi-head attention, embeddings,
-row repetition, a cross-entropy summed over a row mask, dropout). Values
-are stored as row-major 32-bit floats by default; a 64-bit mode exists for
-numerical verification (finite-difference gradient checks are meaningless
-in single precision).
+(matmul, biased dense layers with an optional ReLU, layer norm with or
+without a residual sum, multi-head attention, embeddings with their
+position rows, row repetition, add, scale, a cross-entropy summed over a row
+mask, dropout). Values are stored as row-major 32-bit floats by default; a
+64-bit mode exists for numerical verification (finite-difference gradient
+checks are meaningless in single precision).
 
 Most operations take rank-2 ``[rows x width]`` tensors; ``matmul`` also
 takes stacks ``[... x rows x width]`` of equal leading dimensions. A layer
 the model runs many times is one fused op with a hand-written backward rule
-rather than a chain of small ops: ``linear`` is a product plus its bias, and
-``multi_head_attention`` takes the query, key and value rows of B padded
-sequences, splits every head as a strided view of them, and runs the scaled
-scores, the mask, the softmax and the weighted values of all heads, then
-merges the heads back into rows, as one tape entry. Its backward rule runs
-the same arithmetic, in the same order, as the chain of separate ops it
-replaced (kept in the test suite as the reference).
+rather than a chain of small ops: ``linear`` is a product plus its bias,
+and its ReLU when asked; ``add_layer_norm`` is a residual sum and the layer
+norm after it, sharing ``layer_norm``'s forward and backward rule;
+``embedding`` gathers rows and adds each position's row, and scatters its
+gradient through one flat index; and ``multi_head_attention`` takes the
+query, key and value rows of B padded sequences, splits every head as a
+strided view of them, and runs the scaled scores, the mask, the softmax and
+the weighted values of all heads, then merges the heads back into rows, as
+one tape entry. Each backward rule runs the same arithmetic, in the same
+order, as the chain of separate ops it replaced (kept in the test suite as
+the reference), so the fused ops are bit-identical to it.
 
 Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
@@ -268,25 +273,31 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, lambda g: (g, g))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """A biased dense layer ``x @ w + b`` over the rows of a rank-2 ``x``."""
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """A biased dense layer ``x @ w + b`` over the rows of a rank-2 ``x``,
+    followed by a ReLU when ``relu`` is set."""
     x_data, w_data = x.data, w.data
     if x_data.ndim != 2 or w_data.ndim != 2 or x_data.shape[1] != w_data.shape[0] \
             or b.data.shape != w_data.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x_data.shape} x {w_data.shape} "
                          f"+ {b.data.shape}")
     out_data = x_data @ w_data
-    out = Tensor._wrap(np.add(out_data, b.data, out=out_data))
+    np.add(out_data, b.data, out=out_data)
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
+        positive = out_data > 0   # where the pre-activation is positive
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def vjp(g):
+        if relu:
+            g = g * positive
         return (
             g @ w_data.T if need_x else None,
             x_data.T @ g if need_w else None,
             g.sum(axis=0) if need_b else None,
         )
 
-    return _record((x, w, b), out, vjp)
+    return _record((x, w, b), Tensor._wrap(out_data), vjp)
 
 
 def repeat_rows(x: Tensor, times: int) -> Tensor:
@@ -305,12 +316,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _record((a,), out, lambda g: (g * factor,))
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(a.data, 0))
-    positive = a.data > 0
-    return _record((a,), out, lambda g: (g * positive,))
-
-
 def _row_mean(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=1, keepdims=True)`` for a rank-2 ``a``, bit for bit: the
     same sum divided by the same intp count, without ndarray.mean's Python
@@ -321,21 +326,38 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of ``x`` to zero mean / unit variance, then apply gain and bias."""
-    if x.ndim != 2:
-        raise ShapeError(f"layer_norm expects a rank-2 input, got shape {tuple(x.shape)}")
-    n = x.shape[1]
+    return _layer_norm((x,), x.data, gain, bias)
+
+
+def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``layer_norm(add(x, residual), gain, bias)`` as one op: a post-LN
+    residual connection. Both summands receive the normalization's input
+    gradient."""
+    if x.shape != residual.shape:
+        raise ShapeError(f"add_layer_norm: incompatible shapes {tuple(x.shape)} "
+                         f"+ {tuple(residual.shape)}")
+    return _layer_norm((x, residual), x.data + residual.data, gain, bias)
+
+
+def _layer_norm(summands, total: np.ndarray, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer norm of ``total``, the sum of the ``summands`` tensors' data;
+    each summand gets the same input gradient."""
+    if total.ndim != 2:
+        raise ShapeError(f"layer_norm expects a rank-2 input, got shape {total.shape}")
+    n = total.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
             f"layer_norm: gain {tuple(gain.shape)} / bias {tuple(bias.shape)} "
             f"do not match normalized width {n}"
         )
-    centered = x.data - _row_mean(x.data)
+    centered = total - _row_mean(total)
     var = _row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normalized = centered * inv_std
     out = Tensor._wrap(normalized * gain.data + bias.data)
     gain_data = gain.data
-    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
+    need_x = any(t.requires_grad for t in summands)
+    need_gain, need_bias = gain.requires_grad, bias.requires_grad
 
     def vjp(g):
         gx = None
@@ -348,31 +370,43 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             )
         ggain = (g * normalized).sum(axis=0) if need_gain else None
         gbias = g.sum(axis=0) if need_bias else None
-        return (gx, ggain, gbias)
+        return (*(gx for _ in summands), ggain, gbias)
 
-    return _record((x, gain, bias), out, vjp)
+    return _record((*summands, gain, bias), out, vjp)
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer id."""
+def embedding(table: Tensor, ids, positions: np.ndarray) -> Tensor:
+    """Rows of ``table`` gathered by the [B x L] integer ``ids``, plus the
+    [L x width] ``positions`` row of each id's position: the [B*L x width]
+    rows, row b*L + t for position t of sequence b."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding ids must be a flat sequence, got shape {tuple(ids.shape)}")
+    if ids.ndim != 2:
+        raise ShapeError(f"embedding ids must be [B x L], got shape {tuple(ids.shape)}")
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be rank 2, got shape {tuple(table.shape)}")
+    n_seq, length = ids.shape
+    width = table.shape[1]
+    if positions.shape != (length, width):
+        raise ShapeError(f"embedding positions must be [{length} x {width}], "
+                         f"got shape {positions.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ContractError(
             f"embedding id out of range [0, {table.shape[0]}): {int(ids.min())}..{int(ids.max())}"
         )
-    out = Tensor._wrap(table.data[ids])
+    ids = ids.reshape(-1)
     table_data = table.data
+    out_data = table_data[ids]
+    rows = out_data.reshape(n_seq, length, width)   # a view of out_data
+    rows += positions
 
     def vjp(g):
-        gt = np.zeros_like(table_data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # one flat scatter: element j of row i adds into element
+        # ids[i] * width + j, in the order a row-wise np.add.at adds them
+        gt = np.zeros(table_data.size, dtype=table_data.dtype)
+        np.add.at(gt, (ids[:, None] * width + np.arange(width)).reshape(-1), g.reshape(-1))
+        return (gt.reshape(table_data.shape),)
 
-    return _record((table,), out, vjp)
+    return _record((table,), Tensor._wrap(out_data), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -429,10 +463,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) ->
     # permute made it: BLAS rounds a transposed operand differently
     k_t = np.ascontiguousarray(heads(k.data, n_key).swapaxes(-1, -2))
     mask = mask[:, None]
-    scores = (q_heads @ k_t) * np.asarray(factor, dtype=q.data.dtype)
-    scores = np.where(mask, scores, -np.inf)
-    exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = exps / exps.sum(axis=-1, keepdims=True)
+    # the temporaries are computed in place, with the composed chain's arithmetic
+    scores = q_heads @ k_t
+    scores *= np.asarray(factor, dtype=q.data.dtype)
+    np.copyto(scores, -np.inf, where=~mask)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(rows_of(weights @ v_heads, q.shape))
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 

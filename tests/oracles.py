@@ -18,13 +18,18 @@ package's tensor ops so that it can stand in for the model's layer.
 that the batched ones replaced; ``per_pair_embedding_f1`` looks tokens up
 one at a time with ``lookup``. ``permute``, ``reshape``, ``add`` (with its
 bias broadcast), ``softmax``, ``apply_attention_mask`` and
-``scaled_dot_attention`` are the tensor ops that the fused ones replaced,
-recorded on the package's tape; ``composed_multi_head_attention``,
-``composed_linear`` and ``owner_repeat_rows`` chain them (and the
-package's ``matmul`` and ``scale``) into the reference for
-``tensor.multi_head_attention``, ``tensor.linear`` and
-``tensor.repeat_rows``. ``mul`` and ``sum_all`` are tensor ops that only
-tests use, to reduce an op's output to a scalar loss.
+``scaled_dot_attention``, ``relu`` and ``gather_rows`` (the embedding
+gather with its row-wise gradient scatter) are the tensor ops that the
+fused ones replaced, recorded on the package's tape;
+``composed_multi_head_attention``, ``composed_linear``,
+``owner_repeat_rows``, ``composed_add_layer_norm``,
+``composed_linear_relu`` and ``composed_embedding`` chain them (and the
+package's ``matmul``, ``scale``, ``add``, ``linear`` and ``layer_norm``)
+into the reference for ``tensor.multi_head_attention``, ``tensor.linear``,
+``tensor.repeat_rows``, ``tensor.add_layer_norm``, the ReLU of
+``tensor.linear`` and the positions of ``tensor.embedding``. ``mul`` and
+``sum_all`` are tensor ops that only tests use, to reduce an op's output
+to a scalar loss.
 
 Some entry points left the package because no command uses them:
 ``lookup`` reads one token's vector from a ``metrics.EmbeddingTable``,
@@ -341,6 +346,50 @@ def owner_repeat_rows(x, times):
     from cxrgen import tensor as T
 
     return T.matmul(T.Tensor(np.eye(x.shape[0]).repeat(times, axis=0)), x)
+
+
+def relu(a):
+    """max(a, 0), passing the gradient where ``a`` is positive."""
+    positive = a.data > 0
+    return _op((a,), np.maximum(a.data, 0), lambda g: (g * positive,))
+
+
+def gather_rows(table, ids):
+    """Rows of ``table`` by the flat integer ``ids``; the gradient scatters
+    back with a row-wise ``np.add.at``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    table_data = table.data
+
+    def vjp(g):
+        gt = np.zeros_like(table_data)
+        np.add.at(gt, ids, g)
+        return (gt,)
+
+    return _op((table,), table_data[ids], vjp)
+
+
+def composed_add_layer_norm(x, residual, gain, bias):
+    """``tensor.add_layer_norm`` as the sum and the layer norm it replaced."""
+    from cxrgen import tensor as T
+
+    return T.layer_norm(T.add(x, residual), gain, bias)
+
+
+def composed_linear_relu(x, w, b):
+    """``tensor.linear(..., relu=True)`` as the dense layer and the ReLU it replaced."""
+    from cxrgen import tensor as T
+
+    return relu(T.linear(x, w, b))
+
+
+def composed_embedding(table, ids, positions):
+    """``tensor.embedding`` as the row gather and the add of each sequence's
+    position rows (tiled over the [B x L] ``ids``) it replaced."""
+    from cxrgen import tensor as T
+
+    ids = np.asarray(ids)
+    rows = gather_rows(table, ids.reshape(-1))
+    return T.add(rows, T.Tensor(np.tile(positions, (ids.shape[0], 1))))
 
 
 def mul(a, b):

@@ -90,14 +90,16 @@ def test_criterion_02_gradient_correctness(monkeypatch):
                           vocab_size=20, max_len=8, demographic_dim=7,
                           dropout_rate=0.0)
         rng = np.random.default_rng(2024)
-        relu = T.relu
+        linear = T.linear
         relu_inputs = []
 
-        def recording_relu(a):
-            relu_inputs.append(a.data.copy())
-            return relu(a)
+        def recording_linear(x, w, b, relu=False):
+            if relu:   # the pre-activation of a ReLU layer, as the fused op computes it
+                with T.no_grad():
+                    relu_inputs.append(linear(x, w, b).data)
+            return linear(x, w, b, relu=relu)
 
-        monkeypatch.setattr(T, "relu", recording_relu)
+        monkeypatch.setattr(T, "linear", recording_linear)
         with T.default_dtype(np.float64):
             params = init_parameters(cfg, seed=14)
             examples = []
@@ -116,7 +118,10 @@ def test_criterion_02_gradient_correctness(monkeypatch):
             loss, _ = batch_loss(examples, params, cfg, training=False)
             T.backward(loss)
             # a ReLU kink inside the +-step interval invalidates central
-            # differences, so every pre-activation must sit well away from 0
+            # differences, so every pre-activation must sit well away from 0:
+            # the visual unit's and each decoder block's feed-forward layer
+            assert len(relu_inputs) == 1 + cfg.n_decoder_blocks, \
+                f"recorded {len(relu_inputs)} ReLU layers, the model has {1 + cfg.n_decoder_blocks}"
             margin = min(float(np.abs(x).min()) for x in relu_inputs)
             assert margin >= 10 * step, f"ReLU pre-activation {margin:.2e} too close to 0"
             monkeypatch.undo()

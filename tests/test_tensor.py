@@ -338,6 +338,80 @@ class TestFusedOps:
         for got, expected in zip(fused, composed):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
+    def test_add_layer_norm_and_linear_relu_match_composed_ops(self):
+        rng = np.random.default_rng(31)
+        x, residual = (rng.normal(size=(7, 6)).astype(np.float32) for _ in range(2))
+        gain, bias = (rng.normal(size=6).astype(np.float32) for _ in range(2))
+        direction = rng.normal(size=(7, 6))
+        fused = _forward_and_gradients(T.add_layer_norm, [x, residual, gain, bias], direction)
+        composed = _forward_and_gradients(oracles.composed_add_layer_norm,
+                                          [x, residual, gain, bias], direction)
+        w, b = rng.normal(size=(6, 5)).astype(np.float32), rng.normal(size=5).astype(np.float32)
+        direction = rng.normal(size=(7, 5))
+        fused += _forward_and_gradients(lambda *t: T.linear(*t, relu=True), [x, w, b],
+                                        direction)
+        composed += _forward_and_gradients(oracles.composed_linear_relu, [x, w, b], direction)
+        assert (fused[-4] == 0).any() and (fused[-4] > 0).any()   # both sides of the kink
+        for got, expected in zip(fused, composed):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ids", [
+        [[3, 1, 3, 3], [5, 1, 0, 3], [1, 1, 6, 2]],
+        [[4, 4, 4, 4], [4, 4, 4, 4], [4, 4, 4, 4]],
+        [[0, 6, 0, 6], [6, 6, 0, 0], [0, 0, 0, 6]]], ids=["repeated", "all-equal", "ends"])
+    def test_embedding_with_positions_matches_composed_ops(self, ids):
+        """The positions added in the gather, and the flat gradient scatter,
+        bit-equal to the add of tiled position rows and a row-wise np.add.at."""
+        rng = np.random.default_rng(37)
+        table = rng.normal(size=(7, 5)).astype(np.float32)
+        positions = T.sinusoidal_positions(4, 5)
+        direction = rng.normal(size=(12, 5))
+        fused = _forward_and_gradients(lambda t: T.embedding(t, ids, positions), [table],
+                                       direction)
+        composed = _forward_and_gradients(
+            lambda t: oracles.composed_embedding(t, ids, positions), [table], direction)
+        for got, expected in zip(fused, composed):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    def test_add_layer_norm_linear_relu_and_embedding_match_finite_differences(self):
+        rng = np.random.default_rng(41)
+        ids = np.asarray([[2, 0, 2], [4, 4, 1]])
+        with T.default_dtype(np.float64):
+            params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                      for name, shape in (("table", (5, 4)), ("r", (6, 4)), ("g", (4,)),
+                                          ("b", (4,)), ("w", (4, 4)), ("c", (4,)))}
+            positions = T.sinusoidal_positions(3, 4)
+            direction = Tensor(rng.normal(size=(6, 4)))
+
+            def loss():
+                x = T.embedding(params["table"], ids, positions)
+                x = T.add_layer_norm(x, params["r"], params["g"], params["b"])
+                hidden = T.linear(x, params["w"], params["c"], relu=True)
+                return oracles.sum_all(oracles.mul(hidden, direction))
+
+            def loss_fn():
+                T.reset_graph()
+                return loss().item()
+
+            T.backward(loss())
+            fd = finite_difference_gradients(loss_fn, params, step=1e-6)
+        for name, tensor in params.items():
+            assert max_relative_error(tensor.grad, fd[name], floor=1e-6) < 1e-6, name
+
+    @pytest.mark.parametrize("ids, positions", [
+        ([0, 1, 2], np.zeros((3, 2))), ([[0, 1, 2]], np.zeros((2, 2))),
+        ([[0, 1, 2]], np.zeros((3, 3)))], ids=["flat-ids", "length", "width"])
+    def test_embedding_shape_errors(self, ids, positions):
+        with pytest.raises(ShapeError):
+            T.embedding(Tensor(np.zeros((4, 2))), ids, positions)
+
+    def test_add_layer_norm_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.add_layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))),
+                             Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
     def test_one_head_matches_loop_oracle_per_sequence(self):
         rng = np.random.default_rng(29)
         q, k, v = (rng.normal(size=(3 * length, 2)) for length in (4, 5, 5))
@@ -471,14 +545,14 @@ class TestBackward:
     def test_only_leaves_receive_gradients(self):
         x = Tensor([[1.0, 2.0], [3.0, -1.0]], requires_grad=True)
         w = Tensor([[0.5], [-2.0]], requires_grad=True)
-        hidden = T.relu(T.matmul(x, w))
+        hidden = oracles.relu(T.matmul(x, w))
         T.backward(oracles.sum_all(oracles.mul(hidden, hidden)))
         assert hidden.grad is None
         np.testing.assert_allclose(w.grad, [[21.0], [-7.0]])
         assert x.grad is not None
 
     def test_mini_model_matches_finite_differences(self):
-        """Embedding -> attention -> cross-entropy, every gradient vs FD."""
+        """Embedding with positions -> attention -> cross-entropy, every gradient vs FD."""
         rng = np.random.default_rng(23)
         ids = np.asarray([2, 0, 3])
         targets = np.asarray([0, 3, 1])
@@ -491,9 +565,10 @@ class TestBackward:
                 "wc": Tensor(rng.normal(size=(4, 5)), requires_grad=True),
             }
             mask = np.tril(np.ones((1, 3, 3), dtype=bool))
+            positions = T.sinusoidal_positions(3, 4)
 
             def forward():
-                x = T.embedding(params["table"], ids)
+                x = T.embedding(params["table"], ids[None], positions)
                 attended = T.multi_head_attention(
                     T.matmul(x, params["wq"]), T.matmul(x, params["wk"]),
                     T.matmul(x, params["wv"]), 2, mask)
@@ -527,7 +602,7 @@ class TestBackward:
                 targets = rng.integers(0, d_out, size=rows)
 
                 def forward():
-                    h = T.relu(T.linear(params["x"], params["w1"], params["b1"]))
+                    h = T.linear(params["x"], params["w1"], params["b1"], relu=True)
                     h = T.layer_norm(h, params["g"], params["b2"])
                     return T.sparse_cross_entropy(T.matmul(h, params["w2"]), targets,
                                                   np.ones(rows, dtype=bool))
@@ -613,7 +688,7 @@ class TestOtherOps:
 
     def test_embedding_gradient_scatters(self):
         table = Tensor(np.arange(10, dtype=float).reshape(5, 2), requires_grad=True)
-        out = T.embedding(table, [1, 1, 4])
+        out = T.embedding(table, [[1, 1, 4]], np.zeros((3, 2)))
         T.backward(oracles.sum_all(out))
         expected = np.zeros((5, 2))
         expected[1] = 2.0
@@ -623,7 +698,7 @@ class TestOtherOps:
     def test_embedding_out_of_range(self):
         table = Tensor(np.zeros((3, 2)))
         with pytest.raises(ContractError):
-            T.embedding(table, [0, 3])
+            T.embedding(table, [[0, 3]], np.zeros((2, 2)))
 
     def test_dropout_deterministic_under_seeded_rng(self):
         x = Tensor(np.ones((4, 4)))
@@ -707,7 +782,7 @@ class TestInvariants:
             width = int(rng.integers(1, 6))
             x = Tensor(rng.normal(scale=5.0, size=(rows, width)), requires_grad=True)
             w = Tensor(rng.normal(scale=5.0, size=(width, width)), requires_grad=True)
-            h = T.relu(T.matmul(x, w))
+            h = T.linear(x, w, Tensor(np.zeros(width)), relu=True)
             probs = oracles.softmax(h, axis=-1)
             loss = oracles.sum_all(oracles.mul(probs, probs))
             T.backward(loss)

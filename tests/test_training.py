@@ -2,6 +2,7 @@
 determinism, and best-validation checkpoint selection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,24 @@ class TestBatchedLoss:
         _, _, _, cfg, _ = tiny_setup()
         with pytest.raises(ContractError):
             batch_loss([], init_parameters(cfg, seed=0), cfg, training=False)
+
+
+class TestTapeSize:
+    """A training step's tape is pinned, so un-fusing an op fails here and
+    not only in a traced benchmark run."""
+
+    DESK = ModelConfig(feature_dim=24, d_model=32, d_embed=32, n_heads=2, vocab_size=96,
+                       max_len=24, demographic_dim=7, dropout_rate=0.0)
+
+    @pytest.mark.parametrize("demographic_dim, entries", [(7, 25), (0, 21)],
+                             ids=["demographics", "image-only"])
+    def test_desk_batch_loss_records_a_fixed_number_of_entries(self, demographic_dim, entries):
+        cfg = replace(self.DESK, demographic_dim=demographic_dim)
+        batch = random_examples(cfg, (12, 5, 20, 9), seed=3)
+        T.reset_graph()
+        batch_loss(batch, init_parameters(cfg, seed=0), cfg, training=True,
+                   rng=np.random.default_rng(0))
+        assert len(T.active_graph()) == entries
 
 
 class TestTrainStep:
