@@ -19,7 +19,6 @@ version loads; the per-head layouts of versions 1 and 2 are an
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import uuid
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, IntegrityError
+from .files import read_json_object, write_json
 from .model import ModelConfig, check_parameters, parameter_shapes
 from .tensor import Tensor
 
@@ -75,9 +75,7 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
     try:
         with open(staging / BLOB_NAME, "wb") as fh:
             fh.writelines(chunks)
-        with open(staging / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_json(staging / MANIFEST_NAME, manifest)
         # a directory cannot be renamed onto a non-empty one: move the old aside
         if directory.exists():
             os.replace(directory, retired)
@@ -96,13 +94,7 @@ def read_manifest(path) -> dict:
     manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.exists():
         raise IntegrityError(f"no checkpoint manifest at {manifest_path}")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"unreadable checkpoint manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise IntegrityError(f"checkpoint manifest {manifest_path} is not a JSON object")
+    manifest = read_json_object(manifest_path, IntegrityError)
     version = manifest.get("format_version")
     # True == 1 and 1.0 == 1 in Python, so check the type before the value
     if type(version) is not int or version != FORMAT_VERSION:
@@ -126,11 +118,15 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
         cfg = ModelConfig.from_dict(manifest["config"])
     except (TypeError, KeyError, ConfigError) as exc:
         raise IntegrityError(f"invalid config in checkpoint manifest: {exc}") from exc
-    blob_name = manifest.get("blob", BLOB_NAME)
-    if not isinstance(blob_name, str) or not (directory / blob_name).exists():
-        raise IntegrityError(f"checkpoint blob {blob_name!r} missing from {directory}")
+    # the blob is always params.bin inside the checkpoint: a manifest may not
+    # point the reader at another file
+    if manifest.get("blob") != BLOB_NAME:
+        raise IntegrityError(f"checkpoint manifest names blob {manifest.get('blob')!r}, "
+                             f"not {BLOB_NAME!r}")
+    if not (directory / BLOB_NAME).exists():
+        raise IntegrityError(f"checkpoint blob {BLOB_NAME!r} missing from {directory}")
     # slices of a view copy nothing: each tensor's bytes are copied once, into its array
-    blob = memoryview((directory / blob_name).read_bytes())
+    blob = memoryview((directory / BLOB_NAME).read_bytes())
     if len(blob) != manifest.get("blob_nbytes"):
         raise IntegrityError(
             f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"

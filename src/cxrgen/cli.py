@@ -14,11 +14,16 @@ included. Its values are parsed like flags, so a value of the wrong type or
 outside an option's choices exits 2; explicit command line flags win over
 config-file values, which win over built-in defaults.
 
-Exit codes: 0 success, 2 usage or configuration error (a path that cannot
-be opened is one, and so is a checkpoint whose feature width differs from
-the prepared data's), 3 data integrity failure (text input that is not UTF-8
-is one, and so are a checkpoint of format 1 or 2, a bad dataset record and a
-demographics manifest that lacks a key), 4 numeric failure.
+Every file is read and written through ``cxrgen.files``.
+
+Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
+path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
+``--reject-patterns`` line and a checkpoint whose feature width differs from
+the prepared data's), 3 data integrity failure (a file that is not UTF-8 is
+one, and so are a checkpoint of format 1 or 2 or whose manifest names
+another blob, a bad dataset record, a malformed split manifest or
+evaluation report, a repeated vocabulary token and a demographics manifest
+that lacks a key or holds a value of the wrong type), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw
 from .demographics import ALL_FIELDS, DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
+from .files import read_json_object, read_text, write_json
 from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
 from .model import ModelConfig, generate, init_parameters
 from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
@@ -89,13 +95,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         elif token.startswith("--config="):
             path = token.partition("=")[2]
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+        values = read_json_object(path, ConfigError)
     tokens = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
@@ -151,6 +151,8 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_prepare_data(args) -> int:
+    if args.age_min >= args.age_max:
+        raise ConfigError(f"--age-min {args.age_min} must be below --age-max {args.age_max}")
     data_path = Path(args.data)
     records = load_raw_records(data_path)
     if not records:
@@ -163,6 +165,8 @@ def cmd_prepare_data(args) -> int:
     categories, under_k = select_top_categories(
         [p.demographics for p in points], args.top_ethnicities)
     vocab = build_vocabulary([p.report for p in points], cap=args.vocab_cap)
+    subset_size = args.subset_size or len(points) // args.subsets
+    subsets = sample_subsets(points, args.subsets, subset_size, args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,17 +176,13 @@ def cmd_prepare_data(args) -> int:
             fh.write(json.dumps({"id": reject.id, "reason": reject.reason,
                                  "detail": reject.detail}) + "\n")
     vocab.save(out / "vocab.txt")
-    with open(out / "demographics.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "categories": categories,
-            "under_k": under_k,
-            "age_min": args.age_min,
-            "age_max": args.age_max,
-        }, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "demographics.json", {
+        "categories": categories,
+        "under_k": under_k,
+        "age_min": args.age_min,
+        "age_max": args.age_max,
+    })
 
-    subset_size = args.subset_size or len(points) // args.subsets
-    subsets = sample_subsets(points, args.subsets, subset_size, args.seed)
     splits_dir = out / "splits"
     splits_dir.mkdir(exist_ok=True)
     for i, ids in enumerate(subsets):
@@ -210,15 +210,22 @@ def _load_prepared(data_dir):
     if not points:
         raise IntegrityError(f"{data_dir / 'cleaned.jsonl'} holds no records")
     vocab = Vocabulary.load(data_dir / "vocab.txt")
-    try:
-        with open(data_dir / "demographics.json", encoding="utf-8") as fh:
-            demo_payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"cannot read demographics manifest: {exc}") from exc
-    missing = [key for key in ("categories", "age_min", "age_max")
-               if not isinstance(demo_payload, dict) or key not in demo_payload]
+    demo_path = data_dir / "demographics.json"
+    demo_payload = read_json_object(demo_path, IntegrityError)
+    missing = [key for key in ("categories", "age_min", "age_max") if key not in demo_payload]
     if missing:
-        raise IntegrityError(f"{data_dir / 'demographics.json'}: missing key {missing[0]!r}")
+        raise IntegrityError(f"{demo_path}: missing key {missing[0]!r}")
+    categories = demo_payload["categories"]
+    if not (isinstance(categories, list) and categories
+            and all(isinstance(c, str) for c in categories)
+            and len(set(categories)) == len(categories)):
+        raise IntegrityError(f"{demo_path}: categories must be a non-empty list of distinct "
+                             f"strings, got {categories!r}")
+    age_min, age_max = demo_payload["age_min"], demo_payload["age_max"]
+    # True is an int in Python, so check the type exactly
+    if not (type(age_min) is int and type(age_max) is int and age_min < age_max):
+        raise IntegrityError(f"{demo_path}: age_min and age_max must be integers with "
+                             f"age_min < age_max, got {age_min!r} and {age_max!r}")
     return points, vocab, demo_payload
 
 
@@ -245,8 +252,8 @@ def cmd_train(args) -> int:
     codec = DemographicCodec(
         categories=tuple(demo_payload["categories"]),
         fields=fields or ALL_FIELDS,
-        age_min=int(demo_payload["age_min"]),
-        age_max=int(demo_payload["age_max"]),
+        age_min=demo_payload["age_min"],
+        age_max=demo_payload["age_max"],
     )
     cfg = ModelConfig(
         feature_dim=int(points[0].features.size),
@@ -358,11 +365,7 @@ def cmd_generate(args) -> int:
 
 
 def _read_token_lines(path) -> list[list[str]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [line.split() for line in fh.read().splitlines()]
-    except UnicodeDecodeError as exc:
-        raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
+    return [line.split() for line in read_text(path).splitlines()]
 
 
 def cmd_evaluate(args) -> int:
@@ -418,9 +421,7 @@ def cmd_compare(args) -> int:
         print(f"{name:<10} {np.mean(a_scores):>10.4f} {np.mean(b_scores):>10.4f} "
               f"{result.t:>10.4f} {result.p:>12.6f} {result.significant}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"alpha": args.alpha, "metrics": rows}, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, {"alpha": args.alpha, "metrics": rows})
     return 0
 
 
@@ -533,8 +534,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
         return exc.code
-    except (ConfigError, SizingError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:  # a path that cannot be opened
+    except (ConfigError, SizingError, OSError) as exc:   # OSError: a path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except IntegrityError as exc:

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .demographics import DemographicRecord
 from .errors import ConfigError, ContractError, IntegrityError, SizingError
+from .files import read_json_object, read_lines, write_json
 from .text import (END_TOKEN, START_TOKEN, CleanReport, RawReport, Rejected, clean_report,
                    default_standardization_map, load_reject_patterns, load_stopwords)
 
@@ -72,27 +73,16 @@ class SplitManifest:
 
     def save(self, path) -> None:
         self.validate()
-        payload = {
-            "subset_id": self.subset_id,
-            "train_ids": self.train_ids,
-            "val_ids": self.val_ids,
-            "test_ids": self.test_ids,
-            "seed": self.seed,
-            "params": self.params,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "SplitManifest":
+        payload = read_json_object(path, IntegrityError)
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
             manifest = cls(**payload)
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise IntegrityError(f"unreadable split manifest {path}: {exc}") from exc
-        manifest.validate()
+            manifest.validate()
+        except (TypeError, ContractError) as exc:   # a missing, unknown or mistyped field
+            raise IntegrityError(f"{path} is not a split manifest: {exc}") from None
         return manifest
 
 
@@ -109,7 +99,8 @@ def sample_subsets(pool, k_subsets: int, subset_size: int, seed: int) -> list[li
     subsets. Deterministic under the seed.
     """
     if k_subsets < 1 or subset_size < 1:
-        raise ContractError("k_subsets and subset_size must be positive")
+        raise ConfigError(f"cannot draw {k_subsets} subset(s) of {subset_size} examples: "
+                          "both counts must be positive")
     need = k_subsets * subset_size
     if need > len(pool):
         raise SizingError(
@@ -289,51 +280,47 @@ def _parse_records(path, text_field: str):
     fields = ("id", text_field, "gender", "age", "ethnicity", "features")
     first = None   # (line number, width) of the first record
     linenos = {}   # id -> the line that gave it
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IntegrityError(f"{where}: malformed record: {exc}") from None
-                if not isinstance(payload, dict):
-                    raise IntegrityError(f"{where}: record is not a JSON object")
-                missing = [key for key in fields if key not in payload]
-                if missing:
-                    raise IntegrityError(f"{where}: missing field {missing[0]!r}")
-                record_id = str(payload["id"])
-                if record_id in linenos:
-                    raise IntegrityError(f"{where}: id {record_id!r} repeats line "
-                                         f"{linenos[record_id]}")
-                linenos[record_id] = lineno
-                values = payload["features"]
-                if not (isinstance(values, list) and values
-                        and all(type(x) in (int, float) for x in values)):
-                    raise IntegrityError(f"{where}: features must be a non-empty flat "
-                                         "list of numbers")
-                with np.errstate(over="ignore"):   # an overflow is caught just below
-                    features = np.asarray(values, dtype=np.float32)
-                if not np.isfinite(features).all():
-                    raise IntegrityError(f"{where}: a feature is not finite in float32")
-                if first is None:
-                    first = (lineno, features.size)
-                elif features.size != first[1]:
-                    raise IntegrityError(f"{where}: {features.size} features, but line "
-                                         f"{first[0]} has {first[1]}")
-                if type(payload["age"]) is not int:
-                    raise IntegrityError(f"{where}: age must be an integer, "
-                                         f"got {payload['age']!r}")
-                try:
-                    demographics = DemographicRecord(str(payload["gender"]), payload["age"],
-                                                     str(payload["ethnicity"]))
-                except ContractError as exc:
-                    raise IntegrityError(f"{where}: {exc}") from None
-                yield lineno, payload, features, demographics
-    except UnicodeDecodeError as exc:
-        raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IntegrityError(f"{where}: malformed record: {exc}") from None
+        if not isinstance(payload, dict):
+            raise IntegrityError(f"{where}: record is not a JSON object")
+        missing = [key for key in fields if key not in payload]
+        if missing:
+            raise IntegrityError(f"{where}: missing field {missing[0]!r}")
+        record_id = str(payload["id"])
+        if record_id in linenos:
+            raise IntegrityError(f"{where}: id {record_id!r} repeats line "
+                                 f"{linenos[record_id]}")
+        linenos[record_id] = lineno
+        values = payload["features"]
+        if not (isinstance(values, list) and values
+                and all(type(x) in (int, float) for x in values)):
+            raise IntegrityError(f"{where}: features must be a non-empty flat "
+                                 "list of numbers")
+        with np.errstate(over="ignore"):   # an overflow is caught just below
+            features = np.asarray(values, dtype=np.float32)
+        if not np.isfinite(features).all():
+            raise IntegrityError(f"{where}: a feature is not finite in float32")
+        if first is None:
+            first = (lineno, features.size)
+        elif features.size != first[1]:
+            raise IntegrityError(f"{where}: {features.size} features, but line "
+                                 f"{first[0]} has {first[1]}")
+        if type(payload["age"]) is not int:
+            raise IntegrityError(f"{where}: age must be an integer, "
+                                 f"got {payload['age']!r}")
+        try:
+            demographics = DemographicRecord(str(payload["gender"]), payload["age"],
+                                             str(payload["ethnicity"]))
+        except ContractError as exc:
+            raise IntegrityError(f"{where}: {exc}") from None
+        yield lineno, payload, features, demographics
 
 
 def load_raw_records(path) -> list[IngestRecord]:

@@ -1,0 +1,45 @@
+"""How the commands read and write their JSON and text files.
+
+Text is UTF-8: bytes that are not raise ``IntegrityError`` naming the file.
+A JSON file holds one object, written with two-space indentation and a
+final newline. A path that cannot be opened raises its ``OSError``
+unchanged; the command line reports it as a usage error.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .errors import IntegrityError
+
+
+def read_lines(path):
+    """The lines of the UTF-8 text file at ``path``, newlines kept, read one
+    at a time so that a large file streams."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_text(path) -> str:
+    return "".join(read_lines(path))
+
+
+def read_json_object(path, error) -> dict:
+    """The JSON object in the file at ``path``. Malformed JSON, or a value
+    that is not an object, raises ``error`` naming the path."""
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is malformed JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{path} is not a JSON object")
+    return payload
+
+
+def write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

@@ -22,16 +22,16 @@ zipped slices of the sequence and clips them with ``Counter &``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from itertools import repeat
 
 import numpy as np
 from scipy import stats
 
 from .errors import ConfigError, ContractError, DegenerateInputError, IntegrityError
+from .files import read_json_object, read_lines, write_json
 
 EPSILON = 1e-9
 F1_GROUP = 32   # pairs per batched similarity product in embedding_f1
@@ -162,31 +162,27 @@ class EmbeddingTable:
         vectors = {}
         linenos = {}   # token -> the line that gave it
         first = None   # (line number, dimension) of the first entry
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    parts = line.split()
-                    if not parts:
-                        continue
-                    if len(parts) < 2:
-                        raise ConfigError(f"{path}:{lineno}: token without components")
-                    try:
-                        vec = [float(x) for x in parts[1:]]
-                    except ValueError as exc:
-                        raise ConfigError(f"{path}:{lineno}: {exc}") from None
-                    if not all(map(math.isfinite, vec)):
-                        raise ConfigError(f"{path}:{lineno}: non-finite component")
-                    if first is None:
-                        first = (lineno, len(vec))
-                    elif len(vec) != first[1]:
-                        raise ConfigError(f"{path}:{lineno}: {len(vec)} components, but "
-                                          f"line {first[0]} has {first[1]}")
-                    if parts[0] in linenos:
-                        raise ConfigError(f"{path}:{lineno}: token {parts[0]!r} repeats "
-                                          f"line {linenos[parts[0]]}")
-                    vectors[parts[0]], linenos[parts[0]] = vec, lineno
-        except UnicodeDecodeError as exc:
-            raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
+        for lineno, line in enumerate(read_lines(path), 1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) < 2:
+                raise ConfigError(f"{path}:{lineno}: token without components")
+            try:
+                vec = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, vec)):
+                raise ConfigError(f"{path}:{lineno}: non-finite component")
+            if first is None:
+                first = (lineno, len(vec))
+            elif len(vec) != first[1]:
+                raise ConfigError(f"{path}:{lineno}: {len(vec)} components, but "
+                                  f"line {first[0]} has {first[1]}")
+            if parts[0] in linenos:
+                raise ConfigError(f"{path}:{lineno}: token {parts[0]!r} repeats "
+                                  f"line {linenos[parts[0]]}")
+            vectors[parts[0]], linenos[parts[0]] = vec, lineno
         return cls(vectors, unknown_policy)
 
 
@@ -285,17 +281,34 @@ class EvaluationReport:
     n_pairs: int
     note: str = EMBEDDING_NOTE
 
-    def to_json(self, path=None) -> str:
-        payload = json.dumps(asdict(self), indent=2) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        return payload
+    def to_json(self, path) -> None:
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "EvaluationReport":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        """Read a report that ``to_json`` wrote. Any other set of keys, a BLEU
+        score that is not a finite number, an embedding score that is neither
+        that nor null (the three are null together or not at all), an
+        ``n_pairs`` that is not an integer or a ``note`` that is not a string
+        raises ``IntegrityError`` naming the file."""
+        payload = read_json_object(path, IntegrityError)
+        names = [f.name for f in fields(cls)]
+        if sorted(payload) != sorted(names):
+            raise IntegrityError(f"{path}: an evaluation report has the keys {names}, "
+                                 f"got {list(payload)}")
+        embed = ("p_embed", "r_embed", "f1_embed")
+        for name, value in payload.items():
+            if name == "n_pairs":
+                valid = type(value) is int
+            elif name == "note":
+                valid = isinstance(value, str)
+            else:
+                valid = (type(value) in (int, float) and math.isfinite(value)
+                         or value is None and name in embed)
+            if not valid:
+                raise IntegrityError(f"{path}: bad value for {name}: {value!r}")
+        if len({payload[name] is None for name in embed}) > 1:
+            raise IntegrityError(f"{path}: {', '.join(embed)} must be null together")
         return cls(**payload)
 
 

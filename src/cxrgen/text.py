@@ -24,9 +24,9 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .errors import ConfigError, ContractError, IntegrityError
+from .files import read_lines, read_text
 
 PAD_TOKEN = "<pad>"
 START_TOKEN = "<start>"
@@ -133,24 +133,28 @@ class StandardizationMap:
         """Parse lines of the form ``source phrase => canonical phrase``
         (default: the shipped map)."""
         pairs = []
-        for line in _resource_lines(path, "standardization.txt"):
+        for lineno, line in _resource_lines(path, "standardization.txt"):
             if "=>" not in line:
-                raise ConfigError(f"{path}: expected 'source => canonical', got {line!r}")
+                raise ConfigError(f"{path}:{lineno}: expected 'source => canonical', "
+                                  f"got {line!r}")
             pairs.append(tuple(part.strip() for part in line.split("=>", 1)))
         return cls(pairs)
 
 
-def _resource_lines(path, name: str) -> list[str]:
-    """The stripped lines of the file at ``path`` (default: the shipped
-    resource ``name``), without blank lines and # comments."""
-    source = Path(path) if path else resources.files("cxrgen") / "resources" / name
-    lines = (line.strip() for line in source.read_text(encoding="utf-8").splitlines())
-    return [line for line in lines if line and not line.startswith("#")]
+def _resource_lines(path, name: str) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for each line of the file at ``path``
+    (default: the shipped resource ``name``) that is not blank or a # comment."""
+    if path:
+        text = read_text(path)
+    else:
+        text = (resources.files("cxrgen") / "resources" / name).read_text(encoding="utf-8")
+    lines = enumerate((line.strip() for line in text.splitlines()), 1)
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
 def load_stopwords(path=None) -> frozenset[str]:
     """One stop word per line (default: the shipped list)."""
-    return frozenset(line.lower() for line in _resource_lines(path, "stopwords.txt"))
+    return frozenset(line.lower() for _, line in _resource_lines(path, "stopwords.txt"))
 
 
 def default_standardization_map() -> StandardizationMap:
@@ -159,8 +163,16 @@ def default_standardization_map() -> StandardizationMap:
 
 def load_reject_patterns(path=None) -> list[re.Pattern]:
     """One regular expression per line, matched against the lowercased raw text
-    (default: the shipped list)."""
-    return [re.compile(line) for line in _resource_lines(path, "reject_patterns.txt")]
+    (default: the shipped list); one that does not compile raises ``ConfigError``
+    naming ``path:line``."""
+    patterns = []
+    for lineno, line in _resource_lines(path, "reject_patterns.txt"):
+        try:
+            patterns.append(re.compile(line))
+        except re.error as exc:
+            raise ConfigError(f"{path}:{lineno}: invalid regular expression {line!r}: "
+                              f"{exc}") from None
+    return patterns
 
 
 def clean_report(raw: RawReport, stopwords, std_map: StandardizationMap,
@@ -219,11 +231,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if tuple(tokens[:4]) != RESERVED_TOKENS:
-            raise IntegrityError(f"{path}: first four lines must be {RESERVED_TOKENS}")
-        return cls(tokens)
+        """Read a vocabulary file; one that breaks a rule of the constructor
+        raises ``IntegrityError`` naming the file."""
+        tokens = [line.rstrip("\n") for line in read_lines(path) if line.rstrip("\n")]
+        try:
+            return cls(tokens)
+        except ConfigError as exc:
+            raise IntegrityError(f"{path}: {exc}") from None
 
 
 def build_vocabulary(corpus, cap: int = 2212) -> Vocabulary:

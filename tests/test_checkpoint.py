@@ -3,6 +3,8 @@ manifests are detected and attributed; an interrupted save leaves the
 previous checkpoint loadable; formats 1 and 2 are rejected, and the
 weights they hold still give the outputs recorded when they were written."""
 
+import builtins
+import io
 import json
 import os
 from pathlib import Path
@@ -226,6 +228,38 @@ def test_malformed_manifest_entry_is_integrity_error(tmp_path, params, corrupt):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("blob", ["outside", "../outside.bin"], ids=["absolute", "dotdot"])
+def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypatch, capsys,
+                                                     blob):
+    """The blob is always ``params.bin``: a manifest that names another file,
+    here a valid copy of the blob beside the checkpoint, exits 3 and that
+    file is never opened."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes((tmp_path / "ckpt" / "params.bin").read_bytes())
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["blob"] = str(outside) if blob == "outside" else blob
+    manifest_path.write_text(json.dumps(manifest))
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    real_open = io.open
+    monkeypatch.setattr(io, "open", recording_open)   # what pathlib opens with
+    monkeypatch.setattr(builtins, "open", recording_open)
+    with pytest.raises(IntegrityError, match="params.bin"):
+        load_checkpoint(tmp_path / "ckpt")
+    assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "hyp.txt")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert os.path.realpath(outside) not in opened
+    assert os.path.realpath(manifest_path) in opened
 
 
 def test_tensor_list_must_match_model(tmp_path, params):

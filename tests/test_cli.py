@@ -21,6 +21,9 @@ from cxrgen.metrics import EvaluationReport
 from cxrgen.model import init_parameters
 from cxrgen.text import END_ID, UNK_ID
 
+TINY_TRAIN = ["--d-model", "16", "--n-heads", "2", "--epochs", "1"]
+NOT_UTF8 = b"\xff\xfe"   # prefixed to a file's bytes, they are no longer UTF-8
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -154,6 +157,13 @@ class TestPrepareData:
                      "--out", str(tmp_path / "out"), "--subsets", "9",
                      "--subset-size", "1000"]) == 2
 
+    def test_more_subsets_than_reports_is_usage_error(self, pipeline, tmp_path, capsys):
+        """With --subset-size 0, 40 subsets of 32 reports would hold 0 each."""
+        assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                     "--out", str(tmp_path / "out"), "--subsets", "40"]) == 2
+        assert "cannot draw 40 subset(s) of 0 examples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option, value", [
         ("--subsets", "0"), ("--subsets", "-1"), ("--top-ethnicities", "0"),
         ("--subset-size", "-1")])
@@ -166,6 +176,23 @@ class TestPrepareData:
         err = capsys.readouterr().err
         assert f"argument {option}" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_path_too_long_to_open_is_usage_error(self, tmp_path, capsys):
+        """Any ``OSError`` on opening a path exits 2, not only a missing file."""
+        assert main(["prepare-data", "--data", str(tmp_path / ("x" * 5000)),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_invalid_reject_pattern_is_usage_error(self, pipeline, tmp_path, capsys):
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text("# comment\nprior study\n\n(unclosed\n")
+        assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                     "--out", str(tmp_path / "out"), "--reject-patterns", str(patterns)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {patterns}:4: invalid regular expression '(unclosed'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_dataset_is_integrity_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -418,6 +445,48 @@ class TestTrainGenerate:
         err = capsys.readouterr().err
         assert f"missing key {key!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("change", [
+        {"categories": "group_a"}, {"categories": ["group_a", "group_a"]},
+        {"categories": [1, 2]}, {"categories": []}, {"age_min": True}, {"age_min": 2.7},
+        {"age_max": "x"}, {"age_min": 91, "age_max": 91}],
+        ids=["string-categories", "repeated-category", "number-categories",
+             "no-categories", "bool-age", "float-age", "string-age", "min-not-below-max"])
+    def test_bad_demographics_manifest_value_is_integrity_error(self, pipeline, tmp_path,
+                                                                capsys, change):
+        """Checked when the prepared data loads: a string is not split into
+        characters, a bool or a float is not taken for an age."""
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        payload = json.loads((prep / "demographics.json").read_text())
+        (prep / "demographics.json").write_text(json.dumps({**payload, **change}))
+        assert main(["train", "--data", str(prep), "--out", str(tmp_path / "run"),
+                     *TINY_TRAIN]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {prep / 'demographics.json'}: " in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["cleaned.jsonl", "vocab.txt", "demographics.json"])
+    def test_missing_prepared_file_is_usage_error(self, pipeline, tmp_path, capsys, name):
+        """A path that cannot be opened exits 2, whichever prepared file it is."""
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        (prep / name).unlink()
+        assert main(["train", "--data", str(prep), "--out", str(tmp_path / "run"),
+                     *TINY_TRAIN]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    def test_repeated_vocabulary_token_is_integrity_error(self, pipeline, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        lines = (prep / "vocab.txt").read_text().splitlines()
+        (prep / "vocab.txt").write_text("\n".join(lines + [lines[5]]) + "\n")
+        assert main(["train", "--data", str(prep), "--out", str(tmp_path / "run"),
+                     *TINY_TRAIN]) == 3
+        err = capsys.readouterr().err
+        assert "vocab.txt: vocabulary contains duplicate tokens" in err
+        assert "Traceback" not in err
+
     def test_generate_on_data_of_another_width_is_usage_error(self, pipeline, tmp_path,
                                                               capsys):
         """A 24-wide checkpoint on a 16-wide prepared dataset exits 2 naming both."""
@@ -463,6 +532,35 @@ class TestTrainGenerate:
         assert main(["synth-data", "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
         assert "argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("target", [
+        "vocab.txt", "demographics.json", "splits/subset_0.json", "manifest.json",
+        "--config", "--stopwords", "--std-map", "--reject-patterns"])
+    def test_file_that_is_not_utf8_is_integrity_error(self, pipeline, tmp_path, capsys,
+                                                     target):
+        """Prepared files through ``train``, the checkpoint manifest through
+        ``generate``, and option files through ``prepare-data``."""
+        prep, ckpt, out = tmp_path / "prep", tmp_path / "ckpt", tmp_path / "out"
+        shutil.copytree(pipeline["prep"], prep)
+        shutil.copytree(pipeline["run"] / "best", ckpt)
+        if target.startswith("--"):
+            bad = tmp_path / "option.txt"
+            argv = ["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                    "--out", str(out), target, str(bad)]
+        elif target == "manifest.json":
+            bad = ckpt / target
+            argv = ["generate", "--checkpoint", str(ckpt), "--data", str(prep),
+                    "--out", str(out / "hyp.txt")]
+        else:
+            bad = prep / target
+            argv = ["train", "--data", str(prep), "--out", str(out), *TINY_TRAIN]
+        bad.write_bytes(NOT_UTF8 + (bad.read_bytes() if bad.exists() else b"{}"))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error: {bad} is not UTF-8 text" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEvaluateCompare:
@@ -587,6 +685,29 @@ class TestEvaluateCompare:
         b = self._write_reports(tmp_path, "c", [0.5, 0.5, 0.5])
         assert main(["compare", "--a", *a, "--b", *b]) == 4
 
+    @pytest.mark.parametrize("spoil", [
+        lambda text: text[:len(text) // 2], lambda text: f"[{text}]",
+        lambda text: text.replace('"bleu_2"', '"bleu_5"'),
+        lambda text: text.replace('"n_pairs": 10,', ""),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": "x"'),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": NaN'),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": Infinity'),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": true'),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": null'),
+        lambda text: text.replace('"n_pairs": 10', '"n_pairs": 10.5'),
+        lambda text: text.replace('"f1_embed": null', '"f1_embed": 0.5'),
+    ], ids=["truncated", "array", "unknown-key", "missing-key", "string-score", "nan-score",
+            "infinite-score", "bool-score", "null-bleu", "float-n-pairs", "lone-embed-score"])
+    def test_malformed_report_is_integrity_error(self, tmp_path, capsys, spoil):
+        a = self._write_reports(tmp_path, "a", [0.5, 0.6, 0.7])
+        b = self._write_reports(tmp_path, "b", [0.2, 0.4, 0.3])
+        bad = Path(b[1])
+        bad.write_text(spoil(bad.read_text().replace('"bleu_1": 0.4', '"bleu_1": 0.5')))
+        assert main(["compare", "--a", *a, "--b", *b, "--out", str(tmp_path / "cmp.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err and "Traceback" not in err
+        assert not (tmp_path / "cmp.json").exists()
+
     def test_compare_mismatched_counts_is_usage_error(self, tmp_path):
         a = self._write_reports(tmp_path, "a", [0.5, 0.6])
         b = self._write_reports(tmp_path, "d", [0.5])
@@ -697,3 +818,271 @@ class TestGenerateProperty:
                      for run in runs]
         assert hyps[0] == hyps[1]
         assert stats[0] == stats[1]
+
+
+def _run(argv) -> tuple[int, str]:
+    """The exit code and the standard error of ``main(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _files(root) -> dict[str, bytes]:
+    """Every file under ``root``, by its path relative to ``root``."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+WRONG_VALUES = st.sampled_from([None, True, "x", 1.5, -3, float("nan"), float("inf"),
+                                [], {}, [1, "a"]])
+
+
+@st.composite
+def json_spoil(draw, keys):
+    """How to spoil a JSON object: ``(kind, key, value)`` where kind is bytes
+    that are not UTF-8, the text cut short, the object wrapped in an array,
+    ``key`` dropped, or ``key`` given ``value`` in place of its own."""
+    kind = draw(st.sampled_from(["not UTF-8", "truncated", "array", "missing key",
+                                 "wrong value"]))
+    return kind, draw(st.sampled_from(keys)), draw(WRONG_VALUES)
+
+
+def spoiled_json(payload: dict, spoil) -> bytes:
+    kind, key, value = spoil
+    if kind == "missing key":
+        payload = {k: v for k, v in payload.items() if k != key}
+    elif kind == "wrong value":
+        payload = {**payload, key: value}
+    text = json.dumps([payload] if kind == "array" else payload)
+    if kind == "truncated":
+        text = text[:len(text) // 2]
+    return (NOT_UTF8 if kind == "not UTF-8" else b"") + text.encode()
+
+
+def spoil_json_file(path, spoil, line=None) -> None:
+    """Spoil the JSON object in ``path``, or the one on line ``line`` (counted
+    modulo the number of lines) of a file of one object per line."""
+    if line is None:
+        path.write_bytes(spoiled_json(json.loads(path.read_text()), spoil))
+        return
+    lines = path.read_bytes().splitlines()
+    line %= len(lines)
+    lines[line] = spoiled_json(json.loads(lines[line]), spoil)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+def spoil_text_file(path, kind, bad_line) -> None:
+    """Make ``path`` not UTF-8, or append ``bad_line`` to it."""
+    data = path.read_bytes() if path.exists() else b""
+    path.write_bytes(NOT_UTF8 + data if kind == "not UTF-8" else data + bad_line + b"\n")
+
+
+def _option(draw, name, valid, invalid, broken):
+    return f"--{name}={draw(st.sampled_from(invalid if broken else valid))}"
+
+
+# option: (a line it accepts, a line it rejects or None)
+CLEANING_FILES = {"stopwords": (b"the", None),
+                  "std-map": (b"left lung => lung", b"no arrow here"),
+                  "reject-patterns": (b"prior stud(y|ies)", b"(unclosed")}
+DATASET_FIELDS = ["id", "report", "gender", "age", "ethnicity", "features"]
+PREPARE_OPTIONS = {   # option: (valid values, invalid values)
+    "subsets": ([1, 2, 3], [0, -1, 40]),
+    "subset-size": ([0, 4, 8], [-1, 1000]),
+    "vocab-cap": ([5, 64, 2212], [4, -1, "x"]),
+    "top-ethnicities": ([1, 2, 5], [0, -2]),
+    "min-raw-words": ([0, 9], [1000]),
+    "age-min": ([0, 19], [91, 200]),
+    "seed": ([0, 3, 2 ** 33], [-1, "x"]),
+}
+
+
+@st.composite
+def prepare_data_case(draw):
+    """Valid options and cleaning files, with nothing broken or one option
+    value, one dataset record or one cleaning file broken."""
+    broken = draw(st.sampled_from(["nothing", "nothing", "option", "dataset", "cleaning"]))
+    bad_option = draw(st.sampled_from(sorted(PREPARE_OPTIONS)))
+    options = [_option(draw, name, *values, broken == "option" and name == bad_option)
+               for name, values in PREPARE_OPTIONS.items()]
+    dataset = ((draw(st.integers(0, 31)), draw(json_spoil(DATASET_FIELDS)))
+               if broken == "dataset" else None)
+    cleaning = {name: draw(st.sampled_from(["absent", "valid"])) for name in CLEANING_FILES}
+    if broken == "cleaning":
+        name = draw(st.sampled_from(sorted(CLEANING_FILES)))
+        cleaning[name] = draw(st.sampled_from(
+            ["not UTF-8", "bad line"] if CLEANING_FILES[name][1] else ["not UTF-8"]))
+    return options, dataset, cleaning
+
+
+class TestPrepareDataProperty:
+    @given(prepare_data_case())
+    @settings(max_examples=30, deadline=None)
+    def test_any_options_and_inputs_exit_with_a_documented_code(self, pipeline, case):
+        """Every run exits 0, 2 or 3 with no traceback; a valid run repeated
+        writes the same bytes."""
+        options, dataset, cleaning = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "dataset.jsonl"
+            shutil.copy(pipeline["corpus"] / "dataset.jsonl", data)
+            if dataset is not None:
+                spoil_json_file(data, dataset[1], line=dataset[0])
+            argv = ["prepare-data", "--data", str(data), *options]
+            for name, kind in cleaning.items():
+                if kind == "absent":
+                    continue
+                path = Path(tmp) / f"{name}.txt"
+                good, bad = CLEANING_FILES[name]
+                path.write_bytes(good + b"\n")
+                if kind != "valid":
+                    spoil_text_file(path, kind, bad)
+                argv += [f"--{name}", str(path)]
+            runs = [Path(tmp) / "a", Path(tmp) / "b"]
+            code, err = _run([*argv, "--out", str(runs[0])])
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            if code:
+                assert "error" in err
+                return
+            assert _run([*argv, "--out", str(runs[1])]) == (0, "")
+            assert _files(runs[0]) == _files(runs[1])
+
+
+TRAIN_OPTIONS = {   # option: (valid values, invalid values)
+    "demographics": (["gender,age,ethnicity", "none", "age", "ethnicity,gender"], ["weight"]),
+    "d-model": ([8, 16], [0, 7]),
+    "n-heads": ([1, 2], [0, -1]),
+    "max-len": ([3, 24], [2, 0]),
+    "dropout": ([0, 0.25], [1, -0.1, "nan"]),
+    "batch-size": ([1, 8, 64], [0]),
+    "learning-rate": ([0.01, 0.001], [0, "nan", "inf"]),
+    "epochs": ([1, 2], [0, -1]),
+    "patience": ([1, 5], [0]),
+    "grad-clip": ([1, 0.5], [0, "inf"]),
+    "seed": ([0, 5], [-1]),
+}
+PREPARED_FILES = {   # file: keys of one of its JSON objects, or None for vocab.txt
+    "cleaned.jsonl": ["id", "tokens", "gender", "age", "ethnicity", "features"],
+    "demographics.json": ["categories", "age_min", "age_max"],
+    "split": ["train_ids", "val_ids", "test_ids", "subset_id", "seed", "params"],
+    "vocab.txt": None,
+}
+
+
+@st.composite
+def train_case(draw):
+    """Valid options, with nothing broken, one option value broken, a subset
+    with no split manifest, or one prepared file spoiled."""
+    broken = draw(st.sampled_from(["nothing", "nothing", "option", "subset", "file"]))
+    bad_option = draw(st.sampled_from(sorted(TRAIN_OPTIONS)))
+    subset = draw(st.sampled_from([2, -1] if broken == "subset" else [0, 1]))
+    options = [f"--subset={subset}"] + [
+        _option(draw, name, *values, broken == "option" and name == bad_option)
+        for name, values in TRAIN_OPTIONS.items()]
+    spoil = None
+    if broken == "file":
+        name = draw(st.sampled_from(sorted(PREPARED_FILES)))
+        keys = PREPARED_FILES[name]
+        spoil = (name, draw(json_spoil(keys)) if keys else
+                 draw(st.sampled_from(["not UTF-8", "no header", "repeated token"])),
+                 draw(st.integers(0, 40)))
+    return options, subset, spoil
+
+
+class TestTrainProperty:
+    @given(train_case())
+    @settings(max_examples=25, deadline=None)
+    def test_any_options_and_inputs_exit_with_a_documented_code(self, pipeline, case):
+        """Every run exits 0, 2 or 3 with no traceback; a valid run repeated
+        writes the same checkpoint, provenance and losses."""
+        options, subset, spoil = case
+        with tempfile.TemporaryDirectory() as tmp:
+            prep = Path(tmp) / "prep"
+            shutil.copytree(pipeline["prep"], prep)
+            if spoil is not None:
+                name, how, line = spoil
+                if name == "vocab.txt":
+                    tokens = (prep / name).read_text().splitlines()
+                    tokens = tokens[1:] if how == "no header" else tokens + tokens[-1:]
+                    (prep / name).write_bytes((NOT_UTF8 if how == "not UTF-8" else b"")
+                                              + "\n".join(tokens).encode() + b"\n")
+                elif name == "cleaned.jsonl":
+                    spoil_json_file(prep / name, how, line=line)
+                else:
+                    path = (prep / "splits" / f"subset_{subset}.json" if name == "split"
+                            else prep / name)
+                    spoil_json_file(path, how)
+            runs = [Path(tmp) / "a", Path(tmp) / "b"]
+            argv = ["train", "--data", str(prep), *options]
+            code, err = _run([*argv, "--out", str(runs[0])])
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            if code:
+                assert "error" in err
+                return
+            assert _run([*argv, "--out", str(runs[1])]) == (0, "")
+            artifacts = []
+            for run in runs:
+                files = _files(run)
+                log = [json.loads(line) for line in files.pop("trainlog.jsonl").splitlines()]
+                artifacts.append((files, [{k: v for k, v in record.items() if k != "seconds"}
+                                          for record in log]))
+        assert artifacts[0] == artifacts[1]
+
+
+REPORT_KEYS = [field.name for field in dataclasses.fields(EvaluationReport)]
+
+
+@st.composite
+def compare_case(draw):
+    """Two or three valid report pairs, with or without embedding scores, and
+    nothing broken, one option broken, the pairs mismatched, one report
+    spoiled or the --config file spoiled."""
+    broken = draw(st.sampled_from(["nothing", "nothing", "option", "pairs", "report",
+                                   "config"]))
+    n_pairs = draw(st.sampled_from([2, 3]))
+    alpha = draw(st.sampled_from([0, 1, 1.5, "nan", "x"] if broken == "option"
+                                 else [0.05, 0.5]))
+    spoil = None
+    if broken == "report":
+        spoil = (draw(st.integers(0, 2 * n_pairs - 1)), draw(json_spoil(REPORT_KEYS)))
+    elif broken == "config":
+        spoil = ("config", draw(json_spoil(["alpha"])))
+    return n_pairs, draw(st.booleans()), alpha, broken == "pairs", spoil
+
+
+class TestCompareProperty:
+    @given(compare_case())
+    @settings(max_examples=40, deadline=None)
+    def test_any_reports_exit_with_a_documented_code(self, case):
+        """Every run exits 0, 2 or 3 with no traceback; a valid run repeated
+        writes the same table."""
+        n_pairs, embedded, alpha, mismatched, spoil = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, score in enumerate([0.5, 0.6, 0.7][:n_pairs] + [0.2, 0.4, 0.3][:n_pairs]):
+                embed = (score * 0.9, score * 0.8, score * 0.85) if embedded else (None,) * 3
+                report = EvaluationReport(score, score * 0.8, score * 0.6, score * 0.4,
+                                          *embed, n_pairs=10)
+                paths.append(Path(tmp) / f"{i}.json")
+                report.to_json(paths[-1])
+            argv = ["compare", "--a", *map(str, paths[:n_pairs]),
+                    "--b", *map(str, paths[n_pairs:len(paths) - mismatched])]
+            if spoil is not None and spoil[0] == "config":
+                config = Path(tmp) / "config.json"
+                config.write_bytes(spoiled_json({"alpha": alpha}, spoil[1]))
+                argv += ["--config", str(config)]
+            else:
+                argv.append(f"--alpha={alpha}")
+                if spoil is not None:
+                    spoil_json_file(paths[spoil[0]], spoil[1])
+            outs = [Path(tmp) / "a.json", Path(tmp) / "b.json"]
+            code, err = _run([*argv, "--out", str(outs[0])])
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            if code:
+                assert "error" in err
+                return
+            assert _run([*argv, "--out", str(outs[1])])[0] == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
