@@ -16,19 +16,26 @@ config-file values, which win over built-in defaults.
 
 Every file is read and written through ``cxrgen.files``.
 
+``train`` reads the demographic codec from ``demographics.json`` and stores
+the variant it trains, or null for the image-only model, in the checkpoint
+with the vocabulary. ``generate`` takes both from the checkpoint and reads
+only ``cleaned.jsonl`` and the split manifest from ``--data``.
+
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
 ``--reject-patterns`` line and a checkpoint whose feature width differs from
 the prepared data's), 3 data integrity failure (a file that is not UTF-8 is
 one, and so are a checkpoint of format 1 or 2 or whose manifest names
 another blob, a bad dataset record, a malformed split manifest or
-evaluation report, a repeated vocabulary token and a demographics manifest
-that lacks a key or holds a value of the wrong type), 4 numeric failure.
+evaluation report, a repeated vocabulary token, a demographics manifest or
+checkpoint codec that lacks a key or holds a bad value, and a checkpoint
+vocabulary or codec that does not fit its model), 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,7 +49,7 @@ from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw_records,
                    sample_subsets, split, synthesize_corpus, write_dataset,
                    write_prepared_dataset, SplitManifest)
-from .demographics import ALL_FIELDS, DemographicCodec, select_top_categories
+from .demographics import DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
 from .files import read_json_object, read_text, write_json
@@ -126,11 +133,7 @@ def _parse_fields(raw: str) -> tuple[str, ...]:
     raw = raw.strip().lower()
     if raw in ("", "none", "baseline"):
         return ()
-    fields = tuple(part.strip() for part in raw.split(",") if part.strip())
-    bad = [f for f in fields if f not in ALL_FIELDS]
-    if bad:
-        raise ConfigError(f"unknown demographic fields {bad}; valid: {list(ALL_FIELDS)}")
-    return fields
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -204,29 +207,22 @@ def cmd_prepare_data(args) -> int:
     return 0
 
 
-def _load_prepared(data_dir):
-    data_dir = Path(data_dir)
-    points = load_prepared_dataset(data_dir / "cleaned.jsonl")
+def _load_points(data_dir) -> list:
+    path = Path(data_dir) / "cleaned.jsonl"
+    points = load_prepared_dataset(path)
     if not points:
-        raise IntegrityError(f"{data_dir / 'cleaned.jsonl'} holds no records")
-    vocab = Vocabulary.load(data_dir / "vocab.txt")
-    demo_path = data_dir / "demographics.json"
-    demo_payload = read_json_object(demo_path, IntegrityError)
-    missing = [key for key in ("categories", "age_min", "age_max") if key not in demo_payload]
-    if missing:
-        raise IntegrityError(f"{demo_path}: missing key {missing[0]!r}")
-    categories = demo_payload["categories"]
-    if not (isinstance(categories, list) and categories
-            and all(isinstance(c, str) for c in categories)
-            and len(set(categories)) == len(categories)):
-        raise IntegrityError(f"{demo_path}: categories must be a non-empty list of distinct "
-                             f"strings, got {categories!r}")
-    age_min, age_max = demo_payload["age_min"], demo_payload["age_max"]
-    # True is an int in Python, so check the type exactly
-    if not (type(age_min) is int and type(age_max) is int and age_min < age_max):
-        raise IntegrityError(f"{demo_path}: age_min and age_max must be integers with "
-                             f"age_min < age_max, got {age_min!r} and {age_max!r}")
-    return points, vocab, demo_payload
+        raise IntegrityError(f"{path} holds no records")
+    return points
+
+
+@contextlib.contextmanager
+def _bad_data(source):
+    """Report a ``ConfigError`` raised inside as an ``IntegrityError`` naming
+    ``source``, the file that held the rejected value."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise IntegrityError(f"{source}: {exc}") from None
 
 
 def _load_split(data_dir, subset: int) -> SplitManifest:
@@ -246,15 +242,13 @@ def _split_points(points, ids) -> list:
 
 
 def cmd_train(args) -> int:
-    points, vocab, demo_payload = _load_prepared(args.data)
+    points = _load_points(args.data)
+    vocab = Vocabulary.load(Path(args.data) / "vocab.txt")
+    demo_path = Path(args.data) / "demographics.json"
+    with _bad_data(demo_path):
+        codec = DemographicCodec.from_dict(read_json_object(demo_path, IntegrityError))
     manifest = _load_split(args.data, args.subset)
-    fields = _parse_fields(args.demographics)
-    codec = DemographicCodec(
-        categories=tuple(demo_payload["categories"]),
-        fields=fields or ALL_FIELDS,
-        age_min=demo_payload["age_min"],
-        age_max=demo_payload["age_max"],
-    )
+    codec = dataclasses.replace(codec, fields=_parse_fields(args.demographics))
     cfg = ModelConfig(
         feature_dim=int(points[0].features.size),
         d_model=args.d_model,
@@ -262,7 +256,7 @@ def cmd_train(args) -> int:
         n_heads=args.n_heads,
         vocab_size=len(vocab),
         max_len=args.max_len,
-        demographic_dim=codec.dim if fields else 0,
+        demographic_dim=codec.dim,
         n_decoder_blocks=args.n_decoder_blocks,
         dropout_rate=args.dropout,
     )
@@ -284,15 +278,14 @@ def cmd_train(args) -> int:
     log_path.write_text("")
     log = fit(train_examples, val_examples, params, cfg, train_cfg, log_path=log_path)
     save_checkpoint(params, cfg, out / "best", extra={
-        "codec": codec.to_dict() if fields else None,
-        "demographic_fields": list(fields),
+        "codec": codec.to_dict() if cfg.uses_demographics else None,
         "vocab": vocab.tokens,
         "subset": args.subset,
     })
     _write_provenance(out, "train", {
         "data": str(args.data),
         "subset": args.subset,
-        "demographics": list(fields),
+        "demographics": list(codec.fields),
         "model": cfg.to_dict(),
         "training": dataclasses.asdict(train_cfg),
     }, inputs=[Path(args.data) / "cleaned.jsonl", Path(args.data) / "vocab.txt"])
@@ -317,16 +310,29 @@ def _generation_stats(generated: list[list[int]], max_len: int) -> dict:
     }
 
 
+def _checkpoint_inputs(checkpoint, cfg: ModelConfig):
+    """The vocabulary and the codec (None for an image-only model) that a
+    checkpoint's manifest embeds. One that breaks its class's rules or does
+    not fit the model ``cfg`` raises ``IntegrityError`` naming the manifest."""
+    source = Path(checkpoint) / "manifest.json"
+    extra = read_manifest(checkpoint).get("extra")
+    extra = extra if isinstance(extra, dict) else {}
+    with _bad_data(source):
+        vocab = Vocabulary(extra.get("vocab"))
+        codec = DemographicCodec.from_dict(extra.get("codec")) if cfg.uses_demographics else None
+    if len(vocab) != cfg.vocab_size:
+        raise IntegrityError(f"{source}: the vocabulary holds {len(vocab)} tokens, but the "
+                             f"model classifies over {cfg.vocab_size}")
+    if codec is not None and codec.dim != cfg.demographic_dim:
+        raise IntegrityError(f"{source}: the codec encodes {codec.dim}-wide vectors, but the "
+                             f"model takes {cfg.demographic_dim}")
+    return vocab, codec
+
+
 def cmd_generate(args) -> int:
     params, cfg = load_checkpoint(args.checkpoint)
-    manifest_extra = read_manifest(args.checkpoint).get("extra") or {}
-    if "vocab" not in manifest_extra:
-        raise IntegrityError("checkpoint manifest lacks the embedded vocabulary")
-    vocab = Vocabulary(manifest_extra["vocab"])
-    fields = tuple(manifest_extra.get("demographic_fields") or ())
-    codec = (DemographicCodec.from_dict(manifest_extra["codec"])
-             if manifest_extra.get("codec") else None)
-    points, _, _ = _load_prepared(args.data)
+    vocab, codec = _checkpoint_inputs(args.checkpoint, cfg)
+    points = _load_points(args.data)
     if points[0].features.size != cfg.feature_dim:
         raise ConfigError(f"{args.data} holds {points[0].features.size}-wide features, "
                           f"but the checkpoint's model takes {cfg.feature_dim}")
@@ -340,7 +346,7 @@ def cmd_generate(args) -> int:
     ref_lines = []
     generated = []
     for index, point in enumerate(selected):
-        demo = codec.encode(point.demographics) if (fields and codec) else None
+        demo = None if codec is None else codec.encode(point.demographics)
         token_ids = generate(point.features, demo, params, cfg,
                              temperature=args.temperature, seed=[args.seed, index])
         generated.append(token_ids)

@@ -286,7 +286,7 @@ def _parse_records(path, text_field: str):
         where = f"{path}:{lineno}"
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
             raise IntegrityError(f"{where}: malformed record: {exc}") from None
         if not isinstance(payload, dict):
             raise IntegrityError(f"{where}: record is not a JSON object")
@@ -375,11 +375,14 @@ def load_prepared_dataset(path) -> list[DataPoint]:
     once they validate (see ``_parse_records`` for what else it rejects)."""
     points: list[DataPoint] = []
     for lineno, payload, features, demographics in _parse_records(path, "tokens"):
+        tokens = payload["tokens"]
+        # a string would otherwise be read as a list of one-character tokens
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise IntegrityError(f"{path}:{lineno}: tokens must be a list of strings")
         try:
-            report = CleanReport(str(payload["id"]),
-                                 (START_TOKEN, *payload["tokens"], END_TOKEN))
+            report = CleanReport(str(payload["id"]), (START_TOKEN, *tokens, END_TOKEN))
             report.validate()
-        except (ContractError, TypeError) as exc:
+        except ContractError as exc:
             raise IntegrityError(f"{path}:{lineno}: bad prepared record: {exc}") from None
         points.append(DataPoint(str(payload["id"]), features, report, demographics))
     return points

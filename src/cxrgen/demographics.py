@@ -4,6 +4,12 @@ Layout of the encoded vector is fixed: gender (0 female / 1 male), min-max
 normalized age, then a one-hot ethnicity slice over an ordered category
 list, all zero for an ethnicity outside that list. Variant models may use
 any subset of the three fields; the subset is applied in that same order.
+
+``DemographicCodec`` is the one record of a model's demographic variant and
+the one validator of its layout: a ``train`` checkpoint stores its
+``to_dict`` payload (null for the image-only model), and ``from_dict``
+reads that payload or ``demographics.json`` and raises ``ConfigError`` for
+anything else.
 """
 
 from __future__ import annotations
@@ -51,6 +57,21 @@ def select_top_categories(records, k: int) -> tuple[list[str], bool]:
     return categories, len(counts) < k
 
 
+def _check_layout(categories, age_min, age_max) -> None:
+    """Raise ``ConfigError`` unless ``categories`` is a non-empty list (or
+    tuple) of distinct strings and the age bounds are integers with
+    ``age_min < age_max``."""
+    if not (isinstance(categories, (list, tuple)) and categories
+            and all(isinstance(c, str) for c in categories)
+            and len(set(categories)) == len(categories)):
+        raise ConfigError("categories must be a non-empty list of distinct strings, "
+                          f"got {categories!r}")
+    # True is an int in Python, so check the type exactly
+    if not (type(age_min) is int and type(age_max) is int and age_min < age_max):
+        raise ConfigError("age_min and age_max must be integers with age_min < age_max, "
+                          f"got {age_min!r} and {age_max!r}")
+
+
 def encode_demographics(rec: DemographicRecord, categories, age_min: int = DEFAULT_AGE_MIN,
                         age_max: int = DEFAULT_AGE_MAX) -> np.ndarray:
     """Encode one record as [gender, normalized age, ethnicity one-hot].
@@ -58,11 +79,7 @@ def encode_demographics(rec: DemographicRecord, categories, age_min: int = DEFAU
     Age is clipped to [age_min, age_max] and scaled to [0, 1]. An ethnicity
     outside ``categories`` yields an all-zero ethnicity slice.
     """
-    categories = list(categories)
-    if not categories or len(set(categories)) != len(categories):
-        raise ConfigError("ethnicity categories must be non-empty and distinct")
-    if age_max <= age_min:
-        raise ConfigError(f"age bounds must satisfy min < max, got [{age_min}, {age_max}]")
+    _check_layout(categories, age_min, age_max)
     values = np.zeros(2 + len(categories), dtype=np.float32)
     values[0] = 0.0 if rec.gender == GENDER_FEMALE else 1.0
     clipped = min(max(rec.age, age_min), age_max)
@@ -76,9 +93,9 @@ def encode_demographics(rec: DemographicRecord, categories, age_min: int = DEFAU
 class DemographicCodec:
     """Reproducible record-to-vector encoding for a chosen field subset.
 
-    Persist this alongside the dataset manifest so inference encodes
-    records exactly as training did. ``from_dict`` ignores keys it does not
-    know, such as the ``"strict"`` flag that earlier checkpoints stored.
+    A checkpoint stores it so that inference encodes records exactly as
+    training did. Lists given for ``categories`` or ``fields`` are stored as
+    tuples.
     """
     categories: tuple[str, ...]
     fields: tuple[str, ...] = ALL_FIELDS
@@ -86,11 +103,14 @@ class DemographicCodec:
     age_max: int = DEFAULT_AGE_MAX
 
     def __post_init__(self):
-        unknown = [f for f in self.fields if f not in ALL_FIELDS]
-        if unknown:
-            raise ConfigError(f"unknown demographic fields {unknown}; valid: {ALL_FIELDS}")
-        if len(set(self.fields)) != len(self.fields):
-            raise ConfigError("demographic fields must be distinct")
+        _check_layout(self.categories, self.age_min, self.age_max)
+        if not (isinstance(self.fields, (list, tuple))
+                and all(f in ALL_FIELDS for f in self.fields)
+                and len(set(self.fields)) == len(self.fields)):
+            raise ConfigError(f"fields must be distinct names from {list(ALL_FIELDS)}, "
+                              f"got {self.fields!r}")
+        object.__setattr__(self, "categories", tuple(self.categories))
+        object.__setattr__(self, "fields", tuple(self.fields))
 
     @property
     def dim(self) -> int:
@@ -112,10 +132,16 @@ class DemographicCodec:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DemographicCodec":
-        return cls(
-            categories=tuple(payload["categories"]),
-            fields=tuple(payload["fields"]),
-            age_min=int(payload["age_min"]),
-            age_max=int(payload["age_max"]),
-        )
+    def from_dict(cls, payload) -> "DemographicCodec":
+        """The codec a ``to_dict`` payload or a ``demographics.json`` object
+        describes; without ``fields`` it uses all three. Other keys, such as
+        the ``"strict"`` flag that earlier checkpoints stored, are ignored. A
+        payload that is not an object, lacks a key or holds a bad value
+        raises ``ConfigError``."""
+        if not isinstance(payload, dict):
+            raise ConfigError(f"a demographic codec is a JSON object, got {payload!r}")
+        missing = [key for key in ("categories", "age_min", "age_max") if key not in payload]
+        if missing:
+            raise ConfigError(f"missing key {missing[0]!r}")
+        return cls(payload["categories"], payload.get("fields", ALL_FIELDS),
+                   payload["age_min"], payload["age_max"])

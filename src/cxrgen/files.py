@@ -32,7 +32,7 @@ def read_json_object(path, error) -> dict:
     that is not an object, raises ``error`` naming the path."""
     try:
         payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise error(f"{path} is malformed JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise error(f"{path} is not a JSON object")

@@ -34,6 +34,8 @@ from .errors import ConfigError, ContractError, DegenerateInputError, IntegrityE
 from .files import read_json_object, read_lines, write_json
 
 EPSILON = 1e-9
+# a score read back may exceed its range by rounding, e.g. a cosine of 1 + 2e-16
+SCORE_TOLERANCE = 1e-9
 F1_GROUP = 32   # pairs per batched similarity product in embedding_f1
 EMBEDDING_NOTE = (
     "embedding scores use greedy matching over an injected static embedding "
@@ -286,11 +288,12 @@ class EvaluationReport:
 
     @classmethod
     def from_json(cls, path) -> "EvaluationReport":
-        """Read a report that ``to_json`` wrote. Any other set of keys, a BLEU
-        score that is not a finite number, an embedding score that is neither
-        that nor null (the three are null together or not at all), an
-        ``n_pairs`` that is not an integer or a ``note`` that is not a string
-        raises ``IntegrityError`` naming the file."""
+        """Read a report that ``to_json`` wrote. Any other set of keys, a
+        score that is not a number in its range (BLEU and F1 in [0, 1], P and
+        R in [-1, 1], each widened by ``SCORE_TOLERANCE``), an embedding
+        score that is neither that nor null (the three are null together or
+        not at all), an ``n_pairs`` that is not an integer or a ``note`` that
+        is not a string raises ``IntegrityError`` naming the file."""
         payload = read_json_object(path, IntegrityError)
         names = [f.name for f in fields(cls)]
         if sorted(payload) != sorted(names):
@@ -303,7 +306,9 @@ class EvaluationReport:
             elif name == "note":
                 valid = isinstance(value, str)
             else:
-                valid = (type(value) in (int, float) and math.isfinite(value)
+                low = -1.0 if name in ("p_embed", "r_embed") else 0.0
+                valid = (type(value) in (int, float)
+                         and low - SCORE_TOLERANCE <= value <= 1.0 + SCORE_TOLERANCE
                          or value is None and name in embed)
             if not valid:
                 raise IntegrityError(f"{path}: bad value for {name}: {value!r}")

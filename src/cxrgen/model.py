@@ -29,6 +29,11 @@ With the loss's cross-entropy and its scale, a one-block model records 25
 entries, or 21 without demographics; dropout adds one entry per site when
 its rate is positive.
 
+Dropout runs exactly when a forward function is handed a dropout ``rng``:
+the encoder, the fusion block and the decoder take no separate training
+flag. ``training.batch_loss`` is the one caller that passes an rng, and
+only for a training step; evaluation and generation pass none.
+
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
 length L as a [B*L x d] stream, with self-attention scores of shape
@@ -250,10 +255,8 @@ def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tenso
     return T.linear(attended, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
-def _maybe_dropout(x: Tensor, cfg: ModelConfig, training: bool, rng) -> Tensor:
-    if training and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ContractError("training-mode forward needs an rng for dropout")
+def _maybe_dropout(x: Tensor, cfg: ModelConfig, rng) -> Tensor:
+    if rng is not None and cfg.dropout_rate > 0.0:
         return T.dropout(x, cfg.dropout_rate, rng)
     return x
 
@@ -270,14 +273,14 @@ def _rows(values, width: int, what: str) -> Tensor:
     return Tensor(rows)
 
 
-def visual_encode(features, params, cfg: ModelConfig, training: bool = False,
-                  rng=None) -> Tensor:
-    """Image feature vectors [B x F] (or one [F]) -> normalized [B x d_model] rows."""
+def visual_encode(features, params, cfg: ModelConfig, rng=None) -> Tensor:
+    """Image feature vectors [B x F] (or one [F]) -> normalized [B x d_model] rows;
+    dropout runs when ``rng`` is given."""
     x = _rows(features, cfg.feature_dim, "image feature vectors")
     x = T.layer_norm(x, params["visual.feat_norm.gain"], params["visual.feat_norm.bias"])
     h = _linear(x, params, "visual.ff", relu=True)
     attended = _multi_head_attention(params, "visual.attn", cfg, h)
-    attended = _maybe_dropout(attended, cfg, training, rng)
+    attended = _maybe_dropout(attended, cfg, rng)
     return T.add_layer_norm(h, attended, params["visual.norm.gain"], params["visual.norm.bias"])
 
 
@@ -290,7 +293,7 @@ def semantic_encode(demo, params, cfg: ModelConfig) -> Tensor:
 
 
 def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelConfig,
-                         training: bool = False, rng=None) -> Tensor:
+                         rng=None) -> Tensor:
     """Attend from each visual row over the semantic row of the same example."""
     if visual.ndim != 2 or visual.shape[1] != cfg.d_model or semantic.shape != visual.shape:
         raise ShapeError(
@@ -298,25 +301,25 @@ def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelCon
             f"{tuple(visual.shape)} and {tuple(semantic.shape)}"
         )
     attended = _multi_head_attention(params, "fusion.attn", cfg, semantic)
-    attended = _maybe_dropout(attended, cfg, training, rng)
+    attended = _maybe_dropout(attended, cfg, rng)
     return T.add_layer_norm(visual, attended,
                             params["fusion.norm.gain"], params["fusion.norm.bias"])
 
 
-def encode_inputs(features, demo, params, cfg: ModelConfig, training: bool = False,
-                  rng=None) -> Tensor:
+def encode_inputs(features, demo, params, cfg: ModelConfig, rng=None) -> Tensor:
     """Run the full encoder: visual unit, then fusion when demographics are in use.
 
     ``features`` is [B x F] and ``demo`` [B x D] (or one vector each); the
-    hybrid representation is [B x d_model].
+    hybrid representation is [B x d_model]. Dropout runs when ``rng`` is
+    given.
     """
-    visual = visual_encode(features, params, cfg, training=training, rng=rng)
+    visual = visual_encode(features, params, cfg, rng=rng)
     if not cfg.uses_demographics:
         return visual
     if demo is None:
         raise ContractError("this configuration requires a demographic vector")
     semantic = semantic_encode(demo, params, cfg)
-    return fuse_visual_semantic(visual, semantic, params, cfg, training=training, rng=rng)
+    return fuse_visual_semantic(visual, semantic, params, cfg, rng=rng)
 
 
 class DecodeCache:
@@ -358,8 +361,7 @@ class DecodeCache:
         return Tensor._wrap(keys[:, :self.length]), Tensor._wrap(values[:, :self.length])
 
 
-def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
-                    training: bool = False, rng=None,
+def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig, rng=None,
                     cache: DecodeCache | None = None) -> Tensor:
     """Per-position vocabulary logits for (shifted) target id sequences.
 
@@ -374,8 +376,8 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     positions as well as each other, and the cache is extended with them.
     ``hybrid`` is read on the first call only. Without a cache, a fresh one
     is used, so the ids are whole sequences from position 0; that is how
-    training and evaluation run. A cache passed in is legal only under
-    ``tensor.no_grad()`` with ``training=False``.
+    training and evaluation run. Dropout runs when ``rng`` is given, so a
+    cache passed in is legal only under ``tensor.no_grad()`` with no rng.
     """
     ids = np.asarray(target_ids, dtype=np.int64)
     ids = ids.reshape(1, -1) if ids.ndim < 2 else ids
@@ -384,8 +386,8 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     n_seq, length = ids.shape
     if ids.size == 0:
         raise ContractError("decoder needs at least one input id")
-    if cache is not None and (training or T.active_graph().enabled):
-        raise ContractError("a decode cache needs training=False under tensor.no_grad()")
+    if cache is not None and (rng is not None or T.active_graph().enabled):
+        raise ContractError("a decode cache needs rng=None under tensor.no_grad()")
     cache = cache or DecodeCache()
     offset = cache.length
     if offset and cache.keep.shape[0] != n_seq:
@@ -409,19 +411,19 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     cache.length = total
     # position offset + j may attend to its sequence's kept positions <= offset + j
     mask = cache.causal[offset:total, :total] & cache.keep[:, None, :total]
-    x = _maybe_dropout(x, cfg, training, rng)
+    x = _maybe_dropout(x, cfg, rng)
     for i in range(cfg.n_decoder_blocks):
         attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask, cache)
-        attended = _maybe_dropout(attended, cfg, training, rng)
+        attended = _maybe_dropout(attended, cfg, rng)
         x = T.add_layer_norm(x, attended,
                              params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
         # every position attends to its sequence's one hybrid row: the [B x d]
         # result is computed once and row b repeated for its L stream rows
-        cross = _maybe_dropout(T.repeat_rows(cache.cross[i], length), cfg, training, rng)
+        cross = _maybe_dropout(T.repeat_rows(cache.cross[i], length), cfg, rng)
         x = T.add_layer_norm(x, cross,
                              params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
         ff = _linear(x, params, f"dec{i}.ff", relu=True)
-        ff = _maybe_dropout(ff, cfg, training, rng)
+        ff = _maybe_dropout(ff, cfg, rng)
         x = T.add(x, ff)
     return _linear(x, params, "classifier")
 

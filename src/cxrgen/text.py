@@ -206,6 +206,8 @@ class Vocabulary:
     """
 
     def __init__(self, tokens: list[str]):
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ConfigError("a vocabulary is a list of string tokens")
         if tuple(tokens[:4]) != RESERVED_TOKENS:
             raise ConfigError(f"vocabulary must start with the reserved tokens {RESERVED_TOKENS}")
         if len(set(tokens)) != len(tokens):

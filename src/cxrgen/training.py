@@ -91,19 +91,13 @@ class TrainLog:
 
 def encode_examples(points, vocab, codec, cfg: ModelConfig) -> list[EncodedExample]:
     """Turn DataPoints into ready-to-train arrays using the dataset's codec."""
-    examples = []
-    for point in points:
-        demo = None
-        if cfg.uses_demographics:
-            demo = codec.encode(point.demographics)
-            if demo.shape[0] != cfg.demographic_dim:
-                raise ConfigError(
-                    f"codec produces {demo.shape[0]}-wide vectors but the model "
-                    f"expects {cfg.demographic_dim}"
-                )
-        ids = encode_tokens(point.report, vocab, cfg.max_len)
-        examples.append(EncodedExample(point.id, np.asarray(point.features), demo, ids))
-    return examples
+    if cfg.uses_demographics and codec.dim != cfg.demographic_dim:
+        raise ConfigError(f"codec produces {codec.dim}-wide vectors but the model "
+                          f"expects {cfg.demographic_dim}")
+    return [EncodedExample(point.id, np.asarray(point.features),
+                           codec.encode(point.demographics) if cfg.uses_demographics else None,
+                           encode_tokens(point.report, vocab, cfg.max_len))
+            for point in points]
 
 
 def teacher_forcing_batch(rows):
@@ -136,16 +130,22 @@ def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tup
     The examples' ids are assembled into ``[B x L]`` teacher-forcing arrays
     by whole-array operations (``teacher_forcing_batch``) and run through
     one forward pass; returns the mean loss and the number of positions it
-    pools.
+    pools. Dropout runs when ``training`` is set, drawing from ``rng``; the
+    model runs it exactly when it is handed an rng, so this is the one place
+    that hands it one.
     """
     if not batch:
         raise ContractError("batch_loss needs a non-empty batch")
+    if not training:
+        rng = None
+    elif rng is None and cfg.dropout_rate > 0.0:
+        raise ContractError("training-mode forward needs an rng for dropout")
     inputs, targets, mask = teacher_forcing_batch([ex.ids for ex in batch])
     demos = [ex.demo for ex in batch]
     hybrid = encode_inputs([ex.features for ex in batch],
                            None if any(d is None for d in demos) else demos,
-                           params, cfg, training=training, rng=rng)
-    logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
+                           params, cfg, rng=rng)
+    logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
     count = int(mask.sum())
     total = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
     return T.scale(total, 1.0 / count), count

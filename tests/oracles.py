@@ -553,12 +553,13 @@ def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
     from cxrgen.model import decoder_forward, encode_inputs
     from cxrgen.training import teacher_forcing_batch
 
+    rng = rng if training else None
     total = None
     count = 0
     for ex in batch:
-        hybrid = encode_inputs(ex.features, ex.demo, params, cfg, training=training, rng=rng)
+        hybrid = encode_inputs(ex.features, ex.demo, params, cfg, rng=rng)
         inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
-        logits = decoder_forward(inputs, hybrid, params, cfg, training=training, rng=rng)
+        logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
         part = T.sparse_cross_entropy(logits, targets, mask)
         total = part if total is None else T.add(total, part)
         count += int(mask.sum())

@@ -418,7 +418,9 @@ class TestTrainGenerate:
 
     @pytest.mark.parametrize("field, value, message", [
         ("age", "x", "age must be an integer, got 'x'"),
-        ("features", [0.0] * 7, "7 features, but line 1 has 8")])
+        ("features", [0.0] * 7, "7 features, but line 1 has 8"),
+        ("tokens", "heart", "tokens must be a list of strings"),
+        ("tokens", ["heart", 5], "tokens must be a list of strings")])
     def test_malformed_prepared_record_is_integrity_error(self, pipeline, tmp_path, capsys,
                                                           field, value, message):
         prep = tmp_path / "prep"
@@ -507,17 +509,95 @@ class TestTrainGenerate:
         assert not hyp.exists()
 
     def test_checkpoint_with_a_stored_strict_flag_generates(self, pipeline, tmp_path):
-        """Codecs once stored a ``strict`` key; such a checkpoint still loads
-        and decodes exactly as without it."""
+        """Codecs once stored a ``strict`` key, and checkpoints a
+        ``demographic_fields`` list beside the codec; such a checkpoint still
+        loads and decodes exactly as without them."""
         params, cfg = load_checkpoint(pipeline["run"] / "best")
         extra = read_manifest(pipeline["run"] / "best")["extra"]
         extra["codec"]["strict"] = True
+        extra["demographic_fields"] = ["gender", "age", "ethnicity"]
         save_checkpoint(params, cfg, tmp_path / "ckpt", extra=extra)
         hyp = tmp_path / "hyp.txt"
         assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
                      "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
                      "--out", str(hyp), "--temperature", "0", "--seed", "1"]) == 0
         assert hyp.read_bytes() == pipeline["hyp"].read_bytes()
+
+    def test_generate_reads_only_the_records_and_the_split(self, pipeline, tmp_path):
+        """The vocabulary and the codec come from the checkpoint, so
+        ``generate`` needs neither ``vocab.txt`` nor ``demographics.json``."""
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        (prep / "vocab.txt").unlink()
+        (prep / "demographics.json").unlink()
+        hyp = tmp_path / "hyp.txt"
+        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                     "--data", str(prep), "--subset", "0", "--split", "test",
+                     "--out", str(hyp), "--temperature", "0", "--seed", "1"]) == 0
+        assert hyp.read_bytes() == pipeline["hyp"].read_bytes()
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda extra: {**extra, "vocab": extra["vocab"][1:]}, "reserved tokens"),
+        (lambda extra: {**extra, "vocab": extra["vocab"][:5] + [5] + extra["vocab"][6:]},
+         "a vocabulary is a list of string tokens"),
+        (lambda extra: {**extra, "vocab": extra["vocab"][:-1]},
+         "the vocabulary holds"),
+        (lambda extra: {**extra, "vocab": extra["vocab"] + ["zebra"]},
+         "the vocabulary holds"),
+        (lambda extra: {**extra, "codec": {**extra["codec"],
+                                           "categories": extra["codec"]["categories"][:1]}},
+         "the codec encodes"),
+        (lambda extra: {**extra, "codec": {k: v for k, v in extra["codec"].items()
+                                           if k != "age_min"}},
+         "missing key 'age_min'"),
+        (lambda extra: {**extra, "codec": "gender,age"}, "a demographic codec is a JSON object"),
+        (lambda extra: {**extra, "codec": None}, "a demographic codec is a JSON object"),
+        (lambda extra: {**extra, "codec": {**extra["codec"], "age_min": "19"}},
+         "age_min and age_max must be integers"),
+        (lambda extra: {**extra, "codec": {**extra["codec"], "fields": "age"}},
+         "fields must be distinct names"),
+        (lambda extra: [extra], "a vocabulary is a list of string tokens"),
+    ], ids=["vocabulary-without-header", "non-string-token", "short-vocabulary",
+            "long-vocabulary", "narrow-codec", "codec-missing-key", "string-codec",
+            "null-codec", "string-age", "string-fields", "extra-not-an-object"])
+    def test_checkpoint_vocabulary_or_codec_that_does_not_fit_is_integrity_error(
+            self, pipeline, tmp_path, capsys, spoil, message):
+        """The vocabulary and the codec a checkpoint embeds are checked against
+        its model before any report is decoded."""
+        params, cfg = load_checkpoint(pipeline["run"] / "best")
+        extra = read_manifest(pipeline["run"] / "best")["extra"]
+        save_checkpoint(params, cfg, tmp_path / "ckpt", extra=spoil(extra))
+        hyp = tmp_path / "hyp.txt"
+        assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--data", str(pipeline["prep"]), "--out", str(hyp)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'ckpt' / 'manifest.json'}: " in err
+        assert message in err and "Traceback" not in err
+        assert not hyp.exists()
+
+    @pytest.mark.parametrize("command", ["synth-data", "prepare-data", "train"])
+    def test_deeply_nested_json_is_a_documented_error(self, pipeline, tmp_path, capsys,
+                                                      command):
+        """JSON nested too deeply to parse is malformed: exit 2 in a
+        ``--config`` file, exit 3 in a dataset line or ``demographics.json``."""
+        nested = "[" * 100_000
+        out = tmp_path / "out"
+        if command == "synth-data":
+            bad = tmp_path / "config.json"
+            argv = ["synth-data", "--config", str(bad), "--out", str(out)]
+        elif command == "prepare-data":
+            bad = tmp_path / "dataset.jsonl"
+            argv = ["prepare-data", "--data", str(bad), "--out", str(out)]
+        else:
+            prep = tmp_path / "prep"
+            shutil.copytree(pipeline["prep"], prep)
+            bad = prep / "demographics.json"
+            argv = ["train", "--data", str(prep), "--out", str(out), *TINY_TRAIN]
+        bad.write_text(nested + "\n")
+        assert main(argv) == (2 if command == "synth-data" else 3)
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err and "malformed" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_grad_clip_is_usage_error(self, pipeline, tmp_path, capsys, value):
@@ -696,8 +776,11 @@ class TestEvaluateCompare:
         lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": null'),
         lambda text: text.replace('"n_pairs": 10', '"n_pairs": 10.5'),
         lambda text: text.replace('"f1_embed": null', '"f1_embed": 0.5'),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": 1e308'),
+        lambda text: text.replace('"bleu_1": 0.5', '"bleu_1": -1e308'),
     ], ids=["truncated", "array", "unknown-key", "missing-key", "string-score", "nan-score",
-            "infinite-score", "bool-score", "null-bleu", "float-n-pairs", "lone-embed-score"])
+            "infinite-score", "bool-score", "null-bleu", "float-n-pairs", "lone-embed-score",
+            "huge-score", "huge-negative-score"])
     def test_malformed_report_is_integrity_error(self, tmp_path, capsys, spoil):
         a = self._write_reports(tmp_path, "a", [0.5, 0.6, 0.7])
         b = self._write_reports(tmp_path, "b", [0.2, 0.4, 0.3])
@@ -707,6 +790,27 @@ class TestEvaluateCompare:
         err = capsys.readouterr().err
         assert f"error: {bad}" in err and "Traceback" not in err
         assert not (tmp_path / "cmp.json").exists()
+
+    def test_evaluate_then_compare_reads_back_rounded_scores(self, tmp_path):
+        """A hypothesis equal to its reference has cosine similarity 1 + 2e-16
+        under this table; the reports ``evaluate`` writes still load."""
+        table = tmp_path / "emb.txt"
+        table.write_text("a 0.8 0.6 0.5\nb 0.3 0.3 0.1\nc 0.1 0.1 0.2\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_text("b a b a b\n")
+        reports = {}
+        for side, hyps in (("a", ["b a b a b\n", "a b c\n"]),
+                           ("b", ["c c b c a b\n", "c a c\n"])):
+            reports[side] = []
+            for i, text in enumerate(hyps):
+                hyp, out = tmp_path / f"{side}{i}.txt", tmp_path / f"{side}{i}.json"
+                hyp.write_text(text)
+                assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(refs),
+                             "--embeddings", str(table), "--out", str(out)]) == 0
+                reports[side].append(str(out))
+        assert EvaluationReport.from_json(reports["a"][0]).p_embed > 1.0
+        assert main(["compare", "--a", *reports["a"], "--b", *reports["b"],
+                     "--out", str(tmp_path / "cmp.json")]) == 0
 
     def test_compare_mismatched_counts_is_usage_error(self, tmp_path):
         a = self._write_reports(tmp_path, "a", [0.5, 0.6])
@@ -1086,3 +1190,46 @@ class TestCompareProperty:
                 return
             assert _run([*argv, "--out", str(outs[1])])[0] == 0
             assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+SYNTH_OPTIONS = {   # option: (valid values, invalid values)
+    "n-per-stratum": ([1, 2, 3], [0, -1, 1.5, "x"]),
+    "feature-dim": ([1, 4, 8], [0, -2, "x"]),
+}
+
+
+@st.composite
+def synth_data_case(draw):
+    """Valid sizes and seed, with nothing broken, one option value broken or
+    the --config file, which holds the seed, spoiled."""
+    broken = draw(st.sampled_from(["nothing", "nothing", "option", "seed", "config"]))
+    bad_option = draw(st.sampled_from(sorted(SYNTH_OPTIONS)))
+    options = [_option(draw, name, *values, broken == "option" and name == bad_option)
+               for name, values in SYNTH_OPTIONS.items()]
+    seed = draw(st.sampled_from([-1, "x", 2.5] if broken == "seed" else [0, 7, 2 ** 33]))
+    return options, seed, draw(json_spoil(["seed"])) if broken == "config" else None
+
+
+class TestSynthDataProperty:
+    @given(synth_data_case())
+    @settings(max_examples=30, deadline=None)
+    def test_any_options_exit_with_a_documented_code(self, case):
+        """Every run exits 0, 2 or 3 with no traceback; a valid run repeated
+        writes the same dataset and provenance bytes."""
+        options, seed, spoil = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_bytes(spoiled_json({"seed": seed}, spoil) if spoil
+                               else json.dumps({"seed": seed}).encode())
+            argv = ["synth-data", "--config", str(config), *options]
+            runs = [Path(tmp) / "a", Path(tmp) / "b"]
+            code, err = _run([*argv, "--out", str(runs[0])])
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            if code:
+                assert "error" in err
+                assert not runs[0].exists()
+                return
+            assert _run([*argv, "--out", str(runs[1])])[0] == 0
+            assert _files(runs[0]) == _files(runs[1])
+            assert sorted(_files(runs[0])) == ["dataset.jsonl", "provenance.json"]

@@ -120,3 +120,29 @@ class TestCodec:
         assert again == codec
         rec = DemographicRecord("male", 50, "c0")
         np.testing.assert_array_equal(codec.encode(rec), again.encode(rec))
+
+    def test_demographics_manifest_gives_all_three_fields(self):
+        codec = DemographicCodec.from_dict({"categories": CATS, "under_k": False,
+                                            "age_min": 19, "age_max": 91})
+        assert codec == DemographicCodec(tuple(CATS))
+
+    @pytest.mark.parametrize("payload, message", [
+        ("gender,age", "a demographic codec is a JSON object"),
+        ({"categories": CATS, "age_min": 19}, "missing key 'age_max'"),
+        ({"categories": "c0", "age_min": 19, "age_max": 91}, "categories must be"),
+        ({"categories": [], "age_min": 19, "age_max": 91}, "categories must be"),
+        ({"categories": [1], "age_min": 19, "age_max": 91}, "categories must be"),
+        ({"categories": CATS, "age_min": "19", "age_max": 91}, "age_min and age_max"),
+        ({"categories": CATS, "age_min": True, "age_max": 91}, "age_min and age_max"),
+        ({"categories": CATS, "age_min": 91, "age_max": 19}, "age_min and age_max"),
+        ({"categories": CATS, "fields": "age", "age_min": 19, "age_max": 91}, "fields must be"),
+        ({"categories": CATS, "fields": ["age", "age"], "age_min": 19, "age_max": 91},
+         "fields must be"),
+    ], ids=["string", "missing-key", "string-categories", "no-categories",
+            "number-categories", "string-age", "bool-age", "min-above-max", "string-fields",
+            "repeated-field"])
+    def test_bad_payload_is_a_config_error(self, payload, message):
+        """The constructor checks the layout, so ``from_dict`` cannot build a
+        codec that ``encode`` would reject or misread."""
+        with pytest.raises(ConfigError, match=message):
+            DemographicCodec.from_dict(payload)

@@ -445,6 +445,24 @@ class TestEvaluationReport:
         assert again == report
         assert "embedding" in report.note
 
+    @pytest.mark.parametrize("name, value, valid", [
+        ("bleu_2", -1e-12, True), ("bleu_2", 1.0 + 1e-12, True), ("bleu_2", -0.01, False),
+        ("bleu_2", 1.01, False), ("f1_embed", -0.01, False), ("f1_embed", 1.01, False),
+        ("p_embed", -1.0, True), ("p_embed", -1.01, False), ("r_embed", 1.01, False),
+        ("bleu_1", 1e308, False), ("bleu_1", -1e308, False)])
+    def test_scores_outside_their_range_are_rejected(self, tmp_path, name, value, valid):
+        """BLEU and F1 lie in [0, 1] and P and R in [-1, 1], up to
+        ``SCORE_TOLERANCE`` of rounding."""
+        report = EvaluationReport(0.5, 0.4, 0.3, 0.2, 0.5, 0.5, 0.5, n_pairs=3)
+        setattr(report, name, value)
+        path = tmp_path / "report.json"
+        report.to_json(path)
+        if valid:
+            assert EvaluationReport.from_json(path) == report
+        else:
+            with pytest.raises(IntegrityError, match=f"bad value for {name}"):
+                EvaluationReport.from_json(path)
+
     def test_f1_is_harmonic_mean(self):
         table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0]),
                                 "c": np.asarray([1.0, 1.0])})

@@ -482,8 +482,8 @@ class TestDecodeCache:
         with pytest.raises(ContractError, match="no_grad"):
             decoder_forward([START_ID], hybrid, params, TINY, cache=DecodeCache())
         with T.no_grad():
-            with pytest.raises(ContractError, match="training=False"):
-                decoder_forward([START_ID], hybrid, params, TINY, training=True,
+            with pytest.raises(ContractError, match="rng=None"):
+                decoder_forward([START_ID], hybrid, params, TINY,
                                 rng=np.random.default_rng(0), cache=DecodeCache())
             cache = DecodeCache()
             decoder_forward([START_ID] + [4] * (TINY.max_len - 1), hybrid, params, TINY,

@@ -249,6 +249,22 @@ class TestBatchedLoss:
         with pytest.raises(ContractError):
             batch_loss([], init_parameters(cfg, seed=0), cfg, training=False)
 
+    def test_dropout_runs_only_in_training(self):
+        """``batch_loss`` hands the model the rng only when training, and a
+        training call with dropout but no rng is refused."""
+        _, _, _, cfg, examples = tiny_setup(dropout=0.5)
+        params = init_parameters(cfg, seed=0)
+        with pytest.raises(ContractError, match="needs an rng"):
+            batch_loss(examples[:2], params, cfg, training=True)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with T.no_grad():
+            plain, _ = batch_loss(examples[:2], params, cfg, training=False)
+            ignored, _ = batch_loss(examples[:2], params, cfg, training=False, rng=rng)
+            assert rng.bit_generator.state == state
+            dropped, _ = batch_loss(examples[:2], params, cfg, training=True, rng=rng)
+        assert ignored.item() == plain.item() and dropped.item() != plain.item()
+
 
 class TestTapeSize:
     """A training step's tape is pinned, so un-fusing an op fails here and
