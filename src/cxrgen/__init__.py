@@ -3,8 +3,7 @@ generation at desk scale, with its full training, sampling, and evaluation
 pipeline.
 """
 
-from .demographics import (DemographicCodec, DemographicRecord, encode_demographics,
-                           select_top_categories)
+from .demographics import DemographicCodec, DemographicRecord, select_top_categories
 from .checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
 from .data import (CorpusSpec, DataPoint, SplitManifest, default_corpus_spec,
                    sample_subsets, split, synthesize_corpus)

@@ -23,8 +23,9 @@ only ``cleaned.jsonl`` and the split manifest from ``--data``.
 
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
-``--reject-patterns`` line and a checkpoint whose feature width differs from
-the prepared data's), 3 data integrity failure (a file that is not UTF-8 is
+``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
+lowercase words and a checkpoint whose feature width differs from the
+prepared data's), 3 data integrity failure (a file that is not UTF-8 is
 one, and so are a checkpoint of format 1 or 2 or whose manifest names
 another blob, a bad dataset record, a malformed split manifest or
 evaluation report, a repeated vocabulary token, a demographics manifest or
@@ -52,7 +53,7 @@ from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw
 from .demographics import DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
-from .files import read_json_object, read_text, write_json
+from .files import read_json_object, read_text, write_json, write_json_lines
 from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
 from .model import ModelConfig, generate, init_parameters
 from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
@@ -174,10 +175,7 @@ def cmd_prepare_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_prepared_dataset(points, out / "cleaned.jsonl")
-    with open(out / "rejects.jsonl", "w", encoding="utf-8") as fh:
-        for reject in rejects:
-            fh.write(json.dumps({"id": reject.id, "reason": reject.reason,
-                                 "detail": reject.detail}) + "\n")
+    write_json_lines(out / "rejects.jsonl", (dataclasses.asdict(r) for r in rejects))
     vocab.save(out / "vocab.txt")
     write_json(out / "demographics.json", {
         "categories": categories,

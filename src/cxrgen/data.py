@@ -30,7 +30,7 @@ import numpy as np
 
 from .demographics import DemographicRecord
 from .errors import ConfigError, ContractError, IntegrityError, SizingError
-from .files import read_json_object, read_lines, write_json
+from .files import read_json_object, read_lines, write_json, write_json_lines
 from .text import (END_TOKEN, START_TOKEN, CleanReport, RawReport, Rejected, clean_report,
                    default_standardization_map, load_reject_patterns, load_stopwords)
 
@@ -254,17 +254,14 @@ def write_dataset(points, path) -> None:
     """Serialize DataPoints as a line-delimited dataset file, features inline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for point in points:
-            record = {
-                "id": point.id,
-                "report": point.raw_text or point.report.text(),
-                "gender": point.demographics.gender,
-                "age": point.demographics.age,
-                "ethnicity": point.demographics.ethnicity,
-                "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_json_lines(path, ({
+        "id": point.id,
+        "report": point.raw_text or point.report.text(),
+        "gender": point.demographics.gender,
+        "age": point.demographics.age,
+        "ethnicity": point.demographics.ethnicity,
+        "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
+    } for point in points))
 
 
 def _parse_records(path, text_field: str):
@@ -357,17 +354,14 @@ def write_prepared_dataset(points, path) -> None:
     """Serialize cleaned DataPoints (tokens, not raw text) for training stages."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for point in points:
-            record = {
-                "id": point.id,
-                "tokens": list(point.report.interior),
-                "gender": point.demographics.gender,
-                "age": point.demographics.age,
-                "ethnicity": point.demographics.ethnicity,
-                "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_json_lines(path, ({
+        "id": point.id,
+        "tokens": list(point.report.interior),
+        "gender": point.demographics.gender,
+        "age": point.demographics.age,
+        "ethnicity": point.demographics.ethnicity,
+        "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
+    } for point in points))
 
 
 def load_prepared_dataset(path) -> list[DataPoint]:

@@ -72,23 +72,6 @@ def _check_layout(categories, age_min, age_max) -> None:
                           f"got {age_min!r} and {age_max!r}")
 
 
-def encode_demographics(rec: DemographicRecord, categories, age_min: int = DEFAULT_AGE_MIN,
-                        age_max: int = DEFAULT_AGE_MAX) -> np.ndarray:
-    """Encode one record as [gender, normalized age, ethnicity one-hot].
-
-    Age is clipped to [age_min, age_max] and scaled to [0, 1]. An ethnicity
-    outside ``categories`` yields an all-zero ethnicity slice.
-    """
-    _check_layout(categories, age_min, age_max)
-    values = np.zeros(2 + len(categories), dtype=np.float32)
-    values[0] = 0.0 if rec.gender == GENDER_FEMALE else 1.0
-    clipped = min(max(rec.age, age_min), age_max)
-    values[1] = (clipped - age_min) / (age_max - age_min)
-    if rec.ethnicity in categories:
-        values[2 + categories.index(rec.ethnicity)] = 1.0
-    return values
-
-
 @dataclass(frozen=True)
 class DemographicCodec:
     """Reproducible record-to-vector encoding for a chosen field subset.
@@ -118,7 +101,18 @@ class DemographicCodec:
         return sum(widths[f] for f in self.fields)
 
     def encode(self, rec: DemographicRecord) -> np.ndarray:
-        full = encode_demographics(rec, self.categories, self.age_min, self.age_max)
+        """Encode one record as [gender, normalized age, ethnicity one-hot],
+        restricted to ``fields``; the constructor has checked the layout.
+
+        Age is clipped to [age_min, age_max] and scaled to [0, 1]. An
+        ethnicity outside ``categories`` yields an all-zero ethnicity slice.
+        """
+        full = np.zeros(2 + len(self.categories), dtype=np.float32)
+        full[0] = 0.0 if rec.gender == GENDER_FEMALE else 1.0
+        clipped = min(max(rec.age, self.age_min), self.age_max)
+        full[1] = (clipped - self.age_min) / (self.age_max - self.age_min)
+        if rec.ethnicity in self.categories:
+            full[2 + self.categories.index(rec.ethnicity)] = 1.0
         slices = {"gender": full[0:1], "age": full[1:2], "ethnicity": full[2:]}
         parts = [slices[f] for f in ALL_FIELDS if f in self.fields]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)

@@ -2,8 +2,9 @@
 
 Text is UTF-8: bytes that are not raise ``IntegrityError`` naming the file.
 A JSON file holds one object, written with two-space indentation and a
-final newline. A path that cannot be opened raises its ``OSError``
-unchanged; the command line reports it as a usage error.
+final newline; a JSON-lines file holds one object per line, each in
+``json.dumps``'s default layout. A path that cannot be opened raises its
+``OSError`` unchanged; the command line reports it as a usage error.
 """
 
 from __future__ import annotations
@@ -43,3 +44,9 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def write_json_lines(path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")

@@ -7,14 +7,21 @@ here because downstream golden tests depend on it:
 1. reject when the raw text has fewer than ``min_raw_words`` whitespace words;
 2. lowercase, then reject when any configured rejection pattern matches
    (default patterns target references to prior studies);
-3. replace punctuation characters with spaces and split on whitespace;
-4. drop tokens containing any digit;
-5. drop stop words;
-6. apply the standardization map, longest phrase first;
-7. reject if nothing remains, otherwise wrap in start/end markers.
+3. replace ASCII punctuation characters with spaces and split on whitespace;
+4. drop tokens containing any digit, and stop words;
+5. apply the standardization map, longest phrase first;
+6. reject if nothing remains;
+7. reject if a letter is still uppercase (``str.lower`` leaves some, such
+   as U+1D400), otherwise wrap in start/end markers.
 
 Rejection is a normal outcome carrying a machine-readable reason code, not
 an exception.
+
+The steps themselves give every token the form ``CleanReport.validate``
+checks: splitting yields no empty token, punctuation is translated away,
+digit tokens are dropped, a canonical phrase of the map is checked when the
+map is built, and step 7 covers case. So cleaning does not re-validate its
+output; ``validate`` checks token sequences read back from a prepared file.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 
 from .errors import ConfigError, ContractError, IntegrityError
 from .files import read_lines, read_text
@@ -38,8 +46,10 @@ PAD_ID, START_ID, END_ID, UNK_ID = 0, 1, 2, 3
 REASON_TOO_SHORT = "too_short"
 REASON_PRIOR_REFERENCE = "prior_reference"
 REASON_EMPTY = "empty_after_cleaning"
+REASON_MALFORMED = "malformed_token"
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+_PUNCTUATION = frozenset(string.punctuation)
 
 
 @dataclass(frozen=True)
@@ -82,50 +92,52 @@ class Rejected:
 
 
 def _bad_token(token: str) -> bool:
-    return (
-        not token
-        or any(c.isupper() or c.isdigit() for c in token)
-        or any(c in string.punctuation for c in token)
-    )
+    return (not token or any(map(str.isupper, token)) or any(map(str.isdigit, token))
+            or not _PUNCTUATION.isdisjoint(token))
 
 
 class StandardizationMap:
     """Phrase rewrites applied to the token stream, longest source first.
 
-    Canonical phrases must be fixed points of the map, which rules out
-    rewrite cycles.
+    Canonical phrases must be lowercase words (the tokens cleaning yields)
+    and fixed points of the map, which rules out rewrite cycles. The rules
+    are indexed by their first source token, each bucket in the
+    longest-first order, so a token that starts no rule costs one lookup.
     """
 
     def __init__(self, rules: dict[str, str] | list[tuple[str, str]] | None = None):
         pairs = rules.items() if isinstance(rules, dict) else (rules or [])
-        self._rules: list[tuple[tuple[str, ...], tuple[str, ...]]] = [
-            (tuple(src.split()), tuple(dst.split())) for src, dst in pairs
-        ]
-        self._rules.sort(key=lambda r: (-len(r[0]), r[0]))
-        for src, dst in self._rules:
+        ordered = sorted(((tuple(src.split()), tuple(dst.split())) for src, dst in pairs),
+                         key=lambda r: (-len(r[0]), r[0]))
+        self._by_first: dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
+        for src, dst in ordered:
             if not src or not dst:
                 raise ConfigError("standardization rules may not have empty sides")
+            bad = [token for token in dst if _bad_token(token)]
+            if bad:
+                raise ConfigError(f"canonical phrase {' '.join(dst)!r} holds {bad[0]!r}, "
+                                  "which is not a lowercase word")
+            self._by_first.setdefault(src[0], []).append((src, dst))
+        for _, dst in ordered:
             if self.apply(dst) != list(dst):
                 raise ConfigError(
                     f"canonical phrase {' '.join(dst)!r} is not a fixed point of the map"
                 )
 
-    def __len__(self):
-        return len(self._rules)
-
     def apply(self, tokens) -> list[str]:
         tokens = list(tokens)
         out: list[str] = []
-        i = 0
-        while i < len(tokens):
-            for src, dst in self._rules:
+        done = 0   # tokens[:done] are rewritten into out
+        for i, token in enumerate(tokens):
+            if i < done or token not in self._by_first:
+                continue
+            for src, dst in self._by_first[token]:
                 if tuple(tokens[i:i + len(src)]) == src:
-                    out.extend(dst)
-                    i += len(src)
+                    out += tokens[done:i]
+                    out += dst
+                    done = i + len(src)
                     break
-            else:
-                out.append(tokens[i])
-                i += 1
+        out += tokens[done:]
         return out
 
     @classmethod
@@ -138,7 +150,10 @@ class StandardizationMap:
                 raise ConfigError(f"{path}:{lineno}: expected 'source => canonical', "
                                   f"got {line!r}")
             pairs.append(tuple(part.strip() for part in line.split("=>", 1)))
-        return cls(pairs)
+        try:
+            return cls(pairs)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _resource_lines(path, name: str) -> list[tuple[int, str]]:
@@ -186,15 +201,16 @@ def clean_report(raw: RawReport, stopwords, std_map: StandardizationMap,
         if pattern.search(lowered):
             return Rejected(raw.id, REASON_PRIOR_REFERENCE,
                             f"matched rejection pattern {pattern.pattern!r}")
-    tokens = lowered.translate(_PUNCT_TABLE).split()
-    tokens = [t for t in tokens if not any(c.isdigit() for c in t)]
-    tokens = [t for t in tokens if t not in stopwords]
-    tokens = std_map.apply(tokens)
+    # no character is both a letter and a digit, so an all-letter token has no digit
+    tokens = std_map.apply([t for t in lowered.translate(_PUNCT_TABLE).split()
+                            if t not in stopwords
+                            and (t.isalpha() or not any(map(str.isdigit, t)))])
     if not tokens:
         return Rejected(raw.id, REASON_EMPTY, "no tokens survived cleaning")
-    report = CleanReport(raw.id, (START_TOKEN, *tokens, END_TOKEN))
-    report.validate()
-    return report
+    if any(map(str.isupper, "".join(tokens))):
+        token = next(t for t in tokens if any(map(str.isupper, t)))
+        return Rejected(raw.id, REASON_MALFORMED, f"malformed token {token!r}")
+    return CleanReport(raw.id, (START_TOKEN, *tokens, END_TOKEN))
 
 
 class Vocabulary:
@@ -220,9 +236,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
 
     def token_of(self, idx: int) -> str:
         return self.tokens[idx]
@@ -266,7 +279,7 @@ def encode_tokens(report: CleanReport, vocab: Vocabulary, max_len: int):
 
     if max_len < 3:
         raise ContractError(f"max_len must be at least 3, got {max_len}")
-    ids = [vocab.id_of(t) for t in report.tokens]
+    ids = list(map(vocab.token_to_id.get, report.tokens, repeat(UNK_ID)))
     if len(ids) > max_len:
         ids = ids[:max_len]
         ids[-1] = END_ID

@@ -33,13 +33,21 @@ to a scalar loss.
 
 Some entry points left the package because no command uses them:
 ``lookup`` reads one token's vector from a ``metrics.EmbeddingTable``,
-``stub_feature_extractor`` stands in for a convolutional backbone, and
+``stub_feature_extractor`` stands in for a convolutional backbone,
 ``legacy_checkpoint`` reads the per-head checkpoint formats 1 and 2, which
-``checkpoint.load_checkpoint`` rejects.
+``checkpoint.load_checkpoint`` rejects, and ``encode_demographics`` encodes
+one record with all three fields, checking the layout on every call.
+
+``all_rules_apply`` and ``validating_clean_report`` keep the report
+cleaning that the indexed standardization map and the single-pass
+``text.clean_report`` replaced: every rule tried at every position, and
+every token of the result re-checked character by character
+(``generator_bad_token``) after cleaning.
 """
 
 import json
 import math
+import string
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -803,3 +811,78 @@ def legacy_checkpoint(path):
             role, [arrays[f"{prefix}.h{h}.{role}"] for h in range(cfg.n_heads)])
         params[name] = Tensor(data.copy(), requires_grad=True)
     return params, cfg
+
+
+def encode_demographics(rec, categories, age_min=19, age_max=91):
+    """[gender, min-max normalized age, ethnicity one-hot] from the
+    definition, after ``demographics._check_layout`` (which raises
+    ``ConfigError`` for a bad layout)."""
+    from cxrgen.demographics import _check_layout
+
+    _check_layout(categories, age_min, age_max)
+    gender = 0.0 if rec.gender == "female" else 1.0
+    age = (min(max(rec.age, age_min), age_max) - age_min) / (age_max - age_min)
+    one_hot = [1.0 if rec.ethnicity == c else 0.0 for c in categories]
+    return np.asarray([gender, age, *one_hot], dtype=np.float32)
+
+
+def generator_bad_token(token):
+    """Empty, or holding an uppercase letter, a digit or ASCII punctuation,
+    tested one character at a time."""
+    return (
+        not token
+        or any(c.isupper() or c.isdigit() for c in token)
+        or any(c in string.punctuation for c in token)
+    )
+
+
+def sorted_rules(pairs):
+    """``(source tokens, canonical tokens)`` of each ``source => canonical``
+    pair, longest source first, ties in source order."""
+    rules = [(tuple(src.split()), tuple(dst.split())) for src, dst in pairs]
+    return sorted(rules, key=lambda r: (-len(r[0]), r[0]))
+
+
+def all_rules_apply(rules, tokens):
+    """Rewrite ``tokens`` left to right with the first of ``sorted_rules``
+    whose source starts at each position."""
+    tokens = list(tokens)
+    out = []
+    i = 0
+    while i < len(tokens):
+        for src, dst in rules:
+            if tuple(tokens[i:i + len(src)]) == src:
+                out.extend(dst)
+                i += len(src)
+                break
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out
+
+
+def validating_clean_report(raw, stopwords, rules, reject_patterns=(), min_raw_words=9):
+    """Clean one raw report with ``all_rules_apply`` and re-check every
+    token; a malformed token raises ``ContractError``."""
+    from cxrgen.errors import ContractError
+    from cxrgen.text import CleanReport, Rejected
+
+    if len(raw.text.split()) < min_raw_words:
+        return Rejected(raw.id, "too_short",
+                        f"raw report has fewer than {min_raw_words} words")
+    lowered = raw.text.lower()
+    for pattern in reject_patterns:
+        if pattern.search(lowered):
+            return Rejected(raw.id, "prior_reference",
+                            f"matched rejection pattern {pattern.pattern!r}")
+    for c in string.punctuation:
+        lowered = lowered.replace(c, " ")
+    tokens = [t for t in lowered.split() if not any(c.isdigit() for c in t)]
+    tokens = [t for t in tokens if t not in stopwords]
+    tokens = all_rules_apply(rules, tokens)
+    if not tokens:
+        return Rejected(raw.id, "empty_after_cleaning", "no tokens survived cleaning")
+    for token in tokens:
+        if generator_bad_token(token):
+            raise ContractError(f"report {raw.id}: malformed token {token!r}")
+    return CleanReport(raw.id, ("<start>", *tokens, "<end>"))

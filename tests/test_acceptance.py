@@ -15,8 +15,7 @@ import pytest
 from cxrgen import tensor as T
 from cxrgen.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
 from cxrgen.data import default_corpus_spec, sample_subsets, split, synthesize_corpus
-from cxrgen.demographics import (DemographicCodec, DemographicRecord,
-                                 encode_demographics, select_top_categories)
+from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_categories
 from cxrgen.errors import IntegrityError
 from cxrgen.metrics import Corpus, EmbeddingTable, bleu, embedding_f1, paired_t_test
 from cxrgen.model import ModelConfig, generate, init_parameters
@@ -317,19 +316,17 @@ def test_criterion_09_determinism_and_checkpoint_round_trip(tmp_path):
 def test_criterion_10_demographic_encoding_boundaries():
     with criterion(10, "demographic boundary cases encode exactly"):
         categories = ["c0", "c1", "c2", "c3", "c4"]
-        low = encode_demographics(DemographicRecord("female", 19, "c0"), categories)
+        encode = DemographicCodec(tuple(categories)).encode   # all three fields
+        low = encode(DemographicRecord("female", 19, "c0"))
         np.testing.assert_array_equal(low, [0, 0.0, 1, 0, 0, 0, 0])
-        high = encode_demographics(DemographicRecord("male", 91, "c4"), categories)
+        high = encode(DemographicRecord("male", 91, "c4"))
         np.testing.assert_array_equal(high, [1, 1.0, 0, 0, 0, 0, 1])
-        assert encode_demographics(DemographicRecord("female", 5, "c1"),
-                                   categories)[1] == 0.0
-        assert encode_demographics(DemographicRecord("male", 200, "c1"),
-                                   categories)[1] == 1.0
+        assert encode(DemographicRecord("female", 5, "c1"))[1] == 0.0
+        assert encode(DemographicRecord("male", 200, "c1"))[1] == 1.0
         for age in (19, 30, 55, 70, 91):
             for gender in ("female", "male"):
                 for ethnicity in categories:
-                    vec = encode_demographics(
-                        DemographicRecord(gender, age, ethnicity), categories)
+                    vec = encode(DemographicRecord(gender, age, ethnicity))
                     hot = vec[2:]
                     assert hot.sum() == 1.0 and set(np.unique(hot)) <= {0.0, 1.0}
                     assert vec[0] == (0.0 if gender == "female" else 1.0)

@@ -194,6 +194,35 @@ class TestPrepareData:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_bad_canonical_phrase_is_usage_error(self, pipeline, tmp_path, capsys):
+        """Found when the map is read, before any report is cleaned."""
+        std_map = tmp_path / "std.txt"
+        std_map.write_text("left lung => lung\nlungs => Lungs\n")
+        assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                     "--out", str(tmp_path / "out"), "--std-map", str(std_map)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {std_map}: canonical phrase 'Lungs' holds 'Lungs'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_letter_that_stays_uppercase_rejects_only_its_record(self, pipeline, tmp_path):
+        """'𝐀' has no lowercase form: its record is listed in rejects.jsonl
+        and the others are prepared."""
+        lines = (pipeline["corpus"] / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        assert "lungs" in record["report"]
+        record["report"] = record["report"].replace("lungs", "𝐀lungs")
+        lines[0] = json.dumps(record)
+        data = tmp_path / "dataset.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["prepare-data", "--data", str(data), "--out", str(out)]) == 0
+        read = lambda name: [json.loads(line) for line in (out / name).read_text().splitlines()]
+        assert read("rejects.jsonl") == [{"id": record["id"], "reason": "malformed_token",
+                                          "detail": "malformed token '𝐀lungs'"}]
+        kept = [prepared["id"] for prepared in read("cleaned.jsonl")]
+        assert len(kept) == len(lines) - 1 and record["id"] not in kept
+
     def test_corrupt_dataset_is_integrity_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{this is not json}\n")

@@ -6,36 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.demographics import (DemographicCodec, DemographicRecord,
-                                 encode_demographics, select_top_categories)
+import oracles
+from cxrgen.demographics import (ALL_FIELDS, DemographicCodec, DemographicRecord,
+                                 select_top_categories)
 from cxrgen.errors import ConfigError, ContractError
 
 CATS = ["c0", "c1", "c2", "c3", "c4"]
 
 
+def encode_all(rec, categories):
+    """All three fields, as a ``train`` run with the default --demographics encodes."""
+    return DemographicCodec(tuple(categories)).encode(rec)
+
+
 class TestEncode:
     def test_lower_boundary(self):
-        vec = encode_demographics(DemographicRecord("female", 19, "c0"), CATS)
+        vec = encode_all(DemographicRecord("female", 19, "c0"), CATS)
         np.testing.assert_array_equal(vec, [0, 0.0, 1, 0, 0, 0, 0])
 
     def test_upper_boundary(self):
-        vec = encode_demographics(DemographicRecord("male", 91, "c4"), CATS)
+        vec = encode_all(DemographicRecord("male", 91, "c4"), CATS)
         np.testing.assert_array_equal(vec, [1, 1.0, 0, 0, 0, 0, 1])
 
     def test_midpoint_min_max_formula(self):
         # (55 - 19) / (91 - 19) == 0.5
-        vec = encode_demographics(DemographicRecord("male", 55, "c2"), CATS)
+        vec = encode_all(DemographicRecord("male", 55, "c2"), CATS)
         assert vec[1] == pytest.approx(0.5)
         np.testing.assert_array_equal(vec[2:], [0, 0, 1, 0, 0])
 
     def test_clipping_below_and_above(self):
-        low = encode_demographics(DemographicRecord("female", 5, "c0"), CATS)
-        high = encode_demographics(DemographicRecord("female", 120, "c0"), CATS)
+        low = encode_all(DemographicRecord("female", 5, "c0"), CATS)
+        high = encode_all(DemographicRecord("female", 120, "c0"), CATS)
         assert low[1] == 0.0
         assert high[1] == 1.0
 
     def test_unknown_ethnicity_lenient_zero_slice(self):
-        vec = encode_demographics(DemographicRecord("female", 40, "other"), CATS)
+        vec = encode_all(DemographicRecord("female", 40, "other"), CATS)
         np.testing.assert_array_equal(vec[2:], np.zeros(5))
 
     def test_invalid_gender_rejected(self):
@@ -44,16 +50,16 @@ class TestEncode:
 
     def test_bad_categories_rejected(self):
         with pytest.raises(ConfigError):
-            encode_demographics(DemographicRecord("female", 40, "c0"), [])
+            DemographicCodec(())
         with pytest.raises(ConfigError):
-            encode_demographics(DemographicRecord("female", 40, "c0"), ["c0", "c0"])
+            DemographicCodec(("c0", "c0"))
 
     @given(st.integers(-50, 200), st.integers(-50, 200))
     @settings(max_examples=80, deadline=None)
     def test_age_monotone_in_normalized_value(self, age_a, age_b):
         rec = lambda age: DemographicRecord("female", age, "c0")
-        va = encode_demographics(rec(age_a), CATS)[1]
-        vb = encode_demographics(rec(age_b), CATS)[1]
+        va = encode_all(rec(age_a), CATS)[1]
+        vb = encode_all(rec(age_b), CATS)[1]
         if age_a <= age_b:
             assert va <= vb
         assert 0.0 <= va <= 1.0
@@ -61,11 +67,31 @@ class TestEncode:
     @given(st.sampled_from(["female", "male"]), st.integers(0, 120), st.sampled_from(CATS))
     @settings(max_examples=80, deadline=None)
     def test_one_hot_property(self, gender, age, ethnicity):
-        vec = encode_demographics(DemographicRecord(gender, age, ethnicity), CATS)
+        vec = encode_all(DemographicRecord(gender, age, ethnicity), CATS)
         one_hot = vec[2:]
         assert one_hot.sum() == 1.0
         assert set(np.unique(one_hot)) <= {0.0, 1.0}
         assert vec[0] in (0.0, 1.0)
+
+    @given(st.sampled_from(["female", "male"]), st.integers(-50, 200),
+           st.sampled_from(CATS + ["other"]), st.permutations(ALL_FIELDS),
+           st.integers(0, 3), st.integers(0, 40), st.integers(1, 80))
+    @settings(max_examples=120, deadline=None)
+    def test_codec_matches_checked_reference(self, gender, age, ethnicity, order, n_fields,
+                                             age_min, age_span):
+        """The codec, which checks its layout once when built, encodes as
+        the reference that checks it on every call, for every field subset."""
+        codec = DemographicCodec(tuple(CATS), order[:n_fields], age_min, age_min + age_span)
+        rec = DemographicRecord(gender, age, ethnicity)
+        full = oracles.encode_demographics(rec, CATS, age_min, age_min + age_span)
+        widths = {"gender": 1, "age": 1, "ethnicity": len(CATS)}
+        starts = {"gender": 0, "age": 1, "ethnicity": 2}
+        expected = [full[starts[f]:starts[f] + widths[f]] for f in ALL_FIELDS
+                    if f in codec.fields]
+        expected = np.concatenate(expected) if expected else np.zeros(0, np.float32)
+        vec = codec.encode(rec)
+        assert vec.dtype == np.float32 and vec.shape == (codec.dim,)
+        assert vec.tolist() == expected.tolist()
 
 
 class TestSelectTopCategories:

@@ -1,10 +1,13 @@
 """Cleaning rules (hand-traced), vocabulary ranking, encoding, and the
 pipeline invariants under randomized inputs."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cxrgen import text
 from cxrgen.errors import ConfigError, ContractError, IntegrityError
 from cxrgen.text import (CleanReport, RawReport, Rejected, StandardizationMap,
@@ -12,6 +15,28 @@ from cxrgen.text import (CleanReport, RawReport, Rejected, StandardizationMap,
                          encode_tokens, load_reject_patterns, load_stopwords)
 
 EMPTY_MAP = StandardizationMap()
+# ASCII letters, digits and punctuation, plus letters that lowercase to
+# themselves ('𝐀' stays uppercase), to two characters ('İ') or not at all
+# ('ß'), digits that are not ASCII ('²', '１') and punctuation that is not
+# ASCII ('–', '“')
+ALPHABET = (" abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.,;:-!?"
+            "𝐀ßİ²１–“")
+# Source words and canonical words are disjoint, so every drawn map is a
+# fixed point of itself.
+SOURCE_WORDS = ("lung", "left", "clear", "heart", "𝐀", "ß", "i̇", "–", "the")
+CANONICAL_WORDS = ("lungs", "normal", "opacity", "ßize", "“mark”")
+WORD_POOL = SOURCE_WORDS + CANONICAL_WORDS + ("Lung", "LEFT", "İ", "x2", "a.b", "of")
+STOP = frozenset({"the", "a", "of"})
+
+
+def phrases(words, max_size):
+    return st.lists(st.sampled_from(words), min_size=1, max_size=max_size).map(" ".join)
+
+
+rule_lists = st.lists(st.tuples(phrases(SOURCE_WORDS, 3), phrases(CANONICAL_WORDS, 2)),
+                      max_size=6)
+raw_texts = st.lists(st.one_of(st.sampled_from(WORD_POOL), st.text(ALPHABET, max_size=6)),
+                     min_size=3, max_size=30).map(" ".join)
 
 
 def clean(text_value, stopwords=frozenset(), std_map=EMPTY_MAP, patterns=(), rid="r1"):
@@ -68,6 +93,30 @@ class TestCleanReport:
         with pytest.raises(ConfigError):
             StandardizationMap([("a", "b"), ("b", "a")])
 
+    @pytest.mark.parametrize("canonical", ["Lungs", "lung2", "left-lung", "lung 𝐀", "x²"])
+    def test_canonical_phrase_must_be_lowercase_words(self, canonical):
+        """Checked when the map is built, not when a report first uses it."""
+        with pytest.raises(ConfigError, match="which is not a lowercase word"):
+            StandardizationMap([("lungs", canonical)])
+
+    def test_empty_source_rejected_beside_other_rules(self):
+        """The empty source once matched at every position of the fixed-point
+        check without advancing, so building this map never returned."""
+        with pytest.raises(ConfigError, match="empty sides"):
+            StandardizationMap([("left lung", "lung"), ("", "lung")])
+
+    @given(rule_lists, st.lists(st.sampled_from(WORD_POOL), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_matches_all_rules_reference(self, pairs, tokens):
+        """Rules indexed by first token rewrite as trying every rule at
+        every position does."""
+        expected = oracles.all_rules_apply(oracles.sorted_rules(pairs), tokens)
+        assert StandardizationMap(pairs).apply(tokens) == expected
+
+    def test_letter_that_stays_uppercase_is_rejected(self):
+        out = clean("𝐀lungs remain clear without focal consolidation effusion edema today")
+        assert out == Rejected("r1", text.REASON_MALFORMED, "malformed token '𝐀lungs'")
+
     def test_empty_after_cleaning_rejected(self):
         stop = frozenset("alpha beta gamma delta epsilon zeta eta theta iota".split())
         out = clean("alpha beta gamma delta epsilon zeta eta theta iota", stopwords=stop)
@@ -81,16 +130,45 @@ class TestCleanReport:
         assert std.apply(["cardiac", "silhouette"]) == ["heart"]
         assert len(load_reject_patterns()) > 0
 
-    @given(st.text(alphabet=" abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.,;:-!?",
-                   max_size=200))
+    @given(st.text(alphabet=ALPHABET, max_size=200))
     @settings(max_examples=120, deadline=None)
     def test_accepted_reports_satisfy_invariants(self, raw):
-        out = clean(raw, stopwords=frozenset({"the", "a", "of"}))
+        """Cleaning does not call ``validate``; this is what licenses it."""
+        out = clean(raw, stopwords=STOP)
         if isinstance(out, Rejected):
-            assert out.reason in (text.REASON_TOO_SHORT, text.REASON_EMPTY)
+            assert out.reason in (text.REASON_TOO_SHORT, text.REASON_EMPTY,
+                                  text.REASON_MALFORMED)
         else:
             out.validate()
             assert out.tokens[0] == text.START_TOKEN and out.tokens[-1] == text.END_TOKEN
+
+    @given(raw_texts, rule_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_validating_reference(self, raw, pairs):
+        """Equal outcomes to cleaning with every rule tried and every token
+        re-checked; where the reference finds a malformed token, cleaning
+        rejects the report naming the same token."""
+        patterns = load_reject_patterns()
+        try:
+            expected = oracles.validating_clean_report(
+                RawReport("r", raw), STOP, oracles.sorted_rules(pairs), patterns,
+                min_raw_words=3)
+        except ContractError as exc:
+            expected = Rejected("r", text.REASON_MALFORMED, str(exc).split(": ", 1)[1])
+        out = clean_report(RawReport("r", raw), STOP, StandardizationMap(pairs), patterns,
+                           min_raw_words=3)
+        assert out == expected
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_bad_token_matches_character_loop(self, token):
+        assert text._bad_token(token) == oracles.generator_bad_token(token)
+
+    def test_no_character_is_both_letter_and_digit(self):
+        """Cleaning keeps an all-letter token without testing it for digits."""
+        both = [hex(i) for i in range(sys.maxunicode + 1)
+                if chr(i).isalpha() and chr(i).isdigit()]
+        assert both == []
 
     @given(st.lists(st.text(alphabet="abcdefghij", min_size=1, max_size=8),
                     min_size=9, max_size=30))
@@ -139,10 +217,10 @@ class TestVocabulary:
 
     def test_reserved_ids_fixed(self):
         vocab = build_vocabulary(self._reports([["x"]]), cap=10)
-        assert vocab.id_of(text.PAD_TOKEN) == 0
-        assert vocab.id_of(text.START_TOKEN) == 1
-        assert vocab.id_of(text.END_TOKEN) == 2
-        assert vocab.id_of(text.UNK_TOKEN) == 3
+        assert vocab.token_to_id[text.PAD_TOKEN] == text.PAD_ID == 0
+        assert vocab.token_to_id[text.START_TOKEN] == text.START_ID == 1
+        assert vocab.token_to_id[text.END_TOKEN] == text.END_ID == 2
+        assert vocab.token_to_id[text.UNK_TOKEN] == text.UNK_ID == 3
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = build_vocabulary(self._reports([["alpha", "beta", "alpha"]]), cap=16)
@@ -182,7 +260,7 @@ class TestEncode:
         assert len(ids) == 50
         assert ids[0] == text.START_ID
         assert ids[49] == text.END_ID
-        assert all(i == vocab.id_of("clear") for i in ids[1:49])
+        assert all(i == vocab.token_to_id["clear"] for i in ids[1:49])
 
     def test_max_len_precondition(self, vocab):
         with pytest.raises(ContractError):
