@@ -112,8 +112,13 @@ def _well_formed(entry) -> bool:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Load params + config, verifying per-tensor checksums."""
+    return load_from_manifest(path, read_manifest(path))
+
+
+def load_from_manifest(path, manifest: dict) -> tuple[dict[str, Tensor], ModelConfig]:
+    """``load_checkpoint`` given the checkpoint's ``manifest``, as
+    ``read_manifest`` returned it."""
     directory = Path(path)
-    manifest = read_manifest(directory)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
     except (TypeError, KeyError, ConfigError) as exc:

@@ -14,7 +14,7 @@ included. Its values are parsed like flags, so a value of the wrong type or
 outside an option's choices exits 2; explicit command line flags win over
 config-file values, which win over built-in defaults.
 
-Every file is read and written through ``cxrgen.files``.
+Every JSON and text file is read and written through ``cxrgen.files``.
 
 ``train`` reads the demographic codec from ``demographics.json`` and stores
 the variant it trains, or null for the image-only model, in the checkpoint
@@ -46,14 +46,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from .checkpoint import load_from_manifest, read_manifest, save_checkpoint
 from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw_records,
                    sample_subsets, split, synthesize_corpus, write_dataset,
                    write_prepared_dataset, SplitManifest)
 from .demographics import DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
-from .files import read_json_object, read_text, write_json, write_json_lines
+from .files import read_json_object, read_text, write_json, write_json_lines, write_lines
 from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
 from .model import ModelConfig, generate, init_parameters
 from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
@@ -82,9 +82,7 @@ def _write_provenance(out_dir, command: str, options: dict, inputs=(), **section
     }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "provenance.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "provenance.json", payload, sort_keys=True)
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -273,7 +271,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "trainlog.jsonl"
-    log_path.write_text("")
+    write_json_lines(log_path, ())   # fit appends one line per epoch
     log = fit(train_examples, val_examples, params, cfg, train_cfg, log_path=log_path)
     save_checkpoint(params, cfg, out / "best", extra={
         "codec": codec.to_dict() if cfg.uses_demographics else None,
@@ -308,12 +306,13 @@ def _generation_stats(generated: list[list[int]], max_len: int) -> dict:
     }
 
 
-def _checkpoint_inputs(checkpoint, cfg: ModelConfig):
-    """The vocabulary and the codec (None for an image-only model) that a
-    checkpoint's manifest embeds. One that breaks its class's rules or does
-    not fit the model ``cfg`` raises ``IntegrityError`` naming the manifest."""
+def _checkpoint_inputs(checkpoint, manifest: dict, cfg: ModelConfig):
+    """The vocabulary and the codec (None for an image-only model) that the
+    ``manifest`` of ``checkpoint`` embeds. One that breaks its class's rules
+    or does not fit the model ``cfg`` raises ``IntegrityError`` naming the
+    manifest."""
     source = Path(checkpoint) / "manifest.json"
-    extra = read_manifest(checkpoint).get("extra")
+    extra = manifest.get("extra")
     extra = extra if isinstance(extra, dict) else {}
     with _bad_data(source):
         vocab = Vocabulary(extra.get("vocab"))
@@ -328,8 +327,9 @@ def _checkpoint_inputs(checkpoint, cfg: ModelConfig):
 
 
 def cmd_generate(args) -> int:
-    params, cfg = load_checkpoint(args.checkpoint)
-    vocab, codec = _checkpoint_inputs(args.checkpoint, cfg)
+    manifest = read_manifest(args.checkpoint)
+    params, cfg = load_from_manifest(args.checkpoint, manifest)
+    vocab, codec = _checkpoint_inputs(args.checkpoint, manifest, cfg)
     points = _load_points(args.data)
     if points[0].features.size != cfg.feature_dim:
         raise ConfigError(f"{args.data} holds {points[0].features.size}-wide features, "
@@ -350,9 +350,9 @@ def cmd_generate(args) -> int:
         generated.append(token_ids)
         hyp_lines.append(" ".join(decode_ids(token_ids, vocab)))
         ref_lines.append(" ".join(point.report.interior))
-    out.write_text("\n".join(hyp_lines) + "\n", encoding="utf-8")
+    write_lines(out, hyp_lines)
     if args.refs_out:
-        Path(args.refs_out).write_text("\n".join(ref_lines) + "\n", encoding="utf-8")
+        write_lines(args.refs_out, ref_lines)
     _write_provenance(out.parent, "generate", {
         "checkpoint": str(args.checkpoint),
         "data": str(args.data),

@@ -250,18 +250,25 @@ def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def write_dataset(points, path) -> None:
-    """Serialize DataPoints as a line-delimited dataset file, features inline."""
+def _write_records(points, path, text_field: str, text) -> None:
+    """Write one JSON line per DataPoint, features inline as float32 values;
+    ``text(point)`` is its ``text_field`` ("report" or "tokens")."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_json_lines(path, ({
         "id": point.id,
-        "report": point.raw_text or point.report.text(),
+        text_field: text(point),
         "gender": point.demographics.gender,
         "age": point.demographics.age,
         "ethnicity": point.demographics.ethnicity,
         "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
     } for point in points))
+
+
+def write_dataset(points, path) -> None:
+    """Serialize DataPoints as a line-delimited dataset file, features inline."""
+    _write_records(points, path, "report",
+                   lambda point: point.raw_text or point.report.text())
 
 
 def _parse_records(path, text_field: str):
@@ -352,16 +359,7 @@ def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None
 
 def write_prepared_dataset(points, path) -> None:
     """Serialize cleaned DataPoints (tokens, not raw text) for training stages."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_json_lines(path, ({
-        "id": point.id,
-        "tokens": list(point.report.interior),
-        "gender": point.demographics.gender,
-        "age": point.demographics.age,
-        "ethnicity": point.demographics.ethnicity,
-        "features": [float(x) for x in np.asarray(point.features, dtype="<f4")],
-    } for point in points))
+    _write_records(points, path, "tokens", lambda point: list(point.report.interior))
 
 
 def load_prepared_dataset(path) -> list[DataPoint]:

@@ -1,8 +1,9 @@
 """How the commands read and write their JSON and text files.
 
 Text is UTF-8: bytes that are not raise ``IntegrityError`` naming the file.
-A JSON file holds one object, written with two-space indentation and a
-final newline; a JSON-lines file holds one object per line, each in
+A text file of lines ends each line, the last included, with a newline. A
+JSON file holds one object, written with two-space indentation and a final
+newline; a JSON-lines file holds one object per line, each in
 ``json.dumps``'s default layout. A path that cannot be opened raises its
 ``OSError`` unchanged; the command line reports it as a usage error.
 """
@@ -40,9 +41,14 @@ def read_json_object(path, error) -> dict:
     return payload
 
 
-def write_json(path, payload) -> None:
+def write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload, sort_keys: bool = False) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
@@ -50,3 +56,8 @@ def write_json_lines(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+
+
+def append_json_line(path, record) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")

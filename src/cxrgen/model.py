@@ -32,25 +32,29 @@ its rate is positive.
 Dropout runs exactly when a forward function is handed a dropout ``rng``:
 the encoder, the fusion block and the decoder take no separate training
 flag. ``training.batch_loss`` is the one caller that passes an rng, and
-only for a training step; evaluation and generation pass none.
+only for a training step; evaluation and generation's encoder pass none.
 
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
 length L as a [B*L x d] stream, with self-attention scores of shape
 [B x H x L x L] under causal and key-pad masks. A single sequence is the case
-B = 1, so generation and training run the same code.
+B = 1.
 
-Generation decodes one new position per step. Under the causal mask the
-keys and values of earlier positions never change, so ``generate`` passes
-``decoder_forward`` a ``DecodeCache`` and feeds it only the last chosen id.
-The cache holds one preallocated [B x max_len x d] K row buffer and one V
-row buffer per self-attention block, into which each step writes its rows
-in place, plus the causal mask and each block's cross-attention row (which
-depends only on the hybrid representation), both made once. The new
-position's scores are [B x H x 1 x (t+1)], over a view of the t cached keys
-and its own, under the same causal and key-pad rule, and the classifier
-runs on that one row. Training and evaluation are the case of a fresh
-cache: every position is new, and the new rows are attended directly.
+Generation decodes one new position per step, on plain numpy arrays. Under
+the causal mask the keys and values of earlier positions never change, so
+``generate`` feeds a ``DecodeCache`` only the last chosen id. The cache
+holds one preallocated [B x max_len x d] K row buffer and one V row buffer
+per self-attention block, into which each step writes its rows in place,
+plus the key-keep buffer, the causal mask and each block's cross-attention
+row (which depends only on the hybrid representation), all made once. The
+new position's scores are [B x H x 1 x (t+1)], over a view of the t cached
+keys and its own, under the same causal and key-pad rule, and the
+classifier runs on that one row. A step runs the same array arithmetic as
+the tensor ops (``tensor._dense``, ``_normalize``, ``_attend`` and
+``_embed``) in the same order, but wraps no ``Tensor`` and records nothing;
+its logits match ``decoder_forward``'s on the whole prefix to float rounding.
+``decoder_forward`` always runs whole sequences from position 0; that is
+how training and evaluation run.
 
 Multi-head attention is ``Concat(head_1..head_H) @ wo + bo`` (Vaswani et
 al. 2017, section 3.2.2), with one [d x d] matrix per role: head h's query,
@@ -240,18 +244,17 @@ def _linear(x: Tensor, params, prefix: str, relu: bool = False) -> Tensor:
 
 
 def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
-                          mask=None, cache=None) -> Tensor:
+                          mask=None) -> Tensor:
     # without a mask, each keyvalue row is the one key of its own attention:
     # its softmax weight is exactly 1, so each head returns its value
-    # projection. With a mask (and a cache), this is self-attention: the rows
-    # are B sequences of L positions, mask is their [B x L x total] mask, and
-    # each head attends per sequence, over the cache's earlier K/V rows
-    # followed by the L new ones.
+    # projection. With a mask, this is self-attention: the rows are B
+    # sequences of L positions, mask is their [B x L x L] mask, and each head
+    # attends per sequence.
     attended = T.matmul(keyvalue, params[f"{prefix}.wv"])
     if mask is not None:
         q = T.matmul(keyvalue, params[f"{prefix}.wq"])
-        k, v = cache.extend(prefix, T.matmul(keyvalue, params[f"{prefix}.wk"]), attended)
-        attended = T.multi_head_attention(q, k, v, cfg.n_heads, mask)
+        k = T.matmul(keyvalue, params[f"{prefix}.wk"])
+        attended = T.multi_head_attention(q, k, attended, cfg.n_heads, mask)
     return T.linear(attended, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -322,105 +325,41 @@ def encode_inputs(features, demo, params, cfg: ModelConfig, rng=None) -> Tensor:
     return fuse_visual_semantic(visual, semantic, params, cfg, rng=rng)
 
 
-class DecodeCache:
-    """What a ``decoder_forward`` call needs of the positions decoded before it.
-
-    Pass a fresh ``DecodeCache()`` with the first ids, then keep passing it
-    with only the ids that follow. The first call sizes it for B sequences
-    of up to ``max_len`` positions and makes what every later call reuses:
-    a [B x max_len] key-keep buffer (ids != PAD_ID), the [max_len x max_len]
-    causal mask, and each decoder block's [B x d] cross-attention row. Each
-    self-attention block gets one [B x max_len x d] K row buffer and one V
-    row buffer; a call writes its positions' rows in place and attends over
-    a view of the first ``length``. Nothing in it records a gradient.
-    """
-
-    def __init__(self):
-        self.length = 0         # positions decoded so far
-        self.keep = None        # [B x max_len] bool, None before the first call
-        self.causal = None      # [max_len x max_len] bool, lower triangular
-        self.keys = {}          # attention block prefix -> [B x max_len x d]
-        self.values = {}
-        self.cross = []         # per decoder block, a [B x d] Tensor
-
-    def extend(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Write the new positions' [B*L x d] K and V rows into block
-        ``name``'s buffers, after the earlier positions; return every
-        position's rows: on a first call the new rows themselves, else
-        [B x length x d] views of the buffers."""
-        n_seq, capacity = self.keep.shape
-        start = self.length - k.shape[0] // n_seq
-        if name not in self.keys:
-            self.keys[name] = np.empty((n_seq, capacity, k.shape[1]), dtype=k.data.dtype)
-            self.values[name] = np.empty_like(self.keys[name])
-        keys, values = self.keys[name], self.values[name]
-        keys[:, start:self.length] = k.data.reshape(n_seq, -1, k.shape[1])
-        values[:, start:self.length] = v.data.reshape(n_seq, -1, v.shape[1])
-        if start == 0:
-            return k, v
-        return Tensor._wrap(keys[:, :self.length]), Tensor._wrap(values[:, :self.length])
-
-
-def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig, rng=None,
-                    cache: DecodeCache | None = None) -> Tensor:
+def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
+                    rng=None) -> Tensor:
     """Per-position vocabulary logits for (shifted) target id sequences.
 
     ``target_ids`` is [B x L], B sequences padded to one length, with
     ``hybrid`` [B x d_model]; one [L] sequence is the case B = 1. Returns
     [B*L x V] logits, row b*L + t for position t of sequence b. Position t
     sees only positions <= t of its own sequence; pad positions are excluded
-    from the attention keys.
-
-    The ids are the next L positions of the sequences ``cache`` holds: only
-    they are embedded, projected and classified, they attend over the cached
-    positions as well as each other, and the cache is extended with them.
-    ``hybrid`` is read on the first call only. Without a cache, a fresh one
-    is used, so the ids are whole sequences from position 0; that is how
-    training and evaluation run. Dropout runs when ``rng`` is given, so a
-    cache passed in is legal only under ``tensor.no_grad()`` with no rng.
+    from the attention keys. Dropout runs when ``rng`` is given.
     """
     ids = np.asarray(target_ids, dtype=np.int64)
     ids = ids.reshape(1, -1) if ids.ndim < 2 else ids
     if ids.ndim != 2:
         raise ShapeError(f"decoder ids must be [L] or [B x L], got shape {ids.shape}")
-    n_seq, length = ids.shape
+    length = ids.shape[1]
     if ids.size == 0:
         raise ContractError("decoder needs at least one input id")
-    if cache is not None and (rng is not None or T.active_graph().enabled):
-        raise ContractError("a decode cache needs rng=None under tensor.no_grad()")
-    cache = cache or DecodeCache()
-    offset = cache.length
-    if offset and cache.keep.shape[0] != n_seq:
-        raise ShapeError(f"the cache holds {cache.keep.shape[0]} sequences, got {n_seq}")
-    if offset + length > cfg.max_len:
-        raise ContractError(
-            f"sequence length {offset + length} exceeds the maximum {cfg.max_len}"
-        )
-    # tensor.embedding range-checks the ids before the cache is touched
+    if length > cfg.max_len:
+        raise ContractError(f"sequence length {length} exceeds the maximum {cfg.max_len}")
     table = params["embed.table"]
     positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, table.data.dtype)
-    x = T.embedding(table, ids, positions[offset:offset + length])
-    if not offset:
-        # the first call makes what every later call reuses
-        cache.keep = np.empty((n_seq, cfg.max_len), dtype=bool)
-        cache.causal = np.tri(cfg.max_len, dtype=bool)
-        cache.cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
-                       for i in range(cfg.n_decoder_blocks)]
-    total = offset + length
-    cache.keep[:, offset:total] = ids != PAD_ID
-    cache.length = total
-    # position offset + j may attend to its sequence's kept positions <= offset + j
-    mask = cache.causal[offset:total, :total] & cache.keep[:, None, :total]
+    x = T.embedding(table, ids, positions[:length])
+    cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
+             for i in range(cfg.n_decoder_blocks)]
+    # position t may attend to its sequence's kept positions <= t
+    mask = np.tri(length, dtype=bool) & (ids != PAD_ID)[:, None, :]
     x = _maybe_dropout(x, cfg, rng)
     for i in range(cfg.n_decoder_blocks):
-        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask, cache)
+        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask)
         attended = _maybe_dropout(attended, cfg, rng)
         x = T.add_layer_norm(x, attended,
                              params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
         # every position attends to its sequence's one hybrid row: the [B x d]
         # result is computed once and row b repeated for its L stream rows
-        cross = _maybe_dropout(T.repeat_rows(cache.cross[i], length), cfg, rng)
-        x = T.add_layer_norm(x, cross,
+        x = T.add_layer_norm(x, _maybe_dropout(T.repeat_rows(cross[i], length), cfg, rng),
                              params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
         ff = _linear(x, params, f"dec{i}.ff", relu=True)
         ff = _maybe_dropout(ff, cfg, rng)
@@ -428,14 +367,88 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig, rng=No
     return _linear(x, params, "classifier")
 
 
+class DecodeCache:
+    """The decoder run a few positions at a time on plain arrays, keeping
+    what every later position reads of the earlier ones.
+
+    Made for the [B x d_model] ``hybrid`` rows of B sequences. Each ``step``
+    takes the next L ids of every sequence and returns their logits, equal
+    to the rows ``decoder_forward`` gives those positions on the whole
+    prefix. The cache holds a [B x max_len] key-keep buffer (ids != PAD_ID),
+    the [max_len x max_len] causal mask, each decoder block's [B x d]
+    cross-attention row, and per block one [B x max_len x d] K row buffer
+    and one V row buffer; a step writes its positions' rows in place and
+    attends over a view of the first ``length``.
+    """
+
+    def __init__(self, hybrid: np.ndarray, params, cfg: ModelConfig):
+        n_seq = hybrid.shape[0]
+        arrays = {name: tensor.data for name, tensor in params.items()}
+        self.n_heads = cfg.n_heads
+        self.length = 0         # positions decoded so far
+        self.keep = np.empty((n_seq, cfg.max_len), dtype=bool)
+        self.causal = np.tri(cfg.max_len, dtype=bool)
+        self.table = arrays["embed.table"]
+        self.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, self.table.dtype)
+        self.keys = [np.empty((n_seq, cfg.max_len, cfg.d_model), dtype=self.table.dtype)
+                     for _ in range(cfg.n_decoder_blocks)]
+        self.values = [np.empty_like(keys) for keys in self.keys]
+        self.blocks = []        # per decoder block: its cross-attention row, then its weights
+        for i in range(cfg.n_decoder_blocks):
+            # single-key attention in closed form, as ``_multi_head_attention``
+            cross = f"dec{i}.cross_attn"
+            row = T._dense(hybrid @ arrays[f"{cross}.wv"], arrays[f"{cross}.wo"],
+                           arrays[f"{cross}.bo"], False)
+            self.blocks.append((row, *(arrays[f"dec{i}.{name}"] for name in (
+                "self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
+                "self_attn.bo", "norm1.gain", "norm1.bias", "norm2.gain", "norm2.bias",
+                "ff.w", "ff.b"))))
+        self.classifier = arrays["classifier.w"], arrays["classifier.b"]
+
+    def step(self, ids: np.ndarray) -> np.ndarray:
+        """[B*L x V] logits for the int64 [B x L] ``ids`` that follow the
+        positions decoded so far.
+
+        The ids are not range-checked: ``generate`` makes them. A sequence
+        whose first id is ``PAD_ID`` is a ``ContractError``, since that
+        position would have no key to attend to; every later position can
+        attend to position 0, so the first step is the only one checked.
+        """
+        n_seq, length = ids.shape
+        start, total = self.length, self.length + length
+        if n_seq != self.keep.shape[0]:
+            raise ShapeError(f"the cache holds {self.keep.shape[0]} sequences, got {n_seq}")
+        if total > self.keep.shape[1]:
+            raise ContractError(
+                f"sequence length {total} exceeds the maximum {self.keep.shape[1]}")
+        if not start and (ids[:, 0] == PAD_ID).any():
+            raise ContractError("a sequence may not start with the pad id: its first "
+                                "position would have every key masked out")
+        self.keep[:, start:total] = ids != PAD_ID
+        self.length = total
+        # position start + j may attend to its sequence's kept positions <= start + j
+        mask = self.causal[start:total, :total] & self.keep[:, None, :total]
+        x = T._embed(self.table, ids, self.positions[start:total])
+        for keys, values, (cross, wq, wk, wv, wo, bo, gain1, bias1, gain2, bias2, ff_w,
+                           ff_b) in zip(self.keys, self.values, self.blocks):
+            v = x @ wv
+            keys[:, start:total] = (x @ wk).reshape(n_seq, length, -1)
+            values[:, start:total] = v.reshape(n_seq, length, -1)
+            attended = T._attend(x @ wq, keys[:, :total], values[:, :total], self.n_heads,
+                                 mask)[0]
+            x = T._normalize(x + T._dense(attended, wo, bo, False), gain1, bias1)[0]
+            x = T._normalize(x + cross.repeat(length, axis=0), gain2, bias2)[0]
+            x = x + T._dense(x, ff_w, ff_b, True)
+        return T._dense(x, *self.classifier, False)
+
+
 def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
              seed: int = 0) -> list[int]:
     """Autoregressively decode a report for one image/demographics pair.
 
-    Each step feeds ``decoder_forward`` only the id chosen last, with a
-    ``DecodeCache`` holding the earlier positions' self-attention K/V rows
-    and the cross-attention rows, so a report of n ids runs n decoder
-    positions, not the n(n+1)/2 of re-running every prefix.
+    Each step feeds a ``DecodeCache`` only the id chosen last, so a report
+    of n ids runs n decoder positions, not the n(n+1)/2 of re-running every
+    prefix, and records nothing on the tape.
 
     Temperature 0, or one too small to divide by in the logits' dtype, is
     exact argmax; otherwise the next id is drawn from
@@ -449,23 +462,24 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
         raise ContractError(f"temperature must be finite and non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
     out: list[int] = []
-    cache = DecodeCache()
-    next_id = START_ID
     with T.no_grad():
         hybrid = encode_inputs(features, demo, params, cfg)
-        while len(out) < cfg.max_len:
-            logits = decoder_forward([next_id], hybrid, params, cfg, cache=cache)
-            last = logits.data[-1]
-            if temperature < np.finfo(last.dtype).tiny:   # 0, or it underflows to 0
-                next_id = int(np.argmax(last))
-            else:
-                # shifted before the division, so a tiny temperature cannot
-                # make inf - inf = NaN
-                probs = np.exp((last - last.max()) / temperature)
-                probs /= probs.sum()
-                next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
-                next_id = min(next_id, cfg.vocab_size - 1)
-            out.append(next_id)
-            if next_id == END_ID:
-                break
+    cache = DecodeCache(hybrid.data, params, cfg)
+    greedy = temperature < np.finfo(cache.table.dtype).tiny   # 0, or it underflows to 0
+    ids = np.full((1, 1), START_ID)
+    while len(out) < cfg.max_len:
+        last = cache.step(ids)[-1]
+        if greedy:
+            next_id = int(np.argmax(last))
+        else:
+            # shifted before the division, so a tiny temperature cannot
+            # make inf - inf = NaN
+            probs = np.exp((last - last.max()) / temperature)
+            probs /= probs.sum()
+            next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
+            next_id = min(next_id, cfg.vocab_size - 1)
+        out.append(next_id)
+        if next_id == END_ID:
+            break
+        ids[0, 0] = next_id
     return out

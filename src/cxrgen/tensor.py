@@ -22,7 +22,10 @@ strided view of them, and runs the scaled scores, the mask, the softmax and
 the weighted values of all heads, then merges the heads back into rows, as
 one tape entry. Each backward rule runs the same arithmetic, in the same
 order, as the chain of separate ops it replaced (kept in the test suite as
-the reference), so the fused ops are bit-identical to it.
+the reference), so the fused ops are bit-identical to it. The forward
+arithmetic of these four ops is written once, as private functions on plain
+arrays (``_dense``, ``_normalize``, ``_embed`` and ``_attend``) that the ops
+call and that ``model.DecodeCache`` calls to decode without a tape.
 
 Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
@@ -74,8 +77,7 @@ def default_dtype(dtype):
 class Tensor:
     """A dense array with an optional gradient buffer.
 
-    ``data`` is a numpy array, C-contiguous (row-major flat storage) except
-    for the views of its key/value buffers that ``model.DecodeCache`` wraps.
+    ``data`` is a C-contiguous (row-major flat storage) numpy array.
     ``grad`` is set by the backward pass and always matches ``data`` in
     shape. The shape is fixed at construction; treat tensors as immutable
     except for the optimizer's in-place parameter update.
@@ -167,10 +169,6 @@ class ComputationGraph:
     def reset(self) -> None:
         self._entries.clear()
 
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
     def record(self, inputs, output, vjp) -> None:
         self._entries.append(_Entry(inputs, output, vjp))
 
@@ -242,6 +240,72 @@ def _record(inputs, output: Tensor, vjp) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Forward arithmetic on plain arrays, shared by the ops below and by
+# ``model.DecodeCache``, which decodes without a tape
+# ---------------------------------------------------------------------------
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``x @ w + b``, then a ReLU when ``relu`` is set, in a fresh array."""
+    out = x @ w
+    np.add(out, b, out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out
+
+
+def _normalize(total: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm of each row of ``total``: the output, and the normalized
+    rows and 1 / standard deviation that the backward rule reads."""
+    centered = total - _row_mean(total)
+    var = _row_mean(centered * centered)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    normalized = centered * inv_std
+    return normalized * gain + bias, normalized, inv_std
+
+
+def _embed(table: np.ndarray, ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """[B*L x width] rows of ``table`` for the [B x L] ``ids``, plus each
+    position's row of the [L x width] ``positions``."""
+    n_seq, length = ids.shape
+    out = table[ids.reshape(-1)]
+    rows = out.reshape(n_seq, length, table.shape[1])   # a view of out
+    rows += positions
+    return out
+
+
+def _split_heads(rows: np.ndarray, n_seq: int, length: int, n_heads: int) -> np.ndarray:
+    """[B*L x d] or [B x L x d] rows -> a [B x H x L x d_head] view."""
+    return rows.reshape(n_seq, length, n_heads, rows.shape[-1] // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(stack: np.ndarray, shape) -> np.ndarray:
+    """[B x H x L x d_head] -> rows in the layout of ``shape``."""
+    return stack.transpose(0, 2, 1, 3).reshape(shape)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray):
+    """The arithmetic of ``multi_head_attention`` on the [B*Lq x d] query
+    rows and the key and value rows, [B*Lk x d] or [B x Lk x d] (a view is
+    read in place), under the boolean [B x Lq x Lk] ``mask``. Returns the
+    [B*Lq x d] attended rows, then the softmax weights and the head views
+    that the backward rule reads."""
+    n_seq, n_query, n_key = mask.shape
+    q_heads = _split_heads(q, n_seq, n_query, n_heads)
+    v_heads = _split_heads(v, n_seq, n_key, n_heads)
+    # the keys' transpose is laid out contiguously, as the composed chain's
+    # permute made it: BLAS rounds a transposed operand differently
+    k_t = np.ascontiguousarray(_split_heads(k, n_seq, n_key, n_heads).swapaxes(-1, -2))
+    # the temporaries are computed in place, with the composed chain's arithmetic
+    scores = q_heads @ k_t
+    scores *= np.asarray(1.0 / math.sqrt(q.shape[-1] // n_heads), dtype=q.dtype)
+    np.copyto(scores, -np.inf, where=~mask[:, None])
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return _merge_heads(weights @ v_heads, q.shape), weights, q_heads, k_t, v_heads
+
+
+# ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
@@ -281,10 +345,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
             or b.data.shape != w_data.shape[1:]:
         raise ShapeError(f"linear: incompatible shapes {x_data.shape} x {w_data.shape} "
                          f"+ {b.data.shape}")
-    out_data = x_data @ w_data
-    np.add(out_data, b.data, out=out_data)
+    out_data = _dense(x_data, w_data, b.data, relu)
     if relu:
-        np.maximum(out_data, 0, out=out_data)
         positive = out_data > 0   # where the pre-activation is positive
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
@@ -350,11 +412,7 @@ def _layer_norm(summands, total: np.ndarray, gain: Tensor, bias: Tensor) -> Tens
             f"layer_norm: gain {tuple(gain.shape)} / bias {tuple(bias.shape)} "
             f"do not match normalized width {n}"
         )
-    centered = total - _row_mean(total)
-    var = _row_mean(centered * centered)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    normalized = centered * inv_std
-    out = Tensor._wrap(normalized * gain.data + bias.data)
+    out_data, normalized, inv_std = _normalize(total, gain.data, bias.data)
     gain_data = gain.data
     need_x = any(t.requires_grad for t in summands)
     need_gain, need_bias = gain.requires_grad, bias.requires_grad
@@ -372,7 +430,7 @@ def _layer_norm(summands, total: np.ndarray, gain: Tensor, bias: Tensor) -> Tens
         gbias = g.sum(axis=0) if need_bias else None
         return (*(gx for _ in summands), ggain, gbias)
 
-    return _record((*summands, gain, bias), out, vjp)
+    return _record((*summands, gain, bias), Tensor._wrap(out_data), vjp)
 
 
 def embedding(table: Tensor, ids, positions: np.ndarray) -> Tensor:
@@ -393,11 +451,9 @@ def embedding(table: Tensor, ids, positions: np.ndarray) -> Tensor:
         raise ContractError(
             f"embedding id out of range [0, {table.shape[0]}): {int(ids.min())}..{int(ids.max())}"
         )
-    ids = ids.reshape(-1)
     table_data = table.data
-    out_data = table_data[ids]
-    rows = out_data.reshape(n_seq, length, width)   # a view of out_data
-    rows += positions
+    out_data = _embed(table_data, ids, positions)
+    ids = ids.reshape(-1)
 
     def vjp(g):
         # one flat scatter: element j of row i adds into element
@@ -427,21 +483,20 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) ->
 
     ``mask`` is a boolean [B x Lq x Lk], True where attention is allowed,
     shared by all heads. ``q`` holds the [B*Lq x d] query rows, row
-    b*Lq + i for query i of sequence b; ``k`` and ``v`` hold the keys' and
-    values' rows, [B*Lk x d] or [B x Lk x d] (a view is read in place).
-    Head h is column block h of width d_head = d / n_heads; the heads are
-    split and merged as strided views. Returns the [B*Lq x d] attended rows.
-    A query row with no allowed key has no defined attention distribution,
-    so that is rejected rather than silently producing NaN.
+    b*Lq + i for query i of sequence b; ``k`` and ``v`` hold the [B*Lk x d]
+    key and value rows. Head h is column block h of width
+    d_head = d / n_heads; the heads are split and merged as strided views.
+    Returns the [B*Lq x d] attended rows. A query row with no allowed key
+    has no defined attention distribution, so that is rejected rather than
+    silently producing NaN.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 3:
         raise ShapeError(f"attention mask must be [B x Lq x Lk], got shape {mask.shape}")
     n_seq, n_query, n_key = mask.shape
     width = q.shape[-1]
-    key_shapes = ((n_seq * n_key, width), (n_seq, n_key, width))
     if width % n_heads or q.shape != (n_seq * n_query, width) \
-            or k.shape not in key_shapes or v.shape not in key_shapes:
+            or k.shape != (n_seq * n_key, width) or v.shape != k.shape:
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape} "
                          f"for {n_heads} heads under a {mask.shape} mask")
     allowed = mask.any(axis=-1)
@@ -449,42 +504,23 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) ->
         seq, row = np.unravel_index(int(np.argmin(allowed)), allowed.shape)
         raise ContractError(
             f"attention query row {row} of sequence {seq} has every key masked out")
-    d_head = width // n_heads
-    factor = 1.0 / math.sqrt(d_head)
-
-    def heads(rows, length):   # [B*L x d] or [B x L x d] -> [B x H x L x d_head] view
-        return rows.reshape(n_seq, length, n_heads, d_head).transpose(0, 2, 1, 3)
-
-    def rows_of(stack, shape):  # [B x H x L x d_head] -> rows in the layout of ``shape``
-        return stack.transpose(0, 2, 1, 3).reshape(shape)
-
-    q_heads, v_heads = heads(q.data, n_query), heads(v.data, n_key)
-    # the keys' transpose is laid out contiguously, as the composed chain's
-    # permute made it: BLAS rounds a transposed operand differently
-    k_t = np.ascontiguousarray(heads(k.data, n_key).swapaxes(-1, -2))
+    out_data, weights, q_heads, k_t, v_heads = _attend(q.data, k.data, v.data, n_heads, mask)
+    factor = 1.0 / math.sqrt(width // n_heads)
     mask = mask[:, None]
-    # the temporaries are computed in place, with the composed chain's arithmetic
-    scores = q_heads @ k_t
-    scores *= np.asarray(factor, dtype=q.data.dtype)
-    np.copyto(scores, -np.inf, where=~mask)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores, out=scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(rows_of(weights @ v_heads, q.shape))
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def vjp(g):   # the composed chain's rules in its reverse order
-        g = heads(g, n_query)
-        gv = rows_of(weights.swapaxes(-1, -2) @ g, v.shape) if need_v else None
+        g = _split_heads(g, n_seq, n_query, n_heads)
+        gv = _merge_heads(weights.swapaxes(-1, -2) @ g, v.shape) if need_v else None
         gw = g @ v_heads.swapaxes(-1, -2)
         gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
         gs = gs * mask * factor
-        gq = rows_of(gs @ k_t.swapaxes(-1, -2), q.shape) if need_q else None
-        gk = rows_of((q_heads.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k.shape) \
+        gq = _merge_heads(gs @ k_t.swapaxes(-1, -2), q.shape) if need_q else None
+        gk = _merge_heads((q_heads.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k.shape) \
             if need_k else None
         return (gq, gk, gv)
 
-    return _record((q, k, v), out, vjp)
+    return _record((q, k, v), Tensor._wrap(out_data), vjp)
 
 
 def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:

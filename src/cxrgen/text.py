@@ -34,7 +34,7 @@ from importlib import resources
 from itertools import repeat
 
 from .errors import ConfigError, ContractError, IntegrityError
-from .files import read_lines, read_text
+from .files import read_lines, read_text, write_lines
 
 PAD_TOKEN = "<pad>"
 START_TOKEN = "<start>"
@@ -241,8 +241,7 @@ class Vocabulary:
         return self.tokens[idx]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.tokens) + "\n")
+        write_lines(path, self.tokens)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

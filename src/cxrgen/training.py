@@ -17,7 +17,6 @@ epoch with the lowest validation loss.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -27,6 +26,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import parameter_checksum
 from .errors import ConfigError, ContractError, TrainingError
+from .files import append_json_line
 from .model import ModelConfig, decoder_forward, encode_inputs
 from .optim import Adam
 from .tensor import Tensor
@@ -247,8 +247,7 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
         )
         log.append(record)
         if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(record)) + "\n")
+            append_json_line(log_path, asdict(record))
         if val_loss < log.best_val_loss:
             log.best_val_loss = val_loss
             log.best_epoch = epoch

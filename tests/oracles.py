@@ -206,22 +206,19 @@ def per_head_attention(heads):
     """``model._multi_head_attention`` as it was before the heads were
     joined: a loop over heads, each with its own projections from the
     per-head tensors ``heads``, attended with the composed
-    ``scaled_dot_attention``, their output projections summed. Each head
-    keeps its own K/V buffers in the cache. Takes the model function's
-    arguments, so it can stand in for it."""
+    ``scaled_dot_attention``, their output projections summed. Takes the
+    model function's arguments, so it can stand in for it."""
     from cxrgen import tensor as T
 
-    def attention(params, prefix, cfg, keyvalue, mask=None, cache=None):
+    def attention(params, prefix, cfg, keyvalue, mask=None):
         out = None
         for h in range(cfg.n_heads):
             attended = T.matmul(keyvalue, heads[f"{prefix}.h{h}.wv"])
             if mask is not None:
-                n_seq, length, total = mask.shape
-                q = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]),
-                            (n_seq, length, cfg.d_head))
-                k, v = cache.extend(f"{prefix}.h{h}",
-                                    T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), attended)
-                k, v = (reshape(t, (n_seq, total, cfg.d_head)) for t in (k, v))
+                shape = (*mask.shape[:2], cfg.d_head)   # [B x L x d_head]
+                q = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]), shape)
+                k = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), shape)
+                v = reshape(attended, shape)
                 attended = scaled_dot_attention(q, k, v, mask)
                 attended = reshape(attended, (keyvalue.shape[0], cfg.d_head))
             projected = T.matmul(attended, heads[f"{prefix}.h{h}.wo"])

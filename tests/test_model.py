@@ -430,12 +430,11 @@ class TestDecodeCache:
         with T.no_grad():
             hybrid = encode_inputs(features, demo, params, cfg)
             reference = decoder_forward(ids, hybrid, params, cfg).data
-            cache = DecodeCache()
-            parts, start = [], 0
-            for size in chunks:
-                parts.append(decoder_forward(ids[start:start + size], hybrid, params, cfg,
-                                             cache=cache).data)
-                start += size
+        cache = DecodeCache(hybrid.data, params, cfg)
+        parts, start = [], 0
+        for size in chunks:
+            parts.append(cache.step(ids[None, start:start + size]))
+            start += size
         assert cache.length == len(ids)
         assert self._relative_error(np.concatenate(parts), reference) <= 1e-5
 
@@ -450,12 +449,11 @@ class TestDecodeCache:
             hybrid = encode_inputs(rng.normal(size=(3, DESK.feature_dim)),
                                    np.eye(DESK.demographic_dim)[:3], params, DESK)
             reference = decoder_forward(ids, hybrid, params, DESK).data.reshape(3, 8, -1)
-            cache = DecodeCache()
-            steps = [decoder_forward(ids[:, t:t + 1], hybrid, params, DESK, cache=cache).data
-                     for t in range(ids.shape[1])]
+        cache = DecodeCache(hybrid.data, params, DESK)
+        steps = [cache.step(ids[:, t:t + 1]) for t in range(ids.shape[1])]
         assert self._relative_error(np.stack(steps, axis=1), reference) <= 1e-5
-        with T.no_grad(), pytest.raises(ShapeError, match="holds 3 sequences"):
-            decoder_forward([[4]], hybrid, params, DESK, cache=cache)
+        with pytest.raises(ShapeError, match="holds 3 sequences"):
+            cache.step(np.array([[4]]))
 
     def test_generated_pads_stay_masked_out(self):
         """With classifier.b rigged, greedy decoding emits <pad> until max_len;
@@ -470,27 +468,40 @@ class TestDecodeCache:
         with T.no_grad():
             hybrid = encode_inputs(features, demo, params, DESK)
             reference = decoder_forward(prefix, hybrid, params, DESK).data
-            cache = DecodeCache()
-            steps = [decoder_forward(prefix[t:t + 1], hybrid, params, DESK, cache=cache).data
-                     for t in range(len(prefix))]
+        cache = DecodeCache(hybrid.data, params, DESK)
+        steps = [cache.step(prefix[None, t:t + 1]) for t in range(len(prefix))]
         assert self._relative_error(np.concatenate(steps), reference) <= 1e-5
 
     def test_misuse_is_a_contract_error(self):
         params, features, demo = self._inputs(TINY, seed=0)
         with T.no_grad():
             hybrid = encode_inputs(features, demo, params, TINY)
-        with pytest.raises(ContractError, match="no_grad"):
-            decoder_forward([START_ID], hybrid, params, TINY, cache=DecodeCache())
+        cache = DecodeCache(hybrid.data, params, TINY)
+        cache.step(np.array([[START_ID] + [4] * (TINY.max_len - 1)]))
+        with pytest.raises(ContractError, match="exceeds the maximum"):
+            cache.step(np.array([[4]]))
+        assert cache.length == TINY.max_len
+
+    def test_a_sequence_starting_with_pad_is_a_contract_error(self):
+        """Its first position would attend to no key; the full forward's
+        attention op rejects it too."""
+        params, features, demo = self._inputs(TINY, seed=0)
         with T.no_grad():
-            with pytest.raises(ContractError, match="rng=None"):
-                decoder_forward([START_ID], hybrid, params, TINY,
-                                rng=np.random.default_rng(0), cache=DecodeCache())
-            cache = DecodeCache()
-            decoder_forward([START_ID] + [4] * (TINY.max_len - 1), hybrid, params, TINY,
-                            cache=cache)
-            with pytest.raises(ContractError, match="exceeds the maximum"):
-                decoder_forward([4], hybrid, params, TINY, cache=cache)
-            assert cache.length == TINY.max_len
+            hybrid = encode_inputs(np.stack([features] * 2), np.stack([demo] * 2),
+                                   params, TINY)
+            with pytest.raises(ContractError, match="every key masked out"):
+                decoder_forward([[START_ID, 4], [PAD_ID, 4]], hybrid, params, TINY)
+        cache = DecodeCache(hybrid.data, params, TINY)
+        with pytest.raises(ContractError, match="pad id"):
+            cache.step(np.array([[START_ID, 4], [PAD_ID, 4]]))
+        assert cache.length == 0
+
+    def test_generate_records_nothing_while_recording_is_on(self):
+        params, features, demo = self._inputs(TINY, seed=0)
+        T.reset_graph()
+        generate(features, demo, params, TINY, temperature=0.5, seed=1)
+        assert len(T.active_graph()) == 0
+        assert all(tensor.grad is None for tensor in params.values())
 
 
 class TestJoinedHeads:
@@ -540,13 +551,12 @@ class TestJoinedHeads:
         with T.no_grad():
             hybrid = encode_inputs(np.ones((2, cfg.feature_dim)),
                                    np.eye(cfg.demographic_dim)[:2], params, cfg)
-            cache = DecodeCache()
-            decoder_forward([[START_ID, 4, 5], [START_ID, 6, PAD_ID]], hybrid, params, cfg,
-                            cache=cache)
-            buffers = [*cache.keys.values(), *cache.values.values()]
-            decoder_forward([[7], [8]], hybrid, params, cfg, cache=cache)
-        assert sorted(cache.keys) == sorted(cache.values) == ["dec0.self_attn", "dec1.self_attn"]
-        held = [*cache.keys.values(), *cache.values.values()]
+        cache = DecodeCache(hybrid.data, params, cfg)
+        cache.step(np.array([[START_ID, 4, 5], [START_ID, 6, PAD_ID]]))
+        buffers = [*cache.keys, *cache.values]
+        cache.step(np.array([[7], [8]]))
+        assert len(cache.keys) == len(cache.values) == cfg.n_decoder_blocks
+        held = [*cache.keys, *cache.values]
         assert all(now is before for now, before in zip(held, buffers))   # written in place
         for buffer in held:
             assert buffer.shape == (2, cfg.max_len, cfg.d_model)
