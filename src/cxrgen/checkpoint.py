@@ -112,12 +112,13 @@ def _well_formed(entry) -> bool:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Load params + config, verifying per-tensor checksums."""
-    return load_from_manifest(path, read_manifest(path))
+    return load_from_manifest(path, read_manifest(path), None)
 
 
-def load_from_manifest(path, manifest: dict) -> tuple[dict[str, Tensor], ModelConfig]:
+def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor], ModelConfig]:
     """``load_checkpoint`` given the checkpoint's ``manifest``, as
-    ``read_manifest`` returned it."""
+    ``read_manifest`` returned it, adding the bytes of ``params.bin`` to the
+    ``hashlib`` object ``digest`` unless it is None."""
     directory = Path(path)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
@@ -132,6 +133,8 @@ def load_from_manifest(path, manifest: dict) -> tuple[dict[str, Tensor], ModelCo
         raise IntegrityError(f"checkpoint blob {BLOB_NAME!r} missing from {directory}")
     # slices of a view copy nothing: each tensor's bytes are copied once, into its array
     blob = memoryview((directory / BLOB_NAME).read_bytes())
+    if digest is not None:
+        digest.update(blob)
     if len(blob) != manifest.get("blob_nbytes"):
         raise IntegrityError(
             f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"

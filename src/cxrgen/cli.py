@@ -1,9 +1,10 @@
-"""Operator-facing command line: synth-data, prepare-data, train, generate,
+r"""Operator-facing command line: synth-data, prepare-data, train, generate,
 evaluate, compare.
 
 Every artifact-producing command writes a ``provenance.json`` next to its
 outputs holding the fully resolved options, seeds, and sha256 checksums of
-its inputs, which is sufficient to reproduce the artifact bit for bit.
+its inputs, which is sufficient to reproduce the artifact bit for bit. Each
+checksum is taken of the bytes the command parsed, as it read them.
 ``generate`` adds a ``generation`` block: reports, tokens emitted, mean
 length, end-marker hit rate, reports cut at ``max_len``, ``<unk>`` ids
 emitted, and empty reports (the end marker emitted first), which are
@@ -14,7 +15,9 @@ included. Its values are parsed like flags, so a value of the wrong type or
 outside an option's choices exits 2; explicit command line flags win over
 config-file values, which win over built-in defaults.
 
-Every JSON and text file is read and written through ``cxrgen.files``.
+Every JSON and text file is read and written through ``cxrgen.files``. The
+hypotheses and references of ``evaluate`` hold one report per line; lines end
+at ``\n``, ``\r\n`` or ``\r`` only.
 
 ``train`` reads the demographic codec from ``demographics.json`` and stores
 the variant it trains, or null for the image-only model, in the checkpoint
@@ -53,7 +56,7 @@ from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw
 from .demographics import DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
-from .files import read_json_object, read_text, write_json, write_json_lines, write_lines
+from .files import read_json_object, read_lines, write_json, write_json_lines, write_lines
 from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
 from .model import ModelConfig, generate, init_parameters
 from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
@@ -65,19 +68,13 @@ INTEGRITY_EXIT = 3
 NUMERIC_EXIT = 4
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_provenance(out_dir, command: str, options: dict, inputs=(), **sections) -> None:
+def _write_provenance(out_dir, command: str, options: dict, inputs=None, **sections) -> None:
+    """``inputs`` maps each input path to the ``hashlib`` object that took in
+    the bytes the command parsed from it."""
     payload = {
         "command": command,
         "options": options,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": {str(p): digest.hexdigest() for p, digest in (inputs or {}).items()},
         **sections,
     }
     out_dir = Path(out_dir)
@@ -156,7 +153,8 @@ def cmd_prepare_data(args) -> int:
     if args.age_min >= args.age_max:
         raise ConfigError(f"--age-min {args.age_min} must be below --age-max {args.age_max}")
     data_path = Path(args.data)
-    records = load_raw_records(data_path)
+    data_sha256 = hashlib.sha256()
+    records = load_raw_records(data_path, data_sha256)
     if not records:
         raise IntegrityError(f"{data_path} holds no records")
     stopwords, std_map, patterns = _cleaning_inputs(args)
@@ -197,15 +195,14 @@ def cmd_prepare_data(args) -> int:
         "min_raw_words": args.min_raw_words,
         "age_min": args.age_min,
         "age_max": args.age_max,
-    }, inputs=[data_path])
+    }, inputs={data_path: data_sha256})
     print(f"kept {len(points)} reports ({len(rejects)} rejected), "
           f"vocabulary size {len(vocab)}, {args.subsets} subset(s) of {subset_size}")
     return 0
 
 
-def _load_points(data_dir) -> list:
-    path = Path(data_dir) / "cleaned.jsonl"
-    points = load_prepared_dataset(path)
+def _load_points(path, digest) -> list:
+    points = load_prepared_dataset(path, digest)
     if not points:
         raise IntegrityError(f"{path} holds no records")
     return points
@@ -238,8 +235,10 @@ def _split_points(points, ids) -> list:
 
 
 def cmd_train(args) -> int:
-    points = _load_points(args.data)
-    vocab = Vocabulary.load(Path(args.data) / "vocab.txt")
+    points_path, vocab_path = Path(args.data) / "cleaned.jsonl", Path(args.data) / "vocab.txt"
+    inputs = {points_path: hashlib.sha256(), vocab_path: hashlib.sha256()}
+    points = _load_points(points_path, inputs[points_path])
+    vocab = Vocabulary.load(vocab_path, inputs[vocab_path])
     demo_path = Path(args.data) / "demographics.json"
     with _bad_data(demo_path):
         codec = DemographicCodec.from_dict(read_json_object(demo_path, IntegrityError))
@@ -284,7 +283,7 @@ def cmd_train(args) -> int:
         "demographics": list(codec.fields),
         "model": cfg.to_dict(),
         "training": dataclasses.asdict(train_cfg),
-    }, inputs=[Path(args.data) / "cleaned.jsonl", Path(args.data) / "vocab.txt"])
+    }, inputs=inputs)
     best = log.records[log.best_epoch]
     print(f"trained {len(log.records)} epoch(s); best val loss "
           f"{best.val_loss:.4f} at epoch {best.epoch}; checkpoint at {out / 'best'}")
@@ -328,9 +327,10 @@ def _checkpoint_inputs(checkpoint, manifest: dict, cfg: ModelConfig):
 
 def cmd_generate(args) -> int:
     manifest = read_manifest(args.checkpoint)
-    params, cfg = load_from_manifest(args.checkpoint, manifest)
+    blob_sha256 = hashlib.sha256()
+    params, cfg = load_from_manifest(args.checkpoint, manifest, blob_sha256)
     vocab, codec = _checkpoint_inputs(args.checkpoint, manifest, cfg)
-    points = _load_points(args.data)
+    points = _load_points(Path(args.data) / "cleaned.jsonl", None)
     if points[0].features.size != cfg.feature_dim:
         raise ConfigError(f"{args.data} holds {points[0].features.size}-wide features, "
                           f"but the checkpoint's model takes {cfg.feature_dim}")
@@ -361,7 +361,7 @@ def cmd_generate(args) -> int:
         "temperature": args.temperature,
         "seed": args.seed,
         "out": str(out),
-    }, inputs=[Path(args.checkpoint) / "params.bin"],
+    }, inputs={Path(args.checkpoint) / "params.bin": blob_sha256},
         generation={**_generation_stats(generated, cfg.max_len),
                     "empty_reports": hyp_lines.count("")})
     print(f"generated {len(hyp_lines)} reports to {out}")
@@ -369,7 +369,7 @@ def cmd_generate(args) -> int:
 
 
 def _read_token_lines(path) -> list[list[str]]:
-    return [line.split() for line in read_text(path).splitlines()]
+    return [line.split() for line in read_lines(path)]
 
 
 def cmd_evaluate(args) -> int:

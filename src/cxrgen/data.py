@@ -271,9 +271,10 @@ def write_dataset(points, path) -> None:
                    lambda point: point.raw_text or point.report.text())
 
 
-def _parse_records(path, text_field: str):
+def _parse_records(path, text_field: str, digest):
     """Yield ``(line number, record, features, demographics)`` for each record
-    of a dataset file (``text_field`` "report") or a prepared one ("tokens").
+    of a dataset file (``text_field`` "report") or a prepared one ("tokens"),
+    adding the file's bytes to ``digest`` unless it is None.
 
     A line that is not a JSON object, a missing field, an id that repeats an
     earlier record's, features that are not a non-empty flat list of numbers
@@ -284,7 +285,7 @@ def _parse_records(path, text_field: str):
     fields = ("id", text_field, "gender", "age", "ethnicity", "features")
     first = None   # (line number, width) of the first record
     linenos = {}   # id -> the line that gave it
-    for lineno, line in enumerate(read_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path, digest), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -327,10 +328,11 @@ def _parse_records(path, text_field: str):
         yield lineno, payload, features, demographics
 
 
-def load_raw_records(path) -> list[IngestRecord]:
-    """Parse a dataset file (see ``_parse_records`` for what it rejects)."""
+def load_raw_records(path, digest) -> list[IngestRecord]:
+    """Parse a dataset file, adding its bytes to ``digest`` unless it is None
+    (see ``_parse_records`` for what it rejects)."""
     return [IngestRecord(str(payload["id"]), str(payload["report"]), demographics, features)
-            for _, payload, features, demographics in _parse_records(path, "report")]
+            for _, payload, features, demographics in _parse_records(path, "report", digest)]
 
 
 def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None,
@@ -362,11 +364,12 @@ def write_prepared_dataset(points, path) -> None:
     _write_records(points, path, "tokens", lambda point: list(point.report.interior))
 
 
-def load_prepared_dataset(path) -> list[DataPoint]:
-    """Inverse of write_prepared_dataset; token sequences are trusted as cleaned
-    once they validate (see ``_parse_records`` for what else it rejects)."""
+def load_prepared_dataset(path, digest) -> list[DataPoint]:
+    """Inverse of write_prepared_dataset, adding the file's bytes to ``digest``
+    unless it is None; token sequences are trusted as cleaned once they
+    validate (see ``_parse_records`` for what else it rejects)."""
     points: list[DataPoint] = []
-    for lineno, payload, features, demographics in _parse_records(path, "tokens"):
+    for lineno, payload, features, demographics in _parse_records(path, "tokens", digest):
         tokens = payload["tokens"]
         # a string would otherwise be read as a list of one-character tokens
         if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):

@@ -1,24 +1,47 @@
-"""How the commands read and write their JSON and text files.
+r"""How the commands read and write their JSON and text files.
 
 Text is UTF-8: bytes that are not raise ``IntegrityError`` naming the file.
 A text file of lines ends each line, the last included, with a newline. A
 JSON file holds one object, written with two-space indentation and a final
 newline; a JSON-lines file holds one object per line, each in
-``json.dumps``'s default layout. A path that cannot be opened raises its
-``OSError`` unchanged; the command line reports it as a usage error.
+``json.dumps``'s default layout. Lines end at ``\n``, ``\r\n`` or ``\r``
+only (universal newlines), so other line separators such as U+2028 stay
+inside a line, where ``str.split`` takes them for whitespace. A path that
+cannot be opened raises its ``OSError`` unchanged; the command line reports
+it as a usage error.
+
+A reader given a ``hashlib`` object ``digest`` adds to it the bytes it reads,
+so that once the file is read to the end it holds the digest of what was
+parsed, with no second read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 from .errors import IntegrityError
 
 
-def read_lines(path):
+class _HashingReader(io.BufferedReader):
+    """A buffered binary file that adds each chunk it reads to ``digest``."""
+
+    def __init__(self, raw, digest):
+        super().__init__(raw)
+        self.digest = digest
+
+    def read1(self, size=-1) -> bytes:   # what a text wrapper reads its chunks with
+        chunk = super().read1(size)
+        self.digest.update(chunk)
+        return chunk
+
+
+def read_lines(path, digest=None):
     """The lines of the UTF-8 text file at ``path``, newlines kept, read one
     at a time so that a large file streams."""
-    with open(path, encoding="utf-8") as fh:
+    raw = open(path, "rb", buffering=0)
+    buffered = io.BufferedReader(raw) if digest is None else _HashingReader(raw, digest)
+    with io.TextIOWrapper(buffered, encoding="utf-8") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:

@@ -16,8 +16,11 @@ model is bundled, and reports produced here say so. The table is one
 scores up to F1_GROUP pairs with one gather and one batched similarity
 product ``[P x Lh x dim] @ [P x dim x Lr]``, so its memory is bounded by one
 group, about F1_GROUP x L x (2 dim + L) floats for sequences of length L,
-whatever the corpus size. BLEU counts n-grams per pair with ``Counter`` over
-zipped slices of the sequence and clips them with ``Counter &``.
+whatever the corpus size. BLEU clips each pair's n-grams of each order
+(zipped slices of the sequence): when no hypothesis n-gram repeats, the
+clipped count is the size of the set intersection of the two sides' n-grams;
+otherwise both sides are counted with ``Counter`` and clipped with
+``Counter &``.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ class Corpus:
         return len(self.hypotheses)
 
 
-def _ngram_counts(seq, n: int) -> Counter:
-    """Counts of the n-grams of ``seq``: its tokens for n = 1, n-tuples above."""
-    return Counter(seq) if n == 1 else Counter(zip(*(seq[i:] for i in range(n))))
+def _ngrams(seq, n: int):
+    """The n-grams of ``seq`` in order: its tokens for n = 1, n-tuples above."""
+    return seq if n == 1 else zip(*(seq[i:] for i in range(n)))
 
 
 def bleu(corpus: Corpus, max_n: int = 4) -> list[float]:
@@ -86,9 +89,15 @@ def bleu(corpus: Corpus, max_n: int = 4) -> list[float]:
         ref_len += len(ref)
         # a hypothesis shorter than n has no n-grams, nor any longer ones
         for n in range(1, min(max_n, len(hyp)) + 1):
-            totals[n - 1] += len(hyp) - n + 1
-            clipped = _ngram_counts(hyp, n) & _ngram_counts(ref, n)
-            matches[n - 1] += sum(clipped.values())
+            count = len(hyp) - n + 1
+            totals[n - 1] += count
+            grams = set(_ngrams(hyp, n))
+            if len(grams) == count:
+                # each hypothesis count is 1, so min(1, r_g) counts g once if the reference has it
+                matches[n - 1] += len(grams.intersection(_ngrams(ref, n)))
+            else:
+                clipped = Counter(_ngrams(hyp, n)) & Counter(_ngrams(ref, n))
+                matches[n - 1] += sum(clipped.values())
     # exp(1 - r/c) below the reference length, which tends to 0 as c does
     brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len)) if hyp_len else 0.0
     log_precisions = []

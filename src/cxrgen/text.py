@@ -157,13 +157,14 @@ class StandardizationMap:
 
 
 def _resource_lines(path, name: str) -> list[tuple[int, str]]:
-    """``(line number, stripped line)`` for each line of the file at ``path``
-    (default: the shipped resource ``name``) that is not blank or a # comment."""
+    r"""``(line number, stripped line)`` for each line of the file at ``path``
+    (default: the shipped resource ``name``) that is not blank or a # comment.
+    Both reads end lines at ``\n``, ``\r\n`` and ``\r`` only, as one ``\n``."""
     if path:
         text = read_text(path)
     else:
         text = (resources.files("cxrgen") / "resources" / name).read_text(encoding="utf-8")
-    lines = enumerate((line.strip() for line in text.splitlines()), 1)
+    lines = enumerate((line.strip() for line in text.split("\n")), 1)
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
@@ -244,10 +245,11 @@ class Vocabulary:
         write_lines(path, self.tokens)
 
     @classmethod
-    def load(cls, path) -> "Vocabulary":
-        """Read a vocabulary file; one that breaks a rule of the constructor
-        raises ``IntegrityError`` naming the file."""
-        tokens = [line.rstrip("\n") for line in read_lines(path) if line.rstrip("\n")]
+    def load(cls, path, digest) -> "Vocabulary":
+        """Read a vocabulary file, adding its bytes to ``digest`` unless it is
+        None; one that breaks a rule of the constructor raises
+        ``IntegrityError`` naming the file."""
+        tokens = [line.rstrip("\n") for line in read_lines(path, digest) if line.rstrip("\n")]
         try:
             return cls(tokens)
         except ConfigError as exc:

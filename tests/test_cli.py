@@ -1,11 +1,13 @@
 """End-to-end command surface: each stage's output feeds the next, outputs
 are deterministic, and error classes map to distinct exit codes."""
 
+import builtins
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -565,6 +567,37 @@ class TestTrainGenerate:
                      "--out", str(hyp), "--temperature", "0", "--seed", "1"]) == 0
         assert hyp.read_bytes() == pipeline["hyp"].read_bytes()
 
+    @pytest.mark.parametrize("command", ["prepare-data", "train", "generate"])
+    def test_provenance_hashes_the_bytes_each_input_was_parsed_from(
+            self, pipeline, tmp_path, monkeypatch, command):
+        """Each input is opened once: its digest in ``provenance.json`` is
+        taken from the bytes the command parsed, not from a second read."""
+        prep, out = pipeline["prep"], tmp_path / "out"
+        argv = {
+            "prepare-data": ["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                             "--out", str(out), "--subset-size", "12"],
+            "train": ["train", "--data", str(prep), "--out", str(out), *TINY_TRAIN],
+            "generate": ["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                         "--data", str(prep), "--out", str(out / "hyp.txt")],
+        }[command]
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(os.path.realpath(file))
+            return real_open(file, *args, **kwargs)
+
+        real_open = io.open
+        monkeypatch.setattr(io, "open", recording_open)   # what pathlib opens with
+        monkeypatch.setattr(builtins, "open", recording_open)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        inputs = json.loads((out / "provenance.json").read_text())["inputs"]
+        assert len(inputs) == (2 if command == "train" else 1)
+        for path, digest in inputs.items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            assert opened.count(os.path.realpath(path)) == 1
+
     @pytest.mark.parametrize("spoil, message", [
         (lambda extra: {**extra, "vocab": extra["vocab"][1:]}, "reserved tokens"),
         (lambda extra: {**extra, "vocab": extra["vocab"][:5] + [5] + extra["vocab"][6:]},
@@ -717,6 +750,41 @@ class TestEvaluateCompare:
                      "--references", str(pipeline["ref"]), "--out", str(out)]) == 0
         report = EvaluationReport.from_json(out)
         assert (report.bleu_1, report.bleu_2, report.bleu_3, report.bleu_4) == (0.0,) * 4
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c",
+                                           "\x1d", "\x1e", "\x85"])
+    def test_only_newlines_end_lines(self, tmp_path, capsys, separator):
+        """A line separator other than \\n, \\r\\n or \\r splits tokens, not
+        lines: a 2-line references file whose first line holds one does not
+        pair with a 3-line hypotheses file."""
+        refs, hyps = tmp_path / "refs.txt", tmp_path / "hyps.txt"
+        refs.write_text(f"a b{separator}c\nd e\n", encoding="utf-8")
+        hyps.write_text("a b\nc\nd e\n", encoding="utf-8")
+        argv = ["evaluate", "--hypotheses", str(hyps), "--references", str(refs)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "3 hypotheses but 2 references" in err and "Traceback" not in err
+        hyps.write_text("a b c\nd e\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert "bleu_1: 1.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_score_as_newline_files(self, pipeline, tmp_path, ending):
+        """An empty hypothesis line is still one empty pair, whatever ends it."""
+        refs = pipeline["ref"].read_text().splitlines()
+        hyps = [""] + refs[1:]
+        scores = []
+        for label, end in (("lf", "\n"), ("other", ending)):
+            directory = tmp_path / label
+            directory.mkdir()
+            for name, lines in (("hyps.txt", hyps), ("refs.txt", refs)):
+                (directory / name).write_bytes("".join(line + end for line in lines).encode())
+            assert main(["evaluate", "--hypotheses", str(directory / "hyps.txt"),
+                         "--references", str(directory / "refs.txt"),
+                         "--out", str(directory / "report.json")]) == 0
+            scores.append(EvaluationReport.from_json(directory / "report.json"))
+        assert scores[0] == scores[1]
+        assert scores[1].n_pairs == len(refs) and scores[1].bleu_1 < 1.0
 
     @pytest.mark.parametrize("line", ["a 1.0 x", "a nan 1"], ids=["not-a-number", "nan"])
     def test_bad_embedding_component_is_usage_error(self, tmp_path, capsys, line):

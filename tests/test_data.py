@@ -196,7 +196,7 @@ class TestSerialization:
         points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)
         path = tmp_path / "dataset.jsonl"
         write_dataset(points, path)
-        records = load_raw_records(path)
+        records = load_raw_records(path, None)
         assert [r.id for r in records] == [p.id for p in points]
         for record, point in zip(records, points):
             np.testing.assert_array_equal(record.features, point.features)
@@ -212,7 +212,7 @@ class TestSerialization:
                 "age": 50, "ethnicity": "group_a",
                 "features": [0.0] * points[0].features.size,
             }) + "\n")
-        records = load_raw_records(path)
+        records = load_raw_records(path, None)
         kept, rejects = build_datapoints(records)
         assert len(kept) == len(points)
         assert len(rejects) == 1 and rejects[0].reason == "too_short"
@@ -221,7 +221,7 @@ class TestSerialization:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "x", "report": "hello"}\n')
         with pytest.raises(IntegrityError):
-            load_raw_records(path)
+            load_raw_records(path, None)
 
     def test_feature_dim_mismatch_is_integrity_error(self, tmp_path):
         """The odd record out is the one named, against the first record's line."""
@@ -234,13 +234,13 @@ class TestSerialization:
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IntegrityError, match=r"dataset.jsonl:3: 23 features, but line 1 has 24"):
-            load_raw_records(path)
+            load_raw_records(path, None)
 
     def test_prepared_round_trip(self, tmp_path):
         points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)
         path = tmp_path / "cleaned.jsonl"
         write_prepared_dataset(points, path)
-        again = load_prepared_dataset(path)
+        again = load_prepared_dataset(path, None)
         assert [p.id for p in again] == [p.id for p in points]
         for a, b in zip(again, points):
             assert a.report.tokens == b.report.tokens

@@ -1,0 +1,31 @@
+"""The line reader: universal newlines only, and a digest of exactly the
+bytes it read."""
+
+import hashlib
+
+import pytest
+
+from cxrgen.errors import IntegrityError
+from cxrgen.files import read_lines
+
+
+def test_digest_is_taken_of_the_bytes_read(tmp_path):
+    """Mixed line endings and multi-byte characters over many buffer-sized
+    chunks: the lines are those of universal newlines, and the digest is the
+    file's."""
+    lines = [f"line {i} é ü {'x' * (i % 97)}" for i in range(3000)]
+    endings = ["\n", "\r\n", "\r"]
+    raw = "".join(line + endings[i % 3] for i, line in enumerate(lines)).encode()
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(raw)
+    digest = hashlib.sha256()
+    assert list(read_lines(path, digest)) == [line + "\n" for line in lines]
+    assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+    assert list(read_lines(path)) == [line + "\n" for line in lines]
+
+
+def test_bytes_that_are_not_utf8_are_an_integrity_error_with_a_digest(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ok\n\xff\n")
+    with pytest.raises(IntegrityError, match="is not UTF-8 text"):
+        list(read_lines(path, hashlib.sha256()))

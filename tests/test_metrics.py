@@ -120,17 +120,80 @@ def small_vocabulary_corpora(draw):
     return corpus([h for h, _ in pairs], [r for _, r in pairs])
 
 
+@st.composite
+def large_vocabulary_corpora(draw):
+    """1-6 pairs of 0-40 words drawn from 5,000, so a hypothesis's n-grams
+    are mostly distinct and clip by set intersection; a reference is drawn
+    in part from its hypothesis so that the two share n-grams."""
+    words = st.lists(st.integers(0, 4999).map("w{}".format), max_size=40)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        hyp = draw(words)
+        ref = draw(st.lists(st.sampled_from(hyp), max_size=20)) if hyp else []
+        pairs.append((hyp, (ref + draw(words)) or ["w0"]))
+    return corpus([h for h, _ in pairs], [r for _, r in pairs])
+
+
+@st.composite
+def mixed_corpora(draw):
+    """Pairs from the four-word and the 5,000-word strategies side by side,
+    so both clipping paths add to one corpus's counts."""
+    parts = [draw(small_vocabulary_corpora()), draw(large_vocabulary_corpora())]
+    if draw(st.booleans()):
+        parts.reverse()
+    return corpus([h for c in parts for h in c.hypotheses],
+                  [r for c in parts for r in c.references])
+
+
 class TestBleuAgainstCounterOracle:
     @given(small_vocabulary_corpora(), st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
     def test_equals_the_per_pair_counter_version(self, c, max_n):
         assert bleu(c, max_n) == counter_bleu(c, max_n)
 
+    @given(large_vocabulary_corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_hypothesis_ngrams_equal_the_counter_version(self, c):
+        for max_n in (1, 2, 3, 4):
+            assert bleu(c, max_n) == counter_bleu(c, max_n)
+
+    @given(mixed_corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_corpora_equal_the_counter_version(self, c):
+        for max_n in (1, 2, 3, 4):
+            assert bleu(c, max_n) == counter_bleu(c, max_n)
+
     def test_one_token_sequences_and_hypotheses_shorter_than_n(self):
         c = corpus([["a"], ["a", "b"], ["b", "a", "b"], ["a", "a", "a", "a", "a"]],
                    [["a", "b", "a", "b"], ["a"], ["b", "a"], ["a", "a", "b"]])
         for max_n in (1, 2, 3, 4):
             assert bleu(c, max_n) == counter_bleu(c, max_n)
+
+    def test_distinct_hypothesis_ngram_that_the_reference_repeats_clips_at_one(self):
+        # "a" and "a b" occur once in the hypothesis and twice in the reference
+        c = corpus([["a", "b", "c"]], [["a", "b", "a", "b", "x", "y"]])
+        assert bleu(c, 2) == counter_bleu(c, 2)
+        assert bleu(c, 2)[0] == pytest.approx(2 / 3 * math.exp(1 - 6 / 3), abs=1e-15)
+
+    def test_repeated_hypothesis_ngram_that_the_reference_holds_once(self):
+        # "a" and "a b" occur twice in the hypothesis and once in the reference
+        c = corpus([["a", "b", "a", "b"]], [["a", "b", "c", "d"]])
+        for max_n in (1, 2, 3, 4):
+            assert bleu(c, max_n) == counter_bleu(c, max_n)
+        assert bleu(c, 2)[:2] == pytest.approx([0.5, math.sqrt(0.5 * 1 / 3)], abs=1e-15)
+
+    def test_empty_hypothesis_beside_distinct_and_repeated_ones(self):
+        c = corpus([[], ["a", "b"], ["c", "c"]], [["a", "b"], ["a", "b", "x"], ["c"]])
+        for max_n in (1, 2, 3, 4):
+            assert bleu(c, max_n) == counter_bleu(c, max_n)
+
+    def test_hypothesis_shorter_than_n_adds_no_ngrams_of_that_order(self):
+        short = corpus([["a", "b"]], [["a", "b", "c"]])
+        for max_n in (3, 4):
+            assert bleu(short, max_n) == counter_bleu(short, max_n)
+        # no trigrams: the third precision is the epsilon floor
+        assert bleu(short, 3)[2] == pytest.approx(math.exp(1 - 3 / 2) * 1e-9 ** (1 / 3),
+                                                  rel=1e-12)
 
 
 KNOWN = ("a", "b", "c", "d", "e")

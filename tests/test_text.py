@@ -123,6 +123,14 @@ class TestCleanReport:
         assert isinstance(out, Rejected)
         assert out.reason == text.REASON_EMPTY
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_resource_line_numbers_count_newlines_only(self, tmp_path, ending):
+        """U+2028 stays inside its line, so the bad pattern is line 2."""
+        path = tmp_path / "patterns.txt"
+        path.write_bytes(ending.join(["prior\u2028study", "(", ""]).encode())
+        with pytest.raises(ConfigError, match=r"patterns.txt:2: invalid regular expression"):
+            load_reject_patterns(path)
+
     def test_default_resources_load(self):
         stop = load_stopwords()
         assert {"is", "no", "or", "the"} <= stop
@@ -226,7 +234,7 @@ class TestVocabulary:
         vocab = build_vocabulary(self._reports([["alpha", "beta", "alpha"]]), cap=16)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
-        loaded = Vocabulary.load(path)
+        loaded = Vocabulary.load(path, None)
         assert loaded.tokens == vocab.tokens
         first_lines = path.read_text().splitlines()[:4]
         assert first_lines == list(text.RESERVED_TOKENS)
@@ -235,7 +243,7 @@ class TestVocabulary:
         path = tmp_path / "vocab.txt"
         path.write_text("nope\n<start>\n<end>\n<unk>\nword\n")
         with pytest.raises(IntegrityError):
-            Vocabulary.load(path)
+            Vocabulary.load(path, None)
 
 
 class TestEncode:
