@@ -94,7 +94,7 @@ def read_manifest(path) -> dict:
     manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.exists():
         raise IntegrityError(f"no checkpoint manifest at {manifest_path}")
-    manifest = read_json_object(manifest_path, IntegrityError)
+    manifest = read_json_object(manifest_path, IntegrityError, None)
     version = manifest.get("format_version")
     # True == 1 and 1.0 == 1 in Python, so check the type before the value
     if type(version) is not int or version != FORMAT_VERSION:

@@ -5,10 +5,13 @@ Every artifact-producing command writes a ``provenance.json`` next to its
 outputs holding the fully resolved options, seeds, and sha256 checksums of
 its inputs, which is sufficient to reproduce the artifact bit for bit. Each
 checksum is taken of the bytes the command parsed, as it read them.
-``generate`` adds a ``generation`` block: reports, tokens emitted, mean
-length, end-marker hit rate, reports cut at ``max_len``, ``<unk>`` ids
-emitted, and empty reports (the end marker emitted first), which are
-written as empty lines and scored by ``evaluate``.
+``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
+``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
+and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
+block: reports, tokens emitted, mean length, end-marker hit rate, reports
+cut at ``max_len``, ``<unk>`` ids emitted, and empty reports (the end
+marker emitted first), which are written as empty lines and scored by
+``evaluate``.
 
 Options may come from a JSON config file (``--config``), required ones
 included. Its values are parsed like flags, so a value of the wrong type or
@@ -98,7 +101,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         elif token.startswith("--config="):
             path = token.partition("=")[2]
     if path is not None:
-        values = read_json_object(path, ConfigError)
+        values = read_json_object(path, ConfigError, None)
     tokens = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
@@ -121,8 +124,16 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def _cleaning_inputs(args):
-    return (load_stopwords(args.stopwords), StandardizationMap.from_file(args.std_map),
-            load_reject_patterns(args.reject_patterns))
+    """The stop words, standardization map and reject patterns that ``args``
+    name, and for each option its path, or "shipped", and the sha256 of the
+    bytes parsed."""
+    digests = {option: hashlib.sha256() for option in ("stopwords", "std_map", "reject_patterns")}
+    loaded = (load_stopwords(args.stopwords, digests["stopwords"]),
+              StandardizationMap.from_file(args.std_map, digests["std_map"]),
+              load_reject_patterns(args.reject_patterns, digests["reject_patterns"]))
+    record = {option: {"path": getattr(args, option) or "shipped", "sha256": digest.hexdigest()}
+              for option, digest in digests.items()}
+    return loaded, record
 
 
 def _parse_fields(raw: str) -> tuple[str, ...]:
@@ -157,7 +168,7 @@ def cmd_prepare_data(args) -> int:
     records = load_raw_records(data_path, data_sha256)
     if not records:
         raise IntegrityError(f"{data_path} holds no records")
-    stopwords, std_map, patterns = _cleaning_inputs(args)
+    (stopwords, std_map, patterns), cleaning = _cleaning_inputs(args)
     points, rejects = build_datapoints(records, stopwords, std_map, patterns,
                                        min_raw_words=args.min_raw_words)
     if not points:
@@ -195,7 +206,7 @@ def cmd_prepare_data(args) -> int:
         "min_raw_words": args.min_raw_words,
         "age_min": args.age_min,
         "age_max": args.age_max,
-    }, inputs={data_path: data_sha256})
+    }, inputs={data_path: data_sha256}, cleaning=cleaning)
     print(f"kept {len(points)} reports ({len(rejects)} rejected), "
           f"vocabulary size {len(vocab)}, {args.subsets} subset(s) of {subset_size}")
     return 0
@@ -218,11 +229,13 @@ def _bad_data(source):
         raise IntegrityError(f"{source}: {exc}") from None
 
 
-def _load_split(data_dir, subset: int) -> SplitManifest:
+def _load_split(data_dir, subset: int, inputs: dict) -> SplitManifest:
+    """The split manifest of ``subset``; its path and digest go into ``inputs``."""
     path = Path(data_dir) / "splits" / f"subset_{subset}.json"
     if not path.exists():
         raise ConfigError(f"no split manifest for subset {subset} at {path}")
-    return SplitManifest.load(path)
+    inputs[path] = hashlib.sha256()
+    return SplitManifest.load(path, inputs[path])
 
 
 def _split_points(points, ids) -> list:
@@ -235,14 +248,15 @@ def _split_points(points, ids) -> list:
 
 
 def cmd_train(args) -> int:
-    points_path, vocab_path = Path(args.data) / "cleaned.jsonl", Path(args.data) / "vocab.txt"
-    inputs = {points_path: hashlib.sha256(), vocab_path: hashlib.sha256()}
+    points_path, vocab_path, demo_path = (
+        Path(args.data) / name for name in ("cleaned.jsonl", "vocab.txt", "demographics.json"))
+    inputs = {path: hashlib.sha256() for path in (points_path, vocab_path, demo_path)}
     points = _load_points(points_path, inputs[points_path])
     vocab = Vocabulary.load(vocab_path, inputs[vocab_path])
-    demo_path = Path(args.data) / "demographics.json"
     with _bad_data(demo_path):
-        codec = DemographicCodec.from_dict(read_json_object(demo_path, IntegrityError))
-    manifest = _load_split(args.data, args.subset)
+        codec = DemographicCodec.from_dict(
+            read_json_object(demo_path, IntegrityError, inputs[demo_path]))
+    manifest = _load_split(args.data, args.subset, inputs)
     codec = dataclasses.replace(codec, fields=_parse_fields(args.demographics))
     cfg = ModelConfig(
         feature_dim=int(points[0].features.size),
@@ -327,14 +341,16 @@ def _checkpoint_inputs(checkpoint, manifest: dict, cfg: ModelConfig):
 
 def cmd_generate(args) -> int:
     manifest = read_manifest(args.checkpoint)
-    blob_sha256 = hashlib.sha256()
-    params, cfg = load_from_manifest(args.checkpoint, manifest, blob_sha256)
+    blob_path = Path(args.checkpoint) / "params.bin"
+    points_path = Path(args.data) / "cleaned.jsonl"
+    inputs = {blob_path: hashlib.sha256(), points_path: hashlib.sha256()}
+    params, cfg = load_from_manifest(args.checkpoint, manifest, inputs[blob_path])
     vocab, codec = _checkpoint_inputs(args.checkpoint, manifest, cfg)
-    points = _load_points(Path(args.data) / "cleaned.jsonl", None)
+    points = _load_points(points_path, inputs[points_path])
     if points[0].features.size != cfg.feature_dim:
         raise ConfigError(f"{args.data} holds {points[0].features.size}-wide features, "
                           f"but the checkpoint's model takes {cfg.feature_dim}")
-    split_manifest = _load_split(args.data, args.subset)
+    split_manifest = _load_split(args.data, args.subset, inputs)
     ids = {"train": split_manifest.train_ids, "val": split_manifest.val_ids,
            "test": split_manifest.test_ids}[args.split]
     selected = _split_points(points, ids)
@@ -361,8 +377,7 @@ def cmd_generate(args) -> int:
         "temperature": args.temperature,
         "seed": args.seed,
         "out": str(out),
-    }, inputs={Path(args.checkpoint) / "params.bin": blob_sha256},
-        generation={**_generation_stats(generated, cfg.max_len),
+    }, inputs=inputs, generation={**_generation_stats(generated, cfg.max_len),
                     "empty_reports": hyp_lines.count("")})
     print(f"generated {len(hyp_lines)} reports to {out}")
     return 0

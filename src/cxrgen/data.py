@@ -76,8 +76,9 @@ class SplitManifest:
         write_json(path, asdict(self))
 
     @classmethod
-    def load(cls, path) -> "SplitManifest":
-        payload = read_json_object(path, IntegrityError)
+    def load(cls, path, digest) -> "SplitManifest":
+        """Read a split manifest, adding its bytes to ``digest`` unless it is None."""
+        payload = read_json_object(path, IntegrityError, digest)
         try:
             manifest = cls(**payload)
             manifest.validate()

@@ -48,15 +48,16 @@ def read_lines(path, digest=None):
             raise IntegrityError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def read_text(path) -> str:
-    return "".join(read_lines(path))
+def read_text(path, digest) -> str:
+    return "".join(read_lines(path, digest))
 
 
-def read_json_object(path, error) -> dict:
-    """The JSON object in the file at ``path``. Malformed JSON, or a value
-    that is not an object, raises ``error`` naming the path."""
+def read_json_object(path, error, digest) -> dict:
+    """The JSON object in the file at ``path``, its bytes added to ``digest``
+    unless it is None. Malformed JSON, or a value that is not an object,
+    raises ``error`` naming the path."""
     try:
-        payload = json.loads(read_text(path))
+        payload = json.loads(read_text(path, digest))
     except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise error(f"{path} is malformed JSON: {exc}") from None
     if not isinstance(payload, dict):

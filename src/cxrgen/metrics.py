@@ -303,7 +303,7 @@ class EvaluationReport:
         score that is neither that nor null (the three are null together or
         not at all), an ``n_pairs`` that is not an integer or a ``note`` that
         is not a string raises ``IntegrityError`` naming the file."""
-        payload = read_json_object(path, IntegrityError)
+        payload = read_json_object(path, IntegrityError, None)
         names = [f.name for f in fields(cls)]
         if sorted(payload) != sorted(names):
             raise IntegrityError(f"{path}: an evaluation report has the keys {names}, "

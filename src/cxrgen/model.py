@@ -32,7 +32,7 @@ its rate is positive.
 Dropout runs exactly when a forward function is handed a dropout ``rng``:
 the encoder, the fusion block and the decoder take no separate training
 flag. ``training.batch_loss`` is the one caller that passes an rng, and
-only for a training step; evaluation and generation's encoder pass none.
+only for a training step; evaluation passes none.
 
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
@@ -40,19 +40,25 @@ length L as a [B*L x d] stream, with self-attention scores of shape
 [B x H x L x L] under causal and key-pad masks. A single sequence is the case
 B = 1.
 
-Generation decodes one new position per step, on plain numpy arrays. Under
-the causal mask the keys and values of earlier positions never change, so
-``generate`` feeds a ``DecodeCache`` only the last chosen id. The cache
-holds one preallocated [B x max_len x d] K row buffer and one V row buffer
-per self-attention block, into which each step writes its rows in place,
-plus the key-keep buffer, the causal mask and each block's cross-attention
-row (which depends only on the hybrid representation), all made once. The
-new position's scores are [B x H x 1 x (t+1)], over a view of the t cached
-keys and its own, under the same causal and key-pad rule, and the
-classifier runs on that one row. A step runs the same array arithmetic as
-the tensor ops (``tensor._dense``, ``_normalize``, ``_attend`` and
-``_embed``) in the same order, but wraps no ``Tensor`` and records nothing;
-its logits match ``decoder_forward``'s on the whole prefix to float rounding.
+Generation runs on plain numpy arrays from the features to the ids. The
+encoder runs the array arithmetic of ``encode_inputs`` (``tensor._dense``
+and ``_normalize``) with the same checks, and no ``Tensor`` op. Under the
+causal mask the keys and values of earlier positions never change, so
+``generate`` then feeds a ``DecodeCache`` only the last chosen id. The
+cache holds one preallocated [B x max_len x d] K row buffer and one V row
+buffer per self-attention block, into which each step writes its rows in
+place, plus the key-keep buffer and each block's cross-attention row (which
+depends only on the hybrid representation), all made once, and the causal
+mask, made once per ``max_len``. The new position's scores are
+[B x H x 1 x (t+1)], over a view of the t cached keys and its own, and the
+classifier runs on that one row. Until a pad id is decoded every one of
+those keys is allowed, so the step builds no mask; from a pad on, and for a
+step of several positions, it applies the causal and key-pad rule. A step
+runs the same array arithmetic as the tensor ops (``tensor._dense``,
+``_normalize``, ``_attend`` and ``_embed``) in the same order, but wraps no
+``Tensor`` and records nothing; the encoder's rows equal ``encode_inputs``'s
+bit for bit, and a step's logits match ``decoder_forward``'s on the whole
+prefix to float rounding. Greedy decoding builds no random generator.
 ``decoder_forward`` always runs whole sequences from position 0; that is
 how training and evaluation run.
 
@@ -76,6 +82,7 @@ then just the visual encoding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -295,14 +302,17 @@ def semantic_encode(demo, params, cfg: ModelConfig) -> Tensor:
                    params, "semantic.fc")
 
 
+def _check_fusion(visual_shape, semantic_shape, cfg: ModelConfig) -> None:
+    if len(visual_shape) != 2 or visual_shape[1] != cfg.d_model \
+            or semantic_shape != visual_shape:
+        raise ShapeError(f"fusion expects two [B x {cfg.d_model}] inputs, got "
+                         f"{tuple(visual_shape)} and {tuple(semantic_shape)}")
+
+
 def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelConfig,
                          rng=None) -> Tensor:
     """Attend from each visual row over the semantic row of the same example."""
-    if visual.ndim != 2 or visual.shape[1] != cfg.d_model or semantic.shape != visual.shape:
-        raise ShapeError(
-            f"fusion expects two [B x {cfg.d_model}] inputs, got "
-            f"{tuple(visual.shape)} and {tuple(semantic.shape)}"
-        )
+    _check_fusion(visual.shape, semantic.shape, cfg)
     attended = _multi_head_attention(params, "fusion.attn", cfg, semantic)
     attended = _maybe_dropout(attended, cfg, rng)
     return T.add_layer_norm(visual, attended,
@@ -323,6 +333,41 @@ def encode_inputs(features, demo, params, cfg: ModelConfig, rng=None) -> Tensor:
         raise ContractError("this configuration requires a demographic vector")
     semantic = semantic_encode(demo, params, cfg)
     return fuse_visual_semantic(visual, semantic, params, cfg, rng=rng)
+
+
+def _single_key(arrays, prefix: str, keyvalue: np.ndarray) -> np.ndarray:
+    """``_multi_head_attention`` without a mask, on the parameter ``arrays``."""
+    return T._dense(keyvalue @ arrays[f"{prefix}.wv"], arrays[f"{prefix}.wo"],
+                    arrays[f"{prefix}.bo"], False)
+
+
+def _encode_arrays(features, demo, params, cfg: ModelConfig) -> np.ndarray:
+    """``encode_inputs(features, demo, params, cfg).data`` bit for bit: the
+    same checks and the same array arithmetic in the same order, on the
+    parameters' arrays, with no ``Tensor`` op and no dropout."""
+    arrays = {name: tensor.data for name, tensor in params.items()}
+    x = _rows(features, cfg.feature_dim, "image feature vectors").data
+    x = T._normalize(x, arrays["visual.feat_norm.gain"], arrays["visual.feat_norm.bias"])[0]
+    h = T._dense(x, arrays["visual.ff.w"], arrays["visual.ff.b"], True)
+    visual = T._normalize(h + _single_key(arrays, "visual.attn", h),
+                          arrays["visual.norm.gain"], arrays["visual.norm.bias"])[0]
+    if not cfg.uses_demographics:
+        return visual
+    if demo is None:
+        raise ContractError("this configuration requires a demographic vector")
+    semantic = T._dense(_rows(demo, cfg.demographic_dim, "demographic vectors").data,
+                        arrays["semantic.fc.w"], arrays["semantic.fc.b"], False)
+    _check_fusion(visual.shape, semantic.shape, cfg)
+    return T._normalize(visual + _single_key(arrays, "fusion.attn", semantic),
+                        arrays["fusion.norm.gain"], arrays["fusion.norm.bias"])[0]
+
+
+@functools.cache
+def _causal_mask(length: int) -> np.ndarray:
+    """The read-only [length x length] causal mask: row t allows keys <= t."""
+    mask = np.tri(length, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
@@ -350,7 +395,7 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
              for i in range(cfg.n_decoder_blocks)]
     # position t may attend to its sequence's kept positions <= t
-    mask = np.tri(length, dtype=bool) & (ids != PAD_ID)[:, None, :]
+    mask = _causal_mask(cfg.max_len)[:length, :length] & (ids != PAD_ID)[:, None, :]
     x = _maybe_dropout(x, cfg, rng)
     for i in range(cfg.n_decoder_blocks):
         attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask)
@@ -375,10 +420,15 @@ class DecodeCache:
     takes the next L ids of every sequence and returns their logits, equal
     to the rows ``decoder_forward`` gives those positions on the whole
     prefix. The cache holds a [B x max_len] key-keep buffer (ids != PAD_ID),
-    the [max_len x max_len] causal mask, each decoder block's [B x d]
-    cross-attention row, and per block one [B x max_len x d] K row buffer
-    and one V row buffer; a step writes its positions' rows in place and
-    attends over a view of the first ``length``.
+    the shared read-only [max_len x max_len] causal mask, each decoder
+    block's [B x d] cross-attention row, and per block one [B x max_len x d]
+    K row buffer and one V row buffer; a step writes its positions' rows in
+    place and attends over a view of the first ``length``. A one-position
+    step of sequences that hold no pad id, the whole of a report that
+    ``generate`` decodes until it emits a pad, may attend to every cached
+    key: it builds no mask and leaves the keep buffer, which starts all
+    True, as it is. A step of several positions, or one at or after a pad,
+    writes the keep buffer and attends under the causal and key-pad mask.
     """
 
     def __init__(self, hybrid: np.ndarray, params, cfg: ModelConfig):
@@ -386,8 +436,9 @@ class DecodeCache:
         arrays = {name: tensor.data for name, tensor in params.items()}
         self.n_heads = cfg.n_heads
         self.length = 0         # positions decoded so far
-        self.keep = np.empty((n_seq, cfg.max_len), dtype=bool)
-        self.causal = np.tri(cfg.max_len, dtype=bool)
+        self.keep = np.ones((n_seq, cfg.max_len), dtype=bool)
+        self.padded = False     # whether a pad id has been decoded
+        self.causal = _causal_mask(cfg.max_len)
         self.table = arrays["embed.table"]
         self.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, self.table.dtype)
         self.keys = [np.empty((n_seq, cfg.max_len, cfg.d_model), dtype=self.table.dtype)
@@ -395,11 +446,8 @@ class DecodeCache:
         self.values = [np.empty_like(keys) for keys in self.keys]
         self.blocks = []        # per decoder block: its cross-attention row, then its weights
         for i in range(cfg.n_decoder_blocks):
-            # single-key attention in closed form, as ``_multi_head_attention``
-            cross = f"dec{i}.cross_attn"
-            row = T._dense(hybrid @ arrays[f"{cross}.wv"], arrays[f"{cross}.wo"],
-                           arrays[f"{cross}.bo"], False)
-            self.blocks.append((row, *(arrays[f"dec{i}.{name}"] for name in (
+            cross = _single_key(arrays, f"dec{i}.cross_attn", hybrid)
+            self.blocks.append((cross, *(arrays[f"dec{i}.{name}"] for name in (
                 "self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
                 "self_attn.bo", "norm1.gain", "norm1.bias", "norm2.gain", "norm2.bias",
                 "ff.w", "ff.b"))))
@@ -421,13 +469,18 @@ class DecodeCache:
         if total > self.keep.shape[1]:
             raise ContractError(
                 f"sequence length {total} exceeds the maximum {self.keep.shape[1]}")
-        if not start and (ids[:, 0] == PAD_ID).any():
+        if not start and PAD_ID in ids[:, 0].tolist():
             raise ContractError("a sequence may not start with the pad id: its first "
                                 "position would have every key masked out")
-        self.keep[:, start:total] = ids != PAD_ID
+        if length == 1 and not self.padded and PAD_ID not in ids[:, 0].tolist():
+            mask = None     # one new position, and every key so far is kept
+        else:
+            keep = ids != PAD_ID
+            self.keep[:, start:total] = keep
+            self.padded = self.padded or not keep.all()
+            # position start + j may attend to its sequence's kept positions <= start + j
+            mask = self.causal[start:total, :total] & self.keep[:, None, :total]
         self.length = total
-        # position start + j may attend to its sequence's kept positions <= start + j
-        mask = self.causal[start:total, :total] & self.keep[:, None, :total]
         x = T._embed(self.table, ids, self.positions[start:total])
         for keys, values, (cross, wq, wk, wv, wo, bo, gain1, bias1, gain2, bias2, ff_w,
                            ff_b) in zip(self.keys, self.values, self.blocks):
@@ -443,41 +496,44 @@ class DecodeCache:
 
 
 def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
-             seed: int = 0) -> list[int]:
+             seed=0) -> list[int]:
     """Autoregressively decode a report for one image/demographics pair.
 
-    Each step feeds a ``DecodeCache`` only the id chosen last, so a report
-    of n ids runs n decoder positions, not the n(n+1)/2 of re-running every
-    prefix, and records nothing on the tape.
+    The encoder runs on the parameter arrays, and each step feeds a
+    ``DecodeCache`` only the id chosen last, so a report of n ids runs n
+    decoder positions, not the n(n+1)/2 of re-running every prefix, and
+    nothing builds a ``Tensor`` or records on the tape.
 
     Temperature 0, or one too small to divide by in the logits' dtype, is
     exact argmax; otherwise the next id is drawn from
-    softmax(logits / temperature) with a generator seeded by ``seed``, so
-    repeated calls with identical arguments return identical sequences. A
+    softmax(logits / temperature) with ``np.random.default_rng(seed)``, so
+    ``seed`` is anything that function takes (the command line and the
+    benchmark pass ``[seed, report index]``), and repeated calls with
+    identical arguments return identical sequences. A draw at or above the
+    float cumulative total takes the last id of positive probability. A
     temperature that is negative or not finite is a ``ContractError``.
     Returns ids without the start marker, at most ``cfg.max_len`` of them,
     ending with ``END_ID`` unless the length cap was hit first.
     """
     if not 0.0 <= temperature < math.inf:
         raise ContractError(f"temperature must be finite and non-negative, got {temperature}")
-    rng = np.random.default_rng(seed)
     out: list[int] = []
-    with T.no_grad():
-        hybrid = encode_inputs(features, demo, params, cfg)
-    cache = DecodeCache(hybrid.data, params, cfg)
+    cache = DecodeCache(_encode_arrays(features, demo, params, cfg), params, cfg)
     greedy = temperature < np.finfo(cache.table.dtype).tiny   # 0, or it underflows to 0
+    rng = None if greedy else np.random.default_rng(seed)
     ids = np.full((1, 1), START_ID)
     while len(out) < cfg.max_len:
         last = cache.step(ids)[-1]
         if greedy:
-            next_id = int(np.argmax(last))
+            next_id = int(last.argmax())
         else:
             # shifted before the division, so a tiny temperature cannot
             # make inf - inf = NaN
-            probs = np.exp((last - last.max()) / temperature)
-            probs /= probs.sum()
-            next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
-            next_id = min(next_id, cfg.vocab_size - 1)
+            probs = np.exp((last - np.maximum.reduce(last)) / temperature)
+            probs /= np.add.reduce(probs)
+            next_id = int(np.searchsorted(np.add.accumulate(probs), rng.random()))
+            if next_id == len(probs):   # the draw passed the rounded total
+                next_id = int(np.flatnonzero(probs)[-1])
         out.append(next_id)
         if next_id == END_ID:
             break

@@ -25,7 +25,7 @@ order, as the chain of separate ops it replaced (kept in the test suite as
 the reference), so the fused ops are bit-identical to it. The forward
 arithmetic of these four ops is written once, as private functions on plain
 arrays (``_dense``, ``_normalize``, ``_embed`` and ``_attend``) that the ops
-call and that ``model.DecodeCache`` calls to decode without a tape.
+call and that ``model.generate`` calls to encode and decode without a tape.
 
 Forward operations append entries to a module-level ComputationGraph (a
 tape). ``backward(loss)`` replays the tape in strict reverse recording order
@@ -241,7 +241,7 @@ def _record(inputs, output: Tensor, vjp) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Forward arithmetic on plain arrays, shared by the ops below and by
-# ``model.DecodeCache``, which decodes without a tape
+# ``model.generate``, which encodes and decodes without a tape
 # ---------------------------------------------------------------------------
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
@@ -283,13 +283,14 @@ def _merge_heads(stack: np.ndarray, shape) -> np.ndarray:
     return stack.transpose(0, 2, 1, 3).reshape(shape)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray):
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask):
     """The arithmetic of ``multi_head_attention`` on the [B*Lq x d] query
-    rows and the key and value rows, [B*Lk x d] or [B x Lk x d] (a view is
-    read in place), under the boolean [B x Lq x Lk] ``mask``. Returns the
-    [B*Lq x d] attended rows, then the softmax weights and the head views
-    that the backward rule reads."""
-    n_seq, n_query, n_key = mask.shape
+    rows and the [B x Lk x d] key and value rows (a view is read in place),
+    under the boolean [B x Lq x Lk] ``mask``, or with every key allowed when
+    ``mask`` is None. Returns the [B*Lq x d] attended rows, then the softmax
+    weights and the head views that the backward rule reads."""
+    n_seq, n_key = k.shape[:2]
+    n_query = q.shape[0] // n_seq
     q_heads = _split_heads(q, n_seq, n_query, n_heads)
     v_heads = _split_heads(v, n_seq, n_key, n_heads)
     # the keys' transpose is laid out contiguously, as the composed chain's
@@ -297,8 +298,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.
     k_t = np.ascontiguousarray(_split_heads(k, n_seq, n_key, n_heads).swapaxes(-1, -2))
     # the temporaries are computed in place, with the composed chain's arithmetic
     scores = q_heads @ k_t
-    scores *= np.asarray(1.0 / math.sqrt(q.shape[-1] // n_heads), dtype=q.dtype)
-    np.copyto(scores, -np.inf, where=~mask[:, None])
+    scores *= 1.0 / math.sqrt(q.shape[-1] // n_heads)   # a weak scalar: q's dtype
+    if mask is not None:
+        np.copyto(scores, -np.inf, where=~mask[:, None])
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     weights = np.exp(scores, out=scores)
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
@@ -380,10 +382,13 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=1, keepdims=True)`` for a rank-2 ``a``, bit for bit: the
-    same sum divided by the same intp count, without ndarray.mean's Python
-    wrapper, which costs more than the arithmetic on the model's short rows."""
+    same sum divided by the same count, without ndarray.mean's Python
+    wrapper, which costs more than the arithmetic on the model's short rows.
+    The division runs in ``a``'s dtype where ndarray.mean divides in float64
+    and rounds back; a float32 quotient rounded twice through float64 is the
+    correctly rounded one, so the results are the same."""
     total = np.add.reduce(a, axis=1, keepdims=True)
-    return np.true_divide(total, np.intp(a.shape[1]), out=total, casting="unsafe")
+    return np.divide(total, a.shape[1], out=total)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -504,7 +509,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) ->
         seq, row = np.unravel_index(int(np.argmin(allowed)), allowed.shape)
         raise ContractError(
             f"attention query row {row} of sequence {seq} has every key masked out")
-    out_data, weights, q_heads, k_t, v_heads = _attend(q.data, k.data, v.data, n_heads, mask)
+    out_data, weights, q_heads, k_t, v_heads = _attend(
+        q.data, k.data.reshape(n_seq, n_key, width), v.data.reshape(n_seq, n_key, width),
+        n_heads, mask)
     factor = 1.0 / math.sqrt(width // n_heads)
     mask = mask[:, None]
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad

@@ -141,11 +141,12 @@ class StandardizationMap:
         return out
 
     @classmethod
-    def from_file(cls, path=None) -> "StandardizationMap":
+    def from_file(cls, path=None, digest=None) -> "StandardizationMap":
         """Parse lines of the form ``source phrase => canonical phrase``
-        (default: the shipped map)."""
+        (default: the shipped map), adding the bytes read to ``digest``
+        unless it is None."""
         pairs = []
-        for lineno, line in _resource_lines(path, "standardization.txt"):
+        for lineno, line in _resource_lines(path, "standardization.txt", digest):
             if "=>" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'source => canonical', "
                                   f"got {line!r}")
@@ -156,33 +157,37 @@ class StandardizationMap:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-def _resource_lines(path, name: str) -> list[tuple[int, str]]:
+def _resource_lines(path, name: str, digest) -> list[tuple[int, str]]:
     r"""``(line number, stripped line)`` for each line of the file at ``path``
-    (default: the shipped resource ``name``) that is not blank or a # comment.
-    Both reads end lines at ``\n``, ``\r\n`` and ``\r`` only, as one ``\n``."""
+    (default: the shipped resource ``name``) that is not blank or a # comment,
+    adding the file's bytes to ``digest`` unless it is None. Lines end at
+    ``\n``, ``\r\n`` and ``\r`` only."""
     if path:
-        text = read_text(path)
+        text = read_text(path, digest)
     else:
-        text = (resources.files("cxrgen") / "resources" / name).read_text(encoding="utf-8")
+        with resources.as_file(resources.files("cxrgen") / "resources" / name) as shipped:
+            text = read_text(shipped, digest)
     lines = enumerate((line.strip() for line in text.split("\n")), 1)
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
-def load_stopwords(path=None) -> frozenset[str]:
-    """One stop word per line (default: the shipped list)."""
-    return frozenset(line.lower() for _, line in _resource_lines(path, "stopwords.txt"))
+def load_stopwords(path=None, digest=None) -> frozenset[str]:
+    """One stop word per line (default: the shipped list), adding the bytes
+    read to ``digest`` unless it is None."""
+    return frozenset(line.lower() for _, line in _resource_lines(path, "stopwords.txt", digest))
 
 
 def default_standardization_map() -> StandardizationMap:
     return StandardizationMap.from_file()
 
 
-def load_reject_patterns(path=None) -> list[re.Pattern]:
+def load_reject_patterns(path=None, digest=None) -> list[re.Pattern]:
     """One regular expression per line, matched against the lowercased raw text
-    (default: the shipped list); one that does not compile raises ``ConfigError``
-    naming ``path:line``."""
+    (default: the shipped list), adding the bytes read to ``digest`` unless it
+    is None; one that does not compile raises ``ConfigError`` naming
+    ``path:line``."""
     patterns = []
-    for lineno, line in _resource_lines(path, "reject_patterns.txt"):
+    for lineno, line in _resource_lines(path, "reject_patterns.txt", digest):
         try:
             patterns.append(re.compile(line))
         except re.error as exc:

@@ -597,7 +597,8 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):
                 probs = np.exp((last - last.max()) / temperature)
                 probs /= probs.sum()
                 next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
-                next_id = min(next_id, cfg.vocab_size - 1)
+                if next_id == cfg.vocab_size:   # past the rounded total
+                    next_id = int(np.flatnonzero(probs)[-1])
             out.append(next_id)
             if next_id == END_ID:
                 break

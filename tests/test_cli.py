@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cxrgen.text
 from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
@@ -149,6 +150,26 @@ class TestPrepareData:
                  len(manifest["test_ids"]))
         assert sum(sizes) == 12
         assert sizes[0] >= sizes[1] >= sizes[2] >= 1
+
+    def test_provenance_records_each_cleaning_resource(self, pipeline, tmp_path):
+        """Each cleaning file's path, or "shipped", and the sha256 of the
+        bytes parsed: a custom file's bytes, or the shipped resource's."""
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_bytes(b"# custom\nthe\nof\n")
+        out = tmp_path / "out"
+        assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                     "--out", str(out), "--subset-size", "12",
+                     "--stopwords", str(stopwords)]) == 0
+        cleaning = json.loads((out / "provenance.json").read_text())["cleaning"]
+        shipped = Path(cxrgen.text.__file__).parent / "resources"
+        assert cleaning == {
+            "stopwords": {"path": str(stopwords),
+                          "sha256": hashlib.sha256(stopwords.read_bytes()).hexdigest()},
+            **{option: {"path": "shipped", "sha256": hashlib.sha256(
+                (shipped / name).read_bytes()).hexdigest()}
+               for option, name in (("std_map", "standardization.txt"),
+                                    ("reject_patterns", "reject_patterns.txt"))},
+        }
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["prepare-data", "--data", str(tmp_path / "nope.jsonl"),
@@ -593,10 +614,34 @@ class TestTrainGenerate:
         assert main(argv) == 0
         monkeypatch.undo()
         inputs = json.loads((out / "provenance.json").read_text())["inputs"]
-        assert len(inputs) == (2 if command == "train" else 1)
+        assert sorted(Path(path).name for path in inputs) == {
+            "prepare-data": ["dataset.jsonl"],
+            "train": ["cleaned.jsonl", "demographics.json", "subset_0.json", "vocab.txt"],
+            "generate": ["cleaned.jsonl", "params.bin", "subset_0.json"],
+        }[command]
         for path, digest in inputs.items():
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
             assert opened.count(os.path.realpath(path)) == 1
+
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_an_edited_split_changes_its_recorded_digest(self, pipeline, tmp_path, command):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        split_path = prep / "splits" / "subset_0.json"
+        argv = {"train": ["train", "--data", str(prep), *TINY_TRAIN],
+                "generate": ["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                             "--data", str(prep), "--temperature", "0"]}[command]
+
+        def recorded_digest(out):
+            assert main([*argv, "--out", str(out if command == "train" else out / "hyp.txt")]) == 0
+            return json.loads((out / "provenance.json").read_text())["inputs"][str(split_path)]
+
+        before = recorded_digest(tmp_path / "before")
+        manifest = json.loads(split_path.read_text())
+        manifest["params"]["note"] = "edited"
+        split_path.write_text(json.dumps(manifest))
+        after = recorded_digest(tmp_path / "after")
+        assert before != after == hashlib.sha256(split_path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("spoil, message", [
         (lambda extra: {**extra, "vocab": extra["vocab"][1:]}, "reserved tokens"),

@@ -1,6 +1,7 @@
 """Dataset assembly: balanced subset sampling, 70:20:10 splits, the synthetic
 generator's determinism and demographic signal, and file round trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -116,8 +117,10 @@ class TestSplit:
                          params={"note": "x"})
         path = tmp_path / "m.json"
         manifest.save(path)
-        again = SplitManifest.load(path)
+        digest = hashlib.sha256()
+        again = SplitManifest.load(path, digest)
         assert again == manifest
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_manifest_overlap_rejected(self):
         bad = SplitManifest(0, ["a", "b"], ["b"], ["c"], seed=0)

@@ -386,6 +386,28 @@ class TestGenerate:
         with pytest.raises(ContractError, match="finite"):
             generate(features, demo, params, TINY, temperature=temperature, seed=0)
 
+    @pytest.mark.parametrize("cfg", [TINY, DESK], ids=["tiny", "desk"])
+    def test_a_draw_past_the_rounded_total_takes_the_last_possible_id(self, cfg,
+                                                                        monkeypatch):
+        """The float32 cumulative total can fall short of a draw just below 1;
+        the id drawn then is the last of positive probability, never one of
+        probability 0."""
+        params = init_parameters(cfg, seed=0)
+        params["classifier.b"].data[-1] = -1e4   # id V-1 has probability 0
+        features = np.random.default_rng(0).normal(size=cfg.feature_dim)
+
+        class TopDraw:
+            def __init__(self, seed):
+                pass
+
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        monkeypatch.setattr(np.random, "default_rng", TopDraw)
+        ids = generate(features, np.eye(7)[1], params, cfg, temperature=0.5)
+        assert len(ids) == cfg.max_len and cfg.vocab_size - 1 not in ids
+        assert ids == full_prefix_generate(features, np.eye(7)[1], params, cfg)
+
     def test_baseline_model_generates_without_demographics(self):
         cfg = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2,
                           vocab_size=20, max_len=8, demographic_dim=0,
@@ -393,6 +415,37 @@ class TestGenerate:
         params = init_parameters(cfg, seed=0)
         out = generate(np.ones(10), None, params, cfg, temperature=0.0, seed=0)
         assert 1 <= len(out) <= cfg.max_len
+
+
+class TestArrayEncoder:
+    """``generate``'s encoder on plain arrays against ``encode_inputs``."""
+
+    @pytest.mark.parametrize("cfg", [TINY, DESK, ModelConfig()], ids=["tiny", "desk", "paper"])
+    @pytest.mark.parametrize("demographic_dim", [7, 0], ids=["demo", "base"])
+    @pytest.mark.parametrize("n_rows", [None, 3], ids=["vector", "rows"])
+    def test_matches_encode_inputs_bit_for_bit(self, cfg, demographic_dim, n_rows):
+        cfg = replace(cfg, demographic_dim=demographic_dim)
+        params = init_parameters(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        rows = () if n_rows is None else (n_rows,)
+        features = rng.normal(size=(*rows, cfg.feature_dim)) * 3.0
+        demo = rng.random((*rows, 7)) if demographic_dim else None
+        with T.no_grad():
+            expected = encode_inputs(features, demo, params, cfg).data
+        assert np.array_equal(model._encode_arrays(features, demo, params, cfg), expected)
+
+    def test_keeps_encode_inputs_checks(self):
+        params = init_parameters(TINY, seed=0)
+        features, demo = np.ones((2, TINY.feature_dim)), np.eye(7)[:3]
+        for encode in (encode_inputs, model._encode_arrays):
+            with pytest.raises(ShapeError, match="fusion expects"):
+                encode(features, demo, params, TINY)
+            with pytest.raises(ShapeError, match="image feature vectors"):
+                encode(np.ones(TINY.feature_dim + 1), demo[0], params, TINY)
+            with pytest.raises(ShapeError, match="demographic vectors"):
+                encode(features[0], np.ones(6), params, TINY)
+            with pytest.raises(ContractError, match="requires a demographic vector"):
+                encode(features[0], None, params, TINY)
 
 
 class TestDecodeCache:
@@ -420,8 +473,8 @@ class TestDecodeCache:
 
     @pytest.mark.parametrize("cfg, chunks", [
         (DESK, [1] * 12), (ModelConfig(), [1] * 12),
-        (replace(DESK, n_decoder_blocks=2), [3, 1, 5, 3])],
-        ids=["desk", "paper", "desk-2-blocks-chunked"])
+        (replace(DESK, n_decoder_blocks=2), [3, 1, 5, 3]), (DESK, [1] * 6 + [4, 2])],
+        ids=["desk", "paper", "desk-2-blocks-chunked", "desk-pad-then-chunk"])
     def test_cached_logits_match_full_forward_with_a_pad(self, cfg, chunks):
         params, features, demo = self._inputs(cfg, seed=3)
         rng = np.random.default_rng(3)

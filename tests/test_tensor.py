@@ -137,6 +137,13 @@ class TestLayerNorm:
         out = T.layer_norm(Tensor([[1.0, 2.0, 3.0]]), Tensor([1.0] * 3), Tensor([0.0] * 3))
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [7, 24, 32, 512, 1280, 2212])
+    def test_row_mean_is_ndarray_mean_bit_for_bit(self, dtype, width):
+        rng = np.random.default_rng(width)
+        a = (rng.normal(size=(64, width)) * rng.lognormal(0, 4, size=(64, 1))).astype(dtype)
+        assert T._row_mean(a).tobytes() == a.mean(axis=1, keepdims=True).tobytes()
+
     def test_mismatched_affine_shapes(self):
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor([[1.0, 2.0, 3.0]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
@@ -437,6 +444,18 @@ class TestFusedOps:
         values[:, :3] = v.data.reshape(2, 3, 8)
         stacked = T._attend(q.data, buffer[:, :3], values[:, :3], 2, mask)[0]
         assert stacked.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("n_seq, n_query, n_key, width, n_heads",
+                             [(1, 1, 1, 32, 2), (1, 1, 24, 32, 2), (2, 3, 5, 16, 4),
+                              (1, 1, 50, 512, 8)])
+    def test_no_mask_is_every_key_allowed(self, n_seq, n_query, n_key, width, n_heads):
+        rng = np.random.default_rng(n_key)
+        q = rng.normal(size=(n_seq * n_query, width)).astype(np.float32)
+        k, v = (rng.normal(size=(n_seq, n_key, width)).astype(np.float32) for _ in "kv")
+        masked = T._attend(q, k, v, n_heads, np.ones((n_seq, n_query, n_key), dtype=bool))
+        unmasked = T._attend(q, k, v, n_heads, None)
+        for a, b in zip(masked, unmasked):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_attention_gradients_match_finite_differences(self, n_heads):
