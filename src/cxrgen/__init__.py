@@ -13,7 +13,7 @@ from .model import (ModelConfig, decoder_forward, encode_inputs, fuse_visual_sem
                     generate, init_parameters, parameter_shapes, semantic_encode,
                     visual_encode)
 from .optim import Adam
-from .tensor import ComputationGraph, Tensor, backward, no_grad, reset_graph
+from .tensor import Tensor, backward, no_grad, reset_graph
 from .text import (CleanReport, RawReport, Rejected, StandardizationMap, Vocabulary,
                    build_vocabulary, clean_report, decode_ids, encode_tokens)
 from .training import TrainConfig, TrainLog, encode_examples, evaluate_loss, fit, train_step

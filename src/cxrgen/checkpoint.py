@@ -90,11 +90,13 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def read_manifest(path) -> dict:
+def read_manifest(path, digest) -> dict:
+    """The parsed ``manifest.json`` of the checkpoint at ``path``, its bytes
+    added to the ``hashlib`` object ``digest`` unless it is None."""
     manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.exists():
         raise IntegrityError(f"no checkpoint manifest at {manifest_path}")
-    manifest = read_json_object(manifest_path, IntegrityError, None)
+    manifest = read_json_object(manifest_path, IntegrityError, digest)
     version = manifest.get("format_version")
     # True == 1 and 1.0 == 1 in Python, so check the type before the value
     if type(version) is not int or version != FORMAT_VERSION:
@@ -112,7 +114,7 @@ def _well_formed(entry) -> bool:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Load params + config, verifying per-tensor checksums."""
-    return load_from_manifest(path, read_manifest(path), None)
+    return load_from_manifest(path, read_manifest(path, None), None)
 
 
 def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor], ModelConfig]:

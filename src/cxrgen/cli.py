@@ -1,10 +1,14 @@
 r"""Operator-facing command line: synth-data, prepare-data, train, generate,
 evaluate, compare.
 
-Every artifact-producing command writes a ``provenance.json`` next to its
+Every artifact-producing command writes a provenance record next to its
 outputs holding the fully resolved options, seeds, and sha256 checksums of
 its inputs, which is sufficient to reproduce the artifact bit for bit. Each
-checksum is taken of the bytes the command parsed, as it read them.
+checksum is taken of the bytes the command parsed, as it read them. The
+record is ``provenance.json`` in the ``--out`` directory, except for
+``generate``, whose ``--out`` is a file: it writes ``<out>.provenance.json``
+beside it, so generating into a training run's directory keeps the run's
+record, and so does a second ``generate`` with another ``--out``.
 ``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
 ``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
 and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
@@ -24,19 +28,21 @@ at ``\n``, ``\r\n`` or ``\r`` only.
 
 ``train`` reads the demographic codec from ``demographics.json`` and stores
 the variant it trains, or null for the image-only model, in the checkpoint
-with the vocabulary. ``generate`` takes both from the checkpoint and reads
-only ``cleaned.jsonl`` and the split manifest from ``--data``.
+with the vocabulary. ``generate`` takes both from the checkpoint's
+``manifest.json``, which its provenance records with ``params.bin``, and
+reads only ``cleaned.jsonl`` and the split manifest from ``--data``.
 
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
-lowercase words and a checkpoint whose feature width differs from the
-prepared data's), 3 data integrity failure (a file that is not UTF-8 is
-one, and so are a checkpoint of format 1 or 2 or whose manifest names
-another blob, a bad dataset record, a malformed split manifest or
-evaluation report, a repeated vocabulary token, a demographics manifest or
-checkpoint codec that lacks a key or holds a bad value, and a checkpoint
-vocabulary or codec that does not fit its model), 4 numeric failure.
+lowercase words, a checkpoint whose feature width differs from the prepared
+data's and a ``generate --split`` that holds no report), 3 data integrity
+failure (a file that is not UTF-8 is one, and so are a checkpoint of format
+1 or 2 or whose manifest names another blob, a bad dataset record, a
+malformed split manifest or evaluation report, a repeated vocabulary token,
+a demographics manifest or checkpoint codec that lacks a key or holds a bad
+value, and a checkpoint vocabulary or codec that does not fit its model), 4
+numeric failure.
 """
 
 from __future__ import annotations
@@ -71,18 +77,19 @@ INTEGRITY_EXIT = 3
 NUMERIC_EXIT = 4
 
 
-def _write_provenance(out_dir, command: str, options: dict, inputs=None, **sections) -> None:
-    """``inputs`` maps each input path to the ``hashlib`` object that took in
-    the bytes the command parsed from it."""
+def _write_provenance(path, command: str, options: dict, inputs=None, **sections) -> None:
+    """Write the provenance record to ``path``. ``inputs`` maps each input
+    path to the ``hashlib`` object that took in the bytes the command parsed
+    from it."""
     payload = {
         "command": command,
         "options": options,
         "inputs": {str(p): digest.hexdigest() for p, digest in (inputs or {}).items()},
         **sections,
     }
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "provenance.json", payload, sort_keys=True)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, payload, sort_keys=True)
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -152,7 +159,7 @@ def cmd_synth_data(args) -> int:
     points = synthesize_corpus(spec, args.seed)
     out = Path(args.out)
     write_dataset(points, out / "dataset.jsonl")
-    _write_provenance(out, "synth-data", {
+    _write_provenance(out / "provenance.json", "synth-data", {
         "seed": args.seed,
         "spec": dataclasses.asdict(spec),
     })
@@ -197,7 +204,7 @@ def cmd_prepare_data(args) -> int:
         manifest = split(ids, seed=args.seed + i, subset_id=i,
                          params={"source": str(data_path), "subset_size": subset_size})
         manifest.save(splits_dir / f"subset_{i}.json")
-    _write_provenance(out, "prepare-data", {
+    _write_provenance(out / "provenance.json", "prepare-data", {
         "seed": args.seed,
         "vocab_cap": args.vocab_cap,
         "subsets": args.subsets,
@@ -291,7 +298,7 @@ def cmd_train(args) -> int:
         "vocab": vocab.tokens,
         "subset": args.subset,
     })
-    _write_provenance(out, "train", {
+    _write_provenance(out / "provenance.json", "train", {
         "data": str(args.data),
         "subset": args.subset,
         "demographics": list(codec.fields),
@@ -319,12 +326,11 @@ def _generation_stats(generated: list[list[int]], max_len: int) -> dict:
     }
 
 
-def _checkpoint_inputs(checkpoint, manifest: dict, cfg: ModelConfig):
+def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
     """The vocabulary and the codec (None for an image-only model) that the
-    ``manifest`` of ``checkpoint`` embeds. One that breaks its class's rules
-    or does not fit the model ``cfg`` raises ``IntegrityError`` naming the
-    manifest."""
-    source = Path(checkpoint) / "manifest.json"
+    ``manifest`` parsed from the file ``source`` embeds. One that breaks its
+    class's rules or does not fit the model ``cfg`` raises ``IntegrityError``
+    naming ``source``."""
     extra = manifest.get("extra")
     extra = extra if isinstance(extra, dict) else {}
     with _bad_data(source):
@@ -340,12 +346,13 @@ def _checkpoint_inputs(checkpoint, manifest: dict, cfg: ModelConfig):
 
 
 def cmd_generate(args) -> int:
-    manifest = read_manifest(args.checkpoint)
-    blob_path = Path(args.checkpoint) / "params.bin"
+    manifest_path, blob_path = (Path(args.checkpoint) / name
+                                for name in ("manifest.json", "params.bin"))
     points_path = Path(args.data) / "cleaned.jsonl"
-    inputs = {blob_path: hashlib.sha256(), points_path: hashlib.sha256()}
+    inputs = {path: hashlib.sha256() for path in (manifest_path, blob_path, points_path)}
+    manifest = read_manifest(args.checkpoint, inputs[manifest_path])
     params, cfg = load_from_manifest(args.checkpoint, manifest, inputs[blob_path])
-    vocab, codec = _checkpoint_inputs(args.checkpoint, manifest, cfg)
+    vocab, codec = _checkpoint_inputs(manifest_path, manifest, cfg)
     points = _load_points(points_path, inputs[points_path])
     if points[0].features.size != cfg.feature_dim:
         raise ConfigError(f"{args.data} holds {points[0].features.size}-wide features, "
@@ -353,6 +360,9 @@ def cmd_generate(args) -> int:
     split_manifest = _load_split(args.data, args.subset, inputs)
     ids = {"train": split_manifest.train_ids, "val": split_manifest.val_ids,
            "test": split_manifest.test_ids}[args.split]
+    if not ids:
+        raise ConfigError(f"the {args.split} split of subset {args.subset} in {args.data} "
+                          "is empty: there is no report to generate")
     selected = _split_points(points, ids)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -369,7 +379,7 @@ def cmd_generate(args) -> int:
     write_lines(out, hyp_lines)
     if args.refs_out:
         write_lines(args.refs_out, ref_lines)
-    _write_provenance(out.parent, "generate", {
+    _write_provenance(out.with_name(out.name + ".provenance.json"), "generate", {
         "checkpoint": str(args.checkpoint),
         "data": str(args.data),
         "subset": args.subset,

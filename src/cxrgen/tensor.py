@@ -27,17 +27,19 @@ arithmetic of these four ops is written once, as private functions on plain
 arrays (``_dense``, ``_normalize``, ``_embed`` and ``_attend``) that the ops
 call and that ``model.generate`` calls to encode and decode without a tape.
 
-Forward operations append entries to a module-level ComputationGraph (a
-tape). ``backward(loss)`` replays the tape in strict reverse recording order
-and accumulates ``grad`` buffers only on leaves, the tensors that no tape
-entry produced (parameters and inputs); intermediate adjoints are dropped as
-soon as their entry has been replayed. A parameter adopted by
-``optim.Adam`` accumulates into its slot of the optimizer's flat gradient
-buffer (``Tensor.grad_slot``); other leaves get a fresh array. Repeated
-backward calls accumulate until the gradient is cleared, matching the usual
-autograd convention: by ``Adam.zero_grad`` for a parameter it adopted (a
-gradient assigned to or cleared from such a parameter by hand leaves its
-slot, and ``Adam.step`` refuses it), by ``grad = None`` for any other leaf.
+Forward operations append ``(inputs, output, vjp)`` tuples to a
+module-level list, the tape; an array that only the backward pass reads is
+built inside the backward rule, so a forward under ``no_grad`` builds none.
+``backward(loss)`` replays the tape in strict reverse recording order and
+accumulates ``grad`` buffers only on leaves, the tensors that no tape entry
+produced (parameters and inputs); intermediate adjoints are dropped as soon
+as their entry has been replayed. A parameter adopted by ``optim.Adam``
+accumulates into its slot of the optimizer's flat gradient buffer
+(``Tensor.grad_slot``); other leaves get a fresh array. Repeated backward
+calls accumulate until the gradient is cleared, matching the usual autograd
+convention: by ``Adam.zero_grad`` for a parameter it adopted (a gradient
+assigned to or cleared from such a parameter by hand leaves its slot, and
+``Adam.step`` refuses it), by ``grad = None`` for any other leaf.
 
 The recorder is single-threaded: one training session owns the tape. All
 reductions delegate to numpy, whose summation order is fixed for a given
@@ -138,104 +140,68 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
-class _Entry:
-    """One recorded operation: operand refs, output ref, and a backward rule.
-
-    ``vjp`` maps the output adjoint to one adjoint (or None) per input.
-    """
-
-    __slots__ = ("inputs", "output", "vjp")
-
-    def __init__(self, inputs, output, vjp):
-        self.inputs = inputs
-        self.output = output
-        self.vjp = vjp
+# The tape: one ``(inputs, output, vjp)`` tuple per recorded operation, in
+# execution order, which is a topological order by construction. ``vjp`` maps
+# the output adjoint to one adjoint (or None) per input.
+_tape: list = []
+_recording = True
 
 
-class ComputationGraph:
-    """An append-only tape of recorded operations.
-
-    Recording order is execution order, which is a topological order by
-    construction; the backward pass visits entries strictly in reverse.
-    """
-
-    def __init__(self):
-        self._entries: list[_Entry] = []
-        self._enabled = True
-
-    def __len__(self):
-        return len(self._entries)
-
-    def reset(self) -> None:
-        self._entries.clear()
-
-    def record(self, inputs, output, vjp) -> None:
-        self._entries.append(_Entry(inputs, output, vjp))
-
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad leaf.
-
-        Recording order is topological, so a tensor's adjoint is complete when
-        the entry that produced it is replayed; it is dropped right there.
-        What is left at the end belongs to tensors no entry produced: leaves.
-        """
-        if loss.size != 1:
-            raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if not loss.requires_grad:
-            raise ContractError("loss is not connected to the recorded graph")
-        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        tensors: dict[int, Tensor] = {id(loss): loss}
-        for entry in reversed(self._entries):
-            out_adjoint = adjoints.pop(id(entry.output), None)
-            if out_adjoint is None:
-                continue
-            for tensor, contribution in zip(entry.inputs, entry.vjp(out_adjoint)):
-                if contribution is None:
-                    continue
-                # contributions may alias each other (add passes g to both
-                # inputs), so sum out of place and never write into one
-                key = id(tensor)
-                if key in adjoints:
-                    adjoints[key] = adjoints[key] + contribution
-                else:
-                    adjoints[key] = contribution
-                    tensors[key] = tensor
-        for key, adjoint in adjoints.items():
-            tensor = tensors[key]
-            if tensor.requires_grad:
-                tensor.accumulate_grad(adjoint)
-
-
-_graph = ComputationGraph()
-
-
-def active_graph() -> ComputationGraph:
-    return _graph
+def active_graph() -> list:
+    return _tape
 
 
 def reset_graph() -> None:
-    _graph.reset()
+    _tape.clear()
 
 
 def backward(loss: Tensor) -> None:
-    _graph.backward(loss)
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad leaf.
+
+    The tape is replayed strictly in reverse, so a tensor's adjoint is
+    complete when the entry that produced it is replayed; it is dropped right
+    there. What is left at the end belongs to tensors no entry produced:
+    leaves. ``Tensor`` defines no ``__eq__``, so the adjoints are keyed by
+    identity.
+    """
+    if loss.size != 1:
+        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise ContractError("loss is not connected to the recorded graph")
+    adjoints = {loss: np.ones_like(loss.data)}
+    for inputs, output, vjp in reversed(_tape):
+        out_adjoint = adjoints.pop(output, None)
+        if out_adjoint is None:
+            continue
+        for tensor, contribution in zip(inputs, vjp(out_adjoint)):
+            if contribution is None:
+                continue
+            # contributions may alias each other (add passes g to both
+            # inputs), so sum out of place and never write into one
+            if tensor in adjoints:
+                adjoints[tensor] = adjoints[tensor] + contribution
+            else:
+                adjoints[tensor] = contribution
+    for tensor, adjoint in adjoints.items():
+        if tensor.requires_grad:
+            tensor.accumulate_grad(adjoint)
 
 
 @contextmanager
 def no_grad():
     """Disable recording (evaluation / generation mode)."""
-    previous = _graph._enabled
-    _graph._enabled = False
+    global _recording
+    previous, _recording = _recording, False
     try:
         yield
     finally:
-        _graph._enabled = previous
+        _recording = previous
 
 
 def _record(inputs, output: Tensor, vjp) -> Tensor:
-    if _graph._enabled and any(t.requires_grad for t in inputs):
+    if _recording and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        _graph.record(tuple(inputs), output, vjp)
+        _tape.append((tuple(inputs), output, vjp))
     return output
 
 
@@ -348,13 +314,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ShapeError(f"linear: incompatible shapes {x_data.shape} x {w_data.shape} "
                          f"+ {b.data.shape}")
     out_data = _dense(x_data, w_data, b.data, relu)
-    if relu:
-        positive = out_data > 0   # where the pre-activation is positive
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def vjp(g):
         if relu:
-            g = g * positive
+            g = g * (out_data > 0)   # where the pre-activation is positive
         return (
             g @ w_data.T if need_x else None,
             x_data.T @ g if need_w else None,
@@ -555,10 +519,8 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     picked = log_probs[rows, targets]
     out = Tensor._wrap(np.asarray(-(picked * mask).sum(), dtype=logits.data.dtype))
 
-    probs = np.exp(log_probs)
-
     def vjp(g):
-        gl = probs.copy()
+        gl = np.exp(log_probs)
         gl[rows, targets] -= 1.0
         gl *= mask[:, None]
         return (gl * g.reshape(()),)

@@ -61,7 +61,7 @@ def test_round_trip_preserves_generation(tmp_path, params):
 
 def test_manifest_lists_every_parameter_exactly_once(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
-    manifest = read_manifest(tmp_path / "ckpt")
+    manifest = read_manifest(tmp_path / "ckpt", None)
     names = [entry["name"] for entry in manifest["tensors"]]
     assert len(names) == len(set(names))
     assert set(names) == set(params)
@@ -71,7 +71,7 @@ def test_single_byte_corruption_detected_with_tensor_name(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     blob_path = tmp_path / "ckpt" / "params.bin"
     blob = bytearray(blob_path.read_bytes())
-    manifest = read_manifest(tmp_path / "ckpt")
+    manifest = read_manifest(tmp_path / "ckpt", None)
     victim = manifest["tensors"][len(manifest["tensors"]) // 2]
     index = victim["offset"] + victim["nbytes"] // 2
     blob[index] ^= 0xFF
@@ -86,7 +86,7 @@ def test_single_byte_corruption_of_an_attention_matrix_detected(tmp_path, params
                                                                  victim_name):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     blob_path = tmp_path / "ckpt" / "params.bin"
-    victim = next(e for e in read_manifest(tmp_path / "ckpt")["tensors"]
+    victim = next(e for e in read_manifest(tmp_path / "ckpt", None)["tensors"]
                   if e["name"] == victim_name)
     blob = bytearray(blob_path.read_bytes())
     blob[victim["offset"] + 1] ^= 0x10
@@ -178,7 +178,7 @@ def test_manifest_must_be_a_json_object(tmp_path, params, payload):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     (tmp_path / "ckpt" / "manifest.json").write_text(payload)
     with pytest.raises(IntegrityError, match="not a JSON object"):
-        read_manifest(tmp_path / "ckpt")
+        read_manifest(tmp_path / "ckpt", None)
     with pytest.raises(IntegrityError, match="not a JSON object"):
         load_checkpoint(tmp_path / "ckpt")
 
@@ -201,7 +201,7 @@ def test_wrong_parameter_set_rejected(tmp_path, params):
 
 def test_extra_payload_round_trip(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt", extra={"vocab": ["<pad>", "x"]})
-    manifest = read_manifest(tmp_path / "ckpt")
+    manifest = read_manifest(tmp_path / "ckpt", None)
     assert manifest["extra"]["vocab"] == ["<pad>", "x"]
 
 
@@ -325,7 +325,7 @@ def test_legacy_format_is_rejected_with_its_version(tmp_path, capsys, checkpoint
 
 def test_format_3_stores_one_matrix_per_role(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
-    manifest = read_manifest(tmp_path / "ckpt")
+    manifest = read_manifest(tmp_path / "ckpt", None)
     assert manifest["format_version"] == FORMAT_VERSION == 3
     shapes = {e["name"]: e["shape"] for e in manifest["tensors"]}
     assert shapes["dec0.self_attn.wq"] == shapes["dec0.self_attn.wo"] == [8, 8]

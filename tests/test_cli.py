@@ -28,6 +28,11 @@ TINY_TRAIN = ["--d-model", "16", "--n-heads", "2", "--epochs", "1"]
 NOT_UTF8 = b"\xff\xfe"   # prefixed to a file's bytes, they are no longer UTF-8
 
 
+def _generate_provenance(out) -> Path:
+    """The provenance record ``generate --out out`` writes beside ``out``."""
+    return Path(f"{out}.provenance.json")
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run synth-data -> prepare-data -> train -> generate once, share outputs."""
@@ -374,7 +379,7 @@ class TestTrainGenerate:
                      "--temperature", "0", "--seed", "1"]) == 3
 
     def test_provenance_records_generation_statistics(self, pipeline):
-        stats = json.loads((pipeline["root"] / "provenance.json").read_text())["generation"]
+        stats = json.loads(_generate_provenance(pipeline["hyp"]).read_text())["generation"]
         lines = pipeline["hyp"].read_text().splitlines()
         assert stats["reports"] == len(lines)
         assert stats["empty_reports"] == lines.count("")
@@ -453,14 +458,14 @@ class TestTrainGenerate:
         params["classifier.b"].data[END_ID] += 50.0
         end_first = tmp_path / "end_first"
         save_checkpoint(params, cfg, end_first,
-                        extra=read_manifest(pipeline["run"] / "best")["extra"])
+                        extra=read_manifest(pipeline["run"] / "best", None)["extra"])
         hyp = tmp_path / "gen" / "hyp.txt"
         assert main(["generate", "--checkpoint", str(end_first), "--data", str(pipeline["prep"]),
                      "--subset", "0", "--split", "test", "--out", str(hyp),
                      "--temperature", "0", "--seed", "1"]) == 0
         lines = hyp.read_text().splitlines()
         assert lines and all(line == "" for line in lines)
-        stats = json.loads((hyp.parent / "provenance.json").read_text())["generation"]
+        stats = json.loads(_generate_provenance(hyp).read_text())["generation"]
         assert stats["empty_reports"] == stats["reports"] == len(lines)
         out = tmp_path / "report.json"
         assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(pipeline["ref"]),
@@ -552,7 +557,7 @@ class TestTrainGenerate:
         _, cfg = load_checkpoint(pipeline["run"] / "best")
         wide = dataclasses.replace(cfg, feature_dim=24)
         save_checkpoint(init_parameters(wide, seed=0), wide, tmp_path / "ckpt",
-                        extra=read_manifest(pipeline["run"] / "best")["extra"])
+                        extra=read_manifest(pipeline["run"] / "best", None)["extra"])
         hyp = tmp_path / "hyp.txt"
         assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(prep),
                      "--out", str(hyp)]) == 2
@@ -565,7 +570,7 @@ class TestTrainGenerate:
         ``demographic_fields`` list beside the codec; such a checkpoint still
         loads and decodes exactly as without them."""
         params, cfg = load_checkpoint(pipeline["run"] / "best")
-        extra = read_manifest(pipeline["run"] / "best")["extra"]
+        extra = read_manifest(pipeline["run"] / "best", None)["extra"]
         extra["codec"]["strict"] = True
         extra["demographic_fields"] = ["gender", "age", "ethnicity"]
         save_checkpoint(params, cfg, tmp_path / "ckpt", extra=extra)
@@ -613,11 +618,13 @@ class TestTrainGenerate:
         monkeypatch.setattr(builtins, "open", recording_open)
         assert main(argv) == 0
         monkeypatch.undo()
-        inputs = json.loads((out / "provenance.json").read_text())["inputs"]
+        record = _generate_provenance(out / "hyp.txt") if command == "generate" \
+            else out / "provenance.json"
+        inputs = json.loads(record.read_text())["inputs"]
         assert sorted(Path(path).name for path in inputs) == {
             "prepare-data": ["dataset.jsonl"],
             "train": ["cleaned.jsonl", "demographics.json", "subset_0.json", "vocab.txt"],
-            "generate": ["cleaned.jsonl", "params.bin", "subset_0.json"],
+            "generate": ["cleaned.jsonl", "manifest.json", "params.bin", "subset_0.json"],
         }[command]
         for path, digest in inputs.items():
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -633,8 +640,13 @@ class TestTrainGenerate:
                              "--data", str(prep), "--temperature", "0"]}[command]
 
         def recorded_digest(out):
-            assert main([*argv, "--out", str(out if command == "train" else out / "hyp.txt")]) == 0
-            return json.loads((out / "provenance.json").read_text())["inputs"][str(split_path)]
+            if command == "train":
+                assert main([*argv, "--out", str(out)]) == 0
+                record = out / "provenance.json"
+            else:
+                assert main([*argv, "--out", str(out / "hyp.txt")]) == 0
+                record = _generate_provenance(out / "hyp.txt")
+            return json.loads(record.read_text())["inputs"][str(split_path)]
 
         before = recorded_digest(tmp_path / "before")
         manifest = json.loads(split_path.read_text())
@@ -642,6 +654,63 @@ class TestTrainGenerate:
         split_path.write_text(json.dumps(manifest))
         after = recorded_digest(tmp_path / "after")
         assert before != after == hashlib.sha256(split_path.read_bytes()).hexdigest()
+
+    def test_an_edited_checkpoint_vocabulary_changes_the_manifest_digest(self, pipeline,
+                                                                         tmp_path):
+        """generate parses the vocabulary from ``manifest.json``, so the
+        manifest's digest is one of its inputs."""
+        checkpoint = tmp_path / "best"
+        shutil.copytree(pipeline["run"] / "best", checkpoint)
+        manifest_path = checkpoint / "manifest.json"
+
+        def recorded_digest(out):
+            assert main(["generate", "--checkpoint", str(checkpoint),
+                         "--data", str(pipeline["prep"]), "--temperature", "0",
+                         "--out", str(out)]) == 0
+            digest = json.loads(_generate_provenance(out).read_text())["inputs"][
+                str(manifest_path)]
+            assert digest == hashlib.sha256(manifest_path.read_bytes()).hexdigest()
+            return digest
+
+        before = recorded_digest(tmp_path / "before.txt")
+        manifest = json.loads(manifest_path.read_text())
+        vocab = manifest["extra"]["vocab"]
+        vocab[len(vocab) // 2] = "edited-token"
+        manifest_path.write_text(json.dumps(manifest))
+        assert recorded_digest(tmp_path / "after.txt") != before
+
+    def test_generate_into_the_training_directory_keeps_its_provenance(self, pipeline,
+                                                                       tmp_path):
+        """Each generate writes ``<out>.provenance.json``: the run's
+        ``provenance.json`` and every other generate's record are kept."""
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(pipeline["prep"]), "--out", str(run),
+                     *TINY_TRAIN]) == 0
+        for name, temperature in (("greedy.txt", "0"), ("sampled.txt", "0.5")):
+            assert main(["generate", "--checkpoint", str(run / "best"),
+                         "--data", str(pipeline["prep"]), "--out", str(run / name),
+                         "--temperature", temperature]) == 0
+        assert json.loads((run / "provenance.json").read_text())["command"] == "train"
+        for name, temperature in (("greedy.txt", 0.0), ("sampled.txt", 0.5)):
+            record = json.loads(_generate_provenance(run / name).read_text())
+            assert record["command"] == "generate"
+            assert record["options"]["out"] == str(run / name)
+            assert record["options"]["temperature"] == temperature
+
+    def test_generate_on_an_empty_split_is_usage_error(self, pipeline, tmp_path, capsys):
+        """A subset of 5 reports has no test split: generate writes nothing
+        rather than an empty-line file that evaluate would reject."""
+        prep = tmp_path / "prep"
+        assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
+                     "--out", str(prep), "--subset-size", "5"]) == 0
+        assert json.loads((prep / "splits" / "subset_0.json").read_text())["test_ids"] == []
+        out = tmp_path / "gen"
+        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                     "--data", str(prep), "--subset", "0", "--split", "test",
+                     "--out", str(out / "hyp.txt"), "--refs-out", str(out / "ref.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "the test split of subset 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("spoil, message", [
         (lambda extra: {**extra, "vocab": extra["vocab"][1:]}, "reserved tokens"),
@@ -672,7 +741,7 @@ class TestTrainGenerate:
         """The vocabulary and the codec a checkpoint embeds are checked against
         its model before any report is decoded."""
         params, cfg = load_checkpoint(pipeline["run"] / "best")
-        extra = read_manifest(pipeline["run"] / "best")["extra"]
+        extra = read_manifest(pipeline["run"] / "best", None)["extra"]
         save_checkpoint(params, cfg, tmp_path / "ckpt", extra=spoil(extra))
         hyp = tmp_path / "hyp.txt"
         assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
@@ -1060,7 +1129,7 @@ class TestGenerateProperty:
                 return
             assert self._generate(pipeline, options, runs[1]) == (0, "")
             hyps = [(run / "hyp.txt").read_bytes() for run in runs]
-            stats = [json.loads((run / "provenance.json").read_text())["generation"]
+            stats = [json.loads(_generate_provenance(run / "hyp.txt").read_text())["generation"]
                      for run in runs]
         assert hyps[0] == hyps[1]
         assert stats[0] == stats[1]

@@ -548,13 +548,50 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.backward(Tensor(1.0))
 
-    def test_repeated_backward_accumulates(self):
+    @staticmethod
+    def _square():
         x = Tensor([2.0, 3.0], requires_grad=True)
-        loss = oracles.sum_all(oracles.mul(x, x))
+        return oracles.sum_all(oracles.mul(x, x)), [x]
+
+    @staticmethod
+    def _dense_relu_cross_entropy():
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=6), requires_grad=True)
+        hidden = T.linear(x, w, b, relu=True)
+        assert (hidden.data == 0).any() and (hidden.data > 0).any()
+        loss = T.sparse_cross_entropy(hidden, [0, 5, 2, 1, 3], [True, True, False, True, True])
+        return loss, [x, w, b]
+
+    @staticmethod
+    def _attention():
+        rng = np.random.default_rng(4)
+        q, k, v = (Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(3))
+        mask = np.tril(np.ones((2, 3, 3), dtype=bool))
+        out = T.multi_head_attention(q, k, v, 2, mask)
+        return oracles.sum_all(oracles.mul(out, out)), [q, k, v]
+
+    @staticmethod
+    def _embedding():
+        table = Tensor(np.random.default_rng(5).normal(size=(5, 4)), requires_grad=True)
+        out = T.embedding(table, [[2, 0, 3], [2, 2, 1]], T.sinusoidal_positions(3, 4))
+        return oracles.sum_all(oracles.mul(out, out)), [table]
+
+    @pytest.mark.parametrize("build", ["_square", "_dense_relu_cross_entropy", "_attention",
+                                       "_embedding"],
+                             ids=["square", "linear-relu-cross-entropy", "attention",
+                                  "embedding"])
+    def test_repeated_backward_accumulates(self, build):
+        """A second backward over the same tape adds exactly the first
+        gradient again: no backward rule writes into an array its forward
+        kept."""
+        loss, leaves = getattr(self, build)()
         T.backward(loss)
-        first = x.grad.copy()
+        first = [leaf.grad.copy() for leaf in leaves]
         T.backward(loss)
-        np.testing.assert_allclose(x.grad, 2 * first)
+        for leaf, grad in zip(leaves, first):
+            assert np.array_equal(leaf.grad, grad + grad)
 
     def test_shared_input_used_twice(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
