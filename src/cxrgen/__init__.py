@@ -9,11 +9,10 @@ from .data import (CorpusSpec, DataPoint, SplitManifest, default_corpus_spec,
                    sample_subsets, split, synthesize_corpus)
 from .metrics import (Corpus, EmbeddingTable, EvaluationReport, TTestResult, bleu,
                       embedding_f1, evaluate_corpus, paired_t_test)
-from .model import (ModelConfig, decoder_forward, encode_inputs, fuse_visual_semantic,
-                    generate, init_parameters, parameter_shapes, semantic_encode,
-                    visual_encode)
+from .model import (ModelConfig, decoder_forward, encode_inputs, generate, init_parameters,
+                    parameter_shapes)
 from .optim import Adam
-from .tensor import Tensor, backward, no_grad, reset_graph
+from .tensor import Tensor, backward, reset_graph
 from .text import (CleanReport, RawReport, Rejected, StandardizationMap, Vocabulary,
                    build_vocabulary, clean_report, decode_ids, encode_tokens)
 from .training import TrainConfig, TrainLog, encode_examples, evaluate_loss, fit, train_step

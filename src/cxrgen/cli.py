@@ -30,7 +30,10 @@ at ``\n``, ``\r\n`` or ``\r`` only.
 the variant it trains, or null for the image-only model, in the checkpoint
 with the vocabulary. ``generate`` takes both from the checkpoint's
 ``manifest.json``, which its provenance records with ``params.bin``, and
-reads only ``cleaned.jsonl`` and the split manifest from ``--data``.
+reads only ``cleaned.jsonl`` and the split manifest from ``--data``. It
+creates the parent directories of ``--out`` and ``--refs-out``, then writes
+the references, the hypotheses and its provenance record, in that order, so
+a reference path it cannot open leaves neither of the other two.
 
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
@@ -365,7 +368,8 @@ def cmd_generate(args) -> int:
                           "is empty: there is no report to generate")
     selected = _split_points(points, ids)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (args.out, args.refs_out)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     hyp_lines = []
     ref_lines = []
     generated = []
@@ -376,9 +380,9 @@ def cmd_generate(args) -> int:
         generated.append(token_ids)
         hyp_lines.append(" ".join(decode_ids(token_ids, vocab)))
         ref_lines.append(" ".join(point.report.interior))
-    write_lines(out, hyp_lines)
-    if args.refs_out:
+    if args.refs_out:   # first, so a reference path that cannot be written leaves no hyp.txt
         write_lines(args.refs_out, ref_lines)
+    write_lines(out, hyp_lines)
     _write_provenance(out.with_name(out.name + ".provenance.json"), "generate", {
         "checkpoint": str(args.checkpoint),
         "data": str(args.data),

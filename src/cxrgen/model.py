@@ -29,10 +29,20 @@ With the loss's cross-entropy and its scale, a one-block model records 25
 entries, or 21 without demographics; dropout adds one entry per site when
 its rate is positive.
 
+The network is written once. ``_encode`` is the encoder and ``_decode``
+the decoder blocks plus the classifier, each over an op set: training
+passes the ``cxrgen.tensor`` module, whose ops record on the tape, and
+inference passes ``_ARRAYS``, the same ops' forward arithmetic on plain
+arrays (``tensor._dense``, ``tensor._normalize`` of a sum, ``@`` and
+``np.repeat``). Self-attention is the one layer the two paths run
+differently, so ``_decode`` takes it as a callable: ``decoder_forward``
+hands it ``tensor.multi_head_attention`` under the causal and key-pad
+mask, and ``DecodeCache`` its own ``_attend``.
+
 Dropout runs exactly when a forward function is handed a dropout ``rng``:
-the encoder, the fusion block and the decoder take no separate training
-flag. ``training.batch_loss`` is the one caller that passes an rng, and
-only for a training step; evaluation passes none.
+the encoder and the decoder take no separate training flag.
+``training.batch_loss`` hands one to the model for a training step;
+validation and generation run on arrays and hand none.
 
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
@@ -40,27 +50,25 @@ length L as a [B*L x d] stream, with self-attention scores of shape
 [B x H x L x L] under causal and key-pad masks. A single sequence is the case
 B = 1.
 
-Generation runs on plain numpy arrays from the features to the ids. The
-encoder runs the array arithmetic of ``encode_inputs`` (``tensor._dense``
-and ``_normalize``) with the same checks, and no ``Tensor`` op. Under the
-causal mask the keys and values of earlier positions never change, so
-``generate`` then feeds a ``DecodeCache`` only the last chosen id. The
-cache holds one preallocated [B x max_len x d] K row buffer and one V row
-buffer per self-attention block, into which each step writes its rows in
-place, plus the key-keep buffer and each block's cross-attention row (which
-depends only on the hybrid representation), all made once, and the causal
-mask, made once per ``max_len``. The new position's scores are
-[B x H x 1 x (t+1)], over a view of the t cached keys and its own, and the
-classifier runs on that one row. Until a pad id is decoded every one of
-those keys is allowed, so the step builds no mask; from a pad on, and for a
-step of several positions, it applies the causal and key-pad rule. A step
-runs the same array arithmetic as the tensor ops (``tensor._dense``,
-``_normalize``, ``_attend`` and ``_embed``) in the same order, but wraps no
-``Tensor`` and records nothing; the encoder's rows equal ``encode_inputs``'s
-bit for bit, and a step's logits match ``decoder_forward``'s on the whole
-prefix to float rounding. Greedy decoding builds no random generator.
-``decoder_forward`` always runs whole sequences from position 0; that is
-how training and evaluation run.
+Validation and generation run on plain numpy arrays from the features to
+the logits: ``_encode_arrays`` runs ``_encode`` with ``encode_inputs``'s
+checks, and a ``DecodeCache`` runs ``_decode``, building no ``Tensor`` op
+and recording nothing. Validation feeds a fresh cache each whole [B x L]
+batch in one step. Under the causal mask the keys and values of earlier
+positions never change, so ``generate`` feeds its cache only the last
+chosen id. The cache holds one preallocated [B x max_len x d] K row buffer
+and one V row buffer per self-attention block, into which each step writes
+its rows in place, plus the key-keep buffer and each block's
+cross-attention row (which depends only on the hybrid representation) and
+weights, all made once, and the causal mask, made once per ``max_len``.
+The new position's scores are [B x H x 1 x (t+1)], over a view of the t
+cached keys and its own, and the classifier runs on that one row. Until a
+pad id is decoded every one of those keys is allowed, so the step builds no
+mask; from a pad on, and for a step of several positions, it applies the
+causal and key-pad rule. The array encoder's rows equal ``encode_inputs``'s
+bit for bit, a whole-batch step's logits equal ``decoder_forward``'s, and a
+one-position step's match them on the whole prefix to float rounding.
+Greedy decoding builds no random generator.
 
 Multi-head attention is ``Concat(head_1..head_H) @ wo + bo`` (Vaswani et
 al. 2017, section 3.2.2), with one [d x d] matrix per role: head h's query,
@@ -85,6 +93,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -246,29 +255,24 @@ def check_parameters(params: dict[str, Tensor], cfg: ModelConfig) -> None:
             )
 
 
-def _linear(x: Tensor, params, prefix: str, relu: bool = False) -> Tensor:
-    return T.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"], relu=relu)
-
-
-def _multi_head_attention(params, prefix: str, cfg: ModelConfig, keyvalue: Tensor,
-                          mask=None) -> Tensor:
-    # without a mask, each keyvalue row is the one key of its own attention:
-    # its softmax weight is exactly 1, so each head returns its value
-    # projection. With a mask, this is self-attention: the rows are B
-    # sequences of L positions, mask is their [B x L x L] mask, and each head
-    # attends per sequence.
-    attended = T.matmul(keyvalue, params[f"{prefix}.wv"])
-    if mask is not None:
-        q = T.matmul(keyvalue, params[f"{prefix}.wq"])
-        k = T.matmul(keyvalue, params[f"{prefix}.wk"])
-        attended = T.multi_head_attention(q, k, attended, cfg.n_heads, mask)
-    return T.linear(attended, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-
-
-def _maybe_dropout(x: Tensor, cfg: ModelConfig, rng) -> Tensor:
+def _maybe_dropout(x, cfg: ModelConfig, rng):
     if rng is not None and cfg.dropout_rate > 0.0:
         return T.dropout(x, cfg.dropout_rate, rng)
     return x
+
+
+# The ops of ``cxrgen.tensor`` that the forward definitions below use, as
+# their forward arithmetic on plain arrays. Inference hands no dropout rng,
+# so dropout is the identity and this set needs none.
+_ARRAYS = SimpleNamespace(
+    matmul=np.matmul, add=np.add, linear=T._dense,
+    layer_norm=lambda x, gain, bias: T._normalize(x, gain, bias)[0],
+    add_layer_norm=lambda x, residual, gain, bias: T._normalize(x + residual, gain, bias)[0],
+    repeat_rows=lambda x, times: x.repeat(times, axis=0))
+
+
+def _arrays(params) -> dict[str, np.ndarray]:
+    return {name: tensor.data for name, tensor in params.items()}
 
 
 def _rows(values, width: int, what: str) -> Tensor:
@@ -283,40 +287,43 @@ def _rows(values, width: int, what: str) -> Tensor:
     return Tensor(rows)
 
 
-def visual_encode(features, params, cfg: ModelConfig, rng=None) -> Tensor:
-    """Image feature vectors [B x F] (or one [F]) -> normalized [B x d_model] rows;
-    dropout runs when ``rng`` is given."""
+def _encoder_rows(features, demo, cfg: ModelConfig):
+    """The checked [B x F] feature rows and [B x D] demographic rows (None
+    for an image-only model) of the encoder, as tensors."""
     x = _rows(features, cfg.feature_dim, "image feature vectors")
-    x = T.layer_norm(x, params["visual.feat_norm.gain"], params["visual.feat_norm.bias"])
-    h = _linear(x, params, "visual.ff", relu=True)
-    attended = _multi_head_attention(params, "visual.attn", cfg, h)
-    attended = _maybe_dropout(attended, cfg, rng)
-    return T.add_layer_norm(h, attended, params["visual.norm.gain"], params["visual.norm.bias"])
-
-
-def semantic_encode(demo, params, cfg: ModelConfig) -> Tensor:
-    """Demographic vectors [B x D] (or one [D]) -> [B x d_model] semantic rows."""
     if not cfg.uses_demographics:
-        raise ContractError("this configuration has no semantic unit (demographic_dim=0)")
-    return _linear(_rows(demo, cfg.demographic_dim, "demographic vectors"),
-                   params, "semantic.fc")
+        return x, None
+    if demo is None:
+        raise ContractError("this configuration requires a demographic vector")
+    demo = _rows(demo, cfg.demographic_dim, "demographic vectors")
+    if demo.shape[0] != x.shape[0]:
+        raise ShapeError(f"fusion expects one demographic row per feature row, got "
+                         f"{x.shape[0]} feature rows and {demo.shape[0]} demographic rows")
+    return x, demo
 
 
-def _check_fusion(visual_shape, semantic_shape, cfg: ModelConfig) -> None:
-    if len(visual_shape) != 2 or visual_shape[1] != cfg.d_model \
-            or semantic_shape != visual_shape:
-        raise ShapeError(f"fusion expects two [B x {cfg.d_model}] inputs, got "
-                         f"{tuple(visual_shape)} and {tuple(semantic_shape)}")
+def _single_key(ops, params, prefix: str, keyvalue):
+    """Attention of each row over its one key row ``keyvalue``: the softmax
+    weight is exactly 1, so it is ``(keyvalue @ wv) @ wo + bo``."""
+    return ops.linear(ops.matmul(keyvalue, params[f"{prefix}.wv"]),
+                      params[f"{prefix}.wo"], params[f"{prefix}.bo"], False)
 
 
-def fuse_visual_semantic(visual: Tensor, semantic: Tensor, params, cfg: ModelConfig,
-                         rng=None) -> Tensor:
-    """Attend from each visual row over the semantic row of the same example."""
-    _check_fusion(visual.shape, semantic.shape, cfg)
-    attended = _multi_head_attention(params, "fusion.attn", cfg, semantic)
-    attended = _maybe_dropout(attended, cfg, rng)
-    return T.add_layer_norm(visual, attended,
-                            params["fusion.norm.gain"], params["fusion.norm.bias"])
+def _encode(x, demo, params, cfg: ModelConfig, ops, rng):
+    """The encoder over the op set ``ops``: the [B x F] feature rows ``x``
+    and the [B x D] demographic rows ``demo`` (None for an image-only model)
+    -> the [B x d_model] hybrid rows."""
+    x = ops.layer_norm(x, params["visual.feat_norm.gain"], params["visual.feat_norm.bias"])
+    h = ops.linear(x, params["visual.ff.w"], params["visual.ff.b"], True)
+    attended = _maybe_dropout(_single_key(ops, params, "visual.attn", h), cfg, rng)
+    visual = ops.add_layer_norm(h, attended, params["visual.norm.gain"],
+                                params["visual.norm.bias"])
+    if demo is None:
+        return visual
+    semantic = ops.linear(demo, params["semantic.fc.w"], params["semantic.fc.b"], False)
+    attended = _maybe_dropout(_single_key(ops, params, "fusion.attn", semantic), cfg, rng)
+    return ops.add_layer_norm(visual, attended, params["fusion.norm.gain"],
+                              params["fusion.norm.bias"])
 
 
 def encode_inputs(features, demo, params, cfg: ModelConfig, rng=None) -> Tensor:
@@ -326,40 +333,15 @@ def encode_inputs(features, demo, params, cfg: ModelConfig, rng=None) -> Tensor:
     hybrid representation is [B x d_model]. Dropout runs when ``rng`` is
     given.
     """
-    visual = visual_encode(features, params, cfg, rng=rng)
-    if not cfg.uses_demographics:
-        return visual
-    if demo is None:
-        raise ContractError("this configuration requires a demographic vector")
-    semantic = semantic_encode(demo, params, cfg)
-    return fuse_visual_semantic(visual, semantic, params, cfg, rng=rng)
-
-
-def _single_key(arrays, prefix: str, keyvalue: np.ndarray) -> np.ndarray:
-    """``_multi_head_attention`` without a mask, on the parameter ``arrays``."""
-    return T._dense(keyvalue @ arrays[f"{prefix}.wv"], arrays[f"{prefix}.wo"],
-                    arrays[f"{prefix}.bo"], False)
+    return _encode(*_encoder_rows(features, demo, cfg), params, cfg, T, rng)
 
 
 def _encode_arrays(features, demo, params, cfg: ModelConfig) -> np.ndarray:
-    """``encode_inputs(features, demo, params, cfg).data`` bit for bit: the
-    same checks and the same array arithmetic in the same order, on the
-    parameters' arrays, with no ``Tensor`` op and no dropout."""
-    arrays = {name: tensor.data for name, tensor in params.items()}
-    x = _rows(features, cfg.feature_dim, "image feature vectors").data
-    x = T._normalize(x, arrays["visual.feat_norm.gain"], arrays["visual.feat_norm.bias"])[0]
-    h = T._dense(x, arrays["visual.ff.w"], arrays["visual.ff.b"], True)
-    visual = T._normalize(h + _single_key(arrays, "visual.attn", h),
-                          arrays["visual.norm.gain"], arrays["visual.norm.bias"])[0]
-    if not cfg.uses_demographics:
-        return visual
-    if demo is None:
-        raise ContractError("this configuration requires a demographic vector")
-    semantic = T._dense(_rows(demo, cfg.demographic_dim, "demographic vectors").data,
-                        arrays["semantic.fc.w"], arrays["semantic.fc.b"], False)
-    _check_fusion(visual.shape, semantic.shape, cfg)
-    return T._normalize(visual + _single_key(arrays, "fusion.attn", semantic),
-                        arrays["fusion.norm.gain"], arrays["fusion.norm.bias"])[0]
+    """``encode_inputs(features, demo, params, cfg).data`` bit for bit, run
+    on the parameters' arrays with no ``Tensor`` op and no dropout."""
+    x, demo = _encoder_rows(features, demo, cfg)
+    return _encode(x.data, None if demo is None else demo.data, _arrays(params), cfg,
+                   _ARRAYS, None)
 
 
 @functools.cache
@@ -368,6 +350,42 @@ def _causal_mask(length: int) -> np.ndarray:
     mask = np.tri(length, dtype=bool)
     mask.flags.writeable = False
     return mask
+
+
+_BLOCK_WEIGHTS = ("self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
+                  "self_attn.bo", "norm1.gain", "norm1.bias", "norm2.gain", "norm2.bias",
+                  "ff.w", "ff.b")
+
+
+def _blocks(hybrid, params, cfg: ModelConfig, ops) -> list[tuple]:
+    """Per decoder block, its [B x d] cross-attention rows over the
+    ``hybrid`` rows, then its weights in ``_BLOCK_WEIGHTS`` order."""
+    return [(_single_key(ops, params, f"dec{i}.cross_attn", hybrid),
+             *(params[f"dec{i}.{name}"] for name in _BLOCK_WEIGHTS))
+            for i in range(cfg.n_decoder_blocks)]
+
+
+def _decode(x, blocks, params, cfg: ModelConfig, ops, attend, rng):
+    """The decoder blocks and the classifier over the op set ``ops``: the
+    [B*L x d] embedded rows ``x`` of B sequences -> [B*L x V] logits.
+
+    ``blocks`` is ``_blocks``'s list, and ``attend(i, q, k, v)`` runs block
+    i's self-attention over the [B*L x d] Q, K and V rows.
+    """
+    length = x.shape[0] // blocks[0][0].shape[0]
+    x = _maybe_dropout(x, cfg, rng)
+    for i, (cross, wq, wk, wv, wo, bo, gain1, bias1, gain2, bias2, ff_w,
+            ff_b) in enumerate(blocks):
+        v = ops.matmul(x, wv)   # V, Q, K: the order of the products on the tape
+        q = ops.matmul(x, wq)
+        attended = ops.linear(attend(i, q, ops.matmul(x, wk), v), wo, bo, False)
+        x = ops.add_layer_norm(x, _maybe_dropout(attended, cfg, rng), gain1, bias1)
+        # every position attends to its sequence's one hybrid row: the [B x d]
+        # result is computed once and row b repeated for its L stream rows
+        x = ops.add_layer_norm(x, _maybe_dropout(ops.repeat_rows(cross, length), cfg, rng),
+                               gain2, bias2)
+        x = ops.add(x, _maybe_dropout(ops.linear(x, ff_w, ff_b, True), cfg, rng))
+    return ops.linear(x, params["classifier.w"], params["classifier.b"], False)
 
 
 def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
@@ -392,24 +410,11 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
     table = params["embed.table"]
     positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, table.data.dtype)
     x = T.embedding(table, ids, positions[:length])
-    cross = [_multi_head_attention(params, f"dec{i}.cross_attn", cfg, hybrid)
-             for i in range(cfg.n_decoder_blocks)]
+    blocks = _blocks(hybrid, params, cfg, T)
     # position t may attend to its sequence's kept positions <= t
     mask = _causal_mask(cfg.max_len)[:length, :length] & (ids != PAD_ID)[:, None, :]
-    x = _maybe_dropout(x, cfg, rng)
-    for i in range(cfg.n_decoder_blocks):
-        attended = _multi_head_attention(params, f"dec{i}.self_attn", cfg, x, mask)
-        attended = _maybe_dropout(attended, cfg, rng)
-        x = T.add_layer_norm(x, attended,
-                             params[f"dec{i}.norm1.gain"], params[f"dec{i}.norm1.bias"])
-        # every position attends to its sequence's one hybrid row: the [B x d]
-        # result is computed once and row b repeated for its L stream rows
-        x = T.add_layer_norm(x, _maybe_dropout(T.repeat_rows(cross[i], length), cfg, rng),
-                             params[f"dec{i}.norm2.gain"], params[f"dec{i}.norm2.bias"])
-        ff = _linear(x, params, f"dec{i}.ff", relu=True)
-        ff = _maybe_dropout(ff, cfg, rng)
-        x = T.add(x, ff)
-    return _linear(x, params, "classifier")
+    return _decode(x, blocks, params, cfg, T,
+                   lambda i, q, k, v: T.multi_head_attention(q, k, v, cfg.n_heads, mask), rng)
 
 
 class DecodeCache:
@@ -421,46 +426,44 @@ class DecodeCache:
     to the rows ``decoder_forward`` gives those positions on the whole
     prefix. The cache holds a [B x max_len] key-keep buffer (ids != PAD_ID),
     the shared read-only [max_len x max_len] causal mask, each decoder
-    block's [B x d] cross-attention row, and per block one [B x max_len x d]
-    K row buffer and one V row buffer; a step writes its positions' rows in
-    place and attends over a view of the first ``length``. A one-position
-    step of sequences that hold no pad id, the whole of a report that
-    ``generate`` decodes until it emits a pad, may attend to every cached
-    key: it builds no mask and leaves the keep buffer, which starts all
-    True, as it is. A step of several positions, or one at or after a pad,
-    writes the keep buffer and attends under the causal and key-pad mask.
+    block's [B x d] cross-attention row and weights, and per block one
+    [B x max_len x d] K row buffer and one V row buffer. A step runs
+    ``_decode`` on the arrays; its self-attention (``_attend``) writes the
+    step's K and V rows in place and attends over a view of the first
+    ``length``. A one-position step of sequences that hold no pad id, the
+    whole of a report that ``generate`` decodes until it emits a pad, may
+    attend to every cached key: it builds no mask and leaves the keep
+    buffer, which starts all True, as it is. A step of several positions,
+    or one at or after a pad, writes the keep buffer and attends under the
+    causal and key-pad mask.
     """
 
     def __init__(self, hybrid: np.ndarray, params, cfg: ModelConfig):
         n_seq = hybrid.shape[0]
-        arrays = {name: tensor.data for name, tensor in params.items()}
-        self.n_heads = cfg.n_heads
-        self.length = 0         # positions decoded so far
+        self.cfg = cfg
+        self.arrays = _arrays(params)
+        self.start = self.length = 0   # the last step decoded positions start .. length - 1
+        self.mask = None        # its attention mask, None when every key is allowed
         self.keep = np.ones((n_seq, cfg.max_len), dtype=bool)
         self.padded = False     # whether a pad id has been decoded
         self.causal = _causal_mask(cfg.max_len)
-        self.table = arrays["embed.table"]
+        self.table = self.arrays["embed.table"]
         self.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, self.table.dtype)
         self.keys = [np.empty((n_seq, cfg.max_len, cfg.d_model), dtype=self.table.dtype)
                      for _ in range(cfg.n_decoder_blocks)]
         self.values = [np.empty_like(keys) for keys in self.keys]
-        self.blocks = []        # per decoder block: its cross-attention row, then its weights
-        for i in range(cfg.n_decoder_blocks):
-            cross = _single_key(arrays, f"dec{i}.cross_attn", hybrid)
-            self.blocks.append((cross, *(arrays[f"dec{i}.{name}"] for name in (
-                "self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
-                "self_attn.bo", "norm1.gain", "norm1.bias", "norm2.gain", "norm2.bias",
-                "ff.w", "ff.b"))))
-        self.classifier = arrays["classifier.w"], arrays["classifier.b"]
+        self.blocks = _blocks(hybrid, self.arrays, cfg, _ARRAYS)
 
     def step(self, ids: np.ndarray) -> np.ndarray:
         """[B*L x V] logits for the int64 [B x L] ``ids`` that follow the
         positions decoded so far.
 
-        The ids are not range-checked: ``generate`` makes them. A sequence
-        whose first id is ``PAD_ID`` is a ``ContractError``, since that
-        position would have no key to attend to; every later position can
-        attend to position 0, so the first step is the only one checked.
+        The ids are not range-checked: callers pass ids in
+        ``[0, vocab_size)``. ``generate`` makes them, and ``evaluate_loss``
+        checks them before the step. A sequence whose first id is ``PAD_ID``
+        is a ``ContractError``, since that position would have no key to
+        attend to; every later position can attend to position 0, so the
+        first step is the only one checked.
         """
         n_seq, length = ids.shape
         start, total = self.length, self.length + length
@@ -480,19 +483,18 @@ class DecodeCache:
             self.padded = self.padded or not keep.all()
             # position start + j may attend to its sequence's kept positions <= start + j
             mask = self.causal[start:total, :total] & self.keep[:, None, :total]
-        self.length = total
+        self.start, self.length, self.mask = start, total, mask
         x = T._embed(self.table, ids, self.positions[start:total])
-        for keys, values, (cross, wq, wk, wv, wo, bo, gain1, bias1, gain2, bias2, ff_w,
-                           ff_b) in zip(self.keys, self.values, self.blocks):
-            v = x @ wv
-            keys[:, start:total] = (x @ wk).reshape(n_seq, length, -1)
-            values[:, start:total] = v.reshape(n_seq, length, -1)
-            attended = T._attend(x @ wq, keys[:, :total], values[:, :total], self.n_heads,
-                                 mask)[0]
-            x = T._normalize(x + T._dense(attended, wo, bo, False), gain1, bias1)[0]
-            x = T._normalize(x + cross.repeat(length, axis=0), gain2, bias2)[0]
-            x = x + T._dense(x, ff_w, ff_b, True)
-        return T._dense(x, *self.classifier, False)
+        return _decode(x, self.blocks, self.arrays, self.cfg, _ARRAYS, self._attend, None)
+
+    def _attend(self, i: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Block i's self-attention: write the step's K and V rows into its
+        buffers, then attend over a view of every row held so far."""
+        keys, values = self.keys[i], self.values[i]
+        n_seq, start, total = keys.shape[0], self.start, self.length
+        keys[:, start:total] = k.reshape(n_seq, total - start, -1)
+        values[:, start:total] = v.reshape(n_seq, total - start, -1)
+        return T._attend(q, keys[:, :total], values[:, :total], self.cfg.n_heads, self.mask)[0]
 
 
 def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,

@@ -9,10 +9,10 @@ mask, dropout). Values are stored as row-major 32-bit floats by default; a
 64-bit mode exists for numerical verification (finite-difference gradient
 checks are meaningless in single precision).
 
-Most operations take rank-2 ``[rows x width]`` tensors; ``matmul`` also
-takes stacks ``[... x rows x width]`` of equal leading dimensions. A layer
-the model runs many times is one fused op with a hand-written backward rule
-rather than a chain of small ops: ``linear`` is a product plus its bias,
+The operations take rank-2 ``[rows x width]`` tensors; ``matmul`` takes
+exactly two, as no layer needs a stack of products. A layer the model runs
+many times is one fused op with a hand-written backward rule rather than a
+chain of small ops: ``linear`` is a product plus its bias,
 and its ReLU when asked; ``add_layer_norm`` is a residual sum and the layer
 norm after it, sharing ``layer_norm``'s forward and backward rule;
 ``embedding`` gathers rows and adds each position's row, and scatters its
@@ -23,14 +23,16 @@ the weighted values of all heads, then merges the heads back into rows, as
 one tape entry. Each backward rule runs the same arithmetic, in the same
 order, as the chain of separate ops it replaced (kept in the test suite as
 the reference), so the fused ops are bit-identical to it. The forward
-arithmetic of these four ops is written once, as private functions on plain
-arrays (``_dense``, ``_normalize``, ``_embed`` and ``_attend``) that the ops
-call and that ``model.generate`` calls to encode and decode without a tape.
+arithmetic of these four ops and of the cross-entropy is written once, as
+private functions on plain arrays (``_dense``, ``_normalize``, ``_embed``,
+``_attend`` and ``_cross_entropy``) that the ops call and that the model's
+array path calls to validate and generate without a tape.
 
 Forward operations append ``(inputs, output, vjp)`` tuples to a
-module-level list, the tape; an array that only the backward pass reads is
-built inside the backward rule, so a forward under ``no_grad`` builds none.
-``backward(loss)`` replays the tape in strict reverse recording order and
+module-level list, the tape, whenever an input requires a gradient; there
+is no switch that turns recording off, since inference runs on plain arrays.
+An array that only the backward pass reads is built inside the backward
+rule. ``backward(loss)`` replays the tape in strict reverse recording order and
 accumulates ``grad`` buffers only on leaves, the tensors that no tape entry
 produced (parameters and inputs); intermediate adjoints are dropped as soon
 as their entry has been replayed. A parameter adopted by ``optim.Adam``
@@ -144,7 +146,6 @@ class Tensor:
 # execution order, which is a topological order by construction. ``vjp`` maps
 # the output adjoint to one adjoint (or None) per input.
 _tape: list = []
-_recording = True
 
 
 def active_graph() -> list:
@@ -187,27 +188,16 @@ def backward(loss: Tensor) -> None:
             tensor.accumulate_grad(adjoint)
 
 
-@contextmanager
-def no_grad():
-    """Disable recording (evaluation / generation mode)."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 def _record(inputs, output: Tensor, vjp) -> Tensor:
-    if _recording and any(t.requires_grad for t in inputs):
+    if any(t.requires_grad for t in inputs):
         output.requires_grad = True
         _tape.append((tuple(inputs), output, vjp))
     return output
 
 
 # ---------------------------------------------------------------------------
-# Forward arithmetic on plain arrays, shared by the ops below and by
-# ``model.generate``, which encodes and decodes without a tape
+# Forward arithmetic on plain arrays, shared by the ops below and by the
+# model's array path, which validates and generates without a tape
 # ---------------------------------------------------------------------------
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
@@ -273,25 +263,33 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask):
     return _merge_heads(weights @ v_heads, q.shape), weights, q_heads, k_t, v_heads
 
 
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """The arithmetic of ``sparse_cross_entropy`` on [T x V] ``logits``:
+    the summed loss as a 0-d array of the logits' dtype, and the
+    log-probabilities that the backward rule reads."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_z
+    picked = log_probs[np.arange(logits.shape[0]), targets]
+    return np.asarray(-(picked * mask).sum(), dtype=logits.dtype), log_probs
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, or a stack of products of two
-    tensors of equal rank and equal leading dimensions."""
+    """Matrix product of two rank-2 tensors."""
     a_data, b_data = a.data, b.data
-    a_shape, b_shape = a_data.shape, b_data.shape
-    if not 2 <= len(a_shape) == len(b_shape) or a_shape[:-2] != b_shape[:-2] \
-            or a_shape[-1] != b_shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a_shape} x {b_shape}")
+    if a_data.ndim != 2 or b_data.ndim != 2 or a_data.shape[1] != b_data.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a_data.shape} x {b_data.shape}")
     out = Tensor._wrap(a_data @ b_data)
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
         return (
-            g @ b_data.swapaxes(-1, -2) if need_a else None,
-            a_data.swapaxes(-1, -2) @ g if need_b else None,
+            g @ b_data.T if need_a else None,
+            a_data.T @ g if need_b else None,
         )
 
     return _record((a, b), out, vjp)
@@ -512,12 +510,8 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     if not mask.any():
         raise ContractError("cross entropy over zero selected rows")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
+    total, log_probs = _cross_entropy(logits.data, targets, mask)
     rows = np.arange(n_rows)
-    picked = log_probs[rows, targets]
-    out = Tensor._wrap(np.asarray(-(picked * mask).sum(), dtype=logits.data.dtype))
 
     def vjp(g):
         gl = np.exp(log_probs)
@@ -525,7 +519,7 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
         gl *= mask[:, None]
         return (gl * g.reshape(()),)
 
-    return _record((logits,), out, vjp)
+    return _record((logits,), Tensor._wrap(total), vjp)
 
 
 def sinusoidal_positions(length: int, width: int, dtype=None) -> np.ndarray:

@@ -11,8 +11,13 @@ the model over all of them feeds one cross-entropy, so a training step
 records one forward and replays one backward whatever the batch size. The
 step's gradients land in the optimizer's flat gradient buffer and ``Adam``
 updates the parameters in place there (see ``optim``); a parameter with no
-gradient is skipped. ``fit`` always ends by restoring the parameters of the
-epoch with the lowest validation loss.
+gradient is skipped. The dropout rng is the one training switch:
+``batch_loss`` runs dropout exactly when handed one, and ``train_step``
+refuses a model with dropout but no rng. Validation (``evaluate_loss``)
+never touches the tape: it runs the model's forward definition on plain
+arrays, one whole-batch ``DecodeCache`` step per batch, and the
+cross-entropy's forward arithmetic. ``fit`` always ends by restoring the
+parameters of the epoch with the lowest validation loss.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from . import tensor as T
 from .checkpoint import parameter_checksum
 from .errors import ConfigError, ContractError, TrainingError
 from .files import append_json_line
-from .model import ModelConfig, decoder_forward, encode_inputs
+from .model import DecodeCache, ModelConfig, _encode_arrays, decoder_forward, encode_inputs
 from .optim import Adam
 from .tensor import Tensor
 from .text import PAD_ID, encode_tokens
@@ -124,27 +129,26 @@ def teacher_forcing_batch(rows):
     return inputs, targets, targets != PAD_ID
 
 
-def batch_loss(batch, params, cfg: ModelConfig, training: bool, rng=None) -> tuple[Tensor, int]:
-    """Pooled cross-entropy over all non-pad positions of a batch.
+def _assemble(batch):
+    """A non-empty batch's feature rows, its demographic rows (None if an
+    example has none) and its ``teacher_forcing_batch`` arrays."""
+    if not batch:
+        raise ContractError("a batch needs at least one example")
+    demos = [ex.demo for ex in batch]
+    return ([ex.features for ex in batch], None if any(d is None for d in demos) else demos,
+            *teacher_forcing_batch([ex.ids for ex in batch]))
+
+
+def batch_loss(batch, params, cfg: ModelConfig, rng=None) -> tuple[Tensor, int]:
+    """Pooled cross-entropy over all non-pad positions of a batch, on the tape.
 
     The examples' ids are assembled into ``[B x L]`` teacher-forcing arrays
     by whole-array operations (``teacher_forcing_batch``) and run through
     one forward pass; returns the mean loss and the number of positions it
-    pools. Dropout runs when ``training`` is set, drawing from ``rng``; the
-    model runs it exactly when it is handed an rng, so this is the one place
-    that hands it one.
+    pools. Dropout runs when an ``rng`` is given, drawing from it.
     """
-    if not batch:
-        raise ContractError("batch_loss needs a non-empty batch")
-    if not training:
-        rng = None
-    elif rng is None and cfg.dropout_rate > 0.0:
-        raise ContractError("training-mode forward needs an rng for dropout")
-    inputs, targets, mask = teacher_forcing_batch([ex.ids for ex in batch])
-    demos = [ex.demo for ex in batch]
-    hybrid = encode_inputs([ex.features for ex in batch],
-                           None if any(d is None for d in demos) else demos,
-                           params, cfg, rng=rng)
+    features, demos, inputs, targets, mask = _assemble(batch)
+    hybrid = encode_inputs(features, demos, params, cfg, rng=rng)
     logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
     count = int(mask.sum())
     total = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
@@ -170,11 +174,11 @@ def clip_gradients(params, max_norm: float) -> float:
 def train_step(batch, params, optimizer: Adam, cfg: ModelConfig,
                rng=None, grad_clip: float | None = None) -> tuple[float, int]:
     """One optimization step; returns (loss, token count) for the batch."""
-    if not batch:
-        raise ContractError("train_step needs a non-empty batch")
+    if rng is None and cfg.dropout_rate > 0.0:
+        raise ContractError("a training step with dropout needs an rng")
     T.reset_graph()
     optimizer.zero_grad()
-    loss, count = batch_loss(batch, params, cfg, training=True, rng=rng)
+    loss, count = batch_loss(batch, params, cfg, rng=rng)
     value = loss.item()
     if not np.isfinite(value):
         ids = [ex.id for ex in batch]
@@ -188,17 +192,25 @@ def train_step(batch, params, optimizer: Adam, cfg: ModelConfig,
 
 
 def evaluate_loss(examples, params, cfg: ModelConfig, batch_size: int = 64) -> float:
-    """Mean token loss with dropout disabled and no gradient recording."""
+    """Mean token loss on plain arrays: per batch, the array encoder, one
+    ``DecodeCache`` step over the whole ``[B x L]`` inputs and the forward of
+    the cross-entropy, with no dropout and nothing recorded. Equal to
+    ``batch_loss``'s mean without an rng, pooled over the batches."""
     if not examples:
         raise ConfigError("cannot evaluate on an empty split")
     total = 0.0
     count = 0
-    with T.no_grad():
-        for start in range(0, len(examples), batch_size):
-            batch = examples[start:start + batch_size]
-            loss, n = batch_loss(batch, params, cfg, training=False)
-            total += loss.item() * n
-            count += n
+    for start in range(0, len(examples), batch_size):
+        features, demos, inputs, targets, mask = _assemble(examples[start:start + batch_size])
+        if min(inputs.min(), targets.min()) < 0 or max(inputs.max(), targets.max()) \
+                >= cfg.vocab_size:
+            raise ContractError(f"a validation example holds an id outside "
+                                f"[0, {cfg.vocab_size})")
+        cache = DecodeCache(_encode_arrays(features, demos, params, cfg), params, cfg)
+        loss = T._cross_entropy(cache.step(inputs), targets.reshape(-1), mask.reshape(-1))[0]
+        n = int(mask.sum())
+        total += float(loss * loss.dtype.type(1.0 / n)) * n   # the rounding of T.scale
+        count += n
     return total / count
 
 

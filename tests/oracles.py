@@ -4,24 +4,28 @@ Everything here is deliberately written the slow, obvious way (explicit
 loops, textbook formulas, exact fractions, numerical quadrature) and shares
 no code with the package under test. The exceptions are
 ``per_example_batch_loss``, which checks the batched training loss against
-the package's own model called one sequence at a time, and
+the package's own model called one sequence at a time,
 ``full_prefix_generate``, which decodes by re-running the package's decoder
-on the whole prefix at every step. ``PerTensorAdam`` and
-``padded_teacher_forcing_batch`` keep the per-tensor optimizer and the
-per-example batch assembly that the flat-buffer and whole-array versions
-replaced. ``per_head_init`` and ``per_head_attention`` keep the
-initialisation and the attention layer of one tensor per head and role that
-the joined matrices replaced; they take the parameter names from the
-package's ``parameter_shapes``, and ``per_head_attention`` is built from the
-package's tensor ops so that it can stand in for the model's layer.
+on the whole prefix at every step, and ``tape_evaluate_loss``, the
+validation loss as the tape-based ``training.batch_loss`` computes it; the
+last two run on ``detached`` parameters, so they record nothing.
+``PerTensorAdam`` and ``padded_teacher_forcing_batch`` keep the per-tensor
+optimizer and the per-example batch assembly that the flat-buffer and
+whole-array versions replaced. ``per_head_init`` and ``per_head_attention``
+keep the initialisation and the attention layer of one tensor per head and
+role that the joined matrices replaced; they take the parameter names from
+the package's ``parameter_shapes``, and ``per_head_forward`` writes out the
+model's forward from the package's tensor ops around
+``per_head_attention``.
 ``counter_bleu`` and ``per_pair_embedding_f1`` keep the per-pair metrics
 that the batched ones replaced; ``per_pair_embedding_f1`` looks tokens up
 one at a time with ``lookup``. ``permute``, ``reshape``, ``add`` (with its
 bias broadcast), ``softmax``, ``apply_attention_mask`` and
 ``scaled_dot_attention``, ``relu`` and ``gather_rows`` (the embedding
 gather with its row-wise gradient scatter) are the tensor ops that the
-fused ones replaced, recorded on the package's tape;
-``composed_multi_head_attention``, ``composed_linear``,
+fused ones replaced, recorded on the package's tape, and
+``stacked_matmul`` is ``tensor.matmul`` with the stacked operands it no
+longer takes; ``composed_multi_head_attention``, ``composed_linear``,
 ``owner_repeat_rows``, ``composed_add_layer_norm``,
 ``composed_linear_relu`` and ``composed_embedding`` chain them (and the
 package's ``matmul``, ``scale``, ``add``, ``linear`` and ``layer_norm``)
@@ -202,30 +206,59 @@ def split_heads(params, cfg):
     return out
 
 
-def per_head_attention(heads):
-    """``model._multi_head_attention`` as it was before the heads were
-    joined: a loop over heads, each with its own projections from the
-    per-head tensors ``heads``, attended with the composed
-    ``scaled_dot_attention``, their output projections summed. Takes the
-    model function's arguments, so it can stand in for it."""
+def per_head_attention(heads, params, prefix, cfg, keyvalue, mask=None):
+    """Multi-head attention as it was before the heads were joined: a loop
+    over heads, each with its own projections from the per-head tensors
+    ``heads``, attended with the composed ``scaled_dot_attention``, their
+    output projections summed. Without a mask, each ``keyvalue`` row is the
+    one key of its own attention; with a [B x L x L] mask, the rows are B
+    sequences of L positions attending per sequence."""
     from cxrgen import tensor as T
 
-    def attention(params, prefix, cfg, keyvalue, mask=None):
-        out = None
-        for h in range(cfg.n_heads):
-            attended = T.matmul(keyvalue, heads[f"{prefix}.h{h}.wv"])
-            if mask is not None:
-                shape = (*mask.shape[:2], cfg.d_head)   # [B x L x d_head]
-                q = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]), shape)
-                k = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), shape)
-                v = reshape(attended, shape)
-                attended = scaled_dot_attention(q, k, v, mask)
-                attended = reshape(attended, (keyvalue.shape[0], cfg.d_head))
-            projected = T.matmul(attended, heads[f"{prefix}.h{h}.wo"])
-            out = projected if out is None else add(out, projected)
-        return add(out, params[f"{prefix}.bo"])
+    out = None
+    for h in range(cfg.n_heads):
+        attended = T.matmul(keyvalue, heads[f"{prefix}.h{h}.wv"])
+        if mask is not None:
+            shape = (*mask.shape[:2], cfg.d_head)   # [B x L x d_head]
+            q = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wq"]), shape)
+            k = reshape(T.matmul(keyvalue, heads[f"{prefix}.h{h}.wk"]), shape)
+            v = reshape(attended, shape)
+            attended = scaled_dot_attention(q, k, v, mask)
+            attended = reshape(attended, (keyvalue.shape[0], cfg.d_head))
+        projected = T.matmul(attended, heads[f"{prefix}.h{h}.wo"])
+        out = projected if out is None else add(out, projected)
+    return add(out, params[f"{prefix}.bo"])
 
-    return attention
+
+def per_head_forward(ids, features, demo, params, heads, cfg):
+    """The model's forward on the tape, written out layer by layer with
+    ``per_head_attention`` over the per-head tensors ``heads``: the [B x L]
+    ``ids``' [B*L x V] logits for the [B x F] ``features`` and [B x D]
+    ``demo`` rows."""
+    from cxrgen import tensor as T
+    from cxrgen.text import PAD_ID
+
+    def attention(prefix, keyvalue, mask=None):
+        return per_head_attention(heads, params, prefix, cfg, keyvalue, mask)
+
+    def norm(prefix, x, residual):
+        return T.add_layer_norm(x, residual, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
+
+    x = T.layer_norm(T.Tensor(features), params["visual.feat_norm.gain"],
+                     params["visual.feat_norm.bias"])
+    h = T.linear(x, params["visual.ff.w"], params["visual.ff.b"], relu=True)
+    hybrid = norm("visual.norm", h, attention("visual.attn", h))
+    semantic = T.linear(T.Tensor(demo), params["semantic.fc.w"], params["semantic.fc.b"])
+    hybrid = norm("fusion.norm", hybrid, attention("fusion.attn", semantic))
+    n_seq, length = ids.shape
+    x = T.embedding(params["embed.table"], ids, T.sinusoidal_positions(length, cfg.d_embed))
+    mask = np.tril(np.ones((length, length), dtype=bool)) & (ids != PAD_ID)[:, None, :]
+    for i in range(cfg.n_decoder_blocks):
+        x = norm(f"dec{i}.norm1", x, attention(f"dec{i}.self_attn", x, mask))
+        cross = T.repeat_rows(attention(f"dec{i}.cross_attn", hybrid), length)
+        x = norm(f"dec{i}.norm2", x, cross)
+        x = T.add(x, T.linear(x, params[f"dec{i}.ff.w"], params[f"dec{i}.ff.b"], relu=True))
+    return T.linear(x, params["classifier.w"], params["classifier.b"])
 
 
 # -- the composed attention chain and the ops the fused ones replaced -------
@@ -255,6 +288,28 @@ def reshape(a, shape):
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view shape {in_shape} as {tuple(shape)}")
     return _op((a,), a.data.reshape(shape), lambda g: (g.reshape(in_shape),))
+
+
+def stacked_matmul(a, b):
+    """``tensor.matmul`` as it was before it took rank-2 operands only: a
+    matrix product of two rank-2 tensors, or a stack of products of two
+    tensors of equal rank and equal leading dimensions."""
+    from cxrgen.errors import ShapeError
+
+    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a_data.shape, b_data.shape
+    if not 2 <= len(a_shape) == len(b_shape) or a_shape[:-2] != b_shape[:-2] \
+            or a_shape[-1] != b_shape[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {a_shape} x {b_shape}")
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def vjp(g):
+        return (
+            g @ b_data.swapaxes(-1, -2) if need_a else None,
+            a_data.swapaxes(-1, -2) @ g if need_b else None,
+        )
+
+    return _op((a, b), a_data @ b_data, vjp)
 
 
 def add(a, b):
@@ -318,10 +373,10 @@ def scaled_dot_attention(q, k, v, mask=None):
             and q_shape[-1] == k_shape[-1] and k_shape[-2] == v_shape[-2]):
         raise ShapeError(f"attention: incompatible q {q_shape}, k {k_shape}, v {v_shape}")
     swap_last = (*range(len(k_shape) - 2), len(k_shape) - 1, len(k_shape) - 2)
-    scores = T.scale(T.matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
+    scores = T.scale(stacked_matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
     if mask is not None:
         scores = apply_attention_mask(scores, mask)
-    return T.matmul(softmax(scores, axis=-1), v)
+    return stacked_matmul(softmax(scores, axis=-1), v)
 
 
 def composed_multi_head_attention(q, k, v, n_heads, mask):
@@ -548,7 +603,7 @@ def padded_teacher_forcing_batch(rows, pad_id=0):
     return padded(0, pad_id), padded(1, pad_id), padded(2, False)
 
 
-def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
+def per_example_batch_loss(batch, params, cfg, rng=None):
     """The pooled batch loss with the package's model called one example at
     a time: encode, decode the unpadded teacher-forcing view, sum the
     cross-entropy of each example, then divide by the pooled token count.
@@ -558,7 +613,6 @@ def per_example_batch_loss(batch, params, cfg, training=False, rng=None):
     from cxrgen.model import decoder_forward, encode_inputs
     from cxrgen.training import teacher_forcing_batch
 
-    rng = rng if training else None
     total = None
     count = 0
     for ex in batch:
@@ -583,26 +637,50 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):
         raise ContractError(f"temperature must be finite and non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
     out = []
-    with T.no_grad():
-        hybrid = encode_inputs(features, demo, params, cfg)
-        while len(out) < cfg.max_len:
-            prefix = np.asarray([START_ID] + out, dtype=np.int64)
-            logits = decoder_forward(prefix, hybrid, params, cfg)
-            last = logits.data[-1]
-            if temperature < np.finfo(last.dtype).tiny:   # 0, or it underflows to 0
-                next_id = int(np.argmax(last))
-            else:
-                # shifted before the division, so a tiny temperature cannot
-                # make inf - inf = NaN
-                probs = np.exp((last - last.max()) / temperature)
-                probs /= probs.sum()
-                next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
-                if next_id == cfg.vocab_size:   # past the rounded total
-                    next_id = int(np.flatnonzero(probs)[-1])
-            out.append(next_id)
-            if next_id == END_ID:
-                break
+    params = detached(params)
+    hybrid = encode_inputs(features, demo, params, cfg)
+    while len(out) < cfg.max_len:
+        prefix = np.asarray([START_ID] + out, dtype=np.int64)
+        logits = decoder_forward(prefix, hybrid, params, cfg)
+        last = logits.data[-1]
+        if temperature < np.finfo(last.dtype).tiny:   # 0, or it underflows to 0
+            next_id = int(np.argmax(last))
+        else:
+            # shifted before the division, so a tiny temperature cannot
+            # make inf - inf = NaN
+            probs = np.exp((last - last.max()) / temperature)
+            probs /= probs.sum()
+            next_id = int(np.searchsorted(np.cumsum(probs), rng.random()))
+            if next_id == cfg.vocab_size:   # past the rounded total
+                next_id = int(np.flatnonzero(probs)[-1])
+        out.append(next_id)
+        if next_id == END_ID:
+            break
     return out
+
+
+def detached(params):
+    """The parameters as tensors that share their arrays but require no
+    gradient, so that a forward over them records nothing."""
+    from cxrgen.tensor import Tensor
+
+    return {name: Tensor._wrap(tensor.data) for name, tensor in params.items()}
+
+
+def tape_evaluate_loss(examples, params, cfg, batch_size=64):
+    """``training.evaluate_loss`` as it was before validation ran on arrays:
+    ``training.batch_loss`` on the tape, without an rng, per batch, pooled
+    over the batches' token counts."""
+    from cxrgen.training import batch_loss
+
+    params = detached(params)
+    total = 0.0
+    count = 0
+    for start in range(0, len(examples), batch_size):
+        loss, n = batch_loss(examples[start:start + batch_size], params, cfg)
+        total += loss.item() * n
+        count += n
+    return total / count
 
 
 def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 ** 9)):

@@ -94,8 +94,7 @@ def test_criterion_02_gradient_correctness(monkeypatch):
 
         def recording_linear(x, w, b, relu=False):
             if relu:   # the pre-activation of a ReLU layer, as the fused op computes it
-                with T.no_grad():
-                    relu_inputs.append(linear(x, w, b).data)
+                relu_inputs.append(T._dense(x.data, w.data, b.data, False))
             return linear(x, w, b, relu=relu)
 
         monkeypatch.setattr(T, "linear", recording_linear)
@@ -110,11 +109,11 @@ def test_criterion_02_gradient_correctness(monkeypatch):
 
             def loss_fn():
                 T.reset_graph()
-                loss, _ = batch_loss(examples, params, cfg, training=False)
+                loss, _ = batch_loss(examples, params, cfg)
                 return loss.item()
 
             T.reset_graph()
-            loss, _ = batch_loss(examples, params, cfg, training=False)
+            loss, _ = batch_loss(examples, params, cfg)
             T.backward(loss)
             # a ReLU kink inside the +-step interval invalidates central
             # differences, so every pre-activation must sit well away from 0:

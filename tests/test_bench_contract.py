@@ -10,6 +10,7 @@ nothing under ``bench/`` is imported.
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,8 +74,19 @@ def test_pipeline_calls_are_found():
     assert {"cxrgen.training.fit", "cxrgen.model.generate", "cxrgen.data.split"} <= names
 
 
+def call_ids(calls):
+    """``name#k`` for the k-th call to ``name`` in line order, so that an edit
+    that only shifts lines renames no test."""
+    seen = Counter()
+    ids = []
+    for name, *_ in calls:
+        ids.append(f"{name}#{seen[name]}")
+        seen[name] += 1
+    return ids
+
+
 @pytest.mark.parametrize("name, line, n_positional, keywords", package_calls(),
-                         ids=[f"{name}:{line}" for name, line, *_ in package_calls()])
+                         ids=call_ids(package_calls()))
 def test_pipeline_call_binds_to_the_signature(name, line, n_positional, keywords):
     """The arguments the benchmark passes fit the callee's signature."""
     _, module, *attrs = name.split(".")

@@ -712,6 +712,28 @@ class TestTrainGenerate:
         assert "the test split of subset 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_generate_creates_the_parent_of_refs_out(self, pipeline, tmp_path):
+        out, refs = tmp_path / "run" / "hyp.txt", tmp_path / "missing" / "dir" / "ref.txt"
+        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                     "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
+                     "--out", str(out), "--refs-out", str(refs),
+                     "--temperature", "0", "--seed", "1"]) == 0
+        assert out.read_bytes() == pipeline["hyp"].read_bytes()
+        assert refs.read_bytes() == pipeline["ref"].read_bytes()
+        assert _generate_provenance(out).exists()
+
+    def test_generate_into_an_unwritable_refs_out_leaves_no_hypotheses(self, pipeline,
+                                                                       tmp_path, capsys):
+        """References are written before the hypotheses and the provenance
+        record, so a reference path that cannot be opened writes neither."""
+        out, refs = tmp_path / "run" / "hyp.txt", tmp_path / "refs"
+        refs.mkdir()
+        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                     "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
+                     "--out", str(out), "--refs-out", str(refs)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() and not _generate_provenance(out).exists()
+
     @pytest.mark.parametrize("spoil, message", [
         (lambda extra: {**extra, "vocab": extra["vocab"][1:]}, "reserved tokens"),
         (lambda extra: {**extra, "vocab": extra["vocab"][:5] + [5] + extra["vocab"][6:]},

@@ -9,17 +9,19 @@ import pytest
 from cxrgen import model, tensor as T
 from cxrgen.errors import ConfigError, ContractError, ShapeError
 from cxrgen.model import (DecodeCache, ModelConfig, check_parameters, decoder_forward,
-                          encode_inputs, fuse_visual_semantic, generate, init_parameters,
-                          join_heads, parameter_shapes, semantic_encode, visual_encode)
+                          encode_inputs, generate, init_parameters, join_heads,
+                          parameter_shapes)
 from cxrgen.tensor import Tensor
 from cxrgen.text import END_ID, PAD_ID, START_ID
 from cxrgen.training import EncodedExample, batch_loss
 
 from oracles import (add, full_prefix_generate, full_softmax_mha, gather_rows, head_block,
-                     per_head_attention, per_head_init, per_head_shapes, relu, split_heads)
+                     per_head_forward, per_head_init, per_head_shapes, relu, split_heads)
 
 TINY = ModelConfig(feature_dim=10, d_model=16, d_embed=16, n_heads=2, vocab_size=20,
                    max_len=8, demographic_dim=7, n_decoder_blocks=1, dropout_rate=0.0)
+# an image-only model: its encoder is the visual unit alone
+TINY_IMAGE = replace(TINY, demographic_dim=0)
 # the criterion-5 desk model
 DESK = ModelConfig(feature_dim=24, d_model=32, d_embed=32, n_heads=2, vocab_size=96,
                    max_len=24, demographic_dim=7, dropout_rate=0.0)
@@ -51,6 +53,16 @@ def np_visual_encode(features, w, cfg):
     h = np.maximum(x @ w["visual.ff.w"] + w["visual.ff.b"], 0)
     attended = full_softmax_mha(w, "visual.attn", cfg.n_heads, h, h)
     return np_layer_norm(h + attended, w["visual.norm.gain"], w["visual.norm.bias"])
+
+
+def np_encode(features, demo, w, cfg):
+    """The visual unit, the semantic unit and the fusion block, each
+    attention computed as a full softmax over its keys."""
+    visual = np_visual_encode(features, w, cfg)
+    semantic = np.asarray(demo, dtype=np.float32)[None, :] @ w["semantic.fc.w"] \
+        + w["semantic.fc.b"]
+    attended = full_softmax_mha(w, "fusion.attn", cfg.n_heads, visual, semantic)
+    return np_layer_norm(visual + attended, w["fusion.norm.gain"], w["fusion.norm.bias"])
 
 
 def np_decoder_forward(ids, hybrid, w, cfg):
@@ -126,59 +138,92 @@ class TestParameters:
 
 
 class TestVisualUnit:
+    """The visual unit, as the whole encoder of an image-only model."""
+
     def test_zero_features_zero_biases_give_zero(self):
-        params = init_parameters(TINY, seed=1)
-        out = visual_encode(np.zeros(10), params, TINY)
+        params = init_parameters(TINY_IMAGE, seed=1)
+        out = encode_inputs(np.zeros(10), None, params, TINY_IMAGE)
         np.testing.assert_array_equal(out.data, np.zeros((1, 16)))
 
     def test_output_shape_is_one_by_dense_dim_for_default_config(self):
-        cfg = ModelConfig()
+        cfg = ModelConfig(demographic_dim=0)
         params = init_parameters(cfg, seed=0)
         rng = np.random.default_rng(2)
-        out = visual_encode(rng.normal(size=1280), params, cfg)
+        out = encode_inputs(rng.normal(size=1280), None, params, cfg)
         assert tuple(out.shape) == (1, 512)
 
     def test_matches_straight_line_forward_oracle(self):
-        params = init_parameters(TINY, seed=9)
+        params = init_parameters(TINY_IMAGE, seed=9)
         rng = np.random.default_rng(3)
         features = rng.normal(size=10)
-        out = visual_encode(features, params, TINY)
-        expected = np_visual_encode(features, full_attention_weights(params, TINY, rng), TINY)
+        out = encode_inputs(features, None, params, TINY_IMAGE)
+        expected = np_visual_encode(features, full_attention_weights(params, TINY_IMAGE, rng),
+                                    TINY_IMAGE)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
     def test_wrong_feature_length(self):
-        params = init_parameters(TINY, seed=0)
+        params = init_parameters(TINY_IMAGE, seed=0)
         with pytest.raises(ShapeError):
-            visual_encode(np.zeros(11), params, TINY)
+            encode_inputs(np.zeros(11), None, params, TINY_IMAGE)
 
 
 class TestSemanticUnit:
-    def test_zero_vector_zero_bias_gives_zero(self):
-        params = init_parameters(TINY, seed=0)
-        out = semantic_encode(np.zeros(7), params, TINY)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 16)))
+    """The semantic unit's output row, recorded from its layer inside
+    ``encode_inputs``, and the hybrid row that the fusion block makes of it."""
 
-    def test_one_hot_selects_weight_column(self):
+    @staticmethod
+    def _semantic_row(monkeypatch, demo, params, cfg=TINY):
+        """The [1 x d_model] output of the semantic unit's layer for ``demo``."""
+        linear, rows = T.linear, []
+
+        def recording_linear(x, w, b, relu=False):
+            out = linear(x, w, b, relu=relu)
+            if w is params["semantic.fc.w"]:
+                rows.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "linear", recording_linear)
+        features = np.random.default_rng(1).normal(size=cfg.feature_dim)
+        encode_inputs(features, demo, params, cfg)
+        assert len(rows) == 1
+        return rows[0]
+
+    def test_zero_vector_zero_bias_gives_zero(self, monkeypatch):
+        params = init_parameters(TINY, seed=0)
+        out = self._semantic_row(monkeypatch, np.zeros(7), params)
+        np.testing.assert_array_equal(out, np.zeros((1, 16)))
+
+    def test_one_hot_selects_weight_column(self, monkeypatch):
         params = init_parameters(TINY, seed=4)
         demo = np.zeros(7)
         demo[3] = 1.0
-        out = semantic_encode(demo, params, TINY)
-        np.testing.assert_allclose(out.data[0], params["semantic.fc.w"].data[3],
-                                   rtol=1e-6)
+        out = self._semantic_row(monkeypatch, demo, params)
+        np.testing.assert_allclose(out[0], params["semantic.fc.w"].data[3], rtol=1e-6)
 
-    def test_matches_matvec_oracle(self):
+    def test_matches_matvec_oracle(self, monkeypatch):
         params = init_parameters(TINY, seed=4)
         rng = np.random.default_rng(8)
         demo = rng.normal(size=7)
-        out = semantic_encode(demo, params, TINY)
+        out = self._semantic_row(monkeypatch, demo, params)
         expected = demo.astype(np.float32) @ params["semantic.fc.w"].data \
             + params["semantic.fc.b"].data
-        np.testing.assert_allclose(out.data[0], expected, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out[0], expected, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("demo", [np.zeros(7), np.eye(7)[3],
+                                      np.random.default_rng(8).normal(size=7)],
+                             ids=["zero", "one-hot", "random"])
+    def test_matches_matvec_and_fusion_oracle(self, demo):
+        params = init_parameters(TINY, seed=4)
+        rng = np.random.default_rng(8)
+        features = rng.normal(size=10)
+        out = encode_inputs(features, demo, params, TINY)
+        expected = np_encode(features, demo, full_attention_weights(params, TINY, rng), TINY)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
     def test_wrong_length(self):
         params = init_parameters(TINY, seed=0)
-        with pytest.raises(ShapeError):
-            semantic_encode(np.zeros(6), params, TINY)
+        with pytest.raises(ShapeError, match="demographic vectors"):
+            encode_inputs(np.zeros(10), np.zeros(6), params, TINY)
 
 
 class TestFusion:
@@ -188,22 +233,18 @@ class TestFusion:
         query/key weights."""
         params = init_parameters(TINY, seed=6)
         rng = np.random.default_rng(6)
-        visual = Tensor(rng.normal(size=(1, 16)))
-        semantic = Tensor(rng.normal(size=(1, 16)))
-        out = fuse_visual_semantic(visual, semantic, params, TINY)
+        features, demo = rng.normal(size=(2, 10)), rng.normal(size=(2, 7))
+        out = encode_inputs(features, demo, params, TINY)
         w = full_attention_weights(params, TINY, rng)
-        attended = full_softmax_mha(w, "fusion.attn", TINY.n_heads, visual.data, semantic.data)
-        expected = np_layer_norm(visual.data + attended, w["fusion.norm.gain"],
-                                 w["fusion.norm.bias"])
-        np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
+        for row in range(2):
+            expected = np_encode(features[row], demo[row], w, TINY)
+            np.testing.assert_allclose(out.data[row:row + 1], expected, rtol=1e-5, atol=1e-6)
 
     def test_output_shape_default_config(self):
         cfg = ModelConfig()
         params = init_parameters(cfg, seed=0)
         rng = np.random.default_rng(1)
-        visual = Tensor(rng.normal(size=(1, 512)))
-        semantic = Tensor(rng.normal(size=(1, 512)))
-        out = fuse_visual_semantic(visual, semantic, params, cfg)
+        out = encode_inputs(rng.normal(size=1280), rng.random(7), params, cfg)
         assert tuple(out.shape) == (1, 512)
 
     def test_demographic_sensitivity_over_seeds(self):
@@ -224,11 +265,10 @@ class TestFusion:
                 distinct += 1
         assert distinct == 100
 
-    def test_shape_mismatch(self):
+    def test_row_count_mismatch(self):
         params = init_parameters(TINY, seed=0)
-        with pytest.raises(ShapeError):
-            fuse_visual_semantic(Tensor(np.zeros((1, 16))), Tensor(np.zeros((1, 8))),
-                                 params, TINY)
+        with pytest.raises(ShapeError, match="fusion expects"):
+            encode_inputs(np.zeros((1, 10)), np.zeros((2, 7)), params, TINY)
 
 
 class TestDecoder:
@@ -430,8 +470,7 @@ class TestArrayEncoder:
         rows = () if n_rows is None else (n_rows,)
         features = rng.normal(size=(*rows, cfg.feature_dim)) * 3.0
         demo = rng.random((*rows, 7)) if demographic_dim else None
-        with T.no_grad():
-            expected = encode_inputs(features, demo, params, cfg).data
+        expected = encode_inputs(features, demo, params, cfg).data
         assert np.array_equal(model._encode_arrays(features, demo, params, cfg), expected)
 
     def test_keeps_encode_inputs_checks(self):
@@ -480,9 +519,8 @@ class TestDecodeCache:
         rng = np.random.default_rng(3)
         ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=11)])
         ids[5] = PAD_ID
-        with T.no_grad():
-            hybrid = encode_inputs(features, demo, params, cfg)
-            reference = decoder_forward(ids, hybrid, params, cfg).data
+        hybrid = encode_inputs(features, demo, params, cfg)
+        reference = decoder_forward(ids, hybrid, params, cfg).data
         cache = DecodeCache(hybrid.data, params, cfg)
         parts, start = [], 0
         for size in chunks:
@@ -498,10 +536,9 @@ class TestDecodeCache:
                               rng.integers(4, DESK.vocab_size, size=(3, 7))], axis=1)
         ids[1, 3:] = PAD_ID
         ids[2, 2] = PAD_ID
-        with T.no_grad():
-            hybrid = encode_inputs(rng.normal(size=(3, DESK.feature_dim)),
-                                   np.eye(DESK.demographic_dim)[:3], params, DESK)
-            reference = decoder_forward(ids, hybrid, params, DESK).data.reshape(3, 8, -1)
+        hybrid = encode_inputs(rng.normal(size=(3, DESK.feature_dim)),
+                               np.eye(DESK.demographic_dim)[:3], params, DESK)
+        reference = decoder_forward(ids, hybrid, params, DESK).data.reshape(3, 8, -1)
         cache = DecodeCache(hybrid.data, params, DESK)
         steps = [cache.step(ids[:, t:t + 1]) for t in range(ids.shape[1])]
         assert self._relative_error(np.stack(steps, axis=1), reference) <= 1e-5
@@ -518,17 +555,15 @@ class TestDecodeCache:
         assert ids == full_prefix_generate(features, demo, params, DESK, temperature=0.0)
         prefix = np.asarray([START_ID] + ids[:-1])
         params["classifier.b"].data[PAD_ID] = 0.0
-        with T.no_grad():
-            hybrid = encode_inputs(features, demo, params, DESK)
-            reference = decoder_forward(prefix, hybrid, params, DESK).data
+        hybrid = encode_inputs(features, demo, params, DESK)
+        reference = decoder_forward(prefix, hybrid, params, DESK).data
         cache = DecodeCache(hybrid.data, params, DESK)
         steps = [cache.step(prefix[None, t:t + 1]) for t in range(len(prefix))]
         assert self._relative_error(np.concatenate(steps), reference) <= 1e-5
 
     def test_misuse_is_a_contract_error(self):
         params, features, demo = self._inputs(TINY, seed=0)
-        with T.no_grad():
-            hybrid = encode_inputs(features, demo, params, TINY)
+        hybrid = encode_inputs(features, demo, params, TINY)
         cache = DecodeCache(hybrid.data, params, TINY)
         cache.step(np.array([[START_ID] + [4] * (TINY.max_len - 1)]))
         with pytest.raises(ContractError, match="exceeds the maximum"):
@@ -539,11 +574,9 @@ class TestDecodeCache:
         """Its first position would attend to no key; the full forward's
         attention op rejects it too."""
         params, features, demo = self._inputs(TINY, seed=0)
-        with T.no_grad():
-            hybrid = encode_inputs(np.stack([features] * 2), np.stack([demo] * 2),
-                                   params, TINY)
-            with pytest.raises(ContractError, match="every key masked out"):
-                decoder_forward([[START_ID, 4], [PAD_ID, 4]], hybrid, params, TINY)
+        hybrid = encode_inputs(np.stack([features] * 2), np.stack([demo] * 2), params, TINY)
+        with pytest.raises(ContractError, match="every key masked out"):
+            decoder_forward([[START_ID, 4], [PAD_ID, 4]], hybrid, params, TINY)
         cache = DecodeCache(hybrid.data, params, TINY)
         with pytest.raises(ContractError, match="pad id"):
             cache.step(np.array([[START_ID, 4], [PAD_ID, 4]]))
@@ -561,15 +594,16 @@ class TestJoinedHeads:
     """One matrix per attention role against the per-head layer it replaced."""
 
     @staticmethod
-    def _forward_backward(params, cfg):
+    def _forward_backward(forward, cfg):
+        """The logits of ``forward(ids, features, demo)`` on a padded batch of
+        3, after the backward pass of their cross-entropy."""
         rng = np.random.default_rng(8)
         ids = np.concatenate([np.full((3, 1), START_ID),
                               rng.integers(4, cfg.vocab_size, size=(3, 8))], axis=1)
         ids[1, 6:] = PAD_ID
         T.reset_graph()
-        hybrid = encode_inputs(rng.normal(size=(3, cfg.feature_dim)),
-                               rng.random((3, cfg.demographic_dim)), params, cfg)
-        logits = decoder_forward(ids[:, :-1], hybrid, params, cfg)
+        logits = forward(ids[:, :-1], rng.normal(size=(3, cfg.feature_dim)),
+                         rng.random((3, cfg.demographic_dim)))
         targets = ids[:, 1:].reshape(-1)
         T.backward(T.sparse_cross_entropy(logits, targets, targets != PAD_ID))
         T.reset_graph()
@@ -581,13 +615,14 @@ class TestJoinedHeads:
 
     @pytest.mark.parametrize("cfg", [replace(TINY, n_decoder_blocks=2), ModelConfig()],
                              ids=["tiny-2-blocks", "paper"])
-    def test_logits_and_gradients_match_per_head_oracle(self, cfg, monkeypatch):
+    def test_logits_and_gradients_match_per_head_oracle(self, cfg):
         params = init_parameters(cfg, seed=4)
-        logits = self._forward_backward(params, cfg)
+        logits = self._forward_backward(lambda ids, features, demo: decoder_forward(
+            ids, encode_inputs(features, demo, params, cfg), params, cfg), cfg)
         reference_params = init_parameters(cfg, seed=4)
         heads = split_heads(reference_params, cfg)
-        monkeypatch.setattr(model, "_multi_head_attention", per_head_attention(heads))
-        reference = self._forward_backward(reference_params, cfg)
+        reference = self._forward_backward(lambda ids, features, demo: per_head_forward(
+            ids, features, demo, reference_params, heads, cfg), cfg)
         assert self._relative_error(logits, reference) <= 1e-5
         for name, tensor in params.items():
             prefix, _, role = name.rpartition(".")
@@ -601,9 +636,8 @@ class TestJoinedHeads:
     def test_cache_holds_one_key_and_value_array_per_block(self):
         cfg = replace(DESK, n_decoder_blocks=2)
         params = init_parameters(cfg, seed=0)
-        with T.no_grad():
-            hybrid = encode_inputs(np.ones((2, cfg.feature_dim)),
-                                   np.eye(cfg.demographic_dim)[:2], params, cfg)
+        hybrid = encode_inputs(np.ones((2, cfg.feature_dim)),
+                               np.eye(cfg.demographic_dim)[:2], params, cfg)
         cache = DecodeCache(hybrid.data, params, cfg)
         cache.step(np.array([[START_ID, 4, 5], [START_ID, 6, PAD_ID]]))
         buffers = [*cache.keys, *cache.values]
@@ -633,7 +667,7 @@ class TestGradientReach:
             demo = rng.random(cfg.demographic_dim) if use_demographics else None
             examples.append(EncodedExample(f"e{i}", rng.normal(size=cfg.feature_dim),
                                            demo, ids))
-        loss, _ = batch_loss(examples, params, cfg, training=False)
+        loss, _ = batch_loss(examples, params, cfg)
         T.backward(loss)
         dead = [name for name, tensor in params.items()
                 if tensor.grad is None or not np.count_nonzero(tensor.grad)]

@@ -11,7 +11,7 @@ from cxrgen import tensor as T
 from cxrgen.data import default_corpus_spec, synthesize_corpus
 from cxrgen.demographics import DemographicCodec, select_top_categories
 from cxrgen.errors import ConfigError, ContractError, TrainingError
-from cxrgen.model import ModelConfig, decoder_forward, encode_inputs, init_parameters
+from cxrgen.model import ModelConfig, decoder_forward, encode_inputs, generate, init_parameters
 from cxrgen.optim import Adam
 from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
 from cxrgen.tensor import Tensor
@@ -20,7 +20,7 @@ from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, clip_gradi
                              teacher_forcing_batch, train_step)
 
 from oracles import (PerTensorAdam, direct_softmax, padded_teacher_forcing_batch,
-                     per_example_batch_loss)
+                     per_example_batch_loss, tape_evaluate_loss)
 
 
 def tiny_setup(n_per_stratum=2, d_model=16, max_len=24, dropout=0.0, seed=0):
@@ -34,6 +34,11 @@ def tiny_setup(n_per_stratum=2, d_model=16, max_len=24, dropout=0.0, seed=0):
                       demographic_dim=codec.dim, dropout_rate=dropout)
     examples = encode_examples(points, vocab, codec, cfg)
     return points, vocab, codec, cfg, examples
+
+
+# the criterion-5 desk model
+DESK = ModelConfig(feature_dim=24, d_model=32, d_embed=32, n_heads=2, vocab_size=96,
+                   max_len=24, demographic_dim=7, dropout_rate=0.0)
 
 
 class TestTeacherForcing:
@@ -102,9 +107,9 @@ class TestLoss:
     def test_repeated_example_equals_single(self):
         _, _, _, cfg, examples = tiny_setup()
         params = init_parameters(cfg, seed=1)
-        single, _ = batch_loss(examples[:1], params, cfg, training=False)
+        single, _ = batch_loss(examples[:1], params, cfg)
         T.reset_graph()
-        repeated, _ = batch_loss(examples[:1] * 4, params, cfg, training=False)
+        repeated, _ = batch_loss(examples[:1] * 4, params, cfg)
         assert repeated.item() == pytest.approx(single.item(), rel=1e-6)
 
     def test_repeated_example_same_gradient_direction(self):
@@ -113,7 +118,7 @@ class TestLoss:
         def grads_for(batch):
             T.reset_graph()
             params = init_parameters(cfg, seed=2)
-            loss, _ = batch_loss(batch, params, cfg, training=False)
+            loss, _ = batch_loss(batch, params, cfg)
             T.backward(loss)
             return {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
 
@@ -132,16 +137,15 @@ class TestLoss:
 
         # hand-masked oracle: per-position softmax CE over non-pad targets only
         from cxrgen.model import decoder_forward, encode_inputs
-        with T.no_grad():
-            hybrid = encode_inputs(ex.features, ex.demo, params, cfg)
-            inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
-            logits = decoder_forward(inputs, hybrid, params, cfg).data
+        hybrid = encode_inputs(ex.features, ex.demo, params, cfg)
+        inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
+        logits = decoder_forward(inputs, hybrid, params, cfg).data
         manual_terms = [
             -math.log(direct_softmax(logits[i])[targets[i]])
             for i in range(len(targets)) if targets[i] != PAD_ID
         ]
         T.reset_graph()
-        loss, count = batch_loss([ex], params, cfg, training=False)
+        loss, count = batch_loss([ex], params, cfg)
         assert count == len(manual_terms)
         assert loss.item() == pytest.approx(np.mean(manual_terms), rel=1e-5)
 
@@ -149,7 +153,7 @@ class TestLoss:
             T.reset_graph()
             run_params = init_parameters(cfg, seed=3)
             value, _ = batch_loss([EncodedExample(ex.id, ex.features, ex.demo, ids)],
-                                  run_params, cfg, training=False)
+                                  run_params, cfg)
             T.backward(value)
             grads = {n: p.grad.copy() for n, p in run_params.items()
                      if p.grad is not None}
@@ -168,7 +172,7 @@ class TestLoss:
 def loss_and_gradients(loss_fn, batch, cfg, seed):
     T.reset_graph()
     params = init_parameters(cfg, seed=seed)
-    loss, count = loss_fn(batch, params, cfg, training=False)
+    loss, count = loss_fn(batch, params, cfg)
     T.backward(loss)
     return loss.item(), count, {name: p.grad for name, p in params.items()}
 
@@ -247,40 +251,82 @@ class TestBatchedLoss:
     def test_empty_batch_rejected(self):
         _, _, _, cfg, _ = tiny_setup()
         with pytest.raises(ContractError):
-            batch_loss([], init_parameters(cfg, seed=0), cfg, training=False)
+            batch_loss([], init_parameters(cfg, seed=0), cfg)
 
-    def test_dropout_runs_only_in_training(self):
-        """``batch_loss`` hands the model the rng only when training, and a
-        training call with dropout but no rng is refused."""
+    def test_dropout_runs_exactly_when_handed_an_rng(self):
+        """``batch_loss`` runs dropout when handed an rng and draws nothing
+        without one; a training step with dropout but no rng is refused."""
         _, _, _, cfg, examples = tiny_setup(dropout=0.5)
         params = init_parameters(cfg, seed=0)
         with pytest.raises(ContractError, match="needs an rng"):
-            batch_loss(examples[:2], params, cfg, training=True)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with T.no_grad():
-            plain, _ = batch_loss(examples[:2], params, cfg, training=False)
-            ignored, _ = batch_loss(examples[:2], params, cfg, training=False, rng=rng)
-            assert rng.bit_generator.state == state
-            dropped, _ = batch_loss(examples[:2], params, cfg, training=True, rng=rng)
-        assert ignored.item() == plain.item() and dropped.item() != plain.item()
+            train_step(examples[:2], params, Adam(params), cfg)
+        plain, _ = batch_loss(examples[:2], params, cfg)
+        dropped, _ = batch_loss(examples[:2], params, cfg, rng=np.random.default_rng(0))
+        assert dropped.item() != plain.item()
+        assert plain.item() == tape_evaluate_loss(examples[:2], params, cfg)
+
+
+class TestValidationOnArrays:
+    """``evaluate_loss`` on plain arrays against the tape-based validation
+    loss it replaced (``oracles.tape_evaluate_loss``), compared with ``==``."""
+
+    @staticmethod
+    def _examples(cfg, n, seed):
+        """Reports of mixed lengths, some with an interior pad id, encoded to
+        ``max_len`` ids."""
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, cfg.max_len - 1, size=n)
+        examples = random_examples(cfg, lengths, seed)
+        for ex, length in zip(examples[::3], lengths[::3]):
+            ex.ids[int(rng.integers(1, length + 1))] = PAD_ID
+        if not cfg.uses_demographics:
+            examples = [EncodedExample(ex.id, ex.features, None, ex.ids) for ex in examples]
+        return examples
+
+    @pytest.mark.parametrize("cfg", [
+        DESK, replace(DESK, n_decoder_blocks=2), replace(DESK, n_decoder_blocks=3),
+        replace(DESK, demographic_dim=0), ModelConfig()],
+        ids=["desk", "desk-2-blocks", "desk-3-blocks", "image-only", "paper"])
+    def test_equals_the_tape_validation_loss(self, cfg):
+        n, batch_size = (5, 2) if cfg == ModelConfig() else (23, 8)   # a short last batch
+        examples = self._examples(cfg, n, seed=11)
+        params = init_parameters(cfg, seed=5)
+        if cfg != ModelConfig():   # move off the initialisation's zero biases
+            fit(examples, examples, params, cfg, TrainConfig(
+                batch_size=batch_size, learning_rate=1e-2, epochs=1, seed=2))
+        assert evaluate_loss(examples, params, cfg, batch_size) \
+            == tape_evaluate_loss(examples, params, cfg, batch_size)
+
+    @pytest.mark.parametrize("bad", [-1, 96, 200], ids=["negative", "vocab-size", "beyond"])
+    @pytest.mark.parametrize("position", [0, 3], ids=["first", "later"])
+    def test_an_id_out_of_range_is_a_contract_error(self, bad, position):
+        examples = random_examples(DESK, (6, 9), seed=4)
+        examples[1].ids[position] = bad
+        params = init_parameters(DESK, seed=0)
+        with pytest.raises(ContractError, match="outside"):
+            evaluate_loss(examples, params, DESK)
+
+    def test_validation_and_generation_record_nothing(self):
+        examples = random_examples(DESK, (6, 9, 4), seed=4)
+        params = init_parameters(DESK, seed=0)
+        assert all(p.requires_grad for p in params.values())
+        evaluate_loss(examples, params, DESK, 2)
+        generate(examples[0].features, examples[0].demo, params, DESK, temperature=0.5)
+        assert T.active_graph() == []
+        assert all(p.grad is None for p in params.values())
 
 
 class TestTapeSize:
     """A training step's tape is pinned, so un-fusing an op fails here and
     not only in a traced benchmark run."""
 
-    DESK = ModelConfig(feature_dim=24, d_model=32, d_embed=32, n_heads=2, vocab_size=96,
-                       max_len=24, demographic_dim=7, dropout_rate=0.0)
-
     @pytest.mark.parametrize("demographic_dim, entries", [(7, 25), (0, 21)],
                              ids=["demographics", "image-only"])
     def test_desk_batch_loss_records_a_fixed_number_of_entries(self, demographic_dim, entries):
-        cfg = replace(self.DESK, demographic_dim=demographic_dim)
+        cfg = replace(DESK, demographic_dim=demographic_dim)
         batch = random_examples(cfg, (12, 5, 20, 9), seed=3)
         T.reset_graph()
-        batch_loss(batch, init_parameters(cfg, seed=0), cfg, training=True,
-                   rng=np.random.default_rng(0))
+        batch_loss(batch, init_parameters(cfg, seed=0), cfg, rng=np.random.default_rng(0))
         assert len(T.active_graph()) == entries
 
 
