@@ -5,12 +5,13 @@ and both moments each live in one flat buffer of the parameters' dtype, laid
 out in the order of the parameter map. ``Adam(params)`` copies each
 parameter into its slot and rebinds ``p.data`` to a view of it, one tensor
 at a time; ``opt.m[name]`` and ``opt.v[name]`` are read-only views of the
-moments. ``zero_grad`` zeroes the gradient buffer with one fill and hands
-each parameter its gradient slot (``Tensor.grad_slot``), which backward then
-accumulates into instead of allocating. A gradient reaches the optimizer
-only through that slot (``p.accumulate_grad`` after ``zero_grad``), and a
-parameter's ``data`` must stay its slot; ``step`` raises ``ContractError``
-naming the parameter otherwise.
+moments. ``zero_grad`` hands each parameter its gradient slot
+(``Tensor.grad_slot``) and writes nothing to the buffer: backward writes a
+parameter's gradient straight into its slot, and a slot that backward did
+not write is never read, since its parameter's ``grad`` stays unset. A
+gradient reaches the optimizer only through that slot (``p.accumulate_grad``
+after ``zero_grad``), and a parameter's ``data`` must stay its slot;
+``step`` raises ``ContractError`` naming the parameter otherwise.
 
 ``step`` updates each maximal run of adjacent tensors that have a gradient
 in chunks of ``CHUNK`` elements, so a step costs a few dozen numpy calls at
@@ -57,7 +58,7 @@ class Adam:
         self.t = 0
         total = sum(p.data.size for p in params.values())
         self._data = np.empty(total, dtype)
-        self._grad = np.zeros(total, dtype)
+        self._grad = np.empty(total, dtype)   # a slot is written before it is read
         self._m = np.zeros(total, dtype)
         self._v = np.zeros(total, dtype)
         self.m: dict[str, np.ndarray] = {}
@@ -120,6 +121,7 @@ class Adam:
         self._data[part] -= step
 
     def zero_grad(self) -> None:
-        self._grad.fill(0)
+        """Unset every gradient and hand each parameter its slot, as it is:
+        no pass over the buffer."""
         for _, p, _, _, _, grad in self._slots:
             p.grad, p.grad_slot = None, grad

@@ -36,12 +36,18 @@ rule. ``backward(loss)`` replays the tape in strict reverse recording order and
 accumulates ``grad`` buffers only on leaves, the tensors that no tape entry
 produced (parameters and inputs); intermediate adjoints are dropped as soon
 as their entry has been replayed. A parameter adopted by ``optim.Adam``
-accumulates into its slot of the optimizer's flat gradient buffer
-(``Tensor.grad_slot``); other leaves get a fresh array. Repeated backward
-calls accumulate until the gradient is cleared, matching the usual autograd
-convention: by ``Adam.zero_grad`` for a parameter it adopted (a gradient
-assigned to or cleared from such a parameter by hand leaves its slot, and
-``Adam.step`` refuses it), by ``grad = None`` for any other leaf.
+gets its gradient in its slot of the optimizer's flat gradient buffer
+(``Tensor.grad_slot``), which is handed out unzeroed: the backward rule
+that produces a parameter's gradient (the weight product of ``linear`` and
+``matmul``, the bias, gain and layer-norm bias sums, the embedding scatter)
+writes it straight into the slot with ``out=``, a later contribution to the
+same parameter is summed into it, and a gradient that no rule wrote there
+is copied in at the end; an unwritten slot is never read. Other leaves get
+a fresh array. Repeated backward calls accumulate until the gradient is
+cleared, matching the usual autograd convention: by ``Adam.zero_grad`` for
+a parameter it adopted (a gradient assigned to or cleared from such a
+parameter by hand leaves its slot, and ``Adam.step`` refuses it), by
+``grad = None`` for any other leaf.
 
 The recorder is single-threaded: one training session owns the tape. All
 reductions delegate to numpy, whose summation order is fixed for a given
@@ -87,10 +93,11 @@ class Tensor:
     except for the optimizer's in-place parameter update.
 
     A parameter adopted by ``optim.Adam`` has its ``data`` and its gradient
-    in slots of the optimizer's flat buffers: ``Adam.zero_grad`` zeroes the
-    gradient buffer and hands each parameter its slot as ``grad_slot``,
-    which the next ``accumulate_grad`` takes as ``grad`` instead of
-    allocating. Any other leaf gets a fresh ``zeros_like`` gradient.
+    in slots of the optimizer's flat buffers: ``Adam.zero_grad`` hands each
+    parameter its gradient slot, unzeroed, as ``grad_slot``. The first
+    backward rule or ``accumulate_grad`` to produce the gradient takes the
+    slot as ``grad`` and writes all of it, so a slot is used once per
+    ``zero_grad``. Any other leaf gets a fresh array.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "grad_slot")
@@ -129,14 +136,15 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, contribution: np.ndarray) -> None:
-        """Add ``contribution`` to ``grad``, starting from zeros: the
-        pre-zeroed ``grad_slot`` if one was handed out (it is used once),
-        else a fresh array."""
+        """Add ``contribution`` to ``grad``; an unset ``grad`` becomes a copy
+        of it, in the ``grad_slot`` if one was handed out, else in a fresh
+        array."""
         if self.grad is None:
-            self.grad, self.grad_slot = self.grad_slot, None
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-        self.grad += contribution
+            if _slot(self) is None:
+                self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, contribution)
+        else:
+            self.grad += contribution
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -178,14 +186,30 @@ def backward(loss: Tensor) -> None:
             if contribution is None:
                 continue
             # contributions may alias each other (add passes g to both
-            # inputs), so sum out of place and never write into one
-            if tensor in adjoints:
-                adjoints[tensor] = adjoints[tensor] + contribution
-            else:
+            # inputs), so sum out of place, or into the slot a rule wrote
+            prev = adjoints.get(tensor)
+            if prev is None:
                 adjoints[tensor] = contribution
+            elif tensor.grad is contribution:
+                contribution += prev
+                adjoints[tensor] = contribution
+            elif tensor.grad is prev:
+                prev += contribution
+            else:
+                adjoints[tensor] = prev + contribution
     for tensor, adjoint in adjoints.items():
-        if tensor.requires_grad:
+        if tensor.requires_grad and adjoint is not tensor.grad:
             tensor.accumulate_grad(adjoint)
+
+
+def _slot(t: Tensor):
+    """Hand out ``t``'s gradient slot, at most once per ``Adam.zero_grad``:
+    it becomes ``t.grad`` unwritten, and the caller writes ``t``'s whole
+    contribution into it. None when ``t`` has no unused slot."""
+    if t.grad is not None or t.grad_slot is None:
+        return None
+    t.grad, t.grad_slot = t.grad_slot, None
+    return t.grad
 
 
 def _record(inputs, output: Tensor, vjp) -> Tensor:
@@ -267,9 +291,8 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     """The arithmetic of ``sparse_cross_entropy`` on [T x V] ``logits``:
     the summed loss as a 0-d array of the logits' dtype, and the
     log-probabilities that the backward rule reads."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = logits - logits.max(axis=1, keepdims=True)   # shifted, then in place
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
     picked = log_probs[np.arange(logits.shape[0]), targets]
     return np.asarray(-(picked * mask).sum(), dtype=logits.dtype), log_probs
 
@@ -289,7 +312,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (
             g @ b_data.T if need_a else None,
-            a_data.T @ g if need_b else None,
+            np.matmul(a_data.T, g, out=_slot(b)) if need_b else None,
         )
 
     return _record((a, b), out, vjp)
@@ -319,8 +342,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
             g = g * (out_data > 0)   # where the pre-activation is positive
         return (
             g @ w_data.T if need_x else None,
-            x_data.T @ g if need_w else None,
-            g.sum(axis=0) if need_b else None,
+            np.matmul(x_data.T, g, out=_slot(w)) if need_w else None,
+            np.add.reduce(g, axis=0, out=_slot(b)) if need_b else None,
         )
 
     return _record((x, w, b), Tensor._wrap(out_data), vjp)
@@ -386,15 +409,15 @@ def _layer_norm(summands, total: np.ndarray, gain: Tensor, bias: Tensor) -> Tens
 
     def vjp(g):
         gx = None
-        if need_x:
-            gn = g * gain_data
-            gx = inv_std * (
-                gn
-                - _row_mean(gn)
-                - normalized * _row_mean(gn * normalized)
-            )
-        ggain = (g * normalized).sum(axis=0) if need_gain else None
-        gbias = g.sum(axis=0) if need_bias else None
+        if need_x:   # inv_std * (gn - mean(gn) - normalized * mean(gn * normalized)), in gn
+            gx = g * gain_data
+            proj = gx * normalized
+            np.multiply(normalized, _row_mean(proj), out=proj)
+            gx -= _row_mean(gx)
+            gx -= proj
+            gx *= inv_std
+        ggain = np.add.reduce(g * normalized, axis=0, out=_slot(gain)) if need_gain else None
+        gbias = np.add.reduce(g, axis=0, out=_slot(bias)) if need_bias else None
         return (*(gx for _ in summands), ggain, gbias)
 
     return _record((*summands, gain, bias), Tensor._wrap(out_data), vjp)
@@ -425,9 +448,13 @@ def embedding(table: Tensor, ids, positions: np.ndarray) -> Tensor:
     def vjp(g):
         # one flat scatter: element j of row i adds into element
         # ids[i] * width + j, in the order a row-wise np.add.at adds them
-        gt = np.zeros(table_data.size, dtype=table_data.dtype)
-        np.add.at(gt, (ids[:, None] * width + np.arange(width)).reshape(-1), g.reshape(-1))
-        return (gt.reshape(table_data.shape),)
+        gt = _slot(table)
+        if gt is None:
+            gt = np.empty_like(table_data)
+        gt.fill(0)
+        np.add.at(gt.reshape(-1), (ids[:, None] * width + np.arange(width)).reshape(-1),
+                  g.reshape(-1))
+        return (gt,)   # the slot itself, not a view of it
 
     return _record((table,), Tensor._wrap(out_data), vjp)
 
@@ -438,10 +465,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
+    keep = np.greater_equal(rng.random(x.shape), rate, out=np.empty_like(x.data))
     factor = 1.0 / (1.0 - rate)
-    out = Tensor._wrap(x.data * keep * np.asarray(factor, dtype=x.data.dtype))
-    return _record((x,), out, lambda g: (g * keep * factor,))
+    out = x.data * keep
+    out *= np.asarray(factor, dtype=x.data.dtype)
+
+    def vjp(g):   # g * keep * factor; g may be another input's adjoint too
+        gx = g * keep
+        gx *= factor
+        return (gx,)
+
+    return _record((x,), Tensor._wrap(out), vjp)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) -> Tensor:
@@ -517,7 +551,8 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
         gl = np.exp(log_probs)
         gl[rows, targets] -= 1.0
         gl *= mask[:, None]
-        return (gl * g.reshape(()),)
+        gl *= g.reshape(())
+        return (gl,)
 
     return _record((logits,), Tensor._wrap(total), vjp)
 

@@ -9,6 +9,7 @@ from cxrgen.errors import ContractError
 from cxrgen.optim import CHUNK, Adam
 from cxrgen.tensor import Tensor
 
+import oracles
 from oracles import PerTensorAdam, adam_reference, allocating_adam_step
 
 
@@ -175,9 +176,9 @@ def test_assigned_grad_is_rejected():
 
 
 def test_backward_fills_the_handed_out_slot_once():
-    """After ``zero_grad`` a parameter's first gradient lands in its
-    pre-zeroed slot; once used, the slot is not handed out again, so a
-    stale slot never seeds a later gradient."""
+    """After ``zero_grad`` a parameter's first gradient is written into its
+    slot; once used, the slot is not handed out again, and whatever a slot
+    held before it was written never seeds a gradient."""
     w = Tensor([[1.0], [2.0]], requires_grad=True)
     x = Tensor([[3.0, -1.0]], requires_grad=True)
     opt = Adam({"w": w}, lr=0.1)
@@ -198,7 +199,10 @@ def test_backward_fills_the_handed_out_slot_once():
     np.testing.assert_array_equal(w.grad, [[3.0], [-1.0]])
     opt.zero_grad()
     assert w.grad is None and w.grad_slot is slot
-    np.testing.assert_array_equal(slot, 0.0)
+    slot.fill(np.nan)   # zero_grad leaves the buffer as it is; poison it
+    backward()
+    assert w.grad is slot
+    np.testing.assert_array_equal(w.grad, [[3.0], [-1.0]])
 
 
 def test_mixed_dtypes_rejected():
@@ -206,3 +210,81 @@ def test_mixed_dtypes_rejected():
         wide = Tensor([1.0], requires_grad=True)
     with pytest.raises(ContractError, match="one dtype"):
         Adam({"a": Tensor([1.0], requires_grad=True), "b": wide})
+
+
+def _square_linear_twice(p, x):
+    """w feeds two linears; the later one replays first and takes the slot."""
+    return T.linear(T.linear(x, p["w"], p["b"], relu=True), p["w"], p["b"])
+
+
+def _add_replays_before_linear(p, x):
+    """w's first adjoint is add's g, shared with the linear's output; the
+    linear's slot is summed into, never g."""
+    return T.add(T.linear(x, p["w"], p["b"]), p["w"])
+
+
+def _linear_replays_before_add(p, x):
+    return T.linear(T.add(p["w"], p["u"]), p["w"], p["b"])
+
+
+def _add_of_one_parameter(p, x):
+    """add passes one adjoint array to both of its inputs."""
+    return T.linear(x, T.add(p["w"], p["w"]), p["b"])
+
+
+def _add_after_slot_write(p, x):
+    """w's slot is written first; add then passes one g to w and to u."""
+    later = T.linear(x, p["w"], p["b"])
+    return T.add(T.linear(x, T.add(p["w"], p["u"]), p["b"]), later)
+
+
+def _matmul_square(p, x):
+    return T.matmul(p["w"], p["w"])
+
+
+def _three_way(p, x):
+    """w's gradient sums three contributions: a matmul's slot, then a
+    linear's input rows and its weight product."""
+    return T.add(T.linear(p["w"], p["w"], p["b"]), T.matmul(x, p["w"]))
+
+
+def _gain_is_bias(p, x):
+    """One tensor as a layer norm's gain and bias: one rule, two slots."""
+    return T.layer_norm(x, p["b"], p["b"])
+
+
+@pytest.mark.parametrize("build", [_square_linear_twice, _add_replays_before_linear,
+                                   _linear_replays_before_add, _add_of_one_parameter,
+                                   _add_after_slot_write, _matmul_square, _three_way,
+                                   _gain_is_bias],
+                         ids=lambda build: build.__name__.lstrip("_"))
+def test_slot_writes_under_shared_use_match_an_unadopted_twin(build):
+    """A parameter feeding several tape entries gets, in its slot, the bytes
+    an un-adopted twin leaf gets in a fresh array; a NaN-poisoned slot
+    proves no rule reads it before writing it, and ``step`` accepts every
+    gradient."""
+    rng = np.random.default_rng(21)
+    values = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3),
+              "u": rng.normal(size=(3, 3))}
+    x = rng.normal(size=(3, 3))
+
+    def gradients(adopt):
+        params = {name: Tensor(value, requires_grad=True) for name, value in values.items()}
+        if adopt:
+            opt = Adam(params, lr=0.1)
+            opt.zero_grad()
+            for p in params.values():
+                p.grad_slot.fill(np.nan)
+            slots = {name: p.grad_slot for name, p in params.items()}
+        T.reset_graph()
+        out = build(params, Tensor(x))
+        T.backward(oracles.sum_all(oracles.mul(out, out)))
+        if adopt:
+            assert all(p.grad is None or p.grad is slots[name] for name, p in params.items())
+            opt.step()
+        return {name: None if p.grad is None else p.grad.tobytes()
+                for name, p in params.items()}
+
+    twin = gradients(adopt=False)
+    assert twin["w"] is not None or twin["b"] is not None
+    assert gradients(adopt=True) == twin

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cxrgen import tensor as T
 from cxrgen.errors import ContractError, ShapeError
+from cxrgen.optim import Adam
 from cxrgen.tensor import Tensor
 
 import oracles
@@ -538,6 +539,12 @@ class TestFusedOps:
                      Tensor(np.zeros(b_shape)))
 
 
+# the graphs that TestBackward.test_repeated_backward_accumulates replays twice
+REPEATED_BUILDS = {"square": "_square", "linear-relu-cross-entropy": "_dense_relu_cross_entropy",
+                   "attention": "_attention", "embedding": "_embedding",
+                   "add-layer-norm": "_add_layer_norm", "dropout": "_dropout"}
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
@@ -588,16 +595,37 @@ class TestBackward:
         out = T.embedding(table, [[2, 0, 3], [2, 2, 1]], T.sinusoidal_positions(3, 4))
         return oracles.sum_all(oracles.mul(out, out)), [table]
 
-    @pytest.mark.parametrize("build", ["_square", "_dense_relu_cross_entropy", "_attention",
-                                       "_embedding"],
-                             ids=["square", "linear-relu-cross-entropy", "attention",
-                                  "embedding"])
-    def test_repeated_backward_accumulates(self, build):
+    @staticmethod
+    def _add_layer_norm():
+        rng = np.random.default_rng(6)
+        x, residual = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        gain, bias = (Tensor(rng.normal(size=4), requires_grad=True) for _ in range(2))
+        out = T.add_layer_norm(x, residual, gain, bias)
+        return oracles.sum_all(oracles.mul(out, out)), [x, residual, gain, bias]
+
+    @staticmethod
+    def _dropout():
+        x = Tensor(np.random.default_rng(7).normal(size=(4, 5)), requires_grad=True)
+        out = T.dropout(x, 0.3, np.random.default_rng(8))
+        return oracles.sum_all(oracles.mul(out, out)), [x]
+
+    @pytest.mark.parametrize("build,adopted",
+                             [(build, adopted) for adopted in (False, True)
+                              for build in REPEATED_BUILDS.values()],
+                             ids=[name + ("-adopted" if adopted else "")
+                                  for adopted in (False, True) for name in REPEATED_BUILDS])
+    def test_repeated_backward_accumulates(self, build, adopted):
         """A second backward over the same tape adds exactly the first
         gradient again: no backward rule writes into an array its forward
-        kept."""
+        kept. With the leaves adopted by ``Adam``, the first backward writes
+        into their slots and the second adds fresh arrays onto them."""
         loss, leaves = getattr(self, build)()
+        if adopted:
+            Adam({str(i): leaf for i, leaf in enumerate(leaves)}).zero_grad()
+        slots = [leaf.grad_slot for leaf in leaves]
         T.backward(loss)
+        if adopted:
+            assert all(leaf.grad is slot for leaf, slot in zip(leaves, slots))
         first = [leaf.grad.copy() for leaf in leaves]
         T.backward(loss)
         for leaf, grad in zip(leaves, first):
@@ -774,6 +802,17 @@ class TestOtherOps:
         np.testing.assert_array_equal(a, b)
         kept = a != 0
         np.testing.assert_allclose(a[kept], 2.0)
+
+    def test_dropout_gradient_leaves_a_shared_adjoint_alone(self):
+        """``add`` hands one adjoint array to both summands; dropout's rule
+        scales its own copy, so the other summand's gradient is unscaled."""
+        rng = np.random.default_rng(10)
+        x, y = (Tensor(rng.normal(size=(4, 6)), requires_grad=True) for _ in range(2))
+        out = T.add(x, T.dropout(y, 0.5, np.random.default_rng(11)))
+        T.backward(oracles.sum_all(oracles.mul(out, out)))
+        keep = (np.random.default_rng(11).random((4, 6)) >= 0.5).astype(np.float32)
+        np.testing.assert_array_equal(x.grad, 2 * out.data)
+        np.testing.assert_array_equal(y.grad, 2 * out.data * keep * 2.0)
 
     def test_cross_entropy_matches_manual(self):
         logits = np.asarray([[2.0, 0.0, -1.0], [0.5, 0.5, 0.5]])

@@ -456,8 +456,9 @@ class TestFit:
         assert log_a.trajectory() == log_b.trajectory()
 
     def test_trajectory_matches_per_tensor_adam(self, monkeypatch):
-        """Flat-buffer Adam and pre-zeroed gradient slots change no bit of a
-        3-epoch fit: dropout 0.1, two decoder blocks, desk width."""
+        """Flat-buffer Adam and gradients written straight into their slots
+        change no bit of a 3-epoch fit: dropout 0.1, two decoder blocks,
+        desk width."""
         import dataclasses
 
         import cxrgen.training
@@ -476,6 +477,85 @@ class TestFit:
         flat = run()
         monkeypatch.setattr(cxrgen.training, "Adam", PerTensorAdam)
         assert run() == flat
+
+    @staticmethod
+    def _state(params, optimizer):
+        """Every parameter and both moments, as bytes: tobytes tells -0.0
+        from +0.0, which array equality does not."""
+        return [array.tobytes() for array in (*(p.data for p in params.values()),
+                                             *optimizer.m.values(), *optimizer.v.values())]
+
+    def test_paper_scale_steps_match_per_tensor_adam(self):
+        """Two ``ModelConfig()`` steps with dropout 0.1 leave the parameters
+        and moments of the slot-writing flat Adam byte-equal to those of the
+        per-tensor optimizer, whose gradients are fresh arrays."""
+        cfg = ModelConfig()
+        assert cfg.dropout_rate == 0.1
+        rng = np.random.default_rng(8)
+        batch = []
+        for i in range(4):
+            words = rng.integers(4, cfg.vocab_size, size=cfg.max_len - 2 - i)
+            ids = np.concatenate([[START_ID], words, [END_ID], np.full(i, PAD_ID)])
+            batch.append(EncodedExample(f"p{i}", rng.normal(size=cfg.feature_dim),
+                                        rng.random(cfg.demographic_dim), ids.astype(np.int64)))
+        initial = init_parameters(cfg, seed=8)
+        states = []
+        for optimizer_class in (Adam, PerTensorAdam):
+            params = {name: Tensor(p.data.copy(), requires_grad=True)
+                      for name, p in initial.items()}
+            optimizer = optimizer_class(params, lr=3e-4)
+            dropout_rng = np.random.default_rng(9)
+            for _ in range(2):
+                train_step(batch, params, optimizer, cfg, rng=dropout_rng)
+            states.append(self._state(params, optimizer))
+        assert states[0] == states[1]
+
+    def test_image_only_fit_matches_per_tensor_adam(self, monkeypatch):
+        """A 3-epoch image-only desk fit with dropout 0.1: the same
+        parameter and moment bytes under both optimizers."""
+        import cxrgen.training
+
+        points, vocab, codec, cfg, _ = tiny_setup(d_model=32, dropout=0.1)
+        cfg = replace(cfg, demographic_dim=0)
+        examples = encode_examples(points, vocab, codec, cfg)
+        train_cfg = TrainConfig(batch_size=4, learning_rate=1e-2, epochs=3, seed=3,
+                                patience=None)
+        states = []
+        for optimizer_class in (Adam, PerTensorAdam):
+            built = []
+
+            def recording(params, lr, optimizer_class=optimizer_class, built=built):
+                built.append(optimizer_class(params, lr=lr))
+                return built[-1]
+
+            monkeypatch.setattr(cxrgen.training, "Adam", recording)
+            params = init_parameters(cfg, seed=3)
+            fit(examples[:12], examples[12:16], params, cfg, train_cfg)
+            states.append(self._state(params, built[0]))
+        assert states[0] == states[1]
+
+    def test_nan_in_unwritten_slots_changes_no_bit_of_a_step(self):
+        """``zero_grad`` leaves the gradient buffer as the last step left it,
+        so each slot is written before it is read: two desk steps with
+        dropout 0.1 after NaN-filling every slot at each ``zero_grad`` leave
+        the parameters and moments byte-equal to unpoisoned steps."""
+        _, _, _, cfg, examples = tiny_setup(d_model=32, dropout=0.1)
+
+        class PoisonedAdam(Adam):
+            def zero_grad(self):
+                super().zero_grad()
+                for p in self.params.values():
+                    p.grad_slot.fill(np.nan)
+
+        states = []
+        for optimizer_class in (PoisonedAdam, Adam):
+            params = init_parameters(cfg, seed=3)
+            optimizer = optimizer_class(params, lr=1e-2)
+            dropout_rng = np.random.default_rng(4)
+            for start in (0, 4):
+                train_step(examples[start:start + 4], params, optimizer, cfg, rng=dropout_rng)
+            states.append(self._state(params, optimizer))
+        assert states[0] == states[1]
 
     def test_validation_is_pure(self):
         _, _, _, cfg, examples = tiny_setup(dropout=0.3)
