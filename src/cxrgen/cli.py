@@ -8,7 +8,12 @@ checksum is taken of the bytes the command parsed, as it read them. The
 record is ``provenance.json`` in the ``--out`` directory, except for
 ``generate``, whose ``--out`` is a file: it writes ``<out>.provenance.json``
 beside it, so generating into a training run's directory keeps the run's
-record, and so does a second ``generate`` with another ``--out``.
+record, and so does a second ``generate`` with another ``--out``. No command
+replaces another's record: ``synth-data``, ``prepare-data`` and ``train``
+refuse an ``--out`` directory whose ``provenance.json`` another command
+wrote (re-running a command into its own directory is allowed), and
+``generate`` refuses a ``--refs-out`` that is its ``--out`` or the record
+beside it, before anything is written.
 ``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
 ``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
 and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
@@ -39,13 +44,14 @@ Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
 lowercase words, a checkpoint whose feature width differs from the prepared
-data's and a ``generate --split`` that holds no report), 3 data integrity
-failure (a file that is not UTF-8 is one, and so are a checkpoint of format
-1 or 2 or whose manifest names another blob, a bad dataset record, a
-malformed split manifest or evaluation report, a repeated vocabulary token,
-a demographics manifest or checkpoint codec that lacks a key or holds a bad
-value, and a checkpoint vocabulary or codec that does not fit its model), 4
-numeric failure.
+data's, a ``generate --split`` that holds no report and an output path that
+would replace another command's record or ``generate``'s own hypotheses), 3
+data integrity failure (a file that is not UTF-8 is one, and so are a
+checkpoint of format 1 or 2 or whose manifest names another blob, a bad
+dataset record, a malformed split manifest or evaluation report, a repeated
+vocabulary token, a demographics manifest or checkpoint codec that lacks a
+key or holds a bad value, and a checkpoint vocabulary or codec that does
+not fit its model), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -93,6 +99,18 @@ def _write_provenance(path, command: str, options: dict, inputs=None, **sections
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_json(path, payload, sort_keys=True)
+
+
+def _claim_out_dir(out, command: str) -> None:
+    """Refuse an ``--out`` directory whose ``provenance.json`` another
+    command wrote: writing there would replace the record of how its files
+    were made. Re-running ``command`` into its own directory is allowed."""
+    path = Path(out) / "provenance.json"
+    if path.exists():
+        previous = read_json_object(path, ConfigError, None).get("command")
+        if previous != command:
+            raise ConfigError(f"--out {out} holds the provenance record of {previous!r}; "
+                              f"{command} would replace it, so choose another --out")
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -158,6 +176,7 @@ def _parse_fields(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_synth_data(args) -> int:
+    _claim_out_dir(args.out, "synth-data")
     spec = CorpusSpec(n_per_stratum=args.n_per_stratum, feature_dim=args.feature_dim)
     points = synthesize_corpus(spec, args.seed)
     out = Path(args.out)
@@ -171,6 +190,7 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_prepare_data(args) -> int:
+    _claim_out_dir(args.out, "prepare-data")
     if args.age_min >= args.age_max:
         raise ConfigError(f"--age-min {args.age_min} must be below --age-max {args.age_max}")
     data_path = Path(args.data)
@@ -258,6 +278,7 @@ def _split_points(points, ids) -> list:
 
 
 def cmd_train(args) -> int:
+    _claim_out_dir(args.out, "train")
     points_path, vocab_path, demo_path = (
         Path(args.data) / name for name in ("cleaned.jsonl", "vocab.txt", "demographics.json"))
     inputs = {path: hashlib.sha256() for path in (points_path, vocab_path, demo_path)}
@@ -349,6 +370,11 @@ def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
 
 
 def cmd_generate(args) -> int:
+    out = Path(args.out)
+    record = out.with_name(out.name + ".provenance.json")
+    if args.refs_out and Path(args.refs_out).resolve() in (out.resolve(), record.resolve()):
+        raise ConfigError(f"--refs-out {args.refs_out} would overwrite what --out "
+                          f"{args.out} writes: give the references another path")
     manifest_path, blob_path = (Path(args.checkpoint) / name
                                 for name in ("manifest.json", "params.bin"))
     points_path = Path(args.data) / "cleaned.jsonl"
@@ -367,7 +393,6 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"the {args.split} split of subset {args.subset} in {args.data} "
                           "is empty: there is no report to generate")
     selected = _split_points(points, ids)
-    out = Path(args.out)
     for path in filter(None, (args.out, args.refs_out)):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     hyp_lines = []
@@ -383,7 +408,7 @@ def cmd_generate(args) -> int:
     if args.refs_out:   # first, so a reference path that cannot be written leaves no hyp.txt
         write_lines(args.refs_out, ref_lines)
     write_lines(out, hyp_lines)
-    _write_provenance(out.with_name(out.name + ".provenance.json"), "generate", {
+    _write_provenance(record, "generate", {
         "checkpoint": str(args.checkpoint),
         "data": str(args.data),
         "subset": args.subset,

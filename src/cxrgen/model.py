@@ -25,9 +25,9 @@ projections, residual layer norm), the semantic unit 1 and the fusion block
 output projections; Q, K and V projections, attention and output
 projection; two residual layer norms around the repeated cross-attention
 rows; the ReLU dense layer and its residual add) and 1 for the classifier.
-With the loss's cross-entropy and its scale, a one-block model records 25
-entries, or 21 without demographics; dropout adds one entry per site when
-its rate is positive.
+With the loss's cross-entropy, a one-block model records 24 entries, or 20
+without demographics; dropout adds one entry per site when its rate is
+positive.
 
 The network is written once. ``_encode`` is the encoder and ``_decode``
 the decoder blocks plus the classifier, each over an op set: training
@@ -275,8 +275,8 @@ def _arrays(params) -> dict[str, np.ndarray]:
     return {name: tensor.data for name, tensor in params.items()}
 
 
-def _rows(values, width: int, what: str) -> Tensor:
-    """A [width] vector or a [B x width] stack of them, as a [B x width] tensor."""
+def _rows(values, width: int, what: str) -> np.ndarray:
+    """A [width] vector or a [B x width] stack of them, as a [B x width] array."""
     try:
         rows = np.asarray(values, dtype=np.float64)
     except ValueError as exc:
@@ -284,18 +284,19 @@ def _rows(values, width: int, what: str) -> Tensor:
     rows = rows.reshape(1, -1) if rows.ndim < 2 else rows
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ShapeError(f"expected {what} of length {width}, got shape {rows.shape}")
-    return Tensor(rows)
+    return rows
 
 
-def _encoder_rows(features, demo, cfg: ModelConfig):
+def _encoder_rows(features, demo, cfg: ModelConfig, wrap):
     """The checked [B x F] feature rows and [B x D] demographic rows (None
-    for an image-only model) of the encoder, as tensors."""
-    x = _rows(features, cfg.feature_dim, "image feature vectors")
+    for an image-only model) of the encoder, each array passed through
+    ``wrap``."""
+    x = wrap(_rows(features, cfg.feature_dim, "image feature vectors"))
     if not cfg.uses_demographics:
         return x, None
     if demo is None:
         raise ContractError("this configuration requires a demographic vector")
-    demo = _rows(demo, cfg.demographic_dim, "demographic vectors")
+    demo = wrap(_rows(demo, cfg.demographic_dim, "demographic vectors"))
     if demo.shape[0] != x.shape[0]:
         raise ShapeError(f"fusion expects one demographic row per feature row, got "
                          f"{x.shape[0]} feature rows and {demo.shape[0]} demographic rows")
@@ -333,15 +334,17 @@ def encode_inputs(features, demo, params, cfg: ModelConfig, rng=None) -> Tensor:
     hybrid representation is [B x d_model]. Dropout runs when ``rng`` is
     given.
     """
-    return _encode(*_encoder_rows(features, demo, cfg), params, cfg, T, rng)
+    return _encode(*_encoder_rows(features, demo, cfg, Tensor), params, cfg, T, rng)
 
 
 def _encode_arrays(features, demo, params, cfg: ModelConfig) -> np.ndarray:
     """``encode_inputs(features, demo, params, cfg).data`` bit for bit, run
-    on the parameters' arrays with no ``Tensor`` op and no dropout."""
-    x, demo = _encoder_rows(features, demo, cfg)
-    return _encode(x.data, None if demo is None else demo.data, _arrays(params), cfg,
-                   _ARRAYS, None)
+    on the parameters' arrays, with the input rows cast to their dtype: no
+    ``Tensor`` and no dropout."""
+    arrays = _arrays(params)
+    dtype = arrays["classifier.w"].dtype
+    x, demo = _encoder_rows(features, demo, cfg, lambda rows: rows.astype(dtype))
+    return _encode(x, demo, arrays, cfg, _ARRAYS, None)
 
 
 @functools.cache

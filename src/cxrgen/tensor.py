@@ -4,10 +4,10 @@ This is the numeric substrate for the report-generation model: n-dimensional
 float arrays plus exactly the differentiable operations the network needs
 (matmul, biased dense layers with an optional ReLU, layer norm with or
 without a residual sum, multi-head attention, embeddings with their
-position rows, row repetition, add, scale, a cross-entropy summed over a row
-mask, dropout). Values are stored as row-major 32-bit floats by default; a
-64-bit mode exists for numerical verification (finite-difference gradient
-checks are meaningless in single precision).
+position rows, row repetition, add, a cross-entropy averaged over the rows
+of a mask, dropout). Values are stored as row-major 32-bit floats by
+default; a 64-bit mode exists for numerical verification
+(finite-difference gradient checks are meaningless in single precision).
 
 The operations take rank-2 ``[rows x width]`` tensors; ``matmul`` takes
 exactly two, as no layer needs a stack of products. A layer the model runs
@@ -289,12 +289,15 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask):
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     """The arithmetic of ``sparse_cross_entropy`` on [T x V] ``logits``:
-    the summed loss as a 0-d array of the logits' dtype, and the
-    log-probabilities that the backward rule reads."""
+    the mean loss over the rows where ``mask`` is True, as a 0-d array of
+    the logits' dtype, then the factor it was taken with and the
+    log-probabilities, which the backward rule reads. The mean is the sum
+    times 1 / count, both in the logits' dtype."""
     log_probs = logits - logits.max(axis=1, keepdims=True)   # shifted, then in place
     log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
     picked = log_probs[np.arange(logits.shape[0]), targets]
-    return np.asarray(-(picked * mask).sum(), dtype=logits.dtype), log_probs
+    factor = logits.dtype.type(1.0 / np.count_nonzero(mask))
+    return np.asarray(-(picked * mask).sum() * factor), factor, log_probs
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +360,6 @@ def repeat_rows(x: Tensor, times: int) -> Tensor:
     rows, width = x.shape
     out = Tensor._wrap(x.data.repeat(times, axis=0))
     return _record((x,), out, lambda g: (g.reshape(rows, times, width).sum(axis=1),))
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    out = Tensor._wrap(a.data * np.asarray(factor, dtype=a.data.dtype))
-    return _record((a,), out, lambda g: (g * factor,))
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -527,8 +524,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask) ->
 
 
 def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
-    """Summed cross-entropy of integer ``targets`` against per-row
-    ``logits`` over the rows where the boolean ``mask`` is True; the other
+    """Cross-entropy of integer ``targets`` against per-row ``logits``,
+    averaged over the rows where the boolean ``mask`` is True; the other
     rows contribute exactly zero to the value and to the gradient."""
     if logits.ndim != 2:
         raise ShapeError(f"cross entropy expects [T x V] logits, got {tuple(logits.shape)}")
@@ -544,17 +541,16 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     if not mask.any():
         raise ContractError("cross entropy over zero selected rows")
 
-    total, log_probs = _cross_entropy(logits.data, targets, mask)
-    rows = np.arange(n_rows)
+    mean, factor, log_probs = _cross_entropy(logits.data, targets, mask)
 
     def vjp(g):
         gl = np.exp(log_probs)
-        gl[rows, targets] -= 1.0
+        gl[np.arange(n_rows), targets] -= 1.0
         gl *= mask[:, None]
-        gl *= g.reshape(())
+        gl *= g.reshape(()) * factor
         return (gl,)
 
-    return _record((logits,), Tensor._wrap(total), vjp)
+    return _record((logits,), Tensor._wrap(mean), vjp)
 
 
 def sinusoidal_positions(length: int, width: int, dtype=None) -> np.ndarray:

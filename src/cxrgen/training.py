@@ -3,7 +3,10 @@
 Loss is the mean sparse cross-entropy over every non-pad target position in
 the batch, pooled across examples, so duplicating an example k times leaves
 both the loss and the gradient direction unchanged. Pad positions contribute
-exactly zero to the loss and to every gradient.
+exactly zero to the loss and to every gradient. The mean has one
+definition: the cross-entropy op takes it (``tensor.sparse_cross_entropy``,
+one tape entry), and validation reads it from the op's forward arithmetic
+(``tensor._cross_entropy``), so the two round it alike.
 
 A batch is one tape: its examples' teacher-forcing views are built as one
 padded ``[B x L]`` array by whole-array operations, and one forward pass of
@@ -150,9 +153,8 @@ def batch_loss(batch, params, cfg: ModelConfig, rng=None) -> tuple[Tensor, int]:
     features, demos, inputs, targets, mask = _assemble(batch)
     hybrid = encode_inputs(features, demos, params, cfg, rng=rng)
     logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
-    count = int(mask.sum())
-    total = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
-    return T.scale(total, 1.0 / count), count
+    loss = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
+    return loss, int(mask.sum())
 
 
 def clip_gradients(params, max_norm: float) -> float:
@@ -209,7 +211,7 @@ def evaluate_loss(examples, params, cfg: ModelConfig, batch_size: int = 64) -> f
         cache = DecodeCache(_encode_arrays(features, demos, params, cfg), params, cfg)
         loss = T._cross_entropy(cache.step(inputs), targets.reshape(-1), mask.reshape(-1))[0]
         n = int(mask.sum())
-        total += float(loss * loss.dtype.type(1.0 / n)) * n   # the rounding of T.scale
+        total += float(loss) * n
         count += n
     return total / count
 

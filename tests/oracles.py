@@ -20,7 +20,7 @@ model's forward from the package's tensor ops around
 ``counter_bleu`` and ``per_pair_embedding_f1`` keep the per-pair metrics
 that the batched ones replaced; ``per_pair_embedding_f1`` looks tokens up
 one at a time with ``lookup``. ``permute``, ``reshape``, ``add`` (with its
-bias broadcast), ``softmax``, ``apply_attention_mask`` and
+bias broadcast), ``scale``, ``softmax``, ``apply_attention_mask`` and
 ``scaled_dot_attention``, ``relu`` and ``gather_rows`` (the embedding
 gather with its row-wise gradient scatter) are the tensor ops that the
 fused ones replaced, recorded on the package's tape, and
@@ -28,10 +28,14 @@ fused ones replaced, recorded on the package's tape, and
 longer takes; ``composed_multi_head_attention``, ``composed_linear``,
 ``owner_repeat_rows``, ``composed_add_layer_norm``,
 ``composed_linear_relu`` and ``composed_embedding`` chain them (and the
-package's ``matmul``, ``scale``, ``add``, ``linear`` and ``layer_norm``)
+package's ``matmul``, ``add``, ``linear`` and ``layer_norm``)
 into the reference for ``tensor.multi_head_attention``, ``tensor.linear``,
 ``tensor.repeat_rows``, ``tensor.add_layer_norm``, the ReLU of
-``tensor.linear`` and the positions of ``tensor.embedding``. ``mul`` and
+``tensor.linear`` and the positions of ``tensor.embedding``.
+``summed_cross_entropy`` is ``tensor.sparse_cross_entropy`` as it was
+before it took the mean, and ``two_op_batch_loss`` runs the package's
+model and chains it and ``scale`` into the reference for
+``training.batch_loss``. ``mul`` and
 ``sum_all`` are tensor ops that only tests use, to reduce an op's output
 to a scalar loss.
 
@@ -323,6 +327,15 @@ def add(a, b):
     return _op((a, b), a.data + b.data, lambda g: (g, g.sum(axis=0) if bias_rows else g))
 
 
+def scale(a, factor):
+    """``a`` times the scalar ``factor``, rounded to ``a``'s dtype."""
+    from cxrgen import tensor as T
+
+    factor = float(factor)
+    out = T.Tensor._wrap(a.data * np.asarray(factor, dtype=a.data.dtype))
+    return T._record((a,), out, lambda g: (g * factor,))
+
+
 def softmax(x, axis=-1):
     """Softmax along ``axis``, stabilized by max-subtraction."""
     from cxrgen.errors import ShapeError
@@ -364,7 +377,6 @@ def scaled_dot_attention(q, k, v, mask=None):
     Shapes: q [Lq x d], k [Lk x d], v [Lk x dv] and a boolean [Lq x Lk]
     mask, or stacks of them with the same leading dimensions.
     """
-    from cxrgen import tensor as T
     from cxrgen.errors import ShapeError
 
     q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
@@ -373,7 +385,7 @@ def scaled_dot_attention(q, k, v, mask=None):
             and q_shape[-1] == k_shape[-1] and k_shape[-2] == v_shape[-2]):
         raise ShapeError(f"attention: incompatible q {q_shape}, k {k_shape}, v {v_shape}")
     swap_last = (*range(len(k_shape) - 2), len(k_shape) - 1, len(k_shape) - 2)
-    scores = T.scale(stacked_matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
+    scores = scale(stacked_matmul(q, permute(k, swap_last)), 1.0 / math.sqrt(q_shape[-1]))
     if mask is not None:
         scores = apply_attention_mask(scores, mask)
     return stacked_matmul(softmax(scores, axis=-1), v)
@@ -603,6 +615,43 @@ def padded_teacher_forcing_batch(rows, pad_id=0):
     return padded(0, pad_id), padded(1, pad_id), padded(2, False)
 
 
+def summed_cross_entropy(logits, targets, mask):
+    """``tensor.sparse_cross_entropy`` as it was before it took the mean:
+    the cross-entropy summed over the rows where ``mask`` is True, with
+    the package's forward arithmetic."""
+    from cxrgen import tensor as T
+
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    log_probs = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    rows = np.arange(logits.shape[0])
+    total = np.asarray(-(log_probs[rows, targets] * mask).sum(), dtype=logits.data.dtype)
+
+    def vjp(g):
+        gl = np.exp(log_probs)
+        gl[rows, targets] -= 1.0
+        gl *= mask[:, None]
+        gl *= g.reshape(())
+        return (gl,)
+
+    return T._record((logits,), T.Tensor._wrap(total), vjp)
+
+
+def two_op_batch_loss(batch, params, cfg, rng=None):
+    """``training.batch_loss`` as the two tape entries it replaced: the
+    summed cross-entropy, then ``scale`` by 1 / the pooled token count."""
+    from cxrgen.model import decoder_forward, encode_inputs
+    from cxrgen.training import _assemble
+
+    features, demos, inputs, targets, mask = _assemble(batch)
+    hybrid = encode_inputs(features, demos, params, cfg, rng=rng)
+    logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
+    count = int(mask.sum())
+    total = summed_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
+    return scale(total, 1.0 / count), count
+
+
 def per_example_batch_loss(batch, params, cfg, rng=None):
     """The pooled batch loss with the package's model called one example at
     a time: encode, decode the unpadded teacher-forcing view, sum the
@@ -619,10 +668,10 @@ def per_example_batch_loss(batch, params, cfg, rng=None):
         hybrid = encode_inputs(ex.features, ex.demo, params, cfg, rng=rng)
         inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
         logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
-        part = T.sparse_cross_entropy(logits, targets, mask)
+        part = summed_cross_entropy(logits, targets, mask)
         total = part if total is None else T.add(total, part)
         count += int(mask.sum())
-    return T.scale(total, 1.0 / count), count
+    return scale(total, 1.0 / count), count
 
 
 def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):

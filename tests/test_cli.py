@@ -812,6 +812,56 @@ class TestTrainGenerate:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputsKeepOtherRecords:
+    """No command overwrites another command's provenance record, and
+    generate does not overwrite its own hypotheses with the references."""
+
+    @staticmethod
+    def _argv(command, pipeline, out):
+        data = {"synth-data": [],
+                "prepare-data": ["--data", str(pipeline["corpus"] / "dataset.jsonl")],
+                "train": ["--data", str(pipeline["prep"]), *TINY_TRAIN]}[command]
+        return [command, *data, "--out", str(out), "--seed", "7",
+                *(["--n-per-stratum", "2", "--feature-dim", "6"]
+                  if command == "synth-data" else [])]
+
+    @pytest.mark.parametrize("command, other", [
+        ("train", "prep"), ("prepare-data", "corpus"), ("synth-data", "run")])
+    def test_out_holding_another_commands_record_is_usage_error(self, pipeline, tmp_path,
+                                                                  command, other):
+        """``train --data prep --out prep`` would replace the record of how
+        ``cleaned.jsonl`` was made with its own."""
+        target = tmp_path / other
+        shutil.copytree(pipeline[other], target)
+        before = _files(target)
+        code, err = _run(self._argv(command, pipeline, target))
+        assert code == 2
+        assert "holds the provenance record of" in err and "Traceback" not in err
+        assert _files(target) == before
+
+    @pytest.mark.parametrize("command", ["synth-data", "prepare-data", "train"])
+    def test_rerun_into_its_own_out_is_allowed(self, pipeline, tmp_path, command):
+        argv = self._argv(command, pipeline, tmp_path / "out")
+        assert main(argv) == 0
+        record = (tmp_path / "out" / "provenance.json").read_bytes()
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "provenance.json").read_bytes() == record
+
+    @pytest.mark.parametrize("refs", ["gen/hyp.txt", "gen/../gen/hyp.txt",
+                                      "gen/hyp.txt.provenance.json"])
+    def test_refs_out_onto_the_hypotheses_or_their_record_is_usage_error(
+            self, pipeline, tmp_path, monkeypatch, refs):
+        """``--out gen/hyp.txt --refs-out gen/hyp.txt`` would leave the
+        hypotheses in both files, and evaluate would score them 1.0."""
+        monkeypatch.chdir(tmp_path)
+        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                          "--data", str(pipeline["prep"]), "--out", "gen/hyp.txt",
+                          "--refs-out", refs])
+        assert code == 2
+        assert "--refs-out" in err and "--out" in err and "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("target", [
         "vocab.txt", "demographics.json", "splits/subset_0.json", "manifest.json",

@@ -20,7 +20,7 @@ from cxrgen.training import (EncodedExample, TrainConfig, batch_loss, clip_gradi
                              teacher_forcing_batch, train_step)
 
 from oracles import (PerTensorAdam, direct_softmax, padded_teacher_forcing_batch,
-                     per_example_batch_loss, tape_evaluate_loss)
+                     per_example_batch_loss, tape_evaluate_loss, two_op_batch_loss)
 
 
 def tiny_setup(n_per_stratum=2, d_model=16, max_len=24, dropout=0.0, seed=0):
@@ -316,11 +316,33 @@ class TestValidationOnArrays:
         assert all(p.grad is None for p in params.values())
 
 
+class TestOneLossOp:
+    """``batch_loss`` takes the pooled mean inside the cross-entropy op; its
+    value and every gradient equal, byte for byte, the summed cross-entropy
+    followed by a separate ``scale`` op that it replaced."""
+
+    @pytest.mark.parametrize("cfg, rng_seed", [
+        (DESK, None), (replace(DESK, dropout_rate=0.1), 5), (ModelConfig(), None)],
+        ids=["desk", "desk-dropout-0.1", "paper"])
+    def test_batch_loss_matches_two_op_reference_bytes(self, cfg, rng_seed):
+        batch = random_examples(cfg, (12, 5, 20, 9), seed=3)
+        results = []
+        for loss_fn in (batch_loss, two_op_batch_loss):
+            T.reset_graph()
+            params = init_parameters(cfg, seed=0)
+            rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+            loss, count = loss_fn(batch, params, cfg, rng=rng)
+            T.backward(loss)
+            results.append((loss.data.tobytes(), count,
+                            {name: p.grad.tobytes() for name, p in params.items()}))
+        assert results[0] == results[1]
+
+
 class TestTapeSize:
     """A training step's tape is pinned, so un-fusing an op fails here and
     not only in a traced benchmark run."""
 
-    @pytest.mark.parametrize("demographic_dim, entries", [(7, 25), (0, 21)],
+    @pytest.mark.parametrize("demographic_dim, entries", [(7, 24), (0, 20)],
                              ids=["demographics", "image-only"])
     def test_desk_batch_loss_records_a_fixed_number_of_entries(self, demographic_dim, entries):
         cfg = replace(DESK, demographic_dim=demographic_dim)
