@@ -13,7 +13,10 @@ replaces another's record: ``synth-data``, ``prepare-data`` and ``train``
 refuse an ``--out`` directory whose ``provenance.json`` another command
 wrote (re-running a command into its own directory is allowed), and
 ``generate`` refuses a ``--refs-out`` that is its ``--out`` or the record
-beside it, before anything is written.
+beside it, and an ``--out`` or ``--refs-out`` named ``provenance.json`` or
+``*.provenance.json``, before anything is written. It also refuses, before
+writing, an ``--out``, ``--refs-out`` or ``<out>.provenance.json`` that is an
+existing directory.
 ``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
 ``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
 and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
@@ -45,7 +48,8 @@ path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
 lowercase words, a checkpoint whose feature width differs from the prepared
 data's, a ``generate --split`` that holds no report and an output path that
-would replace another command's record or ``generate``'s own hypotheses), 3
+would replace another command's record or ``generate``'s own hypotheses, or
+that is an existing directory), 3
 data integrity failure (a file that is not UTF-8 is one, and so are a
 checkpoint of format 1 or 2 or whose manifest names another blob, a bad
 dataset record, a malformed split manifest or evaluation report, a repeated
@@ -372,9 +376,20 @@ def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
 def cmd_generate(args) -> int:
     out = Path(args.out)
     record = out.with_name(out.name + ".provenance.json")
-    if args.refs_out and Path(args.refs_out).resolve() in (out.resolve(), record.resolve()):
-        raise ConfigError(f"--refs-out {args.refs_out} would overwrite what --out "
-                          f"{args.out} writes: give the references another path")
+    outputs = {"--out": out}
+    if args.refs_out:
+        outputs["--refs-out"] = refs = Path(args.refs_out)
+        if refs.resolve() in (out.resolve(), record.resolve()):
+            raise ConfigError(f"--refs-out {args.refs_out} would overwrite what --out "
+                              f"{args.out} writes: give the references another path")
+    for option, path in outputs.items():
+        name = path.resolve().name
+        if name == "provenance.json" or name.endswith(".provenance.json"):
+            raise ConfigError(f"{option} {path} is named like a provenance record, which it "
+                              "could replace: give the report lines another file name")
+    for option, path in (*outputs.items(), ("--out's provenance record", record)):
+        if path.is_dir():
+            raise ConfigError(f"{option} {path} is an existing directory")
     manifest_path, blob_path = (Path(args.checkpoint) / name
                                 for name in ("manifest.json", "params.bin"))
     points_path = Path(args.data) / "cleaned.jsonl"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -338,15 +338,26 @@ def load_raw_records(path, digest) -> list[IngestRecord]:
 
 def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None,
                      min_raw_words: int = 9) -> tuple[list[DataPoint], list[Rejected]]:
-    """Clean ingested records into DataPoints; rejections are returned, not raised."""
+    """Clean ingested records into DataPoints; rejections are returned, not raised.
+
+    Cleaning reads only a report's text, so each distinct text is cleaned
+    once per call; a later record with the same text gets that outcome
+    (``CleanReport`` or ``Rejected``) with its own id stamped on.
+    """
     stopwords = load_stopwords() if stopwords is None else stopwords
     std_map = default_standardization_map() if std_map is None else std_map
     reject_patterns = load_reject_patterns() if reject_patterns is None else reject_patterns
     points: list[DataPoint] = []
     rejects: list[Rejected] = []
+    outcomes: dict[str, CleanReport | Rejected] = {}
     for record in records:
-        outcome = clean_report(RawReport(record.id, record.text), stopwords, std_map,
-                               reject_patterns, min_raw_words=min_raw_words)
+        outcome = outcomes.get(record.text)
+        if outcome is None:
+            outcome = clean_report(RawReport(record.id, record.text), stopwords, std_map,
+                                   reject_patterns, min_raw_words=min_raw_words)
+            outcomes[record.text] = outcome
+        else:
+            outcome = replace(outcome, id=record.id)
         if isinstance(outcome, Rejected):
             rejects.append(outcome)
             continue

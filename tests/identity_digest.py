@@ -12,7 +12,12 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
   Adam's first and second moments;
 * ``evaluate_loss:<variant>`` -- the validation loss of a fresh model;
 * ``generate:<variant>:<greedy|T=0.5>`` -- the ids ``generate`` decodes
-  for a few examples with the fitted desk model, or a fresh paper-scale one.
+  for a few examples with the fitted desk model, or a fresh paper-scale one;
+* ``corpus`` -- every point of ``synthesize_corpus(CorpusSpec(), seed=42)``
+  (ids of the point and its report, tokens, demographics, raw text, feature
+  bytes), then what ``build_datapoints`` makes of
+  ``oracles.mixed_cleaning_records`` (the same ids and the tokens of the
+  points; ids, reasons and details of the rejects).
 
 The desk variants are ``desk`` (dropout 0), ``desk-dropout-0.1``,
 ``desk-2-blocks`` and ``desk-image-only``; ``paper`` is ``ModelConfig()``
@@ -35,13 +40,15 @@ from pathlib import Path
 import numpy as np
 
 from cxrgen.checkpoint import parameter_checksum, save_checkpoint
-from cxrgen.data import CorpusSpec, synthesize_corpus
+from cxrgen.data import CorpusSpec, build_datapoints, synthesize_corpus
 from cxrgen.demographics import DemographicCodec, select_top_categories
 from cxrgen.model import ModelConfig, generate, init_parameters
 from cxrgen.optim import Adam
 from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
 from cxrgen.training import (EncodedExample, TrainConfig, encode_examples, evaluate_loss, fit,
                              train_step)
+
+from oracles import mixed_cleaning_records
 
 
 def _floats(values) -> bytes:
@@ -116,6 +123,22 @@ def generate_case(examples, params, cfg, temperature) -> bytes:
     return digest.digest()
 
 
+def corpus_case() -> bytes:
+    digest = hashlib.sha256()
+    for point in synthesize_corpus(CorpusSpec(), seed=42):
+        demo = point.demographics
+        fields = (point.id, point.report.id, *point.report.tokens, demo.gender, str(demo.age), demo.ethnicity,
+                  point.raw_text)
+        digest.update("\x1f".join(fields).encode() + point.features.tobytes() + b"|")
+    points, rejects = build_datapoints(mixed_cleaning_records())
+    for point in points:
+        digest.update("\x1f".join((point.id, point.report.id, *point.report.tokens)).encode()
+                      + b"|")
+    for reject in rejects:
+        digest.update("\x1f".join((reject.id, reject.reason, reject.detail)).encode() + b"|")
+    return digest.digest()
+
+
 def cases():
     """Yield (name, digest bytes) for every case, in a fixed order."""
     points, codec, vocab = desk_world()
@@ -138,6 +161,7 @@ def cases():
     params = init_parameters(cfg, seed=3)
     for label, temperature in (("greedy", 0.0), ("T=0.5", 0.5)):
         yield f"generate:paper:{label}", generate_case(examples[:2], params, cfg, temperature)
+    yield "corpus", corpus_case()
 
 
 def main() -> int:

@@ -50,7 +50,11 @@ one record with all three fields, checking the layout on every call.
 cleaning that the indexed standardization map and the single-pass
 ``text.clean_report`` replaced: every rule tried at every position, and
 every token of the result re-checked character by character
-(``generator_bad_token``) after cleaning.
+(``generator_bad_token``) after cleaning. ``per_record_build_datapoints``
+keeps ``data.build_datapoints`` as it was before it cleaned each distinct
+text once: it calls the package's ``text.clean_report`` for every record.
+``mixed_cleaning_records`` is the input it is compared on, with repeated
+kept and rejected texts.
 """
 
 import json
@@ -1011,3 +1015,45 @@ def validating_clean_report(raw, stopwords, rules, reject_patterns=(), min_raw_w
         if generator_bad_token(token):
             raise ContractError(f"report {raw.id}: malformed token {token!r}")
     return CleanReport(raw.id, ("<start>", *tokens, "<end>"))
+
+
+def per_record_build_datapoints(records, stopwords, std_map, reject_patterns, min_raw_words=9):
+    """``data.build_datapoints`` as it was before it cleaned each distinct
+    text once: the package's ``clean_report`` called for every record."""
+    from cxrgen.data import DataPoint
+    from cxrgen.text import RawReport, Rejected, clean_report
+
+    points, rejects = [], []
+    for record in records:
+        outcome = clean_report(RawReport(record.id, record.text), stopwords, std_map,
+                               reject_patterns, min_raw_words=min_raw_words)
+        if isinstance(outcome, Rejected):
+            rejects.append(outcome)
+        else:
+            points.append(DataPoint(record.id, record.features, outcome, record.demographics,
+                                    record.text))
+    return points, rejects
+
+
+def mixed_cleaning_records():
+    """Ingest records whose texts repeat, interleaved: two accepted texts and
+    one text for each reject reason of the shipped cleaning resources
+    (``too_short``, ``prior_reference``, ``empty_after_cleaning``,
+    ``malformed_token``), each record with its own id, features and
+    demographics."""
+    from cxrgen.data import IngestRecord
+    from cxrgen.demographics import DemographicRecord
+
+    texts = (
+        "The lungs are clear bilaterally with no focal consolidation effusion or pneumothorax.",
+        "Moderate cardiomegaly with tortuous aorta but without acute pulmonary process.",
+        "Normal chest.",
+        "No interval change in the small left pleural effusion since the prior study.",
+        "12 34 56 78 90 11 22 33 44 55",
+        "\U0001d400lungs remain clear without focal consolidation effusion edema today.",
+    )
+    order = (0, 1, 2, 0, 3, 4, 5, 1, 2, 3, 0, 4, 5, 5, 1, 0)
+    return [IngestRecord(f"m{i:02d}", texts[t],
+                         DemographicRecord(("female", "male")[i % 2], 30 + i, "group_a"),
+                         np.full(4, float(i), dtype=np.float32))
+            for i, t in enumerate(order)]

@@ -861,6 +861,52 @@ class TestOutputsKeepOtherRecords:
         assert "--refs-out" in err and "--out" in err and "Traceback" not in err
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize("option, other, name", [
+        ("--out", "run", "provenance.json"), ("--refs-out", "prep", "provenance.json"),
+        ("--refs-out", "gen", "hyp.txt.provenance.json")])
+    def test_output_named_like_a_record_is_usage_error(self, pipeline, tmp_path, option,
+                                                       other, name):
+        """``generate --out run/provenance.json`` would replace train's record
+        with report lines, and ``--refs-out prep/provenance.json``
+        prepare-data's with references."""
+        target = tmp_path / other
+        if other == "gen":
+            target.mkdir()
+            for path in (pipeline["hyp"], _generate_provenance(pipeline["hyp"])):
+                shutil.copy(path, target)
+        else:
+            shutil.copytree(pipeline[other], target)
+        before = _files(tmp_path)
+        outputs = {"--out": str(tmp_path / "new" / "hyp.txt"),
+                   "--refs-out": str(tmp_path / "new" / "ref.txt"), option: str(target / name)}
+        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                          "--data", str(pipeline["prep"]),
+                          *(item for pair in outputs.items() for item in pair)])
+        assert code == 2
+        assert f"{option} {target / name} is named like a provenance record" in err
+        assert "Traceback" not in err
+        assert _files(tmp_path) == before
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("option", ["--out", "--refs-out", "record"])
+    def test_output_that_is_a_directory_is_usage_error(self, pipeline, tmp_path, monkeypatch,
+                                                        option):
+        """``--out outdir --refs-out gen/ref.txt`` with ``outdir`` an existing
+        directory used to exit 2 only after writing ``gen/ref.txt``."""
+        monkeypatch.chdir(tmp_path)
+        directory = {"--out": "outdir", "--refs-out": "refdir",
+                     "record": "gen/hyp.txt.provenance.json"}[option]
+        Path(directory).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                          "--data", str(pipeline["prep"]),
+                          "--out", "outdir" if option == "--out" else "gen/hyp.txt",
+                          "--refs-out", "refdir" if option == "--refs-out" else "gen/ref.txt"])
+        assert code == 2
+        assert f"{directory} is an existing directory" in err and "Traceback" not in err
+        assert (option if option != "record" else "provenance record") in err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestNotUtf8:
     @pytest.mark.parametrize("target", [

@@ -3,6 +3,7 @@ generator's determinism and demographic signal, and file round trips."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from cxrgen.data import (STRATA, DataPoint, SplitManifest, build_datapoints,
                          write_prepared_dataset)
 from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_categories
 from cxrgen.errors import ConfigError, ContractError, IntegrityError, SizingError
-from cxrgen.text import CleanReport, END_TOKEN, START_TOKEN
+from cxrgen.text import (CleanReport, END_TOKEN, START_TOKEN, default_standardization_map,
+                         load_reject_patterns, load_stopwords)
 
-from oracles import stub_feature_extractor
+from oracles import mixed_cleaning_records, per_record_build_datapoints, stub_feature_extractor
 
 
 def make_point(pid, tokens, gender="female", age=40, ethnicity="e0", features=None):
@@ -260,3 +262,53 @@ def test_stub_feature_extractor_deterministic():
     assert not np.array_equal(a, c)
     with pytest.raises(ContractError):
         stub_feature_extractor([], feature_dim=4)
+
+
+def per_record_reference(records):
+    return per_record_build_datapoints(records, load_stopwords(), default_standardization_map(),
+                                       load_reject_patterns())
+
+
+def count_cleanings(monkeypatch):
+    """Patch ``data.clean_report`` to count its calls per raw text."""
+    calls: dict[str, int] = {}
+    clean = cxrgen.data.clean_report
+
+    def counting(raw, *args, **kwargs):
+        calls[raw.text] = calls.get(raw.text, 0) + 1
+        return clean(raw, *args, **kwargs)
+
+    monkeypatch.setattr(cxrgen.data, "clean_report", counting)
+    return calls
+
+
+class TestCleanEachTextOnce:
+    def test_repeated_texts_match_per_record_reference(self):
+        """Repeated accepted texts and repeated texts of every reject reason
+        give the points and rejects of cleaning every record, ids and order
+        kept."""
+        records = mixed_cleaning_records()
+        points, rejects = build_datapoints(records)
+        expected_points, expected_rejects = per_record_reference(records)
+        assert points == expected_points and rejects == expected_rejects
+        assert ({r.reason for r in rejects}
+                == {"too_short", "prior_reference", "empty_after_cleaning", "malformed_token"})
+        assert sorted([p.id for p in points] + [r.id for r in rejects]) == [r.id for r in records]
+        assert all(p.report.id == p.id for p in points)
+
+    def test_each_distinct_text_cleaned_once(self, monkeypatch):
+        records = mixed_cleaning_records()
+        calls = count_cleanings(monkeypatch)
+        build_datapoints(records)
+        assert calls == {r.text: 1 for r in records}
+        assert len(calls) < len(records)
+
+    def test_all_distinct_texts_unchanged(self, monkeypatch):
+        """Without repeats every record is cleaned, as before."""
+        base = mixed_cleaning_records()
+        records = [replace(r, text=f"{r.text} Marker {'abcdefghijklmnop'[i]}.")
+                   for i, r in enumerate(base)]
+        expected = per_record_reference(records)
+        calls = count_cleanings(monkeypatch)
+        assert build_datapoints(records) == expected
+        assert calls == {r.text: 1 for r in records} and len(calls) == len(records)
