@@ -4,7 +4,9 @@ A checkpoint is a directory holding ``manifest.json`` (config values,
 ordered parameter names, per-tensor shape, byte offset, and sha256) plus
 ``params.bin``, a flat blob of little-endian 32-bit floats in row-major
 order. Loading verifies every tensor's checksum, so a single corrupted byte
-is detected and attributed to the tensor it sits in. Saving writes both
+is detected and attributed to the tensor it sits in, and checks each
+tensor's place against the layout saving writes: it starts where the one
+before it ends and holds 4 bytes per value of its shape. Saving writes both
 files into a fresh sibling directory and renames it into place, so a
 failure part-way leaves any checkpoint already at the path intact. A
 checkpoint being replaced is first renamed aside to ``.<name>.<hex>.old``
@@ -19,6 +21,7 @@ version loads; the per-head layouts of versions 1 and 2 are an
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shutil
 import uuid
@@ -148,17 +151,19 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
     if [entry["name"] for entry in entries] != list(shapes):
         raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
     params: dict[str, Tensor] = {}
+    start = 0   # the tensors lie back to back in the blob, in the model's order
     for entry in entries:
         name = entry["name"]
-        shape = tuple(entry["shape"])
-        if shape != shapes[name]:
-            raise IntegrityError(
-                f"tensor {name!r} has shape {shape} in manifest, expected {shapes[name]}"
-            )
-        start, nbytes = entry["offset"], entry["nbytes"]
+        shape = shapes[name]
+        nbytes = 4 * math.prod(shape)
+        stated = (tuple(entry["shape"]), entry["offset"], entry["nbytes"])
+        if stated != (shape, start, nbytes):
+            raise IntegrityError(f"tensor {name!r} has (shape, offset, nbytes) {stated} in "
+                                 f"manifest, expected {(shape, start, nbytes)}")
         raw = blob[start:start + nbytes]
         if len(raw) != nbytes:
             raise IntegrityError(f"checkpoint blob truncated inside tensor {name!r}")
+        start += nbytes
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
         params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy(),

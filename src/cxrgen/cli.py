@@ -1,22 +1,21 @@
 r"""Operator-facing command line: synth-data, prepare-data, train, generate,
 evaluate, compare.
 
-Every artifact-producing command writes a provenance record next to its
-outputs holding the fully resolved options, seeds, and sha256 checksums of
-its inputs, which is sufficient to reproduce the artifact bit for bit. Each
-checksum is taken of the bytes the command parsed, as it read them. The
-record is ``provenance.json`` in the ``--out`` directory, except for
-``generate``, whose ``--out`` is a file: it writes ``<out>.provenance.json``
-beside it, so generating into a training run's directory keeps the run's
-record, and so does a second ``generate`` with another ``--out``. No command
-replaces another's record: ``synth-data``, ``prepare-data`` and ``train``
-refuse an ``--out`` directory whose ``provenance.json`` another command
-wrote (re-running a command into its own directory is allowed), and
-``generate`` refuses a ``--refs-out`` that is its ``--out`` or the record
-beside it, and an ``--out`` or ``--refs-out`` named ``provenance.json`` or
-``*.provenance.json``, before anything is written. It also refuses, before
-writing, an ``--out``, ``--refs-out`` or ``<out>.provenance.json`` that is an
-existing directory.
+Every artifact-producing command (``synth-data``, ``prepare-data``,
+``train`` and ``generate``) writes its files into one ``--out`` directory,
+creating it and its missing parents, with a provenance record,
+``provenance.json``, holding the fully resolved options, seeds, and sha256
+checksums of its inputs, which is sufficient to reproduce the artifact bit
+for bit. Each checksum is taken of the bytes the command parsed, as it read
+them. No command replaces another's record: each first reads the
+``provenance.json`` in its ``--out``, if there is one, and refuses the
+directory when another command wrote it, before anything is written.
+Re-running a command into its own directory is allowed. A ``provenance.json``
+that cannot be read, and an ``--out`` that is an existing file, exit 2 with
+nothing written. ``generate --out gen`` writes ``gen/hyp.txt``, the
+hypotheses, and ``gen/ref.txt``, the references, one report per line, for
+``evaluate``; generating into ``gen`` inside a training run's directory
+keeps the run's record.
 ``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
 ``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
 and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
@@ -38,20 +37,19 @@ at ``\n``, ``\r\n`` or ``\r`` only.
 the variant it trains, or null for the image-only model, in the checkpoint
 with the vocabulary. ``generate`` takes both from the checkpoint's
 ``manifest.json``, which its provenance records with ``params.bin``, and
-reads only ``cleaned.jsonl`` and the split manifest from ``--data``. It
-creates the parent directories of ``--out`` and ``--refs-out``, then writes
-the references, the hypotheses and its provenance record, in that order, so
-a reference path it cannot open leaves neither of the other two.
+reads only ``cleaned.jsonl`` and the split manifest from ``--data``.
+``evaluate --out`` and ``compare --out`` name a JSON file, whose missing
+parent directories are created.
 
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
 lowercase words, a checkpoint whose feature width differs from the prepared
-data's, a ``generate --split`` that holds no report and an output path that
-would replace another command's record or ``generate``'s own hypotheses, or
-that is an existing directory), 3
+data's, a ``generate --split`` that holds no report and an ``--out`` whose
+record another command wrote), 3
 data integrity failure (a file that is not UTF-8 is one, and so are a
-checkpoint of format 1 or 2 or whose manifest names another blob, a bad
+checkpoint of format 1 or 2, one whose manifest names another blob or gives
+a tensor an offset or size off the layout that saving writes, a bad
 dataset record, a malformed split manifest or evaluation report, a repeated
 vocabulary token, a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
@@ -100,8 +98,6 @@ def _write_provenance(path, command: str, options: dict, inputs=None, **sections
         "inputs": {str(p): digest.hexdigest() for p, digest in (inputs or {}).items()},
         **sections,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_json(path, payload, sort_keys=True)
 
 
@@ -214,7 +210,6 @@ def cmd_prepare_data(args) -> int:
     subsets = sample_subsets(points, args.subsets, subset_size, args.seed)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_prepared_dataset(points, out / "cleaned.jsonl")
     write_json_lines(out / "rejects.jsonl", (dataclasses.asdict(r) for r in rejects))
     vocab.save(out / "vocab.txt")
@@ -225,12 +220,10 @@ def cmd_prepare_data(args) -> int:
         "age_max": args.age_max,
     })
 
-    splits_dir = out / "splits"
-    splits_dir.mkdir(exist_ok=True)
     for i, ids in enumerate(subsets):
         manifest = split(ids, seed=args.seed + i, subset_id=i,
                          params={"source": str(data_path), "subset_size": subset_size})
-        manifest.save(splits_dir / f"subset_{i}.json")
+        manifest.save(out / "splits" / f"subset_{i}.json")
     _write_provenance(out / "provenance.json", "prepare-data", {
         "seed": args.seed,
         "vocab_cap": args.vocab_cap,
@@ -317,7 +310,6 @@ def cmd_train(args) -> int:
                                      vocab, codec, cfg)
     val_examples = encode_examples(_split_points(points, manifest.val_ids), vocab, codec, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     log_path = out / "trainlog.jsonl"
     write_json_lines(log_path, ())   # fit appends one line per epoch
     log = fit(train_examples, val_examples, params, cfg, train_cfg, log_path=log_path)
@@ -374,22 +366,7 @@ def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    record = out.with_name(out.name + ".provenance.json")
-    outputs = {"--out": out}
-    if args.refs_out:
-        outputs["--refs-out"] = refs = Path(args.refs_out)
-        if refs.resolve() in (out.resolve(), record.resolve()):
-            raise ConfigError(f"--refs-out {args.refs_out} would overwrite what --out "
-                              f"{args.out} writes: give the references another path")
-    for option, path in outputs.items():
-        name = path.resolve().name
-        if name == "provenance.json" or name.endswith(".provenance.json"):
-            raise ConfigError(f"{option} {path} is named like a provenance record, which it "
-                              "could replace: give the report lines another file name")
-    for option, path in (*outputs.items(), ("--out's provenance record", record)):
-        if path.is_dir():
-            raise ConfigError(f"{option} {path} is an existing directory")
+    _claim_out_dir(args.out, "generate")
     manifest_path, blob_path = (Path(args.checkpoint) / name
                                 for name in ("manifest.json", "params.bin"))
     points_path = Path(args.data) / "cleaned.jsonl"
@@ -408,8 +385,6 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"the {args.split} split of subset {args.subset} in {args.data} "
                           "is empty: there is no report to generate")
     selected = _split_points(points, ids)
-    for path in filter(None, (args.out, args.refs_out)):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
     hyp_lines = []
     ref_lines = []
     generated = []
@@ -420,20 +395,19 @@ def cmd_generate(args) -> int:
         generated.append(token_ids)
         hyp_lines.append(" ".join(decode_ids(token_ids, vocab)))
         ref_lines.append(" ".join(point.report.interior))
-    if args.refs_out:   # first, so a reference path that cannot be written leaves no hyp.txt
-        write_lines(args.refs_out, ref_lines)
-    write_lines(out, hyp_lines)
-    _write_provenance(record, "generate", {
+    out = Path(args.out)
+    write_lines(out / "hyp.txt", hyp_lines)
+    write_lines(out / "ref.txt", ref_lines)
+    _write_provenance(out / "provenance.json", "generate", {
         "checkpoint": str(args.checkpoint),
         "data": str(args.data),
         "subset": args.subset,
         "split": args.split,
         "temperature": args.temperature,
         "seed": args.seed,
-        "out": str(out),
     }, inputs=inputs, generation={**_generation_stats(generated, cfg.max_len),
                     "empty_reports": hyp_lines.count("")})
-    print(f"generated {len(hyp_lines)} reports to {out}")
+    print(f"generated {len(hyp_lines)} reports to {out / 'hyp.txt'}")
     return 0
 
 
@@ -576,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--out", required=True, help="hypotheses file (one report per line)")
-    p.add_argument("--refs-out", help="also write matching references here")
+    p.add_argument("--out", required=True,
+                   help="output directory for hyp.txt and ref.txt (one report per line)")
     p.add_argument("--temperature", type=_at_least(float, 0.0), default=0.5)
     p.set_defaults(func=cmd_generate)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -254,8 +253,6 @@ def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
 def _write_records(points, path, text_field: str, text) -> None:
     """Write one JSON line per DataPoint, features inline as float32 values;
     ``text(point)`` is its ``text_field`` ("report" or "tokens")."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_json_lines(path, ({
         "id": point.id,
         text_field: text(point),

@@ -6,9 +6,10 @@ JSON file holds one object, written with two-space indentation and a final
 newline; a JSON-lines file holds one object per line, each in
 ``json.dumps``'s default layout. Lines end at ``\n``, ``\r\n`` or ``\r``
 only (universal newlines), so other line separators such as U+2028 stay
-inside a line, where ``str.split`` takes them for whitespace. A path that
-cannot be opened raises its ``OSError`` unchanged; the command line reports
-it as a usage error.
+inside a line, where ``str.split`` takes them for whitespace. A writer
+creates the missing parent directories of its path. A path that cannot be
+opened raises its ``OSError`` unchanged; the command line reports it as a
+usage error.
 
 A reader given a ``hashlib`` object ``digest`` adds to it the bytes it reads,
 so that once the file is read to the end it holds the digest of what was
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 from .errors import IntegrityError
 
@@ -65,19 +67,24 @@ def read_json_object(path, error, digest) -> dict:
     return payload
 
 
+def _open_for_writing(path):
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8")
+
+
 def write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path, payload, sort_keys: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
 def write_json_lines(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_for_writing(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 

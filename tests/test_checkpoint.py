@@ -4,6 +4,7 @@ previous checkpoint loadable; formats 1 and 2 are rejected, and the
 weights they hold still give the outputs recorded when they were written."""
 
 import builtins
+import hashlib
 import io
 import json
 import os
@@ -270,6 +271,35 @@ def test_tensor_list_must_match_model(tmp_path, params):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("name, change", [
+    ("dec0.self_attn.wq", lambda entry: {"nbytes": entry["nbytes"] - 4}),
+    ("classifier.b", lambda entry: {"nbytes": entry["nbytes"] - 2}),
+    ("visual.feat_norm.gain", lambda entry: {"offset": -2 * entry["nbytes"]}),
+], ids=["short-nbytes", "nbytes-not-a-multiple-of-4", "negative-offset"])
+def test_entry_outside_the_saved_layout_is_integrity_error(tmp_path, params, capsys, name,
+                                                           change):
+    """The entry's checksum is rewritten to match the bytes it names, so
+    only the layout check can tell: each tensor starts where the one before
+    it ends and holds 4 bytes per value of its shape."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    blob = (tmp_path / "ckpt" / "params.bin").read_bytes()
+    entry = next(e for e in manifest["tensors"] if e["name"] == name)
+    entry.update(change(entry))
+    named = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+    assert len(named) == entry["nbytes"]
+    entry["sha256"] = hashlib.sha256(named).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError, match=rf"tensor {name!r} has \(shape, offset"):
+        load_checkpoint(tmp_path / "ckpt")
+    assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "gen")]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("version", [True, 2.0, "2", None])

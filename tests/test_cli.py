@@ -28,11 +28,6 @@ TINY_TRAIN = ["--d-model", "16", "--n-heads", "2", "--epochs", "1"]
 NOT_UTF8 = b"\xff\xfe"   # prefixed to a file's bytes, they are no longer UTF-8
 
 
-def _generate_provenance(out) -> Path:
-    """The provenance record ``generate --out out`` writes beside ``out``."""
-    return Path(f"{out}.provenance.json")
-
-
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run synth-data -> prepare-data -> train -> generate once, share outputs."""
@@ -49,13 +44,12 @@ def pipeline(tmp_path_factory):
                  "--d-model", "16", "--n-heads", "2", "--max-len", "24",
                  "--dropout", "0.0", "--batch-size", "8", "--learning-rate", "0.01",
                  "--epochs", "3", "--seed", "1"]) == 0
-    hyp = root / "hyp.txt"
-    ref = root / "ref.txt"
+    gen = root / "gen"
     assert main(["generate", "--checkpoint", str(run / "best"), "--data", str(prep),
-                 "--subset", "0", "--split", "test", "--out", str(hyp),
-                 "--refs-out", str(ref), "--temperature", "0", "--seed", "1"]) == 0
-    return {"root": root, "corpus": corpus, "prep": prep, "run": run,
-            "hyp": hyp, "ref": ref}
+                 "--subset", "0", "--split", "test", "--out", str(gen),
+                 "--temperature", "0", "--seed", "1"]) == 0
+    return {"root": root, "corpus": corpus, "prep": prep, "run": run, "gen": gen,
+            "hyp": gen / "hyp.txt", "ref": gen / "ref.txt"}
 
 
 class TestSynthData:
@@ -298,15 +292,19 @@ class TestTrainGenerate:
         assert len(records) == 3
 
     def test_generate_is_deterministic(self, pipeline, tmp_path):
-        out_a = tmp_path / "a.txt"
-        out_b = tmp_path / "b.txt"
+        """Each run writes exactly its hypotheses, references and record, the
+        same bytes every time; a missing parent of ``--out`` is created."""
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "missing" / "b"
         for out in (out_a, out_b):
             assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
                          "--data", str(pipeline["prep"]), "--subset", "0",
                          "--split", "test", "--out", str(out),
                          "--temperature", "0", "--seed", "1"]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-        assert out_a.read_bytes() == pipeline["hyp"].read_bytes()
+        assert sorted(_files(out_a)) == ["hyp.txt", "provenance.json", "ref.txt"]
+        assert _files(out_a) == _files(out_b)
+        assert (out_a / "hyp.txt").read_bytes() == pipeline["hyp"].read_bytes()
+        assert (out_a / "ref.txt").read_bytes() == pipeline["ref"].read_bytes()
 
     def test_generated_lines_match_split_size(self, pipeline):
         manifest = json.loads((pipeline["prep"] / "splits" / "subset_0.json").read_text())
@@ -354,7 +352,7 @@ class TestTrainGenerate:
         codec = json.loads((run / "best" / "manifest.json").read_text())["extra"]["codec"]
         assert codec["categories"] == categories and "strict" not in codec
         assert main(["generate", "--checkpoint", str(run / "best"), "--data", str(prep),
-                     "--out", str(tmp_path / "hyp.txt")]) == 0
+                     "--out", str(tmp_path / "gen")]) == 0
 
     def test_corrupted_checkpoint_is_integrity_error(self, pipeline, tmp_path):
         import shutil
@@ -365,7 +363,7 @@ class TestTrainGenerate:
         (broken / "params.bin").write_bytes(bytes(blob))
         assert main(["generate", "--checkpoint", str(broken),
                      "--data", str(pipeline["prep"]), "--subset", "0",
-                     "--split", "test", "--out", str(tmp_path / "h.txt"),
+                     "--split", "test", "--out", str(tmp_path / "gen"),
                      "--temperature", "0", "--seed", "1"]) == 3
 
     def test_manifest_that_is_not_an_object_is_integrity_error(self, pipeline, tmp_path):
@@ -375,11 +373,11 @@ class TestTrainGenerate:
         (broken / "manifest.json").write_text("[1]")
         assert main(["generate", "--checkpoint", str(broken),
                      "--data", str(pipeline["prep"]), "--subset", "0",
-                     "--split", "test", "--out", str(tmp_path / "h.txt"),
+                     "--split", "test", "--out", str(tmp_path / "gen"),
                      "--temperature", "0", "--seed", "1"]) == 3
 
     def test_provenance_records_generation_statistics(self, pipeline):
-        stats = json.loads(_generate_provenance(pipeline["hyp"]).read_text())["generation"]
+        stats = json.loads((pipeline["gen"] / "provenance.json").read_text())["generation"]
         lines = pipeline["hyp"].read_text().splitlines()
         assert stats["reports"] == len(lines)
         assert stats["empty_reports"] == lines.count("")
@@ -424,9 +422,9 @@ class TestTrainGenerate:
         assert "absent-train-id" in capsys.readouterr().err
         assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
                      "--data", str(prep), "--subset", "0", "--split", "test",
-                     "--out", str(tmp_path / "hyp.txt")]) == 3
+                     "--out", str(tmp_path / "gen")]) == 3
         assert "absent-test-id" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists() and not (tmp_path / "hyp.txt").exists()
+        assert not (tmp_path / "run").exists() and not (tmp_path / "gen").exists()
 
 
     @pytest.mark.parametrize("value", ["-0.5", "nan", "inf", "-inf"])
@@ -437,9 +435,9 @@ class TestTrainGenerate:
         shutil.copytree(pipeline["run"] / "best", bad)
         (bad / "params.bin").write_bytes(b"corrupt")
         assert main(["generate", "--checkpoint", str(bad), "--data", str(pipeline["prep"]),
-                     "--out", str(tmp_path / "hyp.txt"), f"--temperature={value}"]) == 2
+                     "--out", str(tmp_path / "gen"), f"--temperature={value}"]) == 2
         assert "argument --temperature" in capsys.readouterr().err
-        assert not (tmp_path / "hyp.txt").exists()
+        assert not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_learning_rate_is_usage_error(self, pipeline, tmp_path, capsys, value):
@@ -459,13 +457,14 @@ class TestTrainGenerate:
         end_first = tmp_path / "end_first"
         save_checkpoint(params, cfg, end_first,
                         extra=read_manifest(pipeline["run"] / "best", None)["extra"])
-        hyp = tmp_path / "gen" / "hyp.txt"
+        gen = tmp_path / "gen"
         assert main(["generate", "--checkpoint", str(end_first), "--data", str(pipeline["prep"]),
-                     "--subset", "0", "--split", "test", "--out", str(hyp),
+                     "--subset", "0", "--split", "test", "--out", str(gen),
                      "--temperature", "0", "--seed", "1"]) == 0
+        hyp = gen / "hyp.txt"
         lines = hyp.read_text().splitlines()
         assert lines and all(line == "" for line in lines)
-        stats = json.loads(_generate_provenance(hyp).read_text())["generation"]
+        stats = json.loads((gen / "provenance.json").read_text())["generation"]
         assert stats["empty_reports"] == stats["reports"] == len(lines)
         out = tmp_path / "report.json"
         assert main(["evaluate", "--hypotheses", str(hyp), "--references", str(pipeline["ref"]),
@@ -558,12 +557,12 @@ class TestTrainGenerate:
         wide = dataclasses.replace(cfg, feature_dim=24)
         save_checkpoint(init_parameters(wide, seed=0), wide, tmp_path / "ckpt",
                         extra=read_manifest(pipeline["run"] / "best", None)["extra"])
-        hyp = tmp_path / "hyp.txt"
+        gen = tmp_path / "gen"
         assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(prep),
-                     "--out", str(hyp)]) == 2
+                     "--out", str(gen)]) == 2
         err = capsys.readouterr().err
         assert "16-wide features" in err and "takes 24" in err and "Traceback" not in err
-        assert not hyp.exists()
+        assert not gen.exists()
 
     def test_checkpoint_with_a_stored_strict_flag_generates(self, pipeline, tmp_path):
         """Codecs once stored a ``strict`` key, and checkpoints a
@@ -574,11 +573,11 @@ class TestTrainGenerate:
         extra["codec"]["strict"] = True
         extra["demographic_fields"] = ["gender", "age", "ethnicity"]
         save_checkpoint(params, cfg, tmp_path / "ckpt", extra=extra)
-        hyp = tmp_path / "hyp.txt"
+        gen = tmp_path / "gen"
         assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
                      "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
-                     "--out", str(hyp), "--temperature", "0", "--seed", "1"]) == 0
-        assert hyp.read_bytes() == pipeline["hyp"].read_bytes()
+                     "--out", str(gen), "--temperature", "0", "--seed", "1"]) == 0
+        assert (gen / "hyp.txt").read_bytes() == pipeline["hyp"].read_bytes()
 
     def test_generate_reads_only_the_records_and_the_split(self, pipeline, tmp_path):
         """The vocabulary and the codec come from the checkpoint, so
@@ -587,11 +586,11 @@ class TestTrainGenerate:
         shutil.copytree(pipeline["prep"], prep)
         (prep / "vocab.txt").unlink()
         (prep / "demographics.json").unlink()
-        hyp = tmp_path / "hyp.txt"
+        gen = tmp_path / "gen"
         assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
                      "--data", str(prep), "--subset", "0", "--split", "test",
-                     "--out", str(hyp), "--temperature", "0", "--seed", "1"]) == 0
-        assert hyp.read_bytes() == pipeline["hyp"].read_bytes()
+                     "--out", str(gen), "--temperature", "0", "--seed", "1"]) == 0
+        assert (gen / "hyp.txt").read_bytes() == pipeline["hyp"].read_bytes()
 
     @pytest.mark.parametrize("command", ["prepare-data", "train", "generate"])
     def test_provenance_hashes_the_bytes_each_input_was_parsed_from(
@@ -604,7 +603,7 @@ class TestTrainGenerate:
                              "--out", str(out), "--subset-size", "12"],
             "train": ["train", "--data", str(prep), "--out", str(out), *TINY_TRAIN],
             "generate": ["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                         "--data", str(prep), "--out", str(out / "hyp.txt")],
+                         "--data", str(prep), "--out", str(out)],
         }[command]
         opened = []
 
@@ -618,9 +617,7 @@ class TestTrainGenerate:
         monkeypatch.setattr(builtins, "open", recording_open)
         assert main(argv) == 0
         monkeypatch.undo()
-        record = _generate_provenance(out / "hyp.txt") if command == "generate" \
-            else out / "provenance.json"
-        inputs = json.loads(record.read_text())["inputs"]
+        inputs = json.loads((out / "provenance.json").read_text())["inputs"]
         assert sorted(Path(path).name for path in inputs) == {
             "prepare-data": ["dataset.jsonl"],
             "train": ["cleaned.jsonl", "demographics.json", "subset_0.json", "vocab.txt"],
@@ -640,13 +637,8 @@ class TestTrainGenerate:
                              "--data", str(prep), "--temperature", "0"]}[command]
 
         def recorded_digest(out):
-            if command == "train":
-                assert main([*argv, "--out", str(out)]) == 0
-                record = out / "provenance.json"
-            else:
-                assert main([*argv, "--out", str(out / "hyp.txt")]) == 0
-                record = _generate_provenance(out / "hyp.txt")
-            return json.loads(record.read_text())["inputs"][str(split_path)]
+            assert main([*argv, "--out", str(out)]) == 0
+            return json.loads((out / "provenance.json").read_text())["inputs"][str(split_path)]
 
         before = recorded_digest(tmp_path / "before")
         manifest = json.loads(split_path.read_text())
@@ -667,34 +659,36 @@ class TestTrainGenerate:
             assert main(["generate", "--checkpoint", str(checkpoint),
                          "--data", str(pipeline["prep"]), "--temperature", "0",
                          "--out", str(out)]) == 0
-            digest = json.loads(_generate_provenance(out).read_text())["inputs"][
+            digest = json.loads((out / "provenance.json").read_text())["inputs"][
                 str(manifest_path)]
             assert digest == hashlib.sha256(manifest_path.read_bytes()).hexdigest()
             return digest
 
-        before = recorded_digest(tmp_path / "before.txt")
+        before = recorded_digest(tmp_path / "before")
         manifest = json.loads(manifest_path.read_text())
         vocab = manifest["extra"]["vocab"]
         vocab[len(vocab) // 2] = "edited-token"
         manifest_path.write_text(json.dumps(manifest))
-        assert recorded_digest(tmp_path / "after.txt") != before
+        assert recorded_digest(tmp_path / "after") != before
 
     def test_generate_into_the_training_directory_keeps_its_provenance(self, pipeline,
                                                                        tmp_path):
-        """Each generate writes ``<out>.provenance.json``: the run's
-        ``provenance.json`` and every other generate's record are kept."""
+        """Each generate writes its own ``--out`` directory inside the run:
+        the run's ``provenance.json`` and every other generate's record are
+        kept."""
         run = tmp_path / "run"
         assert main(["train", "--data", str(pipeline["prep"]), "--out", str(run),
                      *TINY_TRAIN]) == 0
-        for name, temperature in (("greedy.txt", "0"), ("sampled.txt", "0.5")):
+        train_record = (run / "provenance.json").read_bytes()
+        for name, temperature in (("greedy", "0"), ("sampled", "0.5")):
             assert main(["generate", "--checkpoint", str(run / "best"),
                          "--data", str(pipeline["prep"]), "--out", str(run / name),
                          "--temperature", temperature]) == 0
-        assert json.loads((run / "provenance.json").read_text())["command"] == "train"
-        for name, temperature in (("greedy.txt", 0.0), ("sampled.txt", 0.5)):
-            record = json.loads(_generate_provenance(run / name).read_text())
+        assert (run / "provenance.json").read_bytes() == train_record
+        for name, temperature in (("greedy", 0.0), ("sampled", 0.5)):
+            record = json.loads((run / name / "provenance.json").read_text())
             assert record["command"] == "generate"
-            assert record["options"]["out"] == str(run / name)
+            assert "out" not in record["options"]
             assert record["options"]["temperature"] == temperature
 
     def test_generate_on_an_empty_split_is_usage_error(self, pipeline, tmp_path, capsys):
@@ -707,32 +701,10 @@ class TestTrainGenerate:
         out = tmp_path / "gen"
         assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
                      "--data", str(prep), "--subset", "0", "--split", "test",
-                     "--out", str(out / "hyp.txt"), "--refs-out", str(out / "ref.txt")]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "the test split of subset 0" in err and "Traceback" not in err
         assert not out.exists()
-
-    def test_generate_creates_the_parent_of_refs_out(self, pipeline, tmp_path):
-        out, refs = tmp_path / "run" / "hyp.txt", tmp_path / "missing" / "dir" / "ref.txt"
-        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                     "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
-                     "--out", str(out), "--refs-out", str(refs),
-                     "--temperature", "0", "--seed", "1"]) == 0
-        assert out.read_bytes() == pipeline["hyp"].read_bytes()
-        assert refs.read_bytes() == pipeline["ref"].read_bytes()
-        assert _generate_provenance(out).exists()
-
-    def test_generate_into_an_unwritable_refs_out_leaves_no_hypotheses(self, pipeline,
-                                                                       tmp_path, capsys):
-        """References are written before the hypotheses and the provenance
-        record, so a reference path that cannot be opened writes neither."""
-        out, refs = tmp_path / "run" / "hyp.txt", tmp_path / "refs"
-        refs.mkdir()
-        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                     "--data", str(pipeline["prep"]), "--subset", "0", "--split", "test",
-                     "--out", str(out), "--refs-out", str(refs)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert not out.exists() and not _generate_provenance(out).exists()
 
     @pytest.mark.parametrize("spoil, message", [
         (lambda extra: {**extra, "vocab": extra["vocab"][1:]}, "reserved tokens"),
@@ -765,13 +737,13 @@ class TestTrainGenerate:
         params, cfg = load_checkpoint(pipeline["run"] / "best")
         extra = read_manifest(pipeline["run"] / "best", None)["extra"]
         save_checkpoint(params, cfg, tmp_path / "ckpt", extra=spoil(extra))
-        hyp = tmp_path / "hyp.txt"
+        gen = tmp_path / "gen"
         assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
-                     "--data", str(pipeline["prep"]), "--out", str(hyp)]) == 3
+                     "--data", str(pipeline["prep"]), "--out", str(gen)]) == 3
         err = capsys.readouterr().err
         assert f"error: {tmp_path / 'ckpt' / 'manifest.json'}: " in err
         assert message in err and "Traceback" not in err
-        assert not hyp.exists()
+        assert not gen.exists()
 
     @pytest.mark.parametrize("command", ["synth-data", "prepare-data", "train"])
     def test_deeply_nested_json_is_a_documented_error(self, pipeline, tmp_path, capsys,
@@ -813,24 +785,29 @@ class TestTrainGenerate:
 
 
 class TestOutputsKeepOtherRecords:
-    """No command overwrites another command's provenance record, and
-    generate does not overwrite its own hypotheses with the references."""
+    """Every artifact command claims its ``--out`` directory the same way: it
+    writes no file into a directory whose ``provenance.json`` another command
+    wrote, and none over an existing file."""
+
+    COMMANDS = ["synth-data", "prepare-data", "train", "generate"]
 
     @staticmethod
     def _argv(command, pipeline, out):
-        data = {"synth-data": [],
+        data = {"synth-data": ["--n-per-stratum", "2", "--feature-dim", "6"],
                 "prepare-data": ["--data", str(pipeline["corpus"] / "dataset.jsonl")],
-                "train": ["--data", str(pipeline["prep"]), *TINY_TRAIN]}[command]
-        return [command, *data, "--out", str(out), "--seed", "7",
-                *(["--n-per-stratum", "2", "--feature-dim", "6"]
-                  if command == "synth-data" else [])]
+                "train": ["--data", str(pipeline["prep"]), *TINY_TRAIN],
+                "generate": ["--checkpoint", str(pipeline["run"] / "best"),
+                             "--data", str(pipeline["prep"])]}[command]
+        return [command, *data, "--out", str(out), "--seed", "7"]
 
     @pytest.mark.parametrize("command, other", [
-        ("train", "prep"), ("prepare-data", "corpus"), ("synth-data", "run")])
+        ("train", "prep"), ("prepare-data", "corpus"), ("synth-data", "run"),
+        ("generate", "run"), ("generate", "prep"), ("generate", "corpus")])
     def test_out_holding_another_commands_record_is_usage_error(self, pipeline, tmp_path,
                                                                   command, other):
         """``train --data prep --out prep`` would replace the record of how
-        ``cleaned.jsonl`` was made with its own."""
+        ``cleaned.jsonl`` was made with its own, and ``generate --out run``
+        the record of how the checkpoint was trained."""
         target = tmp_path / other
         shutil.copytree(pipeline[other], target)
         before = _files(target)
@@ -839,73 +816,38 @@ class TestOutputsKeepOtherRecords:
         assert "holds the provenance record of" in err and "Traceback" not in err
         assert _files(target) == before
 
-    @pytest.mark.parametrize("command", ["synth-data", "prepare-data", "train"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_rerun_into_its_own_out_is_allowed(self, pipeline, tmp_path, command):
         argv = self._argv(command, pipeline, tmp_path / "out")
         assert main(argv) == 0
-        record = (tmp_path / "out" / "provenance.json").read_bytes()
+        before = _files(tmp_path / "out")
+        assert "provenance.json" in before
+        before.pop("trainlog.jsonl", None)   # it records each epoch's wall time
         assert main(argv) == 0
-        assert (tmp_path / "out" / "provenance.json").read_bytes() == record
+        after = _files(tmp_path / "out")
+        after.pop("trainlog.jsonl", None)
+        assert after == before
 
-    @pytest.mark.parametrize("refs", ["gen/hyp.txt", "gen/../gen/hyp.txt",
-                                      "gen/hyp.txt.provenance.json"])
-    def test_refs_out_onto_the_hypotheses_or_their_record_is_usage_error(
-            self, pipeline, tmp_path, monkeypatch, refs):
-        """``--out gen/hyp.txt --refs-out gen/hyp.txt`` would leave the
-        hypotheses in both files, and evaluate would score them 1.0."""
-        monkeypatch.chdir(tmp_path)
-        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                          "--data", str(pipeline["prep"]), "--out", "gen/hyp.txt",
-                          "--refs-out", refs])
-        assert code == 2
-        assert "--refs-out" in err and "--out" in err and "Traceback" not in err
-        assert not (tmp_path / "gen").exists()
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_that_is_an_existing_file_is_usage_error(self, pipeline, tmp_path, command):
+        """The first write cannot create the directory, so nothing is written."""
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory\n")
+        code, err = _run(self._argv(command, pipeline, out))
+        assert code == 2 and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["out"]
+        assert out.read_bytes() == b"not a directory\n"
 
-    @pytest.mark.parametrize("option, other, name", [
-        ("--out", "run", "provenance.json"), ("--refs-out", "prep", "provenance.json"),
-        ("--refs-out", "gen", "hyp.txt.provenance.json")])
-    def test_output_named_like_a_record_is_usage_error(self, pipeline, tmp_path, option,
-                                                       other, name):
-        """``generate --out run/provenance.json`` would replace train's record
-        with report lines, and ``--refs-out prep/provenance.json``
-        prepare-data's with references."""
-        target = tmp_path / other
-        if other == "gen":
-            target.mkdir()
-            for path in (pipeline["hyp"], _generate_provenance(pipeline["hyp"])):
-                shutil.copy(path, target)
-        else:
-            shutil.copytree(pipeline[other], target)
-        before = _files(tmp_path)
-        outputs = {"--out": str(tmp_path / "new" / "hyp.txt"),
-                   "--refs-out": str(tmp_path / "new" / "ref.txt"), option: str(target / name)}
-        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                          "--data", str(pipeline["prep"]),
-                          *(item for pair in outputs.items() for item in pair)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_that_is_a_directory_is_usage_error(self, pipeline, tmp_path, command):
+        """``--out``'s ``provenance.json`` is read to claim the directory: one
+        that is a directory exits 2 before anything is written."""
+        (tmp_path / "out" / "provenance.json").mkdir(parents=True)
+        code, err = _run(self._argv(command, pipeline, tmp_path / "out"))
         assert code == 2
-        assert f"{option} {target / name} is named like a provenance record" in err
-        assert "Traceback" not in err
-        assert _files(tmp_path) == before
-        assert not (tmp_path / "new").exists()
-
-    @pytest.mark.parametrize("option", ["--out", "--refs-out", "record"])
-    def test_output_that_is_a_directory_is_usage_error(self, pipeline, tmp_path, monkeypatch,
-                                                        option):
-        """``--out outdir --refs-out gen/ref.txt`` with ``outdir`` an existing
-        directory used to exit 2 only after writing ``gen/ref.txt``."""
-        monkeypatch.chdir(tmp_path)
-        directory = {"--out": "outdir", "--refs-out": "refdir",
-                     "record": "gen/hyp.txt.provenance.json"}[option]
-        Path(directory).mkdir(parents=True)
-        before = sorted(tmp_path.rglob("*"))
-        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                          "--data", str(pipeline["prep"]),
-                          "--out", "outdir" if option == "--out" else "gen/hyp.txt",
-                          "--refs-out", "refdir" if option == "--refs-out" else "gen/ref.txt"])
-        assert code == 2
-        assert f"{directory} is an existing directory" in err and "Traceback" not in err
-        assert (option if option != "record" else "provenance record") in err
-        assert sorted(tmp_path.rglob("*")) == before
+        assert "provenance.json" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "out",
+                                               tmp_path / "out" / "provenance.json"]
 
 
 class TestNotUtf8:
@@ -926,7 +868,7 @@ class TestNotUtf8:
         elif target == "manifest.json":
             bad = ckpt / target
             argv = ["generate", "--checkpoint", str(ckpt), "--data", str(prep),
-                    "--out", str(out / "hyp.txt")]
+                    "--out", str(out)]
         else:
             bad = prep / target
             argv = ["train", "--data", str(prep), "--out", str(out), *TINY_TRAIN]
@@ -1226,7 +1168,7 @@ class TestGenerateProperty:
     @staticmethod
     def _generate(pipeline, options, out_dir):
         argv = ["generate", "--checkpoint", str(pipeline["run"] / "best"),
-                "--data", str(pipeline["prep"]), "--out", str(out_dir / "hyp.txt"), *options]
+                "--data", str(pipeline["prep"]), "--out", str(out_dir), *options]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -1246,11 +1188,9 @@ class TestGenerateProperty:
                 assert "error" in err
                 return
             assert self._generate(pipeline, options, runs[1]) == (0, "")
-            hyps = [(run / "hyp.txt").read_bytes() for run in runs]
-            stats = [json.loads(_generate_provenance(run / "hyp.txt").read_text())["generation"]
-                     for run in runs]
-        assert hyps[0] == hyps[1]
-        assert stats[0] == stats[1]
+            outputs = [_files(run) for run in runs]
+        assert sorted(outputs[0]) == ["hyp.txt", "provenance.json", "ref.txt"]
+        assert outputs[0] == outputs[1]
 
 
 def _run(argv) -> tuple[int, str]:
