@@ -6,7 +6,9 @@ ordered parameter names, per-tensor shape, byte offset, and sha256) plus
 order. Loading verifies every tensor's checksum, so a single corrupted byte
 is detected and attributed to the tensor it sits in, and checks each
 tensor's place against the layout saving writes: it starts where the one
-before it ends and holds 4 bytes per value of its shape. Saving writes both
+before it ends and holds 4 bytes per value of its shape, and the last one
+ends where the blob does. The config's tensor count is checked against the
+manifest's list before any parameter name is built. Saving writes both
 files into a fresh sibling directory and renames it into place, so a
 failure part-way leaves any checkpoint already at the path intact. A
 checkpoint being replaced is first renamed aside to ``.<name>.<hex>.old``
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, IntegrityError
 from .files import read_json_object, write_json
-from .model import ModelConfig, check_parameters, parameter_shapes
+from .model import ModelConfig, check_parameters, parameter_shapes, tensor_count
 from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
@@ -144,10 +146,14 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
         raise IntegrityError(
             f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"
         )
-    shapes = parameter_shapes(cfg)
     entries = manifest.get("tensors")
     if not isinstance(entries, list) or not all(_well_formed(entry) for entry in entries):
         raise IntegrityError("checkpoint manifest has a malformed tensor list")
+    # the count first: the config alone sets how many names parameter_shapes builds
+    if len(entries) != tensor_count(cfg):
+        raise IntegrityError(f"checkpoint lists {len(entries)} tensors; its config's model "
+                             f"has {tensor_count(cfg)}")
+    shapes = parameter_shapes(cfg)
     if [entry["name"] for entry in entries] != list(shapes):
         raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
     params: dict[str, Tensor] = {}
@@ -168,6 +174,9 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
         params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy(),
                               requires_grad=True)
+    if start != len(blob):
+        raise IntegrityError(f"checkpoint blob holds {len(blob) - start} bytes past its "
+                             f"last tensor")
     return params, cfg
 
 

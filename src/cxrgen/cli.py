@@ -11,11 +11,11 @@ them. No command replaces another's record: each first reads the
 ``provenance.json`` in its ``--out``, if there is one, and refuses the
 directory when another command wrote it, before anything is written.
 Re-running a command into its own directory is allowed. A ``provenance.json``
-that cannot be read, and an ``--out`` that is an existing file, exit 2 with
-nothing written. ``generate --out gen`` writes ``gen/hyp.txt``, the
-hypotheses, and ``gen/ref.txt``, the references, one report per line, for
-``evaluate``; generating into ``gen`` inside a training run's directory
-keeps the run's record.
+that cannot be read, and an ``--out`` that exists and is not a directory,
+exit 2 before any input is read or anything written. ``generate --out gen``
+writes ``gen/hyp.txt``, the hypotheses, and ``gen/ref.txt``, the
+references, one report per line, for ``evaluate``; generating into ``gen``
+inside a training run's directory keeps the run's record.
 ``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
 ``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
 and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
@@ -49,7 +49,9 @@ data's, a ``generate --split`` that holds no report and an ``--out`` whose
 record another command wrote), 3
 data integrity failure (a file that is not UTF-8 is one, and so are a
 checkpoint of format 1 or 2, one whose manifest names another blob or gives
-a tensor an offset or size off the layout that saving writes, a bad
+a tensor an offset or size off the layout that saving writes, one whose
+blob holds bytes past its last tensor, one whose config holds a size that
+is not an int or a dropout rate that is not a number, a bad
 dataset record, a malformed split manifest or evaluation report, a repeated
 vocabulary token, a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
@@ -102,10 +104,15 @@ def _write_provenance(path, command: str, options: dict, inputs=None, **sections
 
 
 def _claim_out_dir(out, command: str) -> None:
-    """Refuse an ``--out`` directory whose ``provenance.json`` another
-    command wrote: writing there would replace the record of how its files
-    were made. Re-running ``command`` into its own directory is allowed."""
-    path = Path(out) / "provenance.json"
+    """Refuse an ``--out`` that exists and is not a directory, and a
+    directory whose ``provenance.json`` another command wrote: writing there
+    would replace the record of how its files were made. Re-running
+    ``command`` into its own directory is allowed. A command claims its
+    ``--out`` before it reads any input."""
+    out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
+    path = out / "provenance.json"
     if path.exists():
         previous = read_json_object(path, ConfigError, None).get("command")
         if previous != command:

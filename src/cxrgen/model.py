@@ -30,10 +30,11 @@ without demographics; dropout adds one entry per site when its rate is
 positive.
 
 The network is written once. ``_encode`` is the encoder and ``_decode``
-the decoder blocks plus the classifier, each over an op set: training
-passes the ``cxrgen.tensor`` module, whose ops record on the tape, and
-inference passes ``_ARRAYS``, the same ops' forward arithmetic on plain
-arrays (``tensor._dense``, ``tensor._normalize`` of a sum, ``@`` and
+the decoder blocks plus the classifier, each over an op set: whole
+sequences, in training and in validation, pass the ``cxrgen.tensor``
+module, whose ops record on the tape when a parameter requires a gradient,
+and generation passes ``_ARRAYS``, the same ops' forward arithmetic on
+plain arrays (``tensor._dense``, ``tensor._normalize`` of a sum, ``@`` and
 ``np.repeat``). Self-attention is the one layer the two paths run
 differently, so ``_decode`` takes it as a callable: ``decoder_forward``
 hands it ``tensor.multi_head_attention`` under the causal and key-pad
@@ -42,7 +43,7 @@ mask, and ``DecodeCache`` its own ``_attend``.
 Dropout runs exactly when a forward function is handed a dropout ``rng``:
 the encoder and the decoder take no separate training flag.
 ``training.batch_loss`` hands one to the model for a training step;
-validation and generation run on arrays and hand none.
+validation and generation hand none.
 
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
@@ -50,25 +51,23 @@ length L as a [B*L x d] stream, with self-attention scores of shape
 [B x H x L x L] under causal and key-pad masks. A single sequence is the case
 B = 1.
 
-Validation and generation run on plain numpy arrays from the features to
-the logits: ``_encode_arrays`` runs ``_encode`` with ``encode_inputs``'s
-checks, and a ``DecodeCache`` runs ``_decode``, building no ``Tensor`` op
-and recording nothing. Validation feeds a fresh cache each whole [B x L]
-batch in one step. Under the causal mask the keys and values of earlier
-positions never change, so ``generate`` feeds its cache only the last
-chosen id. The cache holds one preallocated [B x max_len x d] K row buffer
-and one V row buffer per self-attention block, into which each step writes
-its rows in place, plus the key-keep buffer and each block's
-cross-attention row (which depends only on the hybrid representation) and
-weights, all made once, and the causal mask, made once per ``max_len``.
-The new position's scores are [B x H x 1 x (t+1)], over a view of the t
-cached keys and its own, and the classifier runs on that one row. Until a
-pad id is decoded every one of those keys is allowed, so the step builds no
-mask; from a pad on, and for a step of several positions, it applies the
-causal and key-pad rule. The array encoder's rows equal ``encode_inputs``'s
-bit for bit, a whole-batch step's logits equal ``decoder_forward``'s, and a
-one-position step's match them on the whole prefix to float rounding.
-Greedy decoding builds no random generator.
+Generation runs on plain numpy arrays from the features to the logits:
+``_encode_arrays`` runs ``_encode`` with ``encode_inputs``'s checks, and a
+``DecodeCache`` runs ``_decode`` one position at a time, building no
+``Tensor`` op and recording nothing. Under the causal mask the keys and
+values of earlier positions never change, so ``generate`` feeds its cache
+only the last chosen id. The cache holds one preallocated
+[B x max_len x d] K row buffer and one V row buffer per self-attention
+block, into which each step writes its row in place, plus the key-keep
+buffer and each block's cross-attention row (which depends only on the
+hybrid representation) and weights, all made once. The new position's
+scores are [B x H x 1 x (t+1)], over a view of the t cached keys and its
+own, and the classifier runs on that one row. Until a pad id is decoded
+every one of those keys is allowed, so the step builds no mask; from a pad
+on, it applies the key-pad rule. The array encoder's rows equal
+``encode_inputs``'s bit for bit, and a step's logits match
+``decoder_forward``'s on the whole prefix to float rounding. Greedy
+decoding builds no random generator.
 
 Multi-head attention is ``Concat(head_1..head_H) @ wo + bo`` (Vaswani et
 al. 2017, section 3.2.2), with one [d x d] matrix per role: head h's query,
@@ -121,9 +120,15 @@ class ModelConfig:
     def __post_init__(self):
         positive = ("feature_dim", "d_model", "d_embed", "n_heads", "vocab_size",
                     "max_len", "n_decoder_blocks")
+        # a checkpoint's config comes from JSON: true, 16.0 and NaN are not sizes
+        for name in (*positive, "demographic_dim"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not isinstance(self.dropout_rate, (int, float)) or isinstance(self.dropout_rate, bool):
+            raise ConfigError(f"dropout_rate must be a number, got {self.dropout_rate!r}")
         if self.demographic_dim < 0:
             raise ConfigError("demographic_dim may not be negative")
         if self.d_model % self.n_heads:
@@ -193,6 +198,13 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["classifier.w"] = (cfg.d_model, cfg.vocab_size)
     shapes["classifier.b"] = (cfg.vocab_size,)
     return shapes
+
+
+def tensor_count(cfg: ModelConfig) -> int:
+    """``len(parameter_shapes(cfg))``, computed without building the names:
+    the visual unit's 9 tensors, the semantic unit's and fusion block's 7,
+    the embedding table, 14 per decoder block and the classifier's 2."""
+    return 12 + 7 * cfg.uses_demographics + 14 * cfg.n_decoder_blocks
 
 
 def join_heads(role: str, blocks) -> np.ndarray:
@@ -421,35 +433,32 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
 
 
 class DecodeCache:
-    """The decoder run a few positions at a time on plain arrays, keeping
-    what every later position reads of the earlier ones.
+    """The decoder run one position at a time on plain arrays, keeping what
+    every later position reads of the earlier ones.
 
     Made for the [B x d_model] ``hybrid`` rows of B sequences. Each ``step``
-    takes the next L ids of every sequence and returns their logits, equal
-    to the rows ``decoder_forward`` gives those positions on the whole
-    prefix. The cache holds a [B x max_len] key-keep buffer (ids != PAD_ID),
-    the shared read-only [max_len x max_len] causal mask, each decoder
+    takes the next id of every sequence and returns its logits, equal to
+    the row ``decoder_forward`` gives that position on the whole prefix. The
+    cache holds a [B x max_len] key-keep buffer (ids != PAD_ID), each decoder
     block's [B x d] cross-attention row and weights, and per block one
     [B x max_len x d] K row buffer and one V row buffer. A step runs
     ``_decode`` on the arrays; its self-attention (``_attend``) writes the
-    step's K and V rows in place and attends over a view of the first
-    ``length``. A one-position step of sequences that hold no pad id, the
-    whole of a report that ``generate`` decodes until it emits a pad, may
-    attend to every cached key: it builds no mask and leaves the keep
-    buffer, which starts all True, as it is. A step of several positions,
-    or one at or after a pad, writes the keep buffer and attends under the
-    causal and key-pad mask.
+    step's K and V rows in place and attends over a view of every row held
+    so far. Until a pad id is decoded, the whole of a report that
+    ``generate`` decodes until it emits a pad, the new position may attend
+    to every cached key: the step builds no mask and leaves the keep
+    buffer, which starts all True, as it is. From the first pad on, each
+    step writes its column of the keep buffer and attends under it.
     """
 
     def __init__(self, hybrid: np.ndarray, params, cfg: ModelConfig):
         n_seq = hybrid.shape[0]
         self.cfg = cfg
         self.arrays = _arrays(params)
-        self.start = self.length = 0   # the last step decoded positions start .. length - 1
-        self.mask = None        # its attention mask, None when every key is allowed
+        self.length = 0         # the positions decoded so far
+        self.mask = None        # the last step's attention mask, None when every key is allowed
         self.keep = np.ones((n_seq, cfg.max_len), dtype=bool)
         self.padded = False     # whether a pad id has been decoded
-        self.causal = _causal_mask(cfg.max_len)
         self.table = self.arrays["embed.table"]
         self.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, self.table.dtype)
         self.keys = [np.empty((n_seq, cfg.max_len, cfg.d_model), dtype=self.table.dtype)
@@ -458,45 +467,38 @@ class DecodeCache:
         self.blocks = _blocks(hybrid, self.arrays, cfg, _ARRAYS)
 
     def step(self, ids: np.ndarray) -> np.ndarray:
-        """[B*L x V] logits for the int64 [B x L] ``ids`` that follow the
-        positions decoded so far.
+        """[B x V] logits for the int64 [B] ``ids``, the id that follows the
+        positions decoded so far in each sequence.
 
-        The ids are not range-checked: callers pass ids in
-        ``[0, vocab_size)``. ``generate`` makes them, and ``evaluate_loss``
-        checks them before the step. A sequence whose first id is ``PAD_ID``
-        is a ``ContractError``, since that position would have no key to
-        attend to; every later position can attend to position 0, so the
-        first step is the only one checked.
+        The ids are not range-checked: ``generate`` makes them in
+        ``[0, vocab_size)``. A first id that is ``PAD_ID`` is a
+        ``ContractError``, since that position would have no key to attend
+        to; every later position can attend to position 0.
         """
-        n_seq, length = ids.shape
-        start, total = self.length, self.length + length
-        if n_seq != self.keep.shape[0]:
-            raise ShapeError(f"the cache holds {self.keep.shape[0]} sequences, got {n_seq}")
-        if total > self.keep.shape[1]:
-            raise ContractError(
-                f"sequence length {total} exceeds the maximum {self.keep.shape[1]}")
-        if not start and PAD_ID in ids[:, 0].tolist():
-            raise ContractError("a sequence may not start with the pad id: its first "
-                                "position would have every key masked out")
-        if length == 1 and not self.padded and PAD_ID not in ids[:, 0].tolist():
-            mask = None     # one new position, and every key so far is kept
-        else:
-            keep = ids != PAD_ID
-            self.keep[:, start:total] = keep
-            self.padded = self.padded or not keep.all()
-            # position start + j may attend to its sequence's kept positions <= start + j
-            mask = self.causal[start:total, :total] & self.keep[:, None, :total]
-        self.start, self.length, self.mask = start, total, mask
-        x = T._embed(self.table, ids, self.positions[start:total])
+        t = self.length
+        if ids.shape != self.keep.shape[:1]:
+            raise ShapeError(f"the cache holds {self.keep.shape[0]} sequences, "
+                             f"got ids of shape {ids.shape}")
+        if t == self.keep.shape[1]:
+            raise ContractError(f"sequence length {t + 1} exceeds the maximum {t}")
+        if self.padded or PAD_ID in ids.tolist():
+            if not t:
+                raise ContractError("a sequence may not start with the pad id: its first "
+                                    "position would have every key masked out")
+            self.padded = True
+            self.keep[:, t] = ids != PAD_ID
+            # the new position may attend to its sequence's kept positions <= t
+            self.mask = self.keep[:, None, :t + 1]
+        self.length = t + 1
+        x = T._embed(self.table, ids[:, None], self.positions[t:t + 1])
         return _decode(x, self.blocks, self.arrays, self.cfg, _ARRAYS, self._attend, None)
 
     def _attend(self, i: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Block i's self-attention: write the step's K and V rows into its
         buffers, then attend over a view of every row held so far."""
-        keys, values = self.keys[i], self.values[i]
-        n_seq, start, total = keys.shape[0], self.start, self.length
-        keys[:, start:total] = k.reshape(n_seq, total - start, -1)
-        values[:, start:total] = v.reshape(n_seq, total - start, -1)
+        keys, values, total = self.keys[i], self.values[i], self.length
+        keys[:, total - 1] = k
+        values[:, total - 1] = v
         return T._attend(q, keys[:, :total], values[:, :total], self.cfg.n_heads, self.mask)[0]
 
 
@@ -526,9 +528,9 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
     cache = DecodeCache(_encode_arrays(features, demo, params, cfg), params, cfg)
     greedy = temperature < np.finfo(cache.table.dtype).tiny   # 0, or it underflows to 0
     rng = None if greedy else np.random.default_rng(seed)
-    ids = np.full((1, 1), START_ID)
+    ids = np.full(1, START_ID)
     while len(out) < cfg.max_len:
-        last = cache.step(ids)[-1]
+        last = cache.step(ids)[0]
         if greedy:
             next_id = int(last.argmax())
         else:
@@ -542,5 +544,5 @@ def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
         out.append(next_id)
         if next_id == END_ID:
             break
-        ids[0, 0] = next_id
+        ids[0] = next_id
     return out

@@ -23,14 +23,14 @@ the weighted values of all heads, then merges the heads back into rows, as
 one tape entry. Each backward rule runs the same arithmetic, in the same
 order, as the chain of separate ops it replaced (kept in the test suite as
 the reference), so the fused ops are bit-identical to it. The forward
-arithmetic of these four ops and of the cross-entropy is written once, as
-private functions on plain arrays (``_dense``, ``_normalize``, ``_embed``,
-``_attend`` and ``_cross_entropy``) that the ops call and that the model's
-array path calls to validate and generate without a tape.
+arithmetic of these four ops is written once, as private functions on plain
+arrays (``_dense``, ``_normalize``, ``_embed`` and ``_attend``) that the ops
+call and that the model's array path calls to generate without a tape.
 
 Forward operations append ``(inputs, output, vjp)`` tuples to a
-module-level list, the tape, whenever an input requires a gradient; there
-is no switch that turns recording off, since inference runs on plain arrays.
+module-level list, the tape, whenever an input requires a gradient, and
+only then; there is no switch that turns recording off. Validation runs the
+ops over tensors that need no gradient, so it records nothing.
 An array that only the backward pass reads is built inside the backward
 rule. ``backward(loss)`` replays the tape in strict reverse recording order and
 accumulates ``grad`` buffers only on leaves, the tensors that no tape entry
@@ -221,7 +221,7 @@ def _record(inputs, output: Tensor, vjp) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Forward arithmetic on plain arrays, shared by the ops below and by the
-# model's array path, which validates and generates without a tape
+# model's array path, which generates without a tape
 # ---------------------------------------------------------------------------
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
@@ -285,19 +285,6 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask):
     weights = np.exp(scores, out=scores)
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     return _merge_heads(weights @ v_heads, q.shape), weights, q_heads, k_t, v_heads
-
-
-def _cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
-    """The arithmetic of ``sparse_cross_entropy`` on [T x V] ``logits``:
-    the mean loss over the rows where ``mask`` is True, as a 0-d array of
-    the logits' dtype, then the factor it was taken with and the
-    log-probabilities, which the backward rule reads. The mean is the sum
-    times 1 / count, both in the logits' dtype."""
-    log_probs = logits - logits.max(axis=1, keepdims=True)   # shifted, then in place
-    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(logits.shape[0]), targets]
-    factor = logits.dtype.type(1.0 / np.count_nonzero(mask))
-    return np.asarray(-(picked * mask).sum() * factor), factor, log_probs
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +528,12 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     if not mask.any():
         raise ContractError("cross entropy over zero selected rows")
 
-    mean, factor, log_probs = _cross_entropy(logits.data, targets, mask)
+    # the mean is the sum times 1 / count, both in the logits' dtype
+    log_probs = logits.data - logits.data.max(axis=1, keepdims=True)   # shifted, then in place
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    picked = log_probs[np.arange(n_rows), targets]
+    factor = logits.data.dtype.type(1.0 / np.count_nonzero(mask))
+    mean = np.asarray(-(picked * mask).sum() * factor)
 
     def vjp(g):
         gl = np.exp(log_probs)

@@ -5,8 +5,7 @@ the batch, pooled across examples, so duplicating an example k times leaves
 both the loss and the gradient direction unchanged. Pad positions contribute
 exactly zero to the loss and to every gradient. The mean has one
 definition: the cross-entropy op takes it (``tensor.sparse_cross_entropy``,
-one tape entry), and validation reads it from the op's forward arithmetic
-(``tensor._cross_entropy``), so the two round it alike.
+one tape entry).
 
 A batch is one tape: its examples' teacher-forcing views are built as one
 padded ``[B x L]`` array by whole-array operations, and one forward pass of
@@ -16,11 +15,12 @@ step's gradients land in the optimizer's flat gradient buffer and ``Adam``
 updates the parameters in place there (see ``optim``); a parameter with no
 gradient is skipped. The dropout rng is the one training switch:
 ``batch_loss`` runs dropout exactly when handed one, and ``train_step``
-refuses a model with dropout but no rng. Validation (``evaluate_loss``)
-never touches the tape: it runs the model's forward definition on plain
-arrays, one whole-batch ``DecodeCache`` step per batch, and the
-cross-entropy's forward arithmetic. ``fit`` always ends by restoring the
-parameters of the epoch with the lowest validation loss.
+refuses a model with dropout but no rng. Whole sequences take one path,
+whether or not they train: validation (``evaluate_loss``) runs
+``batch_loss`` without an rng over the parameters' arrays wrapped as tensors
+that need no gradient, so the ops record nothing on the tape. ``fit``
+always ends by restoring the parameters of the epoch with the lowest
+validation loss.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import tensor as T
 from .checkpoint import parameter_checksum
 from .errors import ConfigError, ContractError, TrainingError
 from .files import append_json_line
-from .model import DecodeCache, ModelConfig, _encode_arrays, decoder_forward, encode_inputs
+from .model import ModelConfig, decoder_forward, encode_inputs
 from .optim import Adam
 from .tensor import Tensor
 from .text import PAD_ID, encode_tokens
@@ -132,26 +132,21 @@ def teacher_forcing_batch(rows):
     return inputs, targets, targets != PAD_ID
 
 
-def _assemble(batch):
-    """A non-empty batch's feature rows, its demographic rows (None if an
-    example has none) and its ``teacher_forcing_batch`` arrays."""
-    if not batch:
-        raise ContractError("a batch needs at least one example")
-    demos = [ex.demo for ex in batch]
-    return ([ex.features for ex in batch], None if any(d is None for d in demos) else demos,
-            *teacher_forcing_batch([ex.ids for ex in batch]))
-
-
 def batch_loss(batch, params, cfg: ModelConfig, rng=None) -> tuple[Tensor, int]:
-    """Pooled cross-entropy over all non-pad positions of a batch, on the tape.
+    """Pooled cross-entropy over all non-pad positions of a batch.
 
     The examples' ids are assembled into ``[B x L]`` teacher-forcing arrays
     by whole-array operations (``teacher_forcing_batch``) and run through
     one forward pass; returns the mean loss and the number of positions it
-    pools. Dropout runs when an ``rng`` is given, drawing from it.
+    pools. Dropout runs when an ``rng`` is given, drawing from it. The ops
+    record on the tape when a parameter requires a gradient.
     """
-    features, demos, inputs, targets, mask = _assemble(batch)
-    hybrid = encode_inputs(features, demos, params, cfg, rng=rng)
+    if not batch:
+        raise ContractError("a batch needs at least one example")
+    demos = [ex.demo for ex in batch]
+    inputs, targets, mask = teacher_forcing_batch([ex.ids for ex in batch])
+    hybrid = encode_inputs([ex.features for ex in batch],
+                           None if any(d is None for d in demos) else demos, params, cfg, rng=rng)
     logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
     loss = T.sparse_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
     return loss, int(mask.sum())
@@ -194,24 +189,17 @@ def train_step(batch, params, optimizer: Adam, cfg: ModelConfig,
 
 
 def evaluate_loss(examples, params, cfg: ModelConfig, batch_size: int = 64) -> float:
-    """Mean token loss on plain arrays: per batch, the array encoder, one
-    ``DecodeCache`` step over the whole ``[B x L]`` inputs and the forward of
-    the cross-entropy, with no dropout and nothing recorded. Equal to
-    ``batch_loss``'s mean without an rng, pooled over the batches."""
+    """Mean token loss: ``batch_loss`` without an rng per batch, pooled over
+    the batches' token counts. The parameters' arrays are wrapped, not
+    copied, as tensors that need no gradient, so nothing is recorded."""
     if not examples:
         raise ConfigError("cannot evaluate on an empty split")
+    frozen = {name: Tensor._wrap(p.data) for name, p in params.items()}
     total = 0.0
     count = 0
     for start in range(0, len(examples), batch_size):
-        features, demos, inputs, targets, mask = _assemble(examples[start:start + batch_size])
-        if min(inputs.min(), targets.min()) < 0 or max(inputs.max(), targets.max()) \
-                >= cfg.vocab_size:
-            raise ContractError(f"a validation example holds an id outside "
-                                f"[0, {cfg.vocab_size})")
-        cache = DecodeCache(_encode_arrays(features, demos, params, cfg), params, cfg)
-        loss = T._cross_entropy(cache.step(inputs), targets.reshape(-1), mask.reshape(-1))[0]
-        n = int(mask.sum())
-        total += float(loss) * n
+        loss, n = batch_loss(examples[start:start + batch_size], frozen, cfg)
+        total += loss.item() * n
         count += n
     return total / count
 

@@ -646,10 +646,12 @@ def two_op_batch_loss(batch, params, cfg, rng=None):
     """``training.batch_loss`` as the two tape entries it replaced: the
     summed cross-entropy, then ``scale`` by 1 / the pooled token count."""
     from cxrgen.model import decoder_forward, encode_inputs
-    from cxrgen.training import _assemble
+    from cxrgen.training import teacher_forcing_batch
 
-    features, demos, inputs, targets, mask = _assemble(batch)
-    hybrid = encode_inputs(features, demos, params, cfg, rng=rng)
+    inputs, targets, mask = teacher_forcing_batch([ex.ids for ex in batch])
+    demos = [ex.demo for ex in batch]
+    hybrid = encode_inputs([ex.features for ex in batch],
+                           None if any(d is None for d in demos) else demos, params, cfg, rng=rng)
     logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
     count = int(mask.sum())
     total = summed_cross_entropy(logits, targets.reshape(-1), mask.reshape(-1))
@@ -721,9 +723,9 @@ def detached(params):
 
 
 def tape_evaluate_loss(examples, params, cfg, batch_size=64):
-    """``training.evaluate_loss`` as it was before validation ran on arrays:
-    ``training.batch_loss`` on the tape, without an rng, per batch, pooled
-    over the batches' token counts."""
+    """``training.evaluate_loss`` as it was before validation ran on arrays,
+    and is again: ``training.batch_loss`` over detached parameters, without
+    an rng, per batch, pooled over the batches' token counts."""
     from cxrgen.training import batch_loss
 
     params = detached(params)

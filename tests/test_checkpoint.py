@@ -302,6 +302,24 @@ def test_entry_outside_the_saved_layout_is_integrity_error(tmp_path, params, cap
     assert not (tmp_path / "gen").exists()
 
 
+def test_bytes_past_the_last_tensor_are_integrity_error(tmp_path, params, capsys):
+    """Bytes appended to the blob, with ``blob_nbytes`` raised to match, are
+    refused: the tensors must end where the blob does."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    with open(tmp_path / "ckpt" / "params.bin", "ab") as fh:
+        fh.write(bytes(12))
+    manifest["blob_nbytes"] += 12
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError, match="12 bytes past its last tensor"):
+        load_checkpoint(tmp_path / "ckpt")
+    assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "gen")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
+
+
 @pytest.mark.parametrize("version", [True, 2.0, "2", None])
 def test_format_version_must_be_an_int(tmp_path, params, version):
     """JSON true equals 1 in Python and 2.0 equals 2; neither is a format version."""

@@ -17,6 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cxrgen.checkpoint
+import cxrgen.cli
+import cxrgen.data
+import cxrgen.files
+import cxrgen.metrics
 import cxrgen.text
 from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
@@ -829,12 +834,31 @@ class TestOutputsKeepOtherRecords:
         assert after == before
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_out_that_is_an_existing_file_is_usage_error(self, pipeline, tmp_path, command):
-        """The first write cannot create the directory, so nothing is written."""
+    def test_out_that_is_an_existing_file_is_usage_error(self, pipeline, tmp_path, monkeypatch,
+                                                         command):
+        """The claim refuses it before the work: no input file is read (every
+        reader goes through ``cxrgen.files.read_lines``), no corpus is
+        synthesized, and the file is left as it was."""
         out = tmp_path / "out"
         out.write_bytes(b"not a directory\n")
+        calls = []
+        read_lines, synthesize = cxrgen.files.read_lines, cxrgen.cli.synthesize_corpus
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cxrgen.files, cxrgen.cli, cxrgen.data, cxrgen.metrics, cxrgen.text):
+            assert module.read_lines is read_lines
+            monkeypatch.setattr(module, "read_lines", counted("read_lines", read_lines))
+        monkeypatch.setattr(cxrgen.cli, "synthesize_corpus",
+                            counted("synthesize_corpus", synthesize))
         code, err = _run(self._argv(command, pipeline, out))
         assert code == 2 and "Traceback" not in err
+        assert "not a directory" in err
+        assert calls == []
         assert [path.name for path in tmp_path.iterdir()] == ["out"]
         assert out.read_bytes() == b"not a directory\n"
 
@@ -848,6 +872,47 @@ class TestOutputsKeepOtherRecords:
         assert "provenance.json" in err and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "out",
                                                tmp_path / "out" / "provenance.json"]
+
+
+class TestCheckpointConfig:
+    """A checkpoint whose config holds a value of the wrong type or an
+    impossible size exits 3 through ``generate``, with nothing written."""
+
+    @staticmethod
+    def _generate(pipeline, tmp_path, field, value):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["run"] / "best", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"][field] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        return _run(["generate", "--checkpoint", str(ckpt), "--data", str(pipeline["prep"]),
+                     "--out", str(tmp_path / "gen")])
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 16.0), ("n_decoder_blocks", 1.5), ("n_heads", True),
+        ("max_len", float("nan")), ("max_len", 1e308), ("dropout_rate", False)])
+    def test_value_of_the_wrong_type_is_integrity_error(self, pipeline, tmp_path, field,
+                                                        value):
+        code, err = self._generate(pipeline, tmp_path, field, value)
+        assert code == 3 and field in err and "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+
+    def test_block_count_is_checked_before_any_shape_is_built(self, pipeline, tmp_path,
+                                                              monkeypatch):
+        """10**19 decoder blocks would make ``parameter_shapes`` fill memory:
+        the loader compares the tensor count the config implies with the
+        manifest's list first, and never calls it."""
+        calls = []
+
+        def parameter_shapes(cfg):
+            calls.append(cfg.n_decoder_blocks)
+            raise RuntimeError("parameter_shapes was called")
+
+        monkeypatch.setattr(cxrgen.checkpoint, "parameter_shapes", parameter_shapes)
+        code, err = self._generate(pipeline, tmp_path, "n_decoder_blocks", 10 ** 19)
+        assert code == 3 and "tensors" in err and "Traceback" not in err
+        assert calls == []
+        assert not (tmp_path / "gen").exists()
 
 
 class TestNotUtf8:

@@ -10,7 +10,7 @@ from cxrgen import model, tensor as T
 from cxrgen.errors import ConfigError, ContractError, ShapeError
 from cxrgen.model import (DecodeCache, ModelConfig, check_parameters, decoder_forward,
                           encode_inputs, generate, init_parameters, join_heads,
-                          parameter_shapes)
+                          parameter_shapes, tensor_count)
 from cxrgen.tensor import Tensor
 from cxrgen.text import END_ID, PAD_ID, START_ID
 from cxrgen.training import EncodedExample, batch_loss
@@ -135,6 +135,23 @@ class TestParameters:
             ModelConfig(d_model=32, d_embed=64, n_heads=4)
         with pytest.raises(ConfigError):
             ModelConfig(dropout_rate=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 512.0), ("n_heads", True), ("max_len", float("nan")),
+        ("demographic_dim", np.int64(7)), ("n_decoder_blocks", 1.5),
+        ("dropout_rate", False), ("dropout_rate", "0.1"), ("dropout_rate", None)])
+    def test_a_value_of_the_wrong_type_is_rejected(self, field, value):
+        """A checkpoint's config comes from JSON, where true equals 1 and 16.0
+        equals 16 in Python: each size must be an int, and the dropout rate
+        an int or float that is not a bool."""
+        with pytest.raises(ConfigError, match=field):
+            replace(ModelConfig(), **{field: value})
+
+    @pytest.mark.parametrize("cfg", [TINY, TINY_IMAGE, replace(TINY, n_decoder_blocks=3),
+                                     ModelConfig()], ids=["tiny", "image-only", "3-blocks",
+                                                          "paper"])
+    def test_tensor_count_is_the_number_of_shapes(self, cfg):
+        assert tensor_count(cfg) == len(parameter_shapes(cfg))
 
 
 class TestVisualUnit:
@@ -510,24 +527,29 @@ class TestDecodeCache:
         if cfg == ModelConfig():
             assert len(ids) == cfg.max_len   # one full-length report
 
-    @pytest.mark.parametrize("cfg, chunks", [
-        (DESK, [1] * 12), (ModelConfig(), [1] * 12),
-        (replace(DESK, n_decoder_blocks=2), [3, 1, 5, 3]), (DESK, [1] * 6 + [4, 2])],
-        ids=["desk", "paper", "desk-2-blocks-chunked", "desk-pad-then-chunk"])
-    def test_cached_logits_match_full_forward_with_a_pad(self, cfg, chunks):
-        params, features, demo = self._inputs(cfg, seed=3)
+    @pytest.mark.parametrize("cfg", [DESK, replace(DESK, n_decoder_blocks=2), ModelConfig()],
+                             ids=["desk", "desk-2-blocks", "paper"])
+    def test_cached_logits_match_full_forward_with_a_pad(self, cfg):
+        """Three sequences stepped one id at a time, one with a pad decoded
+        mid-row and one ended by pads: each step's logits match the last
+        row of ``decoder_forward`` on the whole prefix."""
+        params, _, _ = self._inputs(cfg, seed=3)
         rng = np.random.default_rng(3)
-        ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=11)])
-        ids[5] = PAD_ID
-        hybrid = encode_inputs(features, demo, params, cfg)
-        reference = decoder_forward(ids, hybrid, params, cfg).data
+        ids = np.concatenate([np.full((3, 1), START_ID),
+                              rng.integers(4, cfg.vocab_size, size=(3, 11))], axis=1)
+        ids[1, 5] = PAD_ID
+        ids[2, 8:] = PAD_ID
+        hybrid = encode_inputs(rng.normal(size=(3, cfg.feature_dim)),
+                               np.eye(cfg.demographic_dim)[:3], params, cfg)
         cache = DecodeCache(hybrid.data, params, cfg)
-        parts, start = [], 0
-        for size in chunks:
-            parts.append(cache.step(ids[None, start:start + size]))
-            start += size
-        assert cache.length == len(ids)
-        assert self._relative_error(np.concatenate(parts), reference) <= 1e-5
+        for t in range(ids.shape[1]):
+            prefix = ids[:, :t + 1]
+            reference = decoder_forward(prefix, hybrid, params, cfg).data.reshape(3, t + 1, -1)
+            step = cache.step(ids[:, t])
+            assert step.shape == (3, cfg.vocab_size)
+            assert self._relative_error(step, reference[:, t]) <= 1e-5, t
+            assert cache.padded == (t >= 5)
+        assert cache.length == ids.shape[1]
 
     def test_batched_cache_matches_full_forward(self):
         params, _, _ = self._inputs(DESK, seed=4)
@@ -540,10 +562,10 @@ class TestDecodeCache:
                                np.eye(DESK.demographic_dim)[:3], params, DESK)
         reference = decoder_forward(ids, hybrid, params, DESK).data.reshape(3, 8, -1)
         cache = DecodeCache(hybrid.data, params, DESK)
-        steps = [cache.step(ids[:, t:t + 1]) for t in range(ids.shape[1])]
+        steps = [cache.step(ids[:, t]) for t in range(ids.shape[1])]
         assert self._relative_error(np.stack(steps, axis=1), reference) <= 1e-5
         with pytest.raises(ShapeError, match="holds 3 sequences"):
-            cache.step(np.array([[4]]))
+            cache.step(np.array([4]))
 
     def test_generated_pads_stay_masked_out(self):
         """With classifier.b rigged, greedy decoding emits <pad> until max_len;
@@ -558,16 +580,22 @@ class TestDecodeCache:
         hybrid = encode_inputs(features, demo, params, DESK)
         reference = decoder_forward(prefix, hybrid, params, DESK).data
         cache = DecodeCache(hybrid.data, params, DESK)
-        steps = [cache.step(prefix[None, t:t + 1]) for t in range(len(prefix))]
+        steps = [cache.step(prefix[t:t + 1]) for t in range(len(prefix))]
         assert self._relative_error(np.concatenate(steps), reference) <= 1e-5
 
     def test_misuse_is_a_contract_error(self):
+        """A step past ``max_len`` is a ``ContractError``, and ids that are
+        not one per sequence a ``ShapeError``; neither moves the cache."""
         params, features, demo = self._inputs(TINY, seed=0)
         hybrid = encode_inputs(features, demo, params, TINY)
         cache = DecodeCache(hybrid.data, params, TINY)
-        cache.step(np.array([[START_ID] + [4] * (TINY.max_len - 1)]))
+        for next_id in [START_ID] + [4] * (TINY.max_len - 1):
+            cache.step(np.array([next_id]))
         with pytest.raises(ContractError, match="exceeds the maximum"):
-            cache.step(np.array([[4]]))
+            cache.step(np.array([4]))
+        for ids in (np.array([[4]]), np.array([4, 5]), np.array(4)):
+            with pytest.raises(ShapeError, match="holds 1 sequences"):
+                cache.step(ids)
         assert cache.length == TINY.max_len
 
     def test_a_sequence_starting_with_pad_is_a_contract_error(self):
@@ -579,8 +607,9 @@ class TestDecodeCache:
             decoder_forward([[START_ID, 4], [PAD_ID, 4]], hybrid, params, TINY)
         cache = DecodeCache(hybrid.data, params, TINY)
         with pytest.raises(ContractError, match="pad id"):
-            cache.step(np.array([[START_ID, 4], [PAD_ID, 4]]))
+            cache.step(np.array([START_ID, PAD_ID]))
         assert cache.length == 0
+        assert not cache.padded
 
     def test_generate_records_nothing_while_recording_is_on(self):
         params, features, demo = self._inputs(TINY, seed=0)
@@ -639,9 +668,10 @@ class TestJoinedHeads:
         hybrid = encode_inputs(np.ones((2, cfg.feature_dim)),
                                np.eye(cfg.demographic_dim)[:2], params, cfg)
         cache = DecodeCache(hybrid.data, params, cfg)
-        cache.step(np.array([[START_ID, 4, 5], [START_ID, 6, PAD_ID]]))
+        for ids in ([START_ID, START_ID], [4, 6], [5, PAD_ID]):
+            cache.step(np.array(ids))
         buffers = [*cache.keys, *cache.values]
-        cache.step(np.array([[7], [8]]))
+        cache.step(np.array([7, 8]))
         assert len(cache.keys) == len(cache.values) == cfg.n_decoder_blocks
         held = [*cache.keys, *cache.values]
         assert all(now is before for now, before in zip(held, buffers))   # written in place

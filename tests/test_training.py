@@ -267,8 +267,9 @@ class TestBatchedLoss:
 
 
 class TestValidationOnArrays:
-    """``evaluate_loss`` on plain arrays against the tape-based validation
-    loss it replaced (``oracles.tape_evaluate_loss``), compared with ``==``."""
+    """``evaluate_loss``, which ran on plain arrays and now runs ``batch_loss``
+    over tensors that need no gradient, against the tape-based validation
+    loss (``oracles.tape_evaluate_loss``), compared with ``==``."""
 
     @staticmethod
     def _examples(cfg, n, seed):
@@ -298,13 +299,42 @@ class TestValidationOnArrays:
             == tape_evaluate_loss(examples, params, cfg, batch_size)
 
     @pytest.mark.parametrize("bad", [-1, 96, 200], ids=["negative", "vocab-size", "beyond"])
-    @pytest.mark.parametrize("position", [0, 3], ids=["first", "later"])
+    @pytest.mark.parametrize("position", [0, 3, 10], ids=["first", "later", "end-marker"])
     def test_an_id_out_of_range_is_a_contract_error(self, bad, position):
+        """An input id is refused by the embedding, and the end marker, which
+        is only a target, by the cross-entropy."""
         examples = random_examples(DESK, (6, 9), seed=4)
         examples[1].ids[position] = bad
         params = init_parameters(DESK, seed=0)
-        with pytest.raises(ContractError, match="outside"):
+        what = "target" if position == 10 else "embedding"
+        with pytest.raises(ContractError, match=f"{what} id out of range"):
             evaluate_loss(examples, params, DESK)
+
+    @pytest.mark.parametrize("cfg", [DESK, replace(DESK, dropout_rate=0.1)],
+                             ids=["desk", "desk-dropout-0.1"])
+    def test_validation_inside_a_step_changes_nothing(self, cfg):
+        """``evaluate_loss`` called between a step's ``batch_loss`` and its
+        backward pass appends nothing to the tape and draws nothing from the
+        dropout rng: the gradients and the parameters after ``Adam.step``
+        equal, byte for byte, those of a step without the call."""
+        batch = random_examples(cfg, (12, 5, 20, 9), seed=3)
+        results = []
+        for validate in (False, True):
+            T.reset_graph()
+            params = init_parameters(cfg, seed=0)
+            optimizer = Adam(params, lr=1e-2)
+            optimizer.zero_grad()
+            loss, _ = batch_loss(batch, params, cfg, rng=np.random.default_rng(5))
+            entries = len(T.active_graph())
+            if validate:
+                evaluate_loss(batch, params, cfg, batch_size=3)
+                assert len(T.active_graph()) == entries
+            T.backward(loss)
+            grads = {name: p.grad.tobytes() for name, p in params.items()}
+            optimizer.step()
+            results.append((entries, grads, {name: p.data.tobytes() for name, p in params.items()}))
+        T.reset_graph()
+        assert results[0] == results[1]
 
     def test_validation_and_generation_record_nothing(self):
         examples = random_examples(DESK, (6, 9, 4), seed=4)
