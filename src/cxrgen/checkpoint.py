@@ -1,23 +1,25 @@
 """Bit-exact model checkpointing.
 
-A checkpoint is a directory holding ``manifest.json`` (config values,
-ordered parameter names, per-tensor shape, byte offset, and sha256) plus
-``params.bin``, a flat blob of little-endian 32-bit floats in row-major
-order. Loading verifies every tensor's checksum, so a single corrupted byte
-is detected and attributed to the tensor it sits in, and checks each
-tensor's place against the layout saving writes: it starts where the one
-before it ends and holds 4 bytes per value of its shape, and the last one
-ends where the blob does. The config's tensor count is checked against the
-manifest's list before any parameter name is built. Saving writes both
-files into a fresh sibling directory and renames it into place, so a
-failure part-way leaves any checkpoint already at the path intact. A
-checkpoint being replaced is first renamed aside to ``.<name>.<hex>.old``
-and renamed back if the second rename fails; a process killed between the
-two renames leaves it there, to be renamed back by hand.
+A checkpoint is a directory holding ``manifest.json`` (the config, each
+parameter's name and sha256 in the model's order, and the caller's
+``extra`` payload) plus ``params.bin``, the parameters as little-endian
+32-bit floats in row-major order, back to back in that order. The layout is
+not stored: each tensor's shape, and so its place in the blob, follows from
+the config (``model.parameter_shapes``). Loading checks the manifest's
+tensor count against the config before it builds any parameter name, then
+the name list, then the blob's size against the sizes the config implies,
+and then every tensor's checksum, so a single corrupted byte is detected
+and attributed to the tensor it sits in. Saving writes both files into a
+fresh sibling directory and renames it into place, so a failure part-way
+leaves any checkpoint already at the path intact. A checkpoint being
+replaced is first renamed aside to ``.<name>.<hex>.old`` and renamed back
+if the second rename fails; a process killed between the two renames leaves
+it there, to be renamed back by hand.
 
-The format (version 3) stores one matrix per attention role. Only that
-version loads; the per-head layouts of versions 1 and 2 are an
-``IntegrityError``.
+Saving writes format version 4. Version 3, which also stored each tensor's
+shape, offset and size and the blob's name and size, loads through the same
+code, since those fields are not read. The per-head layouts of versions 1
+and 2 are an ``IntegrityError``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "params.bin"
-FORMAT_VERSION = 3
-_ENTRY_FIELDS = {"name": str, "shape": list, "offset": int, "nbytes": int, "sha256": str}
+FORMAT_VERSION = 4
 
 
 def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
@@ -50,28 +51,14 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
     directory = Path(path)
     entries = []
     chunks = []
-    offset = 0
     for name in parameter_shapes(cfg):
         tensor = params[name]
         if not np.isfinite(tensor.data).all():
             raise ContractError(f"parameter {name!r} contains non-finite values")
         raw = np.ascontiguousarray(tensor.data, dtype="<f4")   # hashed and written as is
-        entries.append({
-            "name": name,
-            "shape": list(tensor.shape),
-            "offset": offset,
-            "nbytes": raw.nbytes,
-            "sha256": hashlib.sha256(raw).hexdigest(),
-        })
+        entries.append({"name": name, "sha256": hashlib.sha256(raw).hexdigest()})
         chunks.append(raw)
-        offset += raw.nbytes
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.to_dict(),
-        "blob": BLOB_NAME,
-        "blob_nbytes": offset,
-        "tensors": entries,
-    }
+    manifest = {"format_version": FORMAT_VERSION, "config": cfg.to_dict(), "tensors": entries}
     if extra:
         manifest["extra"] = extra
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
@@ -103,8 +90,10 @@ def read_manifest(path, digest) -> dict:
         raise IntegrityError(f"no checkpoint manifest at {manifest_path}")
     manifest = read_json_object(manifest_path, IntegrityError, digest)
     version = manifest.get("format_version")
-    # True == 1 and 1.0 == 1 in Python, so check the type before the value
-    if type(version) is not int or version != FORMAT_VERSION:
+    # True == 1 and 1.0 == 1 in Python, so check the type before the value;
+    # version 3 also lists each tensor's name and sha256 in the model's order,
+    # which is all the loader reads
+    if type(version) is not int or version not in (3, FORMAT_VERSION):
         raise IntegrityError(
             f"unsupported checkpoint format version {version!r}"
         )
@@ -112,9 +101,8 @@ def read_manifest(path, digest) -> dict:
 
 
 def _well_formed(entry) -> bool:
-    return (isinstance(entry, dict)
-            and all(type(entry.get(key)) is kind for key, kind in _ENTRY_FIELDS.items())
-            and all(type(n) is int for n in entry["shape"]))
+    return isinstance(entry, dict) and all(type(entry.get(key)) is str
+                                           for key in ("name", "sha256"))
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
@@ -131,21 +119,6 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
         cfg = ModelConfig.from_dict(manifest["config"])
     except (TypeError, KeyError, ConfigError) as exc:
         raise IntegrityError(f"invalid config in checkpoint manifest: {exc}") from exc
-    # the blob is always params.bin inside the checkpoint: a manifest may not
-    # point the reader at another file
-    if manifest.get("blob") != BLOB_NAME:
-        raise IntegrityError(f"checkpoint manifest names blob {manifest.get('blob')!r}, "
-                             f"not {BLOB_NAME!r}")
-    if not (directory / BLOB_NAME).exists():
-        raise IntegrityError(f"checkpoint blob {BLOB_NAME!r} missing from {directory}")
-    # slices of a view copy nothing: each tensor's bytes are copied once, into its array
-    blob = memoryview((directory / BLOB_NAME).read_bytes())
-    if digest is not None:
-        digest.update(blob)
-    if len(blob) != manifest.get("blob_nbytes"):
-        raise IntegrityError(
-            f"checkpoint blob is {len(blob)} bytes, manifest says {manifest.get('blob_nbytes')}"
-        )
     entries = manifest.get("tensors")
     if not isinstance(entries, list) or not all(_well_formed(entry) for entry in entries):
         raise IntegrityError("checkpoint manifest has a malformed tensor list")
@@ -156,27 +129,26 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
     shapes = parameter_shapes(cfg)
     if [entry["name"] for entry in entries] != list(shapes):
         raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
+    if not (directory / BLOB_NAME).exists():
+        raise IntegrityError(f"checkpoint blob {BLOB_NAME!r} missing from {directory}")
+    # slices of a view copy nothing: each tensor's bytes are copied once, into its array
+    blob = memoryview((directory / BLOB_NAME).read_bytes())
+    if digest is not None:
+        digest.update(blob)
+    # Python ints: a config of huge sizes is refused here without allocating
+    expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) != expected:
+        raise IntegrityError(f"checkpoint blob is {len(blob)} bytes; its config's model "
+                             f"takes {expected}")
     params: dict[str, Tensor] = {}
     start = 0   # the tensors lie back to back in the blob, in the model's order
-    for entry in entries:
-        name = entry["name"]
-        shape = shapes[name]
-        nbytes = 4 * math.prod(shape)
-        stated = (tuple(entry["shape"]), entry["offset"], entry["nbytes"])
-        if stated != (shape, start, nbytes):
-            raise IntegrityError(f"tensor {name!r} has (shape, offset, nbytes) {stated} in "
-                                 f"manifest, expected {(shape, start, nbytes)}")
-        raw = blob[start:start + nbytes]
-        if len(raw) != nbytes:
-            raise IntegrityError(f"checkpoint blob truncated inside tensor {name!r}")
-        start += nbytes
+    for entry, (name, shape) in zip(entries, shapes.items()):
+        raw = blob[start:start + 4 * math.prod(shape)]
+        start += len(raw)
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
         params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy(),
                               requires_grad=True)
-    if start != len(blob):
-        raise IntegrityError(f"checkpoint blob holds {len(blob) - start} bytes past its "
-                             f"last tensor")
     return params, cfg
 
 

@@ -44,14 +44,15 @@ parent directories are created.
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
-lowercase words, a checkpoint whose feature width differs from the prepared
-data's, a ``generate --split`` that holds no report and an ``--out`` whose
-record another command wrote), 3
-data integrity failure (a file that is not UTF-8 is one, and so are a
-checkpoint of format 1 or 2, one whose manifest names another blob or gives
-a tensor an offset or size off the layout that saving writes, one whose
-blob holds bytes past its last tensor, one whose config holds a size that
-is not an int or a dropout rate that is not a number, a bad
+lowercase words, a ``train --max-len`` over ``model.MAX_LEN``, a
+checkpoint whose feature width differs from the prepared data's, a
+``generate --split`` that holds no report and an ``--out`` whose record
+another command wrote), 3 data integrity failure (a file that is not
+UTF-8 is one, and so are a checkpoint of format 1 or 2, one whose tensor
+count or name list differs from its config's model, one whose blob is not
+the size that model's tensors take, one with a tensor whose bytes fail its
+checksum, one whose config holds a size that is not an int, a ``max_len``
+over ``model.MAX_LEN`` or a dropout rate that is not a number, a bad
 dataset record, a malformed split manifest or evaluation report, a repeated
 vocabulary token, a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
@@ -323,7 +324,6 @@ def cmd_train(args) -> int:
     save_checkpoint(params, cfg, out / "best", extra={
         "codec": codec.to_dict() if cfg.uses_demographics else None,
         "vocab": vocab.tokens,
-        "subset": args.subset,
     })
     _write_provenance(out / "provenance.json", "train", {
         "data": str(args.data),

@@ -102,6 +102,11 @@ from .tensor import Tensor
 from .text import END_ID, PAD_ID, START_ID
 
 ATTENTION_ROLES = ("wq", "wk", "wv", "wo")
+# The longest sequence a model may be configured for, 20 times the paper's
+# 50 ids: no parameter depends on max_len, so a checkpoint's config could
+# otherwise make DecodeCache allocate without bound. At d_model 512 a block's
+# K and V buffers then take 2 MB each per sequence in float32.
+MAX_LEN = 1024
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,8 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 5:
             raise ConfigError("vocab_size must cover the four reserved ids")
-        if self.max_len < 3:
-            raise ConfigError("max_len must be at least 3")
+        if not 3 <= self.max_len <= MAX_LEN:
+            raise ConfigError(f"max_len must be in [3, {MAX_LEN}], got {self.max_len}")
 
     @property
     def d_head(self) -> int:

@@ -6,7 +6,10 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
 * ``fit:<variant>`` -- a 3-epoch fit of a desk model (the criterion-5
   config: feature width 24, d_model 32, 2 heads, max_len 24) on a seeded
   synthetic corpus: every epoch's train and validation loss and
-  ``parameter_checksum``, then the saved checkpoint's bytes;
+  ``parameter_checksum``; ``fit:<variant>:params.bin`` and
+  ``fit:<variant>:manifest.json`` -- the bytes of each file of the
+  checkpoint saved after that fit, so a change to the manifest's format
+  shows apart from the weights;
 * ``steps:<variant>`` -- two ``train_step`` calls of a fresh model on one
   batch: the losses, every gradient and parameter after each step, and
   Adam's first and second moments;
@@ -85,7 +88,7 @@ def paper_examples(cfg: ModelConfig, n: int, seed: int) -> list[EncodedExample]:
     return examples
 
 
-def fit_case(train, val, cfg) -> tuple[bytes, dict]:
+def fit_case(train, val, cfg) -> tuple[bytes, dict, dict[str, bytes]]:
     params = init_parameters(cfg, seed=3)
     log = fit(train, val, params, cfg, TrainConfig(batch_size=8, learning_rate=1e-2,
                                                    epochs=3, seed=5, patience=None))
@@ -95,9 +98,8 @@ def fit_case(train, val, cfg) -> tuple[bytes, dict]:
     digest.update(parameter_checksum(params, cfg).encode())
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(params, cfg, Path(tmp) / "ckpt")
-        for path in sorted((Path(tmp) / "ckpt").iterdir()):
-            digest.update(path.name.encode() + path.read_bytes())
-    return digest.digest(), params
+        files = {path.name: path.read_bytes() for path in (Path(tmp) / "ckpt").iterdir()}
+    return digest.digest(), params, files
 
 
 def steps_case(batch, cfg) -> bytes:
@@ -148,8 +150,10 @@ def cases():
         yield f"steps:{variant}", steps_case(train[:8], cfg)
         yield f"evaluate_loss:{variant}", _floats(
             evaluate_loss(val, init_parameters(cfg, seed=3), cfg, batch_size=8))
-        digest, params = fit_case(train, val, cfg)
+        digest, params, files = fit_case(train, val, cfg)
         yield f"fit:{variant}", digest
+        for name in ("params.bin", "manifest.json"):
+            yield f"fit:{variant}:{name}", files[name]
         for label, temperature in (("greedy", 0.0), ("T=0.5", 0.5)):
             yield f"generate:{variant}:{label}", generate_case(val[:4], params, cfg,
                                                                 temperature)

@@ -3,12 +3,11 @@
 Everything here is deliberately written the slow, obvious way (explicit
 loops, textbook formulas, exact fractions, numerical quadrature) and shares
 no code with the package under test. The exceptions are
-``per_example_batch_loss``, which checks the batched training loss against
-the package's own model called one sequence at a time,
-``full_prefix_generate``, which decodes by re-running the package's decoder
-on the whole prefix at every step, and ``tape_evaluate_loss``, the
-validation loss as the tape-based ``training.batch_loss`` computes it; the
-last two run on ``detached`` parameters, so they record nothing.
+``per_example_batch_loss``, which checks the batched training loss and the
+pooled validation loss against the package's own model called one sequence
+at a time, and ``full_prefix_generate``, which decodes by re-running the
+package's decoder on the whole prefix at every step on ``detached``
+parameters, so it records nothing.
 ``PerTensorAdam`` and ``padded_teacher_forcing_batch`` keep the per-tensor
 optimizer and the per-example batch assembly that the flat-buffer and
 whole-array versions replaced. ``per_head_init`` and ``per_head_attention``
@@ -720,22 +719,6 @@ def detached(params):
     from cxrgen.tensor import Tensor
 
     return {name: Tensor._wrap(tensor.data) for name, tensor in params.items()}
-
-
-def tape_evaluate_loss(examples, params, cfg, batch_size=64):
-    """``training.evaluate_loss`` as it was before validation ran on arrays,
-    and is again: ``training.batch_loss`` over detached parameters, without
-    an rng, per batch, pooled over the batches' token counts."""
-    from cxrgen.training import batch_loss
-
-    params = detached(params)
-    total = 0.0
-    count = 0
-    for start in range(0, len(examples), batch_size):
-        loss, n = batch_loss(examples[start:start + batch_size], params, cfg)
-        total += loss.item() * n
-        count += n
-    return total / count
 
 
 def count_and_clip_bleu(hypotheses, references, max_n=4, epsilon=Fraction(1, 10 ** 9)):

@@ -1,24 +1,27 @@
 """Checkpoint round trips are byte-exact; corruption and malformed
 manifests are detected and attributed; an interrupted save leaves the
-previous checkpoint loadable; formats 1 and 2 are rejected, and the
-weights they hold still give the outputs recorded when they were written."""
+previous checkpoint loadable; format 3 loads through the same code as
+format 4; formats 1 and 2 are rejected, and the weights they hold still
+give the outputs recorded when they were written."""
 
 import builtins
-import hashlib
 import io
 import json
+import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cxrgen.checkpoint
 from cxrgen.checkpoint import (FORMAT_VERSION, load_checkpoint, parameter_checksum,
                                read_manifest, save_checkpoint)
 from cxrgen.cli import main
 from cxrgen.errors import ContractError, IntegrityError, ShapeError
 from cxrgen.model import (ModelConfig, decoder_forward, encode_inputs, generate,
-                          init_parameters)
+                          init_parameters, parameter_shapes)
 from cxrgen.tensor import Tensor
 
 from oracles import legacy_checkpoint
@@ -38,6 +41,35 @@ CFG = ModelConfig(feature_dim=6, d_model=8, d_embed=8, n_heads=2, vocab_size=15,
 @pytest.fixture
 def params():
     return init_parameters(CFG, seed=3)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Prepared data and a checkpoint that ``train`` wrote from it, which
+    ``generate`` decodes (exit 0)."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["synth-data", "--out", str(root / "corpus"), "--seed", "2",
+                 "--n-per-stratum", "2", "--feature-dim", "6"]) == 0
+    assert main(["prepare-data", "--data", str(root / "corpus" / "dataset.jsonl"),
+                 "--out", str(root / "prep"), "--seed", "3", "--vocab-cap", "40"]) == 0
+    assert main(["train", "--data", str(root / "prep"), "--out", str(root / "run"),
+                 "--d-model", "8", "--n-heads", "2", "--max-len", "12", "--dropout", "0",
+                 "--batch-size", "8", "--epochs", "1", "--seed", "1"]) == 0
+    return {"prep": root / "prep", "checkpoint": root / "run" / "best"}
+
+
+def _generate(checkpoint, data, out):
+    return main(["generate", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(out), "--temperature", "0"])
+
+
+def _layout(cfg):
+    """Each tensor's (offset, nbytes) in ``params.bin``, from the config alone."""
+    layout, offset = {}, 0
+    for name, shape in parameter_shapes(cfg).items():
+        layout[name] = (offset, 4 * math.prod(shape))
+        offset += layout[name][1]
+    return layout
 
 
 def test_round_trip_bit_exact(tmp_path, params):
@@ -72,12 +104,12 @@ def test_single_byte_corruption_detected_with_tensor_name(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     blob_path = tmp_path / "ckpt" / "params.bin"
     blob = bytearray(blob_path.read_bytes())
-    manifest = read_manifest(tmp_path / "ckpt", None)
-    victim = manifest["tensors"][len(manifest["tensors"]) // 2]
-    index = victim["offset"] + victim["nbytes"] // 2
-    blob[index] ^= 0xFF
+    names = list(parameter_shapes(CFG))
+    victim = names[len(names) // 2]
+    offset, nbytes = _layout(CFG)[victim]
+    blob[offset + nbytes // 2] ^= 0xFF
     blob_path.write_bytes(bytes(blob))
-    with pytest.raises(IntegrityError, match=victim["name"]):
+    with pytest.raises(IntegrityError, match=victim):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -87,20 +119,10 @@ def test_single_byte_corruption_of_an_attention_matrix_detected(tmp_path, params
                                                                  victim_name):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     blob_path = tmp_path / "ckpt" / "params.bin"
-    victim = next(e for e in read_manifest(tmp_path / "ckpt", None)["tensors"]
-                  if e["name"] == victim_name)
     blob = bytearray(blob_path.read_bytes())
-    blob[victim["offset"] + 1] ^= 0x10
+    blob[_layout(CFG)[victim_name][0] + 1] ^= 0x10
     blob_path.write_bytes(bytes(blob))
     with pytest.raises(IntegrityError, match=victim_name):
-        load_checkpoint(tmp_path / "ckpt")
-
-
-def test_truncated_blob_detected(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
-    blob_path = tmp_path / "ckpt" / "params.bin"
-    blob_path.write_bytes(blob_path.read_bytes()[:-10])
-    with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -212,15 +234,10 @@ def _first_entry(manifest):
 
 @pytest.mark.parametrize("corrupt", [
     lambda m: _first_entry(m).pop("sha256"),
-    lambda m: _first_entry(m).update(offset="0"),
-    lambda m: _first_entry(m).update(shape=None),
-    lambda m: _first_entry(m).update(shape=[6.0]),
-    lambda m: _first_entry(m).update(nbytes=True),
+    lambda m: _first_entry(m).update(name=5),
     lambda m: m["tensors"].__setitem__(0, [1]),
     lambda m: m.update(tensors=5),
-    lambda m: m.update(blob=5),
-], ids=["no-sha256", "string-offset", "null-shape", "float-shape", "bool-nbytes",
-        "entry-not-an-object", "tensors-not-a-list", "blob-not-a-string"])
+], ids=["no-sha256", "name-not-a-string", "entry-not-an-object", "tensors-not-a-list"])
 def test_malformed_manifest_entry_is_integrity_error(tmp_path, params, corrupt):
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     manifest_path = tmp_path / "ckpt" / "manifest.json"
@@ -232,11 +249,10 @@ def test_malformed_manifest_entry_is_integrity_error(tmp_path, params, corrupt):
 
 
 @pytest.mark.parametrize("blob", ["outside", "../outside.bin"], ids=["absolute", "dotdot"])
-def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypatch, capsys,
-                                                     blob):
-    """The blob is always ``params.bin``: a manifest that names another file,
-    here a valid copy of the blob beside the checkpoint, exits 3 and that
-    file is never opened."""
+def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypatch, blob):
+    """The blob is always ``params.bin``: a ``blob`` key in the manifest,
+    here naming a copy of the blob beside the checkpoint, is not read, and
+    that file is never opened."""
     save_checkpoint(params, CFG, tmp_path / "ckpt")
     outside = tmp_path / "outside.bin"
     outside.write_bytes((tmp_path / "ckpt" / "params.bin").read_bytes())
@@ -254,65 +270,102 @@ def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypat
     real_open = io.open
     monkeypatch.setattr(io, "open", recording_open)   # what pathlib opens with
     monkeypatch.setattr(builtins, "open", recording_open)
-    with pytest.raises(IntegrityError, match="params.bin"):
-        load_checkpoint(tmp_path / "ckpt")
-    assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
-                 "--out", str(tmp_path / "hyp.txt")]) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    assert parameter_checksum(loaded, CFG) == parameter_checksum(params, CFG)
     assert os.path.realpath(outside) not in opened
-    assert os.path.realpath(manifest_path) in opened
-
-
-def test_tensor_list_must_match_model(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
-    manifest_path = tmp_path / "ckpt" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["tensors"] = manifest["tensors"][:-1]
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(IntegrityError):
-        load_checkpoint(tmp_path / "ckpt")
+    assert os.path.realpath(tmp_path / "ckpt" / "params.bin") in opened
 
 
 @pytest.mark.parametrize("name, change", [
+    (None, None),
     ("dec0.self_attn.wq", lambda entry: {"nbytes": entry["nbytes"] - 4}),
     ("classifier.b", lambda entry: {"nbytes": entry["nbytes"] - 2}),
     ("visual.feat_norm.gain", lambda entry: {"offset": -2 * entry["nbytes"]}),
-], ids=["short-nbytes", "nbytes-not-a-multiple-of-4", "negative-offset"])
-def test_entry_outside_the_saved_layout_is_integrity_error(tmp_path, params, capsys, name,
-                                                           change):
-    """The entry's checksum is rewritten to match the bytes it names, so
-    only the layout check can tell: each tensor starts where the one before
-    it ends and holds 4 bytes per value of its shape."""
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
-    manifest_path = tmp_path / "ckpt" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    blob = (tmp_path / "ckpt" / "params.bin").read_bytes()
-    entry = next(e for e in manifest["tensors"] if e["name"] == name)
-    entry.update(change(entry))
-    named = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-    assert len(named) == entry["nbytes"]
-    entry["sha256"] = hashlib.sha256(named).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(IntegrityError, match=rf"tensor {name!r} has \(shape, offset"):
-        load_checkpoint(tmp_path / "ckpt")
-    assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
-                 "--out", str(tmp_path / "gen")]) == 3
+], ids=["on-layout", "short-nbytes", "nbytes-not-a-multiple-of-4", "negative-offset"])
+def test_format_3_loads_through_the_same_code(trained, tmp_path, name, change):
+    """A format-3 manifest also stored the blob's name and size and each
+    tensor's shape, offset and size. The loader reads none of them, so a
+    format-3 checkpoint, even one whose stored layout is off, loads the
+    same parameters and generates the same reports as the format-4 one."""
+    checkpoint = tmp_path / "v3"
+    shutil.copytree(trained["checkpoint"], checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    cfg = ModelConfig.from_dict(manifest["config"])
+    layout = _layout(cfg)
+    manifest.update(format_version=3, blob="params.bin",
+                    blob_nbytes=(checkpoint / "params.bin").stat().st_size)
+    for entry, (entry_name, shape) in zip(manifest["tensors"], parameter_shapes(cfg).items()):
+        offset, nbytes = layout[entry_name]
+        entry.update(shape=list(shape), offset=offset, nbytes=nbytes)
+        if entry_name == name:
+            entry.update(change(entry))
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    loaded, loaded_cfg = load_checkpoint(checkpoint)
+    saved, saved_cfg = load_checkpoint(trained["checkpoint"])
+    assert loaded_cfg == saved_cfg
+    assert {n: p.data.tobytes() for n, p in loaded.items()} \
+        == {n: p.data.tobytes() for n, p in saved.items()}
+    assert _generate(trained["checkpoint"], trained["prep"], tmp_path / "gen4") == 0
+    assert _generate(checkpoint, trained["prep"], tmp_path / "gen3") == 0
+    assert (tmp_path / "gen3" / "hyp.txt").read_bytes() \
+        == (tmp_path / "gen4" / "hyp.txt").read_bytes()
+
+
+def _flip_middle_byte(blob, manifest):
+    victim = manifest["tensors"][len(manifest["tensors"]) // 2]["name"]
+    offset, nbytes = _layout(ModelConfig.from_dict(manifest["config"]))[victim]
+    blob[offset + nbytes // 2] ^= 0xFF
+    return f"checksum mismatch for tensor {victim!r}"
+
+
+def _swap_first_tensors(blob, manifest):
+    """Swap the bytes of the first two tensors, which have one shape."""
+    (a, n), (b, _) = list(_layout(ModelConfig.from_dict(manifest["config"])).values())[:2]
+    blob[a:a + n], blob[b:b + n] = blob[b:b + n], blob[a:a + n]
+    return f"checksum mismatch for tensor {manifest['tensors'][0]['name']!r}"
+
+
+def _swap_first_names(manifest):
+    first, second = manifest["tensors"][:2]
+    first["name"], second["name"] = second["name"], first["name"]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda blob, m: blob.__delitem__(slice(-10, None)), "bytes; its config's model takes"),
+    (_flip_middle_byte, None),
+    (_swap_first_tensors, None),
+    (lambda blob, m: m.update(tensors=m["tensors"][:-1]), "tensors; its config's model has"),
+    (lambda blob, m: _swap_first_names(m), "does not match the model's parameter set"),
+    (lambda blob, m: m["tensors"].__setitem__(0, [1]), "malformed tensor list"),
+], ids=["truncated", "flipped-byte", "swapped-tensors", "one-tensor-short", "names-swapped",
+        "malformed-entry"])
+def test_every_refusal_exits_3_through_generate(trained, tmp_path, capsys, spoil, message):
+    """One change to a checkpoint that ``generate`` otherwise decodes is
+    refused with exit 3 and its message, with no traceback and nothing
+    written. Appended bytes, a config of other sizes and a ``max_len`` over
+    the cap have their own tests through ``generate``."""
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(trained["checkpoint"], checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    blob = bytearray((checkpoint / "params.bin").read_bytes())
+    message = spoil(blob, manifest) or message
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    (checkpoint / "params.bin").write_bytes(bytes(blob))
+    assert _generate(checkpoint, trained["prep"], tmp_path / "gen") == 3
     err = capsys.readouterr().err
-    assert name in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "gen").exists()
 
 
 def test_bytes_past_the_last_tensor_are_integrity_error(tmp_path, params, capsys):
-    """Bytes appended to the blob, with ``blob_nbytes`` raised to match, are
-    refused: the tensors must end where the blob does."""
+    """Bytes appended to the blob are refused: the tensors must end where
+    the blob does."""
     save_checkpoint(params, CFG, tmp_path / "ckpt")
-    manifest_path = tmp_path / "ckpt" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
     with open(tmp_path / "ckpt" / "params.bin", "ab") as fh:
         fh.write(bytes(12))
-    manifest["blob_nbytes"] += 12
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(IntegrityError, match="12 bytes past its last tensor"):
+    size = sum(nbytes for _, nbytes in _layout(CFG).values())
+    with pytest.raises(IntegrityError,
+                       match=f"blob is {size + 12} bytes; its config's model takes {size}"):
         load_checkpoint(tmp_path / "ckpt")
     assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
                  "--out", str(tmp_path / "gen")]) == 3
@@ -371,10 +424,33 @@ def test_legacy_format_is_rejected_with_its_version(tmp_path, capsys, checkpoint
     assert not (tmp_path / "hyp.txt").exists()
 
 
-def test_format_3_stores_one_matrix_per_role(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+def test_format_4_stores_each_tensors_name_and_checksum(tmp_path, params):
+    """The layout follows from the config, so the manifest stores only what
+    the loader cannot derive."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={"vocab": ["<pad>", "x"]})
     manifest = read_manifest(tmp_path / "ckpt", None)
-    assert manifest["format_version"] == FORMAT_VERSION == 3
-    shapes = {e["name"]: e["shape"] for e in manifest["tensors"]}
-    assert shapes["dec0.self_attn.wq"] == shapes["dec0.self_attn.wo"] == [8, 8]
-    assert not any(".h0." in name for name in shapes)
+    assert manifest["format_version"] == FORMAT_VERSION == 4
+    assert manifest.keys() == {"format_version", "config", "tensors", "extra"}
+    assert all(entry.keys() == {"name", "sha256"} for entry in manifest["tensors"])
+    assert not any(".h0." in entry["name"] for entry in manifest["tensors"])
+
+
+@pytest.mark.parametrize("change", [{"d_model": 16, "d_embed": 16}, {"feature_dim": 10 ** 15}],
+                         ids=["d_model-8-to-16", "feature_dim-1e15"])
+def test_config_of_other_sizes_is_refused_before_any_parameter_is_built(
+        tmp_path, params, monkeypatch, capsys, change):
+    """A config changed to a model with the same tensor names but other
+    sizes fails the blob's size check, taken in Python ints, before any
+    parameter array is built."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(change)
+    manifest_path.write_text(json.dumps(manifest))
+    built = []
+    monkeypatch.setattr(cxrgen.checkpoint, "Tensor", lambda *args, **_: built.append(args))
+    assert _generate(tmp_path / "ckpt", tmp_path, tmp_path / "gen") == 3
+    err = capsys.readouterr().err
+    assert "its config's model takes" in err and "Traceback" not in err
+    assert built == []
+    assert not (tmp_path / "gen").exists()

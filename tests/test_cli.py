@@ -22,11 +22,12 @@ import cxrgen.cli
 import cxrgen.data
 import cxrgen.files
 import cxrgen.metrics
+import cxrgen.model
 import cxrgen.text
 from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
-from cxrgen.model import init_parameters
+from cxrgen.model import MAX_LEN, init_parameters
 from cxrgen.text import END_ID, UNK_ID
 
 TINY_TRAIN = ["--d-model", "16", "--n-heads", "2", "--epochs", "1"]
@@ -913,6 +914,30 @@ class TestCheckpointConfig:
         assert code == 3 and "tensors" in err and "Traceback" not in err
         assert calls == []
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("max_len", [MAX_LEN + 1, 10 ** 11])
+    def test_max_len_over_the_cap_is_refused_before_decoding(self, pipeline, tmp_path,
+                                                             monkeypatch, max_len):
+        """No parameter depends on ``max_len``, so only the config's cap stops
+        a huge one: ``DecodeCache`` would allocate ``[B x max_len]`` buffers."""
+        built = []
+
+        def decode_cache(*args):
+            built.append(args)
+            raise RuntimeError("DecodeCache was built")
+
+        monkeypatch.setattr(cxrgen.model, "DecodeCache", decode_cache)
+        code, err = self._generate(pipeline, tmp_path, "max_len", max_len)
+        assert code == 3 and f"max_len must be in [3, {MAX_LEN}]" in err
+        assert "Traceback" not in err
+        assert built == []
+        assert not (tmp_path / "gen").exists()
+
+    def test_train_max_len_over_the_cap_exits_2(self, pipeline, tmp_path):
+        code, err = _run(["train", "--data", str(pipeline["prep"]), "--out",
+                          str(tmp_path / "run"), f"--max-len={MAX_LEN + 1}", *TINY_TRAIN])
+        assert code == 2 and f"max_len must be in [3, {MAX_LEN}]" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestNotUtf8:
