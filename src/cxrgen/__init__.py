@@ -13,7 +13,7 @@ from .model import (ModelConfig, decoder_forward, encode_inputs, generate, init_
                     parameter_shapes)
 from .optim import Adam
 from .tensor import Tensor, backward, reset_graph
-from .text import (CleanReport, RawReport, Rejected, StandardizationMap, Vocabulary,
+from .text import (CleanReport, Rejected, StandardizationMap, Vocabulary,
                    build_vocabulary, clean_report, decode_ids, encode_tokens)
 from .training import TrainConfig, TrainLog, encode_examples, evaluate_loss, fit, train_step
 

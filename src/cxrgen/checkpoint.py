@@ -9,12 +9,13 @@ the config (``model.parameter_shapes``). Loading checks the manifest's
 tensor count against the config before it builds any parameter name, then
 the name list, then the blob's size against the sizes the config implies,
 and then every tensor's checksum, so a single corrupted byte is detected
-and attributed to the tensor it sits in. Saving writes both files into a
-fresh sibling directory and renames it into place, so a failure part-way
-leaves any checkpoint already at the path intact. A checkpoint being
-replaced is first renamed aside to ``.<name>.<hex>.old`` and renamed back
-if the second rename fails; a process killed between the two renames leaves
-it there, to be renamed back by hand.
+and attributed to the tensor it sits in, and that its values are finite,
+as saving requires. Saving writes both files into a fresh sibling
+directory and renames it into place, so a failure part-way leaves any
+checkpoint already at the path intact. A checkpoint being replaced is
+first renamed aside to ``.<name>.<hex>.old`` and renamed back if the
+second rename fails; a process killed between the two renames leaves it
+there, to be renamed back by hand.
 
 Saving writes format version 4. Version 3, which also stored each tensor's
 shape, offset and size and the blob's name and size, loads through the same
@@ -147,8 +148,10 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
         start += len(raw)
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise IntegrityError(f"checksum mismatch for tensor {name!r}")
-        params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy(),
-                              requires_grad=True)
+        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():   # save_checkpoint refuses these too
+            raise IntegrityError(f"tensor {name!r} holds a value that is not finite")
+        params[name] = Tensor(data.copy(), requires_grad=True)
     return params, cfg
 
 

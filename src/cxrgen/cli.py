@@ -27,7 +27,9 @@ marker emitted first), which are written as empty lines and scored by
 Options may come from a JSON config file (``--config``), required ones
 included. Its values are parsed like flags, so a value of the wrong type or
 outside an option's choices exits 2; explicit command line flags win over
-config-file values, which win over built-in defaults.
+config-file values, which win over built-in defaults. An option name is
+written in full in the file as on the command line: the parsers take no
+abbreviation.
 
 Every JSON and text file is read and written through ``cxrgen.files``. The
 hypotheses and references of ``evaluate`` hold one report per line; lines end
@@ -42,7 +44,8 @@ reads only ``cleaned.jsonl`` and the split manifest from ``--data``.
 parent directories are created.
 
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
-path is one, and so are a malformed ``--config`` file, a bad ``--std-map`` or
+path is one, and so are a malformed ``--config`` file, one with a ``config``
+key, an abbreviated option name, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
 lowercase words, a ``train --max-len`` over ``model.MAX_LEN``, a
 checkpoint whose feature width differs from the prepared data's, a
@@ -51,10 +54,12 @@ another command wrote), 3 data integrity failure (a file that is not
 UTF-8 is one, and so are a checkpoint of format 1 or 2, one whose tensor
 count or name list differs from its config's model, one whose blob is not
 the size that model's tensors take, one with a tensor whose bytes fail its
-checksum, one whose config holds a size that is not an int, a ``max_len``
-over ``model.MAX_LEN`` or a dropout rate that is not a number, a bad
-dataset record, a malformed split manifest or evaluation report, a repeated
-vocabulary token, a demographics manifest or checkpoint codec that lacks a
+checksum or hold a value that is not finite, one whose config holds a size
+that is not an int, a ``max_len`` over ``model.MAX_LEN`` or a dropout rate
+that is not a number, a bad dataset record, a malformed split manifest
+(an id list that is not a list of strings included) or evaluation report,
+a repeated vocabulary token or one that is not one word under
+``str.split()``, a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
 not fit its model), 4 numeric failure.
 """
@@ -127,7 +132,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     The file's ``{"key": value}`` pairs become ``--key=value`` tokens (a list
     becomes ``--key item ...``) placed after the command name and before the
     explicit flags, so argparse converts and checks them like flags, required
-    options included, and an explicit flag, parsed later, wins.
+    options included, and an explicit flag, parsed later, wins. The parsers
+    take no abbreviation, so an option name must be written in full in the
+    file as on the command line; a ``config`` key is refused.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     path, values = None, {}
@@ -141,22 +148,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     tokens = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
+        if flag == "--config" or value is None or isinstance(value, (bool, dict)):
+            raise ConfigError(f"config file {path}: {key!r} may not be {json.dumps(value)}")
         if isinstance(value, list):
             tokens += [flag, *map(str, value)]
-        elif value is None or isinstance(value, (bool, dict)):
-            raise ConfigError(f"config file {path}: {key!r} is not a flag value: "
-                              f"{json.dumps(value)}")
         else:
             tokens.append(f"{flag}={value}")
-    args = parser.parse_args(argv[:1] + tokens + argv[1:])
-    # argparse accepts an unambiguous prefix of an option name
-    if args.config != path:
-        raise ConfigError("write --config in full, not as an abbreviation")
-    abbreviated = [key for key in values if key.replace("-", "_") not in vars(args)]
-    if abbreviated:
-        raise ConfigError(f"config file {path}: unknown option(s) {abbreviated}; "
-                          "write option names in full")
-    return args
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _cleaning_inputs(args):
@@ -211,7 +209,7 @@ def cmd_prepare_data(args) -> int:
                                        min_raw_words=args.min_raw_words)
     if not points:
         raise IntegrityError("every record was rejected by the cleaning pipeline")
-    categories, under_k = select_top_categories(
+    categories, _ = select_top_categories(
         [p.demographics for p in points], args.top_ethnicities)
     vocab = build_vocabulary([p.report for p in points], cap=args.vocab_cap)
     subset_size = args.subset_size or len(points) // args.subsets
@@ -223,15 +221,12 @@ def cmd_prepare_data(args) -> int:
     vocab.save(out / "vocab.txt")
     write_json(out / "demographics.json", {
         "categories": categories,
-        "under_k": under_k,
         "age_min": args.age_min,
         "age_max": args.age_max,
     })
 
     for i, ids in enumerate(subsets):
-        manifest = split(ids, seed=args.seed + i, subset_id=i,
-                         params={"source": str(data_path), "subset_size": subset_size})
-        manifest.save(out / "splits" / f"subset_{i}.json")
+        split(ids, seed=args.seed + i).save(out / "splits" / f"subset_{i}.json")
     _write_provenance(out / "provenance.json", "prepare-data", {
         "seed": args.seed,
         "vocab_cap": args.vocab_cap,
@@ -501,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cxrgen",
         description="Multi-modal radiology report generation pipeline",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -508,14 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of option values (flags override it)")
         p.add_argument("--seed", type=_at_least(int, 0), default=0, help="master random seed")
 
-    p = sub.add_parser("synth-data", help="generate a synthetic corpus")
+    p = sub.add_parser("synth-data", allow_abbrev=False, help="generate a synthetic corpus")
     common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-per-stratum", type=int, default=150)
     p.add_argument("--feature-dim", type=int, default=24)
     p.set_defaults(func=cmd_synth_data)
 
-    p = sub.add_parser("prepare-data", help="clean reports, build vocabulary and splits")
+    p = sub.add_parser("prepare-data", allow_abbrev=False,
+                       help="clean reports, build vocabulary and splits")
     common(p)
     p.add_argument("--data", required=True, help="raw dataset file (jsonl)")
     p.add_argument("--out", required=True, help="output directory")
@@ -532,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reject-patterns", help="rejection regex file (default: shipped list)")
     p.set_defaults(func=cmd_prepare_data)
 
-    p = sub.add_parser("train", help="train a model on one prepared subset")
+    p = sub.add_parser("train", allow_abbrev=False,
+                       help="train a model on one prepared subset")
     common(p)
     p.add_argument("--data", required=True, help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
@@ -551,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-clip", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="decode reports from a checkpoint")
+    p = sub.add_parser("generate", allow_abbrev=False, help="decode reports from a checkpoint")
     common(p)
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.add_argument("--data", required=True, help="prepared data directory")
@@ -562,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=_at_least(float, 0.0), default=0.5)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", help="score hypotheses against references")
+    p = sub.add_parser("evaluate", allow_abbrev=False,
+                       help="score hypotheses against references")
     p.add_argument("--config", help="JSON file of option values (flags override it)")
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--references", required=True)
@@ -571,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="paired t-test between two models' report sets")
+    p = sub.add_parser("compare", allow_abbrev=False,
+                       help="paired t-test between two models' report sets")
     p.add_argument("--config", help="JSON file of option values (flags override it)")
     p.add_argument("--a", required=True, nargs="+", help="evaluation reports for model A")
     p.add_argument("--b", required=True, nargs="+", help="evaluation reports for model B")

@@ -14,26 +14,30 @@ File formats:
   text), ``gender``, ``age``, ``ethnicity`` and an inline ``features``
   array; a prepared file has ``tokens`` in place of ``report``, and both
   are read by one parser that names ``path:line`` for a bad record;
-* split manifest: JSON with subset id, train/val/test id lists (cut
-  70:20:10, ``SPLIT_RATIOS``), seed, and the generation parameters needed
-  to reconstruct the split.
+* split manifest: JSON with exactly the lists ``train_ids``, ``val_ids``
+  and ``test_ids`` (cut 70:20:10, ``SPLIT_RATIOS``). ``prepare-data`` cuts
+  subset ``i`` with seed ``seed + i``; the seed, the subset size and the
+  dataset path are in its ``provenance.json``, so the manifest does not
+  repeat them. A manifest written with the ``subset_id``, ``seed`` and
+  ``params`` it once held still loads, and those keys are not read.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .demographics import DemographicRecord
 from .errors import ConfigError, ContractError, IntegrityError, SizingError
 from .files import read_json_object, read_lines, write_json, write_json_lines
-from .text import (END_TOKEN, START_TOKEN, CleanReport, RawReport, Rejected, clean_report,
+from .text import (END_TOKEN, START_TOKEN, CleanReport, Rejected, clean_report,
                    default_standardization_map, load_reject_patterns, load_stopwords)
 
 SPLIT_RATIOS = (0.70, 0.20, 0.10)   # train, validation, test
+RETIRED_SPLIT_KEYS = ("subset_id", "seed", "params")   # written once, no longer read
 
 
 @dataclass(frozen=True)
@@ -57,18 +61,15 @@ class IngestRecord:
 
 @dataclass
 class SplitManifest:
-    subset_id: int
+    """The ids of one subset's train, validation and test splits."""
     train_ids: list[str]
     val_ids: list[str]
     test_ids: list[str]
-    seed: int
-    params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         groups = [set(self.train_ids), set(self.val_ids), set(self.test_ids)]
-        total = sum(len(g) for g in groups)
-        if len(set().union(*groups)) != total:
-            raise ContractError(f"subset {self.subset_id}: split id lists overlap")
+        if len(set().union(*groups)) != sum(map(len, groups)):
+            raise ContractError("split id lists overlap")
 
     def save(self, path) -> None:
         self.validate()
@@ -76,10 +77,15 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path, digest) -> "SplitManifest":
-        """Read a split manifest, adding its bytes to ``digest`` unless it is None."""
+        """Read a split manifest, adding its bytes to ``digest`` unless it is
+        None. Each id list must be a JSON list of strings; a retired key is
+        skipped, and any other key is an ``IntegrityError``."""
         payload = read_json_object(path, IntegrityError, digest)
         try:
-            manifest = cls(**payload)
+            manifest = cls(**{k: v for k, v in payload.items() if k not in RETIRED_SPLIT_KEYS})
+            if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                       for ids in vars(manifest).values()):
+                raise ContractError("each id list must be a list of strings")
             manifest.validate()
         except (TypeError, ContractError) as exc:   # a missing, unknown or mistyped field
             raise IntegrityError(f"{path} is not a split manifest: {exc}") from None
@@ -144,7 +150,7 @@ def sample_subsets(pool, k_subsets: int, subset_size: int, seed: int) -> list[li
     return subsets
 
 
-def split(ids, seed: int, subset_id: int = 0, params: dict | None = None) -> SplitManifest:
+def split(ids, seed: int) -> SplitManifest:
     """Seeded shuffle then contiguous train/val/test cut in ``SPLIT_RATIOS``,
     sizes within 1 of exact."""
     ids = list(ids)
@@ -160,14 +166,8 @@ def split(ids, seed: int, subset_id: int = 0, params: dict | None = None) -> Spl
         counts[leftovers[i % 3]] += 1
     train_end = counts[0]
     val_end = counts[0] + counts[1]
-    manifest = SplitManifest(
-        subset_id=subset_id,
-        train_ids=shuffled[:train_end],
-        val_ids=shuffled[train_end:val_end],
-        test_ids=shuffled[val_end:],
-        seed=seed,
-        params=params or {},
-    )
+    manifest = SplitManifest(shuffled[:train_end], shuffled[train_end:val_end],
+                             shuffled[val_end:])
     manifest.validate()
     return manifest
 
@@ -350,7 +350,7 @@ def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None
     for record in records:
         outcome = outcomes.get(record.text)
         if outcome is None:
-            outcome = clean_report(RawReport(record.id, record.text), stopwords, std_map,
+            outcome = clean_report(record.id, record.text, stopwords, std_map,
                                    reject_patterns, min_raw_words=min_raw_words)
             outcomes[record.text] = outcome
         else:

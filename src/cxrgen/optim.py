@@ -4,8 +4,7 @@ The optimizer owns the storage of what it updates: parameters, gradients
 and both moments each live in one flat buffer of the parameters' dtype, laid
 out in the order of the parameter map. ``Adam(params)`` copies each
 parameter into its slot and rebinds ``p.data`` to a view of it, one tensor
-at a time; ``opt.m[name]`` and ``opt.v[name]`` are read-only views of the
-moments. ``zero_grad`` hands each parameter its gradient slot
+at a time. ``zero_grad`` hands each parameter its gradient slot
 (``Tensor.grad_slot``) and writes nothing to the buffer: backward writes a
 parameter's gradient straight into its slot, and a slot that backward did
 not write is never read, since its parameter's ``grad`` stays unset. A
@@ -53,7 +52,6 @@ class Adam:
         if len(dtypes) > 1:
             raise ContractError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        self.params = params
         self.lr = lr
         self.t = 0
         total = sum(p.data.size for p in params.values())
@@ -61,18 +59,15 @@ class Adam:
         self._grad = np.empty(total, dtype)   # a slot is written before it is read
         self._m = np.zeros(total, dtype)
         self._v = np.zeros(total, dtype)
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         # (name, tensor, start, stop, data slot, grad slot) in buffer order
         self._slots = []
         start = 0
         for name, p in params.items():
             stop = start + p.data.size
-            data, grad, m, v = (flat[start:stop].reshape(p.data.shape)
-                                for flat in (self._data, self._grad, self._m, self._v))
+            data, grad = (flat[start:stop].reshape(p.data.shape)
+                          for flat in (self._data, self._grad))
             data[...] = p.data
             p.data = data
-            self.m[name], self.v[name] = m, v
             self._slots.append((name, p, start, stop, data, grad))
             start = stop
         # two chunk-sized scratch rows, so a step allocates no temporaries

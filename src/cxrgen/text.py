@@ -53,13 +53,6 @@ _PUNCTUATION = frozenset(string.punctuation)
 
 
 @dataclass(frozen=True)
-class RawReport:
-    """An unprocessed findings narrative."""
-    id: str
-    text: str
-
-
-@dataclass(frozen=True)
 class CleanReport:
     """A cleaned report: lowercase word tokens bracketed by start/end markers."""
     id: str
@@ -196,35 +189,37 @@ def load_reject_patterns(path=None, digest=None) -> list[re.Pattern]:
     return patterns
 
 
-def clean_report(raw: RawReport, stopwords, std_map: StandardizationMap,
+def clean_report(report_id: str, text: str, stopwords, std_map: StandardizationMap,
                  reject_patterns=(), min_raw_words: int = 9) -> CleanReport | Rejected:
-    """Clean one raw report, or return a Rejected with the dropping rule."""
-    if len(raw.text.split()) < min_raw_words:
-        return Rejected(raw.id, REASON_TOO_SHORT,
+    """Clean the raw findings narrative ``text`` of report ``report_id``, or
+    return a Rejected with the dropping rule."""
+    if len(text.split()) < min_raw_words:
+        return Rejected(report_id, REASON_TOO_SHORT,
                         f"raw report has fewer than {min_raw_words} words")
-    lowered = raw.text.lower()
+    lowered = text.lower()
     for pattern in reject_patterns:
         if pattern.search(lowered):
-            return Rejected(raw.id, REASON_PRIOR_REFERENCE,
+            return Rejected(report_id, REASON_PRIOR_REFERENCE,
                             f"matched rejection pattern {pattern.pattern!r}")
     # no character is both a letter and a digit, so an all-letter token has no digit
     tokens = std_map.apply([t for t in lowered.translate(_PUNCT_TABLE).split()
                             if t not in stopwords
                             and (t.isalpha() or not any(map(str.isdigit, t)))])
     if not tokens:
-        return Rejected(raw.id, REASON_EMPTY, "no tokens survived cleaning")
+        return Rejected(report_id, REASON_EMPTY, "no tokens survived cleaning")
     if any(map(str.isupper, "".join(tokens))):
         token = next(t for t in tokens if any(map(str.isupper, t)))
-        return Rejected(raw.id, REASON_MALFORMED, f"malformed token {token!r}")
-    return CleanReport(raw.id, (START_TOKEN, *tokens, END_TOKEN))
+        return Rejected(report_id, REASON_MALFORMED, f"malformed token {token!r}")
+    return CleanReport(report_id, (START_TOKEN, *tokens, END_TOKEN))
 
 
 class Vocabulary:
     """Frequency-ranked token inventory with four fixed reserved ids.
 
     Ids 0..3 are pad, start, end, unknown, in that order; real tokens follow
-    in rank order. The on-disk format is one token per line, line number
-    equal to id.
+    in rank order, each one word under ``str.split()``, the rule ``evaluate``
+    splits a report line by, so a decoded report stays one line of its words.
+    The on-disk format is one token per line, line number equal to id.
     """
 
     def __init__(self, tokens: list[str]):
@@ -234,17 +229,14 @@ class Vocabulary:
             raise ConfigError(f"vocabulary must start with the reserved tokens {RESERVED_TOKENS}")
         if len(set(tokens)) != len(tokens):
             raise ConfigError("vocabulary contains duplicate tokens")
+        bad = [t for t in tokens[4:] if t.split() != [t]]
+        if bad:
+            raise ConfigError(f"vocabulary token {bad[0]!r} is not one whitespace-free word")
         self.tokens = list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
 
     def __len__(self):
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
 
     def save(self, path) -> None:
         write_lines(path, self.tokens)
@@ -297,5 +289,5 @@ def encode_tokens(report: CleanReport, vocab: Vocabulary, max_len: int):
 def decode_ids(ids, vocab: Vocabulary) -> list[str]:
     """Inverse of encode_tokens up to unknown-token replacement and
     truncation, without pads and start/end markers."""
-    tokens = [vocab.token_of(int(i)) for i in ids if int(i) != PAD_ID]
+    tokens = [vocab.tokens[int(i)] for i in ids if int(i) != PAD_ID]
     return [t for t in tokens if t not in (START_TOKEN, END_TOKEN)]

@@ -89,9 +89,6 @@ class TrainLog:
     best_epoch: int = -1
     best_val_loss: float = float("inf")
 
-    def append(self, record: EpochRecord) -> None:
-        self.records.append(record)
-
     def trajectory(self) -> list[tuple[float, float, str]]:
         """The reproducible part of the log (losses and checksums, no timing)."""
         return [(r.train_loss, r.val_loss, r.param_checksum) for r in self.records]
@@ -114,14 +111,12 @@ def teacher_forcing_batch(rows):
     Each sequence is trimmed at its end marker (its last non-pad id): the
     decoder input runs from the start token up to the token before the end
     marker, and the targets are the same span shifted left (so the end
-    marker is predicted). The rows are stacked into one pad-filled
-    ``[B x W]`` int64 array (rows may differ in width) and cut to the
-    longest span ``L``; returns ``[B x L]`` inputs, targets and mask, with
-    pad ids and a False mask past each row's span.
+    marker is predicted). The rows, all of one width (``encode_tokens``
+    pads each to ``max_len``), are stacked into one ``[B x W]`` int64 array
+    and cut to the longest span ``L``; returns ``[B x L]`` inputs, targets
+    and mask, with pad ids and a False mask past each row's span.
     """
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    ids = np.full((len(rows), int(widths.max())), PAD_ID, dtype=np.int64)
-    ids[np.arange(ids.shape[1]) < widths[:, None]] = np.concatenate(rows)
+    ids = np.stack(rows).astype(np.int64, copy=False)
     nonpad = ids != PAD_ID
     if (nonpad.sum(axis=1) < 2).any():
         raise ContractError("encoded report is too short to train on")
@@ -247,7 +242,7 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
             seconds=time.perf_counter() - started,
             param_checksum=parameter_checksum(params, cfg),
         )
-        log.append(record)
+        log.records.append(record)
         if log_path is not None:
             append_json_line(log_path, asdict(record))
         if val_loss < log.best_val_loss:

@@ -20,7 +20,12 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
   (ids of the point and its report, tokens, demographics, raw text, feature
   bytes), then what ``build_datapoints`` makes of
   ``oracles.mixed_cleaning_records`` (the same ids and the tokens of the
-  points; ids, reasons and details of the rejects).
+  points; ids, reasons and details of the rejects);
+* ``prepare:<file>`` -- the bytes of each file that ``cxrgen synth-data``
+  then ``cxrgen prepare-data`` (2 subsets) write in a temporary directory:
+  ``dataset.jsonl``, ``cleaned.jsonl``, ``vocab.txt``, ``rejects.jsonl``,
+  ``demographics.json`` and each split manifest. ``provenance.json`` is left
+  out, since it records the temporary paths.
 
 The desk variants are ``desk`` (dropout 0), ``desk-dropout-0.1``,
 ``desk-2-blocks`` and ``desk-image-only``; ``paper`` is ``ModelConfig()``
@@ -34,6 +39,7 @@ seconds on two cores. The name does not start with ``test_``, so pytest
 does not collect it.
 """
 
+import contextlib
 import hashlib
 import sys
 import tempfile
@@ -43,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from cxrgen.checkpoint import parameter_checksum, save_checkpoint
+from cxrgen.cli import main as cxrgen_main
 from cxrgen.data import CorpusSpec, build_datapoints, synthesize_corpus
 from cxrgen.demographics import DemographicCodec, select_top_categories
 from cxrgen.model import ModelConfig, generate, init_parameters
@@ -141,6 +148,25 @@ def corpus_case() -> bytes:
     return digest.digest()
 
 
+def prepared_data_cases():
+    """Yield ``(prepare:<file>, bytes)`` for each file of a synthetic corpus
+    and of the directory ``prepare-data`` makes of it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, prep = Path(tmp) / "corpus", Path(tmp) / "prep"
+        for argv in (["synth-data", "--out", str(corpus), "--seed", "7",
+                      "--n-per-stratum", "6", "--feature-dim", "8"],
+                     ["prepare-data", "--data", str(corpus / "dataset.jsonl"), "--out", str(prep),
+                      "--seed", "3", "--subsets", "2", "--vocab-cap", "64"]):
+            with contextlib.redirect_stdout(sys.stderr):
+                if cxrgen_main(argv) != 0:
+                    raise SystemExit(f"cxrgen {argv[0]} failed")
+        yield "prepare:dataset.jsonl", (corpus / "dataset.jsonl").read_bytes()
+        for path in [*(prep / name for name in ("cleaned.jsonl", "vocab.txt", "rejects.jsonl",
+                                                "demographics.json")),
+                     *sorted((prep / "splits").iterdir())]:
+            yield f"prepare:{path.relative_to(prep)}", path.read_bytes()
+
+
 def cases():
     """Yield (name, digest bytes) for every case, in a fixed order."""
     points, codec, vocab = desk_world()
@@ -166,6 +192,7 @@ def cases():
     for label, temperature in (("greedy", 0.0), ("T=0.5", 0.5)):
         yield f"generate:paper:{label}", generate_case(examples[:2], params, cfg, temperature)
     yield "corpus", corpus_case()
+    yield from prepared_data_cases()
 
 
 def main() -> int:

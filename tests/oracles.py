@@ -593,6 +593,17 @@ class PerTensorAdam:
             p.grad = None
 
 
+def adam_moments(optimizer):
+    """``(m, v)``: each parameter's first and second moment by name, read
+    from the flat buffers of an ``optim.Adam`` through its slots, or the
+    dicts of a ``PerTensorAdam``."""
+    if isinstance(optimizer, PerTensorAdam):
+        return optimizer.m, optimizer.v
+    return tuple({name: flat[start:stop].reshape(p.data.shape)
+                  for name, p, start, stop, _, _ in optimizer._slots}
+                 for flat in (optimizer._m, optimizer._v))
+
+
 def padded_teacher_forcing_batch(rows, pad_id=0):
     """Batch assembly as it was: each row's teacher-forcing views taken one
     at a time, then each part ``np.pad``-ed to the longest and stacked.
@@ -975,19 +986,20 @@ def all_rules_apply(rules, tokens):
     return out
 
 
-def validating_clean_report(raw, stopwords, rules, reject_patterns=(), min_raw_words=9):
-    """Clean one raw report with ``all_rules_apply`` and re-check every
-    token; a malformed token raises ``ContractError``."""
+def validating_clean_report(report_id, text, stopwords, rules, reject_patterns=(),
+                            min_raw_words=9):
+    """Clean the raw text of one report with ``all_rules_apply`` and re-check
+    every token; a malformed token raises ``ContractError``."""
     from cxrgen.errors import ContractError
     from cxrgen.text import CleanReport, Rejected
 
-    if len(raw.text.split()) < min_raw_words:
-        return Rejected(raw.id, "too_short",
+    if len(text.split()) < min_raw_words:
+        return Rejected(report_id, "too_short",
                         f"raw report has fewer than {min_raw_words} words")
-    lowered = raw.text.lower()
+    lowered = text.lower()
     for pattern in reject_patterns:
         if pattern.search(lowered):
-            return Rejected(raw.id, "prior_reference",
+            return Rejected(report_id, "prior_reference",
                             f"matched rejection pattern {pattern.pattern!r}")
     for c in string.punctuation:
         lowered = lowered.replace(c, " ")
@@ -995,22 +1007,22 @@ def validating_clean_report(raw, stopwords, rules, reject_patterns=(), min_raw_w
     tokens = [t for t in tokens if t not in stopwords]
     tokens = all_rules_apply(rules, tokens)
     if not tokens:
-        return Rejected(raw.id, "empty_after_cleaning", "no tokens survived cleaning")
+        return Rejected(report_id, "empty_after_cleaning", "no tokens survived cleaning")
     for token in tokens:
         if generator_bad_token(token):
-            raise ContractError(f"report {raw.id}: malformed token {token!r}")
-    return CleanReport(raw.id, ("<start>", *tokens, "<end>"))
+            raise ContractError(f"report {report_id}: malformed token {token!r}")
+    return CleanReport(report_id, ("<start>", *tokens, "<end>"))
 
 
 def per_record_build_datapoints(records, stopwords, std_map, reject_patterns, min_raw_words=9):
     """``data.build_datapoints`` as it was before it cleaned each distinct
     text once: the package's ``clean_report`` called for every record."""
     from cxrgen.data import DataPoint
-    from cxrgen.text import RawReport, Rejected, clean_report
+    from cxrgen.text import Rejected, clean_report
 
     points, rejects = [], []
     for record in records:
-        outcome = clean_report(RawReport(record.id, record.text), stopwords, std_map,
+        outcome = clean_report(record.id, record.text, stopwords, std_map,
                                reject_patterns, min_raw_words=min_raw_words)
         if isinstance(outcome, Rejected):
             rejects.append(outcome)

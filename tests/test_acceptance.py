@@ -19,7 +19,7 @@ from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_
 from cxrgen.errors import IntegrityError
 from cxrgen.metrics import Corpus, EmbeddingTable, bleu, embedding_f1, paired_t_test
 from cxrgen.model import ModelConfig, generate, init_parameters
-from cxrgen.text import (RawReport, Rejected, build_vocabulary, clean_report,
+from cxrgen.text import (Rejected, build_vocabulary, clean_report,
                          decode_ids, default_standardization_map,
                          load_reject_patterns, load_stopwords)
 from cxrgen.training import TrainConfig, batch_loss, encode_examples, fit
@@ -190,7 +190,7 @@ def test_criterion_05_fusion_benefit_direction():
         subsets = sample_subsets(points, 4, 300, seed=42)
         demo_scores, base_scores = [], []
         for i, subset_ids in enumerate(subsets):
-            manifest = split(subset_ids, seed=100 + i, subset_id=i)
+            manifest = split(subset_ids, seed=100 + i)
             train_points = [by_id[x] for x in manifest.train_ids]
             val_points = [by_id[x] for x in manifest.val_ids]
             test_points = [by_id[x] for x in manifest.test_ids]
@@ -257,7 +257,7 @@ def test_criterion_08_preprocessing_conformance():
         patterns = load_reject_patterns()
         reject_reasons = []
         for entry in reports:
-            outcome = clean_report(RawReport(entry["id"], entry["text"]),
+            outcome = clean_report(entry["id"], entry["text"],
                                    stopwords, std_map, patterns)
             if "reject" in entry:
                 assert isinstance(outcome, Rejected), entry["id"]

@@ -140,6 +140,57 @@ class TestSynthData:
                          "--config", str(config)]) == 2
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--n-per", "2", "--feature-dim", "6"], ["--n-per-stratum=2", "--feature=6"],
+        ["--n-per-stratum", "2", "--feature-dim", "6", "--se", "1"]])
+    def test_command_line_abbreviation_is_usage_error(self, tmp_path, capsys, flags):
+        """An option name is written in full on the command line, as in a
+        config file: a unique prefix exits 2, with nothing written."""
+        assert main(["synth-data", "--out", str(tmp_path / "out"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n-per-stratum": 2, "feature-dim": 6}))
+        for flags in (["--conf", str(config)], [f"--con={config}"]):
+            assert main(["synth-data", "--out", str(tmp_path / "out"), *flags]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_abbreviation_is_usage_error(self, pipeline, tmp_path, capsys):
+        assert main(["train", "--data", str(pipeline["prep"]), "--out", str(tmp_path / "run"),
+                     *TINY_TRAIN, "--learning", "0.01"]) == 2
+        assert "unrecognized arguments: --learning" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["path", "list", "null"])
+    def test_config_key_in_a_config_file_is_usage_error(self, tmp_path, capsys, kind):
+        """A config file names no other config file: its ``config`` key exits
+        2 whatever its value, and the other file is not read."""
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"n-per-stratum": 2, "feature-dim": 6}))
+        config = tmp_path / "config.json"
+        value = {"path": str(other), "list": [str(other)], "null": None}[kind]
+        config.write_text(json.dumps({"config": value}))
+        opened = []
+        real_open = builtins.open
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(builtins, "open", spy)
+            code = main(["synth-data", "--out", str(tmp_path / "out"),
+                         "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config file {config}: 'config'" in err and "Traceback" not in err
+        assert str(other) not in opened and not (tmp_path / "out").exists()
+
+
 class TestPrepareData:
     def test_outputs_present(self, pipeline):
         prep = pipeline["prep"]
@@ -648,7 +699,7 @@ class TestTrainGenerate:
 
         before = recorded_digest(tmp_path / "before")
         manifest = json.loads(split_path.read_text())
-        manifest["params"]["note"] = "edited"
+        manifest["seed"] = 99   # a retired key: loaded past, not read, still digested
         split_path.write_text(json.dumps(manifest))
         after = recorded_digest(tmp_path / "after")
         assert before != after == hashlib.sha256(split_path.read_bytes()).hexdigest()
@@ -938,6 +989,138 @@ class TestCheckpointConfig:
                           str(tmp_path / "run"), f"--max-len={MAX_LEN + 1}", *TINY_TRAIN])
         assert code == 2 and f"max_len must be in [3, {MAX_LEN}]" in err
         assert not (tmp_path / "run").exists()
+
+
+class TestCheckpointValues:
+    """A checkpoint whose bytes pass their checksums but hold a value that
+    ``save_checkpoint`` or ``Vocabulary`` refuses exits 3 through
+    ``generate``, with nothing written."""
+
+    @staticmethod
+    def _checkpoint(pipeline, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["run"] / "best", ckpt)
+        return ckpt, json.loads((ckpt / "manifest.json").read_text())
+
+    @staticmethod
+    def _generate(pipeline, tmp_path, ckpt):
+        return _run(["generate", "--checkpoint", str(ckpt), "--data", str(pipeline["prep"]),
+                     "--temperature", "0.5", "--out", str(tmp_path / "gen")])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tensor", [0, -1], ids=["first-tensor", "last-tensor"])
+    def test_non_finite_parameter_is_integrity_error(self, pipeline, tmp_path, tensor, value):
+        """One float of a tensor set to ``value`` and its sha256 rewritten to
+        match: only the values themselves show the fault."""
+        ckpt, manifest = self._checkpoint(pipeline, tmp_path)
+        shapes = cxrgen.model.parameter_shapes(
+            cxrgen.model.ModelConfig.from_dict(manifest["config"]))
+        nbytes = [4 * int(np.prod(shape)) for shape in shapes.values()]
+        index = tensor % len(nbytes)
+        entry = manifest["tensors"][index]
+        start = sum(nbytes[:index])
+        stop = start + nbytes[index]
+        blob = bytearray((ckpt / "params.bin").read_bytes())
+        blob[start:start + 4] = np.float32(value).astype("<f4").tobytes()
+        (ckpt / "params.bin").write_bytes(bytes(blob))
+        entry["sha256"] = hashlib.sha256(bytes(blob[start:stop])).hexdigest()
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self._generate(pipeline, tmp_path, ckpt)
+        assert code == 3 and repr(entry["name"]) in err and "not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("token", ["ab\ncd", "ab\rcd", "a b", "ab\tcd", "ab\x85cd", " ab"])
+    def test_vocabulary_token_that_is_not_one_word_is_integrity_error(self, pipeline,
+                                                                     tmp_path, token):
+        """A token that ``str.split`` cuts would write a hypothesis line that
+        breaks into several lines or words of ``hyp.txt``."""
+        ckpt, manifest = self._checkpoint(pipeline, tmp_path)
+        manifest["extra"]["vocab"][10] = token
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self._generate(pipeline, tmp_path, ckpt)
+        assert code == 3 and repr(token) in err and "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("token", ["a b", "ab\tcd", "ab\x85cd", "ab\x0bcd"])
+    def test_vocab_txt_token_that_is_not_one_word_is_integrity_error(self, pipeline,
+                                                                    tmp_path, token):
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        tokens = (prep / "vocab.txt").read_text().split("\n")
+        tokens[10] = token
+        (prep / "vocab.txt").write_text("\n".join(tokens))
+        code, err = _run(["train", "--data", str(prep), "--out", str(tmp_path / "run"),
+                          *TINY_TRAIN])
+        assert code == 3 and "vocab.txt" in err and repr(token) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
+# null, -1, 0, +-10**30, 1.5, NaN, 1e308, "", " ", "x", [], [1, 2], {}, {"a": 1}, true
+FIELD_VALUES = [None, -1, 0, 10 ** 30, -10 ** 30, 1.5, float("nan"), 1e308, "", " ", "x",
+                [], [1, 2], {}, {"a": 1}, True]
+
+
+class TestSplitManifestFields:
+    """The split manifest holds exactly ``train_ids``, ``val_ids`` and
+    ``test_ids``; ``train`` reads it."""
+
+    @staticmethod
+    def _train(pipeline, tmp_path, change, name="run"):
+        prep = tmp_path / f"prep-{name}"
+        shutil.copytree(pipeline["prep"], prep)
+        path = prep / "splits" / "subset_0.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        return _run(["train", "--data", str(prep), "--subset", "0",
+                     "--out", str(tmp_path / name), *TINY_TRAIN])
+
+    def test_prepare_data_writes_only_the_id_lists(self, pipeline):
+        for subset in (0, 1):
+            path = pipeline["prep"] / "splits" / f"subset_{subset}.json"
+            assert list(json.loads(path.read_text())) == ["train_ids", "val_ids", "test_ids"]
+        demographics = json.loads((pipeline["prep"] / "demographics.json").read_text())
+        assert list(demographics) == ["categories", "age_min", "age_max"]
+
+    def test_retired_keys_load_and_give_the_same_split(self, pipeline, tmp_path):
+        """A manifest written with ``subset_id``, ``seed`` and ``params``, of
+        any value, trains to the same bytes as the one without them."""
+        retired = {"subset_id": "x", "seed": 1.5, "params": {"source": None}}
+        assert self._train(pipeline, tmp_path, lambda m: m, "plain") == (0, "")
+        assert self._train(pipeline, tmp_path, lambda m: {**retired, **m}, "retired") == (0, "")
+        for name in ("best/params.bin", "best/manifest.json"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "retired" / name).read_bytes())
+        losses = [[{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                   for line in (tmp_path / run / "trainlog.jsonl").read_text().splitlines()]
+                  for run in ("plain", "retired")]
+        assert losses[0] == losses[1]
+
+    @pytest.mark.parametrize("value", [*FIELD_VALUES, "real-ids-as-dict"],
+                             ids=lambda value: repr(value))
+    @pytest.mark.parametrize("key", ["train_ids", "val_ids", "test_ids"])
+    def test_each_id_list_value_exits_with_its_code(self, pipeline, tmp_path, key, value):
+        """Anything but a list of strings is an integrity error (3), a dict
+        whose keys are the real ids included. An empty train or validation
+        split is a usage error (2), and an empty test split trains (0)."""
+        def change(manifest):
+            ids = manifest[key]
+            return {**manifest, key: dict.fromkeys(ids, 1) if value == "real-ids-as-dict"
+                    else value}
+
+        code, err = self._train(pipeline, tmp_path, change)
+        expected = {"train_ids": 2, "val_ids": 2, "test_ids": 0}[key] if value == [] else 3
+        assert code == expected, err
+        assert "Traceback" not in err
+        if code:
+            assert "error" in err
+        if code == 3:   # refused as it is read, before anything is written
+            assert not (tmp_path / "run").exists()
+
+    def test_unknown_key_is_integrity_error(self, pipeline, tmp_path):
+        code, err = self._train(pipeline, tmp_path, lambda m: {**m, "subset": 0})
+        assert code == 3 and "not a split manifest" in err and "'subset'" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
 class TestNotUtf8:
@@ -1428,7 +1611,7 @@ TRAIN_OPTIONS = {   # option: (valid values, invalid values)
 PREPARED_FILES = {   # file: keys of one of its JSON objects, or None for vocab.txt
     "cleaned.jsonl": ["id", "tokens", "gender", "age", "ethnicity", "features"],
     "demographics.json": ["categories", "age_min", "age_max"],
-    "split": ["train_ids", "val_ids", "test_ids", "subset_id", "seed", "params"],
+    "split": ["train_ids", "val_ids", "test_ids"],
     "vocab.txt": None,
 }
 

@@ -3,7 +3,7 @@ generator's determinism and demographic signal, and file round trips."""
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -115,8 +115,7 @@ class TestSplit:
             split([], seed=0)
 
     def test_manifest_round_trip(self, tmp_path):
-        manifest = split([f"i{k}" for k in range(10)], seed=1, subset_id=3,
-                         params={"note": "x"})
+        manifest = split([f"i{k}" for k in range(10)], seed=1)
         path = tmp_path / "m.json"
         manifest.save(path)
         digest = hashlib.sha256()
@@ -124,8 +123,27 @@ class TestSplit:
         assert again == manifest
         assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_manifest_holds_only_the_id_lists(self, tmp_path):
+        split([f"i{k}" for k in range(10)], seed=1).save(tmp_path / "m.json")
+        assert list(json.loads((tmp_path / "m.json").read_text())) == [
+            "train_ids", "val_ids", "test_ids"]
+
+    def test_manifest_with_retired_keys_loads_the_same_split(self, tmp_path):
+        manifest = split([f"i{k}" for k in range(10)], seed=1)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"subset_id": 3, **asdict(manifest),
+                                    "seed": 1, "params": {"source": "d.jsonl"}}))
+        assert SplitManifest.load(path, None) == manifest
+
+    @pytest.mark.parametrize("ids", ["ab", {"a": 1}, {"i0": 0}, [1, 2], [["i0"]], None])
+    def test_manifest_id_list_must_be_a_list_of_strings(self, tmp_path, ids):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"train_ids": ids, "val_ids": ["v"], "test_ids": []}))
+        with pytest.raises(IntegrityError, match="not a split manifest"):
+            SplitManifest.load(path, None)
+
     def test_manifest_overlap_rejected(self):
-        bad = SplitManifest(0, ["a", "b"], ["b"], ["c"], seed=0)
+        bad = SplitManifest(["a", "b"], ["b"], ["c"])
         with pytest.raises(ContractError):
             bad.validate()
 
@@ -274,9 +292,9 @@ def count_cleanings(monkeypatch):
     calls: dict[str, int] = {}
     clean = cxrgen.data.clean_report
 
-    def counting(raw, *args, **kwargs):
-        calls[raw.text] = calls.get(raw.text, 0) + 1
-        return clean(raw, *args, **kwargs)
+    def counting(report_id, text, *args, **kwargs):
+        calls[text] = calls.get(text, 0) + 1
+        return clean(report_id, text, *args, **kwargs)
 
     monkeypatch.setattr(cxrgen.data, "clean_report", counting)
     return calls

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from cxrgen import text
 from cxrgen.errors import ConfigError, ContractError, IntegrityError
-from cxrgen.text import (CleanReport, RawReport, Rejected, StandardizationMap,
+from cxrgen.text import (CleanReport, Rejected, StandardizationMap,
                          Vocabulary, build_vocabulary, clean_report, decode_ids,
                          encode_tokens, load_reject_patterns, load_stopwords)
 
@@ -40,7 +40,7 @@ raw_texts = st.lists(st.one_of(st.sampled_from(WORD_POOL), st.text(ALPHABET, max
 
 
 def clean(text_value, stopwords=frozenset(), std_map=EMPTY_MAP, patterns=(), rid="r1"):
-    return clean_report(RawReport(rid, text_value), stopwords, std_map, patterns)
+    return clean_report(rid, text_value, stopwords, std_map, patterns)
 
 
 class TestCleanReport:
@@ -159,11 +159,11 @@ class TestCleanReport:
         patterns = load_reject_patterns()
         try:
             expected = oracles.validating_clean_report(
-                RawReport("r", raw), STOP, oracles.sorted_rules(pairs), patterns,
+                "r", raw, STOP, oracles.sorted_rules(pairs), patterns,
                 min_raw_words=3)
         except ContractError as exc:
             expected = Rejected("r", text.REASON_MALFORMED, str(exc).split(": ", 1)[1])
-        out = clean_report(RawReport("r", raw), STOP, StandardizationMap(pairs), patterns,
+        out = clean_report("r", raw, STOP, StandardizationMap(pairs), patterns,
                            min_raw_words=3)
         assert out == expected
 
@@ -213,7 +213,7 @@ class TestVocabulary:
         corpus = self._reports([["a"] * 5 + ["b"] * 5 + ["c"]])
         vocab = build_vocabulary(corpus, cap=6)
         assert vocab.tokens[4:] == ["a", "b"]
-        assert "c" not in vocab
+        assert "c" not in vocab.token_to_id
 
     def test_degenerate_cap(self):
         with pytest.raises(ConfigError):
@@ -238,6 +238,13 @@ class TestVocabulary:
         assert loaded.tokens == vocab.tokens
         first_lines = path.read_text().splitlines()[:4]
         assert first_lines == list(text.RESERVED_TOKENS)
+
+    @pytest.mark.parametrize("token", ["", " ", "a b", "ab\n", "\u2003ab", "ab\x1c"])
+    def test_token_must_be_one_word(self, token):
+        """``evaluate`` splits a report line with ``str.split``, so each
+        real token is one word under it."""
+        with pytest.raises(ConfigError, match="not one whitespace-free word"):
+            Vocabulary([*text.RESERVED_TOKENS, "lung", token])
 
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -288,5 +295,5 @@ class TestEncode:
         report = self._report(tokens)
         ids = encode_tokens(report, vocab, max_len=20)
         decoded = decode_ids(ids, vocab)
-        expected = [t if t in vocab else text.UNK_TOKEN for t in tokens]
+        expected = [t if t in vocab.token_to_id else text.UNK_TOKEN for t in tokens]
         assert decoded == expected
