@@ -313,9 +313,8 @@ def cmd_train(args) -> int:
                                      vocab, codec, cfg)
     val_examples = encode_examples(_split_points(points, manifest.val_ids), vocab, codec, cfg)
     out = Path(args.out)
-    log_path = out / "trainlog.jsonl"
-    write_json_lines(log_path, ())   # fit appends one line per epoch
-    log = fit(train_examples, val_examples, params, cfg, train_cfg, log_path=log_path)
+    log = fit(train_examples, val_examples, params, cfg, train_cfg,
+              log_path=out / "trainlog.jsonl")
     save_checkpoint(params, cfg, out / "best", extra={
         "codec": codec.to_dict() if cfg.uses_demographics else None,
         "vocab": vocab.tokens,

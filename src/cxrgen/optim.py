@@ -16,7 +16,11 @@ after ``zero_grad``), and a parameter's ``data`` must stay its slot;
 in chunks of ``CHUNK`` elements, so a step costs a few dozen numpy calls at
 desk size, and each chunk's working set stays in cache at paper size. The
 operations and their order are those of a per-tensor update, and every one
-is elementwise, so the result is the same bit for bit.
+is elementwise, so the result is the same bit for bit. A step of two or
+more chunks is cut into two halves by chunk count: ``tensor.beside`` runs
+the first on its worker thread while the caller runs the second, each half
+with its own two scratch rows, so the halves share no temporary and every
+element still sees the same operations.
 
 The moment decay rates and the denominator's epsilon are the stock values
 of Kingma and Ba (2015), ``BETA1``, ``BETA2`` and ``EPS``; only the learning
@@ -30,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Tensor, beside
 
 CHUNK = 1 << 16
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -70,8 +74,9 @@ class Adam:
             p.data = data
             self._slots.append((name, p, start, stop, data, grad))
             start = stop
-        # two chunk-sized scratch rows, so a step allocates no temporaries
-        self._scratch = np.empty((2, min(CHUNK, total)), dtype)
+        # two chunk-sized scratch rows for each half of a step, so a step
+        # allocates no temporaries
+        self._scratch = np.empty((2, 2, min(CHUNK, total)), dtype)
 
     def step(self) -> None:
         runs: list[list[int]] = []
@@ -91,29 +96,36 @@ class Adam:
         self.t += 1
         bias1 = 1.0 - BETA1 ** self.t
         bias2 = 1.0 - BETA2 ** self.t
-        for start, stop in runs:
-            for lo in range(start, stop, CHUNK):
-                self._update(slice(lo, min(lo + CHUNK, stop)), bias1, bias2)
+        parts = [slice(lo, min(lo + CHUNK, stop))
+                 for start, stop in runs for lo in range(start, stop, CHUNK)]
+        half = len(parts) // 2   # the worker's share; none of a single chunk
+        done = beside(self._update, parts[:half], self._scratch[1], bias1, bias2) \
+            if half else None
+        self._update(parts[half:], self._scratch[0], bias1, bias2)
+        if done is not None:
+            done()
 
-    def _update(self, part: slice, bias1: float, bias2: float) -> None:
-        """p -= lr * (m / bias1) / (sqrt(v / bias2) + EPS) over one chunk, in
-        the same operations and order as a per-tensor update."""
-        g, m, v = self._grad[part], self._m[part], self._v[part]
-        step, denom = self._scratch[:, :part.stop - part.start]
-        np.multiply(g, 1.0 - BETA1, out=step)
-        m *= BETA1
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1.0 - BETA2
-        v *= BETA2
-        v += step
-        np.divide(m, bias1, out=step)
-        np.divide(v, bias2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        step *= self.lr
-        step /= denom
-        self._data[part] -= step
+    def _update(self, parts, scratch: np.ndarray, bias1: float, bias2: float) -> None:
+        """p -= lr * (m / bias1) / (sqrt(v / bias2) + EPS) over each chunk of
+        ``parts``, in the same operations and order as a per-tensor update,
+        with the two rows of ``scratch`` as temporaries."""
+        for part in parts:
+            g, m, v = self._grad[part], self._m[part], self._v[part]
+            step, denom = scratch[:, :part.stop - part.start]
+            np.multiply(g, 1.0 - BETA1, out=step)
+            m *= BETA1
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - BETA2
+            v *= BETA2
+            v += step
+            np.divide(m, bias1, out=step)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            step *= self.lr
+            step /= denom
+            self._data[part] -= step
 
     def zero_grad(self) -> None:
         """Unset every gradient and hand each parameter its slot, as it is:

@@ -49,16 +49,29 @@ a parameter it adopted (a gradient assigned to or cleared from such a
 parameter by hand leaves its slot, and ``Adam.step`` refuses it), by
 ``grad = None`` for any other leaf.
 
-The recorder is single-threaded: one training session owns the tape. All
-reductions delegate to numpy, whose summation order is fixed for a given
-shape, so repeated runs on the same platform are bit-identical.
+The tape is single-threaded: one training session owns it, and the
+adjoint dict and the dropout rng stay on the calling thread; the worker
+runs only an input-gradient product. When BLAS runs one thread on a host
+with a second core, ``beside`` runs a function on one worker thread next to
+the caller: the backward rules of ``linear`` and ``matmul`` start the input
+gradient ``g @ w.T`` there (when it has at least ``OVERLAP_MACS``
+multiply-adds) while the caller writes the weight product into its slot,
+and ``Adam.step`` runs half of its chunks there. Each product is the same
+single-threaded BLAS call on the same operands either way, so the worker
+changes no bit. All reductions delegate to numpy, whose summation order is
+fixed for a given shape, so repeated runs on the same platform, with the
+same BLAS thread count, are bit-identical.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +80,56 @@ from .errors import ContractError, ShapeError
 _VALID_DTYPES = (np.float32, np.float64)
 LAYER_NORM_EPS = 1e-5   # added to each row's variance before the square root
 _default_dtype = np.float32
+
+
+def _blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None when that
+    library or its thread-count symbol is not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"   # where numpy's wheel bundles it
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
+BLAS_THREADS = _blas_threads()   # read once: numpy's BLAS reads its setting when it loads
+
+
+def _start_worker() -> None:
+    """Set the worker thread that ``beside`` runs on: one only when BLAS
+    leaves a core idle (one thread on two or more cores), as a product beside
+    a 2-thread BLAS call oversubscribes the cores. The executor starts its
+    thread at the first submission, not here. A forked child calls this
+    again: it inherits the executor but not its thread, and would wait on it
+    forever."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1) \
+        if BLAS_THREADS == 1 and (os.cpu_count() or 1) >= 2 else None
+
+
+_worker = None
+_start_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_worker)
+# the least multiply-adds of an input-gradient product handed to the worker:
+# on a 2-core x86 host the hand-off broke even near 3M (a linear backward
+# took 1.20x as long with it at 1.6M, 0.96x at 3.0M and 0.82x at 6.0M)
+OVERLAP_MACS = 1 << 22
+
+
+def beside(fn, *args):
+    """Start ``fn(*args)`` on the worker thread, beside the caller, and
+    return a getter that waits for its result (and raises what it raised).
+    With no worker, ``fn`` runs here and now and the getter returns its
+    result."""
+    if _worker is None:
+        result = fn(*args)
+        return lambda: result
+    return _worker.submit(fn, *args).result
 
 
 @contextmanager
@@ -300,12 +363,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (
-            g @ b_data.T if need_a else None,
-            np.matmul(a_data.T, g, out=_slot(b)) if need_b else None,
-        )
+        ga = _input_grad(g, b_data) if need_a else None
+        gb = np.matmul(a_data.T, g, out=_slot(b)) if need_b else None
+        return (ga() if need_a else None, gb)
 
     return _record((a, b), out, vjp)
+
+
+def _input_grad(g: np.ndarray, w: np.ndarray):
+    """A getter for ``g @ w.T``, the input gradient of a product by ``w``:
+    started ``beside`` the caller, which computes the weight gradient
+    meanwhile, when it has at least ``OVERLAP_MACS`` multiply-adds. Either
+    way it is the same one BLAS call on the same operands."""
+    if g.size * w.shape[0] >= OVERLAP_MACS:
+        return beside(np.matmul, g, w.T)
+    product = g @ w.T
+    return lambda: product
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -330,11 +403,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def vjp(g):
         if relu:
             g = g * (out_data > 0)   # where the pre-activation is positive
-        return (
-            g @ w_data.T if need_x else None,
-            np.matmul(x_data.T, g, out=_slot(w)) if need_w else None,
-            np.add.reduce(g, axis=0, out=_slot(b)) if need_b else None,
-        )
+        gx = _input_grad(g, w_data) if need_x else None
+        gw = np.matmul(x_data.T, g, out=_slot(w)) if need_w else None
+        gb = np.add.reduce(g, axis=0, out=_slot(b)) if need_b else None
+        return (gx() if need_x else None, gw, gb)
 
     return _record((x, w, b), Tensor._wrap(out_data), vjp)
 

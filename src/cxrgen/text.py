@@ -85,8 +85,10 @@ class Rejected:
 
 
 def _bad_token(token: str) -> bool:
-    return (not token or any(map(str.isupper, token)) or any(map(str.isdigit, token))
-            or not _PUNCTUATION.isdisjoint(token))
+    """Not one word under ``str.split()`` (empty, or holding whitespace), or
+    holding an uppercase letter, a digit or ASCII punctuation."""
+    return (token.split() != [token] or any(map(str.isupper, token))
+            or any(map(str.isdigit, token)) or not _PUNCTUATION.isdisjoint(token))
 
 
 class StandardizationMap:

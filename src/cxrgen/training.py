@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import parameter_checksum
 from .errors import ConfigError, ContractError, TrainingError
-from .files import append_json_line
+from .files import append_json_line, write_json_lines
 from .model import ModelConfig, decoder_forward, encode_inputs
 from .optim import Adam
 from .tensor import Tensor
@@ -211,12 +211,16 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
     The parameter set achieving the minimum validation loss is retained and
     restored into ``params`` at the end; fit writes no checkpoint, so the
     caller saves ``params`` afterwards. If no epoch has a finite validation
-    loss there is no such set, and that raises ``TrainingError``.
+    loss there is no such set, and that raises ``TrainingError``. A
+    ``log_path`` is emptied once both splits are known to hold examples,
+    then gets one JSON line per epoch.
     """
     if not train_examples:
         raise ConfigError("training split is empty")
     if not val_examples:
         raise ConfigError("validation split is empty")
+    if log_path is not None:
+        write_json_lines(log_path, ())
     dropout_rng = np.random.default_rng([train_cfg.seed, 0xD0])
     optimizer = Adam(params, lr=train_cfg.learning_rate)
     log = TrainLog()

@@ -31,6 +31,12 @@ The desk variants are ``desk`` (dropout 0), ``desk-dropout-0.1``,
 ``desk-2-blocks`` and ``desk-image-only``; ``paper`` is ``ModelConfig()``
 (dropout 0.1) on random reports of 4 to 48 ids.
 
+The first line names the numeric environment the cases ran in: the BLAS
+thread count ``cxrgen.tensor`` read at import and whether its worker thread
+is on (a tree from before the worker reads no count). The bits of a BLAS
+product depend on the thread count (ROADMAP item 6), so two runs compare
+only under the same ``OPENBLAS_NUM_THREADS``; the worker changes no bit.
+
 Run from the root of a checkout: ``PYTHONPATH=src python
 tests/identity_digest.py``. It imports ``cxrgen`` from ``PYTHONPATH``, so
 the same script can be run in a second checkout of another commit; equal
@@ -197,8 +203,14 @@ def cases():
 
 def main() -> int:
     import cxrgen
+    from cxrgen import tensor
 
     print(f"# cxrgen from {Path(cxrgen.__file__).parent}", file=sys.stderr)
+    if hasattr(tensor, "BLAS_THREADS"):
+        print(f"# blas threads {tensor.BLAS_THREADS}, worker "
+              f"{'on' if tensor._worker is not None else 'off'}", flush=True)
+    else:   # a tree from before the worker thread
+        print("# blas threads not read, no worker", flush=True)
     for name, payload in cases():
         print(f"{hashlib.sha256(payload).hexdigest()}  {name}", flush=True)
     return 0

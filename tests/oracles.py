@@ -952,11 +952,11 @@ def encode_demographics(rec, categories, age_min=19, age_max=91):
 
 
 def generator_bad_token(token):
-    """Empty, or holding an uppercase letter, a digit or ASCII punctuation,
-    tested one character at a time."""
+    """Empty, or holding whitespace, an uppercase letter, a digit or ASCII
+    punctuation, tested one character at a time."""
     return (
         not token
-        or any(c.isupper() or c.isdigit() for c in token)
+        or any(c.isspace() or c.isupper() or c.isdigit() for c in token)
         or any(c in string.punctuation for c in token)
     )
 

@@ -547,6 +547,25 @@ class TestTrainGenerate:
         assert f"cleaned.jsonl:3: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("token", ["ab\ncd", "a b", "ab\x85cd"])
+    def test_prepared_token_that_is_not_one_word_is_integrity_error(self, pipeline, tmp_path,
+                                                                    token):
+        """A test report's token that ``str.split`` cuts would write its
+        reference as more lines, or more words, of ``ref.txt`` than it has."""
+        prep = tmp_path / "prep"
+        shutil.copytree(pipeline["prep"], prep)
+        test_id = json.loads((prep / "splits" / "subset_0.json").read_text())["test_ids"][0]
+        records = [json.loads(line) for line in (prep / "cleaned.jsonl").read_text().splitlines()]
+        for record in records:
+            if record["id"] == test_id:
+                record["tokens"][1] = token
+        (prep / "cleaned.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, err = _run(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                          "--data", str(prep), "--subset", "0", "--split", "test",
+                          "--out", str(tmp_path / "gen"), "--temperature", "0", "--seed", "1"])
+        assert code == 3 and repr(token) in err and "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+
     @pytest.mark.parametrize("key", ["categories", "age_min", "age_max"])
     def test_demographics_manifest_missing_key_is_integrity_error(
             self, pipeline, tmp_path, capsys, key):
@@ -1114,7 +1133,7 @@ class TestSplitManifestFields:
         assert "Traceback" not in err
         if code:
             assert "error" in err
-        if code == 3:   # refused as it is read, before anything is written
+        if code:   # refused before anything is written
             assert not (tmp_path / "run").exists()
 
     def test_unknown_key_is_integrity_error(self, pipeline, tmp_path):
