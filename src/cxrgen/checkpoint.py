@@ -1,31 +1,36 @@
 """Bit-exact model checkpointing.
 
 A checkpoint is a directory holding ``manifest.json`` (the config, each
-parameter's name and sha256 in the model's order, and the caller's
-``extra`` payload) plus ``params.bin``, the parameters as little-endian
-32-bit floats in row-major order, back to back in that order. The layout is
-not stored: each tensor's shape, and so its place in the blob, follows from
-the config (``model.parameter_shapes``). Loading checks the manifest's
-tensor count against the config before it builds any parameter name, then
-the name list, then the blob's size against the sizes the config implies,
-and then every tensor's checksum, so a single corrupted byte is detected
-and attributed to the tensor it sits in, and that its values are finite,
-as saving requires. Saving writes both files into a fresh sibling
-directory and renames it into place, so a failure part-way leaves any
-checkpoint already at the path intact. A checkpoint being replaced is
-first renamed aside to ``.<name>.<hex>.old`` and renamed back if the
-second rename fails; a process killed between the two renames leaves it
-there, to be renamed back by hand.
+parameter's name and sha256 in the model's order, the caller's ``extra``
+payload and ``extra_sha256``, the sha256 of that payload as JSON with
+sorted keys and no spaces) plus ``params.bin``, the parameters as
+little-endian 32-bit floats in row-major order, back to back in that order.
+The layout is not stored: each tensor's shape, and so its place in the
+blob, follows from the config (``model.parameter_shapes``). Loading checks
+the ``extra`` payload against its checksum first, so an edited vocabulary
+or codec is refused, then the manifest's tensor count against the config
+before it builds any parameter name, then the name list, then the blob's
+size against the sizes the config implies, and then every tensor's
+checksum, so a single corrupted byte is detected and attributed to the
+tensor it sits in, and that its values are finite, as saving requires.
+Saving writes both files into a fresh sibling directory and renames it into
+place, so a failure part-way leaves any checkpoint already at the path
+intact. A checkpoint being replaced is first renamed aside to
+``.<name>.<hex>.old`` and renamed back if the second rename fails; a
+process killed between the two renames leaves it there, to be renamed back
+by hand.
 
 Saving writes format version 4. Version 3, which also stored each tensor's
 shape, offset and size and the blob's name and size, loads through the same
-code, since those fields are not read. The per-head layouts of versions 1
-and 2 are an ``IntegrityError``.
+code, since those fields are not read. A manifest without
+``extra_sha256``, written before it was recorded, loads unchecked. The
+per-head layouts of versions 1 and 2 are an ``IntegrityError``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import shutil
@@ -59,7 +64,8 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
         raw = np.ascontiguousarray(tensor.data, dtype="<f4")   # hashed and written as is
         entries.append({"name": name, "sha256": hashlib.sha256(raw).hexdigest()})
         chunks.append(raw)
-    manifest = {"format_version": FORMAT_VERSION, "config": cfg.to_dict(), "tensors": entries}
+    manifest = {"format_version": FORMAT_VERSION, "config": cfg.to_dict(), "tensors": entries,
+                "extra_sha256": _extra_digest(extra or {})}
     if extra:
         manifest["extra"] = extra
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
@@ -101,6 +107,12 @@ def read_manifest(path, digest) -> dict:
     return manifest
 
 
+def _extra_digest(extra) -> str:
+    """The sha256 of ``extra`` as canonical JSON: sorted keys, no spaces."""
+    canonical = json.dumps(extra, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def _well_formed(entry) -> bool:
     return isinstance(entry, dict) and all(type(entry.get(key)) is str
                                            for key in ("name", "sha256"))
@@ -116,6 +128,9 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
     ``read_manifest`` returned it, adding the bytes of ``params.bin`` to the
     ``hashlib`` object ``digest`` unless it is None."""
     directory = Path(path)
+    if ("extra_sha256" in manifest
+            and manifest["extra_sha256"] != _extra_digest(manifest.get("extra", {}))):
+        raise IntegrityError("checksum mismatch for the checkpoint's extra payload")
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
     except (TypeError, KeyError, ConfigError) as exc:

@@ -21,6 +21,9 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
   bytes), then what ``build_datapoints`` makes of
   ``oracles.mixed_cleaning_records`` (the same ids and the tokens of the
   points; ids, reasons and details of the rejects);
+* ``ttest`` -- the ``repr`` of ``t`` and ``p`` that ``paired_t_test``
+  gives for a few fixed score pairs: criterion 5's shape (4 subsets, 3
+  degrees of freedom), a t near zero, a huge t and 30 seeded pairs;
 * ``prepare:<file>`` -- the bytes of each file that ``cxrgen synth-data``
   then ``cxrgen prepare-data`` (2 subsets) write in a temporary directory:
   ``dataset.jsonl``, ``cleaned.jsonl``, ``vocab.txt``, ``rejects.jsonl``,
@@ -58,6 +61,7 @@ from cxrgen.checkpoint import parameter_checksum, save_checkpoint
 from cxrgen.cli import main as cxrgen_main
 from cxrgen.data import CorpusSpec, build_datapoints, synthesize_corpus
 from cxrgen.demographics import DemographicCodec, select_top_categories
+from cxrgen.metrics import paired_t_test
 from cxrgen.model import ModelConfig, generate, init_parameters
 from cxrgen.optim import Adam
 from cxrgen.text import END_ID, PAD_ID, START_ID, build_vocabulary
@@ -154,6 +158,16 @@ def corpus_case() -> bytes:
     return digest.digest()
 
 
+def ttest_case() -> bytes:
+    rng = np.random.default_rng(17)
+    pairs = [([0.412, 0.398, 0.431, 0.405], [0.371, 0.366, 0.395, 0.382]),
+             ([1.0, -1.0, 2.0, -2.0 + 1e-9], [0.0] * 4),
+             ([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 2e-9], [0.0] * 4),
+             (rng.normal(0.1, 1.0, size=30), rng.normal(size=30))]
+    results = [paired_t_test(a, b) for a, b in pairs]
+    return "".join(f"{result.t!r} {result.p!r}|" for result in results).encode()
+
+
 def prepared_data_cases():
     """Yield ``(prepare:<file>, bytes)`` for each file of a synthetic corpus
     and of the directory ``prepare-data`` makes of it."""
@@ -198,6 +212,7 @@ def cases():
     for label, temperature in (("greedy", 0.0), ("T=0.5", 0.5)):
         yield f"generate:paper:{label}", generate_case(examples[:2], params, cfg, temperature)
     yield "corpus", corpus_case()
+    yield "ttest", ttest_case()
     yield from prepared_data_cases()
 
 

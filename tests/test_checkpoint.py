@@ -1,10 +1,11 @@
-"""Checkpoint round trips are byte-exact; corruption and malformed
-manifests are detected and attributed; an interrupted save leaves the
-previous checkpoint loadable; format 3 loads through the same code as
-format 4; formats 1 and 2 are rejected, and the weights they hold still
+"""Checkpoint round trips are byte-exact; corruption, malformed manifests
+and an edited ``extra`` are detected and attributed; an interrupted save
+leaves the previous checkpoint loadable; format 3 loads through the same
+code as format 4; formats 1 and 2 are rejected, and the weights they hold still
 give the outputs recorded when they were written."""
 
 import builtins
+import hashlib
 import io
 import json
 import math
@@ -430,9 +431,62 @@ def test_format_4_stores_each_tensors_name_and_checksum(tmp_path, params):
     save_checkpoint(params, CFG, tmp_path / "ckpt", extra={"vocab": ["<pad>", "x"]})
     manifest = read_manifest(tmp_path / "ckpt", None)
     assert manifest["format_version"] == FORMAT_VERSION == 4
-    assert manifest.keys() == {"format_version", "config", "tensors", "extra"}
+    assert manifest.keys() == {"format_version", "config", "tensors", "extra", "extra_sha256"}
     assert all(entry.keys() == {"name", "sha256"} for entry in manifest["tensors"])
     assert not any(".h0." in entry["name"] for entry in manifest["tensors"])
+
+
+@pytest.mark.parametrize("extra", [None, {}, {"vocab": ["<pad>", "x"],
+                                               "codec": {"b": 1, "a": 0.5}}])
+def test_extra_sha256_is_the_digest_of_its_canonical_json(tmp_path, params, extra):
+    """Sorted keys and no spaces; a checkpoint saved without ``extra``
+    records the digest of ``{}``."""
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra=extra)
+    manifest = read_manifest(tmp_path / "ckpt", None)
+    canonical = json.dumps(extra or {}, sort_keys=True, separators=(",", ":"))
+    assert manifest["extra_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+    assert manifest.get("extra", {}) == (extra or {})
+    load_checkpoint(tmp_path / "ckpt")
+
+
+def _last_token_to_x(extra):
+    extra["vocab"][-1] = "x"
+
+
+def _move_age_max(extra):
+    extra["codec"]["age_max"] += 1
+
+
+@pytest.mark.parametrize("edit", [_last_token_to_x, _move_age_max],
+                         ids=["last-token-x", "age_max-moved"])
+def test_an_edited_extra_exits_3_through_generate(trained, tmp_path, capsys, edit):
+    """The vocabulary and the codec live in ``extra``, outside every tensor's
+    checksum: without ``extra_sha256`` each edit here decodes with exit 0,
+    under a vocabulary or age scale the model was not trained with. With it,
+    the edit exits 3."""
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(trained["checkpoint"], checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    edit(manifest["extra"])
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    assert _generate(checkpoint, trained["prep"], tmp_path / "gen") == 3
+    err = capsys.readouterr().err
+    assert "checksum mismatch for the checkpoint's extra payload" in err
+    assert "Traceback" not in err and not (tmp_path / "gen").exists()
+
+
+def test_format_4_without_extra_sha256_loads_and_generates_the_same(trained, tmp_path):
+    """A manifest written before ``extra_sha256`` was recorded loads
+    unchecked and decodes exactly as with it."""
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(trained["checkpoint"], checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    del manifest["extra_sha256"]
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    assert _generate(trained["checkpoint"], trained["prep"], tmp_path / "gen-with") == 0
+    assert _generate(checkpoint, trained["prep"], tmp_path / "gen-without") == 0
+    assert (tmp_path / "gen-with" / "hyp.txt").read_bytes() \
+        == (tmp_path / "gen-without" / "hyp.txt").read_bytes()
 
 
 @pytest.mark.parametrize("change", [{"d_model": 16, "d_embed": 16}, {"feature_dim": 10 ** 15}],

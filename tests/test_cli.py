@@ -34,6 +34,13 @@ TINY_TRAIN = ["--d-model", "16", "--n-heads", "2", "--epochs", "1"]
 NOT_UTF8 = b"\xff\xfe"   # prefixed to a file's bytes, they are no longer UTF-8
 
 
+def _rehash_extra(manifest) -> None:
+    """Record the checksum of a checkpoint manifest's edited ``extra``, so
+    that the edit passes the checksum and meets the checks behind it."""
+    canonical = json.dumps(manifest.get("extra", {}), sort_keys=True, separators=(",", ":"))
+    manifest["extra_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run synth-data -> prepare-data -> train -> generate once, share outputs."""
@@ -744,6 +751,7 @@ class TestTrainGenerate:
         manifest = json.loads(manifest_path.read_text())
         vocab = manifest["extra"]["vocab"]
         vocab[len(vocab) // 2] = "edited-token"
+        _rehash_extra(manifest)
         manifest_path.write_text(json.dumps(manifest))
         assert recorded_digest(tmp_path / "after") != before
 
@@ -1011,8 +1019,8 @@ class TestCheckpointConfig:
 
 
 class TestCheckpointValues:
-    """A checkpoint whose bytes pass their checksums but hold a value that
-    ``save_checkpoint`` or ``Vocabulary`` refuses exits 3 through
+    """A checkpoint whose bytes and ``extra`` pass their checksums but hold a
+    value that ``save_checkpoint`` or ``Vocabulary`` refuses exits 3 through
     ``generate``, with nothing written."""
 
     @staticmethod
@@ -1056,6 +1064,7 @@ class TestCheckpointValues:
         breaks into several lines or words of ``hyp.txt``."""
         ckpt, manifest = self._checkpoint(pipeline, tmp_path)
         manifest["extra"]["vocab"][10] = token
+        _rehash_extra(manifest)
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         code, err = self._generate(pipeline, tmp_path, ckpt)
         assert code == 3 and repr(token) in err and "Traceback" not in err
