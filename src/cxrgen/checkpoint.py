@@ -8,8 +8,8 @@ little-endian 32-bit floats in row-major order, back to back in that order.
 The layout is not stored: each tensor's shape, and so its place in the
 blob, follows from the config (``model.parameter_shapes``). Loading checks
 the ``extra`` payload against its checksum first, so an edited vocabulary
-or codec is refused, then the manifest's tensor count against the config
-before it builds any parameter name, then the name list, then the blob's
+or codec is refused, then the config's sizes against their caps (see
+``model``), then the name list against the config's, then the blob's
 size against the sizes the config implies, and then every tensor's
 checksum, so a single corrupted byte is detected and attributed to the
 tensor it sits in, and that its values are finite, as saving requires.
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, IntegrityError
 from .files import read_json_object, write_json
-from .model import ModelConfig, check_parameters, parameter_shapes, tensor_count
+from .model import ModelConfig, check_parameters, parameter_shapes
 from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
@@ -138,13 +138,11 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
     entries = manifest.get("tensors")
     if not isinstance(entries, list) or not all(_well_formed(entry) for entry in entries):
         raise IntegrityError("checkpoint manifest has a malformed tensor list")
-    # the count first: the config alone sets how many names parameter_shapes builds
-    if len(entries) != tensor_count(cfg):
-        raise IntegrityError(f"checkpoint lists {len(entries)} tensors; its config's model "
-                             f"has {tensor_count(cfg)}")
-    shapes = parameter_shapes(cfg)
+    shapes = parameter_shapes(cfg)   # a bounded list: ModelConfig caps the block count
     if [entry["name"] for entry in entries] != list(shapes):
-        raise IntegrityError("checkpoint tensor list does not match the model's parameter set")
+        raise IntegrityError(f"checkpoint lists {len(entries)} tensors; its config's model has "
+                             f"{len(shapes)}: the tensor list does not match the model's "
+                             "parameter set")
     if not (directory / BLOB_NAME).exists():
         raise IntegrityError(f"checkpoint blob {BLOB_NAME!r} missing from {directory}")
     # slices of a view copy nothing: each tensor's bytes are copied once, into its array

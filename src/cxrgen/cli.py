@@ -48,16 +48,18 @@ path is one, and so are a malformed ``--config`` file, one with a ``config``
 key, an abbreviated option name, a bad ``--std-map`` or
 ``--reject-patterns`` line, a ``--std-map`` canonical phrase that is not
 lowercase words, a ``train --max-len`` over ``model.MAX_LEN``, a
-checkpoint whose feature width differs from the prepared data's, a
-``generate --split`` that holds no report and an ``--out`` whose record
-another command wrote), 3 data integrity failure (a file that is not
-UTF-8 is one, and so are a checkpoint of format 1 or 2, one whose tensor
-count or name list differs from its config's model, one whose blob is not
-the size that model's tensors take, one with a tensor whose bytes fail its
-checksum or hold a value that is not finite, one whose config holds a size
-that is not an int, a ``max_len`` over ``model.MAX_LEN`` or a dropout rate
-that is not a number, a bad dataset record, a malformed split manifest
-(an id list that is not a list of strings included) or evaluation report,
+``--d-model`` over ``model.MAX_D_MODEL``, an ``--n-decoder-blocks`` over
+``model.MAX_DECODER_BLOCKS``, a model too large for the host's memory (a
+``MemoryError``), a checkpoint whose feature width differs from the
+prepared data's, a ``generate --split`` that holds no report and an
+``--out`` whose record another command wrote), 3 data integrity failure (a
+file that is not UTF-8 is one, and so are a checkpoint of format 1 or 2,
+one whose tensor name list differs from its config's model, one whose blob
+is not the size that model's tensors take, one with a tensor whose bytes
+fail its checksum or hold a value that is not finite, one whose config
+holds a size that is not an int, a size over its cap in ``model`` or a
+dropout rate that is not a number, a bad dataset record, a malformed split
+manifest (an id list that is not a list of strings included) or evaluation report,
 a repeated vocabulary token or one that is not one word under
 ``str.split()``, a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
@@ -77,18 +79,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_from_manifest, read_manifest, save_checkpoint
+from .checkpoint import BLOB_NAME, MANIFEST_NAME, load_from_manifest, read_manifest, save_checkpoint
 from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw_records,
-                   sample_subsets, split, synthesize_corpus, write_dataset,
+                   sample_subsets, split, synthesize_records, write_dataset,
                    write_prepared_dataset, SplitManifest)
 from .demographics import DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
                      IntegrityError, SizingError, TrainingError)
 from .files import read_json_object, read_lines, write_json, write_json_lines, write_lines
-from .metrics import Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus, paired_t_test
+from .metrics import (DEFAULT_ALPHA, Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus,
+                      paired_t_test)
 from .model import ModelConfig, generate, init_parameters
-from .text import (END_ID, UNK_ID, StandardizationMap, Vocabulary, build_vocabulary,
-                   decode_ids, load_reject_patterns, load_stopwords)
+from .text import (DEFAULT_MIN_RAW_WORDS, END_ID, UNK_ID, StandardizationMap, Vocabulary,
+                   build_vocabulary, decode_ids, load_reject_patterns, load_stopwords)
 from .training import TrainConfig, encode_examples, fit
 
 USAGE_EXIT = 2
@@ -184,14 +187,14 @@ def _parse_fields(raw: str) -> tuple[str, ...]:
 def cmd_synth_data(args) -> int:
     _claim_out_dir(args.out, "synth-data")
     spec = CorpusSpec(n_per_stratum=args.n_per_stratum, feature_dim=args.feature_dim)
-    points = synthesize_corpus(spec, args.seed)
+    records = synthesize_records(spec, args.seed)
     out = Path(args.out)
-    write_dataset(points, out / "dataset.jsonl")
+    write_dataset(records, out / "dataset.jsonl")
     _write_provenance(out / "provenance.json", "synth-data", {
         "seed": args.seed,
         "spec": dataclasses.asdict(spec),
     })
-    print(f"wrote {len(points)} synthetic records to {out / 'dataset.jsonl'}")
+    print(f"wrote {len(records)} synthetic records to {out / 'dataset.jsonl'}")
     return 0
 
 
@@ -369,7 +372,7 @@ def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
 def cmd_generate(args) -> int:
     _claim_out_dir(args.out, "generate")
     manifest_path, blob_path = (Path(args.checkpoint) / name
-                                for name in ("manifest.json", "params.bin"))
+                                for name in (MANIFEST_NAME, BLOB_NAME))
     points_path = Path(args.data) / "cleaned.jsonl"
     inputs = {path: hashlib.sha256() for path in (manifest_path, blob_path, points_path)}
     manifest = read_manifest(args.checkpoint, inputs[manifest_path])
@@ -506,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-data", allow_abbrev=False, help="generate a synthetic corpus")
     common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-per-stratum", type=int, default=150)
-    p.add_argument("--feature-dim", type=int, default=24)
+    p.add_argument("--n-per-stratum", type=int, default=CorpusSpec.n_per_stratum)
+    p.add_argument("--feature-dim", type=int, default=CorpusSpec.feature_dim)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("prepare-data", allow_abbrev=False,
@@ -515,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True, help="raw dataset file (jsonl)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--vocab-cap", type=int, default=2212)
+    p.add_argument("--vocab-cap", type=int, default=ModelConfig.vocab_size)
     p.add_argument("--subsets", type=_at_least(int, 1), default=1)
     p.add_argument("--subset-size", type=_at_least(int, 0), default=0,
                    help="examples per subset (0 = pool size / subsets)")
     p.add_argument("--top-ethnicities", type=_at_least(int, 1), default=5)
-    p.add_argument("--min-raw-words", type=int, default=9)
-    p.add_argument("--age-min", type=int, default=19)
-    p.add_argument("--age-max", type=int, default=91)
+    p.add_argument("--min-raw-words", type=int, default=DEFAULT_MIN_RAW_WORDS)
+    p.add_argument("--age-min", type=int, default=DemographicCodec.age_min)
+    p.add_argument("--age-max", type=int, default=DemographicCodec.age_max)
     p.add_argument("--stopwords", help="stop-word file (default: shipped list)")
     p.add_argument("--std-map", help="standardization map file (default: shipped map)")
     p.add_argument("--reject-patterns", help="rejection regex file (default: shipped list)")
@@ -534,18 +537,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="prepared data directory")
     p.add_argument("--subset", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory for checkpoint and log")
-    p.add_argument("--demographics", default="gender,age,ethnicity",
+    p.add_argument("--demographics", default=",".join(DemographicCodec.fields),
                    help="comma-separated subset of gender,age,ethnicity; 'none' = baseline")
-    p.add_argument("--d-model", type=int, default=512)
-    p.add_argument("--n-heads", type=int, default=8)
-    p.add_argument("--n-decoder-blocks", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=50)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=3e-4)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--grad-clip", type=float, default=None)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--n-heads", type=int, default=ModelConfig.n_heads)
+    p.add_argument("--n-decoder-blocks", type=int, default=ModelConfig.n_decoder_blocks)
+    p.add_argument("--max-len", type=int, default=ModelConfig.max_len)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", allow_abbrev=False, help="decode reports from a checkpoint")
@@ -574,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of option values (flags override it)")
     p.add_argument("--a", required=True, nargs="+", help="evaluation reports for model A")
     p.add_argument("--b", required=True, nargs="+", help="evaluation reports for model B")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out", help="write the comparison table as JSON here")
     p.set_defaults(func=cmd_compare)
 
@@ -587,7 +590,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
         return exc.code
-    except (ConfigError, SizingError, OSError) as exc:   # OSError: a path that cannot be opened
+    # OSError: a path that cannot be opened; MemoryError: a model too large for the host
+    except (ConfigError, SizingError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except IntegrityError as exc:

@@ -33,8 +33,8 @@ import numpy as np
 from .demographics import DemographicRecord
 from .errors import ConfigError, ContractError, IntegrityError, SizingError
 from .files import read_json_object, read_lines, write_json, write_json_lines
-from .text import (END_TOKEN, START_TOKEN, CleanReport, Rejected, clean_report,
-                   default_standardization_map, load_reject_patterns, load_stopwords)
+from .text import (DEFAULT_MIN_RAW_WORDS, END_TOKEN, START_TOKEN, CleanReport, Rejected,
+                   StandardizationMap, clean_report, load_reject_patterns, load_stopwords)
 
 SPLIT_RATIOS = (0.70, 0.20, 0.10)   # train, validation, test
 RETIRED_SPLIT_KEYS = ("subset_id", "seed", "params")   # written once, no longer read
@@ -47,7 +47,6 @@ class DataPoint:
     features: np.ndarray
     report: CleanReport
     demographics: DemographicRecord
-    raw_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -217,13 +216,9 @@ class CorpusSpec:
 default_corpus_spec = CorpusSpec   # the name bench/pipeline.py builds its spec by
 
 
-def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
-    """Generate a fully deterministic corpus of DataPoints from ``spec``.
-
-    A report reads finding, marker, ``CLOSING``. The records are cleaned by
-    ``build_datapoints`` with the shipped cleaning resources; a template that
-    the cleaning rejects raises ``ConfigError``.
-    """
+def synthesize_records(spec: CorpusSpec, seed: int) -> list[IngestRecord]:
+    """Generate a fully deterministic raw corpus from ``spec``: a report
+    reads finding, marker, ``CLOSING``."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(len(FINDINGS), spec.feature_dim))
     records: list[IngestRecord] = []
@@ -237,7 +232,14 @@ def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
             records.append(IngestRecord(f"s{i:02d}-{j:04d}",
                                         f"{FINDINGS[cluster]} {marker} {CLOSING}",
                                         DemographicRecord(gender, age, ethnicity), features))
-    points, rejects = build_datapoints(records)
+    return records
+
+
+def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
+    """``synthesize_records(spec, seed)`` cleaned by ``build_datapoints`` with
+    the shipped cleaning resources; a template that the cleaning rejects
+    raises ``ConfigError``."""
+    points, rejects = build_datapoints(synthesize_records(spec, seed))
     if rejects:
         raise ConfigError(
             f"synthetic template of record {rejects[0].id!r} was rejected by the "
@@ -251,8 +253,9 @@ def synthesize_corpus(spec: CorpusSpec, seed: int) -> list[DataPoint]:
 # ---------------------------------------------------------------------------
 
 def _write_records(points, path, text_field: str, text) -> None:
-    """Write one JSON line per DataPoint, features inline as float32 values;
-    ``text(point)`` is its ``text_field`` ("report" or "tokens")."""
+    """Write one JSON line per ``IngestRecord`` or ``DataPoint``, features
+    inline as float32 values; ``text(point)`` is its ``text_field``
+    ("report" or "tokens")."""
     write_json_lines(path, ({
         "id": point.id,
         text_field: text(point),
@@ -263,10 +266,9 @@ def _write_records(points, path, text_field: str, text) -> None:
     } for point in points))
 
 
-def write_dataset(points, path) -> None:
-    """Serialize DataPoints as a line-delimited dataset file, features inline."""
-    _write_records(points, path, "report",
-                   lambda point: point.raw_text or point.report.text())
+def write_dataset(records, path) -> None:
+    """Serialize IngestRecords as a line-delimited dataset file, features inline."""
+    _write_records(records, path, "report", lambda record: record.text)
 
 
 def _parse_records(path, text_field: str, digest):
@@ -334,7 +336,8 @@ def load_raw_records(path, digest) -> list[IngestRecord]:
 
 
 def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None,
-                     min_raw_words: int = 9) -> tuple[list[DataPoint], list[Rejected]]:
+                     min_raw_words: int = DEFAULT_MIN_RAW_WORDS
+                     ) -> tuple[list[DataPoint], list[Rejected]]:
     """Clean ingested records into DataPoints; rejections are returned, not raised.
 
     Cleaning reads only a report's text, so each distinct text is cleaned
@@ -342,7 +345,7 @@ def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None
     (``CleanReport`` or ``Rejected``) with its own id stamped on.
     """
     stopwords = load_stopwords() if stopwords is None else stopwords
-    std_map = default_standardization_map() if std_map is None else std_map
+    std_map = StandardizationMap.from_file() if std_map is None else std_map
     reject_patterns = load_reject_patterns() if reject_patterns is None else reject_patterns
     points: list[DataPoint] = []
     rejects: list[Rejected] = []
@@ -363,7 +366,6 @@ def build_datapoints(records, stopwords=None, std_map=None, reject_patterns=None
             features=record.features,
             report=outcome,
             demographics=record.demographics,
-            raw_text=record.text,
         ))
     return points, rejects
 

@@ -47,6 +47,7 @@ SCORE_TOLERANCE = 1e-9
 CF_TOLERANCE = 1e-15   # the continued fraction stops when a step changes it by less
 CF_STEPS = 1000        # df from 1 to 10^8 and |t| from 1e-6 to 1e6 took 57 at most
 F1_GROUP = 32   # pairs per batched similarity product in embedding_f1
+DEFAULT_ALPHA = 0.05   # the t-test's significance level
 EMBEDDING_NOTE = (
     "embedding scores use greedy matching over an injected static embedding "
     "table, not a pretrained contextual model"
@@ -264,7 +265,7 @@ class TTestResult:
     significant: bool
 
 
-def paired_t_test(scores_a, scores_b, alpha: float = 0.05) -> TTestResult:
+def paired_t_test(scores_a, scores_b, alpha: float = DEFAULT_ALPHA) -> TTestResult:
     """Two-sided paired Student's t-test on per-subset metric scores."""
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)

@@ -85,6 +85,14 @@ query/key weights.
 Baseline (image-only) models set ``demographic_dim`` to zero, which removes
 the semantic and fusion parameters entirely; the hybrid representation is
 then just the visual encoding.
+
+The sizes a user sets are bounded: ``MAX_LEN`` caps ``max_len``,
+``MAX_D_MODEL`` the model width and ``MAX_DECODER_BLOCKS`` the decoder
+blocks, and ``ConfigError`` names a size over its cap. So no config, from
+the command line or a checkpoint, makes ``parameter_shapes`` build an
+unbounded name list, or ``init_parameters`` and ``DecodeCache`` ask numpy
+for an array past its largest dimension. A model within the caps can still
+be too large for a host; making it raises ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -107,6 +115,14 @@ ATTENTION_ROLES = ("wq", "wk", "wv", "wo")
 # otherwise make DecodeCache allocate without bound. At d_model 512 a block's
 # K and V buffers then take 2 MB each per sequence in float32.
 MAX_LEN = 1024
+# The most decoder blocks a model may have, 64 times the paper's one: a
+# checkpoint's config sets how many names parameter_shapes builds, so the
+# cap bounds that list before the loader builds it.
+MAX_DECODER_BLOCKS = 64
+# The widest model, 16 times the paper's 512, whose [d x d] weights take
+# 256 MB each in float32: a far wider one asks numpy for an array no host
+# can hold, or one over numpy's largest dimension.
+MAX_D_MODEL = 8192
 
 
 @dataclass(frozen=True)
@@ -132,6 +148,10 @@ class ModelConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, low, high in (("max_len", 3, MAX_LEN), ("d_model", 1, MAX_D_MODEL),
+                                ("n_decoder_blocks", 1, MAX_DECODER_BLOCKS)):
+            if not low <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
         if not isinstance(self.dropout_rate, (int, float)) or isinstance(self.dropout_rate, bool):
             raise ConfigError(f"dropout_rate must be a number, got {self.dropout_rate!r}")
         if self.demographic_dim < 0:
@@ -149,8 +169,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 5:
             raise ConfigError("vocab_size must cover the four reserved ids")
-        if not 3 <= self.max_len <= MAX_LEN:
-            raise ConfigError(f"max_len must be in [3, {MAX_LEN}], got {self.max_len}")
 
     @property
     def d_head(self) -> int:
@@ -203,13 +221,6 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["classifier.w"] = (cfg.d_model, cfg.vocab_size)
     shapes["classifier.b"] = (cfg.vocab_size,)
     return shapes
-
-
-def tensor_count(cfg: ModelConfig) -> int:
-    """``len(parameter_shapes(cfg))``, computed without building the names:
-    the visual unit's 9 tensors, the semantic unit's and fusion block's 7,
-    the embedding table, 14 per decoder block and the classifier's 2."""
-    return 12 + 7 * cfg.uses_demographics + 14 * cfg.n_decoder_blocks
 
 
 def join_heads(role: str, blocks) -> np.ndarray:
@@ -461,9 +472,8 @@ class DecodeCache:
         self.cfg = cfg
         self.arrays = _arrays(params)
         self.length = 0         # the positions decoded so far
-        self.mask = None        # the last step's attention mask, None when every key is allowed
+        self.mask = None        # the attention mask, None until a pad id is decoded
         self.keep = np.ones((n_seq, cfg.max_len), dtype=bool)
-        self.padded = False     # whether a pad id has been decoded
         self.table = self.arrays["embed.table"]
         self.positions = T.sinusoidal_positions(cfg.max_len, cfg.d_embed, self.table.dtype)
         self.keys = [np.empty((n_seq, cfg.max_len, cfg.d_model), dtype=self.table.dtype)
@@ -486,11 +496,10 @@ class DecodeCache:
                              f"got ids of shape {ids.shape}")
         if t == self.keep.shape[1]:
             raise ContractError(f"sequence length {t + 1} exceeds the maximum {t}")
-        if self.padded or PAD_ID in ids.tolist():
+        if self.mask is not None or PAD_ID in ids.tolist():
             if not t:
                 raise ContractError("a sequence may not start with the pad id: its first "
                                     "position would have every key masked out")
-            self.padded = True
             self.keep[:, t] = ids != PAD_ID
             # the new position may attend to its sequence's kept positions <= t
             self.mask = self.keep[:, None, :t + 1]
@@ -507,7 +516,7 @@ class DecodeCache:
         return T._attend(q, keys[:, :total], values[:, :total], self.cfg.n_heads, self.mask)[0]
 
 
-def generate(features, demo, params, cfg: ModelConfig, temperature: float = 0.5,
+def generate(features, demo, params, cfg: ModelConfig, temperature: float,
              seed=0) -> list[int]:
     """Autoregressively decode a report for one image/demographics pair.
 

@@ -49,7 +49,7 @@ class Adam:
     untouched (their moments do not decay either).
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if not 0.0 < lr < math.inf:
             raise ContractError(f"learning rate must be positive and finite, got {lr}")
         dtypes = {p.data.dtype for p in params.values()}

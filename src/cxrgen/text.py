@@ -4,7 +4,8 @@ The cleaning pass turns a raw findings narrative into a lowercase token
 sequence bracketed by start/end markers. Rule order is fixed and documented
 here because downstream golden tests depend on it:
 
-1. reject when the raw text has fewer than ``min_raw_words`` whitespace words;
+1. reject when the raw text has fewer than ``min_raw_words`` whitespace words
+   (``DEFAULT_MIN_RAW_WORDS`` unless the caller sets it);
 2. lowercase, then reject when any configured rejection pattern matches
    (default patterns target references to prior studies);
 3. replace ASCII punctuation characters with spaces and split on whitespace;
@@ -48,6 +49,8 @@ REASON_PRIOR_REFERENCE = "prior_reference"
 REASON_EMPTY = "empty_after_cleaning"
 REASON_MALFORMED = "malformed_token"
 
+DEFAULT_MIN_RAW_WORDS = 9
+
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _PUNCTUATION = frozenset(string.punctuation)
 
@@ -70,10 +73,6 @@ class CleanReport:
         for token in self.interior:
             if _bad_token(token):
                 raise ContractError(f"report {self.id}: malformed token {token!r}")
-
-    def text(self) -> str:
-        """Interior tokens joined by single spaces (a fixed point of cleaning)."""
-        return " ".join(self.interior)
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,6 @@ def load_stopwords(path=None, digest=None) -> frozenset[str]:
     return frozenset(line.lower() for _, line in _resource_lines(path, "stopwords.txt", digest))
 
 
-def default_standardization_map() -> StandardizationMap:
-    return StandardizationMap.from_file()
-
-
 def load_reject_patterns(path=None, digest=None) -> list[re.Pattern]:
     """One regular expression per line, matched against the lowercased raw text
     (default: the shipped list), adding the bytes read to ``digest`` unless it
@@ -192,7 +187,7 @@ def load_reject_patterns(path=None, digest=None) -> list[re.Pattern]:
 
 
 def clean_report(report_id: str, text: str, stopwords, std_map: StandardizationMap,
-                 reject_patterns=(), min_raw_words: int = 9) -> CleanReport | Rejected:
+                 reject_patterns, min_raw_words: int) -> CleanReport | Rejected:
     """Clean the raw findings narrative ``text`` of report ``report_id``, or
     return a Rejected with the dropping rule."""
     if len(text.split()) < min_raw_words:
@@ -255,7 +250,7 @@ class Vocabulary:
             raise IntegrityError(f"{path}: {exc}") from None
 
 
-def build_vocabulary(corpus, cap: int = 2212) -> Vocabulary:
+def build_vocabulary(corpus, cap: int) -> Vocabulary:
     """Rank interior tokens by frequency (ties lexicographic) and keep the top cap-4."""
     if cap < 5:
         raise ConfigError(f"vocabulary cap must leave room beyond the 4 reserved ids, got {cap}")

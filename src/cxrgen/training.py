@@ -183,7 +183,7 @@ def train_step(batch, params, optimizer: Adam, cfg: ModelConfig,
     return value, count
 
 
-def evaluate_loss(examples, params, cfg: ModelConfig, batch_size: int = 64) -> float:
+def evaluate_loss(examples, params, cfg: ModelConfig, batch_size: int) -> float:
     """Mean token loss: ``batch_loss`` without an rng per batch, pooled over
     the batches' token counts. The parameters' arrays are wrapped, not
     copied, as tensors that need no gradient, so nothing is recorded."""
@@ -212,17 +212,17 @@ def fit(train_examples, val_examples, params, cfg: ModelConfig,
     restored into ``params`` at the end; fit writes no checkpoint, so the
     caller saves ``params`` afterwards. If no epoch has a finite validation
     loss there is no such set, and that raises ``TrainingError``. A
-    ``log_path`` is emptied once both splits are known to hold examples,
-    then gets one JSON line per epoch.
+    ``log_path`` is emptied once both splits are known to hold examples
+    and the optimizer's buffers are made, then gets one JSON line per epoch.
     """
     if not train_examples:
         raise ConfigError("training split is empty")
     if not val_examples:
         raise ConfigError("validation split is empty")
-    if log_path is not None:
-        write_json_lines(log_path, ())
     dropout_rng = np.random.default_rng([train_cfg.seed, 0xD0])
     optimizer = Adam(params, lr=train_cfg.learning_rate)
+    if log_path is not None:
+        write_json_lines(log_path, ())
     log = TrainLog()
     best_state: dict[str, np.ndarray] | None = None
     stale = 0

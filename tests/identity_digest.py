@@ -17,8 +17,8 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
 * ``generate:<variant>:<greedy|T=0.5>`` -- the ids ``generate`` decodes
   for a few examples with the fitted desk model, or a fresh paper-scale one;
 * ``corpus`` -- every point of ``synthesize_corpus(CorpusSpec(), seed=42)``
-  (ids of the point and its report, tokens, demographics, raw text, feature
-  bytes), then what ``build_datapoints`` makes of
+  (ids of the point and its report, tokens, demographics, the raw text of
+  its ``synthesize_records`` record, feature bytes), then what ``build_datapoints`` makes of
   ``oracles.mixed_cleaning_records`` (the same ids and the tokens of the
   points; ids, reasons and details of the rejects);
 * ``ttest`` -- the ``repr`` of ``t`` and ``p`` that ``paired_t_test``
@@ -59,7 +59,7 @@ import numpy as np
 
 from cxrgen.checkpoint import parameter_checksum, save_checkpoint
 from cxrgen.cli import main as cxrgen_main
-from cxrgen.data import CorpusSpec, build_datapoints, synthesize_corpus
+from cxrgen.data import CorpusSpec, build_datapoints, synthesize_corpus, synthesize_records
 from cxrgen.demographics import DemographicCodec, select_top_categories
 from cxrgen.metrics import paired_t_test
 from cxrgen.model import ModelConfig, generate, init_parameters
@@ -144,10 +144,11 @@ def generate_case(examples, params, cfg, temperature) -> bytes:
 
 def corpus_case() -> bytes:
     digest = hashlib.sha256()
-    for point in synthesize_corpus(CorpusSpec(), seed=42):
+    records = synthesize_records(CorpusSpec(), seed=42)
+    for record, point in zip(records, synthesize_corpus(CorpusSpec(), seed=42), strict=True):
         demo = point.demographics
-        fields = (point.id, point.report.id, *point.report.tokens, demo.gender, str(demo.age), demo.ethnicity,
-                  point.raw_text)
+        fields = (point.id, point.report.id, *point.report.tokens, demo.gender, str(demo.age),
+                  demo.ethnicity, record.text)
         digest.update("\x1f".join(fields).encode() + point.features.tobytes() + b"|")
     points, rejects = build_datapoints(mixed_cleaning_records())
     for point in points:

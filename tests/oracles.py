@@ -1037,8 +1037,7 @@ def per_record_build_datapoints(records, stopwords, std_map, reject_patterns, mi
         if isinstance(outcome, Rejected):
             rejects.append(outcome)
         else:
-            points.append(DataPoint(record.id, record.features, outcome, record.demographics,
-                                    record.text))
+            points.append(DataPoint(record.id, record.features, outcome, record.demographics))
     return points, rejects
 
 

@@ -19,8 +19,8 @@ from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_
 from cxrgen.errors import IntegrityError
 from cxrgen.metrics import Corpus, EmbeddingTable, bleu, embedding_f1, paired_t_test
 from cxrgen.model import ModelConfig, generate, init_parameters
-from cxrgen.text import (Rejected, build_vocabulary, clean_report,
-                         decode_ids, default_standardization_map,
+from cxrgen.text import (DEFAULT_MIN_RAW_WORDS, Rejected, StandardizationMap,
+                         build_vocabulary, clean_report, decode_ids,
                          load_reject_patterns, load_stopwords)
 from cxrgen.training import TrainConfig, batch_loss, encode_examples, fit
 
@@ -253,12 +253,12 @@ def test_criterion_08_preprocessing_conformance():
         reports = payload["reports"]
         assert len(reports) == 25
         stopwords = load_stopwords()
-        std_map = default_standardization_map()
+        std_map = StandardizationMap.from_file()
         patterns = load_reject_patterns()
         reject_reasons = []
         for entry in reports:
             outcome = clean_report(entry["id"], entry["text"],
-                                   stopwords, std_map, patterns)
+                                   stopwords, std_map, patterns, DEFAULT_MIN_RAW_WORDS)
             if "reject" in entry:
                 assert isinstance(outcome, Rejected), entry["id"]
                 assert outcome.reason == entry["reject"], entry["id"]

@@ -24,10 +24,11 @@ import cxrgen.files
 import cxrgen.metrics
 import cxrgen.model
 import cxrgen.text
+import cxrgen.training
 from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
 from cxrgen.metrics import EvaluationReport
-from cxrgen.model import MAX_LEN, init_parameters
+from cxrgen.model import MAX_DECODER_BLOCKS, MAX_D_MODEL, MAX_LEN, init_parameters
 from cxrgen.text import END_ID, UNK_ID
 
 TINY_TRAIN = ["--d-model", "16", "--n-heads", "2", "--epochs", "1"]
@@ -921,7 +922,7 @@ class TestOutputsKeepOtherRecords:
         out = tmp_path / "out"
         out.write_bytes(b"not a directory\n")
         calls = []
-        read_lines, synthesize = cxrgen.files.read_lines, cxrgen.cli.synthesize_corpus
+        read_lines, synthesize = cxrgen.files.read_lines, cxrgen.cli.synthesize_records
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -932,8 +933,8 @@ class TestOutputsKeepOtherRecords:
         for module in (cxrgen.files, cxrgen.cli, cxrgen.data, cxrgen.metrics, cxrgen.text):
             assert module.read_lines is read_lines
             monkeypatch.setattr(module, "read_lines", counted("read_lines", read_lines))
-        monkeypatch.setattr(cxrgen.cli, "synthesize_corpus",
-                            counted("synthesize_corpus", synthesize))
+        monkeypatch.setattr(cxrgen.cli, "synthesize_records",
+                            counted("synthesize_records", synthesize))
         code, err = _run(self._argv(command, pipeline, out))
         assert code == 2 and "Traceback" not in err
         assert "not a directory" in err
@@ -979,8 +980,8 @@ class TestCheckpointConfig:
     def test_block_count_is_checked_before_any_shape_is_built(self, pipeline, tmp_path,
                                                               monkeypatch):
         """10**19 decoder blocks would make ``parameter_shapes`` fill memory:
-        the loader compares the tensor count the config implies with the
-        manifest's list first, and never calls it."""
+        the config refuses a block count over ``MAX_DECODER_BLOCKS`` before
+        the loader builds any name."""
         calls = []
 
         def parameter_shapes(cfg):
@@ -989,7 +990,8 @@ class TestCheckpointConfig:
 
         monkeypatch.setattr(cxrgen.checkpoint, "parameter_shapes", parameter_shapes)
         code, err = self._generate(pipeline, tmp_path, "n_decoder_blocks", 10 ** 19)
-        assert code == 3 and "tensors" in err and "Traceback" not in err
+        assert code == 3 and "Traceback" not in err
+        assert f"n_decoder_blocks must be in [1, {MAX_DECODER_BLOCKS}]" in err
         assert calls == []
         assert not (tmp_path / "gen").exists()
 
@@ -1015,6 +1017,35 @@ class TestCheckpointConfig:
         code, err = _run(["train", "--data", str(pipeline["prep"]), "--out",
                           str(tmp_path / "run"), f"--max-len={MAX_LEN + 1}", *TINY_TRAIN])
         assert code == 2 and f"max_len must be in [3, {MAX_LEN}]" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("option, cap", [
+        ("--n-decoder-blocks=100000000", f"n_decoder_blocks must be in [1, {MAX_DECODER_BLOCKS}]"),
+        ("--d-model=1000000000000", f"d_model must be in [1, {MAX_D_MODEL}]"),
+        ("--d-model=10000000000000000000", f"d_model must be in [1, {MAX_D_MODEL}]")])
+    def test_train_size_over_the_cap_exits_2(self, pipeline, tmp_path, option, cap):
+        """Making these models' parameters would raise ``MemoryError`` or
+        numpy's refusal of a dimension over its maximum: the config refuses
+        them first."""
+        code, err = _run(["train", "--data", str(pipeline["prep"]), "--out",
+                          str(tmp_path / "run"), *TINY_TRAIN, option])
+        assert code == 2 and cap in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("module, name", [(cxrgen.cli, "init_parameters"),
+                                              (cxrgen.training, "Adam")])
+    def test_model_too_large_for_memory_exits_2(self, pipeline, tmp_path, monkeypatch,
+                                                module, name):
+        """A model within the caps can still be too large for the host: the
+        parameters or the optimizer's buffers fail to allocate."""
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 96.0 GiB for an array")
+
+        monkeypatch.setattr(module, name, allocate)
+        code, err = _run(["train", "--data", str(pipeline["prep"]), "--out",
+                          str(tmp_path / "run"), *TINY_TRAIN])
+        assert code == 2 and "error: Unable to allocate 96.0 GiB" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
 

@@ -11,11 +11,11 @@ import pytest
 import cxrgen.data
 from cxrgen.data import (STRATA, DataPoint, SplitManifest, build_datapoints,
                          default_corpus_spec, load_prepared_dataset, load_raw_records,
-                         sample_subsets, split, synthesize_corpus, write_dataset,
-                         write_prepared_dataset)
+                         sample_subsets, split, synthesize_corpus, synthesize_records,
+                         write_dataset, write_prepared_dataset)
 from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_categories
 from cxrgen.errors import ConfigError, ContractError, IntegrityError, SizingError
-from cxrgen.text import (CleanReport, END_TOKEN, START_TOKEN, default_standardization_map,
+from cxrgen.text import (CleanReport, END_TOKEN, START_TOKEN, StandardizationMap,
                          load_reject_patterns, load_stopwords)
 
 from oracles import mixed_cleaning_records, per_record_build_datapoints, stub_feature_extractor
@@ -165,8 +165,8 @@ class TestSynthesizeCorpus:
     def test_deterministic_serialization(self, tmp_path):
         spec = default_corpus_spec(n_per_stratum=4)
         for name in ("a", "b"):
-            points = synthesize_corpus(spec, seed=7)
-            write_dataset(points, tmp_path / name / "dataset.jsonl")
+            records = synthesize_records(spec, seed=7)
+            write_dataset(records, tmp_path / name / "dataset.jsonl")
         assert ((tmp_path / "a" / "dataset.jsonl").read_bytes()
                 == (tmp_path / "b" / "dataset.jsonl").read_bytes())
 
@@ -216,28 +216,30 @@ class TestSynthesizeCorpus:
 
 class TestSerialization:
     def test_inline_round_trip(self, tmp_path):
-        points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)
+        spec = default_corpus_spec(n_per_stratum=2)
+        written = synthesize_records(spec, seed=5)
         path = tmp_path / "dataset.jsonl"
-        write_dataset(points, path)
+        write_dataset(written, path)
         records = load_raw_records(path, None)
-        assert [r.id for r in records] == [p.id for p in points]
-        for record, point in zip(records, points):
-            np.testing.assert_array_equal(record.features, point.features)
-            assert record.text == point.raw_text
+        assert [r.id for r in records] == [p.id for p in synthesize_corpus(spec, seed=5)]
+        for record, original in zip(records, written, strict=True):
+            np.testing.assert_array_equal(record.features, original.features)
+            assert record.text == original.text
+            assert record.demographics == original.demographics
 
     def test_build_datapoints_rejects_and_keeps(self, tmp_path):
-        points = synthesize_corpus(default_corpus_spec(n_per_stratum=2), seed=5)
+        written = synthesize_records(default_corpus_spec(n_per_stratum=2), seed=5)
         path = tmp_path / "dataset.jsonl"
-        write_dataset(points, path)
+        write_dataset(written, path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({
                 "id": "short", "report": "Normal chest.", "gender": "male",
                 "age": 50, "ethnicity": "group_a",
-                "features": [0.0] * points[0].features.size,
+                "features": [0.0] * written[0].features.size,
             }) + "\n")
         records = load_raw_records(path, None)
         kept, rejects = build_datapoints(records)
-        assert len(kept) == len(points)
+        assert len(kept) == len(written)
         assert len(rejects) == 1 and rejects[0].reason == "too_short"
 
     def test_malformed_record_is_integrity_error(self, tmp_path):
@@ -248,9 +250,9 @@ class TestSerialization:
 
     def test_feature_dim_mismatch_is_integrity_error(self, tmp_path):
         """The odd record out is the one named, against the first record's line."""
-        points = synthesize_corpus(default_corpus_spec(n_per_stratum=1), seed=0)
+        records = synthesize_records(default_corpus_spec(n_per_stratum=1), seed=0)
         path = tmp_path / "dataset.jsonl"
-        write_dataset(points, path)
+        write_dataset(records, path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[2])
         record["features"].pop()
@@ -283,7 +285,7 @@ def test_stub_feature_extractor_deterministic():
 
 
 def per_record_reference(records):
-    return per_record_build_datapoints(records, load_stopwords(), default_standardization_map(),
+    return per_record_build_datapoints(records, load_stopwords(), StandardizationMap.from_file(),
                                        load_reject_patterns())
 
 

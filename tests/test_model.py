@@ -8,9 +8,9 @@ import pytest
 
 from cxrgen import model, tensor as T
 from cxrgen.errors import ConfigError, ContractError, ShapeError
-from cxrgen.model import (DecodeCache, ModelConfig, check_parameters, decoder_forward,
-                          encode_inputs, generate, init_parameters, join_heads,
-                          parameter_shapes, tensor_count)
+from cxrgen.model import (MAX_D_MODEL, MAX_DECODER_BLOCKS, DecodeCache, ModelConfig,
+                          check_parameters, decoder_forward, encode_inputs, generate,
+                          init_parameters, join_heads, parameter_shapes)
 from cxrgen.tensor import Tensor
 from cxrgen.text import END_ID, PAD_ID, START_ID
 from cxrgen.training import EncodedExample, batch_loss
@@ -135,6 +135,14 @@ class TestParameters:
             ModelConfig(d_model=32, d_embed=64, n_heads=4)
         with pytest.raises(ConfigError):
             ModelConfig(dropout_rate=1.0)
+        with pytest.raises(ConfigError,
+                           match=rf"n_decoder_blocks must be in \[1, {MAX_DECODER_BLOCKS}\]"):
+            ModelConfig(n_decoder_blocks=MAX_DECODER_BLOCKS + 1)
+        wide = MAX_D_MODEL + ModelConfig().n_heads
+        with pytest.raises(ConfigError, match=rf"d_model must be in \[1, {MAX_D_MODEL}\]"):
+            ModelConfig(d_model=wide, d_embed=wide)
+        # the caps themselves are allowed
+        ModelConfig(d_model=MAX_D_MODEL, d_embed=MAX_D_MODEL, n_decoder_blocks=MAX_DECODER_BLOCKS)
 
     @pytest.mark.parametrize("field, value", [
         ("d_model", 512.0), ("n_heads", True), ("max_len", float("nan")),
@@ -146,12 +154,6 @@ class TestParameters:
         an int or float that is not a bool."""
         with pytest.raises(ConfigError, match=field):
             replace(ModelConfig(), **{field: value})
-
-    @pytest.mark.parametrize("cfg", [TINY, TINY_IMAGE, replace(TINY, n_decoder_blocks=3),
-                                     ModelConfig()], ids=["tiny", "image-only", "3-blocks",
-                                                          "paper"])
-    def test_tensor_count_is_the_number_of_shapes(self, cfg):
-        assert tensor_count(cfg) == len(parameter_shapes(cfg))
 
 
 class TestVisualUnit:
@@ -548,7 +550,7 @@ class TestDecodeCache:
             step = cache.step(ids[:, t])
             assert step.shape == (3, cfg.vocab_size)
             assert self._relative_error(step, reference[:, t]) <= 1e-5, t
-            assert cache.padded == (t >= 5)
+            assert (cache.mask is not None) == (t >= 5)
         assert cache.length == ids.shape[1]
 
     def test_batched_cache_matches_full_forward(self):
@@ -609,7 +611,7 @@ class TestDecodeCache:
         with pytest.raises(ContractError, match="pad id"):
             cache.step(np.array([START_ID, PAD_ID]))
         assert cache.length == 0
-        assert not cache.padded
+        assert cache.mask is None
 
     def test_generate_records_nothing_while_recording_is_on(self):
         params, features, demo = self._inputs(TINY, seed=0)

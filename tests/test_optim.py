@@ -82,7 +82,7 @@ def test_zero_grad_clears_all():
     a, b = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
     a.grad = np.ones(1, dtype=np.float32)
     b.grad = np.ones(1, dtype=np.float32)
-    Adam({"a": a, "b": b}).zero_grad()
+    Adam({"a": a, "b": b}, lr=3e-4).zero_grad()
     assert a.grad is None and b.grad is None
 
 
@@ -211,7 +211,7 @@ def test_mixed_dtypes_rejected():
     with T.default_dtype(np.float64):
         wide = Tensor([1.0], requires_grad=True)
     with pytest.raises(ContractError, match="one dtype"):
-        Adam({"a": Tensor([1.0], requires_grad=True), "b": wide})
+        Adam({"a": Tensor([1.0], requires_grad=True), "b": wide}, lr=3e-4)
 
 
 def _square_linear_twice(p, x):

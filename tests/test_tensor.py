@@ -621,7 +621,7 @@ class TestBackward:
         into their slots and the second adds fresh arrays onto them."""
         loss, leaves = getattr(self, build)()
         if adopted:
-            Adam({str(i): leaf for i, leaf in enumerate(leaves)}).zero_grad()
+            Adam({str(i): leaf for i, leaf in enumerate(leaves)}, lr=3e-4).zero_grad()
         slots = [leaf.grad_slot for leaf in leaves]
         T.backward(loss)
         if adopted:

@@ -40,7 +40,7 @@ raw_texts = st.lists(st.one_of(st.sampled_from(WORD_POOL), st.text(ALPHABET, max
 
 
 def clean(text_value, stopwords=frozenset(), std_map=EMPTY_MAP, patterns=(), rid="r1"):
-    return clean_report(rid, text_value, stopwords, std_map, patterns)
+    return clean_report(rid, text_value, stopwords, std_map, patterns, text.DEFAULT_MIN_RAW_WORDS)
 
 
 class TestCleanReport:
@@ -134,7 +134,7 @@ class TestCleanReport:
     def test_default_resources_load(self):
         stop = load_stopwords()
         assert {"is", "no", "or", "the"} <= stop
-        std = text.default_standardization_map()
+        std = StandardizationMap.from_file()
         assert std.apply(["cardiac", "silhouette"]) == ["heart"]
         assert len(load_reject_patterns()) > 0
 
@@ -190,13 +190,13 @@ class TestCleanReport:
         first = clean(" ".join(words))
         assert isinstance(first, CleanReport)
         if len(first.interior) >= 9:
-            second = clean(first.text())
+            second = clean(" ".join(first.interior))
             assert second.tokens == first.tokens
 
     def test_determinism(self):
         source = "lungs remain clear and heart size is normal without effusion or pneumothorax"
-        a = clean(source, stopwords=load_stopwords(), std_map=text.default_standardization_map())
-        b = clean(source, stopwords=load_stopwords(), std_map=text.default_standardization_map())
+        a = clean(source, stopwords=load_stopwords(), std_map=StandardizationMap.from_file())
+        b = clean(source, stopwords=load_stopwords(), std_map=StandardizationMap.from_file())
         assert a.tokens == b.tokens
 
 

@@ -101,7 +101,7 @@ class TestLoss:
             ids = np.concatenate([[1], rng.integers(4, vocab_size, size=9), [2]])
             examples.append(EncodedExample(f"e{i}", rng.normal(size=8),
                                            np.eye(4)[i % 4], ids))
-        loss = evaluate_loss(examples, params, cfg)
+        loss = evaluate_loss(examples, params, cfg, batch_size=64)
         assert abs(loss - math.log(vocab_size)) / math.log(vocab_size) < 0.05
 
     def test_repeated_example_equals_single(self):
@@ -260,7 +260,7 @@ class TestBatchedLoss:
         _, _, _, cfg, examples = tiny_setup(dropout=0.5)
         params = init_parameters(cfg, seed=0)
         with pytest.raises(ContractError, match="needs an rng"):
-            train_step(examples[:2], params, Adam(params), cfg)
+            train_step(examples[:2], params, Adam(params, lr=3e-4), cfg)
         plain, _ = batch_loss(examples[:2], params, cfg)
         dropped, _ = batch_loss(examples[:2], params, cfg, rng=np.random.default_rng(0))
         assert dropped.item() != plain.item()
@@ -312,7 +312,7 @@ class TestValidationOnArrays:
         params = init_parameters(DESK, seed=0)
         what = "target" if position == 10 else "embedding"
         with pytest.raises(ContractError, match=f"{what} id out of range"):
-            evaluate_loss(examples, params, DESK)
+            evaluate_loss(examples, params, DESK, batch_size=64)
 
     @pytest.mark.parametrize("cfg", [DESK, replace(DESK, dropout_rate=0.1)],
                              ids=["desk", "desk-dropout-0.1"])
@@ -394,11 +394,11 @@ class TestTrainStep:
         failures = 0
         for seed in range(20):
             params = init_parameters(cfg, seed=seed)
-            before = evaluate_loss(batch, params, cfg)
+            before = evaluate_loss(batch, params, cfg, batch_size=64)
             optimizer = Adam(params, lr=1e-3)
             for _ in range(2):
                 train_step(batch, params, optimizer, cfg)
-            after = evaluate_loss(batch, params, cfg)
+            after = evaluate_loss(batch, params, cfg, batch_size=64)
             if after >= before:
                 failures += 1
         assert failures <= 1
@@ -407,14 +407,14 @@ class TestTrainStep:
         _, _, _, cfg, _ = tiny_setup()
         params = init_parameters(cfg, seed=0)
         with pytest.raises(ContractError):
-            train_step([], params, Adam(params), cfg)
+            train_step([], params, Adam(params, lr=3e-4), cfg)
 
     def test_non_finite_loss_aborts_with_ids(self):
         _, _, _, cfg, examples = tiny_setup()
         params = init_parameters(cfg, seed=0)
         params["classifier.w"].data[0, 0] = np.nan
         with pytest.raises(TrainingError, match=examples[0].id):
-            train_step(examples[:1], params, Adam(params), cfg)
+            train_step(examples[:1], params, Adam(params, lr=3e-4), cfg)
 
     def test_grad_clip_bounds_global_norm(self):
         _, _, _, cfg, examples = tiny_setup()
@@ -617,8 +617,8 @@ class TestFit:
     def test_validation_is_pure(self):
         _, _, _, cfg, examples = tiny_setup(dropout=0.3)
         params = init_parameters(cfg, seed=0)
-        a = evaluate_loss(examples[:4], params, cfg)
-        b = evaluate_loss(examples[:4], params, cfg)
+        a = evaluate_loss(examples[:4], params, cfg, batch_size=64)
+        b = evaluate_loss(examples[:4], params, cfg, batch_size=64)
         assert a == b
 
     def test_best_checkpoint_is_minimum_validation(self):
@@ -694,11 +694,11 @@ class TestFit:
     def test_loss_drops_on_small_corpus(self):
         _, _, _, cfg, examples = tiny_setup(n_per_stratum=2)
         params = init_parameters(cfg, seed=0)
-        before = evaluate_loss(examples, params, cfg)
+        before = evaluate_loss(examples, params, cfg, batch_size=64)
         train_cfg = TrainConfig(batch_size=8, learning_rate=1e-2, epochs=20, seed=0,
                                 patience=None)
         fit(examples, examples, params, cfg, train_cfg)
-        after = evaluate_loss(examples, params, cfg)
+        after = evaluate_loss(examples, params, cfg, batch_size=64)
         assert after < before * 0.5
 
     def test_log_jsonl_round_trip(self, tmp_path):
