@@ -20,11 +20,9 @@ intact. A checkpoint being replaced is first renamed aside to
 process killed between the two renames leaves it there, to be renamed back
 by hand.
 
-Saving writes format version 4. Version 3, which also stored each tensor's
-shape, offset and size and the blob's name and size, loads through the same
-code, since those fields are not read. A manifest without
-``extra_sha256``, written before it was recorded, loads unchecked. The
-per-head layouts of versions 1 and 2 are an ``IntegrityError``.
+Saving writes format version 4, and loading reads only that version: a
+manifest of any other version, or one without ``extra_sha256``, is an
+``IntegrityError``.
 """
 
 from __future__ import annotations
@@ -97,10 +95,8 @@ def read_manifest(path, digest) -> dict:
         raise IntegrityError(f"no checkpoint manifest at {manifest_path}")
     manifest = read_json_object(manifest_path, IntegrityError, digest)
     version = manifest.get("format_version")
-    # True == 1 and 1.0 == 1 in Python, so check the type before the value;
-    # version 3 also lists each tensor's name and sha256 in the model's order,
-    # which is all the loader reads
-    if type(version) is not int or version not in (3, FORMAT_VERSION):
+    # True == 1 and 1.0 == 1 in Python, so check the type before the value
+    if type(version) is not int or version != FORMAT_VERSION:
         raise IntegrityError(
             f"unsupported checkpoint format version {version!r}"
         )
@@ -128,8 +124,7 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
     ``read_manifest`` returned it, adding the bytes of ``params.bin`` to the
     ``hashlib`` object ``digest`` unless it is None."""
     directory = Path(path)
-    if ("extra_sha256" in manifest
-            and manifest["extra_sha256"] != _extra_digest(manifest.get("extra", {}))):
+    if manifest.get("extra_sha256") != _extra_digest(manifest.get("extra", {})):
         raise IntegrityError("checksum mismatch for the checkpoint's extra payload")
     try:
         cfg = ModelConfig.from_dict(manifest["config"])

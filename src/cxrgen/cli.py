@@ -53,15 +53,17 @@ lowercase words, a ``train --max-len`` over ``model.MAX_LEN``, a
 ``MemoryError``), a checkpoint whose feature width differs from the
 prepared data's, a ``generate --split`` that holds no report and an
 ``--out`` whose record another command wrote), 3 data integrity failure (a
-file that is not UTF-8 is one, and so are a checkpoint of format 1 or 2,
-one whose tensor name list differs from its config's model, one whose blob
+file that is not UTF-8 is one, and so are a checkpoint of a format other
+than 4, one whose ``extra`` payload lacks its checksum or fails it, one
+whose tensor name list differs from its config's model, one whose blob
 is not the size that model's tensors take, one with a tensor whose bytes
 fail its checksum or hold a value that is not finite, one whose config
-holds a size that is not an int, a size over its cap in ``model`` or a
+holds a size that is not an int or lies outside ``model.SIZE_BOUNDS``, or a
 dropout rate that is not a number, a bad dataset record, a malformed split
-manifest (an id list that is not a list of strings included) or evaluation report,
-a repeated vocabulary token or one that is not one word under
-``str.split()``, a demographics manifest or checkpoint codec that lacks a
+manifest (a key other than the three id lists, or an id list that is not a
+list of strings, included) or evaluation report, a repeated vocabulary
+token or one that is not one word under ``str.split()`` (an empty line of
+``vocab.txt`` included), a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
 not fit its model), 4 numeric failure.
 """
@@ -303,14 +305,9 @@ def cmd_train(args) -> int:
         n_decoder_blocks=args.n_decoder_blocks,
         dropout_rate=args.dropout,
     )
-    train_cfg = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        seed=args.seed,
-        patience=args.patience,
-        grad_clip=args.grad_clip,
-    )
+    # each TrainConfig field is the dest of the option that sets it
+    train_cfg = TrainConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(TrainConfig)})
     params = init_parameters(cfg, seed=args.seed)
     train_examples = encode_examples(_split_points(points, manifest.train_ids),
                                      vocab, codec, cfg)

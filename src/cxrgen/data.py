@@ -18,8 +18,7 @@ File formats:
   and ``test_ids`` (cut 70:20:10, ``SPLIT_RATIOS``). ``prepare-data`` cuts
   subset ``i`` with seed ``seed + i``; the seed, the subset size and the
   dataset path are in its ``provenance.json``, so the manifest does not
-  repeat them. A manifest written with the ``subset_id``, ``seed`` and
-  ``params`` it once held still loads, and those keys are not read.
+  repeat them.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .text import (DEFAULT_MIN_RAW_WORDS, END_TOKEN, START_TOKEN, CleanReport, R
                    StandardizationMap, clean_report, load_reject_patterns, load_stopwords)
 
 SPLIT_RATIOS = (0.70, 0.20, 0.10)   # train, validation, test
-RETIRED_SPLIT_KEYS = ("subset_id", "seed", "params")   # written once, no longer read
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,11 @@ class SplitManifest:
     @classmethod
     def load(cls, path, digest) -> "SplitManifest":
         """Read a split manifest, adding its bytes to ``digest`` unless it is
-        None. Each id list must be a JSON list of strings; a retired key is
-        skipped, and any other key is an ``IntegrityError``."""
+        None. Each id list must be a JSON list of strings, and any other key
+        is an ``IntegrityError``."""
         payload = read_json_object(path, IntegrityError, digest)
         try:
-            manifest = cls(**{k: v for k, v in payload.items() if k not in RETIRED_SPLIT_KEYS})
+            manifest = cls(**payload)
             if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                        for ids in vars(manifest).values()):
                 raise ContractError("each id list must be a list of strings")

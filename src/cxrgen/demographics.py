@@ -128,10 +128,9 @@ class DemographicCodec:
     @classmethod
     def from_dict(cls, payload) -> "DemographicCodec":
         """The codec a ``to_dict`` payload or a ``demographics.json`` object
-        describes; without ``fields`` it uses all three. Other keys, such as
-        the ``"strict"`` flag that earlier checkpoints stored, are ignored. A
-        payload that is not an object, lacks a key or holds a bad value
-        raises ``ConfigError``."""
+        describes; without ``fields`` it uses all three, and other keys are
+        ignored. A payload that is not an object, lacks a key or holds a bad
+        value raises ``ConfigError``."""
         if not isinstance(payload, dict):
             raise ConfigError(f"a demographic codec is a JSON object, got {payload!r}")
         missing = [key for key in ("categories", "age_min", "age_max") if key not in payload]

@@ -138,7 +138,7 @@ class EmbeddingTable:
     may appear on one line only.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray], unknown_policy: str = "error"):
+    def __init__(self, vectors: dict[str, np.ndarray], unknown_policy: str):
         if unknown_policy not in ("error", "zero"):
             raise ConfigError(f"unknown policy {unknown_policy!r}; use 'error' or 'zero'")
         if not vectors:
@@ -177,7 +177,7 @@ class EmbeddingTable:
             raise ContractError(f"token {exc.args[0]!r} has no embedding") from None
 
     @classmethod
-    def from_file(cls, path, unknown_policy: str = "error") -> "EmbeddingTable":
+    def from_file(cls, path, unknown_policy: str) -> "EmbeddingTable":
         vectors = {}
         linenos = {}   # token -> the line that gave it
         first = None   # (line number, dimension) of the first entry

@@ -86,9 +86,10 @@ Baseline (image-only) models set ``demographic_dim`` to zero, which removes
 the semantic and fusion parameters entirely; the hybrid representation is
 then just the visual encoding.
 
-The sizes a user sets are bounded: ``MAX_LEN`` caps ``max_len``,
-``MAX_D_MODEL`` the model width and ``MAX_DECODER_BLOCKS`` the decoder
-blocks, and ``ConfigError`` names a size over its cap. So no config, from
+The sizes a user sets are bounded: ``SIZE_BOUNDS`` holds the least and
+greatest value of each, where ``MAX_LEN`` caps ``max_len``, ``MAX_D_MODEL``
+the model width and ``MAX_DECODER_BLOCKS`` the decoder blocks, and
+``ConfigError`` names a size outside its bounds. So no config, from
 the command line or a checkpoint, makes ``parameter_shapes`` build an
 unbounded name list, or ``init_parameters`` and ``DecodeCache`` ask numpy
 for an array past its largest dimension. A model within the caps can still
@@ -123,6 +124,15 @@ MAX_DECODER_BLOCKS = 64
 # 256 MB each in float32: a far wider one asks numpy for an array no host
 # can hold, or one over numpy's largest dimension.
 MAX_D_MODEL = 8192
+# The least and greatest value of each integer field of ModelConfig: the
+# vocabulary covers the four reserved ids and at least one word, a sequence
+# holds a start id, a word and an end id, and an image-only model takes no
+# demographic input.
+SIZE_BOUNDS = {"feature_dim": (1, math.inf), "d_model": (1, MAX_D_MODEL),
+               "d_embed": (1, math.inf), "n_heads": (1, math.inf),
+               "vocab_size": (5, math.inf), "max_len": (3, MAX_LEN),
+               "demographic_dim": (0, math.inf),
+               "n_decoder_blocks": (1, MAX_DECODER_BLOCKS)}
 
 
 @dataclass(frozen=True)
@@ -139,23 +149,13 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        positive = ("feature_dim", "d_model", "d_embed", "n_heads", "vocab_size",
-                    "max_len", "n_decoder_blocks")
         # a checkpoint's config comes from JSON: true, 16.0 and NaN are not sizes
-        for name in (*positive, "demographic_dim"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name, low, high in (("max_len", 3, MAX_LEN), ("d_model", 1, MAX_D_MODEL),
-                                ("n_decoder_blocks", 1, MAX_DECODER_BLOCKS)):
-            if not low <= getattr(self, name) <= high:
-                raise ConfigError(f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
+        for name, (low, high) in SIZE_BOUNDS.items():
+            value = getattr(self, name)
+            if type(value) is not int or not low <= value <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {value!r}")
         if not isinstance(self.dropout_rate, (int, float)) or isinstance(self.dropout_rate, bool):
             raise ConfigError(f"dropout_rate must be a number, got {self.dropout_rate!r}")
-        if self.demographic_dim < 0:
-            raise ConfigError("demographic_dim may not be negative")
         if self.d_model % self.n_heads:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
@@ -167,8 +167,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.vocab_size < 5:
-            raise ConfigError("vocab_size must cover the four reserved ids")
 
     @property
     def d_head(self) -> int:

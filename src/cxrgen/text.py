@@ -243,7 +243,7 @@ class Vocabulary:
         """Read a vocabulary file, adding its bytes to ``digest`` unless it is
         None; one that breaks a rule of the constructor raises
         ``IntegrityError`` naming the file."""
-        tokens = [line.rstrip("\n") for line in read_lines(path, digest) if line.rstrip("\n")]
+        tokens = [line.rstrip("\n") for line in read_lines(path, digest)]
         try:
             return cls(tokens)
         except ConfigError as exc:

@@ -239,7 +239,8 @@ def test_criterion_07_metric_identities():
         identical = Corpus.from_lists(sequences, sequences)
         assert bleu(identical) == [1.0, 1.0, 1.0, 1.0]
         tokens = sorted({t for seq in sequences for t in seq})
-        table = EmbeddingTable({t: np.eye(len(tokens))[i] for i, t in enumerate(tokens)})
+        table = EmbeddingTable({t: np.eye(len(tokens))[i] for i, t in enumerate(tokens)},
+                               unknown_policy="error")
         p, r, f1 = embedding_f1(identical, table)
         assert (p, r, f1) == (1.0, 1.0, 1.0)
         disjoint = Corpus.from_lists([["alpha", "beta", "gamma", "delta"]],

@@ -1,8 +1,8 @@
 """Checkpoint round trips are byte-exact; corruption, malformed manifests
 and an edited ``extra`` are detected and attributed; an interrupted save
-leaves the previous checkpoint loadable; format 3 loads through the same
-code as format 4; formats 1 and 2 are rejected, and the weights they hold still
-give the outputs recorded when they were written."""
+leaves the previous checkpoint loadable; every format but 4 is rejected,
+and the weights that formats 1 and 2 hold still give the outputs recorded
+when they were written."""
 
 import builtins
 import hashlib
@@ -277,41 +277,6 @@ def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypat
     assert os.path.realpath(tmp_path / "ckpt" / "params.bin") in opened
 
 
-@pytest.mark.parametrize("name, change", [
-    (None, None),
-    ("dec0.self_attn.wq", lambda entry: {"nbytes": entry["nbytes"] - 4}),
-    ("classifier.b", lambda entry: {"nbytes": entry["nbytes"] - 2}),
-    ("visual.feat_norm.gain", lambda entry: {"offset": -2 * entry["nbytes"]}),
-], ids=["on-layout", "short-nbytes", "nbytes-not-a-multiple-of-4", "negative-offset"])
-def test_format_3_loads_through_the_same_code(trained, tmp_path, name, change):
-    """A format-3 manifest also stored the blob's name and size and each
-    tensor's shape, offset and size. The loader reads none of them, so a
-    format-3 checkpoint, even one whose stored layout is off, loads the
-    same parameters and generates the same reports as the format-4 one."""
-    checkpoint = tmp_path / "v3"
-    shutil.copytree(trained["checkpoint"], checkpoint)
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    cfg = ModelConfig.from_dict(manifest["config"])
-    layout = _layout(cfg)
-    manifest.update(format_version=3, blob="params.bin",
-                    blob_nbytes=(checkpoint / "params.bin").stat().st_size)
-    for entry, (entry_name, shape) in zip(manifest["tensors"], parameter_shapes(cfg).items()):
-        offset, nbytes = layout[entry_name]
-        entry.update(shape=list(shape), offset=offset, nbytes=nbytes)
-        if entry_name == name:
-            entry.update(change(entry))
-    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
-    loaded, loaded_cfg = load_checkpoint(checkpoint)
-    saved, saved_cfg = load_checkpoint(trained["checkpoint"])
-    assert loaded_cfg == saved_cfg
-    assert {n: p.data.tobytes() for n, p in loaded.items()} \
-        == {n: p.data.tobytes() for n, p in saved.items()}
-    assert _generate(trained["checkpoint"], trained["prep"], tmp_path / "gen4") == 0
-    assert _generate(checkpoint, trained["prep"], tmp_path / "gen3") == 0
-    assert (tmp_path / "gen3" / "hyp.txt").read_bytes() \
-        == (tmp_path / "gen4" / "hyp.txt").read_bytes()
-
-
 def _flip_middle_byte(blob, manifest):
     victim = manifest["tensors"][len(manifest["tensors"]) // 2]["name"]
     offset, nbytes = _layout(ModelConfig.from_dict(manifest["config"]))[victim]
@@ -331,6 +296,18 @@ def _swap_first_names(manifest):
     first["name"], second["name"] = second["name"], first["name"]
 
 
+EXTRA_MISMATCH = "checksum mismatch for the checkpoint's extra payload"
+
+
+def _unchecked_extra(manifest, edit):
+    """Delete the checksum of the manifest's ``extra``, and edit the vocabulary
+    if ``edit``: swap two of its words."""
+    del manifest["extra_sha256"]
+    if edit:
+        vocab = manifest["extra"]["vocab"]
+        vocab[4], vocab[5] = vocab[5], vocab[4]
+
+
 @pytest.mark.parametrize("spoil, message", [
     (lambda blob, m: blob.__delitem__(slice(-10, None)), "bytes; its config's model takes"),
     (_flip_middle_byte, None),
@@ -338,8 +315,11 @@ def _swap_first_names(manifest):
     (lambda blob, m: m.update(tensors=m["tensors"][:-1]), "tensors; its config's model has"),
     (lambda blob, m: _swap_first_names(m), "does not match the model's parameter set"),
     (lambda blob, m: m["tensors"].__setitem__(0, [1]), "malformed tensor list"),
+    (lambda blob, m: m.update(format_version=3), "unsupported checkpoint format version 3"),
+    (lambda blob, m: _unchecked_extra(m, edit=False), EXTRA_MISMATCH),
+    (lambda blob, m: _unchecked_extra(m, edit=True), EXTRA_MISMATCH),
 ], ids=["truncated", "flipped-byte", "swapped-tensors", "one-tensor-short", "names-swapped",
-        "malformed-entry"])
+        "malformed-entry", "format-3", "no-extra-sha256", "no-extra-sha256-vocab-swapped"])
 def test_every_refusal_exits_3_through_generate(trained, tmp_path, capsys, spoil, message):
     """One change to a checkpoint that ``generate`` otherwise decodes is
     refused with exit 3 and its message, with no traceback and nothing
@@ -461,9 +441,9 @@ def _move_age_max(extra):
                          ids=["last-token-x", "age_max-moved"])
 def test_an_edited_extra_exits_3_through_generate(trained, tmp_path, capsys, edit):
     """The vocabulary and the codec live in ``extra``, outside every tensor's
-    checksum: without ``extra_sha256`` each edit here decodes with exit 0,
-    under a vocabulary or age scale the model was not trained with. With it,
-    the edit exits 3."""
+    checksum: were ``extra`` not checked, each edit here would decode with
+    exit 0, under a vocabulary or age scale the model was not trained with.
+    Checked against ``extra_sha256``, the edit exits 3."""
     checkpoint = tmp_path / "ckpt"
     shutil.copytree(trained["checkpoint"], checkpoint)
     manifest = json.loads((checkpoint / "manifest.json").read_text())
@@ -471,22 +451,8 @@ def test_an_edited_extra_exits_3_through_generate(trained, tmp_path, capsys, edi
     (checkpoint / "manifest.json").write_text(json.dumps(manifest))
     assert _generate(checkpoint, trained["prep"], tmp_path / "gen") == 3
     err = capsys.readouterr().err
-    assert "checksum mismatch for the checkpoint's extra payload" in err
+    assert EXTRA_MISMATCH in err
     assert "Traceback" not in err and not (tmp_path / "gen").exists()
-
-
-def test_format_4_without_extra_sha256_loads_and_generates_the_same(trained, tmp_path):
-    """A manifest written before ``extra_sha256`` was recorded loads
-    unchecked and decodes exactly as with it."""
-    checkpoint = tmp_path / "ckpt"
-    shutil.copytree(trained["checkpoint"], checkpoint)
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    del manifest["extra_sha256"]
-    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
-    assert _generate(trained["checkpoint"], trained["prep"], tmp_path / "gen-with") == 0
-    assert _generate(checkpoint, trained["prep"], tmp_path / "gen-without") == 0
-    assert (tmp_path / "gen-with" / "hyp.txt").read_bytes() \
-        == (tmp_path / "gen-without" / "hyp.txt").read_bytes()
 
 
 @pytest.mark.parametrize("change", [{"d_model": 16, "d_embed": 16}, {"feature_dim": 10 ** 15}],

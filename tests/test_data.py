@@ -128,12 +128,16 @@ class TestSplit:
         assert list(json.loads((tmp_path / "m.json").read_text())) == [
             "train_ids", "val_ids", "test_ids"]
 
-    def test_manifest_with_retired_keys_loads_the_same_split(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [("subset_id", 3), ("seed", 1),
+                                            ("params", {"source": "d.jsonl"})])
+    def test_manifest_with_a_key_beside_the_id_lists_is_rejected(self, tmp_path, key, value):
+        """The ``subset_id``, ``seed`` and ``params`` that manifests once held
+        are unknown keys like any other."""
         manifest = split([f"i{k}" for k in range(10)], seed=1)
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"subset_id": 3, **asdict(manifest),
-                                    "seed": 1, "params": {"source": "d.jsonl"}}))
-        assert SplitManifest.load(path, None) == manifest
+        path.write_text(json.dumps({**asdict(manifest), key: value}))
+        with pytest.raises(IntegrityError, match=f"not a split manifest.*'{key}'"):
+            SplitManifest.load(path, None)
 
     @pytest.mark.parametrize("ids", ["ab", {"a": 1}, {"i0": 0}, [1, 2], [["i0"]], None])
     def test_manifest_id_list_must_be_a_list_of_strings(self, tmp_path, ids):

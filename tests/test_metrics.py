@@ -264,7 +264,8 @@ class TestEmbeddingF1AgainstPerPairOracle:
 
     def test_memory_is_bounded_by_one_group(self, monkeypatch):
         """Tokens are looked up one group at a time, never for the whole corpus."""
-        table = EmbeddingTable({t: np.eye(len(KNOWN))[i] for i, t in enumerate(KNOWN)})
+        table = EmbeddingTable({t: np.eye(len(KNOWN))[i] for i, t in enumerate(KNOWN)},
+                               unknown_policy="error")
         c = corpus([["a", "b", "c"]] * (2 * F1_GROUP + 5), [["c", "d", "e"]] * (2 * F1_GROUP + 5))
         looked_up = []
         row_numbers = table.row_numbers
@@ -284,7 +285,8 @@ class TestEmptyHypotheses:
 
     @staticmethod
     def unit_table():
-        return EmbeddingTable({t: np.eye(4)[i] for i, t in enumerate("abcd")})
+        return EmbeddingTable({t: np.eye(4)[i] for i, t in enumerate("abcd")},
+                              unknown_policy="error")
 
     def test_bleu_of_mixed_corpora_equals_the_oracles(self):
         rng = np.random.default_rng(5)
@@ -327,7 +329,7 @@ class TestEmptyHypotheses:
 class TestEmbeddingF1:
     def unit_table(self, dim=4):
         vectors = {t: np.eye(dim)[i] for i, t in enumerate(["a", "b", "c", "d"])}
-        return EmbeddingTable(vectors)
+        return EmbeddingTable(vectors, unknown_policy="error")
 
     def test_identity_is_exactly_one(self):
         table = self.unit_table()
@@ -344,7 +346,8 @@ class TestEmbeddingF1:
     def test_f1_is_zero_unless_precision_and_recall_are_positive(self):
         """A negative recall from static embeddings must not push F1 out of
         [0, 1]: 2PR/(P+R) read -1.97 here."""
-        table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([-1.0, 0.1])})
+        table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([-1.0, 0.1])},
+                               unknown_policy="error")
         p, r, f1 = embedding_f1(corpus([["a"]], [["a", "b", "b", "b"]]), table)
         assert p == 1.0 and r < 0
         assert f1 == 0.0
@@ -355,7 +358,8 @@ class TestEmbeddingF1:
             "hot": [0.8, 0.6],
             "cold": [0.0, 1.0],
         }
-        table = EmbeddingTable({k: np.asarray(v) for k, v in vectors.items()})
+        table = EmbeddingTable({k: np.asarray(v) for k, v in vectors.items()},
+                               unknown_policy="error")
         hyp, ref = ["warm", "cold"], ["hot"]
         expected_p, expected_r = greedy_match_scores(hyp, ref, vectors)
         c = corpus([hyp], [ref])
@@ -368,7 +372,7 @@ class TestEmbeddingF1:
         rng = np.random.default_rng(42)
         tokens = ["a", "b", "c", "d", "e"]
         vectors = {t: rng.normal(size=3) for t in tokens}
-        table = EmbeddingTable({t: v.copy() for t, v in vectors.items()})
+        table = EmbeddingTable({t: v.copy() for t, v in vectors.items()}, unknown_policy="error")
         for _ in range(20):
             c = random_corpus(rng, n_pairs=3, vocab=tuple(tokens), max_len=6)
             p_terms, r_terms = [], []
@@ -392,7 +396,7 @@ class TestEmbeddingF1:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            EmbeddingTable({"a": np.ones(2), "b": np.ones(3)})
+            EmbeddingTable({"a": np.ones(2), "b": np.ones(3)}, unknown_policy="error")
 
     def test_unknown_token_policies(self):
         table = self.unit_table()
@@ -407,7 +411,7 @@ class TestEmbeddingF1:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.0\nb 0.0 1.0\n")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, unknown_policy="error")
         assert table.matrix.shape == (2, 2)
         np.testing.assert_array_equal(lookup(table, "a"), [1.0, 0.0])
 
@@ -417,14 +421,14 @@ class TestEmbeddingF1:
         vectors = {token: lookup(table, token) for token in table.rows}
         for vector in vectors.values():
             assert np.shares_memory(vector, table.matrix)
-        again = EmbeddingTable(vectors)
+        again = EmbeddingTable(vectors, unknown_policy="error")
         np.testing.assert_array_equal(again.matrix, table.matrix)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
                              ids=["nan", "inf", "-inf", "norm-overflows"])
     def test_non_finite_vector_rejected(self, bad):
         with pytest.raises(ConfigError, match="'b'"):
-            EmbeddingTable({"a": [1.0, 0.0], "b": [bad, 1.0]})
+            EmbeddingTable({"a": [1.0, 0.0], "b": [bad, 1.0]}, unknown_policy="error")
 
     @pytest.mark.parametrize("lines, lineno", [
         ("a 1.0 x\n", 1), ("a 1 0\nb nan 1\n", 2), ("a 1 0\nb 1 inf\n", 2),
@@ -435,19 +439,19 @@ class TestEmbeddingF1:
         path = tmp_path / "emb.txt"
         path.write_text(lines)
         with pytest.raises(ConfigError, match=f"emb.txt:{lineno}:"):
-            EmbeddingTable.from_file(path)
+            EmbeddingTable.from_file(path, unknown_policy="error")
 
     def test_repeated_token_names_both_lines(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1 0\nb 0 1\na 0 1\n")
         with pytest.raises(ConfigError, match="emb.txt:3: token 'a' repeats line 1"):
-            EmbeddingTable.from_file(path)
+            EmbeddingTable.from_file(path, unknown_policy="error")
 
     def test_file_that_is_not_utf8_is_integrity_error(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_bytes(b"\xff\xfea 1 0\n")
         with pytest.raises(IntegrityError, match="UTF-8"):
-            EmbeddingTable.from_file(path)
+            EmbeddingTable.from_file(path, unknown_policy="error")
 
 
 # the oracle's 1 - A cancels where p is tiny, good there to about 1e-15
@@ -545,7 +549,8 @@ class TestPairedTTest:
 class TestEvaluationReport:
     def test_round_trip_and_fixed_keys(self, tmp_path):
         c = corpus([["a", "b"]], [["a", "b"]])
-        table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])})
+        table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0])},
+                               unknown_policy="error")
         report = evaluate_corpus(c, table)
         assert report.bleu_1 == 1.0 and report.f1_embed == 1.0
         path = tmp_path / "report.json"
@@ -574,7 +579,7 @@ class TestEvaluationReport:
 
     def test_f1_is_harmonic_mean(self):
         table = EmbeddingTable({"a": np.asarray([1.0, 0.0]), "b": np.asarray([0.0, 1.0]),
-                                "c": np.asarray([1.0, 1.0])})
+                                "c": np.asarray([1.0, 1.0])}, unknown_policy="error")
         c = corpus([["a", "c"]], [["a", "b"]])
         report = evaluate_corpus(c, table)
         p, r = report.p_embed, report.r_embed

@@ -144,6 +144,17 @@ class TestParameters:
         # the caps themselves are allowed
         ModelConfig(d_model=MAX_D_MODEL, d_embed=MAX_D_MODEL, n_decoder_blocks=MAX_DECODER_BLOCKS)
 
+    @pytest.mark.parametrize("field, least", [
+        ("feature_dim", 1), ("n_heads", 1), ("vocab_size", 5), ("max_len", 3),
+        ("demographic_dim", 0), ("n_decoder_blocks", 1)])
+    def test_each_size_has_its_least_value(self, field, least):
+        """The vocabulary covers the four reserved ids and one word, a
+        sequence a start id, a word and an end id; an image-only model takes
+        no demographic input."""
+        replace(ModelConfig(), **{field: least})
+        with pytest.raises(ConfigError, match=rf"{field} must be in \[{least}, "):
+            replace(ModelConfig(), **{field: least - 1})
+
     @pytest.mark.parametrize("field, value", [
         ("d_model", 512.0), ("n_heads", True), ("max_len", float("nan")),
         ("demographic_dim", np.int64(7)), ("n_decoder_blocks", 1.5),
