@@ -4,25 +4,26 @@ evaluate, compare.
 Every artifact-producing command (``synth-data``, ``prepare-data``,
 ``train`` and ``generate``) writes its files into one ``--out`` directory,
 creating it and its missing parents, with a provenance record,
-``provenance.json``, holding the fully resolved options, seeds, and sha256
-checksums of its inputs, which is sufficient to reproduce the artifact bit
-for bit. Each checksum is taken of the bytes the command parsed, as it read
-them. No command replaces another's record: each first reads the
-``provenance.json`` in its ``--out``, if there is one, and refuses the
-directory when another command wrote it, before anything is written.
-Re-running a command into its own directory is allowed. A ``provenance.json``
-that cannot be read, and an ``--out`` that exists and is not a directory,
-exit 2 before any input is read or anything written. ``generate --out gen``
-writes ``gen/hyp.txt``, the hypotheses, and ``gen/ref.txt``, the
-references, one report per line, for ``evaluate``; generating into ``gen``
-inside a training run's directory keeps the run's record.
-``prepare-data`` adds a ``cleaning`` block: for each of ``--stopwords``,
-``--std-map`` and ``--reject-patterns``, the path given, or ``"shipped"``,
-and the sha256 of the bytes parsed. ``generate`` adds a ``generation``
-block: reports, tokens emitted, mean length, end-marker hit rate, reports
-cut at ``max_len``, ``<unk>`` ids emitted, and empty reports (the end
-marker emitted first), which are written as empty lines and scored by
-``evaluate``.
+``provenance.json``. It holds the command; ``options``, every option as
+parsed, seed included, except ``--config`` (the values it gave are recorded
+as parsed) and ``--out``; and the sha256 checksums of its inputs: enough to
+reproduce the artifact bit for bit. Each checksum is taken of the bytes the
+command parsed, as it read them. No command replaces another's record: each
+first reads the ``provenance.json`` in its ``--out``, if there is one, and
+refuses the directory when another command wrote it, before anything is
+written. Re-running a command into its own directory is allowed. A
+``provenance.json`` that cannot be read, and an ``--out`` that exists and
+is not a directory, exit 2 before any input is read or anything written.
+``generate --out gen`` writes ``gen/hyp.txt``, the hypotheses, and
+``gen/ref.txt``, the references, one report per line, for ``evaluate``;
+generating into ``gen`` inside a training run's directory keeps the run's
+record. ``prepare-data`` adds a ``cleaning`` block: for each of
+``--stopwords``, ``--std-map`` and ``--reject-patterns``, the sha256 of the
+bytes parsed; the option's path is in ``options``, null for the shipped
+file. ``generate`` adds a ``generation`` block: reports, tokens emitted,
+mean length, end-marker hit rate, reports cut at ``max_len``, ``<unk>`` ids
+emitted, and empty reports (the end marker emitted first), which are
+written as empty lines and scored by ``evaluate``.
 
 Options may come from a JSON config file (``--config``), required ones
 included. Its values are parsed like flags, so a value of the wrong type or
@@ -41,7 +42,9 @@ with the vocabulary. ``generate`` takes both from the checkpoint's
 ``manifest.json``, which its provenance records with ``params.bin``, and
 reads only ``cleaned.jsonl`` and the split manifest from ``--data``.
 ``evaluate --out`` and ``compare --out`` name a JSON file, whose missing
-parent directories are created.
+parent directories are created. A metric whose paired differences are all
+equal has no t statistic: ``compare`` records its ``t``, ``p`` and
+``significant`` as null, prints them as ``n/a`` and goes on.
 
 Exit codes: 0 success, 2 usage or configuration error (any ``OSError`` on a
 path is one, and so are a malformed ``--config`` file, one with a ``config``
@@ -87,7 +90,7 @@ from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw
                    write_prepared_dataset, SplitManifest)
 from .demographics import DemographicCodec, select_top_categories
 from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
-                     IntegrityError, SizingError, TrainingError)
+                     IntegrityError, TrainingError)
 from .files import read_json_object, read_lines, write_json, write_json_lines, write_lines
 from .metrics import (DEFAULT_ALPHA, Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus,
                       paired_t_test)
@@ -101,26 +104,28 @@ INTEGRITY_EXIT = 3
 NUMERIC_EXIT = 4
 
 
-def _write_provenance(path, command: str, options: dict, inputs=None, **sections) -> None:
-    """Write the provenance record to ``path``. ``inputs`` maps each input
-    path to the ``hashlib`` object that took in the bytes the command parsed
-    from it."""
-    payload = {
-        "command": command,
+def _write_provenance(args, inputs: dict, **sections) -> None:
+    """Write ``provenance.json`` into ``args.out``: the command, every option
+    in ``args`` but ``--config`` and ``--out``, and ``inputs``, which maps
+    each input path to the ``hashlib`` object that took in the bytes the
+    command parsed from it."""
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "config", "out", "func")}
+    write_json(Path(args.out) / "provenance.json", {
+        "command": args.command,
         "options": options,
-        "inputs": {str(p): digest.hexdigest() for p, digest in (inputs or {}).items()},
+        "inputs": {str(p): digest.hexdigest() for p, digest in inputs.items()},
         **sections,
-    }
-    write_json(path, payload, sort_keys=True)
+    }, sort_keys=True)
 
 
-def _claim_out_dir(out, command: str) -> None:
+def _claim_out_dir(args) -> None:
     """Refuse an ``--out`` that exists and is not a directory, and a
     directory whose ``provenance.json`` another command wrote: writing there
-    would replace the record of how its files were made. Re-running
-    ``command`` into its own directory is allowed. A command claims its
+    would replace the record of how its files were made. Re-running a
+    command into its own directory is allowed. A command claims its
     ``--out`` before it reads any input."""
-    out = Path(out)
+    out, command = Path(args.out), args.command
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
     path = out / "provenance.json"
@@ -164,15 +169,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 def _cleaning_inputs(args):
     """The stop words, standardization map and reject patterns that ``args``
-    name, and for each option its path, or "shipped", and the sha256 of the
-    bytes parsed."""
+    name, and for each option the sha256 of the bytes parsed."""
     digests = {option: hashlib.sha256() for option in ("stopwords", "std_map", "reject_patterns")}
     loaded = (load_stopwords(args.stopwords, digests["stopwords"]),
               StandardizationMap.from_file(args.std_map, digests["std_map"]),
               load_reject_patterns(args.reject_patterns, digests["reject_patterns"]))
-    record = {option: {"path": getattr(args, option) or "shipped", "sha256": digest.hexdigest()}
-              for option, digest in digests.items()}
-    return loaded, record
+    return loaded, {option: digest.hexdigest() for option, digest in digests.items()}
 
 
 def _parse_fields(raw: str) -> tuple[str, ...]:
@@ -187,21 +189,18 @@ def _parse_fields(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_synth_data(args) -> int:
-    _claim_out_dir(args.out, "synth-data")
-    spec = CorpusSpec(n_per_stratum=args.n_per_stratum, feature_dim=args.feature_dim)
-    records = synthesize_records(spec, args.seed)
+    _claim_out_dir(args)
+    records = synthesize_records(
+        CorpusSpec(n_per_stratum=args.n_per_stratum, feature_dim=args.feature_dim), args.seed)
     out = Path(args.out)
     write_dataset(records, out / "dataset.jsonl")
-    _write_provenance(out / "provenance.json", "synth-data", {
-        "seed": args.seed,
-        "spec": dataclasses.asdict(spec),
-    })
+    _write_provenance(args, {})
     print(f"wrote {len(records)} synthetic records to {out / 'dataset.jsonl'}")
     return 0
 
 
 def cmd_prepare_data(args) -> int:
-    _claim_out_dir(args.out, "prepare-data")
+    _claim_out_dir(args)
     if args.age_min >= args.age_max:
         raise ConfigError(f"--age-min {args.age_min} must be below --age-max {args.age_max}")
     data_path = Path(args.data)
@@ -232,16 +231,7 @@ def cmd_prepare_data(args) -> int:
 
     for i, ids in enumerate(subsets):
         split(ids, seed=args.seed + i).save(out / "splits" / f"subset_{i}.json")
-    _write_provenance(out / "provenance.json", "prepare-data", {
-        "seed": args.seed,
-        "vocab_cap": args.vocab_cap,
-        "subsets": args.subsets,
-        "subset_size": subset_size,
-        "top_ethnicities": args.top_ethnicities,
-        "min_raw_words": args.min_raw_words,
-        "age_min": args.age_min,
-        "age_max": args.age_max,
-    }, inputs={data_path: data_sha256}, cleaning=cleaning)
+    _write_provenance(args, {data_path: data_sha256}, cleaning=cleaning)
     print(f"kept {len(points)} reports ({len(rejects)} rejected), "
           f"vocabulary size {len(vocab)}, {args.subsets} subset(s) of {subset_size}")
     return 0
@@ -283,7 +273,7 @@ def _split_points(points, ids) -> list:
 
 
 def cmd_train(args) -> int:
-    _claim_out_dir(args.out, "train")
+    _claim_out_dir(args)
     points_path, vocab_path, demo_path = (
         Path(args.data) / name for name in ("cleaned.jsonl", "vocab.txt", "demographics.json"))
     inputs = {path: hashlib.sha256() for path in (points_path, vocab_path, demo_path)}
@@ -319,13 +309,7 @@ def cmd_train(args) -> int:
         "codec": codec.to_dict() if cfg.uses_demographics else None,
         "vocab": vocab.tokens,
     })
-    _write_provenance(out / "provenance.json", "train", {
-        "data": str(args.data),
-        "subset": args.subset,
-        "demographics": list(codec.fields),
-        "model": cfg.to_dict(),
-        "training": dataclasses.asdict(train_cfg),
-    }, inputs=inputs)
+    _write_provenance(args, inputs)
     best = log.records[log.best_epoch]
     print(f"trained {len(log.records)} epoch(s); best val loss "
           f"{best.val_loss:.4f} at epoch {best.epoch}; checkpoint at {out / 'best'}")
@@ -367,7 +351,7 @@ def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
 
 
 def cmd_generate(args) -> int:
-    _claim_out_dir(args.out, "generate")
+    _claim_out_dir(args)
     manifest_path, blob_path = (Path(args.checkpoint) / name
                                 for name in (MANIFEST_NAME, BLOB_NAME))
     points_path = Path(args.data) / "cleaned.jsonl"
@@ -399,15 +383,8 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     write_lines(out / "hyp.txt", hyp_lines)
     write_lines(out / "ref.txt", ref_lines)
-    _write_provenance(out / "provenance.json", "generate", {
-        "checkpoint": str(args.checkpoint),
-        "data": str(args.data),
-        "subset": args.subset,
-        "split": args.split,
-        "temperature": args.temperature,
-        "seed": args.seed,
-    }, inputs=inputs, generation={**_generation_stats(generated, cfg.max_len),
-                    "empty_reports": hyp_lines.count("")})
+    _write_provenance(args, inputs, generation={**_generation_stats(generated, cfg.max_len),
+                                                "empty_reports": hyp_lines.count("")})
     print(f"generated {len(hyp_lines)} reports to {out / 'hyp.txt'}")
     return 0
 
@@ -457,17 +434,17 @@ def cmd_compare(args) -> int:
     for name in metric_names:
         a_scores = [getattr(r, name) for r in reports_a]
         b_scores = [getattr(r, name) for r in reports_b]
-        result = paired_t_test(a_scores, b_scores, alpha=args.alpha)
-        rows.append({
-            "metric": name,
-            "mean_a": float(np.mean(a_scores)),
-            "mean_b": float(np.mean(b_scores)),
-            "t": result.t,
-            "p": result.p,
-            "significant": result.significant,
-        })
+        try:
+            result = paired_t_test(a_scores, b_scores, alpha=args.alpha)
+            test = dataclasses.asdict(result)
+            shown = (f"{result.t:.4f}", f"{result.p:.6f}", result.significant)
+        except DegenerateInputError:   # every paired difference equal: this metric has no t
+            test = dict.fromkeys(("t", "p", "significant"))
+            shown = ("n/a",) * 3
+        rows.append({"metric": name, "mean_a": float(np.mean(a_scores)),
+                     "mean_b": float(np.mean(b_scores)), **test})
         print(f"{name:<10} {np.mean(a_scores):>10.4f} {np.mean(b_scores):>10.4f} "
-              f"{result.t:>10.4f} {result.p:>12.6f} {result.significant}")
+              f"{shown[0]:>10} {shown[1]:>12} {shown[2]}")
     if args.out:
         write_json(args.out, {"alpha": args.alpha, "metrics": rows})
     return 0
@@ -588,13 +565,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
         return exc.code
     # OSError: a path that cannot be opened; MemoryError: a model too large for the host
-    except (ConfigError, SizingError, OSError, MemoryError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except IntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTEGRITY_EXIT
-    except (ContractError, TrainingError, DegenerateInputError) as exc:
+    except (ContractError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except CxrgenError as exc:

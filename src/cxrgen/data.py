@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .demographics import DemographicRecord
-from .errors import ConfigError, ContractError, IntegrityError, SizingError
+from .errors import ConfigError, ContractError, IntegrityError
 from .files import read_json_object, read_lines, write_json, write_json_lines
 from .text import (DEFAULT_MIN_RAW_WORDS, END_TOKEN, START_TOKEN, CleanReport, Rejected,
                    StandardizationMap, clean_report, load_reject_patterns, load_stopwords)
@@ -106,7 +106,7 @@ def sample_subsets(pool, k_subsets: int, subset_size: int, seed: int) -> list[li
                           "both counts must be positive")
     need = k_subsets * subset_size
     if need > len(pool):
-        raise SizingError(
+        raise ConfigError(
             f"requested {k_subsets} x {subset_size} = {need} examples "
             f"from a pool of {len(pool)}"
         )

@@ -29,9 +29,5 @@ class DegenerateInputError(CxrgenError, ValueError):
     """Input is formally valid but statistically degenerate (e.g. zero variance)."""
 
 
-class SizingError(CxrgenError, ValueError):
-    """A sampling request asks for more data than the pool provides."""
-
-
 class TrainingError(CxrgenError, RuntimeError):
     """Training produced a non-finite loss or otherwise diverged."""

@@ -27,8 +27,11 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
 * ``prepare:<file>`` -- the bytes of each file that ``cxrgen synth-data``
   then ``cxrgen prepare-data`` (2 subsets) write in a temporary directory:
   ``dataset.jsonl``, ``cleaned.jsonl``, ``vocab.txt``, ``rejects.jsonl``,
-  ``demographics.json`` and each split manifest. ``provenance.json`` is left
-  out, since it records the temporary paths.
+  ``demographics.json`` and each split manifest, then the provenance record
+  of each command (``prepare:corpus/provenance.json`` and
+  ``prepare:provenance.json``), with the temporary directory's path replaced
+  by a fixed token, so that a change to the record's format shows on its own
+  lines.
 
 The desk variants are ``desk`` (dropout 0), ``desk-dropout-0.1``,
 ``desk-2-blocks`` and ``desk-image-only``; ``paper`` is ``ModelConfig()``
@@ -171,7 +174,8 @@ def ttest_case() -> bytes:
 
 def prepared_data_cases():
     """Yield ``(prepare:<file>, bytes)`` for each file of a synthetic corpus
-    and of the directory ``prepare-data`` makes of it."""
+    and of the directory ``prepare-data`` makes of it, the provenance records
+    last."""
     with tempfile.TemporaryDirectory() as tmp:
         corpus, prep = Path(tmp) / "corpus", Path(tmp) / "prep"
         for argv in (["synth-data", "--out", str(corpus), "--seed", "7",
@@ -186,6 +190,9 @@ def prepared_data_cases():
                                                 "demographics.json")),
                      *sorted((prep / "splits").iterdir())]:
             yield f"prepare:{path.relative_to(prep)}", path.read_bytes()
+        for name, path in (("corpus/provenance.json", corpus / "provenance.json"),
+                           ("provenance.json", prep / "provenance.json")):
+            yield f"prepare:{name}", path.read_bytes().replace(tmp.encode(), b"<tmp>")
 
 
 def cases():

@@ -1,6 +1,7 @@
 """End-to-end command surface: each stage's output feeds the next, outputs
 are deterministic, and error classes map to distinct exit codes."""
 
+import argparse
 import builtins
 import contextlib
 import dataclasses
@@ -79,7 +80,7 @@ class TestSynthData:
         digest = hashlib.sha256((tmp_path / "a" / "dataset.jsonl").read_bytes()).hexdigest()
         assert digest == "b2a08c9ad9f918c928227e2b98719125e1cf996918faeab256a3fc2a7b25f942"
         provenance = json.loads((tmp_path / "a" / "provenance.json").read_text())
-        assert provenance["options"]["spec"] == {"n_per_stratum": 2, "feature_dim": 6}
+        assert provenance["options"] == {"seed": 7, "n_per_stratum": 2, "feature_dim": 6}
 
     def test_config_file_supplies_options(self, tmp_path):
         config = tmp_path / "config.json"
@@ -216,21 +217,22 @@ class TestPrepareData:
         assert sizes[0] >= sizes[1] >= sizes[2] >= 1
 
     def test_provenance_records_each_cleaning_resource(self, pipeline, tmp_path):
-        """Each cleaning file's path, or "shipped", and the sha256 of the
-        bytes parsed: a custom file's bytes, or the shipped resource's."""
+        """Each cleaning option's path, or null for the shipped file, and the
+        sha256 of the bytes parsed: a custom file's bytes, or the shipped
+        resource's."""
         stopwords = tmp_path / "stop.txt"
         stopwords.write_bytes(b"# custom\nthe\nof\n")
         out = tmp_path / "out"
         assert main(["prepare-data", "--data", str(pipeline["corpus"] / "dataset.jsonl"),
                      "--out", str(out), "--subset-size", "12",
                      "--stopwords", str(stopwords)]) == 0
-        cleaning = json.loads((out / "provenance.json").read_text())["cleaning"]
+        record = json.loads((out / "provenance.json").read_text())
         shipped = Path(cxrgen.text.__file__).parent / "resources"
-        assert cleaning == {
-            "stopwords": {"path": str(stopwords),
-                          "sha256": hashlib.sha256(stopwords.read_bytes()).hexdigest()},
-            **{option: {"path": "shipped", "sha256": hashlib.sha256(
-                (shipped / name).read_bytes()).hexdigest()}
+        assert {option: record["options"][option] for option in record["cleaning"]} == {
+            "stopwords": str(stopwords), "std_map": None, "reject_patterns": None}
+        assert record["cleaning"] == {
+            "stopwords": hashlib.sha256(stopwords.read_bytes()).hexdigest(),
+            **{option: hashlib.sha256((shipped / name).read_bytes()).hexdigest()
                for option, name in (("std_map", "standardization.txt"),
                                     ("reject_patterns", "reject_patterns.txt"))},
         }
@@ -953,6 +955,49 @@ class TestOutputsKeepOtherRecords:
                                                tmp_path / "out" / "provenance.json"]
 
 
+class TestProvenanceOptions:
+    """An artifact command's ``provenance.json`` holds exactly the options it
+    parsed, and those options, handed back as a config file, make the same
+    files again."""
+
+    @pytest.mark.parametrize("command, config, parsed", [
+        ("synth-data", {"n-per-stratum": "2", "feature-dim": 6},
+         {"n_per_stratum": 2, "feature_dim": 6, "seed": 0}),
+        ("prepare-data", {"subset-size": "12"}, {"subset_size": 12, "stopwords": None}),
+        ("train", {"dropout": "0", "demographics": "age"},
+         {"dropout": 0.0, "demographics": "age", "d_model": 16}),
+        ("generate", {"temperature": "0", "split": "val"}, {"temperature": 0.0, "split": "val"})])
+    def test_records_every_parsed_option(self, pipeline, tmp_path, command, config, parsed):
+        inputs = {"synth-data": [],
+                  "prepare-data": ["--data", str(pipeline["corpus"] / "dataset.jsonl")],
+                  "train": ["--data", str(pipeline["prep"]), *TINY_TRAIN],
+                  "generate": ["--checkpoint", str(pipeline["run"] / "best"),
+                               "--data", str(pipeline["prep"])]}[command]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main([command, *inputs, "--config", str(config_path),
+                     "--out", str(tmp_path / "a")]) == 0
+        options = json.loads((tmp_path / "a" / "provenance.json").read_text())["options"]
+        commands = next(action for action in cxrgen.cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in commands.choices[command]._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        assert set(options) == dests - {"command", "config", "out"}
+        # each config value as parsed: "2" is recorded as the int 2, "0" as 0.0
+        assert {key: (options[key], type(options[key])) for key in parsed} \
+            == {key: (value, type(value)) for key, value in parsed.items()}
+        config_path.write_text(json.dumps({key: value for key, value in options.items()
+                                           if value is not None}))
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / "b")]) == 0
+        outputs = [_files(tmp_path / name) for name in ("a", "b")]
+        for files in outputs:   # the epoch timings of a training log differ between runs
+            if "trainlog.jsonl" in files:
+                files["trainlog.jsonl"] = [
+                    {key: value for key, value in json.loads(line).items() if key != "seconds"}
+                    for line in files["trainlog.jsonl"].splitlines()]
+        assert outputs[0] == outputs[1]
+
+
 class TestCheckpointConfig:
     """A checkpoint whose config holds a value of the wrong type or an
     impossible size exits 3 through ``generate``, with nothing written."""
@@ -1354,10 +1399,32 @@ class TestEvaluateCompare:
         assert bleu1["significant"] is True
         assert bleu1["t"] > 0
 
-    def test_compare_degenerate_is_numeric_error(self, tmp_path):
-        a = self._write_reports(tmp_path, "a", [0.5, 0.5, 0.5])
-        b = self._write_reports(tmp_path, "c", [0.5, 0.5, 0.5])
-        assert main(["compare", "--a", *a, "--b", *b]) == 4
+    def test_compare_keeps_every_metric_when_one_is_degenerate(self, tmp_path, capsys):
+        """BLEU differs between the sides and every report scores 1.0 in the
+        embedding metrics, whose paired differences are then all 0: those
+        rows have no t, and the BLEU rows and ``--out`` are kept."""
+        paths = {}
+        for side, values in (("a", [0.52, 0.50, 0.53, 0.51]), ("b", [0.31, 0.30, 0.33, 0.32])):
+            paths[side] = []
+            for i, v in enumerate(values):
+                path = tmp_path / f"{side}_{i}.json"
+                EvaluationReport(bleu_1=v, bleu_2=v * 0.8, bleu_3=v * 0.6, bleu_4=v * 0.4,
+                                 p_embed=1.0, r_embed=1.0, f1_embed=1.0, n_pairs=10).to_json(path)
+                paths[side].append(str(path))
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--a", *paths["a"], "--b", *paths["b"],
+                     "--out", str(out)]) == 0
+        rows = {row["metric"]: row for row in json.loads(out.read_text())["metrics"]}
+        assert list(rows) == ["bleu_1", "bleu_2", "bleu_3", "bleu_4",
+                              "p_embed", "r_embed", "f1_embed"]
+        for name in ("bleu_1", "bleu_2", "bleu_3", "bleu_4"):
+            assert rows[name]["t"] > 0 and 0 < rows[name]["p"] < 0.05
+            assert rows[name]["significant"] is True
+        for name in ("p_embed", "r_embed", "f1_embed"):
+            assert rows[name] == {"metric": name, "mean_a": 1.0, "mean_b": 1.0,
+                                  "t": None, "p": None, "significant": None}
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1].split() == ["f1_embed", "1.0000", "1.0000", "n/a", "n/a", "n/a"]
 
     @pytest.mark.parametrize("spoil", [
         lambda text: text[:len(text) // 2], lambda text: f"[{text}]",

@@ -14,7 +14,7 @@ from cxrgen.data import (STRATA, DataPoint, SplitManifest, build_datapoints,
                          sample_subsets, split, synthesize_corpus, synthesize_records,
                          write_dataset, write_prepared_dataset)
 from cxrgen.demographics import DemographicCodec, DemographicRecord, select_top_categories
-from cxrgen.errors import ConfigError, ContractError, IntegrityError, SizingError
+from cxrgen.errors import ConfigError, ContractError, IntegrityError
 from cxrgen.text import (CleanReport, END_TOKEN, START_TOKEN, StandardizationMap,
                          load_reject_patterns, load_stopwords)
 
@@ -67,7 +67,7 @@ class TestSampleSubsets:
 
     def test_insufficient_pool(self):
         pool = [make_point("p0", ["a", "b"])]
-        with pytest.raises(SizingError):
+        with pytest.raises(ConfigError):
             sample_subsets(pool, 2, 1, seed=0)
 
     def test_production_scale_four_disjoint_subsets_of_4500(self):
