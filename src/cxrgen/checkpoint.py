@@ -2,9 +2,10 @@
 
 A checkpoint is a directory holding ``manifest.json`` (the config, each
 parameter's name and sha256 in the model's order, the caller's ``extra``
-payload and ``extra_sha256``, the sha256 of that payload as JSON with
-sorted keys and no spaces) plus ``params.bin``, the parameters as
-little-endian 32-bit floats in row-major order, back to back in that order.
+payload, a JSON object that is always present, and ``extra_sha256``, the
+sha256 of that payload as JSON with sorted keys and no spaces) plus
+``params.bin``, the parameters as little-endian 32-bit floats in row-major
+order, back to back in that order.
 The layout is not stored: each tensor's shape, and so its place in the
 blob, follows from the config (``model.parameter_shapes``). Loading checks
 the ``extra`` payload against its checksum first, so an edited vocabulary
@@ -21,12 +22,13 @@ process killed between the two renames leaves it there, to be renamed back
 by hand.
 
 Saving writes format version 4, and loading reads only that version: a
-manifest of any other version, or one without ``extra_sha256``, is an
-``IntegrityError``.
+manifest of any other version, or one without ``extra`` or
+``extra_sha256``, is an ``IntegrityError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -47,10 +49,9 @@ BLOB_NAME = "params.bin"
 FORMAT_VERSION = 4
 
 
-def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
-                    extra: dict | None = None) -> None:
-    """Write params + config under ``path`` (a directory, replaced whole if
-    it exists)."""
+def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path, extra: dict) -> None:
+    """Write params + config, and the caller's JSON object ``extra``, under
+    ``path`` (a directory, replaced whole if it exists)."""
     check_parameters(params, cfg)
     directory = Path(path)
     entries = []
@@ -62,10 +63,8 @@ def save_checkpoint(params: dict[str, Tensor], cfg: ModelConfig, path,
         raw = np.ascontiguousarray(tensor.data, dtype="<f4")   # hashed and written as is
         entries.append({"name": name, "sha256": hashlib.sha256(raw).hexdigest()})
         chunks.append(raw)
-    manifest = {"format_version": FORMAT_VERSION, "config": cfg.to_dict(), "tensors": entries,
-                "extra_sha256": _extra_digest(extra or {})}
-    if extra:
-        manifest["extra"] = extra
+    manifest = {"format_version": FORMAT_VERSION, "config": dataclasses.asdict(cfg),
+                "tensors": entries, "extra_sha256": _extra_digest(extra), "extra": extra}
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     retired = staging.with_name(staging.name + ".old")
     staging.mkdir(parents=True)
@@ -124,10 +123,12 @@ def load_from_manifest(path, manifest: dict, digest) -> tuple[dict[str, Tensor],
     ``read_manifest`` returned it, adding the bytes of ``params.bin`` to the
     ``hashlib`` object ``digest`` unless it is None."""
     directory = Path(path)
-    if manifest.get("extra_sha256") != _extra_digest(manifest.get("extra", {})):
+    if not isinstance(manifest.get("extra"), dict):
+        raise IntegrityError("checkpoint manifest has no extra payload (a JSON object)")
+    if manifest.get("extra_sha256") != _extra_digest(manifest["extra"]):
         raise IntegrityError("checksum mismatch for the checkpoint's extra payload")
     try:
-        cfg = ModelConfig.from_dict(manifest["config"])
+        cfg = ModelConfig(**manifest["config"])
     except (TypeError, KeyError, ConfigError) as exc:
         raise IntegrityError(f"invalid config in checkpoint manifest: {exc}") from exc
     entries = manifest.get("tensors")

@@ -57,7 +57,8 @@ lowercase words, a ``train --max-len`` over ``model.MAX_LEN``, a
 prepared data's, a ``generate --split`` that holds no report and an
 ``--out`` whose record another command wrote), 3 data integrity failure (a
 file that is not UTF-8 is one, and so are a checkpoint of a format other
-than 4, one whose ``extra`` payload lacks its checksum or fails it, one
+than 4, one without an ``extra`` payload (a JSON object), one whose
+``extra`` lacks its checksum or fails it, one
 whose tensor name list differs from its config's model, one whose blob
 is not the size that model's tensors take, one with a tensor whose bytes
 fail its checksum or hold a value that is not finite, one whose config
@@ -68,7 +69,10 @@ list of strings, included) or evaluation report, a repeated vocabulary
 token or one that is not one word under ``str.split()`` (an empty line of
 ``vocab.txt`` included), a demographics manifest or checkpoint codec that lacks a
 key or holds a bad value, and a checkpoint vocabulary or codec that does
-not fit its model), 4 numeric failure.
+not fit its model), 4 numeric failure or a broken precondition
+(``TrainingError``, and ``ContractError`` with its kinds ``ShapeError`` and
+``DegenerateInputError``). Every error the package raises exits 2, 3 or 4;
+argparse's own usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ from .data import (CorpusSpec, build_datapoints, load_prepared_dataset, load_raw
                    sample_subsets, split, synthesize_records, write_dataset,
                    write_prepared_dataset, SplitManifest)
 from .demographics import DemographicCodec, select_top_categories
-from .errors import (ConfigError, ContractError, CxrgenError, DegenerateInputError,
-                     IntegrityError, TrainingError)
+from .errors import (ConfigError, ContractError, DegenerateInputError, IntegrityError,
+                     TrainingError)
 from .files import read_json_object, read_lines, write_json, write_json_lines, write_lines
 from .metrics import (DEFAULT_ALPHA, Corpus, EmbeddingTable, EvaluationReport, evaluate_corpus,
                       paired_t_test)
@@ -142,9 +146,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     The file's ``{"key": value}`` pairs become ``--key=value`` tokens (a list
     becomes ``--key item ...``) placed after the command name and before the
     explicit flags, so argparse converts and checks them like flags, required
-    options included, and an explicit flag, parsed later, wins. The parsers
-    take no abbreviation, so an option name must be written in full in the
-    file as on the command line; a ``config`` key is refused.
+    options included, and an explicit flag, parsed later, wins. A null value
+    is an option not given, which takes its default; so a provenance
+    record's ``options`` is a config file that reproduces its run. The
+    parsers take no abbreviation, so an option name must be written in full
+    in the file as on the command line; a ``config`` key, a boolean and an
+    object are refused.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     path, values = None, {}
@@ -158,11 +165,11 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     tokens = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
-        if flag == "--config" or value is None or isinstance(value, (bool, dict)):
+        if flag == "--config" or isinstance(value, (bool, dict)):
             raise ConfigError(f"config file {path}: {key!r} may not be {json.dumps(value)}")
         if isinstance(value, list):
             tokens += [flag, *map(str, value)]
-        else:
+        elif value is not None:
             tokens.append(f"{flag}={value}")
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
@@ -336,8 +343,7 @@ def _checkpoint_inputs(source, manifest: dict, cfg: ModelConfig):
     ``manifest`` parsed from the file ``source`` embeds. One that breaks its
     class's rules or does not fit the model ``cfg`` raises ``IntegrityError``
     naming ``source``."""
-    extra = manifest.get("extra")
-    extra = extra if isinstance(extra, dict) else {}
+    extra = manifest["extra"]   # a JSON object: load_from_manifest checked it
     with _bad_data(source):
         vocab = Vocabulary(extra.get("vocab"))
         codec = DemographicCodec.from_dict(extra.get("codec")) if cfg.uses_demographics else None
@@ -571,12 +577,9 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTEGRITY_EXIT
-    except (ContractError, TrainingError) as exc:
+    except (ContractError, TrainingError) as exc:   # ShapeError, DegenerateInputError too
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except CxrgenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

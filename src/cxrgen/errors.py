@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on purpose derives from CxrgenError so callers (and the
-CLI exit-code mapping) can distinguish our failures from genuine bugs.
+CLI exit-code mapping) can distinguish our failures from genuine bugs. Each
+is one of four kinds, one per non-zero exit code of the command line:
+``ConfigError`` (2), ``IntegrityError`` (3), and ``ContractError`` and
+``TrainingError`` (4); ``ShapeError`` and ``DegenerateInputError`` are
+kinds of ``ContractError``.
 """
 
 
@@ -9,12 +13,12 @@ class CxrgenError(Exception):
     """Base class for all package errors."""
 
 
-class ShapeError(CxrgenError, ValueError):
-    """Operands have incompatible shapes for the requested operation."""
-
-
 class ContractError(CxrgenError, ValueError):
     """A documented precondition or invariant was violated by the caller."""
+
+
+class ShapeError(ContractError):
+    """Operands have incompatible shapes for the requested operation."""
 
 
 class ConfigError(CxrgenError, ValueError):
@@ -25,7 +29,7 @@ class IntegrityError(CxrgenError, ValueError):
     """Persisted data is corrupt, truncated, or fails its checksum."""
 
 
-class DegenerateInputError(CxrgenError, ValueError):
+class DegenerateInputError(ContractError):
     """Input is formally valid but statistically degenerate (e.g. zero variance)."""
 
 

@@ -40,16 +40,18 @@ differently, so ``_decode`` takes it as a callable: ``decoder_forward``
 hands it ``tensor.multi_head_attention`` under the causal and key-pad
 mask, and ``DecodeCache`` its own ``_attend``.
 
-Dropout runs exactly when a forward function is handed a dropout ``rng``:
-the encoder and the decoder take no separate training flag.
+Dropout runs exactly when a forward function is handed a dropout ``rng``
+(at rate 0 ``tensor.dropout`` returns its input and draws nothing): the
+encoder and the decoder take no separate training flag.
 ``training.batch_loss`` hands one to the model for a training step;
 validation and generation hand none.
 
 Every stage takes a batch: the encoder maps B feature rows (and B demographic
 rows) to B hybrid rows, and the decoder runs B id sequences padded to one
 length L as a [B*L x d] stream, with self-attention scores of shape
-[B x H x L x L] under causal and key-pad masks. A single sequence is the case
-B = 1.
+[B x H x L x L] under causal and key-pad masks. The decoder takes its ids
+as a [B x L] array only, one sequence being the case B = 1; the encoder
+also takes one feature vector (and one demographic vector) as a batch of 1.
 
 Generation runs on plain numpy arrays from the features to the logits:
 ``_encode_arrays`` runs ``_encode`` with ``encode_inputs``'s checks, and a
@@ -100,7 +102,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,13 +177,6 @@ class ModelConfig:
     @property
     def uses_demographics(self) -> bool:
         return self.demographic_dim > 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(**payload)
 
 
 def _attention_shapes(shapes: dict, prefix: str, cfg: ModelConfig, single_key=False) -> None:
@@ -282,9 +277,7 @@ def check_parameters(params: dict[str, Tensor], cfg: ModelConfig) -> None:
 
 
 def _maybe_dropout(x, cfg: ModelConfig, rng):
-    if rng is not None and cfg.dropout_rate > 0.0:
-        return T.dropout(x, cfg.dropout_rate, rng)
-    return x
+    return x if rng is None else T.dropout(x, cfg.dropout_rate, rng)
 
 
 # The ops of ``cxrgen.tensor`` that the forward definitions below use, as
@@ -421,16 +414,15 @@ def decoder_forward(target_ids, hybrid: Tensor, params, cfg: ModelConfig,
                     rng=None) -> Tensor:
     """Per-position vocabulary logits for (shifted) target id sequences.
 
-    ``target_ids`` is [B x L], B sequences padded to one length, with
-    ``hybrid`` [B x d_model]; one [L] sequence is the case B = 1. Returns
-    [B*L x V] logits, row b*L + t for position t of sequence b. Position t
-    sees only positions <= t of its own sequence; pad positions are excluded
-    from the attention keys. Dropout runs when ``rng`` is given.
+    ``target_ids`` is [B x L], B sequences padded to one length (one
+    sequence is [1 x L]), with ``hybrid`` [B x d_model]. Returns [B*L x V]
+    logits, row b*L + t for position t of sequence b. Position t sees only
+    positions <= t of its own sequence; pad positions are excluded from the
+    attention keys. Dropout runs when ``rng`` is given.
     """
     ids = np.asarray(target_ids, dtype=np.int64)
-    ids = ids.reshape(1, -1) if ids.ndim < 2 else ids
     if ids.ndim != 2:
-        raise ShapeError(f"decoder ids must be [L] or [B x L], got shape {ids.shape}")
+        raise ShapeError(f"decoder ids must be [B x L], got shape {ids.shape}")
     length = ids.shape[1]
     if ids.size == 0:
         raise ContractError("decoder needs at least one input id")

@@ -6,21 +6,22 @@ out in the order of the parameter map. ``Adam(params)`` copies each
 parameter into its slot and rebinds ``p.data`` to a view of it, one tensor
 at a time. ``zero_grad`` hands each parameter its gradient slot
 (``Tensor.grad_slot``) and writes nothing to the buffer: backward writes a
-parameter's gradient straight into its slot, and a slot that backward did
-not write is never read, since its parameter's ``grad`` stays unset. A
-gradient reaches the optimizer only through that slot (``p.accumulate_grad``
-after ``zero_grad``), and a parameter's ``data`` must stay its slot;
-``step`` raises ``ContractError`` naming the parameter otherwise.
+parameter's gradient straight into its slot. A gradient reaches the
+optimizer only through that slot (``p.accumulate_grad`` after
+``zero_grad``), and every adopted parameter must have one, as the network
+trains all of its parameters on every step; a parameter's ``data`` must
+stay its slot too. ``step`` raises ``ContractError`` naming the parameter
+otherwise, before any tensor moves.
 
-``step`` updates each maximal run of adjacent tensors that have a gradient
-in chunks of ``CHUNK`` elements, so a step costs a few dozen numpy calls at
-desk size, and each chunk's working set stays in cache at paper size. The
-operations and their order are those of a per-tensor update, and every one
-is elementwise, so the result is the same bit for bit. A step of two or
-more chunks is cut into two halves by chunk count: ``tensor.beside`` runs
-the first on its worker thread while the caller runs the second, each half
-with its own two scratch rows, so the halves share no temporary and every
-element still sees the same operations.
+``step`` updates the whole buffer in chunks of ``CHUNK`` elements, so a
+step costs a few dozen numpy calls at desk size, and each chunk's working
+set stays in cache at paper size. The operations and their order are those
+of a per-tensor update, and every one is elementwise, so the result is the
+same bit for bit. The chunks are cut once, at construction, into two halves
+by chunk count: ``tensor.beside`` runs the first on its worker thread while
+the caller runs the second, each half with its own two scratch rows, so the
+halves share no temporary and every element still sees the same
+operations. A step of one chunk runs it all on the caller.
 
 The moment decay rates and the denominator's epsilon are the stock values
 of Kingma and Ba (2015), ``BETA1``, ``BETA2`` and ``EPS``; only the learning
@@ -45,8 +46,7 @@ class Adam:
 
     Keeps first/second moment buffers and a step counter; ``step`` applies
     the in-place update ``p -= lr * m_hat / (sqrt(v_hat) + EPS)`` to every
-    parameter whose ``grad`` is set. Parameters with no gradient are left
-    untouched (their moments do not decay either).
+    parameter, each of which must hold its gradient slot.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
@@ -63,45 +63,41 @@ class Adam:
         self._grad = np.empty(total, dtype)   # a slot is written before it is read
         self._m = np.zeros(total, dtype)
         self._v = np.zeros(total, dtype)
-        # (name, tensor, start, stop, data slot, grad slot) in buffer order
+        # (name, tensor, data slot, grad slot) in buffer order
         self._slots = []
         start = 0
         for name, p in params.items():
-            stop = start + p.data.size
-            data, grad = (flat[start:stop].reshape(p.data.shape)
+            data, grad = (flat[start:start + p.data.size].reshape(p.data.shape)
                           for flat in (self._data, self._grad))
+            start += p.data.size
             data[...] = p.data
             p.data = data
-            self._slots.append((name, p, start, stop, data, grad))
-            start = stop
+            self._slots.append((name, p, data, grad))
+        parts = [slice(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
+        half = len(parts) // 2   # the worker's share; none of a single chunk
+        self._halves = parts[:half], parts[half:]
         # two chunk-sized scratch rows for each half of a step, so a step
         # allocates no temporaries
         self._scratch = np.empty((2, 2, min(CHUNK, total)), dtype)
 
     def step(self) -> None:
-        runs: list[list[int]] = []
-        for name, p, start, stop, data, grad in self._slots:
+        for name, p, data, grad in self._slots:
             if p.data is not data:
                 raise ContractError(f"parameter {name!r}: data was rebound off its "
                                     "optimizer slot")
             if p.grad is None:
-                continue
+                raise ContractError(f"parameter {name!r}: no gradient (step updates every "
+                                    "parameter; accumulate one after zero_grad)")
             if p.grad is not grad:
                 raise ContractError(f"parameter {name!r}: grad is not its optimizer slot "
                                     "(accumulate it after zero_grad, do not assign it)")
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop])
         self.t += 1
         bias1 = 1.0 - BETA1 ** self.t
         bias2 = 1.0 - BETA2 ** self.t
-        parts = [slice(lo, min(lo + CHUNK, stop))
-                 for start, stop in runs for lo in range(start, stop, CHUNK)]
-        half = len(parts) // 2   # the worker's share; none of a single chunk
-        done = beside(self._update, parts[:half], self._scratch[1], bias1, bias2) \
-            if half else None
-        self._update(parts[half:], self._scratch[0], bias1, bias2)
+        beside_parts, own_parts = self._halves
+        done = beside(self._update, beside_parts, self._scratch[1], bias1, bias2) \
+            if beside_parts else None
+        self._update(own_parts, self._scratch[0], bias1, bias2)
         if done is not None:
             done()
 
@@ -130,5 +126,5 @@ class Adam:
     def zero_grad(self) -> None:
         """Unset every gradient and hand each parameter its slot, as it is:
         no pass over the buffer."""
-        for _, p, _, _, _, grad in self._slots:
+        for _, p, _, grad in self._slots:
             p.grad, p.grad_slot = None, grad

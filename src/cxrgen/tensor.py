@@ -617,17 +617,14 @@ def sparse_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     return _record((logits,), Tensor._wrap(mean), vjp)
 
 
-def sinusoidal_positions(length: int, width: int, dtype=None) -> np.ndarray:
-    """Fixed sine/cosine positional encoding table of shape [length x width].
+@functools.cache
+def sinusoidal_positions(length: int, width: int, dtype) -> np.ndarray:
+    """Fixed sine/cosine positional encoding table of shape [length x width],
+    in ``dtype``.
 
     The table is built once per (length, width, dtype) and shared, so it is
     read-only.
     """
-    return _positions(length, width, np.dtype(dtype or _default_dtype))
-
-
-@functools.cache
-def _positions(length: int, width: int, dtype: np.dtype) -> np.ndarray:
     positions = np.arange(length, dtype=np.float64)[:, None]
     dims = np.arange(width, dtype=np.float64)[None, :]
     angles = positions / np.power(10000.0, (2.0 * (dims // 2)) / width)

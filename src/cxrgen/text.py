@@ -93,15 +93,16 @@ def _bad_token(token: str) -> bool:
 class StandardizationMap:
     """Phrase rewrites applied to the token stream, longest source first.
 
-    Canonical phrases must be lowercase words (the tokens cleaning yields)
-    and fixed points of the map, which rules out rewrite cycles. The rules
-    are indexed by their first source token, each bucket in the
-    longest-first order, so a token that starts no rule costs one lookup.
+    ``rules`` is a list of ``(source phrase, canonical phrase)`` pairs, as
+    ``from_file`` parses them. Canonical phrases must be lowercase words (the
+    tokens cleaning yields) and fixed points of the map, which rules out
+    rewrite cycles. The rules are indexed by their first source token, each
+    bucket in the longest-first order, so a token that starts no rule costs
+    one lookup.
     """
 
-    def __init__(self, rules: dict[str, str] | list[tuple[str, str]] | None = None):
-        pairs = rules.items() if isinstance(rules, dict) else (rules or [])
-        ordered = sorted(((tuple(src.split()), tuple(dst.split())) for src, dst in pairs),
+    def __init__(self, rules: list[tuple[str, str]]):
+        ordered = sorted(((tuple(src.split()), tuple(dst.split())) for src, dst in rules),
                          key=lambda r: (-len(r[0]), r[0]))
         self._by_first: dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {}
         for src, dst in ordered:

@@ -12,8 +12,9 @@ padded ``[B x L]`` array by whole-array operations, and one forward pass of
 the model over all of them feeds one cross-entropy, so a training step
 records one forward and replays one backward whatever the batch size. The
 step's gradients land in the optimizer's flat gradient buffer and ``Adam``
-updates the parameters in place there (see ``optim``); a parameter with no
-gradient is skipped. The dropout rng is the one training switch:
+updates the parameters in place there (see ``optim``); every parameter
+gets a gradient on every step, and ``Adam`` refuses one that has none. The
+dropout rng is the one training switch:
 ``batch_loss`` runs dropout exactly when handed one, and ``train_step``
 refuses a model with dropout but no rng. Whole sequences take one path,
 whether or not they train: validation (``evaluate_loss``) runs

@@ -8,8 +8,9 @@ Each case hashes the raw bytes of what it computes, with fixed seeds:
   synthetic corpus: every epoch's train and validation loss and
   ``parameter_checksum``; ``fit:<variant>:params.bin`` and
   ``fit:<variant>:manifest.json`` -- the bytes of each file of the
-  checkpoint saved after that fit, so a change to the manifest's format
-  shows apart from the weights;
+  checkpoint saved after that fit, with the vocabulary and codec that
+  ``cxrgen train`` saves as its ``extra``, so a change to the manifest's
+  format shows apart from the weights;
 * ``steps:<variant>`` -- two ``train_step`` calls of a fresh model on one
   batch: the losses, every gradient and parameter after each step, and
   Adam's first and second moments;
@@ -108,7 +109,7 @@ def paper_examples(cfg: ModelConfig, n: int, seed: int) -> list[EncodedExample]:
     return examples
 
 
-def fit_case(train, val, cfg) -> tuple[bytes, dict, dict[str, bytes]]:
+def fit_case(train, val, cfg, extra) -> tuple[bytes, dict, dict[str, bytes]]:
     params = init_parameters(cfg, seed=3)
     log = fit(train, val, params, cfg, TrainConfig(batch_size=8, learning_rate=1e-2,
                                                    epochs=3, seed=5, patience=None))
@@ -117,7 +118,7 @@ def fit_case(train, val, cfg) -> tuple[bytes, dict, dict[str, bytes]]:
         digest.update(_floats([train_loss, val_loss]) + checksum.encode())
     digest.update(parameter_checksum(params, cfg).encode())
     with tempfile.TemporaryDirectory() as tmp:
-        save_checkpoint(params, cfg, Path(tmp) / "ckpt")
+        save_checkpoint(params, cfg, Path(tmp) / "ckpt", extra=extra)
         files = {path.name: path.read_bytes() for path in (Path(tmp) / "ckpt").iterdir()}
     return digest.digest(), params, files
 
@@ -204,7 +205,9 @@ def cases():
         yield f"steps:{variant}", steps_case(train[:8], cfg)
         yield f"evaluate_loss:{variant}", _floats(
             evaluate_loss(val, init_parameters(cfg, seed=3), cfg, batch_size=8))
-        digest, params, files = fit_case(train, val, cfg)
+        extra = {"codec": codec.to_dict() if cfg.uses_demographics else None,
+                 "vocab": vocab.tokens}   # what ``cxrgen train`` saves
+        digest, params, files = fit_case(train, val, cfg, extra)
         yield f"fit:{variant}", digest
         for name in ("params.bin", "manifest.json"):
             yield f"fit:{variant}:{name}", files[name]

@@ -258,7 +258,8 @@ def per_head_forward(ids, features, demo, params, heads, cfg):
     semantic = T.linear(T.Tensor(demo), params["semantic.fc.w"], params["semantic.fc.b"])
     hybrid = norm("fusion.norm", hybrid, attention("fusion.attn", semantic))
     n_seq, length = ids.shape
-    x = T.embedding(params["embed.table"], ids, T.sinusoidal_positions(length, cfg.d_embed))
+    table = params["embed.table"]
+    x = T.embedding(table, ids, T.sinusoidal_positions(length, cfg.d_embed, table.data.dtype))
     mask = np.tril(np.ones((length, length), dtype=bool)) & (ids != PAD_ID)[:, None, :]
     for i in range(cfg.n_decoder_blocks):
         x = norm(f"dec{i}.norm1", x, attention(f"dec{i}.self_attn", x, mask))
@@ -599,8 +600,9 @@ def adam_moments(optimizer):
     dicts of a ``PerTensorAdam``."""
     if isinstance(optimizer, PerTensorAdam):
         return optimizer.m, optimizer.v
-    return tuple({name: flat[start:stop].reshape(p.data.shape)
-                  for name, p, start, stop, _, _ in optimizer._slots}
+    stops = np.cumsum([p.data.size for _, p, *_ in optimizer._slots])
+    return tuple({name: flat[stop - p.data.size:stop].reshape(p.data.shape)
+                  for (name, p, *_), stop in zip(optimizer._slots, stops)}
                  for flat in (optimizer._m, optimizer._v))
 
 
@@ -683,7 +685,7 @@ def per_example_batch_loss(batch, params, cfg, rng=None):
     for ex in batch:
         hybrid = encode_inputs(ex.features, ex.demo, params, cfg, rng=rng)
         inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
-        logits = decoder_forward(inputs, hybrid, params, cfg, rng=rng)
+        logits = decoder_forward(inputs[None], hybrid, params, cfg, rng=rng)
         part = summed_cross_entropy(logits, targets, mask)
         total = part if total is None else T.add(total, part)
         count += int(mask.sum())
@@ -705,7 +707,7 @@ def full_prefix_generate(features, demo, params, cfg, temperature=0.5, seed=0):
     params = detached(params)
     hybrid = encode_inputs(features, demo, params, cfg)
     while len(out) < cfg.max_len:
-        prefix = np.asarray([START_ID] + out, dtype=np.int64)
+        prefix = np.asarray([[START_ID] + out], dtype=np.int64)
         logits = decoder_forward(prefix, hybrid, params, cfg)
         last = logits.data[-1]
         if temperature < np.finfo(last.dtype).tiny:   # 0, or it underflows to 0
@@ -934,7 +936,7 @@ def legacy_checkpoint(path):
 
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    cfg = ModelConfig.from_dict(manifest["config"])
+    cfg = ModelConfig(**manifest["config"])
     blob = (path / manifest["blob"]).read_bytes()
     arrays = {entry["name"]: np.frombuffer(blob, dtype="<f4", offset=entry["offset"],
                                            count=entry["nbytes"] // 4).reshape(entry["shape"])

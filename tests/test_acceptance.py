@@ -153,8 +153,8 @@ def test_criterion_03_causal_mask_invariant():
             perturbed = ids.copy()
             while perturbed[j] == ids[j]:
                 perturbed[j] = rng.integers(4, cfg.vocab_size)
-            base = decoder_forward(ids, hybrid, params, cfg).data
-            changed = decoder_forward(perturbed, hybrid, params, cfg).data
+            base = decoder_forward(ids[None], hybrid, params, cfg).data
+            changed = decoder_forward(perturbed[None], hybrid, params, cfg).data
             assert np.array_equal(base[: t + 1], changed[: t + 1]), trial
         assert time.perf_counter() - started < 60.0
 
@@ -300,7 +300,7 @@ def test_criterion_09_determinism_and_checkpoint_round_trip(tmp_path):
             return lines
 
         before = sample_reports(params_a)
-        save_checkpoint(params_a, cfg, tmp_path / "ckpt")
+        save_checkpoint(params_a, cfg, tmp_path / "ckpt", extra={})
         loaded, loaded_cfg = load_checkpoint(tmp_path / "ckpt")
         after = sample_reports(loaded)
         assert before == after

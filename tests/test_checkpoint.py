@@ -74,7 +74,7 @@ def _layout(cfg):
 
 
 def test_round_trip_bit_exact(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     loaded, cfg = load_checkpoint(tmp_path / "ckpt")
     assert cfg == CFG
     assert set(loaded) == set(params)
@@ -87,14 +87,14 @@ def test_round_trip_preserves_generation(tmp_path, params):
     features = np.linspace(-1, 1, 6)
     demo = np.eye(4)[2]
     before = generate(features, demo, params, CFG, temperature=0.5, seed=11)
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     loaded, cfg = load_checkpoint(tmp_path / "ckpt")
     after = generate(features, demo, loaded, cfg, temperature=0.5, seed=11)
     assert before == after
 
 
 def test_manifest_lists_every_parameter_exactly_once(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     manifest = read_manifest(tmp_path / "ckpt", None)
     names = [entry["name"] for entry in manifest["tensors"]]
     assert len(names) == len(set(names))
@@ -102,7 +102,7 @@ def test_manifest_lists_every_parameter_exactly_once(tmp_path, params):
 
 
 def test_single_byte_corruption_detected_with_tensor_name(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     blob_path = tmp_path / "ckpt" / "params.bin"
     blob = bytearray(blob_path.read_bytes())
     names = list(parameter_shapes(CFG))
@@ -118,7 +118,7 @@ def test_single_byte_corruption_detected_with_tensor_name(tmp_path, params):
                                          "dec0.self_attn.wk", "dec0.cross_attn.wv"])
 def test_single_byte_corruption_of_an_attention_matrix_detected(tmp_path, params,
                                                                  victim_name):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     blob_path = tmp_path / "ckpt" / "params.bin"
     blob = bytearray(blob_path.read_bytes())
     blob[_layout(CFG)[victim_name][0] + 1] ^= 0x10
@@ -128,7 +128,7 @@ def test_single_byte_corruption_of_an_attention_matrix_detected(tmp_path, params
 
 
 def test_failed_save_leaves_the_previous_checkpoint_loadable(tmp_path, params, monkeypatch):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     before = parameter_checksum(params, CFG)
     newer = init_parameters(CFG, seed=4)
     written = []
@@ -139,7 +139,7 @@ def test_failed_save_leaves_the_previous_checkpoint_loadable(tmp_path, params, m
 
     monkeypatch.setattr(json, "dump", failing_dump)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(newer, CFG, tmp_path / "ckpt")
+        save_checkpoint(newer, CFG, tmp_path / "ckpt", extra={})
     monkeypatch.undo()
     assert "params.bin" in written
     loaded, cfg = load_checkpoint(tmp_path / "ckpt")
@@ -153,7 +153,7 @@ def test_save_interrupted_between_its_renames_keeps_the_previous_checkpoint(
         tmp_path, params, monkeypatch, error):
     """The old checkpoint is moved aside by the first rename; when the second
     one raises, it is moved back before the error propagates."""
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     before = parameter_checksum(params, CFG)
     real_replace = os.replace
     calls = []
@@ -166,7 +166,7 @@ def test_save_interrupted_between_its_renames_keeps_the_previous_checkpoint(
 
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(type(error)):
-        save_checkpoint(init_parameters(CFG, seed=4), CFG, tmp_path / "ckpt")
+        save_checkpoint(init_parameters(CFG, seed=4), CFG, tmp_path / "ckpt", extra={})
     monkeypatch.undo()
     assert len(calls) == 3 and calls[2][1] == "ckpt"
     loaded, cfg = load_checkpoint(tmp_path / "ckpt")
@@ -175,9 +175,9 @@ def test_save_interrupted_between_its_renames_keeps_the_previous_checkpoint(
 
 
 def test_save_replaces_an_existing_checkpoint(tmp_path, params):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     newer = init_parameters(CFG, seed=4)
-    save_checkpoint(newer, CFG, tmp_path / "ckpt")
+    save_checkpoint(newer, CFG, tmp_path / "ckpt", extra={})
     loaded, cfg = load_checkpoint(tmp_path / "ckpt")
     assert parameter_checksum(loaded, cfg) == parameter_checksum(newer, CFG)
     assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
@@ -199,7 +199,7 @@ def test_garbage_manifest(tmp_path):
 
 @pytest.mark.parametrize("payload", ["[1]", "2", "null", '"manifest"'])
 def test_manifest_must_be_a_json_object(tmp_path, params, payload):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     (tmp_path / "ckpt" / "manifest.json").write_text(payload)
     with pytest.raises(IntegrityError, match="not a JSON object"):
         read_manifest(tmp_path / "ckpt", None)
@@ -210,16 +210,16 @@ def test_manifest_must_be_a_json_object(tmp_path, params, payload):
 def test_non_finite_parameters_rejected(tmp_path, params):
     params["classifier.b"].data[0] = np.nan
     with pytest.raises(ContractError, match="classifier.b"):
-        save_checkpoint(params, CFG, tmp_path / "ckpt")
+        save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
 
 
 def test_wrong_parameter_set_rejected(tmp_path, params):
     params["classifier.b"] = Tensor(np.zeros(16), requires_grad=True)
     with pytest.raises(ShapeError, match="classifier.b"):
-        save_checkpoint(params, CFG, tmp_path / "ckpt")
+        save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     del params["classifier.b"]
     with pytest.raises(ContractError):
-        save_checkpoint(params, CFG, tmp_path / "ckpt")
+        save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     assert not (tmp_path / "ckpt").exists()
 
 
@@ -240,7 +240,7 @@ def _first_entry(manifest):
     lambda m: m.update(tensors=5),
 ], ids=["no-sha256", "name-not-a-string", "entry-not-an-object", "tensors-not-a-list"])
 def test_malformed_manifest_entry_is_integrity_error(tmp_path, params, corrupt):
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     manifest_path = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     corrupt(manifest)
@@ -254,7 +254,7 @@ def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypat
     """The blob is always ``params.bin``: a ``blob`` key in the manifest,
     here naming a copy of the blob beside the checkpoint, is not read, and
     that file is never opened."""
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     outside = tmp_path / "outside.bin"
     outside.write_bytes((tmp_path / "ckpt" / "params.bin").read_bytes())
     manifest_path = tmp_path / "ckpt" / "manifest.json"
@@ -279,14 +279,14 @@ def test_blob_outside_the_checkpoint_is_never_opened(tmp_path, params, monkeypat
 
 def _flip_middle_byte(blob, manifest):
     victim = manifest["tensors"][len(manifest["tensors"]) // 2]["name"]
-    offset, nbytes = _layout(ModelConfig.from_dict(manifest["config"]))[victim]
+    offset, nbytes = _layout(ModelConfig(**manifest["config"]))[victim]
     blob[offset + nbytes // 2] ^= 0xFF
     return f"checksum mismatch for tensor {victim!r}"
 
 
 def _swap_first_tensors(blob, manifest):
     """Swap the bytes of the first two tensors, which have one shape."""
-    (a, n), (b, _) = list(_layout(ModelConfig.from_dict(manifest["config"])).values())[:2]
+    (a, n), (b, _) = list(_layout(ModelConfig(**manifest["config"])).values())[:2]
     blob[a:a + n], blob[b:b + n] = blob[b:b + n], blob[a:a + n]
     return f"checksum mismatch for tensor {manifest['tensors'][0]['name']!r}"
 
@@ -297,6 +297,16 @@ def _swap_first_names(manifest):
 
 
 EXTRA_MISMATCH = "checksum mismatch for the checkpoint's extra payload"
+
+
+def _rehashed_extra(manifest, extra):
+    """Replace the manifest's ``extra`` with ``extra``, or drop it if that is
+    None, and record the digest a save would: of ``{}`` when it is dropped."""
+    manifest.pop("extra")
+    if extra is not None:
+        manifest["extra"] = extra
+    canonical = json.dumps({} if extra is None else extra, sort_keys=True, separators=(",", ":"))
+    manifest["extra_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _unchecked_extra(manifest, edit):
@@ -318,8 +328,11 @@ def _unchecked_extra(manifest, edit):
     (lambda blob, m: m.update(format_version=3), "unsupported checkpoint format version 3"),
     (lambda blob, m: _unchecked_extra(m, edit=False), EXTRA_MISMATCH),
     (lambda blob, m: _unchecked_extra(m, edit=True), EXTRA_MISMATCH),
+    (lambda blob, m: _rehashed_extra(m, None), "has no extra payload"),
+    (lambda blob, m: _rehashed_extra(m, [m["extra"]]), "has no extra payload"),
 ], ids=["truncated", "flipped-byte", "swapped-tensors", "one-tensor-short", "names-swapped",
-        "malformed-entry", "format-3", "no-extra-sha256", "no-extra-sha256-vocab-swapped"])
+        "malformed-entry", "format-3", "no-extra-sha256", "no-extra-sha256-vocab-swapped",
+        "no-extra", "extra-not-an-object"])
 def test_every_refusal_exits_3_through_generate(trained, tmp_path, capsys, spoil, message):
     """One change to a checkpoint that ``generate`` otherwise decodes is
     refused with exit 3 and its message, with no traceback and nothing
@@ -341,7 +354,7 @@ def test_every_refusal_exits_3_through_generate(trained, tmp_path, capsys, spoil
 def test_bytes_past_the_last_tensor_are_integrity_error(tmp_path, params, capsys):
     """Bytes appended to the blob are refused: the tensors must end where
     the blob does."""
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     with open(tmp_path / "ckpt" / "params.bin", "ab") as fh:
         fh.write(bytes(12))
     size = sum(nbytes for _, nbytes in _layout(CFG).values())
@@ -357,7 +370,7 @@ def test_bytes_past_the_last_tensor_are_integrity_error(tmp_path, params, capsys
 @pytest.mark.parametrize("version", [True, 2.0, "2", None])
 def test_format_version_must_be_an_int(tmp_path, params, version):
     """JSON true equals 1 in Python and 2.0 equals 2; neither is a format version."""
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     manifest_path = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = version
@@ -374,7 +387,7 @@ def _legacy_weights_give_identical_outputs(checkpoint, version):
     assert list(loaded) == list(init_parameters(CFG))
     features, demo = np.asarray(expected["features"]), np.asarray(expected["demo"])
     hybrid = encode_inputs(features, demo, loaded, cfg)
-    logits = decoder_forward(expected["prefix"], hybrid, loaded, cfg).data
+    logits = decoder_forward([expected["prefix"]], hybrid, loaded, cfg).data
     reference = np.asarray(expected["logits"])
     # the heads' blocks are joined into one product per role, so BLAS may
     # round differently in the last bits
@@ -416,16 +429,16 @@ def test_format_4_stores_each_tensors_name_and_checksum(tmp_path, params):
     assert not any(".h0." in entry["name"] for entry in manifest["tensors"])
 
 
-@pytest.mark.parametrize("extra", [None, {}, {"vocab": ["<pad>", "x"],
-                                               "codec": {"b": 1, "a": 0.5}}])
+@pytest.mark.parametrize("extra", [{}, {"vocab": ["<pad>", "x"],
+                                     "codec": {"b": 1, "a": 0.5}}])
 def test_extra_sha256_is_the_digest_of_its_canonical_json(tmp_path, params, extra):
-    """Sorted keys and no spaces; a checkpoint saved without ``extra``
-    records the digest of ``{}``."""
+    """Sorted keys and no spaces; ``extra`` is written whatever it holds, an
+    empty object included."""
     save_checkpoint(params, CFG, tmp_path / "ckpt", extra=extra)
     manifest = read_manifest(tmp_path / "ckpt", None)
-    canonical = json.dumps(extra or {}, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(extra, sort_keys=True, separators=(",", ":"))
     assert manifest["extra_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
-    assert manifest.get("extra", {}) == (extra or {})
+    assert manifest["extra"] == extra
     load_checkpoint(tmp_path / "ckpt")
 
 
@@ -462,7 +475,7 @@ def test_config_of_other_sizes_is_refused_before_any_parameter_is_built(
     """A config changed to a model with the same tensor names but other
     sizes fails the blob's size check, taken in Python ints, before any
     parameter array is built."""
-    save_checkpoint(params, CFG, tmp_path / "ckpt")
+    save_checkpoint(params, CFG, tmp_path / "ckpt", extra={})
     manifest_path = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["config"].update(change)

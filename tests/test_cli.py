@@ -28,6 +28,7 @@ import cxrgen.text
 import cxrgen.training
 from cxrgen.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from cxrgen.cli import main
+from cxrgen.errors import DegenerateInputError, ShapeError
 from cxrgen.metrics import EvaluationReport
 from cxrgen.model import MAX_DECODER_BLOCKS, MAX_D_MODEL, MAX_LEN, init_parameters
 from cxrgen.text import END_ID, UNK_ID
@@ -110,10 +111,9 @@ class TestSynthData:
 
     @pytest.mark.parametrize("command, values", [
         ("synth-data", {"seed": 1.5}), ("synth-data", {"seed": True}),
-        ("synth-data", {"seed": None}),
         ("generate", {"checkpoint": "ckpt", "data": "prep", "split": "holdout"}),
         ("synth-data", {"n": 2})],
-        ids=["float-for-int", "bool", "null", "bad-choice", "abbreviated-key"])
+        ids=["float-for-int", "bool", "bad-choice", "abbreviated-key"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, values):
         """A config value is parsed like a flag: its type, choices and name are
         checked, and a bad one exits 2 with a message, not a traceback."""
@@ -471,6 +471,22 @@ class TestTrainGenerate:
                      "--max-len", "24", "--batch-size", "8", "--epochs", "2"]) == 4
         assert not (run / "best").exists()
 
+    @pytest.mark.parametrize("error", [ShapeError, DegenerateInputError])
+    def test_every_contract_error_kind_is_numeric_error(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch, error):
+        """``ShapeError`` and ``DegenerateInputError`` are kinds of
+        ``ContractError``: raised inside a command, each exits 4 like it, with
+        its message and no traceback, so no package error exits 1."""
+        def fail(*args, **kwargs):
+            raise error("raised inside the command")
+
+        monkeypatch.setattr(cxrgen.cli, "generate", fail)
+        out = tmp_path / "gen"
+        assert main(["generate", "--checkpoint", str(pipeline["run"] / "best"),
+                     "--data", str(pipeline["prep"]), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: raised inside the command\n"
+        assert not out.exists()
+
     def test_unknown_demographics_field_is_usage_error(self, pipeline, tmp_path):
         assert main(["train", "--data", str(pipeline["prep"]), "--subset", "0",
                      "--out", str(tmp_path / "x"), "--demographics", "weight"]) == 2
@@ -812,10 +828,9 @@ class TestTrainGenerate:
          "age_min and age_max must be integers"),
         (lambda extra: {**extra, "codec": {**extra["codec"], "fields": "age"}},
          "fields must be distinct names"),
-        (lambda extra: [extra], "a vocabulary is a list of string tokens"),
     ], ids=["vocabulary-without-header", "non-string-token", "short-vocabulary",
             "long-vocabulary", "narrow-codec", "codec-missing-key", "string-codec",
-            "null-codec", "string-age", "string-fields", "extra-not-an-object"])
+            "null-codec", "string-age", "string-fields"])
     def test_checkpoint_vocabulary_or_codec_that_does_not_fit_is_integrity_error(
             self, pipeline, tmp_path, capsys, spoil, message):
         """The vocabulary and the codec a checkpoint embeds are checked against
@@ -986,16 +1001,29 @@ class TestProvenanceOptions:
         # each config value as parsed: "2" is recorded as the int 2, "0" as 0.0
         assert {key: (options[key], type(options[key])) for key in parsed} \
             == {key: (value, type(value)) for key, value in parsed.items()}
-        config_path.write_text(json.dumps({key: value for key, value in options.items()
-                                           if value is not None}))
+        config_path.write_text(json.dumps(options))   # as recorded, nulls included
         assert main([command, "--config", str(config_path), "--out", str(tmp_path / "b")]) == 0
-        outputs = [_files(tmp_path / name) for name in ("a", "b")]
-        for files in outputs:   # the epoch timings of a training log differ between runs
-            if "trainlog.jsonl" in files:
-                files["trainlog.jsonl"] = [
-                    {key: value for key, value in json.loads(line).items() if key != "seconds"}
-                    for line in files["trainlog.jsonl"].splitlines()]
-        assert outputs[0] == outputs[1]
+        assert _untimed_files(tmp_path / "a") == _untimed_files(tmp_path / "b")
+
+    @pytest.mark.parametrize("command, key", [("synth-data", "seed"),
+                                              ("train", "grad_clip")])
+    def test_null_config_value_is_the_option_left_out(self, pipeline, tmp_path, command,
+                                                      key):
+        """A null in a config file is an option not given: the run writes the
+        same bytes as one that leaves the option out (trainlog ``seconds``
+        aside), and records the option's default."""
+        inputs = {"synth-data": ["--n-per-stratum", "2", "--feature-dim", "6"],
+                  "train": ["--data", str(pipeline["prep"]), *TINY_TRAIN]}[command]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: None}))
+        assert main([command, *inputs, "--config", str(config_path),
+                     "--out", str(tmp_path / "null")]) == 0
+        assert main([command, *inputs, "--out", str(tmp_path / "left-out")]) == 0
+        files = _untimed_files(tmp_path / "null")
+        assert files == _untimed_files(tmp_path / "left-out")
+        options = json.loads(files["provenance.json"])["options"]
+        assert options[key] == vars(cxrgen.cli.build_parser().parse_args(
+            [command, *inputs, "--out", "x"]))[key]
 
 
 class TestCheckpointConfig:
@@ -1116,7 +1144,7 @@ class TestCheckpointValues:
         match: only the values themselves show the fault."""
         ckpt, manifest = self._checkpoint(pipeline, tmp_path)
         shapes = cxrgen.model.parameter_shapes(
-            cxrgen.model.ModelConfig.from_dict(manifest["config"]))
+            cxrgen.model.ModelConfig(**manifest["config"]))
         nbytes = [4 * int(np.prod(shape)) for shape in shapes.values()]
         index = tensor % len(nbytes)
         entry = manifest["tensors"][index]
@@ -1595,6 +1623,17 @@ def _files(root) -> dict[str, bytes]:
     """Every file under ``root``, by its path relative to ``root``."""
     return {str(path.relative_to(root)): path.read_bytes()
             for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+def _untimed_files(root) -> dict:
+    """``_files(root)`` with the epoch timings of a training log, which differ
+    between runs, taken out: its lines become dicts without ``seconds``."""
+    files = _files(root)
+    if "trainlog.jsonl" in files:
+        files["trainlog.jsonl"] = [
+            {key: value for key, value in json.loads(line).items() if key != "seconds"}
+            for line in files["trainlog.jsonl"].splitlines()]
+    return files
 
 
 WRONG_VALUES = st.sampled_from([None, True, "x", 1.5, -3, float("nan"), float("inf"),

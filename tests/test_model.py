@@ -69,7 +69,8 @@ def np_decoder_forward(ids, hybrid, w, cfg):
     """The decoder with every attention block, cross-attention included,
     computed as a full softmax over its keys."""
     length = len(ids)
-    x = w["embed.table"][ids] + T.sinusoidal_positions(length, cfg.d_embed)
+    x = w["embed.table"][ids] + T.sinusoidal_positions(length, cfg.d_embed,
+                                                       w["embed.table"].dtype)
     causal = np.tril(np.ones((length, length), dtype=bool))
     for i in range(cfg.n_decoder_blocks):
         attended = full_softmax_mha(w, f"dec{i}.self_attn", cfg.n_heads, x, x, causal)
@@ -312,7 +313,7 @@ class TestDecoder:
         params = init_parameters(cfg, seed=0)
         rng = np.random.default_rng(0)
         hybrid = encode_inputs(rng.normal(size=1280), np.eye(7)[0], params, cfg)
-        logits = decoder_forward([START_ID, 5, 9], hybrid, params, cfg)
+        logits = decoder_forward([[START_ID, 5, 9]], hybrid, params, cfg)
         assert tuple(logits.shape) == (3, 2212)
 
     def test_causal_invariance_bit_exact(self):
@@ -320,13 +321,13 @@ class TestDecoder:
         hybrid = self._hybrid(params, TINY)
         rng = np.random.default_rng(10)
         base = rng.integers(4, TINY.vocab_size, size=6)
-        base_logits = decoder_forward(base, hybrid, params, TINY).data
+        base_logits = decoder_forward(base[None], hybrid, params, TINY).data
         for t in range(5):
             for _ in range(3):
                 perturbed = base.copy()
                 j = rng.integers(t + 1, 6)
                 perturbed[j] = rng.integers(4, TINY.vocab_size)
-                new_logits = decoder_forward(perturbed, hybrid, params, TINY).data
+                new_logits = decoder_forward(perturbed[None], hybrid, params, TINY).data
                 assert np.array_equal(new_logits[: t + 1], base_logits[: t + 1])
 
     def test_single_token_matches_primitive_composition(self):
@@ -335,10 +336,10 @@ class TestDecoder:
         params = init_parameters(TINY, seed=12)
         hybrid = self._hybrid(params, TINY, seed=12)
         ids = [START_ID]
-        logits = decoder_forward(ids, hybrid, params, TINY)
+        logits = decoder_forward([ids], hybrid, params, TINY)
 
         x = gather_rows(params["embed.table"], ids)
-        x = add(x, Tensor(T.sinusoidal_positions(1, TINY.d_embed)))
+        x = add(x, Tensor(T.sinusoidal_positions(1, TINY.d_embed, np.float32)))
 
         def heads_summed(prefix, rows):
             out = None
@@ -364,7 +365,7 @@ class TestDecoder:
         hybrid = self._hybrid(params, cfg, seed=5)
         rng = np.random.default_rng(13)
         ids = np.concatenate([[START_ID], rng.integers(4, cfg.vocab_size, size=6)])
-        logits = decoder_forward(ids, hybrid, params, cfg)
+        logits = decoder_forward(ids[None], hybrid, params, cfg)
         expected = np_decoder_forward(ids, hybrid.data,
                                       full_attention_weights(params, cfg, rng), cfg)
         np.testing.assert_allclose(logits.data, expected, rtol=1e-5, atol=1e-6)
@@ -372,14 +373,22 @@ class TestDecoder:
     def test_id_out_of_range_rejected(self):
         params = init_parameters(TINY, seed=0)
         hybrid = self._hybrid(params, TINY)
-        with pytest.raises(ContractError):
-            decoder_forward([0, 25], hybrid, params, TINY)
+        with pytest.raises(ContractError, match="out of range"):
+            decoder_forward([[0, 25]], hybrid, params, TINY)
+
+    def test_ids_that_are_not_a_batch_are_a_shape_error(self):
+        """The decoder takes [B x L] ids only: one sequence is [1 x L]."""
+        params = init_parameters(TINY, seed=0)
+        hybrid = self._hybrid(params, TINY)
+        for ids in ([START_ID, 4], [[[START_ID, 4]]]):
+            with pytest.raises(ShapeError, match=r"\[B x L\]"):
+                decoder_forward(ids, hybrid, params, TINY)
 
     def test_sequence_too_long_rejected(self):
         params = init_parameters(TINY, seed=0)
         hybrid = self._hybrid(params, TINY)
-        with pytest.raises(ContractError):
-            decoder_forward([START_ID] * 9, hybrid, params, TINY)
+        with pytest.raises(ContractError, match="exceeds the maximum"):
+            decoder_forward([[START_ID] * 9], hybrid, params, TINY)
 
     def test_shape_closure_sweep(self):
         """Construct + forward for heads in {1,2,4,8} x d_model in {32,64,512}."""
@@ -390,7 +399,7 @@ class TestDecoder:
                                   demographic_dim=4, dropout_rate=0.0)
                 params = init_parameters(cfg, seed=0)
                 hybrid = encode_inputs(np.ones(12), np.eye(4)[1], params, cfg)
-                logits = decoder_forward([START_ID, 4, 5], hybrid, params, cfg)
+                logits = decoder_forward([[START_ID, 4, 5]], hybrid, params, cfg)
                 assert tuple(logits.shape) == (3, 30)
 
     def test_multi_block_decoder_runs(self):
@@ -399,7 +408,7 @@ class TestDecoder:
                           dropout_rate=0.0)
         params = init_parameters(cfg, seed=0)
         hybrid = encode_inputs(np.ones(6), np.eye(3)[0], params, cfg)
-        logits = decoder_forward([START_ID, 4], hybrid, params, cfg)
+        logits = decoder_forward([[START_ID, 4]], hybrid, params, cfg)
         assert tuple(logits.shape) == (2, 12)
 
 
@@ -591,7 +600,7 @@ class TestDecodeCache:
         prefix = np.asarray([START_ID] + ids[:-1])
         params["classifier.b"].data[PAD_ID] = 0.0
         hybrid = encode_inputs(features, demo, params, DESK)
-        reference = decoder_forward(prefix, hybrid, params, DESK).data
+        reference = decoder_forward(prefix[None], hybrid, params, DESK).data
         cache = DecodeCache(hybrid.data, params, DESK)
         steps = [cache.step(prefix[t:t + 1]) for t in range(len(prefix))]
         assert self._relative_error(np.concatenate(steps), reference) <= 1e-5

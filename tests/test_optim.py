@@ -1,5 +1,6 @@
-"""Adam: first-step magnitude, zero-gradient behavior, and the two-step
-recurrence against a hand-unrolled reference."""
+"""Adam: first-step magnitude, zero-gradient behavior, the refusal of a
+parameter with no gradient, and the two-step recurrence against a
+hand-unrolled reference."""
 
 import numpy as np
 import pytest
@@ -22,11 +23,24 @@ def test_zero_gradient_leaves_parameters_unchanged():
     np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
 
-def test_missing_gradient_skips_parameter():
-    p = Tensor([1.0], requires_grad=True)
-    opt = Adam({"p": p}, lr=0.1)
+def test_missing_gradient_is_refused_by_name():
+    """Every adopted parameter is updated on every step: one with no
+    gradient is a ``ContractError`` naming it, raised before any tensor
+    moves, so data and both moments stay as the last step left them."""
+    a, b = Tensor([1.0], requires_grad=True), Tensor([2.0, 3.0], requires_grad=True)
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    opt.zero_grad()
+    a.accumulate_grad(np.ones(1, dtype=np.float32))
+    b.accumulate_grad(np.ones(2, dtype=np.float32))
     opt.step()
-    np.testing.assert_array_equal(p.data, [1.0])
+    before = [array.copy() for array in (opt._data, opt._m, opt._v)]
+    opt.zero_grad()
+    a.accumulate_grad(np.ones(1, dtype=np.float32))
+    with pytest.raises(ContractError, match="parameter 'b': no gradient"):
+        opt.step()
+    assert opt.t == 1
+    for array, previous in zip((opt._data, opt._m, opt._v), before):
+        assert np.array_equal(array, previous)
 
 
 def test_first_step_magnitude_is_learning_rate():
@@ -87,8 +101,9 @@ def test_zero_grad_clears_all():
 
 
 def test_in_place_step_bit_identical_to_allocating_formula():
-    """Five steps over tensors of several shapes, one of them skipped on two
-    steps, match the textbook formula with fresh temporaries bit for bit."""
+    """Five steps over tensors of several shapes, one of them with a zero
+    gradient on two steps, match the textbook formula with fresh temporaries
+    bit for bit."""
     rng = np.random.default_rng(5)
     shapes = {"w": (7, 5), "b": (5,), "big": (64, 33)}
     params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
@@ -100,9 +115,9 @@ def test_in_place_step_bit_identical_to_allocating_formula():
     for t in range(1, 6):
         opt.zero_grad()
         for name, p in params.items():
-            if name == "b" and t in (2, 4):
-                continue
             g = (rng.normal(size=p.data.shape) * 10.0 ** -t).astype(np.float32)
+            if name == "b" and t in (2, 4):
+                g[...] = 0.0
             p.accumulate_grad(g)
             allocating_adam_step(reference[name], g, m[name], v[name], t, lr=0.02)
         opt.step()
@@ -124,8 +139,8 @@ def twin_params(shapes, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flat_chunked_step_bit_identical_to_per_tensor_oracle(dtype):
     """Five steps over a layout whose first tensor spans a chunk boundary,
-    with the middle tensor skipped on two steps (splitting the run): data
-    and both moments match the per-tensor optimizer bit for bit."""
+    with the middle tensor's gradient zero on two steps: data and both
+    moments match the per-tensor optimizer bit for bit."""
     shapes = {"big": (300, 250), "b": (7,), "w": (80, 90)}
     assert shapes["big"][0] * shapes["big"][1] > CHUNK
     params, reference = twin_params(shapes, dtype, seed=11)
@@ -135,9 +150,9 @@ def test_flat_chunked_step_bit_identical_to_per_tensor_oracle(dtype):
         opt.zero_grad()
         oracle.zero_grad()
         for name, shape in shapes.items():
-            if name == "b" and t in (2, 4):
-                continue
             g = (rng.normal(size=shape) * 10.0 ** -t).astype(dtype)
+            if name == "b" and t in (2, 4):
+                g[...] = 0.0
             params[name].accumulate_grad(g)
             reference[name].grad = g.copy()
         opt.step()
@@ -264,29 +279,29 @@ def test_slot_writes_under_shared_use_match_an_unadopted_twin(build):
     """A parameter feeding several tape entries gets, in its slot, the bytes
     an un-adopted twin leaf gets in a fresh array; a NaN-poisoned slot
     proves no rule reads it before writing it, and ``step`` accepts every
-    gradient."""
+    gradient. Only the parameters the build reaches are adopted, as ``step``
+    refuses one with no gradient."""
     rng = np.random.default_rng(21)
     values = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3),
               "u": rng.normal(size=(3, 3))}
     x = rng.normal(size=(3, 3))
 
-    def gradients(adopt):
+    def gradients(adopted):
         params = {name: Tensor(value, requires_grad=True) for name, value in values.items()}
-        if adopt:
-            opt = Adam(params, lr=0.1)
+        if adopted:
+            opt = Adam({name: params[name] for name in adopted}, lr=0.1)
             opt.zero_grad()
-            for p in params.values():
-                p.grad_slot.fill(np.nan)
-            slots = {name: p.grad_slot for name, p in params.items()}
+            slots = {name: params[name].grad_slot for name in adopted}
+            for slot in slots.values():
+                slot.fill(np.nan)
         T.reset_graph()
         out = build(params, Tensor(x))
         T.backward(oracles.sum_all(oracles.mul(out, out)))
-        if adopt:
-            assert all(p.grad is None or p.grad is slots[name] for name, p in params.items())
+        if adopted:
+            assert all(params[name].grad is slot for name, slot in slots.items())
             opt.step()
-        return {name: None if p.grad is None else p.grad.tobytes()
-                for name, p in params.items()}
+        return {name: p.grad.tobytes() for name, p in params.items() if p.grad is not None}
 
-    twin = gradients(adopt=False)
-    assert twin["w"] is not None or twin["b"] is not None
-    assert gradients(adopt=True) == twin
+    twin = gradients(adopted=())
+    assert "w" in twin or "b" in twin
+    assert gradients(adopted=tuple(twin)) == twin

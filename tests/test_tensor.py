@@ -383,7 +383,7 @@ class TestFusedOps:
         bit-equal to the add of tiled position rows and a row-wise np.add.at."""
         rng = np.random.default_rng(37)
         table = rng.normal(size=(7, 5)).astype(np.float32)
-        positions = T.sinusoidal_positions(4, 5)
+        positions = T.sinusoidal_positions(4, 5, np.float32)
         direction = rng.normal(size=(12, 5))
         fused = _forward_and_gradients(lambda t: T.embedding(t, ids, positions), [table],
                                        direction)
@@ -400,7 +400,7 @@ class TestFusedOps:
             params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
                       for name, shape in (("table", (5, 4)), ("r", (6, 4)), ("g", (4,)),
                                           ("b", (4,)), ("w", (4, 4)), ("c", (4,)))}
-            positions = T.sinusoidal_positions(3, 4)
+            positions = T.sinusoidal_positions(3, 4, np.float64)
             direction = Tensor(rng.normal(size=(6, 4)))
 
             def loss():
@@ -592,7 +592,8 @@ class TestBackward:
     @staticmethod
     def _embedding():
         table = Tensor(np.random.default_rng(5).normal(size=(5, 4)), requires_grad=True)
-        out = T.embedding(table, [[2, 0, 3], [2, 2, 1]], T.sinusoidal_positions(3, 4))
+        out = T.embedding(table, [[2, 0, 3], [2, 2, 1]],
+                          T.sinusoidal_positions(3, 4, table.data.dtype))
         return oracles.sum_all(oracles.mul(out, out)), [table]
 
     @staticmethod
@@ -660,7 +661,7 @@ class TestBackward:
                 "wc": Tensor(rng.normal(size=(4, 5)), requires_grad=True),
             }
             mask = np.tril(np.ones((1, 3, 3), dtype=bool))
-            positions = T.sinusoidal_positions(3, 4)
+            positions = T.sinusoidal_positions(3, 4, np.float64)
 
             def forward():
                 x = T.embedding(params["table"], ids[None], positions)
@@ -772,11 +773,10 @@ class TestOtherOps:
             T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
 
     def test_positions_table_is_built_once_per_size_and_dtype_and_read_only(self):
-        table = T.sinusoidal_positions(8, 6)
+        table = T.sinusoidal_positions(8, 6, np.float32)
         assert T.sinusoidal_positions(8, 6, np.float32) is table
         assert not table.flags.writeable
-        with T.default_dtype(np.float64):
-            wide = T.sinusoidal_positions(8, 6)
+        wide = T.sinusoidal_positions(8, 6, np.float64)
         assert wide.dtype == np.float64 and table.dtype == np.float32
         np.testing.assert_array_equal(table, wide.astype(np.float32))
         np.testing.assert_array_equal(table[:, 0], np.sin(np.arange(8)).astype(np.float32))

@@ -14,7 +14,7 @@ from cxrgen.text import (CleanReport, Rejected, StandardizationMap,
                          Vocabulary, build_vocabulary, clean_report, decode_ids,
                          encode_tokens, load_reject_patterns, load_stopwords)
 
-EMPTY_MAP = StandardizationMap()
+EMPTY_MAP = StandardizationMap([])
 # ASCII letters, digits and punctuation, plus letters that lowercase to
 # themselves ('𝐀' stays uppercase), to two characters ('İ') or not at all
 # ('ß'), digits that are not ASCII ('²', '１') and punctuation that is not

@@ -139,7 +139,7 @@ class TestLoss:
         from cxrgen.model import decoder_forward, encode_inputs
         hybrid = encode_inputs(ex.features, ex.demo, params, cfg)
         inputs, targets, mask = (part[0] for part in teacher_forcing_batch([ex.ids]))
-        logits = decoder_forward(inputs, hybrid, params, cfg).data
+        logits = decoder_forward(inputs[None], hybrid, params, cfg).data
         manual_terms = [
             -math.log(direct_softmax(logits[i])[targets[i]])
             for i in range(len(targets)) if targets[i] != PAD_ID
